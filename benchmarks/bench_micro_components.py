@@ -15,7 +15,7 @@ from repro.queueing.network import (
     delay_center,
     queueing_center,
 )
-from repro.sidb.certifier import Certifier
+from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.engine import SIDatabase
 from repro.sidb.writeset import Writeset
 from repro.simulator.des import Environment, Timeout
@@ -78,7 +78,7 @@ def test_sidb_commit_path_speed(benchmark):
 
 def test_certifier_speed(benchmark):
     """Certification against a deep history window."""
-    certifier = Certifier()
+    certifier = GlobalCertifier()
     rng = make_rng(7)
     for i in range(1, 2001):
         keys = {("row", int(r)): i for r in rng.integers(0, 100_000, size=3)}

@@ -19,8 +19,8 @@ executable pillars feed it the same small set of lifecycle callbacks
   or on non-hosting replicas.
 
 The auditor is wired through :class:`repro.telemetry.Telemetry` (see
-``TelemetryConfig.audit``): every call site is double-guarded
-(``telemetry is not None`` and ``telemetry.auditor is not None``), it
+``TelemetryConfig.audit``) and fed by the protocol recorder
+(:mod:`repro.telemetry.recorder`), which checks for it once per hook; it
 performs pure bookkeeping — no clocks, no randomness, no simulated
 time — so DES results are bit-identical with it on or off, and it is
 thread-safe for the live cluster's applier threads.

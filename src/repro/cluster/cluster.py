@@ -3,7 +3,7 @@
 :class:`MultiMasterCluster` (Figure 4, Tashkent-style): every replica
 executes reads and updates against its local :class:`~repro.sidb.engine.
 SIDatabase`; update writesets are certified by one *shared*
-:class:`~repro.sidb.certifier.Certifier` service enforcing system-wide
+:class:`~repro.sidb.certifier.GlobalCertifier` service enforcing system-wide
 first-committer-wins, then broadcast over the replication channel and
 installed — at every replica, origin included — in commit order by the
 applier threads.
@@ -12,18 +12,26 @@ applier threads.
 and commits all updates locally (its engine's own certifier is the
 system-wide one) and streams committed writesets to the read-only slaves.
 
+The transaction protocol is written once, in :meth:`Cluster.execute`;
+what differs sits behind two seams fixed at construction: a
+:class:`~repro.simulator.systems.Topology` (who executes updates) and a
+certification path (:class:`GlobalCertification` here,
+:class:`~.sharded.ShardedCertification` for per-partition shards).
+
 Commit-order discipline: certification (or master commit) and channel
-publication happen under one ``_order_lock`` per cluster, so the channel
-sees versions strictly ascending.  Timed work — service sleeps and the
-multi-master certification delay — happens *outside* that lock: the
-certifier processes requests atomically, and its latency is response-path
-delay, not serialised hold time (matching the simulator's semantics).
+publication happen under the path's order lock — one per cluster on the
+global path — so the channel sees versions strictly ascending.  Timed
+work — service sleeps and the multi-master certification delay — happens
+*outside* that lock: the certifier processes requests atomically, and
+its latency is response-path delay, not serialised hold time (matching
+the simulator's semantics).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
@@ -34,11 +42,17 @@ from ..core.errors import (
     TransactionAborted,
 )
 from ..core.params import ReplicationConfig
-from ..sidb.certifier import Certifier
+from ..sidb.certifier import GlobalCertifier
+from ..sidb.certifier_api import CertificationOutcome
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import check_capacities
-from ..telemetry import schema as tel_schema
+from ..simulator.systems import (
+    ELASTIC_NEEDS_FULL_REPLICATION,
+    MULTI_MASTER_TOPOLOGY,
+    SINGLE_MASTER_TOPOLOGY,
+    check_capacities,
+)
+from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
 from .balancer import LoadBalancer
 from .channel import ReplicationChannel
@@ -51,15 +65,105 @@ from .replica import ClusterReplica
 _PRUNE_INTERVAL = 256
 
 
+class GlobalCertification:
+    """The global certification path: one certifier, one commit-order
+    lock, one replication channel, scalar snapshots."""
+
+    def __init__(self, clock: VirtualClock, certifier_spec=None) -> None:
+        self._clock = clock
+        self.certifier = GlobalCertifier()
+        self.channel = ReplicationChannel()
+        #: Orders certification/commit with channel publication; elastic
+        #: membership changes take it too, so replay-then-subscribe and
+        #: unsubscribe are atomic with respect to publishes.
+        self.order_lock = threading.Lock()
+        # Per-certification service occupancy of the shared certifier
+        # (the A/B knob against the sharded arm).  Zero — the default —
+        # makes the sleep a no-op.
+        self._service_time = (
+            0.0 if certifier_spec is None else certifier_spec.service_time
+        )
+
+    def new_replica(self, name, sampler, certifier, max_concurrency,
+                    capacity, hosted_partitions) -> ClusterReplica:
+        return ClusterReplica(
+            name, self._clock, sampler, certifier=certifier,
+            max_concurrency=max_concurrency, capacity=capacity,
+            hosted_partitions=hosted_partitions,
+        )
+
+    def subscribe(self, replica: ClusterReplica) -> None:
+        self.channel.subscribe(replica)
+
+    def require_elastic(self) -> None:
+        """Scalar snapshots transfer as one version: joins are fine."""
+
+    def pin(self, replica: ClusterReplica) -> None:
+        """Nothing to pin: the engines' own active snapshots hold the
+        prune floor (see :meth:`prune`)."""
+
+    def unpin(self, pin) -> None:
+        pass
+
+    def stamp(self, writeset, pin):
+        """The extracted writeset already carries its scalar snapshot."""
+        return writeset
+
+    def shards(self, partitions) -> None:
+        """No shards coordinate (the certify span carries no such tag)."""
+
+    def rounds(self, partitions) -> int:
+        """Certifier round-trips one certification pays."""
+        return 1
+
+    @contextmanager
+    def ordered(self, partitions):
+        """Hold the system's one place in the commit order.
+
+        One service token for the whole system: every certification
+        holds the commit-order lock for its service time, the serial
+        bottleneck the sharded arm removes.
+        """
+        with self.order_lock:
+            self._clock.sleep(self._service_time)
+            yield
+
+    def publish(self, outcome, committed, origin) -> None:
+        """Broadcast the committed writeset (call inside :meth:`ordered`)."""
+        self.channel.publish(committed, origin=origin)
+
+    def version(self, outcome) -> int:
+        """The system-wide version clock after *outcome* committed."""
+        return outcome.commit_version
+
+    def drained(self, replicas) -> bool:
+        """True when every one of *replicas* applied every commit."""
+        target = self.certifier.latest_version
+        return all(
+            r.applied_version >= target and r.apply_backlog == 0
+            for r in replicas
+        )
+
+    def prune(self, replicas) -> None:
+        # Certifier history at or below every replica's oldest snapshot
+        # can no longer conflict with anything: new transactions begin at
+        # their replica's applied watermark, which oldest_active_snapshot
+        # bounds from below (it only grows afterwards).
+        floor = min(r.db.oldest_active_snapshot() for r in replicas)
+        self.certifier.observe_snapshot(max(0, floor))
+
+
 class Cluster:
-    """Shared plumbing of the live topologies: replicas, balancer, metrics."""
+    """Shared plumbing of the live topologies — replicas, balancer,
+    metrics — and the one transaction protocol body (:meth:`execute`)."""
 
-    design = "abstract"
+    #: Who executes updates (subclasses override; its design name also
+    #: validates partition maps).
+    topology = MULTI_MASTER_TOPOLOGY
 
-    #: Optional :class:`repro.telemetry.Telemetry` hook (see
-    #: :meth:`attach_telemetry`); ``None`` keeps every hot path exactly
-    #: as it was before the telemetry layer existed.
-    telemetry = None
+    #: Protocol recorder (:mod:`repro.telemetry.recorder`): the null
+    #: sink until :meth:`attach_telemetry` swaps in a real one.
+    recorder = NULL_RECORDER
 
     def __init__(
         self,
@@ -72,6 +176,7 @@ class Cluster:
         lb_policy: str = "least-loaded",
         capacities: Optional[Sequence[float]] = None,
         partition_map=None,
+        certification=None,
     ) -> None:
         from ..partition.placement import resolve_partition_map
 
@@ -90,20 +195,25 @@ class Cluster:
         self.balancer = LoadBalancer(
             lb_policy, rng_util.spawn(seed, "live-load-balancer")
         )
-        # Orders certification/commit with channel publication.
-        self._order_lock = threading.Lock()
+        #: The certification path (global unless an assembly passes a
+        #: sharded one): it owns the certifier, the commit-order lock(s)
+        #: and the replication channel(s), and builds the replicas.
+        self.certification = certification or GlobalCertification(clock)
+        self.certifier = self.certification.certifier
         self._prune_lock = threading.Lock()
         # Serialises elastic membership changes (add/remove) against each
         # other; the replica list itself is replaced copy-on-write under
-        # _order_lock so readers never see a half-updated list.
+        # the order lock so readers never see a half-updated list.
         self._membership_lock = threading.Lock()
         self._certifications_since_prune = 0
         self.replicas: List[ClusterReplica] = []
         #: Monotonic counter naming elastically added replicas (metric
         #: keys must never be reused after a removal).
         self._members_created = 0
-        self.channel = ReplicationChannel()
-        self.certifier: Certifier
+
+    @property
+    def design(self) -> str:
+        return self.topology.design
 
     def _initial_capacity(self, index: int) -> float:
         """Capacity multiplier for the *index*-th initial replica."""
@@ -120,7 +230,7 @@ class Cluster:
 
     def _new_replica(
         self, name: str, path: object,
-        certifier: Optional[Certifier] = None, capacity: float = 1.0,
+        certifier: Optional[GlobalCertifier] = None, capacity: float = 1.0,
         hosted_partitions=None,
     ) -> ClusterReplica:
         """Create a replica and register its resources, without attaching
@@ -131,29 +241,25 @@ class Cluster:
             rng_util.spawn(self._seed, "live-replica", path),
             distribution=self._distribution,
         )
-        replica = ClusterReplica(
-            name,
-            self.clock,
-            sampler,
-            certifier=certifier,
-            max_concurrency=self.config.max_concurrency,
-            capacity=capacity,
-            hosted_partitions=hosted_partitions,
+        replica = self.certification.new_replica(
+            name, sampler, certifier, self.config.max_concurrency,
+            capacity, hosted_partitions,
         )
         with self.metrics_lock:
             self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
             self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        if self.telemetry is not None:
-            replica.telemetry = self.telemetry
-            if self.telemetry.auditor is not None:
-                self.telemetry.auditor.on_attach(
-                    replica.name, replica.db.latest_version
-                )
+        self._wire(replica)
         return replica
+
+    def _wire(self, replica: ClusterReplica) -> None:
+        """Share the recorder with *replica* and baseline its lanes."""
+        replica.recorder = self.recorder
+        for shard, watermark in replica.watermarks():
+            self.recorder.attached(replica.name, watermark, shard=shard)
 
     def _make_replica(
         self, name: str, path: object,
-        certifier: Optional[Certifier] = None, capacity: float = 1.0,
+        certifier: Optional[GlobalCertifier] = None, capacity: float = 1.0,
         hosted_partitions=None,
     ) -> ClusterReplica:
         replica = self._new_replica(name, path, certifier, capacity,
@@ -168,16 +274,10 @@ class Cluster:
         certifier, every current replica, and every replica created
         later (elastic joins) share the same recorder.
         """
-        self.telemetry = telemetry
-        certifier = getattr(self, "certifier", None)
-        if certifier is not None:
-            certifier.telemetry = telemetry
+        self.recorder = ProtocolRecorder(telemetry, self.clock.now)
+        self.certifier.telemetry = telemetry
         for replica in self.replicas:
-            replica.telemetry = telemetry
-            if telemetry.auditor is not None:
-                telemetry.auditor.on_attach(
-                    replica.name, replica.db.latest_version
-                )
+            self._wire(replica)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -196,15 +296,13 @@ class Cluster:
     def quiesce(self, timeout: float = 30.0) -> bool:
         """Wait (wall *timeout* seconds) until every replica has applied
         every certified commit; True when the cluster converged."""
-        target = self.certifier.latest_version
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.applier_errors():
                 return False  # a dead applier can never converge
-            if all(
-                r.applied_version >= target and r.apply_backlog == 0
-                for r in self.replicas
-                if not r.failed  # crashed replicas are lost, not lagging
+            if self.certification.drained(
+                # Crashed replicas are lost, not lagging.
+                [r for r in self.replicas if not r.failed]
             ):
                 return True
             time.sleep(0.005)
@@ -246,7 +344,8 @@ class Cluster:
             self._prune()
 
     def _prune(self) -> None:
-        """Periodic garbage collection; topology-specific."""
+        """Periodic garbage collection of the certifier's history."""
+        self.certification.prune(self.replicas)
 
     def _route(self, client_id: int, is_update: bool,
                partitions: Tuple[int, ...] = ()) -> ClusterReplica:
@@ -285,18 +384,13 @@ class Cluster:
         pool = getattr(self, "slaves", self.replicas)
         return [r for r in pool if not r.retiring and not r.failed]
 
-    def _require_elastic_placement(self) -> None:
-        """Partial partition maps pin the fleet: membership is static.
-
-        (Partition re-placement on join/leave is the follow-on seam;
-        until it exists, elastic membership and partial maps are
-        mutually exclusive, loudly.)
-        """
+    def _require_elastic(self) -> None:
+        """Refuse membership changes the placement or the certification
+        path cannot follow (see the ``ELASTIC_NEEDS_*`` messages in
+        :mod:`repro.simulator.systems`)."""
+        self.certification.require_elastic()
         if self.partition_map is not None and not self.partition_map.is_full:
-            raise ConfigurationError(
-                "elastic membership requires full replication; the "
-                "partition map places data on a fixed fleet"
-            )
+            raise ConfigurationError(ELASTIC_NEEDS_FULL_REPLICATION)
 
     def add_replica(self, transfer_writesets: int = 16,
                     capacity: float = 1.0) -> ClusterReplica:
@@ -315,20 +409,17 @@ class Cluster:
     def _attach(self, replica: ClusterReplica) -> None:
         """Wire a freshly seeded replica into replication and routing.
 
-        Must run under ``_order_lock``: publishes are blocked, so
+        Must run under the order lock: publishes are blocked, so
         replaying the channel history above the replica's snapshot and
         then subscribing hands it every committed writeset exactly once.
         """
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            # Baseline = the transferred snapshot; the replay below
-            # delivers exactly the versions above it.
-            telemetry.auditor.on_attach(
-                replica.name, replica.db.latest_version
-            )
-        for writeset in self.channel.history_after(replica.db.latest_version):
+        channel = self.certification.channel
+        # Baseline = the transferred snapshot; the replay below
+        # delivers exactly the versions above it.
+        self.recorder.attached(replica.name, replica.db.latest_version)
+        for writeset in channel.history_after(replica.db.latest_version):
             replica.enqueue_writeset(writeset, charged=True)
-        self.channel.subscribe(replica)
+        channel.subscribe(replica)
         self.replicas = self.replicas + [replica]
 
     def _discard_failed_join(self, replica: ClusterReplica) -> None:
@@ -399,8 +490,8 @@ class Cluster:
         it leaves routing, replication, and the convergence check at
         once, and its queued backlog is discarded with it.
         """
-        with self._order_lock:
-            self.channel.unsubscribe(replica)
+        with self.certification.order_lock:
+            self.certification.channel.unsubscribe(replica)
             self.replicas = [r for r in self.replicas if r is not replica]
         replica.stop(timeout=10.0, drain=False)
 
@@ -423,34 +514,158 @@ class Cluster:
     def execute(
         self, sampler: WorkloadSampler, is_update: bool, client_id: int
     ) -> int:
-        """Run one transaction to commit; returns the abort (retry) count."""
-        raise NotImplementedError
+        """Run one transaction to commit; returns the abort (retry) count.
+
+        The replicated GSI life-cycle (§2, §4–5), written once for every
+        topology and certification path: route, admit, then either a
+        local read or the begin → execute → certify retry loop, whose
+        commit publishes the writeset to every replica.
+
+        Lock discipline: the commit decision (certification, or the
+        master's commit), the recorder's ``committed`` step and the
+        publish happen inside the path's order lock(s), so every channel
+        sees its versions ascending and the auditor sees commits before
+        their deliveries.  Timed sleeps other than the certifier's
+        service occupancy stay outside.
+        """
+        topology, path = self.topology, self.certification
+        txn = self.recorder.begin()
+        # Partitioned workloads pick their data before routing: the
+        # transaction must land on a replica hosting what it touches
+        # (the master hosts everything).
+        partitions = sampler.sample_partition_set(is_update)
+        if is_update and topology.master_updates:
+            self.clock.sleep(self.config.load_balancer_delay)
+            replica, policy = self.master, "master"
+            replica.enter()
+        else:
+            replica = self._route(client_id, is_update, partitions)
+            policy = self.balancer.policy
+        txn.routed(replica.name, is_update, policy)
+        self._acquire(replica)
+        aborts = 0
+        try:
+            if not is_update:
+                # Reads execute entirely locally and always commit (§2:
+                # GSI read-only transactions never abort).
+                txn.staleness(replica, self.certifier)
+                self._serve_read_txn(replica, sampler)
+                txn.executed(replica.name, "read")
+                return aborts
+            for attempt in range(1, self.config.max_retries + 1):
+                # The path pins what certification will be checked
+                # against *before* begin(): installs landing in between
+                # make the snapshot strictly richer than the pin claims —
+                # conservative, never unsafe.
+                pin = path.pin(replica)
+                try:
+                    # GSI: the snapshot is the replica's locally-latest
+                    # version, which may lag the certifier; on the master
+                    # it is the latest commit (plain SI), the near-zero
+                    # floor of the staleness distribution.
+                    db_txn = replica.db.begin()
+                    if not topology.master_updates:
+                        self._record_snapshot_age(
+                            self.certifier.latest_version
+                            - db_txn.snapshot_version
+                        )
+                    txn.staleness(replica, self.certifier,
+                                  db_txn.snapshot_version)
+                    replica.serve_update_attempt(sampler)
+                    # Each attempt re-samples its rows (re-execution of the
+                    # transaction logic against fresh data).
+                    sampled = sampler.sample_writeset(
+                        db_txn.snapshot_version, partitions
+                    )
+                    for key, value in sampled.writes:
+                        db_txn.write(key, value)
+                    # Stamp the partition footprint so certification is
+                    # scoped and replicas hosting none of these partitions
+                    # apply only a version marker.
+                    db_txn.partitions = sampled.partitions
+                    # A remote certifier is sent the extracted writeset;
+                    # the master's engine extracts it itself on commit.
+                    writeset = (
+                        None if topology.master_updates
+                        else path.stamp(db_txn.writeset(), pin)
+                    )
+                    txn.executed(replica.name, "update", attempt)
+                    self._record_certification()
+                    txn.certify_begin()
+                    try:
+                        with path.ordered(sampled.partitions):
+                            if writeset is None:
+                                outcome, committed = self._commit_at_master(
+                                    db_txn
+                                )
+                            else:
+                                outcome = self.certifier.certify(writeset)
+                                committed = (
+                                    writeset.committed(outcome.commit_version)
+                                    if outcome.committed else None
+                                )
+                            if outcome.committed:
+                                txn.committed(outcome, committed.partitions,
+                                              replica.name)
+                                path.publish(outcome, committed, replica)
+                        if outcome.committed:
+                            txn.propagated(path.version(outcome),
+                                           len(self.replicas))
+                        if writeset is not None:
+                            # The response (like the propagated writesets)
+                            # reaches the replica after the certifier's
+                            # round-trip(s) (§6.3.2).
+                            self.clock.sleep(
+                                self.config.certifier_delay
+                                * path.rounds(sampled.partitions)
+                            )
+                    finally:
+                        txn.certify_end()
+                finally:
+                    path.unpin(pin)
+                txn.certified(attempt, outcome,
+                              path.shards(sampled.partitions))
+                if writeset is not None:
+                    # Certified outside the replica's engine: release the
+                    # transaction's snapshot and record its fate there.
+                    replica.db.finish_remote(
+                        db_txn,
+                        outcome.commit_version if outcome.committed else None,
+                    )
+                if outcome.committed:
+                    return aborts
+                aborts += 1
+            raise RetryLimitExceeded(
+                topology.design, "update", self.config.max_retries
+            )
+        finally:
+            self._release(replica)
+            replica.exit()
 
 
 class MultiMasterCluster(Cluster):
     """Figure 4: N symmetric live replicas + shared certifier service."""
 
-    design = "multi-master"
+    topology = MULTI_MASTER_TOPOLOGY
 
     def __init__(self, spec, config, seed, clock, metrics,
                  distribution=EXPONENTIAL, lb_policy="least-loaded",
-                 capacities=None, partition_map=None, certifier_spec=None):
-        super().__init__(spec, config, seed, clock, metrics,
-                         distribution, lb_policy, capacities, partition_map)
-        # Per-certification service occupancy of the shared certifier
-        # (the A/B knob against the sharded arm).  Zero — the default —
-        # keeps the path exactly as it was before the spec existed.
-        self._service_time = (
-            0.0 if certifier_spec is None else certifier_spec.service_time
+                 capacities=None, partition_map=None, certifier_spec=None,
+                 certification=None):
+        super().__init__(
+            spec, config, seed, clock, metrics, distribution, lb_policy,
+            capacities, partition_map,
+            certification or GlobalCertification(clock, certifier_spec),
         )
-        self.certifier = Certifier()
         for index in range(config.replicas):
+            # Global path: each engine is built around the shared
+            # certifier service (the sharded path's replicas ignore it).
             replica = self._make_replica(
                 f"replica{index}", index, certifier=self.certifier,
                 capacity=self._initial_capacity(index),
                 hosted_partitions=self._hosted_for_index(index),
             )
-            self.channel.subscribe(replica)
+            self.certification.subscribe(replica)
         self._members_created = config.replicas
 
     def add_replica(self, transfer_writesets: int = 16,
@@ -464,7 +679,7 @@ class MultiMasterCluster(Cluster):
         A join worker then pays the *transfer_writesets* bulk-replay
         charge and flips the replica into rotation once caught up.
         """
-        self._require_elastic_placement()
+        self._require_elastic()
         with self._membership_lock:
             name = f"replica{self._members_created}"
             self._members_created += 1
@@ -472,7 +687,7 @@ class MultiMasterCluster(Cluster):
                                         capacity=capacity)
             replica.begin_join()
             try:
-                with self._order_lock:
+                with self.certification.order_lock:
                     donors = [r for r in self.replicas if not r.failed]
                     if not donors:
                         raise ConfigurationError(
@@ -506,7 +721,7 @@ class MultiMasterCluster(Cluster):
         finish — unless ``force``, which detaches immediately (the
         replacement path for crashed replicas).
         """
-        self._require_elastic_placement()
+        self._require_elastic()
         with self._membership_lock:
             if replica is None:
                 candidates = [
@@ -532,163 +747,11 @@ class MultiMasterCluster(Cluster):
                 self._retire(replica, drain_timeout)
         return replica
 
-    def _prune(self):
-        # Certifier history at or below every replica's oldest snapshot
-        # can no longer conflict with anything: new transactions begin at
-        # their replica's applied watermark, which oldest_active_snapshot
-        # bounds from below (it only grows afterwards).
-        floor = min(r.db.oldest_active_snapshot() for r in self.replicas)
-        self.certifier.observe_snapshot(max(0, floor))
-
-    def execute(self, sampler, is_update, client_id):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.clock.now()
-        # Partitioned workloads pick their data before routing: the
-        # transaction must land on a replica hosting what it touches.
-        partitions = sampler.sample_partition_set(is_update)
-        replica = self._route(client_id, is_update, partitions)
-        if telemetry is not None:
-            telemetry.count_route(replica.name, is_update)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.clock.now(), subject=replica.name,
-                    policy=self.balancer.policy,
-                )
-        self._acquire(replica)
-        aborts = 0
-        try:
-            if not is_update:
-                # Reads execute entirely locally and always commit (§2:
-                # GSI read-only transactions never abort).
-                work_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                self._serve_read_txn(replica, sampler)
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=replica.name,
-                        kind="read",
-                    )
-                return aborts
-            for attempt in range(1, self.config.max_retries + 1):
-                # GSI: the snapshot is the replica's locally-latest
-                # version, which may lag the certifier.
-                txn = replica.db.begin()
-                self._record_snapshot_age(
-                    self.certifier.latest_version - txn.snapshot_version
-                )
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, txn.snapshot_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                work_start = self.clock.now()
-                replica.serve_update_attempt(sampler)
-                # Each attempt re-samples its rows (re-execution of the
-                # transaction logic against fresh data).
-                sampled = sampler.sample_writeset(
-                    txn.snapshot_version, partitions
-                )
-                for key, value in sampled.writes:
-                    txn.write(key, value)
-                # Stamp the partition footprint so certification is
-                # scoped and propagation covers only hosting replicas.
-                txn.partitions = sampled.partitions
-                writeset = txn.writeset()
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=replica.name,
-                        kind="update", attempt=attempt,
-                    )
-                self._record_certification()
-                certify_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.certify_begin()
-                try:
-                    with self._order_lock:
-                        if self._service_time > 0.0:
-                            # One service token for the whole system:
-                            # every certification holds the commit-order
-                            # lock for its service time, the serial
-                            # bottleneck the sharded arm removes.
-                            self.clock.sleep(self._service_time)
-                        outcome = self.certifier.certify(writeset)
-                        if outcome.committed:
-                            if (telemetry is not None
-                                    and telemetry.auditor is not None):
-                                # Inside the order lock: commits reach
-                                # the auditor in version order, before
-                                # the publish triggers any delivery.
-                                telemetry.auditor.on_commit(
-                                    outcome.commit_version,
-                                    writeset.partitions,
-                                    replica.name,
-                                )
-                            if trace is not None:
-                                # Appliers find the trace through the
-                                # version map — register it before the
-                                # publish makes the writeset poppable.
-                                telemetry.tracer.note_version(
-                                    outcome.commit_version, trace
-                                )
-                            self.channel.publish(
-                                writeset.committed(outcome.commit_version),
-                                origin=replica,
-                            )
-                    if telemetry is not None and outcome.committed:
-                        telemetry.note_commit(
-                            outcome.commit_version, self.clock.now()
-                        )
-                        if trace is not None:
-                            telemetry.tracer.add_span(
-                                trace, tel_schema.SPAN_PROPAGATE,
-                                certify_start, self.clock.now(),
-                                subject="channel",
-                                fanout=len(self.replicas),
-                            )
-                    # The response (like the propagated writesets) reaches
-                    # the replica one certification delay later (§6.3.2).
-                    self.clock.sleep(self.config.certifier_delay)
-                finally:
-                    if telemetry is not None:
-                        telemetry.certify_end()
-                if trace is not None:
-                    tags = {"attempt": attempt,
-                            "committed": outcome.committed}
-                    if not outcome.committed:
-                        tags["abort"] = tel_schema.ABORT_WW_CONFLICT
-                        tags["conflicts"] = len(outcome.conflicting_keys)
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_CERTIFY, certify_start,
-                        self.clock.now(), subject="certifier", **tags,
-                    )
-                if outcome.committed:
-                    replica.db.finish_remote(txn, outcome.commit_version)
-                    return aborts
-                replica.db.finish_remote(txn, None)
-                aborts += 1
-            raise RetryLimitExceeded(
-                self.design, "update", self.config.max_retries
-            )
-        finally:
-            self._release(replica)
-            replica.exit()
-
 
 class SingleMasterCluster(Cluster):
     """Figure 5: one live master for updates, N-1 slaves for reads."""
 
-    design = "single-master"
+    topology = SINGLE_MASTER_TOPOLOGY
 
     def __init__(self, spec, config, seed, clock, metrics,
                  distribution=EXPONENTIAL, lb_policy="least-loaded",
@@ -696,12 +759,12 @@ class SingleMasterCluster(Cluster):
         super().__init__(spec, config, seed, clock, metrics,
                          distribution, lb_policy, capacities, partition_map)
         # The master executes every update, so it hosts every partition
-        # implicitly; a partition map only constrains the slaves.
+        # implicitly; a partition map only constrains the slaves.  Its
+        # engine's certifier is the system-wide one.
         self.master = self._make_replica(
-            "master", "master", capacity=self._initial_capacity(0)
+            "master", "master", certifier=self.certifier,
+            capacity=self._initial_capacity(0),
         )
-        # The master's engine-local certifier is the system-wide one.
-        self.certifier = self.master.db.certifier
         self.slaves = []
         for index in range(config.replicas - 1):
             slave = self._make_replica(
@@ -709,7 +772,7 @@ class SingleMasterCluster(Cluster):
                 capacity=self._initial_capacity(index + 1),
                 hosted_partitions=self._hosted_for_index(index + 1),
             )
-            self.channel.subscribe(slave)
+            self.certification.subscribe(slave)
             self.slaves.append(slave)
         self._members_created = config.replicas - 1
 
@@ -722,14 +785,14 @@ class SingleMasterCluster(Cluster):
         its snapshot is exactly the published watermark and the history
         replay is empty — new writesets simply start arriving.
         """
-        self._require_elastic_placement()
+        self._require_elastic()
         with self._membership_lock:
             name = f"slave{self._members_created}"
             self._members_created += 1
             slave = self._new_replica(name, name, capacity=capacity)
             slave.begin_join()
             try:
-                with self._order_lock:
+                with self.certification.order_lock:
                     version, state = self.master.db.clone_state()
                     slave.db.seed_state(version, state)
                     self._attach(slave)
@@ -751,7 +814,7 @@ class SingleMasterCluster(Cluster):
         force: bool = False,
     ) -> ClusterReplica:
         """Drain (or force-detach) one slave — never the master."""
-        self._require_elastic_placement()
+        self._require_elastic()
         with self._membership_lock:
             if replica is None:
                 candidates = [
@@ -778,150 +841,20 @@ class SingleMasterCluster(Cluster):
             self.slaves = [s for s in self.slaves if s is not slave]
         return slave
 
+    def _commit_at_master(self, txn):
+        """Commit *txn* through the master's own engine, whose certifier
+        is the system-wide one.  Returns the outcome and the committed
+        writeset (``None`` on a write-write conflict)."""
+        try:
+            committed = self.master.db.commit(txn)
+        except TransactionAborted as exc:
+            return CertificationOutcome(
+                False, -1, frozenset(exc.conflicting_keys)
+            ), None
+        return CertificationOutcome(True, committed.commit_version), committed
+
     def _prune(self):
         # The master installs its own commits (no applier traffic), so its
         # store is vacuumed here; its certifier already prunes per commit
         # via the engine, and slave stores are vacuumed by their appliers.
         self.master.db.vacuum()
-
-    def execute(self, sampler, is_update, client_id):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.clock.now()
-        partitions = sampler.sample_partition_set(is_update)
-        if not is_update:
-            # Reads may only land on replicas hosting their partition
-            # (the master hosts everything).
-            replica = self._route(client_id, False, partitions)
-            if telemetry is not None:
-                telemetry.count_route(replica.name, False)
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_ROUTE, route_start,
-                        self.clock.now(), subject=replica.name,
-                        policy=self.balancer.policy,
-                    )
-            self._acquire(replica)
-            try:
-                work_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                self._serve_read_txn(replica, sampler)
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=replica.name,
-                        kind="read",
-                    )
-                return 0
-            finally:
-                self._release(replica)
-                replica.exit()
-
-        self.clock.sleep(self.config.load_balancer_delay)
-        master = self.master
-        master.enter()
-        if telemetry is not None:
-            telemetry.count_route(master.name, True)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.clock.now(), subject=master.name,
-                    policy="master",
-                )
-        self._acquire(master)
-        aborts = 0
-        try:
-            for attempt in range(1, self.config.max_retries + 1):
-                # Plain SI on the master: snapshot is its latest committed
-                # version; the conflict window is the execution time here.
-                txn = master.db.begin()
-                if telemetry is not None:
-                    # The master reads its own latest version, so this is
-                    # the (near-zero) floor of the staleness distribution.
-                    telemetry.observe_staleness(
-                        master.name, txn.snapshot_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                work_start = self.clock.now()
-                master.serve_update_attempt(sampler)
-                sampled = sampler.sample_writeset(
-                    txn.snapshot_version, partitions
-                )
-                for key, value in sampled.writes:
-                    txn.write(key, value)
-                # Stamp the partition footprint: slaves that host none of
-                # these partitions apply only a version marker.
-                txn.partitions = sampled.partitions
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=master.name,
-                        kind="update", attempt=attempt,
-                    )
-                self._record_certification()
-                certify_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.certify_begin()
-                try:
-                    with self._order_lock:
-                        committed = master.db.commit(txn)
-                        if (telemetry is not None
-                                and telemetry.auditor is not None):
-                            # Inside the order lock, before the publish:
-                            # commits reach the auditor in version order.
-                            telemetry.auditor.on_commit(
-                                committed.commit_version,
-                                committed.partitions,
-                                master.name,
-                            )
-                        if trace is not None:
-                            # Register the trace before the publish makes
-                            # the writeset poppable by slave appliers.
-                            telemetry.tracer.note_version(
-                                committed.commit_version, trace
-                            )
-                        self.channel.publish(committed, origin=master)
-                except TransactionAborted as exc:
-                    if telemetry is not None:
-                        telemetry.certify_end()
-                        if trace is not None:
-                            telemetry.tracer.add_span(
-                                trace, tel_schema.SPAN_CERTIFY,
-                                certify_start, self.clock.now(),
-                                subject="certifier", attempt=attempt,
-                                committed=False,
-                                abort=tel_schema.ABORT_WW_CONFLICT,
-                                conflicts=len(exc.conflicting_keys),
-                            )
-                    aborts += 1
-                    continue
-                if telemetry is not None:
-                    telemetry.certify_end()
-                    telemetry.note_commit(
-                        committed.commit_version, self.clock.now()
-                    )
-                    if trace is not None:
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_CERTIFY, certify_start,
-                            self.clock.now(), subject="certifier",
-                            attempt=attempt, committed=True,
-                        )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_PROPAGATE,
-                            certify_start, self.clock.now(),
-                            subject="channel", fanout=len(self.slaves) + 1,
-                        )
-                return aborts
-            raise RetryLimitExceeded(
-                self.design, "update", self.config.max_retries
-            )
-        finally:
-            self._release(master)
-            master.exit()

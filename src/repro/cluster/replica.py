@@ -36,11 +36,12 @@ import threading
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from ..sidb.certifier import Certifier
+from ..sidb.certifier import GlobalCertifier
 from ..sidb.engine import SIDatabase
 from ..sidb.writeset import Writeset
 from ..simulator.sampling import WorkloadSampler
 from ..simulator.systems import hosts_any
+from ..telemetry.recorder import NULL_RECORDER
 from .clock import VirtualClock
 from .resources import LiveResource
 
@@ -57,7 +58,7 @@ class ClusterReplica:
         name: str,
         clock: VirtualClock,
         sampler: WorkloadSampler,
-        certifier: Optional[Certifier] = None,
+        certifier: Optional[GlobalCertifier] = None,
         max_concurrency: Optional[int] = None,
         capacity: float = 1.0,
         hosted_partitions: Optional[frozenset] = None,
@@ -86,8 +87,9 @@ class ClusterReplica:
         # _state guards the apply queue, availability, the active counter,
         # and the applied-writeset counter; the applier waits on it.
         self._state = threading.Condition()
-        # (writeset, charged, enqueued_at) — the timestamp is None while
-        # telemetry is detached, keeping the clock off the hot path.
+        # (writeset, charged, enqueued_at) — the timestamp is the
+        # recorder's mark: None from the null sink, which keeps the
+        # clock off the hot path.
         self._queue: Deque[Tuple[Writeset, bool, Optional[float]]] = deque()
         self._available = True
         self._stopping = False
@@ -101,9 +103,9 @@ class ClusterReplica:
         self._failed = False
         self._active = 0
         self.writesets_applied = 0
-        #: Optional :class:`repro.telemetry.Telemetry` hook (``None``
-        #: keeps the enqueue/apply path allocation-free).
-        self.telemetry = None
+        #: Protocol recorder (:mod:`repro.telemetry.recorder`); the
+        #: cluster swaps in a real one when telemetry is attached.
+        self.recorder = NULL_RECORDER
         #: First exception that killed the applier thread (None while
         #: healthy); the runner surfaces it instead of letting a dead
         #: applier masquerade as a quiesce timeout.
@@ -149,6 +151,11 @@ class ClusterReplica:
         """Newest locally visible commit version (the GSI snapshot new
         transactions at this replica receive)."""
         return self.db.latest_version
+
+    def watermarks(self):
+        """``(shard, watermark)`` per delivery lane — the single global
+        lane here — as the auditor's attach baseline."""
+        return ((None, self.db.latest_version),)
 
     @property
     def active(self) -> int:
@@ -207,9 +214,7 @@ class ClusterReplica:
             self._failed = True
             self._available = False
             self._queue.clear()
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            telemetry.auditor.on_crash(self.name)
+        self.recorder.crashed(self.name)
 
     @property
     def joining(self) -> bool:
@@ -271,17 +276,13 @@ class ClusterReplica:
         Dropped silently once the replica has crashed: the dead replica
         no longer consumes writesets, and its state is discarded anyway.
         """
-        telemetry = self.telemetry
-        enqueued_at = self._clock.now() if telemetry is not None else None
+        enqueued_at = self.recorder.mark()
         with self._state:
             if self._failed:
                 return
-            if telemetry is not None and telemetry.auditor is not None:
-                # Publishers hold the cluster's order lock, so deliveries
-                # are audited in commit order.
-                telemetry.auditor.on_deliver(
-                    self.name, writeset.commit_version
-                )
+            # Publishers hold the cluster's order lock, so deliveries
+            # are audited in commit order.
+            self.recorder.delivered(self.name, writeset.commit_version)
             self._queue.append((writeset, charged, enqueued_at))
             self._state.notify_all()
 
@@ -326,14 +327,12 @@ class ClusterReplica:
                 # version clock so later *hosted* writesets still install
                 # in global commit order.
                 self.db.apply_version_marker(writeset.commit_version)
-                telemetry = self.telemetry
-                if telemetry is not None and telemetry.auditor is not None:
-                    # No application work was charged: this is a version
-                    # marker, whatever the channel's charge flag said.
-                    telemetry.auditor.on_apply(
-                        self.name, writeset.commit_version, False,
-                        self.hosted_partitions,
-                    )
+                # No application work was charged: this is a version
+                # marker, whatever the channel's charge flag said.
+                self.recorder.applied(
+                    self.name, writeset.commit_version, False,
+                    self.hosted_partitions,
+                )
                 continue
             if charged:
                 self.cpu.serve(self._sampler.writeset_cpu())
@@ -343,20 +342,10 @@ class ClusterReplica:
             self.db.apply_writeset(writeset, self.hosted_partitions)
             with self._state:
                 self.writesets_applied += 1
-            telemetry = self.telemetry
-            if telemetry is not None:
-                if enqueued_at is not None:
-                    now = self._clock.now()
-                    telemetry.observe_apply(self.name, now - enqueued_at)
-                    telemetry.apply_span(
-                        writeset.commit_version, self.name, enqueued_at,
-                        now,
-                    )
-                if telemetry.auditor is not None:
-                    telemetry.auditor.on_apply(
-                        self.name, writeset.commit_version, charged,
-                        self.hosted_partitions,
-                    )
+            self.recorder.applied(
+                self.name, writeset.commit_version, charged,
+                self.hosted_partitions, started=enqueued_at,
+            )
             applied_since_vacuum += 1
             if applied_since_vacuum >= _VACUUM_INTERVAL:
                 applied_since_vacuum = 0

@@ -189,8 +189,7 @@ def _closed_loop_client(
         now = clock.now()
         with cluster.metrics_lock:
             metrics.record_commit(is_update, now - started, aborts, now=now)
-        if cluster.telemetry is not None:
-            cluster.telemetry.count_commit(is_update)
+        cluster.recorder.completed(is_update)
 
 
 def _open_loop_source(
@@ -241,8 +240,7 @@ def _one_shot(cluster: Cluster, sampler: WorkloadSampler, sequence: int) -> None
     now = clock.now()
     with cluster.metrics_lock:
         metrics.record_commit(is_update, now - started, aborts, now=now)
-    if cluster.telemetry is not None:
-        cluster.telemetry.count_commit(is_update)
+    cluster.recorder.completed(is_update)
 
 
 def _telemetry_sampler(cluster: Cluster, recorder, drivers: _Drivers) -> None:
@@ -348,32 +346,21 @@ def run_cluster(
 
     clock = VirtualClock(time_scale)
     metrics = MetricsCollector()
+    cluster_class, extra = _CLUSTER_CLASSES[design], {}
     if certifier_spec is not None and not certifier_spec.is_default:
         if design != MULTI_MASTER:
             raise ConfigurationError(
                 "the certifier axis is multi-master only (the certifier "
                 f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
             )
+        extra["certifier_spec"] = certifier_spec
         if certifier_spec.is_sharded:
-            cluster = ShardedMultiMasterCluster(
-                spec, config, seed, clock, metrics,
-                distribution=distribution, lb_policy=lb_policy,
-                capacities=capacities, partition_map=partition_map,
-                certifier_spec=certifier_spec,
-            )
-        else:
-            cluster = MultiMasterCluster(
-                spec, config, seed, clock, metrics,
-                distribution=distribution, lb_policy=lb_policy,
-                capacities=capacities, partition_map=partition_map,
-                certifier_spec=certifier_spec,
-            )
-    else:
-        cluster = _CLUSTER_CLASSES[design](
-            spec, config, seed, clock, metrics,
-            distribution=distribution, lb_policy=lb_policy,
-            capacities=capacities, partition_map=partition_map,
-        )
+            cluster_class = ShardedMultiMasterCluster
+    cluster = cluster_class(
+        spec, config, seed, clock, metrics,
+        distribution=distribution, lb_policy=lb_policy,
+        capacities=capacities, partition_map=partition_map, **extra,
+    )
     telemetry_config = active_config(telemetry)
     recorder = None
     if telemetry_config is not None:

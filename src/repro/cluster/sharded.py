@@ -1,12 +1,13 @@
-"""Sharded-certifier assembly for the live cluster runtime.
+"""The sharded certification path for the live cluster runtime.
 
-:class:`ShardedMultiMasterCluster` is the live counterpart of
-:class:`~repro.simulator.sharded.ShardedMultiMasterSystem`: the
-multi-master topology with the single shared certifier replaced by
-per-partition :class:`~repro.sidb.sharded.ShardedCertifier` shards and
-the single replication channel replaced by one channel *per shard*.
-
-What changes on the live update path:
+:class:`ShardedCertification` plugs per-partition
+:class:`~repro.sidb.sharded.ShardedCertifier` shards — and one order
+lock and one replication channel *per shard* — into the one protocol
+body (:meth:`~.cluster.Cluster.execute`);
+:class:`ShardedMultiMasterCluster` is the multi-master assembly whose
+constructor selects it (the live counterpart of
+:class:`~repro.simulator.sharded.ShardedMultiMasterSystem`).  Against
+the global path:
 
 * **Per-shard commit order.**  Each certifier shard has its own order
   lock; a coordinator acquires the locks of every touched shard in
@@ -34,7 +35,7 @@ What changes on the live update path:
 * **The certifier can be a real serving centre.**  With
   ``CertifierSpec.service_time > 0`` each commit occupies its touched
   shards' order locks for that long; the global arm of the comparison
-  (:class:`~.cluster.MultiMasterCluster` with the same spec) serialises
+  (:class:`~.cluster.GlobalCertification` with the same spec) serialises
   every commit through the one order lock — the contention sharding
   removes.
 
@@ -45,24 +46,18 @@ state transfer and per-shard replay, the follow-on seam.
 from __future__ import annotations
 
 import threading
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core import rng as rng_util
-from ..core.errors import (
-    ConfigurationError,
-    RetryLimitExceeded,
-    SimulationError,
-)
-from ..sidb.certifier_api import CertifierSpec, shard_version_key
+from ..core.errors import ConfigurationError, SimulationError
+from ..sidb.certifier_api import CertifierSpec, require_sharded
 from ..sidb.sharded import ShardedCertifier
 from ..sidb.writeset import Writeset
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
-from ..simulator.systems import hosts_any
-from ..telemetry import schema as tel_schema
+from ..simulator.systems import ELASTIC_NEEDS_GLOBAL_CERTIFIER, hosts_any
 from .channel import ReplicationChannel
-from .cluster import Cluster
+from .cluster import MultiMasterCluster
 from .replica import _VACUUM_INTERVAL, ClusterReplica
 
 
@@ -157,6 +152,10 @@ class ShardedClusterReplica(ClusterReplica):
         with self._state:
             return dict(self.applied_vector)
 
+    def watermarks(self):
+        """One ``(shard, watermark)`` delivery lane per certifier shard."""
+        return tuple(self.shard_floors().items())
+
     def caught_up(self, target: Tuple[Tuple[int, int], ...]) -> bool:
         """True when every lane reached *target* (quiesce check)."""
         with self._state:
@@ -168,17 +167,15 @@ class ShardedClusterReplica(ClusterReplica):
     def enqueue_writeset(self, delivery: ShardDelivery,
                          charged: bool = True) -> None:
         """Queue one shard delivery for in-order application."""
-        telemetry = self.telemetry
-        enqueued_at = self._clock.now() if telemetry is not None else None
+        enqueued_at = self.recorder.mark()
         with self._state:
             if self._failed:
                 return
-            if telemetry is not None and telemetry.auditor is not None:
-                # Publishers hold the shard's order lock, so each lane's
-                # deliveries are audited in shard-commit order.
-                telemetry.auditor.on_deliver(
-                    self.name, delivery.shard_version, shard=delivery.shard
-                )
+            # Publishers hold the shard's order lock, so each lane's
+            # deliveries are audited in shard-commit order.
+            self.recorder.delivered(
+                self.name, delivery.shard_version, shard=delivery.shard
+            )
             self._queue.append((delivery, charged, enqueued_at))
             self._state.notify_all()
 
@@ -226,50 +223,29 @@ class ShardedClusterReplica(ClusterReplica):
                 self.applied_vector[delivery.shard] = delivery.shard_version
                 if delivery.primary:
                     self.writesets_applied += 1
-            telemetry = self.telemetry
-            if telemetry is not None:
-                if delivery.primary and enqueued_at is not None:
-                    now = self._clock.now()
-                    telemetry.observe_apply(self.name, now - enqueued_at)
-                    telemetry.apply_span(
-                        shard_version_key(delivery.shard,
-                                          delivery.shard_version),
-                        self.name, enqueued_at, now,
-                    )
-                if telemetry.auditor is not None:
-                    telemetry.auditor.on_apply(
-                        self.name, delivery.shard_version, pay,
-                        self.hosted_partitions, shard=delivery.shard,
-                    )
+            self.recorder.applied(
+                self.name, delivery.shard_version, pay,
+                self.hosted_partitions, shard=delivery.shard,
+                started=enqueued_at if delivery.primary else None,
+            )
             applied_since_vacuum += 1
             if applied_since_vacuum >= _VACUUM_INTERVAL:
                 applied_since_vacuum = 0
                 self.db.vacuum()
 
 
-class ShardedMultiMasterCluster(Cluster):
-    """Figure 4 with the write path sharded: N symmetric live replicas,
-    one certifier shard (and one replication channel) per partition."""
+class ShardedCertification:
+    """The sharded certification path: one certifier shard, one
+    commit-order lock and one replication channel per partition,
+    version-vector snapshots.
 
-    design = "multi-master"
+    Same interface as :class:`~.cluster.GlobalCertification`.
+    """
 
-    def __init__(self, spec, config, seed, clock, metrics,
-                 distribution=EXPONENTIAL, lb_policy="least-loaded",
-                 capacities=None, partition_map=None,
-                 certifier_spec: Optional[CertifierSpec] = None):
-        if certifier_spec is None or not certifier_spec.is_sharded:
-            raise ConfigurationError(
-                "ShardedMultiMasterCluster requires a sharded CertifierSpec"
-            )
-        if spec.partitions < 2:
-            raise ConfigurationError(
-                "the sharded certifier needs a partitioned workload "
-                f"(spec {spec.name!r} has partitions={spec.partitions}); "
-                "use --certifier global for unpartitioned runs"
-            )
-        super().__init__(spec, config, seed, clock, metrics,
-                         distribution, lb_policy, capacities, partition_map)
-        self._certifier_spec = certifier_spec
+    def __init__(self, clock, spec,
+                 certifier_spec: Optional[CertifierSpec]) -> None:
+        require_sharded(certifier_spec, spec, "ShardedMultiMasterCluster")
+        self._clock = clock
         self._service_time = certifier_spec.service_time
         self._shard_count = spec.partitions
         self.certifier = ShardedCertifier(partitions=spec.partitions)
@@ -283,107 +259,113 @@ class ShardedMultiMasterCluster(Cluster):
         self._shard_locks: List[threading.Lock] = [
             threading.Lock() for _ in range(spec.partitions)
         ]
-        #: In-flight snapshot floors: every update attempt registers the
+        #: In-flight snapshot floors: every update attempt pins the
         #: per-shard floors it will certify against, so the prune floor
-        #: never passes a floor still in use (mirrors the DES system's
+        #: never passes a floor still in use (mirrors the DES path's
         #: active-snapshot registry).  Without this, long attempts hit
         #: the certifier's conservative pruned-history fallback and
         #: spuriously abort in droves.
         self._floor_lock = threading.Lock()
         self._active_floors: Dict[int, Dict[int, int]] = {}
         self._floor_token = 0
-        for index in range(config.replicas):
-            replica = self._make_replica(
-                f"replica{index}", index,
-                capacity=self._initial_capacity(index),
-                hosted_partitions=self._hosted_for_index(index),
-            )
-            for channel in self._shard_channels:
-                channel.subscribe(replica)
-        self._members_created = config.replicas
 
-    # ------------------------------------------------------------------
-    # Replica construction / telemetry (vector-aware variants)
-    # ------------------------------------------------------------------
-
-    def _new_replica(self, name, path, certifier=None, capacity=1.0,
-                     hosted_partitions=None) -> ShardedClusterReplica:
-        sampler = WorkloadSampler(
-            self.spec,
-            rng_util.spawn(self._seed, "live-replica", path),
-            distribution=self._distribution,
-        )
-        replica = ShardedClusterReplica(
-            name, self.clock, sampler,
-            partitions=self._shard_count,
-            max_concurrency=self.config.max_concurrency,
-            capacity=capacity,
+    def new_replica(self, name, sampler, certifier, max_concurrency,
+                    capacity, hosted_partitions) -> ShardedClusterReplica:
+        return ShardedClusterReplica(
+            name, self._clock, sampler, partitions=self._shard_count,
+            max_concurrency=max_concurrency, capacity=capacity,
             hosted_partitions=hosted_partitions,
         )
-        with self.metrics_lock:
-            self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
-            self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        if self.telemetry is not None:
-            replica.telemetry = self.telemetry
-            self._audit_attach(replica)
-        return replica
 
-    def _audit_attach(self, replica: ShardedClusterReplica) -> None:
-        """Register every (replica, shard) delivery lane with the auditor."""
-        auditor = (self.telemetry.auditor
-                   if self.telemetry is not None else None)
-        if auditor is None:
-            return
-        for partition, watermark in replica.shard_floors().items():
-            auditor.on_attach(replica.name, watermark, shard=partition)
+    def subscribe(self, replica: ShardedClusterReplica) -> None:
+        for channel in self._shard_channels:
+            channel.subscribe(replica)
 
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self.certifier.telemetry = telemetry
-        for replica in self.replicas:
-            replica.telemetry = telemetry
-            self._audit_attach(replica)
+    def require_elastic(self) -> None:
+        raise SimulationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
 
-    # ------------------------------------------------------------------
-    # Lifecycle: vector-valued quiesce, per-shard prune
-    # ------------------------------------------------------------------
-
-    def quiesce(self, timeout: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.applier_errors():
-                return False
-            target = self.certifier.version_vector()
-            if all(
-                r.caught_up(target) and r.apply_backlog == 0
-                for r in self.replicas
-                if not r.failed
-            ):
-                return True
-            time.sleep(0.005)
-        return False
-
-    def _register_floors(self, floors: Dict[int, int]) -> int:
-        """Pin *floors* against pruning for one certification attempt."""
+    def pin(self, replica) -> Tuple[int, Dict[int, int]]:
+        """Read *replica*'s applied vector — one attempt's GSI floors —
+        and pin it against pruning until :meth:`unpin`."""
+        floors = replica.shard_floors()
         with self._floor_lock:
             self._floor_token += 1
-            self._active_floors[self._floor_token] = dict(floors)
-            return self._floor_token
+            self._active_floors[self._floor_token] = floors
+            return self._floor_token, floors
 
-    def _release_floors(self, token: int) -> None:
+    def unpin(self, pin) -> None:
         with self._floor_lock:
-            self._active_floors.pop(token, None)
+            self._active_floors.pop(pin[0], None)
 
-    def _prune(self) -> None:
+    def stamp(self, writeset: Writeset, pin) -> Writeset:
+        """Attach the touched shards' pinned floors to *writeset*."""
+        floors = pin[1]
+        return writeset.with_snapshot_vector({
+            p: floors.get(p, 0) for p in writeset.partitions
+        })
+
+    def shards(self, partitions) -> int:
+        """How many certifier shards coordinate (a certify-span tag)."""
+        return len(partitions)
+
+    def rounds(self, partitions) -> int:
+        """Forwarding protocol: one round to a single shard, one extra
+        coordination round for a cross-partition commit."""
+        return 2 if len(partitions) > 1 else 1
+
+    @contextmanager
+    def ordered(self, partitions):
+        """Hold every touched shard's place in its commit order.
+
+        *partitions* is sorted, so locks are taken in ascending
+        partition order (deadlock-free).  Service occupancy: the touched
+        shards are held for the certification's duration, so
+        disjoint-partition commits overlap while same-shard ones
+        serialise.
+        """
+        locks = [self._shard_locks[p] for p in partitions]
+        for lock in locks:
+            lock.acquire()
+        try:
+            self._clock.sleep(self._service_time)
+            yield
+        finally:
+            for lock in reversed(locks):
+                lock.release()
+
+    def publish(self, outcome, committed: Writeset, origin) -> None:
+        """One delivery per touched shard (call inside :meth:`ordered`)."""
+        home = outcome.home_shard
+        for shard, version in outcome.shard_versions:
+            self._shard_channels[shard].publish(
+                ShardDelivery(
+                    shard=shard, shard_version=version,
+                    writeset=committed, primary=(shard == home),
+                ),
+                origin=origin,
+            )
+
+    def version(self, outcome) -> int:
+        """The summed shard clock (what ``applied_version`` tracks)."""
+        return self.certifier.latest_version
+
+    def drained(self, replicas) -> bool:
+        """True when every lane of every one of *replicas* caught up."""
+        target = self.certifier.version_vector()
+        return all(
+            r.caught_up(target) and r.apply_backlog == 0 for r in replicas
+        )
+
+    def prune(self, replicas) -> None:
         # Per-shard floors: the minimum applied watermark across the
-        # fleet, further held back by any in-flight attempt's registered
+        # fleet, further held back by any in-flight attempt's pinned
         # floors.  An attempt begun after this prune reads floors at or
         # above it (watermarks are monotone) and an attempt in flight is
-        # registered, so certification always gets an exact conflict
+        # pinned, so certification always gets an exact conflict
         # answer; the certifier's conservative retained-history fallback
         # stays a last-resort guard, not a steady-state abort source.
         floors: Optional[Dict[int, int]] = None
-        for replica in self.replicas:
+        for replica in replicas:
             if replica.failed:
                 continue
             vector = replica.shard_floors()
@@ -403,188 +385,17 @@ class ShardedMultiMasterCluster(Cluster):
                     floors[p] = floor
         self.certifier.observe_snapshot(floors)
 
-    # ------------------------------------------------------------------
-    # Elastic membership: refused loudly (vector state transfer needed)
-    # ------------------------------------------------------------------
 
-    def add_replica(self, transfer_writesets: int = 16,
-                    capacity: float = 1.0):
-        raise SimulationError(
-            "elastic membership is not supported with the sharded "
-            "certifier (joins need vector-valued state transfer)"
+class ShardedMultiMasterCluster(MultiMasterCluster):
+    """Figure 4 with the write path sharded: N symmetric live replicas,
+    one certifier shard (and one replication channel) per partition."""
+
+    def __init__(self, spec, config, seed, clock, metrics,
+                 distribution=EXPONENTIAL, lb_policy="least-loaded",
+                 capacities=None, partition_map=None,
+                 certifier_spec: Optional[CertifierSpec] = None):
+        super().__init__(
+            spec, config, seed, clock, metrics, distribution, lb_policy,
+            capacities, partition_map, certifier_spec,
+            certification=ShardedCertification(clock, spec, certifier_spec),
         )
-
-    def remove_replica(self, drain_timeout: float = 30.0, replica=None,
-                       force: bool = False):
-        raise SimulationError(
-            "elastic membership is not supported with the sharded "
-            "certifier (joins need vector-valued state transfer)"
-        )
-
-    # ------------------------------------------------------------------
-    # Update path
-    # ------------------------------------------------------------------
-
-    def execute(self, sampler, is_update, client_id):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.clock.now()
-        partitions = sampler.sample_partition_set(is_update)
-        replica = self._route(client_id, is_update, partitions)
-        if telemetry is not None:
-            telemetry.count_route(replica.name, is_update)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.clock.now(), subject=replica.name,
-                    policy=self.balancer.policy,
-                )
-        self._acquire(replica)
-        aborts = 0
-        try:
-            if not is_update:
-                work_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                self._serve_read_txn(replica, sampler)
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=replica.name,
-                        kind="read",
-                    )
-                return aborts
-            for attempt in range(1, self.config.max_retries + 1):
-                # GSI floors are read *before* begin(): installs landing
-                # in between make the snapshot strictly richer than the
-                # floors claim — conservative, never unsafe.  Registering
-                # them pins the certifier's prune floor for the attempt.
-                floors = replica.shard_floors()
-                floor_token = self._register_floors(floors)
-                txn = replica.db.begin()
-                self._record_snapshot_age(
-                    self.certifier.latest_version - txn.snapshot_version
-                )
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, txn.snapshot_version,
-                        self.certifier.latest_version, self.clock.now(),
-                    )
-                work_start = self.clock.now()
-                replica.serve_update_attempt(sampler)
-                sampled = sampler.sample_writeset(
-                    txn.snapshot_version, partitions
-                )
-                for key, value in sampled.writes:
-                    txn.write(key, value)
-                txn.partitions = sampled.partitions
-                writeset = txn.writeset().with_snapshot_vector({
-                    p: floors.get(p, 0) for p in sampled.partitions
-                })
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.clock.now(), subject=replica.name,
-                        kind="update", attempt=attempt,
-                    )
-                self._record_certification()
-                parts = sorted(writeset.partition_set)
-                home = parts[0]
-                # Forwarding protocol: one round to a single shard, one
-                # extra coordination round for a cross-partition commit.
-                rounds = 2 if len(parts) > 1 else 1
-                certify_start = self.clock.now()
-                if telemetry is not None:
-                    telemetry.certify_begin()
-                try:
-                    locks = [self._shard_locks[p] for p in parts]
-                    for lock in locks:
-                        lock.acquire()
-                    try:
-                        if self._service_time > 0.0:
-                            # Service occupancy: the touched shards are
-                            # held for the certification's duration, so
-                            # disjoint-partition commits overlap while
-                            # same-shard ones serialise.
-                            self.clock.sleep(self._service_time)
-                        outcome = self.certifier.certify(writeset)
-                        if outcome.committed:
-                            if (telemetry is not None
-                                    and telemetry.auditor is not None):
-                                for p, v in outcome.shard_versions:
-                                    telemetry.auditor.on_commit(
-                                        v, writeset.partitions,
-                                        replica.name, shard=p,
-                                        primary=(p == home),
-                                    )
-                            if trace is not None:
-                                # Appliers find the trace through the
-                                # home shard's version key — register it
-                                # before any publish.
-                                telemetry.tracer.note_version(
-                                    shard_version_key(
-                                        home, outcome.commit_version
-                                    ),
-                                    trace,
-                                )
-                            committed_ws = writeset.committed(
-                                outcome.commit_version
-                            )
-                            for p, v in outcome.shard_versions:
-                                self._shard_channels[p].publish(
-                                    ShardDelivery(
-                                        shard=p, shard_version=v,
-                                        writeset=committed_ws,
-                                        primary=(p == home),
-                                    ),
-                                    origin=replica,
-                                )
-                    finally:
-                        for lock in reversed(locks):
-                            lock.release()
-                    if telemetry is not None and outcome.committed:
-                        telemetry.note_commit(
-                            self.certifier.latest_version, self.clock.now()
-                        )
-                        if trace is not None:
-                            telemetry.tracer.add_span(
-                                trace, tel_schema.SPAN_PROPAGATE,
-                                certify_start, self.clock.now(),
-                                subject="channel",
-                                fanout=len(self.replicas),
-                            )
-                    # The response reaches the replica after the
-                    # protocol's coordination rounds (§6.3.2).
-                    self.clock.sleep(self.config.certifier_delay * rounds)
-                finally:
-                    self._release_floors(floor_token)
-                    if telemetry is not None:
-                        telemetry.certify_end()
-                if trace is not None:
-                    tags = {"attempt": attempt,
-                            "committed": outcome.committed,
-                            "shards": len(parts)}
-                    if not outcome.committed:
-                        tags["abort"] = tel_schema.ABORT_WW_CONFLICT
-                        tags["conflicts"] = len(outcome.conflicting_keys)
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_CERTIFY, certify_start,
-                        self.clock.now(), subject="certifier", **tags,
-                    )
-                if outcome.committed:
-                    replica.db.finish_remote(txn, outcome.commit_version)
-                    return aborts
-                replica.db.finish_remote(txn, None)
-                aborts += 1
-            raise RetryLimitExceeded(
-                self.design, "update", self.config.max_retries
-            )
-        finally:
-            self._release(replica)
-            replica.exit()

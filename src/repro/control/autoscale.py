@@ -581,16 +581,7 @@ def autoscale_sim(
     if telemetry_config is not None:
         recorder = Telemetry(telemetry_config, pillar="simulator")
         system.attach_telemetry(recorder)
-
-        def telemetry_sampler():
-            while True:
-                yield Timeout(recorder.config.snapshot_interval)
-                recorder.sample_fleet(
-                    env.now, system.replicas,
-                    getattr(system, "certifier", None),
-                )
-
-        env.start(telemetry_sampler())
+        system.start_fleet_sampler(recorder)
     system.start_trace_arrivals(trace)
 
     window_start = warmup

@@ -1,6 +1,6 @@
 """An in-memory snapshot-isolated (SI/GSI) database engine (§2 of the paper)."""
 
-from .certifier import Certifier, GlobalCertifier
+from .certifier import GlobalCertifier
 from .certifier_api import (
     CERTIFIER_KINDS,
     CertificationOutcome,
@@ -19,7 +19,6 @@ from .writeset import Writeset
 __all__ = [
     "CERTIFIER_KINDS",
     "CertificationOutcome",
-    "Certifier",
     "CertifierProtocol",
     "CertifierSpec",
     "Catalog",

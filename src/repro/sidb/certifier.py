@@ -188,9 +188,3 @@ class GlobalCertifier:
             self.commits = 0
             self.aborts = 0
 
-
-#: Deprecation alias: the concrete class every call site imported before
-#: the :mod:`repro.sidb.certifier_api` seam existed.  New code should
-#: depend on :class:`~repro.sidb.certifier_api.CertifierProtocol` and
-#: name :class:`GlobalCertifier` explicitly.
-Certifier = GlobalCertifier

@@ -7,7 +7,7 @@ into the concurrency-control model of §2:
 * read-only transactions always commit;
 * an update transaction commits iff none of its written keys were written
   by a transaction that committed after its snapshot (first-committer-wins,
-  enforced by the shared :class:`~repro.sidb.certifier.Certifier` logic);
+  enforced by the shared :class:`~repro.sidb.certifier.GlobalCertifier` logic);
 * a commit installs a new version and returns the writeset, which replicated
   deployments propagate to other replicas.
 

@@ -14,6 +14,7 @@ import heapq
 from typing import List, Tuple
 
 from ..core.errors import SimulationError
+from ..telemetry.recorder import NULL_RECORDER
 from .des import Environment, Service
 from .resources import FIFOResource, ProcessorSharingResource
 from .sampling import WorkloadSampler
@@ -70,12 +71,9 @@ class SimReplica:
         #: propagation consult this through
         #: :func:`repro.simulator.systems.hosts_any` / ``hosts_all``.
         self.hosted_partitions = None
-        #: Optional :class:`repro.telemetry.Telemetry` hook (``None``
-        #: keeps the apply path allocation-free).
-        self.telemetry = None
-        # Enqueue timestamps for apply-latency measurement; only
-        # populated while telemetry is attached.
-        self._enqueue_times = {}
+        #: Protocol recorder (:mod:`repro.telemetry.recorder`); the
+        #: assembly swaps in a real one when telemetry is attached.
+        self.recorder = NULL_RECORDER
 
     # ------------------------------------------------------------------
     # Transaction execution (generators composed by the system assemblies)
@@ -120,9 +118,7 @@ class SimReplica:
                 f"{self.name}: writeset {commit_version} arrived out of order "
                 f"(latest is {self._enqueued_version})"
             )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            telemetry.auditor.on_deliver(self.name, commit_version)
+        self.recorder.delivered(self.name, commit_version)
         self._enqueued_version = commit_version
         if self.failed:
             # The replica is dead and its state will be thrown away:
@@ -134,35 +130,29 @@ class SimReplica:
             # backlog is applied on recovery (catch-up).
             self._deferred.append((commit_version, charged))
             return
+        self._start_apply(commit_version, charged)
+
+    def _start_apply(self, commit_version: int, charged: bool) -> None:
         if charged:
-            if self.telemetry is not None:
-                self._enqueue_times[commit_version] = self._env.now
-            self._env.start(self._apply_one(commit_version))
+            self._env.start(
+                self._apply_one(commit_version, self.recorder.mark())
+            )
         else:
             self._mark_applied(commit_version)
-            if telemetry is not None and telemetry.auditor is not None:
-                telemetry.auditor.on_apply(
-                    self.name, commit_version, False,
-                    self.hosted_partitions,
-                )
+            self.recorder.applied(
+                self.name, commit_version, False, self.hosted_partitions
+            )
 
-    def _apply_one(self, commit_version: int):
+    def _apply_one(self, commit_version: int, started):
         """Apply one writeset, charging CPU and disk work."""
         yield Service(self.cpu, self._sampler.writeset_cpu())
         yield Service(self.disk, self._sampler.writeset_disk())
         self.writesets_applied += 1
         self._mark_applied(commit_version)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            now = self._env.now
-            start = self._enqueue_times.pop(commit_version, now)
-            telemetry.observe_apply(self.name, now - start)
-            telemetry.apply_span(commit_version, self.name, start, now)
-            if telemetry.auditor is not None:
-                telemetry.auditor.on_apply(
-                    self.name, commit_version, True,
-                    self.hosted_partitions,
-                )
+        self.recorder.applied(
+            self.name, commit_version, True, self.hosted_partitions,
+            started=started,
+        )
 
     def _mark_applied(self, commit_version: int) -> None:
         heapq.heappush(self._completed_out_of_order, commit_version)
@@ -172,6 +162,11 @@ class SimReplica:
         ):
             heapq.heappop(self._completed_out_of_order)
             self.applied_version += 1
+
+    def watermarks(self):
+        """``(shard, watermark)`` per delivery lane — the single global
+        lane here — as the auditor's attach baseline."""
+        return ((None, self.applied_version),)
 
     @property
     def apply_backlog(self) -> int:
@@ -196,9 +191,7 @@ class SimReplica:
             raise SimulationError(f"negative sync version {commit_version}")
         self.applied_version = commit_version
         self._enqueued_version = commit_version
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            telemetry.auditor.on_attach(self.name, commit_version)
+        self.recorder.attached(self.name, commit_version)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -227,23 +220,10 @@ class SimReplica:
         self.failed = True
         self._available = False
         self._deferred.clear()
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            telemetry.auditor.on_crash(self.name)
+        self.recorder.crashed(self.name)
 
     def _flush_deferred(self) -> None:
         """Start catch-up on the writesets missed while down."""
         deferred, self._deferred = self._deferred, []
-        telemetry = self.telemetry
         for commit_version, charged in deferred:
-            if charged:
-                if telemetry is not None:
-                    self._enqueue_times[commit_version] = self._env.now
-                self._env.start(self._apply_one(commit_version))
-            else:
-                self._mark_applied(commit_version)
-                if telemetry is not None and telemetry.auditor is not None:
-                    telemetry.auditor.on_apply(
-                        self.name, commit_version, False,
-                        self.hosted_partitions,
-                    )
+            self._start_apply(commit_version, charged)

@@ -19,7 +19,7 @@ from ..core.rng import DEFAULT_SEED
 from ..sidb.certifier_api import resolve_certifier_spec
 from ..telemetry import Telemetry, active_config
 from ..workloads.spec import WorkloadSpec
-from .des import Environment, Timeout
+from .des import Environment
 from .faults import ReplicaFault, install_faults, validate_faults
 from .sampling import DISTRIBUTIONS, EXPONENTIAL
 from .sharded import ShardedMultiMasterSystem
@@ -165,47 +165,27 @@ def simulate(
             "capacities describe a replicated fleet; standalone systems "
             "have exactly one machine"
         )
+    system_class, extra = _SYSTEM_CLASSES[design], {}
     if certifier_spec is not None and not certifier_spec.is_default:
         if design != MULTI_MASTER:
             raise ConfigurationError(
                 "the certifier axis is multi-master only (the certifier "
                 f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
             )
+        extra["certifier_spec"] = certifier_spec
         if certifier_spec.is_sharded:
-            system = ShardedMultiMasterSystem(
-                env, spec, config, seed, metrics,
-                distribution=distribution, lb_policy=lb_policy,
-                capacities=capacities, partition_map=partition_map,
-                certifier_spec=certifier_spec,
-            )
-        else:
-            system = MultiMasterSystem(
-                env, spec, config, seed, metrics,
-                distribution=distribution, lb_policy=lb_policy,
-                capacities=capacities, partition_map=partition_map,
-                certifier_spec=certifier_spec,
-            )
-    else:
-        system = _SYSTEM_CLASSES[design](
-            env, spec, config, seed, metrics,
-            distribution=distribution, lb_policy=lb_policy,
-            capacities=capacities, partition_map=partition_map,
-        )
+            system_class = ShardedMultiMasterSystem
+    system = system_class(
+        env, spec, config, seed, metrics,
+        distribution=distribution, lb_policy=lb_policy,
+        capacities=capacities, partition_map=partition_map, **extra,
+    )
     telemetry_config = active_config(telemetry)
     recorder = None
     if telemetry_config is not None:
         recorder = Telemetry(telemetry_config, pillar="simulator")
         system.attach_telemetry(recorder)
-
-        def _telemetry_sampler():
-            while True:
-                yield Timeout(recorder.config.snapshot_interval)
-                recorder.sample_fleet(
-                    env.now, system.replicas,
-                    getattr(system, "certifier", None),
-                )
-
-        env.start(_telemetry_sampler())
+        system.start_fleet_sampler(recorder)
     if faults:
         from ..partition.placement import check_faults_against_map
 
@@ -226,21 +206,21 @@ def simulate(
     env.run_until(warmup + duration)
     metrics.end_window(env.now)
 
-    certifier = getattr(system, "certifier", None)
     telemetry_result = None
     if recorder is not None:
         # One closing sample so end-of-run state is always captured
         # (even when the interval exceeds the run length).
-        recorder.sample_fleet(env.now, system.replicas, certifier)
+        recorder.sample_fleet(env.now, system.replicas, system.certifier)
         telemetry_result = recorder.result()
-    return _collect(design, config, metrics, certifier, telemetry_result)
+    return _collect(design, config, metrics, system.certifier,
+                    telemetry_result)
 
 
 def _collect(
     design: str,
     config: ReplicationConfig,
     metrics: MetricsCollector,
-    certifier=None,
+    certifier,
     telemetry=None,
 ) -> SimulationResult:
     utilizations = metrics.utilizations()
@@ -261,8 +241,8 @@ def _collect(
         mean_update_response=metrics.response_update.mean,
         mean_snapshot_age=metrics.snapshot_age.mean,
         certifier_request_rate=metrics.certifier_request_rate(),
-        total_certifications=0 if certifier is None else certifier.certifications,
-        total_certification_aborts=0 if certifier is None else certifier.aborts,
+        total_certifications=certifier.certifications,
+        total_certification_aborts=certifier.aborts,
         utilizations=utilizations,
         committed_transactions=metrics.committed,
         window=metrics.window,

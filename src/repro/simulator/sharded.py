@@ -1,9 +1,10 @@
-"""Sharded-certifier assembly for the discrete-event simulator.
+"""The sharded certification path for the discrete-event simulator.
 
-:class:`ShardedMultiMasterSystem` is the multi-master system of
-:mod:`.systems` with the global certifier replaced by per-partition
-:class:`~repro.sidb.sharded.ShardedCertifier` shards.  Three things
-change on the update path:
+:class:`ShardedCertification` plugs per-partition
+:class:`~repro.sidb.sharded.ShardedCertifier` shards into the one
+protocol body (:meth:`~.systems._BaseSystem.execute`);
+:class:`ShardedMultiMasterSystem` is the multi-master assembly whose
+constructor selects it.  Against the global path:
 
 * **Snapshots are version vectors.**  A transaction's snapshot is the
   originating replica's per-shard applied vector; the sampled writeset
@@ -19,7 +20,7 @@ change on the update path:
   touched shards for that long — one service token *per shard*, so
   disjoint-partition commits certify concurrently.  The global arm of
   the same comparison serialises every commit through one token
-  (:class:`~.systems.MultiMasterSystem` with the same spec), which is
+  (:class:`~.systems.GlobalCertification` with the same spec), which is
   exactly the contention the sharding removes.
 
 Ordering discipline: all delays (coordination rounds, service time)
@@ -30,7 +31,7 @@ contiguity the replicas and the auditor check.
 
 Elastic membership is not supported: shard snapshots, join baselines
 and catch-up would all need vector-valued state transfer, and the
-assembly refuses loudly rather than silently miscounting.
+path refuses loudly rather than silently miscounting.
 """
 
 from __future__ import annotations
@@ -38,19 +39,17 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from ..core import rng as rng_util
-from ..core.errors import (
-    ConfigurationError,
-    RetryLimitExceeded,
-    SimulationError,
-)
-from ..sidb.certifier_api import CertifierSpec, shard_version_key
+from ..core.errors import SimulationError
+from ..sidb.certifier_api import CertifierSpec, require_sharded
 from ..sidb.sharded import ShardedCertifier
-from ..telemetry import schema as tel_schema
 from .des import Acquire, Semaphore, Service, Timeout
 from .replica import SimReplica
 from .sampling import WorkloadSampler
-from .systems import LEAST_LOADED, MultiMasterSystem, hosts_any
+from .systems import (
+    ELASTIC_NEEDS_GLOBAL_CERTIFIER,
+    LEAST_LOADED,
+    MultiMasterSystem,
+)
 
 
 class ShardedSimReplica(SimReplica):
@@ -117,13 +116,8 @@ class ShardedSimReplica(SimReplica):
                     f"{self.name}: shard {partition} writeset v{version} "
                     f"arrived out of order (latest is {enqueued})"
                 )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.auditor is not None:
-            for partition, version in shard_versions:
-                telemetry.auditor.on_deliver(
-                    self.name, version, shard=partition
-                )
         for partition, version in shard_versions:
+            self.recorder.delivered(self.name, version, shard=partition)
             self._enqueued_vector[partition] = version
         self._enqueued_version = sum(self._enqueued_vector.values())
         if self.failed:
@@ -134,46 +128,33 @@ class ShardedSimReplica(SimReplica):
         self._start_apply_sharded(shard_versions, charged)
 
     def _start_apply_sharded(self, shard_versions, charged: bool) -> None:
-        telemetry = self.telemetry
         if charged:
-            if telemetry is not None:
-                home, home_version = shard_versions[0]
-                key = shard_version_key(home, home_version)
-                self._enqueue_times[key] = self._env.now
-            self._env.start(self._apply_one_sharded(shard_versions))
+            self._env.start(
+                self._apply_one_sharded(shard_versions, self.recorder.mark())
+            )
             return
         for partition, version in shard_versions:
             self._mark_shard_applied(partition, version)
-        if telemetry is not None and telemetry.auditor is not None:
-            for partition, version in shard_versions:
-                telemetry.auditor.on_apply(
-                    self.name, version, False,
-                    self.hosted_partitions, shard=partition,
-                )
+            self.recorder.applied(
+                self.name, version, False, self.hosted_partitions,
+                shard=partition,
+            )
 
-    def _apply_one_sharded(self, shard_versions):
+    def _apply_one_sharded(self, shard_versions, started):
         """Apply one writeset (charged once), advancing every touched lane."""
         yield Service(self.cpu, self._sampler.writeset_cpu())
         yield Service(self.disk, self._sampler.writeset_disk())
         self.writesets_applied += 1
+        home = shard_versions[0][0]
         for partition, version in shard_versions:
             self._mark_shard_applied(partition, version)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            home, home_version = shard_versions[0]
-            key = shard_version_key(home, home_version)
-            now = self._env.now
-            start = self._enqueue_times.pop(key, now)
-            telemetry.observe_apply(self.name, now - start)
-            telemetry.apply_span(key, self.name, start, now)
-            if telemetry.auditor is not None:
-                for partition, version in shard_versions:
-                    # Apply work is charged on the home lane only; the
-                    # other touched shards are free vector markers.
-                    telemetry.auditor.on_apply(
-                        self.name, version, partition == home,
-                        self.hosted_partitions, shard=partition,
-                    )
+            # Apply work is charged on the home lane only; the other
+            # touched shards are free vector markers.
+            self.recorder.applied(
+                self.name, version, partition == home,
+                self.hosted_partitions, shard=partition,
+                started=started if partition == home else None,
+            )
 
     def _mark_shard_applied(self, partition: int, version: int) -> None:
         heap = self._shard_ahead[partition]
@@ -182,6 +163,10 @@ class ShardedSimReplica(SimReplica):
             heapq.heappop(heap)
             self.applied_vector[partition] += 1
             self.applied_version += 1
+
+    def watermarks(self):
+        """One ``(shard, watermark)`` delivery lane per certifier shard."""
+        return tuple(self.applied_vector.items())
 
     def sync_to(self, commit_version: int) -> None:
         raise SimulationError(
@@ -200,273 +185,88 @@ class ShardedSimReplica(SimReplica):
         super()._flush_deferred()
 
 
-class ShardedMultiMasterSystem(MultiMasterSystem):
-    """Multi-master assembly running per-partition certifier shards."""
+class ShardedCertification:
+    """The sharded certification path: one certifier shard and one
+    version sequence per partition, version-vector snapshots.
 
-    design = "multi-master"
+    Same interface as :class:`~.systems.GlobalCertification`.  Shards
+    are always remote services, so every snapshot is a replica's applied
+    vector and lagging replicas always pin the per-shard prune floors.
+    """
 
-    def __init__(self, env, spec, config, seed, metrics,
-                 distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None,
-                 certifier_spec: Optional[CertifierSpec] = None):
-        if certifier_spec is None or not certifier_spec.is_sharded:
-            raise ConfigurationError(
-                "ShardedMultiMasterSystem requires a sharded CertifierSpec"
-            )
-        if spec.partitions < 2:
-            raise ConfigurationError(
-                "the sharded certifier needs a partitioned workload "
-                f"(spec {spec.name!r} has partitions={spec.partitions}); "
-                "use --certifier global for unpartitioned runs"
-            )
+    def __init__(self, env, spec, config,
+                 certifier_spec: Optional[CertifierSpec]) -> None:
+        require_sharded(certifier_spec, spec, "ShardedMultiMasterSystem")
+        self._env = env
         self._shard_count = spec.partitions
-        super().__init__(env, spec, config, seed, metrics, distribution,
-                         lb_policy, capacities, partition_map)
-        self._certifier_spec = certifier_spec
+        self._round_delay = config.certifier_delay
         self.certifier = ShardedCertifier(partitions=spec.partitions)
+        self._active_snapshots: Dict[int, Dict[int, int]] = {}
+        self._snapshot_token = 0
+        self._service_time = certifier_spec.service_time
         # One service token per shard: disjoint-partition commits
         # certify concurrently, which is the whole point of sharding.
-        if certifier_spec.service_time > 0.0:
-            self._shard_service: Optional[Dict[int, Semaphore]] = {
-                p: Semaphore(env, 1) for p in range(spec.partitions)
-            }
-        else:
-            self._shard_service = None
-
-    # ------------------------------------------------------------------
-    # Replica construction / telemetry (vector-aware variants)
-    # ------------------------------------------------------------------
-
-    def _make_replica(self, name, path, capacity=1.0,
-                      hosted_partitions=None) -> ShardedSimReplica:
-        sampler = WorkloadSampler(
-            self.spec,
-            rng_util.spawn(self._seed, "replica", path),
-            distribution=self._distribution,
-        )
-        replica = ShardedSimReplica(self.env, name, sampler,
-                                    capacity=capacity,
-                                    partitions=self._shard_count)
-        replica.hosted_partitions = hosted_partitions
-        if self.config.max_concurrency is not None:
-            replica.admission = Semaphore(self.env, self.config.max_concurrency)
-        self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
-        self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        if self.telemetry is not None:
-            replica.telemetry = self.telemetry
-            self._audit_attach(replica)
-        self.replicas.append(replica)
-        return replica
-
-    def _audit_attach(self, replica: ShardedSimReplica) -> None:
-        """Register every (replica, shard) delivery lane with the auditor."""
-        auditor = (self.telemetry.auditor
-                   if self.telemetry is not None else None)
-        if auditor is None:
-            return
-        for partition, watermark in replica.applied_vector.items():
-            auditor.on_attach(replica.name, watermark, shard=partition)
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.telemetry = telemetry
-        self.certifier.telemetry = telemetry
-        for replica in self.replicas:
-            replica.telemetry = telemetry
-            self._audit_attach(replica)
-
-    # ------------------------------------------------------------------
-    # Elastic membership: refused loudly (vector state transfer needed)
-    # ------------------------------------------------------------------
-
-    def add_replica(self, transfer_writesets: int = 0,
-                    capacity: float = 1.0):
-        raise SimulationError(
-            "elastic membership is not supported with the sharded "
-            "certifier (joins need vector-valued state transfer)"
+        self._shard_service: Optional[Dict[int, Semaphore]] = (
+            {p: Semaphore(env, 1) for p in range(spec.partitions)}
+            if self._service_time > 0.0 else None
         )
 
-    def remove_replica(self, replica=None, force: bool = False):
-        raise SimulationError(
-            "elastic membership is not supported with the sharded "
-            "certifier (joins need vector-valued state transfer)"
-        )
+    def new_replica(self, name: str, sampler: WorkloadSampler,
+                    capacity: float) -> ShardedSimReplica:
+        return ShardedSimReplica(self._env, name, sampler, capacity=capacity,
+                                 partitions=self._shard_count)
 
-    # ------------------------------------------------------------------
-    # Update path
-    # ------------------------------------------------------------------
+    def require_elastic(self) -> None:
+        raise SimulationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
 
-    def execute(self, sampler: WorkloadSampler, is_update: bool,
-                client_id: int = 0):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.env.now
-        yield Timeout(self.config.load_balancer_delay)
-        partitions = sampler.sample_partition_set(is_update)
-        replica = self.route(self.replicas, client_id, is_update, partitions)
-        if telemetry is not None:
-            telemetry.count_route(replica.name, is_update)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.env.now, subject=replica.name,
-                    policy=self.lb_policy,
-                )
-        replica.active += 1
-        aborts = 0
-        yield from self._admit(replica)
-        try:
-            if not is_update:
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                work_start = self.env.now
-                yield from replica.serve_read()
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.env.now, subject=replica.name, kind="read",
-                    )
-                return aborts
-            for attempt in range(1, self.config.max_retries + 1):
-                snapshot_vector = dict(replica.applied_vector)
-                snapshot = replica.applied_version
-                self.metrics.record_snapshot_age(
-                    self.certifier.latest_version - snapshot
-                )
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, snapshot,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                token = self._register_snapshot(snapshot_vector)
-                try:
-                    work_start = self.env.now
-                    yield from replica.serve_update_attempt()
-                    writeset = sampler.sample_writeset(
-                        snapshot, partitions
-                    ).with_snapshot_vector({
-                        p: snapshot_vector.get(p, 0) for p in partitions
-                    })
-                    if trace is not None:
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_EXECUTE, work_start,
-                            self.env.now, subject=replica.name,
-                            kind="update", attempt=attempt,
-                        )
-                    self.metrics.record_certification()
-                    # Forwarding protocol: a single-partition commit is
-                    # one round to its shard; a cross-partition commit
-                    # pays one extra coordination round to its home
-                    # shard.  All latency is charged *before* the
-                    # (synchronous) certify+propagate step so shard
-                    # versions reach the replicas in assignment order.
-                    rounds = 2 if len(writeset.partitions) > 1 else 1
-                    certify_start = self.env.now
-                    if telemetry is not None:
-                        telemetry.certify_begin()
-                    try:
-                        yield Timeout(self.config.certifier_delay * rounds)
-                        if self._shard_service is not None:
-                            acquired: List[int] = []
-                            try:
-                                for p in writeset.partitions:
-                                    yield Acquire(self._shard_service[p])
-                                    acquired.append(p)
-                                yield Timeout(
-                                    self._certifier_spec.service_time
-                                )
-                                outcome = self.certifier.certify(writeset)
-                            finally:
-                                for p in reversed(acquired):
-                                    self._shard_service[p].release()
-                        else:
-                            outcome = self.certifier.certify(writeset)
-                    finally:
-                        if telemetry is not None:
-                            telemetry.certify_end()
-                finally:
-                    self._release_snapshot(token)
-                home = outcome.home_shard
-                if telemetry is not None:
-                    if outcome.committed:
-                        telemetry.note_commit(
-                            self.certifier.latest_version, self.env.now
-                        )
-                        if telemetry.auditor is not None:
-                            for p, v in outcome.shard_versions:
-                                telemetry.auditor.on_commit(
-                                    v, writeset.partitions, replica.name,
-                                    shard=p, primary=(p == home),
-                                )
-                    if trace is not None:
-                        tags = {"attempt": attempt,
-                                "committed": outcome.committed,
-                                "shards": len(writeset.partitions)}
-                        if not outcome.committed:
-                            tags["abort"] = tel_schema.ABORT_WW_CONFLICT
-                            tags["conflicts"] = len(
-                                outcome.conflicting_keys
-                            )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_CERTIFY, certify_start,
-                            self.env.now, subject="certifier", **tags,
-                        )
-                if outcome.committed:
-                    if trace is not None:
-                        key = shard_version_key(
-                            home, outcome.commit_version
-                        )
-                        telemetry.tracer.note_version(key, trace)
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_PROPAGATE,
-                            certify_start, self.env.now,
-                            subject="channel", fanout=len(self.replicas),
-                        )
-                    # Propagation is synchronous with certification (no
-                    # yield since certify), preserving per-shard order.
-                    self._propagate_sharded(
-                        outcome, origin=replica,
-                        partitions=writeset.partitions,
-                    )
-                    return aborts
-                aborts += 1
-            raise RetryLimitExceeded(
-                "multi-master", "update", self.config.max_retries
-            )
-        finally:
-            self._release(replica)
-            replica.active -= 1
-
-    def _propagate_sharded(self, outcome, origin, partitions) -> None:
-        """Hand one commit's shard versions to every replica."""
-        self._propagated_version = self.certifier.latest_version
-        for replica in self.replicas:
-            charged = replica is not origin and hosts_any(replica, partitions)
-            replica.enqueue_shard_writeset(
-                outcome.shard_versions, charged=charged
-            )
-
-    # ------------------------------------------------------------------
-    # Snapshot tracking: vectors instead of scalars
-    # ------------------------------------------------------------------
-
-    def _register_snapshot(self, snapshot_vector) -> int:
+    def pin(self, replica: ShardedSimReplica) -> Tuple[int, int]:
+        """Pin *replica*'s applied vector for one attempt; returns the
+        scalar snapshot (the vector's sum) and the pin's token."""
         self._snapshot_token += 1
-        self._active_snapshots[self._snapshot_token] = snapshot_vector
-        return self._snapshot_token
+        self._active_snapshots[self._snapshot_token] = dict(
+            replica.applied_vector
+        )
+        return replica.applied_version, self._snapshot_token
 
-    def _release_snapshot(self, token: int) -> None:
+    def stamp(self, writeset, token: int):
+        """Attach the touched shards' pinned floors to *writeset*."""
+        vector = self._active_snapshots[token]
+        return writeset.with_snapshot_vector({
+            p: vector.get(p, 0) for p in writeset.partitions
+        })
+
+    def certify(self, writeset):
+        """Certify *writeset* at its shards.  A generator: ``yield from``.
+
+        Forwarding protocol: a single-partition commit is one round to
+        its shard; a cross-partition commit pays one extra coordination
+        round to its home shard.  All latency is charged *before* the
+        certifier call, so the caller can propagate the decision with no
+        intervening yield (the ordering discipline above).
+        """
+        rounds = 2 if len(writeset.partitions) > 1 else 1
+        yield Timeout(self._round_delay * rounds)
+        if self._shard_service is None:
+            return self.certifier.certify(writeset)
+        acquired: List[int] = []
+        try:
+            # Ascending partition order: no two coordinators deadlock.
+            for p in writeset.partitions:
+                yield Acquire(self._shard_service[p])
+                acquired.append(p)
+            yield Timeout(self._service_time)
+            return self.certifier.certify(writeset)
+        finally:
+            for p in reversed(acquired):
+                self._shard_service[p].release()
+
+    def release(self, token: int, replicas) -> None:
+        """Unpin one attempt's vector and advance each shard's floor."""
         self._active_snapshots.pop(token, None)
         floors: Dict[int, int] = {}
         for p in range(self._shard_count):
             lagging = min(
-                replica.applied_vector.get(p, 0)
-                for replica in self.replicas
+                replica.applied_vector.get(p, 0) for replica in replicas
             )
             active = min(
                 (vector.get(p, 0)
@@ -475,3 +275,32 @@ class ShardedMultiMasterSystem(MultiMasterSystem):
             )
             floors[p] = max(0, min(lagging, active))
         self.certifier.observe_snapshot(floors)
+
+    def shards(self, partitions) -> int:
+        """How many certifier shards coordinate (a certify-span tag)."""
+        return len(partitions)
+
+    def version(self, outcome) -> int:
+        """The summed shard clock (what ``applied_version`` tracks)."""
+        return self.certifier.latest_version
+
+    def deliver(self, replica: ShardedSimReplica, outcome,
+                charged: bool) -> None:
+        """Hand one commit's shard versions to *replica*."""
+        replica.enqueue_shard_writeset(outcome.shard_versions, charged=charged)
+
+
+class ShardedMultiMasterSystem(MultiMasterSystem):
+    """Multi-master assembly running per-partition certifier shards."""
+
+    def __init__(self, env, spec, config, seed, metrics,
+                 distribution="exponential", lb_policy=LEAST_LOADED,
+                 capacities=None, partition_map=None,
+                 certifier_spec: Optional[CertifierSpec] = None):
+        super().__init__(
+            env, spec, config, seed, metrics, distribution, lb_policy,
+            capacities, partition_map, certifier_spec,
+            certification=ShardedCertification(
+                env, spec, config, certifier_spec
+            ),
+        )

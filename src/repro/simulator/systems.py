@@ -14,10 +14,18 @@ Three assemblies share the client loop:
 Clients follow the closed-loop model of §3.1: think (exponential), submit,
 wait for the response; aborted update transactions are retried immediately
 by the (simulated) application server, as the paper's Java servlets do.
+
+The replicated transaction protocol — route, snapshot, execute, certify,
+propagate, retry on a write-write conflict — is written once, in
+:meth:`_BaseSystem.execute`.  What differs between assemblies sits behind
+two seams fixed at construction: a :class:`Topology` (who executes
+updates) and a certification path (:class:`GlobalCertification` here,
+:class:`~.sharded.ShardedCertification` for per-partition shards).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
@@ -27,8 +35,8 @@ from ..core.errors import (
     SimulationError,
 )
 from ..core.params import ReplicationConfig
-from ..sidb.certifier import Certifier
-from ..telemetry import schema as tel_schema
+from ..sidb.certifier import GlobalCertifier
+from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
 from .des import Acquire, Environment, Semaphore, Timeout
 from .replica import SimReplica
@@ -143,20 +151,154 @@ def select_replica(policy, candidates, client_id, is_update, rng,
     return min(alive, key=lambda r: (r.active, r.name))
 
 
+@dataclass(frozen=True)
+class Topology:
+    """Who executes update transactions — the one decision the paper's
+    two designs differ in.  Shared by the simulator and the live cluster.
+    """
+
+    #: Design name (validates partition maps, names retry failures).
+    design: str
+    #: ``False`` (multi-master, Figure 4): the routed replica executes
+    #: the update under GSI — its snapshot is the replica's own applied
+    #: state, which can lag the certifier (so snapshot age is recorded
+    #: and lagging replicas pin the prune floor), and certification is a
+    #: round-trip to a remote service.  ``True`` (single-master,
+    #: Figure 5): the master executes every update under plain SI — its
+    #: snapshot is the latest commit and it is its own certifier, so
+    #: there is no staleness to record and no round-trip to pay.
+    master_updates: bool
+
+
+MULTI_MASTER_TOPOLOGY = Topology("multi-master", master_updates=False)
+SINGLE_MASTER_TOPOLOGY = Topology("single-master", master_updates=True)
+
+#: Why elastic membership is refused (one wording for both substrates).
+#: Re-placing partitions on join/leave — split, merge, migrate — and
+#: vector-valued state transfer are the natural follow-ons; until then
+#: the combinations fail loudly rather than silently miscounting.
+ELASTIC_NEEDS_FULL_REPLICATION = (
+    "elastic membership requires full replication; the partition map "
+    "places data on a fixed fleet"
+)
+ELASTIC_NEEDS_GLOBAL_CERTIFIER = (
+    "elastic membership is not supported with the sharded certifier "
+    "(joins need vector-valued state transfer)"
+)
+
+
+class GlobalCertification:
+    """The global certification path: one certifier, one version
+    sequence, scalar snapshots.
+
+    *remote* says whether the certifier is a service apart from the
+    executing database (multi-master) or the executing database itself
+    (single-master, standalone): only a remote certifier is lagged by
+    the replicas' snapshots and costs a response delay.
+    """
+
+    def __init__(self, env: Environment, certifier_spec=None,
+                 remote: bool = False, response_delay: float = 0.0) -> None:
+        self._env = env
+        self.certifier = GlobalCertifier()
+        self._remote = remote
+        self._response_delay = response_delay
+        self._active_snapshots: Dict[int, int] = {}
+        self._snapshot_token = 0
+        # Optional certifier occupancy (CertifierSpec.service_time): the
+        # global certifier becomes a single-token queueing centre every
+        # commit serialises through — the contention the sharded arm of
+        # the certifier comparison removes.  ``None`` (the default, and
+        # any spec with service_time == 0) leaves the commit path with
+        # zero extra simulation events.
+        self._service_time = (
+            0.0 if certifier_spec is None else certifier_spec.service_time
+        )
+        self._service = (
+            Semaphore(env, 1) if self._service_time > 0.0 else None
+        )
+
+    def new_replica(self, name: str, sampler: WorkloadSampler,
+                    capacity: float) -> SimReplica:
+        return SimReplica(self._env, name, sampler, capacity=capacity)
+
+    def require_elastic(self) -> None:
+        """Scalar snapshots transfer as one version: joins are fine."""
+
+    def pin(self, replica: SimReplica) -> Tuple[int, int]:
+        """Take one attempt's snapshot at *replica* and pin it against
+        pruning; returns ``(snapshot, token)``."""
+        snapshot = (replica.applied_version if self._remote
+                    else self.certifier.latest_version)
+        self._snapshot_token += 1
+        self._active_snapshots[self._snapshot_token] = snapshot
+        return snapshot, self._snapshot_token
+
+    def stamp(self, writeset, token: int):
+        """The sampled writeset already carries its scalar snapshot."""
+        return writeset
+
+    def certify(self, writeset):
+        """Order and check *writeset* on arrival; the response (and
+        update propagation) reach the replicas one certification delay
+        later (§6.3.2).  A generator: ``yield from`` it."""
+        if self._service is not None:
+            # Single-token occupancy: every commit holds the one
+            # certifier server for service_time.
+            yield Acquire(self._service)
+            try:
+                yield Timeout(self._service_time)
+                outcome = self.certifier.certify(writeset)
+            finally:
+                self._service.release()
+        else:
+            outcome = self.certifier.certify(writeset)
+        if self._remote:
+            yield Timeout(self._response_delay)
+        return outcome
+
+    def release(self, token: int, replicas: Sequence[SimReplica]) -> None:
+        """Unpin one attempt's snapshot and advance the prune floor."""
+        self._active_snapshots.pop(token, None)
+        floor = min(
+            self._active_snapshots.values(),
+            default=self.certifier.latest_version,
+        )
+        if self._remote:
+            # Future transactions take their snapshot from a replica's
+            # applied version, which can lag the certifier; pruning must
+            # keep history back to the most-lagging replica as well as
+            # all active snapshots.
+            floor = min(floor, min(r.applied_version for r in replicas))
+        self.certifier.observe_snapshot(max(0, floor))
+
+    def shards(self, partitions) -> None:
+        """No shards coordinate (the certify span carries no such tag)."""
+
+    def version(self, outcome) -> int:
+        """The system-wide version clock after *outcome* committed."""
+        return outcome.commit_version
+
+    def deliver(self, replica: SimReplica, outcome, charged: bool) -> None:
+        """Hand one committed version to *replica*."""
+        replica.enqueue_writeset(outcome.commit_version, charged=charged)
+
+
 class _BaseSystem:
-    """Shared plumbing: replicas, samplers, metric wiring, client loop."""
+    """Shared plumbing: replicas, samplers, metric wiring, client loop,
+    and the one transaction protocol body (:meth:`execute`)."""
 
     #: How often an elastic drain re-checks that a leaving replica has
     #: finished its in-flight transactions (simulated seconds).
     _DRAIN_POLL = 0.025
 
-    #: Design name used to validate partition maps (subclasses override).
-    design = "multi-master"
+    #: Who executes updates (subclasses override; its design name also
+    #: validates partition maps).
+    topology = MULTI_MASTER_TOPOLOGY
 
-    #: Optional :class:`repro.telemetry.Telemetry` hook (see
-    #: :meth:`attach_telemetry`); ``None`` keeps every hot path exactly
-    #: as it was before the telemetry layer existed.
-    telemetry = None
+    #: Protocol recorder (:mod:`repro.telemetry.recorder`): the null
+    #: sink until :meth:`attach_telemetry` swaps in a real one.
+    recorder = NULL_RECORDER
 
     def __init__(
         self,
@@ -169,6 +311,7 @@ class _BaseSystem:
         lb_policy: str = LEAST_LOADED,
         capacities: Optional[Sequence[float]] = None,
         partition_map=None,
+        certification=None,
     ) -> None:
         from ..partition.placement import resolve_partition_map
 
@@ -180,6 +323,10 @@ class _BaseSystem:
         self.partition_map = resolve_partition_map(
             spec, config, partition_map, self.design
         )
+        #: The certification path (global unless an assembly passes a
+        #: sharded one); it owns the certifier and builds the replicas.
+        self.certification = certification or GlobalCertification(env)
+        self.certifier = self.certification.certifier
         self.env = env
         self.spec = spec
         self.config = config
@@ -199,6 +346,10 @@ class _BaseSystem:
         #: Cleared by :meth:`stop_arrivals` to end open-loop streams.
         self._arrivals_on = True
 
+    @property
+    def design(self) -> str:
+        return self.topology.design
+
     def _initial_capacity(self, index: int) -> float:
         """Capacity multiplier for the *index*-th initial replica."""
         if self._capacities is None:
@@ -214,7 +365,7 @@ class _BaseSystem:
             rng_util.spawn(self._seed, "replica", path),
             distribution=self._distribution,
         )
-        replica = SimReplica(self.env, name, sampler, capacity=capacity)
+        replica = self.certification.new_replica(name, sampler, capacity)
         replica.hosted_partitions = hosted_partitions
         # Admission control: the connection pool bounds how many client
         # transactions execute concurrently (config.max_concurrency).
@@ -224,14 +375,15 @@ class _BaseSystem:
             replica.admission = None
         self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
         self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        if self.telemetry is not None:
-            replica.telemetry = self.telemetry
-            if self.telemetry.auditor is not None:
-                self.telemetry.auditor.on_attach(
-                    replica.name, replica.applied_version
-                )
+        self._wire(replica)
         self.replicas.append(replica)
         return replica
+
+    def _wire(self, replica: SimReplica) -> None:
+        """Share the recorder with *replica* and baseline its lanes."""
+        replica.recorder = self.recorder
+        for shard, watermark in replica.watermarks():
+            self.recorder.attached(replica.name, watermark, shard=shard)
 
     def attach_telemetry(self, telemetry) -> None:
         """Wire a :class:`repro.telemetry.Telemetry` into the system.
@@ -240,16 +392,22 @@ class _BaseSystem:
         certifier, every current replica, and every replica created
         later (elastic joins) share the same recorder.
         """
-        self.telemetry = telemetry
-        certifier = getattr(self, "certifier", None)
-        if certifier is not None:
-            certifier.telemetry = telemetry
+        self.recorder = ProtocolRecorder(telemetry, lambda: self.env.now)
+        self.certifier.telemetry = telemetry
         for replica in self.replicas:
-            replica.telemetry = telemetry
-            if telemetry.auditor is not None:
-                telemetry.auditor.on_attach(
-                    replica.name, replica.applied_version
+            self._wire(replica)
+
+    def start_fleet_sampler(self, telemetry) -> None:
+        """Snapshot fleet state onto *telemetry*'s timeline every
+        snapshot interval (a DES process in virtual time)."""
+        def sampler():
+            while True:
+                yield Timeout(telemetry.config.snapshot_interval)
+                telemetry.sample_fleet(
+                    self.env.now, self.replicas, self.certifier
                 )
+
+        self.env.start(sampler())
 
     def _admit(self, replica: SimReplica):
         """Wait for an execution slot at *replica* (no-op without a limit)."""
@@ -350,8 +508,7 @@ class _BaseSystem:
         self.metrics.record_commit(
             is_update, self.env.now - started, aborts, now=self.env.now
         )
-        if self.telemetry is not None:
-            self.telemetry.count_commit(is_update)
+        self.recorder.completed(is_update)
 
     def _client_loop(self, client_id: int, sampler: WorkloadSampler):
         while True:
@@ -362,12 +519,100 @@ class _BaseSystem:
             self.metrics.record_commit(
                 is_update, self.env.now - started, aborts, now=self.env.now
             )
-            if self.telemetry is not None:
-                self.telemetry.count_commit(is_update)
+            self.recorder.completed(is_update)
 
-    def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int):
-        """Run one transaction to commit; returns the abort (retry) count."""
-        raise NotImplementedError
+    def execute(self, sampler: WorkloadSampler, is_update: bool,
+                client_id: int = 0):
+        """Run one transaction to commit; returns the abort (retry) count.
+
+        The replicated GSI life-cycle (§2, §4–5), written once for every
+        topology and certification path: route, admit, then either a
+        local read or the snapshot → execute → certify retry loop, and
+        on commit the hand-off to every replica.
+        """
+        topology, path = self.topology, self.certification
+        txn = self.recorder.begin()
+        yield Timeout(self.config.load_balancer_delay)
+        # Partitioned workloads pick their data before routing: the
+        # transaction must land on a replica hosting what it touches
+        # (the master hosts everything).
+        partitions = sampler.sample_partition_set(is_update)
+        if is_update and topology.master_updates:
+            replica, policy = self.master, "master"
+        else:
+            replica = self.route(self.replicas, client_id, is_update,
+                                 partitions)
+            policy = self.lb_policy
+        txn.routed(replica.name, is_update, policy)
+        replica.active += 1
+        aborts = 0
+        yield from self._admit(replica)
+        try:
+            if not is_update:
+                # Read-only transactions execute entirely locally and always
+                # commit (§2: GSI read-only transactions never abort).
+                txn.staleness(replica, self.certifier)
+                yield from replica.serve_read()
+                txn.executed(replica.name, "read")
+                return aborts
+            for attempt in range(1, self.config.max_retries + 1):
+                # The snapshot is taken at begin; the conflict window is
+                # the attempt's execution time (§2) plus, under GSI, the
+                # snapshot's age.
+                snapshot, token = path.pin(replica)
+                if not topology.master_updates:
+                    self.metrics.record_snapshot_age(
+                        self.certifier.latest_version - snapshot
+                    )
+                txn.staleness(replica, self.certifier, snapshot)
+                try:
+                    yield from replica.serve_update_attempt()
+                    writeset = path.stamp(
+                        sampler.sample_writeset(snapshot, partitions), token
+                    )
+                    txn.executed(replica.name, "update", attempt)
+                    self.metrics.record_certification()
+                    txn.certify_begin()
+                    try:
+                        outcome = yield from path.certify(writeset)
+                    finally:
+                        txn.certify_end()
+                finally:
+                    path.release(token, self.replicas)
+                txn.certified(attempt, outcome,
+                              path.shards(writeset.partitions))
+                if outcome.committed:
+                    # No yield between the certification decision's
+                    # arrival and this hand-off: versions reach every
+                    # replica in assignment order.  ``committed`` comes
+                    # first — the appliers find the trace through the
+                    # version map, and the propagation span rides the
+                    # certification response (§6.3.2): decision to
+                    # fan-out.
+                    txn.committed(outcome, writeset.partitions, replica.name)
+                    version = path.version(outcome)
+                    txn.propagated(version, len(self.replicas))
+                    self._propagated_version = version
+                    for member in self.replicas:
+                        # The executing replica already holds the effects;
+                        # under partial replication only replicas hosting
+                        # one of the writeset's partitions pay the
+                        # application work — everyone else advances its
+                        # watermark for free (the version marker that
+                        # keeps the snapshot clock contiguous).
+                        path.deliver(
+                            member, outcome,
+                            charged=member is not replica
+                            and hosts_any(member, writeset.partitions),
+                        )
+                    return aborts
+                aborts += 1
+            raise RetryLimitExceeded(
+                topology.design, "update", self.config.max_retries
+            )
+        finally:
+            self._release(replica)
+            replica.active -= 1
 
     def route(
         self,
@@ -400,18 +645,12 @@ class _BaseSystem:
         pool = getattr(self, "slaves", self.replicas)
         return [r for r in pool if not r.draining and not r.failed]
 
-    def _require_elastic_placement(self) -> None:
-        """Partial partition maps pin the fleet: membership is static.
-
-        (Re-placing partitions on join/leave — split, merge, migrate —
-        is the natural follow-on; until then a partial map and elastic
-        membership are mutually exclusive, loudly.)
-        """
+    def _require_elastic(self) -> None:
+        """Refuse membership changes the placement or the certification
+        path cannot follow (see the ``ELASTIC_NEEDS_*`` messages)."""
+        self.certification.require_elastic()
         if self.partition_map is not None and not self.partition_map.is_full:
-            raise SimulationError(
-                "elastic membership requires full replication; the "
-                "partition map places data on a fixed fleet"
-            )
+            raise SimulationError(ELASTIC_NEEDS_FULL_REPLICATION)
 
     def add_replica(self, transfer_writesets: int = 0,
                     capacity: float = 1.0) -> SimReplica:
@@ -469,7 +708,7 @@ class _BaseSystem:
 class StandaloneSystem(_BaseSystem):
     """A single snapshot-isolated database with directly attached clients."""
 
-    design = "standalone"
+    topology = Topology("standalone", master_updates=True)
 
     def __init__(self, env, spec, config, seed, metrics,
                  distribution="exponential", lb_policy=LEAST_LOADED,
@@ -478,12 +717,10 @@ class StandaloneSystem(_BaseSystem):
                          lb_policy, capacities, partition_map)
         self.database = self._make_replica("standalone", 0,
                                            capacity=self._initial_capacity(0))
-        self.certifier = Certifier()
-        self._active_snapshots: Dict[int, int] = {}
-        self._snapshot_token = 0
 
     def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int = 0):
         replica = self.database
+        path = self.certification
         replica.active += 1
         aborts = 0
         yield from self._admit(replica)
@@ -495,15 +732,14 @@ class StandaloneSystem(_BaseSystem):
             for _ in range(self.config.max_retries):
                 # The snapshot is taken at begin; the conflict window is the
                 # full execution time on the standalone database (§2).
-                snapshot = self.certifier.latest_version
-                token = self._register_snapshot(snapshot)
+                snapshot, token = path.pin(replica)
                 try:
                     yield from replica.serve_update_attempt()
                     writeset = sampler.sample_writeset(snapshot, partitions)
                     self.metrics.record_certification()
                     outcome = self.certifier.certify(writeset)
                 finally:
-                    self._release_snapshot(token)
+                    path.release(token, self.replicas)
                 if outcome.committed:
                     return aborts
                 aborts += 1
@@ -514,49 +750,29 @@ class StandaloneSystem(_BaseSystem):
             self._release(replica)
             replica.active -= 1
 
-    def _register_snapshot(self, snapshot: int) -> int:
-        self._snapshot_token += 1
-        self._active_snapshots[self._snapshot_token] = snapshot
-        return self._snapshot_token
-
-    def _release_snapshot(self, token: int) -> None:
-        self._active_snapshots.pop(token, None)
-        floor = min(
-            self._active_snapshots.values(),
-            default=self.certifier.latest_version,
-        )
-        self.certifier.observe_snapshot(max(0, floor))
-
 
 class MultiMasterSystem(_BaseSystem):
     """Figure 4: N symmetric replicas behind a load balancer + certifier."""
 
-    design = "multi-master"
+    topology = MULTI_MASTER_TOPOLOGY
 
     def __init__(self, env, spec, config, seed, metrics,
                  distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None, certifier_spec=None):
-        super().__init__(env, spec, config, seed, metrics, distribution,
-                         lb_policy, capacities, partition_map)
+                 capacities=None, partition_map=None, certifier_spec=None,
+                 certification=None):
+        super().__init__(
+            env, spec, config, seed, metrics, distribution, lb_policy,
+            capacities, partition_map,
+            certification or GlobalCertification(
+                env, certifier_spec, remote=True,
+                response_delay=config.certifier_delay,
+            ),
+        )
         for index in range(config.replicas):
             self._make_replica(f"replica{index}", index,
                                capacity=self._initial_capacity(index),
                                hosted_partitions=self._hosted_for_index(index))
         self._members_created = config.replicas
-        self.certifier = Certifier()
-        self._active_snapshots: Dict[int, int] = {}
-        self._snapshot_token = 0
-        # Optional certifier occupancy (CertifierSpec.service_time): the
-        # global certifier becomes a single-token queueing centre every
-        # commit serialises through — the contention the sharded arm of
-        # the certifier comparison removes.  ``None`` (the default, and
-        # any spec with service_time == 0) leaves the commit path with
-        # zero extra simulation events: byte-identical to before.
-        self._certifier_spec = certifier_spec
-        if certifier_spec is not None and certifier_spec.service_time > 0.0:
-            self._certify_service = Semaphore(env, 1)
-        else:
-            self._certify_service = None
 
     def add_replica(self, transfer_writesets: int = 0,
                     capacity: float = 1.0) -> SimReplica:
@@ -568,7 +784,7 @@ class MultiMasterSystem(_BaseSystem):
         normally afterwards) and pays for it with a bulk writeset replay
         of *transfer_writesets* applications before entering rotation.
         """
-        self._require_elastic_placement()
+        self._require_elastic()
         index = self._members_created
         self._members_created += 1
         replica = self._make_replica(f"replica{index}", index,
@@ -587,7 +803,7 @@ class MultiMasterSystem(_BaseSystem):
         immediately without draining — the replacement path for crashed
         replicas, whose state is already lost.
         """
-        self._require_elastic_placement()
+        self._require_elastic()
         if replica is None:
             candidates = [
                 r for r in self.replicas if not r.draining and r.available
@@ -613,177 +829,11 @@ class MultiMasterSystem(_BaseSystem):
         self.env.start(self._drain_and_detach(replica))
         return replica
 
-    def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int = 0):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.env.now
-        yield Timeout(self.config.load_balancer_delay)
-        # Partitioned workloads pick their data before routing: the
-        # transaction must land on a replica hosting what it touches.
-        partitions = sampler.sample_partition_set(is_update)
-        replica = self.route(self.replicas, client_id, is_update, partitions)
-        if telemetry is not None:
-            telemetry.count_route(replica.name, is_update)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.env.now, subject=replica.name,
-                    policy=self.lb_policy,
-                )
-        replica.active += 1
-        aborts = 0
-        yield from self._admit(replica)
-        try:
-            if not is_update:
-                # Read-only transactions execute entirely locally and always
-                # commit (§2: GSI read-only transactions never abort).
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                work_start = self.env.now
-                yield from replica.serve_read()
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.env.now, subject=replica.name, kind="read",
-                    )
-                return aborts
-            for attempt in range(1, self.config.max_retries + 1):
-                snapshot = replica.applied_version
-                self.metrics.record_snapshot_age(
-                    self.certifier.latest_version - snapshot
-                )
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, snapshot,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                token = self._register_snapshot(snapshot)
-                try:
-                    work_start = self.env.now
-                    yield from replica.serve_update_attempt()
-                    writeset = sampler.sample_writeset(snapshot, partitions)
-                    if trace is not None:
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_EXECUTE, work_start,
-                            self.env.now, subject=replica.name,
-                            kind="update", attempt=attempt,
-                        )
-                    self.metrics.record_certification()
-                    # The certifier orders and checks the writeset on
-                    # arrival; the response (and update propagation) reach
-                    # the replicas one certification delay later (§6.3.2).
-                    certify_start = self.env.now
-                    if telemetry is not None:
-                        telemetry.certify_begin()
-                    try:
-                        if self._certify_service is not None:
-                            # Single-token occupancy: every commit holds
-                            # the one certifier server for service_time.
-                            yield Acquire(self._certify_service)
-                            try:
-                                yield Timeout(
-                                    self._certifier_spec.service_time
-                                )
-                                outcome = self.certifier.certify(writeset)
-                            finally:
-                                self._certify_service.release()
-                        else:
-                            outcome = self.certifier.certify(writeset)
-                        yield Timeout(self.config.certifier_delay)
-                    finally:
-                        if telemetry is not None:
-                            telemetry.certify_end()
-                finally:
-                    self._release_snapshot(token)
-                if telemetry is not None:
-                    if outcome.committed:
-                        telemetry.note_commit(
-                            outcome.commit_version, self.env.now
-                        )
-                        if telemetry.auditor is not None:
-                            telemetry.auditor.on_commit(
-                                outcome.commit_version,
-                                writeset.partitions, replica.name,
-                            )
-                    if trace is not None:
-                        tags = {"attempt": attempt,
-                                "committed": outcome.committed}
-                        if not outcome.committed:
-                            tags["abort"] = tel_schema.ABORT_WW_CONFLICT
-                            tags["conflicts"] = len(
-                                outcome.conflicting_keys
-                            )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_CERTIFY, certify_start,
-                            self.env.now, subject="certifier", **tags,
-                        )
-                if outcome.committed:
-                    if trace is not None:
-                        # The appliers find the trace via the version map
-                        # (note before propagation starts), and the
-                        # propagation span rides the certification
-                        # response (§6.3.2): decision to fan-out.
-                        telemetry.tracer.note_version(
-                            outcome.commit_version, trace
-                        )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_PROPAGATE,
-                            certify_start, self.env.now,
-                            subject="channel", fanout=len(self.replicas),
-                        )
-                    self._propagate(outcome.commit_version, origin=replica,
-                                    partitions=writeset.partitions)
-                    return aborts
-                aborts += 1
-            raise RetryLimitExceeded(
-                "multi-master", "update", self.config.max_retries
-            )
-        finally:
-            self._release(replica)
-            replica.active -= 1
-
-    def _propagate(self, commit_version: int, origin: SimReplica,
-                   partitions: Tuple[int, ...] = ()) -> None:
-        """Hand one committed version to every replica.
-
-        Partial replication: only replicas hosting one of the writeset's
-        partitions pay the application work; everyone else advances its
-        watermark for free (the version-marker bookkeeping that keeps the
-        single global snapshot clock contiguous).
-        """
-        self._propagated_version = commit_version
-        for replica in self.replicas:
-            charged = replica is not origin and hosts_any(replica, partitions)
-            replica.enqueue_writeset(commit_version, charged=charged)
-
-    def _register_snapshot(self, snapshot: int) -> int:
-        self._snapshot_token += 1
-        self._active_snapshots[self._snapshot_token] = snapshot
-        return self._snapshot_token
-
-    def _release_snapshot(self, token: int) -> None:
-        self._active_snapshots.pop(token, None)
-        # Future transactions take their snapshot from a replica's applied
-        # version, which can lag the certifier; pruning must keep history
-        # back to the most-lagging replica as well as all active snapshots.
-        lagging = min(replica.applied_version for replica in self.replicas)
-        floor = min(
-            min(self._active_snapshots.values(), default=lagging),
-            lagging,
-        )
-        self.certifier.observe_snapshot(max(0, floor))
-
 
 class SingleMasterSystem(_BaseSystem):
     """Figure 5: one master for updates, N-1 slaves for reads."""
 
-    design = "single-master"
+    topology = SINGLE_MASTER_TOPOLOGY
 
     def __init__(self, env, spec, config, seed, metrics,
                  distribution="exponential", lb_policy=LEAST_LOADED,
@@ -803,14 +853,11 @@ class SingleMasterSystem(_BaseSystem):
             for index in range(config.replicas - 1)
         ]
         self._members_created = config.replicas - 1
-        self.certifier = Certifier()
-        self._active_snapshots: Dict[int, int] = {}
-        self._snapshot_token = 0
 
     def add_replica(self, transfer_writesets: int = 0,
                     capacity: float = 1.0) -> SimReplica:
         """Grow the system by one read-only slave (the master is fixed)."""
-        self._require_elastic_placement()
+        self._require_elastic()
         index = self._members_created
         self._members_created += 1
         slave = self._make_replica(f"slave{index}", index, capacity=capacity)
@@ -823,7 +870,7 @@ class SingleMasterSystem(_BaseSystem):
     def remove_replica(self, replica: Optional[SimReplica] = None,
                        force: bool = False) -> SimReplica:
         """Drain (or force-detach) one slave — never the master."""
-        self._require_elastic_placement()
+        self._require_elastic()
         if replica is None:
             candidates = [
                 r for r in self.slaves if not r.draining and r.available
@@ -844,155 +891,3 @@ class SingleMasterSystem(_BaseSystem):
         replica.available = False
         self.env.start(self._drain_and_detach(replica))
         return replica
-
-    def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int = 0):
-        telemetry = self.telemetry
-        trace = (
-            telemetry.tracer.start_trace()
-            if telemetry is not None else None
-        )
-        route_start = self.env.now
-        yield Timeout(self.config.load_balancer_delay)
-        partitions = sampler.sample_partition_set(is_update)
-        if not is_update:
-            # Reads may only land on replicas hosting their partition
-            # (the master hosts everything).
-            replica = self.route(self.replicas, client_id,
-                                 partitions=partitions)
-            if telemetry is not None:
-                telemetry.count_route(replica.name, False)
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_ROUTE, route_start,
-                        self.env.now, subject=replica.name,
-                        policy=self.lb_policy,
-                    )
-            replica.active += 1
-            yield from self._admit(replica)
-            try:
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        replica.name, replica.applied_version,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                work_start = self.env.now
-                yield from replica.serve_read()
-                if trace is not None:
-                    telemetry.tracer.add_span(
-                        trace, tel_schema.SPAN_EXECUTE, work_start,
-                        self.env.now, subject=replica.name, kind="read",
-                    )
-                return 0
-            finally:
-                self._release(replica)
-                replica.active -= 1
-
-        if telemetry is not None:
-            telemetry.count_route(self.master.name, True)
-            if trace is not None:
-                telemetry.tracer.add_span(
-                    trace, tel_schema.SPAN_ROUTE, route_start,
-                    self.env.now, subject=self.master.name,
-                    policy="master",
-                )
-        self.master.active += 1
-        aborts = 0
-        yield from self._admit(self.master)
-        try:
-            for attempt in range(1, self.config.max_retries + 1):
-                # The master runs plain SI: the snapshot is its latest
-                # committed version, and the conflict window is the
-                # execution time on the master (§2).
-                snapshot = self.certifier.latest_version
-                if telemetry is not None:
-                    telemetry.observe_staleness(
-                        self.master.name, snapshot,
-                        self.certifier.latest_version, self.env.now,
-                    )
-                token = self._register_snapshot(snapshot)
-                try:
-                    work_start = self.env.now
-                    yield from self.master.serve_update_attempt()
-                    writeset = sampler.sample_writeset(snapshot, partitions)
-                    if trace is not None:
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_EXECUTE, work_start,
-                            self.env.now, subject=self.master.name,
-                            kind="update", attempt=attempt,
-                        )
-                    self.metrics.record_certification()
-                    certify_start = self.env.now
-                    if telemetry is not None:
-                        telemetry.certify_begin()
-                    try:
-                        outcome = self.certifier.certify(writeset)
-                    finally:
-                        if telemetry is not None:
-                            telemetry.certify_end()
-                finally:
-                    self._release_snapshot(token)
-                if telemetry is not None:
-                    if outcome.committed:
-                        telemetry.note_commit(
-                            outcome.commit_version, self.env.now
-                        )
-                        if telemetry.auditor is not None:
-                            telemetry.auditor.on_commit(
-                                outcome.commit_version,
-                                writeset.partitions, self.master.name,
-                            )
-                    if trace is not None:
-                        tags = {"attempt": attempt,
-                                "committed": outcome.committed}
-                        if not outcome.committed:
-                            tags["abort"] = tel_schema.ABORT_WW_CONFLICT
-                            tags["conflicts"] = len(
-                                outcome.conflicting_keys
-                            )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_CERTIFY, certify_start,
-                            self.env.now, subject="certifier", **tags,
-                        )
-                if outcome.committed:
-                    if trace is not None:
-                        telemetry.tracer.note_version(
-                            outcome.commit_version, trace
-                        )
-                        telemetry.tracer.add_span(
-                            trace, tel_schema.SPAN_PROPAGATE,
-                            certify_start, self.env.now,
-                            subject="channel",
-                            fanout=len(self.slaves) + 1,
-                        )
-                    self._propagated_version = outcome.commit_version
-                    self.master.enqueue_writeset(
-                        outcome.commit_version, charged=False
-                    )
-                    for slave in self.slaves:
-                        # Partial replication: non-hosting slaves advance
-                        # their watermark for free (version marker).
-                        slave.enqueue_writeset(
-                            outcome.commit_version,
-                            charged=hosts_any(slave, writeset.partitions),
-                        )
-                    return aborts
-                aborts += 1
-            raise RetryLimitExceeded(
-                "single-master", "update", self.config.max_retries
-            )
-        finally:
-            self._release(self.master)
-            self.master.active -= 1
-
-    def _register_snapshot(self, snapshot: int) -> int:
-        self._snapshot_token += 1
-        self._active_snapshots[self._snapshot_token] = snapshot
-        return self._snapshot_token
-
-    def _release_snapshot(self, token: int) -> None:
-        self._active_snapshots.pop(token, None)
-        floor = min(
-            self._active_snapshots.values(),
-            default=self.certifier.latest_version,
-        )
-        self.certifier.observe_snapshot(max(0, floor))

@@ -11,10 +11,10 @@ spans (route → execute → certify → propagate → apply) are sampled
 deterministically and export as JSONL or Chrome traces; run-level
 timeline snapshots feed the ``repro metrics`` ASCII dashboard.
 
-Telemetry is opt-in per run and strictly zero-cost when off: the
-``telemetry`` attribute on instrumented components defaults to ``None``
-and every call site is guarded, so disabled runs are byte-identical to
-a build without this package.
+Telemetry is opt-in per run: instrumented components hold a protocol
+recorder (:mod:`~repro.telemetry.recorder`) whose default is a null sink,
+so call sites are unguarded, a disabled run records nothing, and its
+results are byte-identical to a build without this package.
 """
 
 from . import schema
@@ -57,6 +57,7 @@ from .perf import (
     PerfReport,
     WindowedQuantile,
 )
+from .recorder import NULL_RECORDER, ProtocolRecorder
 from .registry import (
     Counter,
     Gauge,
@@ -82,7 +83,9 @@ __all__ = [
     "Histogram",
     "MetricSample",
     "MetricsRegistry",
+    "NULL_RECORDER",
     "PerfReport",
+    "ProtocolRecorder",
     "ReplicationHop",
     "Span",
     "Telemetry",

@@ -1,11 +1,13 @@
 """The telemetry facade each run threads through its components.
 
 One :class:`Telemetry` object is created per run (when the caller asks
-for it) and handed to the system, certifier and replicas as a plain
-``telemetry`` attribute whose default is ``None``.  Every hot-path call
-site is guarded with ``if telemetry is not None``, so a disabled run
-executes exactly the same instructions as before this layer existed —
-the zero-cost contract that keeps cache keys and artifacts byte-stable.
+for it) and reaches the transaction protocol through a
+:class:`~repro.telemetry.recorder.ProtocolRecorder`.  Null-sink
+contract: systems and replicas hold a recorder from construction — the
+no-op :data:`~repro.telemetry.recorder.NULL_RECORDER` by default — so
+hot-path call sites are unguarded, and a disabled run records nothing
+and draws no randomness, which keeps results, cache keys and artifacts
+byte-stable.
 
 :class:`TelemetryConfig` is a frozen, picklable value with a stable
 ``repr``, so an *enabled* configuration participates in engine cache
@@ -137,9 +139,8 @@ class Telemetry:
 
             self.auditor = Auditor()
         else:
-            #: Call sites double-guard (``telemetry is not None`` and
-            #: ``telemetry.auditor is not None``), so an un-audited run
-            #: does no audit bookkeeping at all.
+            #: The recorder checks this once per hook, so an un-audited
+            #: run does no audit bookkeeping at all.
             self.auditor = None
         self.events: List[TelemetryEvent] = []
         self.timeline: List[TimelineSnapshot] = []

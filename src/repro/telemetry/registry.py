@@ -2,11 +2,10 @@
 
 Design constraints (ISSUE 6):
 
-* **Zero cost when disabled.**  Components hold a ``telemetry``
-  attribute that is ``None`` by default; every hot-path call site is
-  guarded by ``if telemetry is not None`` so a disabled run allocates
-  nothing and calls nothing — the registry only exists when a run asked
-  for it.
+* **Nothing recorded when disabled.**  Components report through a
+  protocol recorder whose default is a null sink
+  (:mod:`repro.telemetry.recorder`), so a disabled run allocates
+  nothing here — the registry only exists when a run asked for it.
 * **Safe under DES virtual time and live threads.**  One shared lock
   guards instrument creation and every mutation.  The DES is
   single-threaded so the lock is uncontended there; the live cluster's

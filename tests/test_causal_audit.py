@@ -192,11 +192,20 @@ def test_staleness_distributions_recorded_on_both(audited_pair):
 # ----------------------------------------------------------------------
 
 
-def test_sim_results_identical_with_auditor_on_and_off(tiny_spec):
+@pytest.mark.parametrize("design,certifier", [
+    pytest.param("multi-master", None, id="mm"),
+    pytest.param("single-master", None, id="sm"),
+    pytest.param("multi-master", "sharded", id="mm-sharded"),
+])
+def test_sim_results_identical_with_auditor_on_and_off(
+        tiny_spec, design, certifier):
     from repro.simulator.runner import simulate
 
+    if certifier == "sharded":
+        tiny_spec = tiny_spec.with_partitions(4, 0.2)
     config = _config(tiny_spec, 2)
-    kwargs = dict(design="multi-master", seed=13, warmup=2.0, duration=10.0)
+    kwargs = dict(design=design, certifier=certifier, seed=13,
+                  warmup=2.0, duration=10.0)
     off = simulate(tiny_spec, config, **kwargs)
     audited = simulate(tiny_spec, config, telemetry=_TELEMETRY, **kwargs)
     assert audited.telemetry.audit is not None

@@ -115,7 +115,7 @@ class TestCertifierShardingLive:
         return run_scenario(scenario, tiny_settings, jobs=1, cache=None)
 
     def test_live_cells_converge(self, report):
+        # Invariants only: the wall-clock claim that sharded beats global
+        # on real threads lives, with a margin, in
+        # benchmarks/bench_certifier_sharding.py.
         assert report.converged
-
-    def test_sharded_dominates_global_live(self, report):
-        assert report.speedup("live") > 1.0

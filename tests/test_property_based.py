@@ -16,7 +16,7 @@ from repro.models.demands import multimaster_demand, standalone_demand
 from repro.queueing.bounds import asymptotic_bounds
 from repro.queueing.mva import solve_mva
 from repro.queueing.network import ClosedNetwork, delay_center, queueing_center
-from repro.sidb.certifier import Certifier
+from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.versionstore import VersionedStore
 from repro.sidb.writeset import Writeset
 from repro.simulator.stats import RunningStats
@@ -215,7 +215,7 @@ class TestCertifierProperties:
     def test_concurrent_overlapping_writesets_never_both_commit(self, keysets):
         """All writesets share snapshot 0: any overlapping pair has at most
         one committer (first-committer-wins)."""
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         outcomes = []
         for txn_id, keys in enumerate(keysets, start=1):
             writeset = Writeset.from_dict(txn_id, 0, {k: txn_id for k in keys})
@@ -234,7 +234,7 @@ class TestCertifierProperties:
     @settings(max_examples=100, deadline=None)
     def test_serial_writesets_always_commit(self, keysets):
         """A writeset whose snapshot is the latest version never conflicts."""
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         for txn_id, keys in enumerate(keysets, start=1):
             writeset = Writeset.from_dict(
                 txn_id, certifier.latest_version, {k: txn_id for k in keys}
@@ -263,7 +263,7 @@ class TestPartitionedCertifierProperties:
     def test_disjoint_partition_sets_never_conflict(self, entries):
         """Writesets touching disjoint partition sets never abort each
         other, even when all are concurrent (shared snapshot 0)."""
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         outcomes = []
         for txn_id, (partition, rows) in enumerate(entries, start=1):
             writeset = Writeset.from_dict(
@@ -300,8 +300,8 @@ class TestPartitionedCertifierProperties:
     ):
         """When every writeset shares one partition, the partition-aware
         certifier and a plain keys-only certifier decide identically."""
-        scoped = Certifier()
-        unscoped = Certifier()
+        scoped = GlobalCertifier()
+        unscoped = GlobalCertifier()
         for txn_id, keys in enumerate(keysets, start=1):
             writes = {("updatable", partition, k): txn_id for k in keys}
             a = scoped.certify(Writeset.from_dict(
@@ -316,7 +316,7 @@ class TestPartitionedCertifierProperties:
     @settings(max_examples=60, deadline=None)
     def test_unpartitioned_writeset_is_a_wildcard(self, entries):
         """An unpartitioned writeset conflicts across every partition."""
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         keys = set()
         for txn_id, (partition, rows) in enumerate(entries, start=1):
             writes = {("updatable", partition, row): txn_id for row in rows}

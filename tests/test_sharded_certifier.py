@@ -3,7 +3,7 @@
 Covers the PR-9 certifier redesign end to end below the scenario layer:
 
 * hypothesis equivalence — :class:`ShardedCertifier` decides exactly
-  like the global :class:`Certifier` on single-partition and
+  like the global :class:`GlobalCertifier` on single-partition and
   disjoint-partition workloads (the safety claim in
   ``repro/sidb/sharded.py``'s docstring);
 * hypothesis atomicity — an injected coordinator fault between the
@@ -14,14 +14,12 @@ Covers the PR-9 certifier redesign end to end below the scenario layer:
   certification floors must hold back history pruning).
 """
 
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigurationError
-from repro.sidb.certifier import Certifier, GlobalCertifier
+from repro.core.errors import ConfigurationError, SimulationError
+from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.certifier_api import (
     CERTIFIER_KINDS,
     CertificationOutcome,
@@ -55,7 +53,15 @@ class TestProtocolSurface:
         assert isinstance(ShardedCertifier(), CertifierProtocol)
 
     def test_certifier_is_the_global_certifier(self):
-        assert Certifier is GlobalCertifier
+        # The pre-seam ``Certifier`` alias is retired: the engine's
+        # default certifier goes by its own name only.
+        import repro.sidb
+        import repro.sidb.certifier
+        from repro.sidb.engine import SIDatabase
+
+        assert not hasattr(repro.sidb.certifier, "Certifier")
+        assert "Certifier" not in repro.sidb.__all__
+        assert isinstance(SIDatabase().certifier, GlobalCertifier)
 
     def test_home_shard_is_lowest_touched_partition(self):
         certifier = ShardedCertifier(partitions=4)
@@ -101,7 +107,7 @@ class TestShardedEquivalence:
     ):
         """On one partition, one shard IS the global certifier: same
         decisions and the same (scalar) version sequence."""
-        global_cert = Certifier()
+        global_cert = GlobalCertifier()
         sharded = ShardedCertifier(partitions=4)
         for txn_id, (rows, lag) in enumerate(entries, start=1):
             floor = max(0, global_cert.latest_version - lag)
@@ -133,7 +139,7 @@ class TestShardedEquivalence:
         """Concurrent writesets spread over partitions: the partition-
         aware global certifier and the sharded one agree exactly
         (disjoint partitions never conflict in either)."""
-        global_cert = Certifier()
+        global_cert = GlobalCertifier()
         sharded = ShardedCertifier(partitions=4)
         for txn_id, (partition, rows) in enumerate(entries, start=1):
             writes = {("updatable", partition, r): txn_id for r in rows}
@@ -381,41 +387,38 @@ class TestLivePruneFloorPinning:
         def shard_floors(self):
             return dict(self._floors)
 
-    def _cluster(self, replicas, certifier):
-        from repro.cluster.sharded import ShardedMultiMasterCluster
+    def _path(self, commits=6):
+        """The live sharded certification path, built directly, with
+        *commits* two-partition commits already certified."""
+        from repro.cluster.clock import VirtualClock
+        from repro.cluster.sharded import ShardedCertification
+        from repro.workloads import tpcw
 
-        cluster = object.__new__(ShardedMultiMasterCluster)
-        cluster._floor_lock = threading.Lock()
-        cluster._active_floors = {}
-        cluster._floor_token = 0
-        cluster.replicas = replicas
-        cluster.certifier = certifier
-        return cluster
-
-    def _committed_certifier(self, partitions=2, commits=6):
-        certifier = ShardedCertifier(partitions=partitions)
+        path = ShardedCertification(
+            VirtualClock(1.0), tpcw.SHOPPING.with_partitions(2, 0.1),
+            CertifierSpec(kind="sharded"),
+        )
+        certifier = path.certifier
         for txn_id in range(1, commits + 1):
             vector = dict(certifier.version_vector())
             outcome = certifier.certify(_partitioned(
-                txn_id, vector,
-                {p: {txn_id} for p in range(partitions)},
+                txn_id, vector, {p: {txn_id} for p in range(2)},
             ))
             assert outcome.committed
-        return certifier
+        return path
 
     def test_registered_floors_hold_back_the_prune(self):
-        certifier = self._committed_certifier()
-        cluster = self._cluster(
-            [self._StubReplica({0: 6, 1: 6})], certifier
-        )
-        token = cluster._register_floors({0: 2, 1: 3})
-        cluster._prune()
+        path = self._path()
+        certifier = path.certifier
+        fleet = [self._StubReplica({0: 6, 1: 6})]
+        pin = path.pin(self._StubReplica({0: 2, 1: 3}))
+        path.prune(fleet)
         # The in-flight attempt certifying against floor 2 still gets an
         # exact answer: versions 3.. are retained on shard 0.
         stale = _partitioned(99, {0: 2, 1: 3}, {0: {100}, 1: {100}})
         assert certifier.certify(stale).committed
-        cluster._release_floors(token)
-        cluster._prune()
+        path.unpin(pin)
+        path.prune(fleet)
         # With the pin gone the watermark floor applies: a floor-2 read
         # now predates retained history and hits the conservative path.
         pruned = _partitioned(100, {0: 2, 1: 3}, {0: {200}, 1: {200}})
@@ -424,36 +427,65 @@ class TestLivePruneFloorPinning:
         assert outcome.conflicting_keys  # forced retry, never unsafe
 
     def test_prune_takes_the_minimum_across_replicas_and_attempts(self):
-        certifier = self._committed_certifier()
-        shard0 = certifier._shard(0)
-        cluster = self._cluster(
-            [
-                self._StubReplica({0: 6, 1: 6}),
-                self._StubReplica({0: 4, 1: 5}),
-            ],
-            certifier,
-        )
-        cluster._register_floors({0: 3, 1: 6})
-        cluster._prune()
+        path = self._path()
+        shard0 = path.certifier._shard(0)
+        path.pin(self._StubReplica({0: 3, 1: 6}))
+        path.prune([
+            self._StubReplica({0: 6, 1: 6}),
+            self._StubReplica({0: 4, 1: 5}),
+        ])
         # Shard 0's floor is min(6, 4, 3) = 3: versions 4.. retained.
         assert shard0.oldest_retained <= 4
 
     def test_failed_replicas_do_not_hold_back_the_prune(self):
-        certifier = self._committed_certifier()
+        path = self._path()
         dead = self._StubReplica({0: 0, 1: 0})
         dead.failed = True
-        cluster = self._cluster(
-            [self._StubReplica({0: 6, 1: 6}), dead], certifier
-        )
-        cluster._prune()
-        assert certifier._shard(0).oldest_retained == 7
+        path.prune([self._StubReplica({0: 6, 1: 6}), dead])
+        assert path.certifier._shard(0).oldest_retained == 7
 
     def test_release_is_idempotent(self):
-        cluster = self._cluster([], ShardedCertifier(partitions=2))
-        token = cluster._register_floors({0: 1, 1: 1})
-        cluster._release_floors(token)
-        cluster._release_floors(token)
-        assert cluster._active_floors == {}
+        path = self._path(commits=0)
+        pin = path.pin(self._StubReplica({0: 1, 1: 1}))
+        path.unpin(pin)
+        path.unpin(pin)
+        assert path._active_floors == {}
+
+
+class TestElasticRefusal:
+    """Elastic x sharded is refused with one message on both substrates
+    (and elastic x partial map with another), before anything changes."""
+
+    @staticmethod
+    def _refusals(assembly):
+        messages = set()
+        for change in (assembly.add_replica, assembly.remove_replica):
+            with pytest.raises(SimulationError) as refused:
+                change()
+            messages.add(str(refused.value))
+        return messages
+
+    def test_sim_and_live_refuse_sharded_joins_with_one_message(self):
+        from repro.cluster import ShardedMultiMasterCluster, VirtualClock
+        from repro.simulator import Environment, MetricsCollector
+        from repro.simulator.sharded import ShardedMultiMasterSystem
+        from repro.workloads import tpcw
+
+        spec = tpcw.SHOPPING.with_partitions(4, 0.1)
+        config = spec.replication_config(2)
+        sharded = CertifierSpec(kind="sharded")
+        system = ShardedMultiMasterSystem(
+            Environment(), spec, config, 7, MetricsCollector(),
+            certifier_spec=sharded,
+        )
+        cluster = ShardedMultiMasterCluster(
+            spec, config, 7, VirtualClock(0.01), MetricsCollector(),
+            certifier_spec=sharded,
+        )
+        sim, live = self._refusals(system), self._refusals(cluster)
+        assert sim == live and len(sim) == 1
+        assert "sharded certifier" in sim.pop()
+        assert len(system.replicas) == len(cluster.replicas) == 2
 
 
 class TestObserveSnapshot:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.sidb.certifier import Certifier
+from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.writeset import Writeset
 
 
@@ -49,14 +49,14 @@ class TestWriteset:
 
 class TestCertifierBasics:
     def test_first_commit_gets_version_one(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         outcome = certifier.certify(ws(1, 0, ["a"]))
         assert outcome.committed
         assert outcome.commit_version == 1
         assert certifier.latest_version == 1
 
     def test_versions_are_dense(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         versions = [
             certifier.certify(ws(i, certifier.latest_version, [f"k{i}"]))
             .commit_version
@@ -65,27 +65,27 @@ class TestCertifierBasics:
         assert versions == [1, 2, 3, 4, 5]
 
     def test_conflict_aborts(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))
         outcome = certifier.certify(ws(2, 0, ["a"]))  # concurrent with txn 1
         assert not outcome.committed
         assert outcome.conflicting_keys == frozenset({"a"})
 
     def test_non_overlapping_concurrent_commits(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))
         outcome = certifier.certify(ws(2, 0, ["b"]))
         assert outcome.committed
 
     def test_serial_rewrites_commit(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))
         # Transaction 2 saw version 1, so txn 1 is not concurrent with it.
         outcome = certifier.certify(ws(2, 1, ["a"]))
         assert outcome.committed
 
     def test_conflict_only_against_later_commits(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))  # v1
         certifier.certify(ws(2, 1, ["b"]))  # v2
         # Snapshot 1: conflicts checked against v2 only.
@@ -93,12 +93,12 @@ class TestCertifierBasics:
         assert not certifier.certify(ws(4, 1, ["b"])).committed
 
     def test_future_snapshot_rejected(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         with pytest.raises(ConfigurationError):
             certifier.certify(ws(1, 5, ["a"]))
 
     def test_statistics_counted(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))
         certifier.certify(ws(2, 0, ["a"]))
         assert certifier.certifications == 2
@@ -107,7 +107,7 @@ class TestCertifierBasics:
         assert certifier.abort_fraction == pytest.approx(0.5)
 
     def test_reset_statistics(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         certifier.certify(ws(1, 0, ["a"]))
         certifier.reset_statistics()
         assert certifier.certifications == 0
@@ -118,7 +118,7 @@ class TestCertifierBasics:
 
 class TestCertifierPruning:
     def test_observe_snapshot_prunes_history(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         for i in range(1, 11):
             certifier.certify(ws(i, certifier.latest_version, [f"k{i}"]))
         certifier.observe_snapshot(5)
@@ -126,7 +126,7 @@ class TestCertifierPruning:
         assert certifier.certify(ws(99, 5, ["fresh"])).committed
 
     def test_stale_snapshot_conservatively_aborts_after_pruning(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         for i in range(1, 11):
             certifier.certify(ws(i, certifier.latest_version, [f"k{i}"]))
         certifier.observe_snapshot(8)
@@ -134,18 +134,18 @@ class TestCertifierPruning:
         assert not outcome.committed  # history to answer exactly is gone
 
     def test_max_history_bounds_memory(self):
-        certifier = Certifier(max_history=5)
+        certifier = GlobalCertifier(max_history=5)
         for i in range(1, 21):
             certifier.certify(ws(i, certifier.latest_version, [f"k{i}"]))
         assert len(certifier._history) <= 5
 
     def test_max_history_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            Certifier(max_history=0)
+            GlobalCertifier(max_history=0)
 
     def test_first_committer_wins_invariant(self):
         """Of two concurrent overlapping writesets, exactly one commits."""
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         snapshot = certifier.latest_version
         first = certifier.certify(ws(1, snapshot, ["x", "y"]))
         second = certifier.certify(ws(2, snapshot, ["y", "z"]))
@@ -190,32 +190,32 @@ class TestPartitionedWriteset:
 
 class TestPartitionedCertification:
     def test_disjoint_partitions_never_conflict(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         first = certifier.certify(pws(1, 0, 0, [1, 2]))
         second = certifier.certify(pws(2, 0, 1, [1, 2]))
         assert first.committed and second.committed
 
     def test_same_partition_overlap_still_conflicts(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         assert certifier.certify(pws(1, 0, 0, [1, 2])).committed
         outcome = certifier.certify(pws(2, 0, 0, [2, 3]))
         assert not outcome.committed
         assert ("updatable", 0, 2) in outcome.conflicting_keys
 
     def test_partition_sets_share_one_global_version_sequence(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         a = certifier.certify(pws(1, 0, 0, [1]))
         b = certifier.certify(pws(2, 1, 1, [1]))
         assert (a.commit_version, b.commit_version) == (1, 2)
 
     def test_unpartitioned_wildcard_conflicts_with_partitioned(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         assert certifier.certify(pws(1, 0, 0, [4])).committed
         wildcard = Writeset.from_dict(2, 0, {("updatable", 0, 4): 2})
         assert not certifier.certify(wildcard).committed
 
     def test_cross_partition_writesets_conflict_on_shared_partition(self):
-        certifier = Certifier()
+        certifier = GlobalCertifier()
         first = Writeset.from_dict(
             1, 0, {("updatable", 0, 1): 1, ("updatable", 1, 1): 1},
             partitions=(0, 1),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 
 
-from repro.sidb.certifier import Certifier
+from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.engine import SIDatabase
 from repro.sidb.versionstore import VersionedStore
 from repro.sidb.writeset import Writeset
@@ -28,7 +28,7 @@ def _run_threads(count, target):
 
 
 def test_certifier_concurrent_disjoint_commits_get_dense_versions():
-    certifier = Certifier()
+    certifier = GlobalCertifier()
     per_thread = 200
     versions = [[] for _ in range(8)]
 
@@ -119,7 +119,7 @@ def test_engine_concurrent_commits_master_style():
 def test_engine_concurrent_begin_apply_and_read():
     """Multi-master replica shape: client threads begin/read while the
     applier thread installs propagated writesets in order."""
-    shared = Certifier()
+    shared = GlobalCertifier()
     db = SIDatabase(initial={("row", i): 0 for i in range(8)}, certifier=shared)
     stop = threading.Event()
     errors = []

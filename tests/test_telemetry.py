@@ -25,6 +25,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.params import ConflictProfile, ReplicationConfig, WorkloadMix
 from repro.telemetry import (
     Span,
+    Telemetry,
     TelemetryConfig,
     TelemetryEvent,
     Tracer,
@@ -221,11 +222,25 @@ def pillar_pair(tiny_spec):
     return sim, live
 
 
-def test_simulator_results_identical_with_telemetry_off_and_on(tiny_spec):
+#: One DES point per (design x certification path): every assembly of
+#: the one protocol body.  The sharded path needs a partitioned spec.
+PROTOCOL_CASES = [
+    pytest.param("multi-master", None, id="mm"),
+    pytest.param("single-master", None, id="sm"),
+    pytest.param("multi-master", "sharded", id="mm-sharded"),
+]
+
+
+@pytest.mark.parametrize("design,certifier", PROTOCOL_CASES)
+def test_simulator_results_identical_with_telemetry_off_and_on(
+        tiny_spec, design, certifier):
     from repro.simulator.runner import simulate
 
+    if certifier == "sharded":
+        tiny_spec = tiny_spec.with_partitions(4, 0.2)
     config = _config(tiny_spec, 2)
-    kwargs = dict(design="multi-master", seed=13, warmup=2.0, duration=10.0)
+    kwargs = dict(design=design, certifier=certifier, seed=13,
+                  warmup=2.0, duration=10.0)
     off = simulate(tiny_spec, config, **kwargs)
     on = simulate(tiny_spec, config,
                   telemetry=TelemetryConfig(span_sample_rate=0.5), **kwargs)
@@ -234,6 +249,38 @@ def test_simulator_results_identical_with_telemetry_off_and_on(tiny_spec):
     # Recording must not perturb the simulation: strip the attachment
     # and every other field — seeds, clocks, counters — is identical.
     assert dataclasses.replace(on, telemetry=None) == off
+
+
+def test_null_and_real_recorder_expose_the_same_hooks():
+    """A hook cannot be added to one sink only: protocol code calls the
+    recorder unguarded, so the null and the real one must agree on every
+    public method name and signature."""
+    import inspect
+
+    from repro.telemetry import recorder
+
+    def hooks(cls):
+        return {
+            # Parameters only: begin() returns each sink's own kind.
+            name: inspect.signature(member).replace(
+                return_annotation=inspect.Signature.empty
+            )
+            for name, member in inspect.getmembers(cls, inspect.isfunction)
+            if not name.startswith("_")
+        }
+
+    for null, real in [
+        (recorder.NullRecorder, recorder.ProtocolRecorder),
+        (recorder.NullTransaction, recorder.TransactionRecorder),
+    ]:
+        assert hooks(null) == hooks(real)
+        assert hooks(null)  # the comparison is not vacuous
+    fleet = recorder.ProtocolRecorder(
+        Telemetry(TelemetryConfig(), pillar="simulator"), lambda: 0.0
+    )
+    assert isinstance(fleet.begin(), recorder.TransactionRecorder)
+    assert isinstance(recorder.NULL_RECORDER.begin(),
+                      recorder.NullTransaction)
 
 
 def test_active_config_normalises_flags():
