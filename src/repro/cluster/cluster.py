@@ -165,6 +165,10 @@ class Cluster:
     #: sink until :meth:`attach_telemetry` swaps in a real one.
     recorder = NULL_RECORDER
 
+    #: Wall seconds a graceful ``remove_replica`` waits for in-flight
+    #: transactions when the caller names no ``drain_timeout``.
+    drain_timeout = 30.0
+
     def __init__(
         self,
         spec: WorkloadSpec,
@@ -399,9 +403,10 @@ class Cluster:
 
     def remove_replica(
         self,
-        drain_timeout: float = 30.0,
         replica: Optional[ClusterReplica] = None,
         force: bool = False,
+        *,
+        drain_timeout: Optional[float] = None,
     ) -> ClusterReplica:
         """Drain (or, with ``force``, immediately detach) one replica."""
         raise NotImplementedError(f"{type(self).__name__} is not elastic")
@@ -462,14 +467,18 @@ class Cluster:
         except BaseException as exc:  # noqa: BLE001 — surfaced via quiesce
             replica.applier_error = exc
 
-    def _retire(self, replica: ClusterReplica, drain_timeout: float) -> None:
+    def _retire(self, replica: ClusterReplica,
+                drain_timeout: Optional[float]) -> None:
         """Drain *replica* and detach it from replication and routing.
 
-        A drain that outlasts *drain_timeout* rolls the retire back —
-        the replica returns to rotation, fully functional — and raises,
-        so a failed removal never leaves a zombie that is neither
-        serving nor removable.
+        A drain that outlasts *drain_timeout* (``None``: the cluster's
+        :attr:`drain_timeout`) rolls the retire back — the replica
+        returns to rotation, fully functional — and raises, so a failed
+        removal never leaves a zombie that is neither serving nor
+        removable.
         """
+        if drain_timeout is None:
+            drain_timeout = self.drain_timeout
         replica.begin_retire()
         deadline = time.monotonic() + drain_timeout
         while replica.active > 0:
@@ -709,9 +718,10 @@ class MultiMasterCluster(Cluster):
 
     def remove_replica(
         self,
-        drain_timeout: float = 30.0,
         replica: Optional[ClusterReplica] = None,
         force: bool = False,
+        *,
+        drain_timeout: Optional[float] = None,
     ) -> ClusterReplica:
         """Shrink the cluster by one replica: drain, then detach.
 
@@ -809,9 +819,10 @@ class SingleMasterCluster(Cluster):
 
     def remove_replica(
         self,
-        drain_timeout: float = 30.0,
         replica: Optional[ClusterReplica] = None,
         force: bool = False,
+        *,
+        drain_timeout: Optional[float] = None,
     ) -> ClusterReplica:
         """Drain (or force-detach) one slave — never the master."""
         self._require_elastic()

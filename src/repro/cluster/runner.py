@@ -24,29 +24,40 @@ while down and catches up on recovery.
 After the drivers stop the runner **quiesces** the cluster and records
 every replica's final version — the replication-correctness check that all
 replicas converged to identical state.
+
+:class:`ClusterRun` is the live half of the run seam :func:`run_cluster`
+shares with the elastic loop in :mod:`repro.control.autoscale`: it owns
+the clock, the cluster, the driver threads and the one epilogue that
+stops and shuts everything down.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.params import ReplicationConfig
-from ..core.results import OperatingPoint
 from ..core.rng import DEFAULT_SEED
 from ..sidb.certifier_api import resolve_certifier_spec
 from ..simulator.faults import (
     BROWNOUT, CRASH, ReplicaFault, scale_replica_rates, validate_faults,
 )
-from ..simulator.runner import MULTI_MASTER, SINGLE_MASTER
-from ..simulator.sampling import DISTRIBUTIONS, EXPONENTIAL, WorkloadSampler
+from ..simulator.runner import (
+    MULTI_MASTER,
+    SINGLE_MASTER,
+    SimulationResult,
+    assembly_class,
+    attach_recorder,
+    check_run_options,
+    measured_fields,
+)
+from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import LB_POLICIES, LEAST_LOADED
-from ..telemetry import Telemetry, active_config
+from ..simulator.systems import LEAST_LOADED
 from ..workloads.spec import WorkloadSpec
 from .clock import VirtualClock
 from .cluster import Cluster, MultiMasterCluster, SingleMasterCluster
@@ -62,34 +73,18 @@ _CLUSTER_CLASSES = {
 
 
 @dataclass(frozen=True)
-class ClusterResult:
-    """Everything measured during one live cluster run.
+class ClusterResult(SimulationResult):
+    """Everything measured during one live cluster run: the simulator's
+    result fields, measured the same way, plus the live-only convergence
+    evidence.
 
-    Field-compatible with :class:`repro.simulator.runner.SimulationResult`
-    where the metrics overlap, plus the live-only convergence evidence.
+    The whole-run certifier counters here include the post-window drain
+    as well as warm-up (the simulator has no drain).  They pair with
+    :attr:`final_versions` for the replication-correctness identity
+    ``final_version == certifications - aborts``; for window-rate
+    comparisons use ``certifier_request_rate`` and ``abort_rate``.
     """
 
-    design: str
-    replicas: int
-    point: OperatingPoint
-    read_throughput: float
-    update_throughput: float
-    mean_read_response: float
-    mean_update_response: float
-    mean_snapshot_age: float
-    certifier_request_rate: float
-    #: Whole-run certifier counters — warm-up AND post-window drain
-    #: included (the simulator's counterparts include warm-up only, as it
-    #: has no drain).  They pair with :attr:`final_versions` for the
-    #: replication-correctness identity ``final_version == certifications
-    #: - aborts``; for window-rate comparisons use
-    #: :attr:`certifier_request_rate` and :meth:`abort_rate` instead.
-    total_certifications: int = 0
-    total_certification_aborts: int = 0
-    utilizations: Dict[str, float] = field(default_factory=dict)
-    committed_transactions: int = 0
-    window: float = 0.0
-    throughput_timeline: Sequence[float] = ()
     #: Wall-to-virtual scale the run used.
     time_scale: float = 1.0
     #: Each replica's latest locally visible version after quiesce.
@@ -97,25 +92,6 @@ class ClusterResult:
     #: True when every replica applied every certified commit in time —
     #: with :attr:`final_versions` identical, replication was correct.
     converged: bool = False
-    #: :class:`repro.telemetry.TelemetryResult` when the run was
-    #: telemetry-enabled; ``None`` otherwise (the default keeps results
-    #: from older cached runs loading unchanged).
-    telemetry: object = None
-
-    @property
-    def throughput(self) -> float:
-        """Committed transactions per (virtual) second."""
-        return self.point.throughput
-
-    @property
-    def response_time(self) -> float:
-        """Mean response time (virtual seconds)."""
-        return self.point.response_time
-
-    @property
-    def abort_rate(self) -> float:
-        """Measured update-attempt abort fraction."""
-        return self.point.abort_rate
 
     @property
     def state_converged(self) -> bool:
@@ -137,7 +113,11 @@ class _Drivers:
         self.errors: List[BaseException] = []
 
     def launch(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
+        """Run *target* on a daemon thread; the first exception any
+        driver raises stops the run and is re-raised to the runner."""
+        thread = threading.Thread(
+            target=self._guard, args=(target,), name=name, daemon=True
+        )
         with self._lock:
             if len(self.threads) > self._PRUNE_THRESHOLD:
                 self.threads = [t for t in self.threads if t.is_alive()]
@@ -163,8 +143,7 @@ class _Drivers:
             # Re-scan: the open-loop source may have launched workers
             # while this pass was joining.
 
-    def guard(self, fn):
-        """Run *fn*, capturing the first exception for re-raise on join."""
+    def _guard(self, fn):
         try:
             fn()
         except BaseException as exc:  # noqa: BLE001 — reported to the runner
@@ -178,18 +157,11 @@ def _closed_loop_client(
     client_id: int,
     drivers: _Drivers,
 ) -> None:
-    clock, metrics = cluster.clock, cluster.metrics
     while not drivers.stop.is_set():
-        clock.sleep(sampler.think_time())
+        cluster.clock.sleep(sampler.think_time())
         if drivers.stop.is_set():
             return
-        is_update = sampler.next_is_update()
-        started = clock.now()
-        aborts = cluster.execute(sampler, is_update, client_id)
-        now = clock.now()
-        with cluster.metrics_lock:
-            metrics.record_commit(is_update, now - started, aborts, now=now)
-        cluster.recorder.completed(is_update)
+        _one_shot(cluster, sampler, client_id)
 
 
 def _open_loop_source(
@@ -225,9 +197,7 @@ def _open_loop_source(
             partition_map=cluster.partition_map,
         )
         drivers.launch(
-            lambda s=sampler, i=sequence: drivers.guard(
-                lambda: _one_shot(cluster, s, i)
-            ),
+            lambda s=sampler, i=sequence: _one_shot(cluster, s, i),
             name=f"{txn_prefix}-{sequence}",
         )
 
@@ -243,31 +213,20 @@ def _one_shot(cluster: Cluster, sampler: WorkloadSampler, sequence: int) -> None
     cluster.recorder.completed(is_update)
 
 
-def _telemetry_sampler(cluster: Cluster, recorder, drivers: _Drivers) -> None:
-    """Snapshot fleet state every (virtual) snapshot interval."""
-    interval = max(
-        cluster.clock.to_wall(recorder.config.snapshot_interval), 0.001
-    )
-    while not drivers.stop.wait(interval):
-        recorder.sample_fleet(
-            cluster.clock.now(), cluster.replicas, cluster.certifier
-        )
-
-
 def _fault_process(
-    cluster: Cluster, fault: ReplicaFault, drivers: _Drivers,
-    recorder=None,
+    cluster: Cluster, fault: ReplicaFault, drivers: _Drivers, record,
 ) -> None:
+    """Fire *fault* on its replica, stamping each transition through
+    ``record(now, kind, replica_name)``."""
     replica = cluster.replicas[fault.replica_index]
-    scale = cluster.clock.time_scale
-    if drivers.stop.wait(fault.start * scale):
+    clock = cluster.clock
+    if drivers.stop.wait(clock.to_wall(fault.start)):
         return
     if fault.kind == CRASH:
         # Crash: the replica stops consuming writesets for good (its
         # state is lost); only replacement restores redundancy.
         replica.crash()
-        if recorder is not None:
-            recorder(cluster.clock.now(), CRASH, replica.name)
+        record(clock.now(), CRASH, replica.name)
         return
     if fault.kind == BROWNOUT:
         # Gray failure: the replica keeps serving, but every service
@@ -275,22 +234,163 @@ def _fault_process(
         # the configured speed.  Membership never changes; only the
         # capacity estimator can see this.
         scale_replica_rates(replica, fault.severity)
-        if recorder is not None:
-            recorder(cluster.clock.now(), BROWNOUT, replica.name)
-        drivers.stop.wait(fault.downtime * scale)
+        record(clock.now(), BROWNOUT, replica.name)
+        drivers.stop.wait(clock.to_wall(fault.downtime))
         # Restore even when the run is over so quiesce drains at speed.
         scale_replica_rates(replica, 1.0 / fault.severity)
-        if recorder is not None:
-            recorder(cluster.clock.now(), "brownout-end", replica.name)
+        record(clock.now(), "brownout-end", replica.name)
         return
     replica.available = False
-    if recorder is not None:
-        recorder(cluster.clock.now(), "down", replica.name)
-    drivers.stop.wait(fault.downtime * scale)
+    record(clock.now(), "down", replica.name)
+    drivers.stop.wait(clock.to_wall(fault.downtime))
     # Recover even when the run is over so quiesce can drain the backlog.
     replica.available = True
-    if recorder is not None:
-        recorder(cluster.clock.now(), "up", replica.name)
+    record(clock.now(), "up", replica.name)
+
+
+class ClusterRun:
+    """One live run: clock + cluster + driver threads + the epilogue.
+
+    Building it starts the cluster's applier threads and (when telemetry
+    is on) the fleet-sampler task; the caller then installs faults,
+    starts traffic and spawns tasks, and calls :meth:`measure`, whose
+    ``finally`` stops every driver and shuts the cluster down on every
+    exit path.  Same members as the DES
+    :class:`repro.simulator.runner.SimRun`.
+    """
+
+    pillar = "cluster"
+
+    def __init__(self, design: str, spec: WorkloadSpec,
+                 config: ReplicationConfig, seed: int,
+                 metrics: MetricsCollector, time_scale: float, *,
+                 telemetry=None, certifier_spec=None,
+                 quiesce_timeout: float = 30.0, **cluster_options) -> None:
+        cluster_class, extra = assembly_class(
+            _CLUSTER_CLASSES, ShardedMultiMasterCluster, design,
+            certifier_spec,
+        )
+        self.clock = VirtualClock(time_scale)
+        self.metrics = metrics
+        self.fleet = cluster_class(
+            spec, config, seed, self.clock, metrics,
+            **cluster_options, **extra,
+        )
+        #: Sample slicing and window marks are taken under the lock the
+        #: client threads record commits under.
+        self.metrics_lock = self.fleet.metrics_lock
+        self.quiesce_timeout = quiesce_timeout
+        self.drivers = _Drivers()
+        self.recorder = attach_recorder(self.fleet, telemetry, self.pillar)
+        self.fleet.start()
+        if self.recorder is not None:
+            self.spawn(self._fleet_sampler(), "telemetry-sampler")
+
+    def _fleet_sampler(self):
+        """Task: snapshot fleet state every snapshot interval (floored
+        at one wall millisecond)."""
+        interval = max(self.recorder.config.snapshot_interval,
+                       0.001 / self.clock.time_scale)
+        while True:
+            yield interval
+            self.recorder.sample_fleet(
+                self.clock.now(), self.fleet.replicas, self.fleet.certifier
+            )
+
+    def now(self) -> float:
+        """Current virtual time (seconds from run start)."""
+        return self.clock.now()
+
+    def spawn(self, task: Iterable[float], name: str) -> None:
+        """Drive *task* on a driver thread: sleep every virtual-second
+        delay it yields, and stop resuming it once the run stops."""
+        def body():
+            for delay in task:
+                if self.drivers.stop.wait(self.clock.to_wall(delay)):
+                    return
+
+        self.drivers.launch(body, name)
+
+    def install_faults(self, faults: Sequence[ReplicaFault],
+                       record=None) -> None:
+        """Launch one thread per fault of an already validated schedule;
+        *record* is called as ``record(now, kind, replica_name)`` when a
+        fault fires."""
+        record = record or (lambda now, kind, name: None)
+        for fault in faults:
+            self.drivers.launch(
+                lambda f=fault: _fault_process(
+                    self.fleet, f, self.drivers, record
+                ),
+                name=f"fault-replica{fault.replica_index}",
+            )
+
+    def start_arrivals(self, seed: int, rate: float = 0.0,
+                       trace=None) -> None:
+        """Start the open-loop arrival thread: Poisson at *rate*, or
+        following *trace* (see :func:`_open_loop_source`)."""
+        self.drivers.launch(
+            lambda: _open_loop_source(self.fleet, rate, seed, self.drivers,
+                                      trace=trace),
+            name="open-arrivals" if trace is None else "trace-source",
+        )
+
+    def measure(self, warmup: float, duration: float,
+                on_close: Optional[Callable[[], None]] = None,
+                ) -> Tuple[bool, Tuple[int, ...]]:
+        """Wait out warm-up and the window, then join the drivers,
+        quiesce, and shut down.
+
+        *on_close* is called once, after every driver thread has joined.
+        Returns ``(converged, final_versions)``; raises the first driver
+        error, or :class:`SimulationError` when traffic cannot drain or
+        an applier thread died.
+        """
+        cluster, clock, drivers = self.fleet, self.clock, self.drivers
+        try:
+            drivers.stop.wait(clock.to_wall(warmup))
+            with self.metrics_lock:
+                self.metrics.begin_window(clock.now())
+            drivers.stop.wait(clock.to_wall(duration))
+            with self.metrics_lock:
+                self.metrics.end_window(clock.now())
+            # Allow in-flight transactions (bounded by response times) to
+            # drain; clients re-check the stop flag after each transaction.
+            still_running = drivers.join(
+                timeout=max(10.0, clock.to_wall(60.0))
+            )
+            if drivers.errors:
+                raise drivers.errors[0]
+            if still_running:
+                # Quiescing now would race live transactions and could
+                # misreport correct replication as divergence — fail loudly
+                # instead (typically open-loop load far past the knee).
+                raise SimulationError(
+                    f"{len(still_running)} traffic thread(s) still running "
+                    "after the drain timeout; the offered load exceeds what "
+                    "the cluster can drain — lower the arrival rate or the "
+                    "client count"
+                )
+            if on_close is not None:
+                on_close()
+            converged = cluster.quiesce(timeout=self.quiesce_timeout)
+            if self.recorder is not None:
+                # One closing sample so end-of-run (post-quiesce) state is
+                # always captured, even on runs shorter than the interval.
+                self.recorder.sample_fleet(
+                    clock.now(), cluster.replicas, cluster.certifier
+                )
+            final_versions = cluster.replica_versions()
+            dead_appliers = cluster.applier_errors()
+            if dead_appliers:
+                name, error = dead_appliers[0]
+                raise SimulationError(
+                    f"applier thread of {name} died: {error!r}"
+                ) from error
+        finally:
+            drivers.stop.set()
+            cluster.shutdown()
+        return converged, final_versions
 
 
 def run_cluster(
@@ -329,62 +429,24 @@ def run_cluster(
     the sharded path existed.
     """
     certifier_spec = resolve_certifier_spec(certifier)
-    if design not in _CLUSTER_CLASSES:
-        raise ConfigurationError(
-            f"unknown design {design!r}; one of {CLUSTER_DESIGNS}"
-        )
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
-    if lb_policy not in LB_POLICIES:
-        raise ConfigurationError(f"unknown lb_policy {lb_policy!r}")
-    if warmup < 0 or duration <= 0:
-        raise ConfigurationError("warmup must be >= 0 and duration > 0")
+    check_run_options(distribution, lb_policy, warmup, duration)
     if arrival_rate is not None and arrival_rate <= 0:
         raise ConfigurationError(
             f"arrival rate must be positive, got {arrival_rate}"
         )
+    from ..partition.placement import check_faults_against_map
 
-    clock = VirtualClock(time_scale)
-    metrics = MetricsCollector()
-    cluster_class, extra = _CLUSTER_CLASSES[design], {}
-    if certifier_spec is not None and not certifier_spec.is_default:
-        if design != MULTI_MASTER:
-            raise ConfigurationError(
-                "the certifier axis is multi-master only (the certifier "
-                f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
-            )
-        extra["certifier_spec"] = certifier_spec
-        if certifier_spec.is_sharded:
-            cluster_class = ShardedMultiMasterCluster
-    cluster = cluster_class(
-        spec, config, seed, clock, metrics,
+    check_faults_against_map(faults, partition_map)
+    checked_faults = validate_faults(faults, config.replicas, design)
+    run = ClusterRun(
+        design, spec, config, seed, MetricsCollector(), time_scale,
+        telemetry=telemetry, certifier_spec=certifier_spec,
+        quiesce_timeout=quiesce_timeout,
         distribution=distribution, lb_policy=lb_policy,
-        capacities=capacities, partition_map=partition_map, **extra,
+        capacities=capacities, partition_map=partition_map,
     )
-    telemetry_config = active_config(telemetry)
-    recorder = None
-    if telemetry_config is not None:
-        recorder = Telemetry(telemetry_config, pillar="cluster")
-        cluster.attach_telemetry(recorder)
-    if faults:
-        from ..partition.placement import check_faults_against_map
-
-        check_faults_against_map(faults, cluster.partition_map)
-    cluster.start()
-
-    drivers = _Drivers()
-    if recorder is not None:
-        drivers.launch(
-            lambda: drivers.guard(
-                lambda: _telemetry_sampler(cluster, recorder, drivers)
-            ),
-            name="telemetry-sampler",
-        )
-    for fault in validate_faults(faults, config.replicas, design):
-        drivers.launch(
-            lambda f=fault: _fault_process(cluster, f, drivers),
-            name=f"fault-replica{fault.replica_index}",
-        )
+    cluster = run.fleet
+    run.install_faults(checked_faults)
     if arrival_rate is None:
         for client_id in range(config.total_clients):
             sampler = WorkloadSampler(
@@ -393,88 +455,19 @@ def run_cluster(
                 distribution=distribution,
                 partition_map=cluster.partition_map,
             )
-            drivers.launch(
-                lambda s=sampler, i=client_id: drivers.guard(
-                    lambda: _closed_loop_client(cluster, s, i, drivers)
+            run.drivers.launch(
+                lambda s=sampler, i=client_id: _closed_loop_client(
+                    cluster, s, i, run.drivers
                 ),
                 name=f"client-{client_id}",
             )
     else:
-        drivers.launch(
-            lambda: drivers.guard(
-                lambda: _open_loop_source(cluster, arrival_rate, seed, drivers)
-            ),
-            name="open-arrivals",
-        )
-
-    try:
-        drivers.stop.wait(clock.to_wall(warmup))
-        with cluster.metrics_lock:
-            metrics.begin_window(clock.now())
-        drivers.stop.wait(clock.to_wall(duration))
-        with cluster.metrics_lock:
-            metrics.end_window(clock.now())
-        # Allow in-flight transactions (bounded by response times) to
-        # drain; clients re-check the stop flag after each transaction.
-        still_running = drivers.join(timeout=max(10.0, clock.to_wall(60.0)))
-        if drivers.errors:
-            raise drivers.errors[0]
-        if still_running:
-            # Quiescing now would race live transactions and could
-            # misreport correct replication as divergence — fail loudly
-            # instead (typically open-loop load far past the knee).
-            raise SimulationError(
-                f"{len(still_running)} traffic thread(s) still running "
-                "after the drain timeout; the offered load exceeds what "
-                "the cluster can drain — lower arrival_rate or clients"
-            )
-        converged = cluster.quiesce(timeout=quiesce_timeout)
-        if recorder is not None:
-            # One closing sample so end-of-run (post-quiesce) state is
-            # always captured, even on runs shorter than the interval.
-            recorder.sample_fleet(
-                clock.now(), cluster.replicas, cluster.certifier
-            )
-        final_versions = cluster.replica_versions()
-        dead_appliers = cluster.applier_errors()
-        if dead_appliers:
-            name, error = dead_appliers[0]
-            raise SimulationError(
-                f"applier thread of {name} died: {error!r}"
-            ) from error
-    finally:
-        drivers.stop.set()
-        cluster.shutdown()
-
-    utilizations = metrics.utilizations()
-    busiest: Dict[str, float] = {}
-    for key, value in utilizations.items():
-        kind = key.rsplit(".", 1)[-1]
-        busiest[kind] = max(busiest.get(kind, 0.0), value)
-    point = OperatingPoint(
-        throughput=metrics.throughput(),
-        response_time=metrics.mean_response_time(),
-        abort_rate=metrics.abort_rate(),
-        utilization=busiest,
-    )
+        run.start_arrivals(seed, rate=arrival_rate)
+    converged, final_versions = run.measure(warmup, duration)
     return ClusterResult(
-        design=design,
-        replicas=config.replicas,
-        point=point,
-        read_throughput=metrics.read_throughput(),
-        update_throughput=metrics.update_throughput(),
-        mean_read_response=metrics.response_read.mean,
-        mean_update_response=metrics.response_update.mean,
-        mean_snapshot_age=metrics.snapshot_age.mean,
-        certifier_request_rate=metrics.certifier_request_rate(),
-        total_certifications=cluster.certifier.certifications,
-        total_certification_aborts=cluster.certifier.aborts,
-        utilizations=utilizations,
-        committed_transactions=metrics.committed,
-        window=metrics.window,
-        throughput_timeline=tuple(metrics.throughput_timeline()),
+        **measured_fields(design, config, run.metrics, cluster.certifier),
         time_scale=time_scale,
         final_versions=final_versions,
         converged=converged,
-        telemetry=None if recorder is None else recorder.result(),
+        telemetry=None if run.recorder is None else run.recorder.result(),
     )

@@ -1,23 +1,43 @@
-"""The AutoscaleRun harness: play a load trace against an elastic pillar.
+"""The elastic run loop: play a load trace against an elastic pillar.
 
-:func:`autoscale_sim` and :func:`autoscale_cluster` are the closed control
-loop the paper's dynamic-provisioning use case implies but never builds:
-an open-loop trace offers time-varying load, a
+The closed control loop the paper's dynamic-provisioning use case implies
+but never builds: an open-loop trace offers time-varying load, a
 :class:`~repro.control.controller.Controller` decides the replica count at
-every control tick, and the execution pillar — the DES simulator or the
-live cluster runtime — actually grows and shrinks through its
-``add_replica``/``remove_replica`` membership operations (join cost as a
-bulk writeset replay, drain before removal).
+every control tick, and the execution pillar actually grows and shrinks
+through its ``add_replica``/``remove_replica`` membership operations (join
+cost as a bulk writeset replay, drain before removal).
 
-Both harnesses record the same :class:`AutoscaleResult`: the full timeline
+The loop is written once (:func:`_run_elastic`); :func:`autoscale_sim` and
+:func:`autoscale_cluster` only build the substrate's *run object* and hand
+it over.  Membership needs no interface — the DES systems and the live
+clusters spell ``replicas``, ``member_count``, ``add_replica``,
+``remove_replica`` and ``upgrade_targets`` identically.  What the pillars
+really differ in is time and tasking, and that is the whole run seam
+(:class:`~repro.simulator.runner.SimRun`,
+:class:`~repro.cluster.runner.ClusterRun`, and a scripted fake in the
+tests):
+
+* ``now()`` — virtual seconds since run start;
+* ``spawn(task, name)`` — drive a *task*: a plain generator that yields
+  virtual-second delays and does its work between them.  The DES turns
+  each delay into a ``Timeout``; the live run sleeps it on a guarded
+  driver thread and never resumes the task once the run has stopped;
+* ``metrics_lock`` — held while the loop slices the commit samples
+  recorded since the last tick: the lock client threads record under on
+  the live cluster, a no-op on the single-threaded event loop;
+* ``install_faults(faults, record)`` — arm a validated fault schedule;
+* ``measure(warmup, duration, on_close)`` → ``(converged,
+  final_versions)`` — owns the window marks, arrival stop, drain/join/
+  quiesce, the applier-death check and shutdown.
+
+Every run records the same :class:`AutoscaleResult`: the full timeline
 (offered load, member count, p95 latency, SLO violations per interval)
 plus the run totals that policy comparisons need — replica-seconds
 provisioned (what the deployment pays for) and the SLO-violation fraction
-over the whole measurement window.  The simulator harness is exactly
-deterministic for a fixed seed; the cluster harness additionally reports
-the replication-correctness evidence (convergence + final versions), so
-membership churn is checked to never lose or duplicate a committed
-writeset.
+over the whole measurement window — and the replication-correctness
+evidence (convergence + final versions), so membership churn is checked
+to never lose or duplicate a committed writeset.  On the simulator a run
+is exactly deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,19 +51,18 @@ from ..core.rng import DEFAULT_SEED
 from ..ops.events import OpsEvent
 from ..ops.health import HealthMonitor
 from ..ops.plan import OpsPlan
-from ..ops.rolling import rolling_restart_cluster, rolling_restart_sim
-from ..simulator.des import Environment, Timeout
-from ..simulator.faults import install_faults, validate_faults
-from ..simulator.runner import MULTI_MASTER, SINGLE_MASTER
-from ..simulator.sampling import DISTRIBUTIONS, EXPONENTIAL
-from ..simulator.stats import MetricsCollector
-from ..simulator.systems import (
-    LB_POLICIES,
-    LEAST_LOADED,
-    MultiMasterSystem,
-    SingleMasterSystem,
+from ..ops.rolling import rolling_restart
+from ..simulator.faults import validate_faults
+from ..simulator.runner import (
+    MULTI_MASTER,
+    SINGLE_MASTER,
+    SimRun,
+    check_run_options,
 )
-from ..telemetry import Telemetry, active_config, render_events
+from ..simulator.sampling import EXPONENTIAL
+from ..simulator.stats import MetricsCollector
+from ..simulator.systems import LEAST_LOADED
+from ..telemetry import render_events
 from ..workloads.spec import WorkloadSpec
 from .controller import ControlObservation, make_controller
 from .estimator import (
@@ -57,11 +76,6 @@ from .trace import LoadTrace
 
 #: Designs that support elastic membership (standalone has nothing to grow).
 ELASTIC_DESIGNS = (MULTI_MASTER, SINGLE_MASTER)
-
-_SIM_SYSTEMS = {
-    MULTI_MASTER: MultiMasterSystem,
-    SINGLE_MASTER: SingleMasterSystem,
-}
 
 
 @dataclass(frozen=True)
@@ -85,8 +99,7 @@ class TimelinePoint:
     slo_violations: int
     #: Busiest resource utilization over the interval.
     max_utilization: float
-    #: Multi-window error-budget burn rates at this tick (empty on
-    #: points recorded before the SLO monitor existed).
+    #: Multi-window error-budget burn rates at this tick.
     slo_burn: Tuple[BurnRate, ...] = ()
 
 
@@ -237,7 +250,7 @@ def render_timeline(result: AutoscaleResult, width: int = 24) -> str:
         bar = "#" * max(1, round(width * p.offered_rate / peak))
         members = "#" * p.members + (
             "+" * max(0, p.attached - p.members))
-        burn = max_burn(getattr(p, "slo_burn", ()))
+        burn = max_burn(p.slo_burn)
         lines.append(
             f"  {p.time:>7.1f} {p.offered_rate:>10.1f} {bar:<{width}s} "
             f"{p.members:>3d} {members:<{top}s} "
@@ -329,135 +342,9 @@ def _window_slo(samples: Sequence[Tuple[float, float]], start: float,
     return commits, violations
 
 
-def _reconcile_membership(member_count, add, remove,
-                          target: int, state: _ControlState) -> None:
-    """Issue add/remove operations until membership matches *target*.
-
-    The one reconciliation loop both pillars use: *member_count* /
-    *add* / *remove* are bound to the system's or cluster's elastic
-    operations.  A membership operation that cannot proceed right now —
-    a join whose donor is too stale for the retained channel history, a
-    remove with nothing removable, a live drain that timed out and
-    rolled back — ends this tick's reconciliation; the controller
-    simply re-decides next interval.  Genuine cluster damage still
-    surfaces through the end-of-run convergence and applier checks.
-    """
-    while member_count() < target:
-        try:
-            add()
-        except ReproError:
-            return
-        state.scale_events += 1
-    while member_count() > target:
-        try:
-            remove()
-        except ReproError:
-            return
-        state.scale_events += 1
-
-
-def _control_tick(
-    state: _ControlState,
-    now: float,
-    chunk: Sequence[Tuple[float, float]],
-    trace: LoadTrace,
-    controller,
-    replicas,
-    member_count,
-    add,
-    remove,
-    min_replicas: int,
-    max_replicas: int,
-    control_interval: float,
-    slo_response: float,
-    window_start: float,
-    window_end: float,
-    reconcile: bool = True,
-    telemetry=None,
-    slo_monitor: Optional[SLOMonitor] = None,
-    interval_aborts: int = 0,
-    perf: Optional[PerfMonitor] = None,
-) -> None:
-    """One control interval, identical for both pillars.
-
-    *replicas* and *member_count* are callables (the cluster replaces
-    its replica list copy-on-write, so a captured reference would go
-    stale); *chunk* is the interval's (time, response) samples, sliced
-    by the caller under its own locking discipline.  With
-    ``reconcile=False`` the controller only observes — an attached
-    operations plan is the membership authority, so replacements and
-    rolling cycles never race autoscale joins.  *perf*, when attached,
-    observes the fleet each tick and (in estimated-capacity mode)
-    re-weights the LB and inflates the controller's target by the fleet
-    health factor.
-    """
-    commits, tput, mean, p95, violations = _interval_stats(
-        chunk, control_interval, slo_response
-    )
-    busy = _busy_snapshot(replicas())
-    utilization = _max_utilization(state.busy, busy, control_interval)
-    state.busy = busy
-    burns: Tuple[BurnRate, ...] = ()
-    if slo_monitor is not None:
-        burns = slo_monitor.observe(now, commits, violations,
-                                    interval_aborts)
-    observation = ControlObservation(
-        now=now,
-        members=member_count(),
-        attached=len(replicas()),
-        offered_rate=trace.rate(now),
-        commits=commits,
-        throughput=tput,
-        mean_response=mean,
-        p95_response=p95,
-        max_utilization=utilization,
-        slo_burn=burns,
-    )
-    if perf is not None:
-        perf.on_tick(
-            now, replicas(),
-            members=observation.members,
-            offered_rate=observation.offered_rate,
-            throughput=tput,
-            p95=p95,
-        )
-    target = max(min_replicas,
-                 min(max_replicas, controller.target(observation)))
-    if perf is not None:
-        target = max(min_replicas,
-                     min(max_replicas, perf.adjust_target(target)))
-    if telemetry is not None:
-        if target > observation.members:
-            action = "scale-up"
-        elif target < observation.members:
-            action = "scale-down"
-        else:
-            action = "hold"
-        telemetry.count_decision(action, target)
-        for burn in burns:
-            telemetry.observe_slo_burn(burn.window, burn.signal, burn.burn)
-    if reconcile:
-        _reconcile_membership(member_count, add, remove, target, state)
-    state.integrate(now, len(replicas()), window_start, window_end)
-    if window_start < now <= window_end + 1e-9:
-        state.timeline.append(TimelinePoint(
-            time=now,
-            offered_rate=observation.offered_rate,
-            members=member_count(),
-            attached=len(replicas()),
-            commits=commits,
-            throughput=tput,
-            mean_response=mean,
-            p95_response=p95,
-            slo_violations=violations,
-            max_utilization=utilization,
-            slo_burn=burns,
-        ))
-
-
 @dataclass
 class _ControlState:
-    """Mutable bookkeeping shared between the loop and the harness."""
+    """Mutable bookkeeping of one elastic run."""
 
     running: bool = True
     sample_index: int = 0
@@ -467,8 +354,14 @@ class _ControlState:
     scale_events: int = 0
     busy: Dict[str, float] = field(default_factory=dict)
     timeline: List[TimelinePoint] = field(default_factory=list)
-    #: Operations event log (fault recorder, monitor, rolling process).
+    #: Operations event log (fault recorder, monitor, rolling task).
+    #: ``list.append`` is atomic under the GIL and the log is only *read*
+    #: after every task has stopped.
     events: List[OpsEvent] = field(default_factory=list)
+
+    def record(self, now: float, kind: str, name: str) -> None:
+        """Fault/gray-detect hook: stamp one event into the log."""
+        self.events.append(OpsEvent(now, kind, name))
 
     def integrate(self, now: float, attached: int, start: float,
                   end: float) -> None:
@@ -481,30 +374,256 @@ class _ControlState:
         self.last_attached = attached
 
 
-def _validate(design: str, trace: LoadTrace, distribution: str,
-              lb_policy: str, warmup: float, duration: float,
-              control_interval: float, slo_response: float) -> None:
+def _every(state: _ControlState, interval: float, now, action):
+    """Task: call ``action(now())`` every *interval* virtual seconds
+    while the run is running (re-checked after each wait: the DES keeps
+    firing timeouts through the drain phase)."""
+    while state.running:
+        yield interval
+        if not state.running:
+            return
+        action(now())
+
+
+def _run_elastic(
+    assemble, spec: WorkloadSpec, trace: LoadTrace, policy, design: str, *,
+    profile, seed, warmup, duration, control_interval, slo_response,
+    min_replicas, max_replicas, transfer_writesets, distribution, lb_policy,
+    config, ops, capacities, capacity_source,
+) -> AutoscaleResult:
+    """The elastic run loop, written once for both pillars.
+
+    ``assemble(run_config, metrics)`` builds the substrate's run object at
+    the controller's initial size with trace traffic started
+    (:class:`~repro.simulator.runner.SimRun` or
+    :class:`~repro.cluster.runner.ClusterRun`).  Everything else happens
+    here, in an order that is behaviour on the DES (event-heap ties break
+    by insertion): fault installs → detect task → rolling task → control
+    task → ``measure``.
+    """
     if design not in ELASTIC_DESIGNS:
         raise ConfigurationError(
             f"design {design!r} is not elastic; one of {ELASTIC_DESIGNS}"
         )
     if trace.max_rate <= 0:
         raise ConfigurationError("trace peak rate must be positive")
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
-    if lb_policy not in LB_POLICIES:
-        raise ConfigurationError(f"unknown lb_policy {lb_policy!r}")
-    if warmup < 0 or duration <= 0:
-        raise ConfigurationError("warmup must be >= 0 and duration > 0")
+    check_run_options(distribution, lb_policy, warmup, duration)
     if control_interval <= 0:
         raise ConfigurationError("control_interval must be positive")
     if slo_response <= 0:
         raise ConfigurationError("slo_response must be positive")
+    estimated = resolve_capacity_source(capacity_source) == ESTIMATED
+    base_config = config or spec.replication_config(1)
+    controller = make_controller(
+        policy, design=design, trace=trace, slo_response=slo_response,
+        config=base_config, profile=profile,
+        min_replicas=min_replicas, max_replicas=max_replicas,
+    )
+
+    def clamp(target: int) -> int:
+        return max(min_replicas, min(max_replicas, target))
+
+    initial = clamp(controller.initial_target())
+    plan = ops if ops is not None and ops.active else None
+    faults = validate_faults(plan.faults, initial, design) if plan else ()
+
+    metrics = _SampledMetrics()
+    run = assemble(base_config.with_replicas(initial), metrics)
+    fleet, recorder = run.fleet, run.recorder
+    window_start, window_end = warmup, warmup + duration
+    state = _ControlState(last_attached=len(fleet.replicas),
+                          busy=_busy_snapshot(fleet.replicas))
+    # The performance observer engages when the run consumes estimated
+    # capacities or is telemetry-enabled; otherwise the instruction
+    # stream is the pre-estimator one, byte for byte.  Gray-detect events
+    # reach the ops event log only in estimated mode (pure observation
+    # must not change result contents beyond the attached reports); the
+    # model-drift monitor needs a standalone profile to predict from.
+    perf: Optional[PerfMonitor] = None
+    if estimated or recorder is not None:
+        perf = PerfMonitor(
+            interval=control_interval,
+            pillar=run.pillar,
+            apply=estimated,
+            drift=(ModelDriftMonitor(design, profile, base_config)
+                   if profile is not None else None),
+            telemetry=recorder,
+            event_sink=state.record if estimated else None,
+        )
+    slo_monitor = SLOMonitor()
+
+    monitor: Optional[HealthMonitor] = None
+    # While an operations plan manages membership it is the only
+    # membership authority — the controller observes but never
+    # reconciles, so replacements and rolling cycles never race autoscale
+    # joins.  A brownout-only plan injects faults but never changes
+    # membership, so the controller keeps reconciling (that is how
+    # estimated-capacity mode scales out around a browned-out replica).
+    reconcile = ops is None or not ops.manages_membership
+    if plan is not None:
+        run.install_faults(faults, state.record)
+        if plan.self_heal:
+            monitor = HealthMonitor(fleet, plan.transfer_writesets,
+                                    state.events)
+            if plan.detect_interval is not None:
+                # Detection decoupled from the control interval: the
+                # monitor ticks on its own (usually faster) task, so
+                # detection latency is bounded by detect_interval and
+                # the MTTR breakdown separates it from repair time.
+                # Only that task ticks the monitor, so its internal
+                # state needs no locking.
+                run.spawn(_every(state, plan.detect_interval, run.now,
+                                 monitor.tick), "health-detect")
+        if plan.rolling_start is not None:
+            run.spawn(rolling_restart(
+                fleet, run.now, state.events, start=plan.rolling_start,
+                transfer_writesets=plan.transfer_writesets,
+                settle=plan.rolling_settle,
+            ), "rolling-upgrade")
+
+    def tick(now: float) -> None:
+        """One control interval: observe, decide, reconcile, record.
+
+        ``fleet.replicas`` is re-read at every use — the live cluster
+        replaces its replica list copy-on-write, so a captured reference
+        would go stale across a membership operation.
+        """
+        with run.metrics_lock:
+            end = len(metrics.samples)
+            chunk = metrics.samples[state.sample_index:end]
+            aborts = sum(metrics.abort_counts[state.sample_index:end])
+            state.sample_index = end
+        commits, tput, mean, p95, violations = _interval_stats(
+            chunk, control_interval, slo_response
+        )
+        busy = _busy_snapshot(fleet.replicas)
+        utilization = _max_utilization(state.busy, busy, control_interval)
+        state.busy = busy
+        burns = slo_monitor.observe(now, commits, violations, aborts)
+        observation = ControlObservation(
+            now=now,
+            members=fleet.member_count,
+            attached=len(fleet.replicas),
+            offered_rate=trace.rate(now),
+            commits=commits,
+            throughput=tput,
+            mean_response=mean,
+            p95_response=p95,
+            max_utilization=utilization,
+            slo_burn=burns,
+        )
+        if perf is not None:
+            # Observe the fleet; in estimated-capacity mode this also
+            # re-weights the LB and, below, inflates the target by the
+            # fleet health factor.
+            perf.on_tick(
+                now, fleet.replicas,
+                members=observation.members,
+                offered_rate=observation.offered_rate,
+                throughput=tput,
+                p95=p95,
+            )
+        target = clamp(controller.target(observation))
+        if perf is not None:
+            target = clamp(perf.adjust_target(target))
+        if recorder is not None:
+            if target > observation.members:
+                action = "scale-up"
+            elif target < observation.members:
+                action = "scale-down"
+            else:
+                action = "hold"
+            recorder.count_decision(action, target)
+            for burn in burns:
+                recorder.observe_slo_burn(burn.window, burn.signal, burn.burn)
+        if reconcile:
+            _reconcile_membership(fleet, target, transfer_writesets, state)
+        state.integrate(now, len(fleet.replicas), window_start, window_end)
+        if window_start < now <= window_end + 1e-9:
+            state.timeline.append(TimelinePoint(
+                time=now,
+                offered_rate=observation.offered_rate,
+                members=fleet.member_count,
+                attached=len(fleet.replicas),
+                commits=commits,
+                throughput=tput,
+                mean_response=mean,
+                p95_response=p95,
+                slo_violations=violations,
+                max_utilization=utilization,
+                slo_burn=burns,
+            ))
+        if monitor is not None and plan.detect_interval is None:
+            monitor.tick(now)
+
+    def close() -> None:
+        state.running = False
+        state.integrate(min(run.now(), window_end), len(fleet.replicas),
+                        window_start, window_end)
+
+    run.spawn(_every(state, control_interval, run.now, tick), "autoscaler")
+    converged, final_versions = run.measure(warmup, duration, close)
+
+    committed, violations = _window_slo(
+        metrics.samples, window_start, window_end, slo_response
+    )
+    if recorder is not None:
+        recorder.ingest_events(state.events)
+    return AutoscaleResult(
+        design=design,
+        policy=controller.name,
+        pillar=run.pillar,
+        trace=trace.label,
+        slo_response=slo_response,
+        control_interval=control_interval,
+        window=duration,
+        committed=committed,
+        slo_violations=violations,
+        replica_seconds=state.replica_seconds,
+        timeline=tuple(state.timeline),
+        final_members=fleet.member_count,
+        scale_events=state.scale_events,
+        seed=seed,
+        converged=converged and len(set(final_versions)) <= 1,
+        final_versions=final_versions,
+        abort_rate=metrics.abort_rate(),
+        ops_events=tuple(sorted(state.events, key=lambda e: e.time)),
+        capacities=tuple(capacities) if capacities else (),
+        telemetry=None if recorder is None else recorder.result(),
+        perf=perf.report() if perf is not None else None,
+    )
 
 
-# ----------------------------------------------------------------------
-# Simulator pillar
-# ----------------------------------------------------------------------
+def _reconcile_membership(fleet, target: int, transfer_writesets: int,
+                          state: _ControlState) -> None:
+    """Issue add/remove operations until membership matches *target*.
+
+    A membership operation that cannot proceed right now — a join whose
+    donor is too stale for the retained channel history, a remove with
+    nothing removable, a live drain that timed out and rolled back — ends
+    this tick's reconciliation; the controller simply re-decides next
+    interval.  Genuine cluster damage still surfaces through the
+    end-of-run convergence and applier checks.
+    """
+    while fleet.member_count < target:
+        try:
+            fleet.add_replica(transfer_writesets)
+        except ReproError:
+            return
+        state.scale_events += 1
+    while fleet.member_count > target:
+        try:
+            fleet.remove_replica()
+        except ReproError:
+            return
+        state.scale_events += 1
+
+
+#: Virtual seconds the DES keeps running after the window with arrivals
+#: stopped, so joins, drains and in-flight transactions finish and the
+#: convergence check is meaningful.
+_SIM_DRAIN = 15.0
+
 
 def autoscale_sim(
     spec: WorkloadSpec,
@@ -524,8 +643,6 @@ def autoscale_sim(
     distribution: str = EXPONENTIAL,
     lb_policy: str = LEAST_LOADED,
     config: Optional[ReplicationConfig] = None,
-    drain_after: float = 15.0,
-    compact_min: Optional[int] = None,
     ops: Optional[OpsPlan] = None,
     capacities: Optional[Tuple[float, ...]] = None,
     telemetry=None,
@@ -537,8 +654,6 @@ def autoscale_sim(
     thinning against the trace's peak rate (membership changes never
     perturb it), controller decisions are pure functions of simulated
     metrics, and membership operations are event-loop callbacks.
-    ``compact_min`` tunes the event-heap tombstone-compaction threshold —
-    elastic runs cancel far more events than fixed sweeps.
 
     *ops* attaches an operations plan (fault injection, self-healing
     replacement, rolling restart); while attached, the operations layer
@@ -556,206 +671,26 @@ def autoscale_sim(
     recovers throughput when a replica silently browns out.  The
     estimator also engages (observe-only) on any telemetry-enabled run.
     """
-    _validate(design, trace, distribution, lb_policy, warmup, duration,
-              control_interval, slo_response)
-    capacity_mode = resolve_capacity_source(capacity_source)
-
-    controller = make_controller(
-        policy, design=design, trace=trace, slo_response=slo_response,
-        config=config or spec.replication_config(1), profile=profile,
-        min_replicas=min_replicas, max_replicas=max_replicas,
-    )
-    initial = max(min_replicas, min(max_replicas, controller.initial_target()))
-    base_config = config or spec.replication_config(1)
-    run_config = base_config.with_replicas(initial)
-
-    env = Environment(compact_min=compact_min)
-    metrics = _SampledMetrics()
-    system = _SIM_SYSTEMS[design](
-        env, spec, run_config, seed, metrics,
-        distribution=distribution, lb_policy=lb_policy,
-        capacities=capacities,
-    )
-    telemetry_config = active_config(telemetry)
-    recorder = None
-    if telemetry_config is not None:
-        recorder = Telemetry(telemetry_config, pillar="simulator")
-        system.attach_telemetry(recorder)
-        system.start_fleet_sampler(recorder)
-    system.start_trace_arrivals(trace)
-
-    window_start = warmup
-    window_end = warmup + duration
-    state = _ControlState(last_attached=len(system.replicas),
-                          busy=_busy_snapshot(system.replicas))
-    perf = _make_perf_monitor(
-        capacity_mode, recorder, control_interval, "simulator",
-        design=design, profile=profile, base_config=base_config,
-        state=state,
-    )
-
-    monitor: Optional[HealthMonitor] = None
-    # A brownout-only plan injects faults but never changes membership,
-    # so the controller keeps reconciling (that is how estimated-capacity
-    # mode scales out around a browned-out replica).
-    manage_membership = ops is None or not ops.manages_membership
-    if ops is not None and ops.active:
-        install_faults(
-            env, system,
-            validate_faults(ops.faults, len(system.replicas), design),
-            recorder=lambda t, kind, name: state.events.append(
-                OpsEvent(t, kind, name)
-            ),
+    def assemble(run_config, metrics):
+        run = SimRun(
+            design, spec, run_config, seed, metrics,
+            telemetry=telemetry, drain=_SIM_DRAIN,
+            distribution=distribution, lb_policy=lb_policy,
+            capacities=capacities,
         )
-        if ops.self_heal:
-            monitor = HealthMonitor(
-                replicas=lambda: system.replicas,
-                remove=lambda r: system.remove_replica(replica=r, force=True),
-                add=lambda cap: system.add_replica(
-                    ops.transfer_writesets, capacity=cap
-                ),
-                events=state.events,
-            )
-            if ops.detect_interval is not None:
-                # Detection decoupled from the control interval: the
-                # monitor ticks on its own (usually faster) timer, so
-                # detection latency is bounded by detect_interval and
-                # the MTTR breakdown separates it from repair time.
-                def detect_loop(interval=ops.detect_interval):
-                    while state.running:
-                        yield Timeout(interval)
-                        if not state.running:
-                            return
-                        monitor.tick(env.now)
-                env.start(detect_loop())
-        if ops.rolling_start is not None:
-            def rolling_process():
-                yield Timeout(ops.rolling_start)
-                yield from rolling_restart_sim(
-                    env, system, state.events,
-                    transfer_writesets=ops.transfer_writesets,
-                    settle=ops.rolling_settle,
-                )
-            env.start(rolling_process())
+        run.fleet.start_trace_arrivals(trace)
+        return run
 
-    slo_monitor = SLOMonitor()
-
-    def control_loop():
-        while state.running:
-            yield Timeout(control_interval)
-            if not state.running:
-                return
-            end = len(metrics.samples)
-            chunk = metrics.samples[state.sample_index:end]
-            aborts = sum(metrics.abort_counts[state.sample_index:end])
-            state.sample_index = end
-            _control_tick(
-                state, env.now, chunk, trace, controller,
-                replicas=lambda: system.replicas,
-                member_count=lambda: system.member_count,
-                add=lambda: system.add_replica(transfer_writesets),
-                remove=system.remove_replica,
-                min_replicas=min_replicas, max_replicas=max_replicas,
-                control_interval=control_interval,
-                slo_response=slo_response,
-                window_start=window_start, window_end=window_end,
-                reconcile=manage_membership,
-                telemetry=recorder,
-                slo_monitor=slo_monitor,
-                interval_aborts=aborts,
-                perf=perf,
-            )
-            if monitor is not None and ops.detect_interval is None:
-                monitor.tick(env.now)
-
-    env.start(control_loop())
-    env.schedule(window_start, metrics.begin_window, window_start)
-    env.run_until(window_end)
-    metrics.end_window(env.now)
-    state.running = False
-    state.integrate(env.now, len(system.replicas), window_start, window_end)
-
-    # Drain: stop arrivals and let joins, drains, and in-flight
-    # transactions finish so the convergence check is meaningful.
-    system.stop_arrivals()
-    env.run_until(window_end + drain_after)
-
-    survivors = [
-        r for r in system.replicas if not r.draining and not r.failed
-    ]
-    latest = system.certifier.latest_version
-    final_versions = tuple(r.applied_version for r in survivors)
-    converged = all(v == latest for v in final_versions)
-
-    committed, violations = _window_slo(
-        metrics.samples, window_start, window_end, slo_response
-    )
-    telemetry_result = None
-    if recorder is not None:
-        recorder.sample_fleet(env.now, system.replicas,
-                              getattr(system, "certifier", None))
-        recorder.ingest_events(state.events)
-        telemetry_result = recorder.result()
-    return AutoscaleResult(
-        design=design,
-        policy=controller.name,
-        pillar="simulator",
-        trace=trace.label,
-        slo_response=slo_response,
-        control_interval=control_interval,
-        window=duration,
-        committed=committed,
-        slo_violations=violations,
-        replica_seconds=state.replica_seconds,
-        timeline=tuple(state.timeline),
-        final_members=system.member_count,
-        scale_events=state.scale_events,
-        seed=seed,
-        converged=converged,
-        final_versions=final_versions,
-        abort_rate=metrics.abort_rate(),
-        ops_events=tuple(sorted(state.events, key=lambda e: e.time)),
-        capacities=tuple(capacities) if capacities else (),
-        telemetry=telemetry_result,
-        perf=perf.report() if perf is not None else None,
+    return _run_elastic(
+        assemble, spec, trace, policy, design,
+        profile=profile, seed=seed, warmup=warmup, duration=duration,
+        control_interval=control_interval, slo_response=slo_response,
+        min_replicas=min_replicas, max_replicas=max_replicas,
+        transfer_writesets=transfer_writesets, distribution=distribution,
+        lb_policy=lb_policy, config=config, ops=ops, capacities=capacities,
+        capacity_source=capacity_source,
     )
 
-
-def _make_perf_monitor(
-    capacity_mode, recorder, control_interval: float, pillar: str,
-    *, design: str, profile, base_config, state: _ControlState,
-) -> Optional[PerfMonitor]:
-    """Build the performance observer both harnesses share.
-
-    Engaged when the run consumes estimated capacities or is telemetry-
-    enabled; ``None`` otherwise — the pre-estimator instruction stream,
-    byte for byte.  Gray-detect events reach the ops event log only in
-    estimated mode (pure observation must not change result contents
-    beyond the attached reports); the model-drift monitor needs a
-    standalone profile to predict from.
-    """
-    if capacity_mode != ESTIMATED and recorder is None:
-        return None
-    drift = None
-    if profile is not None:
-        drift = ModelDriftMonitor(design, profile, base_config)
-    event_sink = None
-    if capacity_mode == ESTIMATED:
-        def event_sink(t, kind, name):
-            state.events.append(OpsEvent(t, kind, name))
-    return PerfMonitor(
-        interval=control_interval,
-        pillar=pillar,
-        apply=capacity_mode == ESTIMATED,
-        drift=drift,
-        telemetry=recorder,
-        event_sink=event_sink,
-    )
-
-
-# ----------------------------------------------------------------------
-# Live-cluster pillar
-# ----------------------------------------------------------------------
 
 def autoscale_cluster(
     spec: WorkloadSpec,
@@ -785,217 +720,34 @@ def autoscale_cluster(
 ) -> AutoscaleResult:
     """Run one autoscaling policy on the live cluster runtime.
 
-    The same control loop as :func:`autoscale_sim`, but everything is
-    real: the trace source spawns transaction threads, the controller
-    thread resizes the cluster through its elastic membership operations
-    (state transfer under the commit-order lock; drain before removal),
-    and after the run the cluster quiesces so the result carries the
-    replication-correctness evidence — no committed writeset may be lost
-    or duplicated by membership churn.  *ops* and *capacities* mirror
-    :func:`autoscale_sim`: an attached operations plan (crash faults,
-    self-healing replacement, rolling restart) becomes the membership
-    authority, and capacities build a heterogeneous initial fleet.
-    *capacity_source* mirrors :func:`autoscale_sim`: ``"estimated"``
-    routes and sizes on the online estimator's live capacities.
+    The same loop as :func:`autoscale_sim`, but everything is real: the
+    trace source spawns transaction threads, the control task resizes
+    the cluster through its elastic membership operations (state transfer
+    under the commit-order lock; drain before removal, up to
+    *drain_timeout* wall seconds), and after the run the cluster
+    quiesces so the result carries the replication-correctness evidence
+    — no committed writeset may be lost or duplicated by membership
+    churn.  *ops*, *capacities*, *telemetry* and *capacity_source* mean
+    what they mean for :func:`autoscale_sim`.
     """
-    from ..cluster.clock import VirtualClock
-    from ..cluster.runner import (
-        _CLUSTER_CLASSES,
-        _Drivers,
-        _fault_process,
-        _open_loop_source,
-        _telemetry_sampler,
-    )
+    from ..cluster.runner import ClusterRun
 
-    _validate(design, trace, distribution, lb_policy, warmup, duration,
-              control_interval, slo_response)
-    capacity_mode = resolve_capacity_source(capacity_source)
-
-    controller = make_controller(
-        policy, design=design, trace=trace, slo_response=slo_response,
-        config=config or spec.replication_config(1), profile=profile,
-        min_replicas=min_replicas, max_replicas=max_replicas,
-    )
-    initial = max(min_replicas, min(max_replicas, controller.initial_target()))
-    base_config = config or spec.replication_config(1)
-    run_config = base_config.with_replicas(initial)
-
-    clock = VirtualClock(time_scale)
-    metrics = _SampledMetrics()
-    cluster = _CLUSTER_CLASSES[design](
-        spec, run_config, seed, clock, metrics,
-        distribution=distribution, lb_policy=lb_policy,
-        capacities=capacities,
-    )
-    telemetry_config = active_config(telemetry)
-    tel_recorder = None
-    if telemetry_config is not None:
-        tel_recorder = Telemetry(telemetry_config, pillar="cluster")
-        cluster.attach_telemetry(tel_recorder)
-    cluster.start()
-
-    window_start = warmup
-    window_end = warmup + duration
-    state = _ControlState(last_attached=len(cluster.replicas),
-                          busy=_busy_snapshot(cluster.replicas))
-    perf = _make_perf_monitor(
-        capacity_mode, tel_recorder, control_interval, "cluster",
-        design=design, profile=profile, base_config=base_config,
-        state=state,
-    )
-    drivers = _Drivers()
-    if tel_recorder is not None:
-        drivers.launch(
-            lambda: drivers.guard(
-                lambda: _telemetry_sampler(cluster, tel_recorder, drivers)
-            ),
-            name="telemetry-sampler",
+    def assemble(run_config, metrics):
+        run = ClusterRun(
+            design, spec, run_config, seed, metrics, time_scale, telemetry=telemetry, quiesce_timeout=quiesce_timeout,
+            distribution=distribution, lb_policy=lb_policy,
+            capacities=capacities,
         )
+        run.fleet.drain_timeout = drain_timeout
+        run.start_arrivals(seed, trace=trace)
+        return run
 
-    monitor: Optional[HealthMonitor] = None
-    # Brownout-only plans never change membership (see autoscale_sim).
-    manage_membership = ops is None or not ops.manages_membership
-    if ops is not None and ops.active:
-        # list.append is atomic under the GIL; events are only *read*
-        # after every driver thread has joined.
-        def recorder(t, kind, name):
-            state.events.append(OpsEvent(t, kind, name))
-        for fault in validate_faults(
-            ops.faults, len(cluster.replicas), design
-        ):
-            drivers.launch(
-                lambda f=fault: _fault_process(
-                    cluster, f, drivers, recorder=recorder
-                ),
-                name=f"fault-replica{fault.replica_index}",
-            )
-        if ops.self_heal:
-            monitor = HealthMonitor(
-                replicas=lambda: cluster.replicas,
-                remove=lambda r: cluster.remove_replica(replica=r, force=True),
-                add=lambda cap: cluster.add_replica(
-                    ops.transfer_writesets, capacity=cap
-                ),
-                events=state.events,
-            )
-            if ops.detect_interval is not None:
-                # Dedicated detection thread (see autoscale_sim): only
-                # this thread ticks the monitor, so its internal state
-                # needs no extra locking.
-                def detect_worker(interval=ops.detect_interval):
-                    while not drivers.stop.wait(clock.to_wall(interval)):
-                        monitor.tick(clock.now())
-                drivers.launch(lambda: drivers.guard(detect_worker),
-                               name="health-detect")
-        if ops.rolling_start is not None:
-            def rolling_worker():
-                if drivers.stop.wait(clock.to_wall(ops.rolling_start)):
-                    return
-                rolling_restart_cluster(
-                    cluster, state.events, drivers.stop,
-                    transfer_writesets=ops.transfer_writesets,
-                    settle=ops.rolling_settle,
-                    drain_timeout=drain_timeout,
-                )
-            drivers.launch(lambda: drivers.guard(rolling_worker),
-                           name="rolling-upgrade")
-
-    def trace_source():
-        _open_loop_source(cluster, 0.0, seed, drivers, trace=trace)
-
-    slo_monitor = SLOMonitor()
-
-    def control_thread():
-        while not drivers.stop.wait(clock.to_wall(control_interval)):
-            now = clock.now()
-            with cluster.metrics_lock:
-                end = len(metrics.samples)
-                chunk = metrics.samples[state.sample_index:end]
-                aborts = sum(metrics.abort_counts[state.sample_index:end])
-                state.sample_index = end
-            _control_tick(
-                state, now, chunk, trace, controller,
-                replicas=lambda: cluster.replicas,
-                member_count=lambda: cluster.member_count,
-                add=lambda: cluster.add_replica(transfer_writesets),
-                remove=lambda: cluster.remove_replica(drain_timeout),
-                min_replicas=min_replicas, max_replicas=max_replicas,
-                control_interval=control_interval,
-                slo_response=slo_response,
-                window_start=window_start, window_end=window_end,
-                reconcile=manage_membership,
-                telemetry=tel_recorder,
-                slo_monitor=slo_monitor,
-                interval_aborts=aborts,
-                perf=perf,
-            )
-            if monitor is not None and ops.detect_interval is None:
-                monitor.tick(now)
-
-    drivers.launch(lambda: drivers.guard(trace_source), name="trace-source")
-    drivers.launch(lambda: drivers.guard(control_thread), name="autoscaler")
-
-    try:
-        drivers.stop.wait(clock.to_wall(warmup))
-        with cluster.metrics_lock:
-            metrics.begin_window(clock.now())
-        drivers.stop.wait(clock.to_wall(duration))
-        with cluster.metrics_lock:
-            metrics.end_window(clock.now())
-        still_running = drivers.join(timeout=max(10.0, clock.to_wall(60.0)))
-        if drivers.errors:
-            raise drivers.errors[0]
-        if still_running:
-            raise ConfigurationError(
-                f"{len(still_running)} traffic thread(s) still running "
-                "after the drain timeout; the offered trace exceeds what "
-                "the cluster can drain"
-            )
-        state.integrate(min(clock.now(), window_end),
-                        len(cluster.replicas), window_start, window_end)
-        converged = cluster.quiesce(timeout=quiesce_timeout)
-        if tel_recorder is not None:
-            tel_recorder.sample_fleet(
-                clock.now(), cluster.replicas, cluster.certifier
-            )
-        final_versions = cluster.replica_versions()
-        dead = cluster.applier_errors()
-        if dead:
-            name, error = dead[0]
-            raise ConfigurationError(
-                f"applier thread of {name} died: {error!r}"
-            ) from error
-    finally:
-        drivers.stop.set()
-        cluster.shutdown()
-
-    committed, violations = _window_slo(
-        metrics.samples, window_start, window_end, slo_response
-    )
-    telemetry_result = None
-    if tel_recorder is not None:
-        tel_recorder.ingest_events(state.events)
-        telemetry_result = tel_recorder.result()
-    return AutoscaleResult(
-        design=design,
-        policy=controller.name,
-        pillar="cluster",
-        trace=trace.label,
-        slo_response=slo_response,
-        control_interval=control_interval,
-        window=duration,
-        committed=committed,
-        slo_violations=violations,
-        replica_seconds=state.replica_seconds,
-        timeline=tuple(state.timeline),
-        final_members=cluster.member_count,
-        scale_events=state.scale_events,
-        seed=seed,
-        converged=converged and len(set(final_versions)) <= 1,
-        final_versions=final_versions,
-        abort_rate=metrics.abort_rate(),
-        ops_events=tuple(sorted(state.events, key=lambda e: e.time)),
-        capacities=tuple(capacities) if capacities else (),
-        telemetry=telemetry_result,
-        perf=perf.report() if perf is not None else None,
+    return _run_elastic(
+        assemble, spec, trace, policy, design,
+        profile=profile, seed=seed, warmup=warmup, duration=duration,
+        control_interval=control_interval, slo_response=slo_response,
+        min_replicas=min_replicas, max_replicas=max_replicas,
+        transfer_writesets=transfer_writesets, distribution=distribution,
+        lb_policy=lb_policy, config=config, ops=ops, capacities=capacities,
+        capacity_source=capacity_source,
     )

@@ -97,8 +97,8 @@ def _autoscale_points(settings, spec: WorkloadSpec, trace_for,
                 duration=settings.autoscale_duration,
                 control_interval=settings.autoscale_control_interval,
                 max_replicas=2 * settings.autoscale_peak_replicas,
-                telemetry=getattr(settings, "telemetry", None),
-                capacity_source=getattr(settings, "capacity_source", None),
+                telemetry=settings.telemetry,
+                capacity_source=settings.capacity_source,
                 profile=task,
                 tag=f"{design}:{policy.kind}",
             ))
@@ -232,8 +232,8 @@ def _live_points(settings) -> List:
             time_scale=LIVE_TIME_SCALE,
             max_replicas=2 * LIVE_PEAK_REPLICAS,
             transfer_writesets=8,
-            telemetry=getattr(settings, "telemetry", None),
-            capacity_source=getattr(settings, "capacity_source", None),
+            telemetry=settings.telemetry,
+            capacity_source=settings.capacity_source,
             profile=task,
             tag=f"live:{policy.kind}",
         ))

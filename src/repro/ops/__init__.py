@@ -31,14 +31,13 @@ front end is ``repro ops``.
 from .events import OpsEvent, OpsSummary, summarize
 from .health import HealthMonitor
 from .plan import OpsPlan
-from .rolling import rolling_restart_cluster, rolling_restart_sim
+from .rolling import rolling_restart
 
 __all__ = [
     "HealthMonitor",
     "OpsEvent",
     "OpsPlan",
     "OpsSummary",
-    "rolling_restart_cluster",
-    "rolling_restart_sim",
+    "rolling_restart",
     "summarize",
 ]

@@ -1,10 +1,9 @@
 """Failure detection and automatic replacement of crashed replicas.
 
-The :class:`HealthMonitor` is pillar-agnostic: it is bound to a system (a
-DES assembly or a live cluster) through three callables — list the
-replicas, force-remove one, add a fresh one — the same inversion the
-autoscale reconciliation loop uses.  The control loop ticks it once per
-interval; on each tick it
+The :class:`HealthMonitor` is pillar-agnostic: it works on a *fleet* — a
+DES assembly or a live cluster, which spell their elastic membership
+operations (``replicas``, ``add_replica``, ``remove_replica``)
+identically.  The control loop ticks it once per interval; on each tick it
 
 1. scans for replicas whose ``failed`` flag is set (the crash fault set
    it: the replica stopped consuming writesets and its state is lost),
@@ -20,7 +19,7 @@ failing the run.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List
 
 from ..core.errors import ReproError
 from .events import DETACH, DETECT, REPLACE, RESTORED, OpsEvent
@@ -29,18 +28,12 @@ from .events import DETACH, DETECT, REPLACE, RESTORED, OpsEvent
 class HealthMonitor:
     """Replaces crashed replicas through the elastic membership ops."""
 
-    def __init__(
-        self,
-        replicas: Callable[[], Sequence],
-        remove: Callable[[object], None],
-        add: Callable[[float], object],
-        events: List[OpsEvent],
-        ) -> None:
-        """*remove* force-detaches its argument; *add* takes the
-        replacement's capacity multiplier and returns the new replica."""
-        self._replicas = replicas
-        self._remove = remove
-        self._add = add
+    def __init__(self, fleet, transfer_writesets: int,
+                 events: List[OpsEvent]) -> None:
+        """*fleet* is the system or cluster to heal; a replacement joins
+        with a *transfer_writesets* bulk replay."""
+        self._fleet = fleet
+        self._transfer_writesets = transfer_writesets
         self._events = events
         #: (capacity, crashed-name) replacements still waiting to be
         #: placed (their add raised last tick).
@@ -51,12 +44,12 @@ class HealthMonitor:
 
     def tick(self, now: float) -> None:
         """One health-check pass (called once per control interval)."""
-        for replica in list(self._replicas()):
+        for replica in list(self._fleet.replicas):
             if not getattr(replica, "failed", False):
                 continue
             self._events.append(OpsEvent(now, DETECT, replica.name))
             try:
-                self._remove(replica)
+                self._fleet.remove_replica(replica=replica, force=True)
             except ReproError as exc:
                 # Nothing healthy to fail over to; keep the replica
                 # listed and retry next tick.
@@ -75,7 +68,9 @@ class HealthMonitor:
         remaining: List[tuple] = []
         for capacity, crashed in self._backlog:
             try:
-                replacement = self._add(capacity)
+                replacement = self._fleet.add_replica(
+                    self._transfer_writesets, capacity=capacity
+                )
             except ReproError as exc:
                 self._events.append(OpsEvent(
                     now, "replace-deferred", crashed, detail=str(exc)

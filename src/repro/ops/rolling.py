@@ -7,12 +7,13 @@ via snapshot + writeset-replay state transfer — while the rest of the
 fleet keeps serving and the run's SLO accounting keeps scoring.  At no
 point is the fleet more than one replica short of its target.
 
-Two realisations of the same cycle:
-
-* :func:`rolling_restart_sim` — a DES process (generator) started on the
-  simulator's event loop;
-* :func:`rolling_restart_cluster` — a plain function run on a worker
-  thread against the live cluster runtime.
+The cycle is written once, as a *task*: a plain generator that yields
+virtual-second delays and is resumed by whichever run object spawned it
+(:class:`repro.simulator.runner.SimRun` turns each delay into a DES
+``Timeout``; :class:`repro.cluster.runner.ClusterRun` sleeps it on a
+worker thread).  A run that stops simply never resumes the task, so a
+cycle cut short by end-of-run logs nothing it did not observe — in
+particular no ``upgraded`` for a replacement that never entered rotation.
 
 Single-master systems cycle their slaves only (the master cannot be
 detached without a promotion protocol the paper does not describe).
@@ -20,96 +21,56 @@ detached without a promotion protocol the paper does not describe).
 
 from __future__ import annotations
 
-import time
-from typing import List
+from typing import Callable, Iterator, List
 
 from ..core.errors import ReproError
-from ..simulator.des import Timeout
 from .events import DETACH, DRAIN, REJOIN, ROLLING_DONE, UPGRADED, OpsEvent
 
-#: How often the sim process re-checks drain/join completion (seconds).
+#: How often the task re-checks drain/join completion (virtual seconds).
 _POLL = 0.1
 
 
-def rolling_restart_sim(
-    env,
-    system,
+def rolling_restart(
+    fleet,
+    now: Callable[[], float],
     events: List[OpsEvent],
+    start: float = 0.0,
     transfer_writesets: int = 16,
     settle: float = 2.0,
-):
-    """DES process: cycle every current replica once (one at a time)."""
-    for replica in list(system.upgrade_targets()):
-        if replica not in system.replicas or replica.failed:
+) -> Iterator[float]:
+    """Task: after *start* seconds, cycle every current replica once.
+
+    *fleet* is a DES system or a live cluster (their membership
+    operations are spelled identically); *now* reads the run's virtual
+    clock for the event timestamps.  The DES ``remove_replica`` returns
+    at once and the drain is polled here; the live one blocks until the
+    replica has detached, so the same poll falls straight through.
+    """
+    yield start
+    for replica in list(fleet.upgrade_targets()):
+        if replica not in fleet.replicas or replica.failed:
             continue  # crashed (and maybe replaced) since we planned
-        events.append(OpsEvent(env.now, DRAIN, replica.name))
+        events.append(OpsEvent(now(), DRAIN, replica.name))
         try:
-            system.remove_replica(replica=replica)
+            fleet.remove_replica(replica=replica)
         except ReproError as exc:
             events.append(OpsEvent(
-                env.now, "cycle-skipped", replica.name, detail=str(exc)
+                now(), "cycle-skipped", replica.name, detail=str(exc)
             ))
             continue
-        while replica in system.replicas:
-            yield Timeout(_POLL)
-        events.append(OpsEvent(env.now, DETACH, replica.name))
-        replacement = system.add_replica(
+        while replica in fleet.replicas:
+            yield _POLL
+        events.append(OpsEvent(now(), DETACH, replica.name))
+        replacement = fleet.add_replica(
             transfer_writesets, capacity=replica.capacity
         )
         events.append(OpsEvent(
-            env.now, REJOIN, replacement.name,
+            now(), REJOIN, replacement.name,
             detail=f"replaces {replica.name}",
         ))
         while not replacement.available:
-            yield Timeout(_POLL)
-        events.append(OpsEvent(env.now, UPGRADED, replacement.name))
+            yield _POLL
+        events.append(OpsEvent(now(), UPGRADED, replacement.name))
         if settle > 0:
-            yield Timeout(settle)
-    events.append(OpsEvent(env.now, ROLLING_DONE, ""))
-
-
-def rolling_restart_cluster(
-    cluster,
-    events: List[OpsEvent],
-    stop,
-    transfer_writesets: int = 16,
-    settle: float = 2.0,
-    drain_timeout: float = 30.0,
-) -> None:
-    """Worker-thread body: cycle every current live replica once.
-
-    *stop* is the run's stop event; the sweep ends early (leaving the
-    fleet whole) if the run is over.  Event timestamps are virtual
-    seconds from the cluster's clock; *settle* and *drain_timeout* are
-    virtual and wall seconds respectively, matching the membership API.
-    """
-    clock = cluster.clock
-    for replica in list(cluster.upgrade_targets()):
-        if stop.is_set():
-            return
-        if replica not in cluster.replicas or replica.failed:
-            continue
-        events.append(OpsEvent(clock.now(), DRAIN, replica.name))
-        try:
-            cluster.remove_replica(drain_timeout, replica=replica)
-        except ReproError as exc:
-            events.append(OpsEvent(
-                clock.now(), "cycle-skipped", replica.name, detail=str(exc)
-            ))
-            continue
-        events.append(OpsEvent(clock.now(), DETACH, replica.name))
-        replacement = cluster.add_replica(
-            transfer_writesets, capacity=replica.capacity
-        )
-        events.append(OpsEvent(
-            clock.now(), REJOIN, replacement.name,
-            detail=f"replaces {replica.name}",
-        ))
-        while not replacement.available and not stop.is_set():
-            if replacement.applier_error is not None:
-                raise replacement.applier_error
-            time.sleep(0.005)
-        events.append(OpsEvent(clock.now(), UPGRADED, replacement.name))
-        if settle > 0 and stop.wait(clock.to_wall(settle)):
-            return
-    events.append(OpsEvent(clock.now(), ROLLING_DONE, ""))
+            yield settle
+    events.append(OpsEvent(now(), ROLLING_DONE, ""))

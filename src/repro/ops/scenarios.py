@@ -314,10 +314,10 @@ def _ops_sim_points(settings, spec, load_fraction: float, plan_for,
             control_interval=settings.autoscale_control_interval,
             max_replicas=2 * FLEET,
             ops=plan_for(settings),
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             capacity_source=(
                 capacity_source if capacity_source is not None
-                else getattr(settings, "capacity_source", None)
+                else settings.capacity_source
             ),
             profile=task,
             tag=design,
@@ -468,7 +468,7 @@ def _capest_sim_points(settings) -> List:
             control_interval=settings.autoscale_control_interval,
             max_replicas=3 * CAPEST_FLEET,
             ops=plan,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             capacity_source=source,
             profile=task,
             tag="declared" if source is None else "estimated",
@@ -542,7 +542,7 @@ def _hetero_points(settings) -> List:
             lb_policy=policy,
             capacities=HETERO_CAPACITIES,
             arrival_rate=rate,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             tag=policy,
         ))
     return points
@@ -613,10 +613,10 @@ def _ops_live_points(settings, load_fraction: float, plan,
         max_replicas=2 * LIVE_FLEET,
         transfer_writesets=8,
         ops=plan,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
         capacity_source=(
             capacity_source if capacity_source is not None
-            else getattr(settings, "capacity_source", None)
+            else settings.capacity_source
         ),
         profile=task,
         tag="live",
@@ -691,7 +691,7 @@ def _hetero_live_points(settings) -> List:
             lb_policy=policy,
             capacities=LIVE_HETERO_CAPACITIES,
             arrival_rate=rate,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             tag=policy,
         ))
     return points
@@ -778,7 +778,7 @@ def _capest_live_points(settings) -> List:
             max_replicas=3 * CAPEST_FLEET,
             transfer_writesets=8,
             ops=plan,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             capacity_source=source,
             profile=task,
             tag="declared" if source is None else "estimated",

@@ -399,7 +399,7 @@ def _sweep_points(settings) -> List:
             warmup=settings.sim_warmup,
             duration=settings.sim_duration,
             lb_policy=PARTITION_AWARE,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             tag=f"{prefix}:sim-full",
         ))
         points.append(sim_point(
@@ -409,7 +409,7 @@ def _sweep_points(settings) -> List:
             duration=settings.sim_duration,
             lb_policy=PARTITION_AWARE,
             partition_map=partial,
-            telemetry=getattr(settings, "telemetry", None),
+            telemetry=settings.telemetry,
             tag=f"{prefix}:sim-partial",
         ))
         points.append(model_point(
@@ -477,7 +477,7 @@ def _live_sweep_points(settings) -> List:
         duration=LIVE_DURATION,
         time_scale=LIVE_TIME_SCALE,
         lb_policy=PARTITION_AWARE,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
         certifier=getattr(settings, "certifier", None),
     )
     return [
@@ -534,7 +534,7 @@ def _ablation_points(settings) -> List:
         warmup=settings.sim_warmup,
         duration=settings.sim_duration,
         lb_policy=PARTITION_AWARE,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
         certifier=getattr(settings, "certifier", None),
     )
     oblivious = PartitionMap.ring(ABLATION_PARTITIONS, ABLATION_FLEET,
@@ -589,7 +589,7 @@ def _live_ablation_points(settings) -> List:
         duration=LIVE_DURATION,
         time_scale=LIVE_TIME_SCALE,
         lb_policy=PARTITION_AWARE,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
         certifier=getattr(settings, "certifier", None),
     )
     oblivious = PartitionMap.ring(LIVE_ABLATION_PARTITIONS, LIVE_FLEET,
@@ -719,7 +719,7 @@ def _certifier_points(settings) -> List:
         warmup=settings.sim_warmup,
         duration=settings.sim_duration,
         lb_policy=PARTITION_AWARE,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
     )
     # Both arms carry the SAME positive service time: the A/B isolates
     # the protocol (one sequencer vs per-partition shards), not the cost
@@ -785,7 +785,7 @@ def _live_certifier_points(settings) -> List:
         duration=CERT_LIVE_DURATION,
         time_scale=CERT_LIVE_TIME_SCALE,
         lb_policy=PARTITION_AWARE,
-        telemetry=getattr(settings, "telemetry", None),
+        telemetry=settings.telemetry,
     )
     return [
         cluster_point(spec, config, MULTI_MASTER, tag="live-global",

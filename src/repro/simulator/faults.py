@@ -167,6 +167,7 @@ def install_faults(
     crash times into its event log.
     """
     counts = _DownCounts()
+    recorder = recorder or (lambda now, kind, name: None)
     for fault in faults:
         replica = system.replicas[fault.replica_index]
         if fault.kind == CRASH:
@@ -196,29 +197,24 @@ def scale_replica_rates(replica, factor: float) -> None:
 
 def _crash(env, replica, recorder) -> None:
     replica.crash()
-    if recorder is not None:
-        recorder(env.now, CRASH, replica.name)
+    recorder(env.now, CRASH, replica.name)
 
 
 def _slow(env, replica, severity, recorder) -> None:
     scale_replica_rates(replica, severity)
-    if recorder is not None:
-        recorder(env.now, BROWNOUT, replica.name)
+    recorder(env.now, BROWNOUT, replica.name)
 
 
 def _restore(env, replica, severity, recorder) -> None:
     scale_replica_rates(replica, 1.0 / severity)
-    if recorder is not None:
-        recorder(env.now, "brownout-end", replica.name)
+    recorder(env.now, "brownout-end", replica.name)
 
 
 def _down(env, counts, replica, recorder) -> None:
     counts.down(replica)
-    if recorder is not None:
-        recorder(env.now, "down", replica.name)
+    recorder(env.now, "down", replica.name)
 
 
 def _up(env, counts, replica, recorder) -> None:
     counts.up(replica)
-    if recorder is not None:
-        recorder(env.now, "up", replica.name)
+    recorder(env.now, "up", replica.name)

@@ -5,12 +5,18 @@ warm-up period and a measurement window (§6.1 uses 10 + 15 minutes on real
 hardware; simulated defaults are shorter but deliver thousands of
 transactions per point), and reports an
 :class:`~repro.core.results.OperatingPoint` plus diagnostics.
+
+:class:`SimRun` is the DES half of the run seam :func:`simulate` shares
+with the elastic loop in :mod:`repro.control.autoscale`: it assembles the
+event loop, the system and the telemetry recorder, and owns the
+measurement window.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig
@@ -19,7 +25,7 @@ from ..core.rng import DEFAULT_SEED
 from ..sidb.certifier_api import resolve_certifier_spec
 from ..telemetry import Telemetry, active_config
 from ..workloads.spec import WorkloadSpec
-from .des import Environment
+from .des import Environment, Timeout
 from .faults import ReplicaFault, install_faults, validate_faults
 from .sampling import DISTRIBUTIONS, EXPONENTIAL
 from .sharded import ShardedMultiMasterSystem
@@ -92,6 +98,136 @@ class SimulationResult:
         return self.point.abort_rate
 
 
+def check_run_options(distribution: str, lb_policy: str, warmup: float,
+                      duration: float) -> None:
+    """Reject the run options every harness on every pillar shares."""
+    if distribution not in DISTRIBUTIONS:
+        raise ConfigurationError(f"unknown distribution {distribution!r}")
+    if lb_policy not in LB_POLICIES:
+        raise ConfigurationError(f"unknown lb_policy {lb_policy!r}")
+    if warmup < 0 or duration <= 0:
+        raise ConfigurationError("warmup must be >= 0 and duration > 0")
+
+
+def assembly_class(classes: Dict[str, type], sharded_class: type,
+                   design: str, certifier_spec) -> Tuple[type, dict]:
+    """The assembly class for *design* on one pillar, and the constructor
+    options a non-default *certifier_spec* adds (the sharded certifier
+    swaps the multi-master assembly for *sharded_class*)."""
+    if design not in classes:
+        raise ConfigurationError(
+            f"unknown design {design!r}; one of {tuple(classes)}"
+        )
+    if certifier_spec is None or certifier_spec.is_default:
+        return classes[design], {}
+    if design != MULTI_MASTER:
+        raise ConfigurationError(
+            "the certifier axis is multi-master only (the certifier "
+            f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
+        )
+    return (
+        sharded_class if certifier_spec.is_sharded else classes[design],
+        {"certifier_spec": certifier_spec},
+    )
+
+
+def attach_recorder(fleet, telemetry, pillar: str) -> Optional[Telemetry]:
+    """Wire a recorder into *fleet* when *telemetry* asks for one."""
+    telemetry_config = active_config(telemetry)
+    if telemetry_config is None:
+        return None
+    recorder = Telemetry(telemetry_config, pillar=pillar)
+    fleet.attach_telemetry(recorder)
+    return recorder
+
+
+class SimRun:
+    """One DES run: event loop + system + telemetry + measurement window.
+
+    Building it starts the fleet sampler (when telemetry is on) and
+    nothing else; the caller starts its traffic on :attr:`fleet`,
+    installs faults and spawns tasks in the order it wants them to win
+    event-heap ties, then calls :meth:`measure`.  The live counterpart
+    with the same members is :class:`repro.cluster.runner.ClusterRun`.
+    """
+
+    pillar = "simulator"
+    #: Sample slicing needs no lock: the event loop is single-threaded.
+    metrics_lock = contextlib.nullcontext()
+
+    def __init__(self, design: str, spec: WorkloadSpec,
+                 config: ReplicationConfig, seed: int,
+                 metrics: MetricsCollector, *, telemetry=None,
+                 certifier_spec=None, drain: float = 0.0,
+                 **system_options) -> None:
+        system_class, extra = assembly_class(
+            _SYSTEM_CLASSES, ShardedMultiMasterSystem, design, certifier_spec
+        )
+        self.env = Environment()
+        self.metrics = metrics
+        self.fleet = system_class(
+            self.env, spec, config, seed, metrics, **system_options, **extra
+        )
+        #: Virtual seconds :meth:`measure` keeps the loop running after
+        #: the window with arrivals stopped (elastic runs: joins, drains
+        #: and in-flight transactions finish before convergence is read).
+        self.drain = drain
+        self.recorder = attach_recorder(self.fleet, telemetry, self.pillar)
+        if self.recorder is not None:
+            self.fleet.start_fleet_sampler(self.recorder)
+
+    def now(self) -> float:
+        """Current virtual time (seconds from run start)."""
+        return self.env.now
+
+    def install_faults(self, faults: Sequence[ReplicaFault],
+                       record=None) -> None:
+        """Schedule an already validated fault schedule; *record* is
+        called as ``record(now, kind, replica_name)`` when one fires."""
+        install_faults(self.env, self.fleet, faults, recorder=record)
+
+    def spawn(self, task: Iterable[float], name: str = "") -> None:
+        """Drive *task* on the event loop: every virtual-second delay it
+        yields becomes a :class:`Timeout` (*name* labels live threads
+        only)."""
+        def process():
+            for delay in task:
+                yield Timeout(delay)
+
+        self.env.start(process())
+
+    def measure(self, warmup: float, duration: float,
+                on_close: Optional[Callable[[], None]] = None,
+                ) -> Tuple[bool, Tuple[int, ...]]:
+        """Run warm-up and the measurement window, then the drain.
+
+        *on_close* is called once, at the instant the window closes.
+        Returns ``(converged, final_versions)`` of the surviving
+        replicas against the certifier's latest version.
+        """
+        env, system = self.env, self.fleet
+        window_end = warmup + duration
+        env.schedule(warmup, self.metrics.begin_window, warmup)
+        env.run_until(window_end)
+        self.metrics.end_window(env.now)
+        if on_close is not None:
+            on_close()
+        if self.drain > 0:
+            system.stop_arrivals()
+            env.run_until(window_end + self.drain)
+        if self.recorder is not None:
+            # One closing sample so end-of-run state is always captured
+            # (even when the interval exceeds the run length).
+            self.recorder.sample_fleet(env.now, system.replicas,
+                                       system.certifier)
+        latest = system.certifier.latest_version
+        final_versions = tuple(
+            r.applied_version for r in system.replicas
+            if not r.draining and not r.failed
+        )
+        return all(v == latest for v in final_versions), final_versions
+
+
 def simulate(
     spec: WorkloadSpec,
     config: ReplicationConfig,
@@ -147,94 +283,61 @@ def simulate(
     (:class:`~repro.simulator.sharded.ShardedMultiMasterSystem`).
     """
     certifier_spec = resolve_certifier_spec(certifier)
-    if design not in _SYSTEM_CLASSES:
-        raise ConfigurationError(f"unknown design {design!r}; one of {DESIGNS}")
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
-    if lb_policy not in LB_POLICIES:
-        raise ConfigurationError(f"unknown lb_policy {lb_policy!r}")
-    if warmup < 0 or duration <= 0:
-        raise ConfigurationError("warmup must be >= 0 and duration > 0")
+    check_run_options(distribution, lb_policy, warmup, duration)
     if design == STANDALONE and config.replicas != 1:
         raise ConfigurationError("standalone design requires replicas == 1")
-
-    env = Environment()
-    metrics = MetricsCollector()
     if capacities is not None and design == STANDALONE:
         raise ConfigurationError(
             "capacities describe a replicated fleet; standalone systems "
             "have exactly one machine"
         )
-    system_class, extra = _SYSTEM_CLASSES[design], {}
-    if certifier_spec is not None and not certifier_spec.is_default:
-        if design != MULTI_MASTER:
-            raise ConfigurationError(
-                "the certifier axis is multi-master only (the certifier "
-                f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
-            )
-        extra["certifier_spec"] = certifier_spec
-        if certifier_spec.is_sharded:
-            system_class = ShardedMultiMasterSystem
-    system = system_class(
-        env, spec, config, seed, metrics,
+    from ..partition.placement import check_faults_against_map
+
+    check_faults_against_map(faults, partition_map)
+    checked_faults = validate_faults(faults, config.replicas, design)
+    run = SimRun(
+        design, spec, config, seed, MetricsCollector(),
+        telemetry=telemetry, certifier_spec=certifier_spec,
         distribution=distribution, lb_policy=lb_policy,
-        capacities=capacities, partition_map=partition_map, **extra,
+        capacities=capacities, partition_map=partition_map,
     )
-    telemetry_config = active_config(telemetry)
-    recorder = None
-    if telemetry_config is not None:
-        recorder = Telemetry(telemetry_config, pillar="simulator")
-        system.attach_telemetry(recorder)
-        system.start_fleet_sampler(recorder)
-    if faults:
-        from ..partition.placement import check_faults_against_map
-
-        check_faults_against_map(faults, system.partition_map)
-    clients = (
-        config.clients_per_replica
-        if design == STANDALONE
-        else config.total_clients
-    )
-    if faults:
-        install_faults(env, system, validate_faults(faults, config.replicas, design))
-    if arrival_rate is None:
-        system.start_clients(clients)
+    run.install_faults(checked_faults)
+    if arrival_rate is not None:
+        run.fleet.start_open_arrivals(arrival_rate)
+    elif design == STANDALONE:
+        run.fleet.start_clients(config.clients_per_replica)
     else:
-        system.start_open_arrivals(arrival_rate)
-
-    env.schedule(warmup, metrics.begin_window, warmup)
-    env.run_until(warmup + duration)
-    metrics.end_window(env.now)
-
-    telemetry_result = None
-    if recorder is not None:
-        # One closing sample so end-of-run state is always captured
-        # (even when the interval exceeds the run length).
-        recorder.sample_fleet(env.now, system.replicas, system.certifier)
-        telemetry_result = recorder.result()
-    return _collect(design, config, metrics, system.certifier,
-                    telemetry_result)
+        run.fleet.start_clients(config.total_clients)
+    run.measure(warmup, duration)
+    return SimulationResult(
+        **measured_fields(design, config, run.metrics, run.fleet.certifier),
+        telemetry=None if run.recorder is None else run.recorder.result(),
+    )
 
 
-def _collect(
+def measured_fields(
     design: str,
     config: ReplicationConfig,
     metrics: MetricsCollector,
     certifier,
-    telemetry=None,
-) -> SimulationResult:
+) -> Dict[str, object]:
+    """The measurements :class:`SimulationResult` and the live
+    :class:`~repro.cluster.runner.ClusterResult` share, by field name."""
     utilizations = metrics.utilizations()
-    busiest = _busiest_by_resource(utilizations)
-    point = OperatingPoint(
-        throughput=metrics.throughput(),
-        response_time=metrics.mean_response_time(),
-        abort_rate=metrics.abort_rate(),
-        utilization=busiest,
-    )
-    return SimulationResult(
+    # Max utilization per resource kind across replicas.
+    busiest: Dict[str, float] = {}
+    for key, value in utilizations.items():
+        kind = key.rsplit(".", 1)[-1]
+        busiest[kind] = max(busiest.get(kind, 0.0), value)
+    return dict(
         design=design,
         replicas=config.replicas,
-        point=point,
+        point=OperatingPoint(
+            throughput=metrics.throughput(),
+            response_time=metrics.mean_response_time(),
+            abort_rate=metrics.abort_rate(),
+            utilization=busiest,
+        ),
         read_throughput=metrics.read_throughput(),
         update_throughput=metrics.update_throughput(),
         mean_read_response=metrics.response_read.mean,
@@ -247,17 +350,7 @@ def _collect(
         committed_transactions=metrics.committed,
         window=metrics.window,
         throughput_timeline=tuple(metrics.throughput_timeline()),
-        telemetry=telemetry,
     )
-
-
-def _busiest_by_resource(utilizations: Dict[str, float]) -> Dict[str, float]:
-    """Max utilization per resource kind across replicas."""
-    busiest: Dict[str, float] = {}
-    for key, value in utilizations.items():
-        kind = key.rsplit(".", 1)[-1]
-        busiest[kind] = max(busiest.get(kind, 0.0), value)
-    return busiest
 
 
 def measure_curve(

@@ -8,6 +8,7 @@ reproducible, membership churn never loses or duplicates a writeset, and
 the engine produces identical artifacts serially and fanned out.
 """
 
+import contextlib
 import pickle
 
 import pytest
@@ -20,9 +21,13 @@ from repro.control import (
     autoscale_sim,
     render_timeline,
 )
+from repro.control.autoscale import _run_elastic
+from repro.control.controller import FixedPolicy
 from repro.control.trace import PiecewiseTrace
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.params import ConflictProfile, WorkloadMix
+from repro.ops import OpsPlan
+from repro.simulator.faults import brownout_fault, crash_fault
 from repro.simulator.des import Environment
 from repro.simulator.stats import MetricsCollector
 from repro.simulator.systems import MultiMasterSystem, SingleMasterSystem
@@ -132,13 +137,23 @@ class TestPolicyComparison:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("design", ["multi-master", "single-master"])
+    @pytest.mark.parametrize("ops", [
+        None,
+        OpsPlan(faults=(crash_fault(1, 40.0),), self_heal=True,
+                transfer_writesets=8),
+        OpsPlan(rolling_start=30.0, rolling_settle=5.0, transfer_writesets=8),
+    ], ids=["no-ops", "self-heal", "rolling"])
     def test_identical_runs_identical_timelines(self, tiny_spec, tiny_profile,
-                                                diurnal):
-        first = _run(tiny_spec, diurnal, FeedforwardPolicy(horizon=10.0),
-                     tiny_profile, duration=120.0)
-        second = _run(tiny_spec, diurnal, FeedforwardPolicy(horizon=10.0),
-                      tiny_profile, duration=120.0)
+                                                diurnal, design, ops):
+        policy = (FeedforwardPolicy(horizon=10.0) if ops is None
+                  else FixedPolicy(replicas=3))
+        first = _run(tiny_spec, diurnal, policy, tiny_profile, design=design,
+                     duration=120.0, ops=ops)
+        second = _run(tiny_spec, diurnal, policy, tiny_profile, design=design,
+                      duration=120.0, ops=ops)
         assert first == second
+        assert (ops is None) == (not first.ops_events)
         assert pickle.dumps(first.timeline) == pickle.dumps(second.timeline)
 
     def test_seed_changes_the_run(self, tiny_spec, tiny_profile, diurnal):
@@ -241,6 +256,138 @@ class TestElasticMembershipChurn:
         )
         with pytest.raises(SimulationError):
             system.remove_replica()
+
+
+class _FakeResource:
+    def __init__(self, name):
+        self.name = name
+
+    def busy_time_now(self):
+        return 0.0
+
+
+class _FakeReplica:
+    def __init__(self, name):
+        self.name, self.capacity = name, 1.0
+        self.failed, self.available = False, True
+        self.cpu = _FakeResource(f"{name}.cpu")
+        self.disk = _FakeResource(f"{name}.disk")
+
+
+class _FakeFleet:
+    """In-memory fleet: membership operations are instant and logged;
+    the first *refused_adds* joins raise (a donor too stale to copy)."""
+
+    def __init__(self, size, refused_adds=0):
+        self.replicas = [_FakeReplica(f"replica{i}") for i in range(size)]
+        self.refused_adds, self.calls = refused_adds, []
+
+    member_count = property(lambda self: len(self.replicas))
+
+    def add_replica(self, transfer_writesets=0, capacity=1.0):
+        self.calls.append("add")
+        if self.refused_adds > 0:
+            self.refused_adds -= 1
+            raise SimulationError("no donor retains the history")
+        self.replicas = self.replicas + [_FakeReplica(f"new{len(self.calls)}")]
+        return self.replicas[-1]
+
+    def remove_replica(self, replica=None, force=False):
+        self.calls.append("remove")
+        self.replicas = self.replicas[:-1]
+
+
+class _FakeRun:
+    """Scripted third implementation of the run seam: no Environment, no
+    threads — tasks are stepped in virtual time by :meth:`measure`."""
+
+    pillar, recorder = "fake", None
+    metrics_lock = contextlib.nullcontext()
+
+    def __init__(self, fleet):
+        self.fleet, self.time, self.tasks, self.faults = fleet, 0.0, [], ()
+
+    def now(self):
+        return self.time
+
+    def install_faults(self, faults, record=None):
+        self.faults = tuple(faults)
+
+    def spawn(self, task, name=""):
+        self.tasks.append([next(task), task])
+
+    def measure(self, warmup, duration, on_close=None):
+        while self.tasks:
+            entry = min(self.tasks, key=lambda e: e[0])  # ties: spawn order
+            if entry[0] > warmup + duration:
+                break
+            self.time = entry[0]
+            try:
+                entry[0] += next(entry[1])
+            except StopIteration:
+                self.tasks.remove(entry)
+        self.time = warmup + duration
+        on_close()
+        return True, ()
+
+
+def _fake_elastic(spec, fleet, ops=None):
+    """FixedPolicy(3) on *fleet*: ticks at 10, 20, 30 (and never 40) of
+    a (10, 35] window, one 0.1 s commit per virtual second."""
+    def assemble(config, metrics):
+        run = _FakeRun(fleet)
+
+        def traffic():
+            while True:
+                yield 1.0
+                metrics.record_commit(False, 0.1, 0, now=run.now())
+
+        run.spawn(traffic())
+        return run
+
+    return _run_elastic(
+        assemble, spec, PiecewiseTrace([(0.0, 5.0)]), FixedPolicy(replicas=3),
+        "multi-master", profile=None, seed=1, warmup=10.0, duration=25.0,
+        control_interval=10.0, slo_response=1.0, min_replicas=1,
+        max_replicas=8, transfer_writesets=4, distribution="exponential",
+        lb_policy="least-loaded", config=None, ops=ops, capacities=None,
+        capacity_source=None,
+    )
+
+
+class TestLoopOnScriptedFake:
+    """The one elastic loop against a scripted run object and fleet —
+    behaviour otherwise reachable only through full DES or live runs."""
+
+    def test_refused_join_is_retried_and_window_is_clipped(self, tiny_spec):
+        fleet = _FakeFleet(2, refused_adds=1)
+        result = _fake_elastic(tiny_spec, fleet)
+        # Tick 10: the join is refused — reconciliation ends, nothing is
+        # counted; tick 20 retries and succeeds; tick 30 has nothing to do.
+        assert fleet.calls == ["add", "add"]
+        assert result.scale_events == 1
+        assert result.final_members == 3
+        # Exactly the ticks with window_start < now <= window_end.
+        assert [p.time for p in result.timeline] == [20.0, 30.0]
+        assert [p.attached for p in result.timeline] == [3, 3]
+        assert [p.commits for p in result.timeline] == [10, 10]
+        # 2 replicas over (10, 20], 3 over (20, 30], and the final
+        # partial interval (30, 35] at 3.
+        assert result.replica_seconds == 2 * 10 + 3 * 10 + 3 * 5
+        # Commits at t = 10, 11, ..., 35: the window is closed at both ends.
+        assert result.committed == 26 and result.pillar == "fake"
+
+    def test_membership_plan_stops_reconciliation(self, tiny_spec):
+        fleet = _FakeFleet(2)
+        result = _fake_elastic(tiny_spec, fleet, ops=OpsPlan(self_heal=True))
+        assert fleet.calls == [] and result.scale_events == 0
+        assert [p.members for p in result.timeline] == [2, 2]
+
+    def test_brownout_only_plan_still_reconciles(self, tiny_spec):
+        fleet = _FakeFleet(2)
+        plan = OpsPlan(faults=(brownout_fault(0, 12.0, 5.0),))
+        result = _fake_elastic(tiny_spec, fleet, ops=plan)
+        assert fleet.calls == ["add"] and result.scale_events == 1
 
 
 class TestValidation:

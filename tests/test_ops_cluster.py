@@ -1,14 +1,18 @@
 """Live-cluster operations: crash semantics, replacement, rolling cycles."""
 
+import threading
+
 import pytest
 
 from repro.cluster.clock import VirtualClock
 from repro.cluster.cluster import MultiMasterCluster, SingleMasterCluster
+from repro.cluster.replica import ClusterReplica
+from repro.cluster.runner import ClusterRun, run_cluster
 from repro.control.autoscale import autoscale_cluster
 from repro.control.controller import FixedPolicy
 from repro.control.scenarios import LIVE_SPEC
 from repro.control.trace import DiurnalTrace
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SimulationError
 from repro.ops import OpsPlan, summarize
 from repro.simulator.faults import crash_fault
 from repro.simulator.stats import MetricsCollector
@@ -155,3 +159,57 @@ class TestLiveRollingUpgrade:
     def test_converged(self, result):
         assert result.converged
         assert len(set(result.final_versions)) <= 1
+
+
+def _run_threads():
+    """Threads a live run starts: drivers, appliers, join workers."""
+    return {t for t in threading.enumerate() if t is not threading.main_thread()}
+
+
+def _assert_all_stopped(before):
+    started = _run_threads() - before
+    for thread in started:
+        thread.join(timeout=5.0)
+    assert not [t.name for t in started if t.is_alive()]
+
+
+class TestLiveEpilogue:
+    """The one live epilogue both `run_cluster` and the elastic loop use."""
+
+    @pytest.mark.parametrize("entry_point", ["run_cluster",
+                                             "autoscale_cluster"])
+    def test_dead_applier_fails_the_run_and_leaves_no_thread(
+            self, monkeypatch, entry_point):
+        def die(self, writeset):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(ClusterReplica, "hosts_writeset", die)
+        before = _run_threads()
+        with pytest.raises(SimulationError, match="applier thread of"):
+            if entry_point == "run_cluster":
+                run_cluster(LIVE_SPEC, LIVE_SPEC.replication_config(2),
+                            seed=4, warmup=0.5, duration=2.0, time_scale=0.1)
+            else:
+                autoscale_cluster(
+                    LIVE_SPEC, _steady(10.0), FixedPolicy(replicas=2),
+                    seed=4, warmup=0.5, duration=2.0, control_interval=1.0,
+                    time_scale=0.1,
+                )
+        _assert_all_stopped(before)
+
+    def test_spawned_task_is_never_resumed_after_the_run_stops(self):
+        resumed = []
+
+        def task():
+            yield 1000.0  # far past the end of the run
+            resumed.append(True)
+
+        before = _run_threads()
+        run = ClusterRun("multi-master", LIVE_SPEC,
+                         LIVE_SPEC.replication_config(2), 4,
+                         MetricsCollector(), 0.1)
+        run.spawn(task(), "sleeper")
+        converged, versions = run.measure(0.2, 0.5)
+        assert converged and len(set(versions)) <= 1
+        _assert_all_stopped(before)
+        assert not resumed

@@ -5,7 +5,7 @@ import pytest
 from repro.control.autoscale import autoscale_sim
 from repro.control.controller import FixedPolicy
 from repro.control.trace import DiurnalTrace
-from repro.ops import OpsPlan, summarize
+from repro.ops import OpsPlan, rolling_restart, summarize
 from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER
 
 
@@ -72,3 +72,41 @@ class TestRollingIsSerialized:
                 assert out == 1  # never two replicas leaving at once
             elif event.kind == "upgraded":
                 out -= 1
+
+
+class _Replica:
+    def __init__(self, name, available=True):
+        self.name, self.available = name, available
+        self.capacity, self.failed = 1.0, False
+
+
+class _StuckJoinFleet:
+    """One-replica fleet whose replacement never finishes its join."""
+
+    def __init__(self):
+        self.replicas = [_Replica("replica0")]
+
+    def upgrade_targets(self):
+        return list(self.replicas)
+
+    def remove_replica(self, replica=None, force=False):
+        self.replicas = [r for r in self.replicas if r is not replica]
+
+    def add_replica(self, transfer_writesets, capacity=1.0):
+        self.replicas.append(_Replica("replica1", available=False))
+        return self.replicas[-1]
+
+
+class TestCycleCutShortByEndOfRun:
+    def test_no_upgraded_event_for_a_join_still_in_flight(self):
+        """A run that stops mid-join never resumes the task, so the
+        replacement that never entered rotation is not logged as
+        upgraded (the threaded cycle used to fall out of its wait loop
+        on the stop event and log it anyway)."""
+        events, clock = [], [0.0]
+        task = rolling_restart(_StuckJoinFleet(), lambda: clock[0], events,
+                               start=4.0, settle=1.0)
+        for _ in range(6):  # the start delay, then five join polls
+            clock[0] += next(task)
+        task.close()  # end of run: the task is dropped, not resumed
+        assert [e.kind for e in events] == ["drain", "detach", "rejoin"]
