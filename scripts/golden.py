@@ -1,0 +1,215 @@
+"""Golden manifests: byte-identity of grids and results as a command.
+
+Two committed files under ``tests/golden/`` pin the behaviour a refactor
+must preserve:
+
+* ``points.json`` — for every registered scenario at
+  ``ExperimentSettings.fast()``, the ordered list of ``[tag, backend,
+  design, replicas, cacheable, key]`` where *key* is the engine's
+  ``point_key`` with the source fingerprint patched to a constant (so it
+  hashes only the point's declared inputs, not the code).
+* ``digests.json`` — the ledger's ``result_digest`` recipe
+  (``sha256(repr(replace(r, telemetry=None, perf=None)))``) over a
+  17-case DES grid and the model curve of both designs.
+
+``python scripts/golden.py`` recomputes both and diffs them against the
+committed files (exit 1 on any difference); ``--update`` rewrites them.
+A PR that moves an entry re-pins it here and says which and why.
+``tests/test_golden.py`` runs the same comparison in tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+#: Stand-in for ``source_fingerprint()`` while point keys are computed.
+FINGERPRINT = "golden"
+SEED = 20090401
+MODEL_REPLICAS = (1, 2, 4, 8, 16)
+
+
+def points_manifest() -> Dict[str, List[list]]:
+    """``{scenario: [[tag, backend, design, replicas, cacheable, key]]}``."""
+    from repro.engine import all_scenarios, cache, point_key
+    from repro.experiments.settings import ExperimentSettings
+
+    settings = ExperimentSettings.fast()
+    real = cache.source_fingerprint
+    cache.source_fingerprint = lambda: FINGERPRINT
+    try:
+        return {
+            name: [
+                [p.tag, p.backend, p.design, p.replicas, p.cacheable, point_key(p)]
+                for p in scenario.points(settings)
+            ]
+            for name, scenario in sorted(all_scenarios().items())
+        }
+    finally:
+        cache.source_fingerprint = real
+
+
+def result_digest(result: object) -> str:
+    """A result's identity with the observation fields left out."""
+    dropped = {
+        f.name: None
+        for f in dataclasses.fields(result)
+        if f.name in ("telemetry", "perf")
+    }
+    bare = dataclasses.replace(result, **dropped)
+    return hashlib.sha256(repr(bare).encode("utf-8")).hexdigest()
+
+
+def des_cases() -> Dict[str, dict]:
+    """The DES grid: design x certifier x service_time x partial map x
+    drain/crash faults x LB policy x open loop x standalone, as
+    ``simulate`` keyword sets (spec and config included)."""
+    from repro.partition.placement import PartitionMap
+    from repro.sidb.certifier_api import CertifierSpec
+    from repro.simulator.faults import ReplicaFault, crash_fault
+    from repro.workloads import tpcw
+
+    plain = tpcw.ORDERING
+    parts = tpcw.ORDERING.with_partitions(8, 0.1)
+    ring = PartitionMap.ring(8, 4, 2)
+
+    def case(spec, replicas=4, design="multi-master", **options):
+        return dict(
+            spec=spec,
+            config=spec.replication_config(replicas),
+            design=design,
+            seed=SEED,
+            warmup=1.0,
+            duration=4.0,
+            **options,
+        )
+
+    def timed(kind):
+        return CertifierSpec(kind, service_time=0.004)
+
+    return {
+        "mm": case(plain),
+        "sm": case(plain, design="single-master"),
+        "standalone": case(plain, replicas=1, design="standalone"),
+        "mm-read-heavy": case(tpcw.BROWSING),
+        "mm-partitioned": case(parts),
+        "mm-sharded": case(parts, certifier="sharded"),
+        "mm-global-service-time": case(parts, certifier=timed("global")),
+        "mm-sharded-service-time": case(parts, certifier=timed("sharded")),
+        "mm-partial-map": case(parts, partition_map=ring, lb_policy="partition-aware"),
+        "mm-sharded-partial-map": case(
+            parts, partition_map=ring, lb_policy="partition-aware", certifier="sharded"
+        ),
+        "mm-drain": case(plain, faults=(ReplicaFault(1, 1.5, downtime=1.5),)),
+        "sm-drain": case(
+            plain,
+            design="single-master",
+            faults=(ReplicaFault(2, 1.5, downtime=1.5),),
+        ),
+        "mm-crash": case(plain, faults=(crash_fault(2, 2.0),)),
+        "mm-random-lb": case(plain, lb_policy="random"),
+        "mm-open-loop": case(plain, arrival_rate=60.0),
+        "sm-open-loop": case(plain, design="single-master", arrival_rate=40.0),
+        "mm-hetero-lognormal": case(
+            plain,
+            capacities=(2.0, 1.0, 1.0, 0.5),
+            lb_policy="capacity-weighted",
+            distribution="lognormal",
+        ),
+    }
+
+
+def digests_manifest() -> Dict[str, Dict[str, str]]:
+    """``{"des": {case: digest}, "model": {"<workload> <design> N=n": digest}}``."""
+    from repro.models.api import DESIGNS, predict
+    from repro.simulator.runner import simulate
+    from repro.workloads import rubis, tpcw
+
+    des = {}
+    for label, kwargs in des_cases().items():
+        spec, config = kwargs.pop("spec"), kwargs.pop("config")
+        des[label] = result_digest(simulate(spec, config, **kwargs))
+    model = {}
+    for spec in (tpcw.SHOPPING, rubis.BIDDING):
+        profile = spec.ground_truth_profile(
+            abort_rate=0.0002, update_response_time=0.05
+        )
+        for design in DESIGNS:
+            for n in MODEL_REPLICAS:
+                prediction = predict(design, profile, spec.replication_config(n))
+                model[f"{spec.name} {design} N={n}"] = result_digest(prediction)
+    return {"des": des, "model": model}
+
+
+MANIFESTS = {"points": points_manifest, "digests": digests_manifest}
+
+
+def dump(manifest: object) -> str:
+    """The committed file's exact text."""
+    return json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+
+
+def differences(name: str, current: object) -> List[str]:
+    """One line per entry of ``<name>.json`` that moved (or is new/gone)."""
+    path = GOLDEN / f"{name}.json"
+    if not path.exists():
+        return [f"{path} is missing (run scripts/golden.py --update)"]
+    committed = json.loads(path.read_text())
+    if name == "digests":
+        committed = {f"{g}/{k}": v for g, group in committed.items()
+                     for k, v in group.items()}
+        current = {f"{g}/{k}": v for g, group in current.items()
+                   for k, v in group.items()}
+    lines = []
+    for key in sorted(set(committed) | set(current)):
+        old, new = committed.get(key), current.get(key)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{name}: {key} {'added' if old is None else 'removed'}")
+        elif name == "points" and len(old) == len(new):
+            moved = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+            lines.append(
+                f"points: {key} moved at index {moved[0]} "
+                f"({old[moved[0]][0]!r}; {len(moved)} of {len(old)} points)"
+            )
+        else:
+            lines.append(f"{name}: {key} moved")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the committed manifests")
+    parser.add_argument("--only", choices=sorted(MANIFESTS), default=None)
+    args = parser.parse_args(argv)
+    failed = False
+    for name in [args.only] if args.only else sorted(MANIFESTS):
+        current = json.loads(dump(MANIFESTS[name]()))
+        if args.update:
+            GOLDEN.mkdir(parents=True, exist_ok=True)
+            (GOLDEN / f"{name}.json").write_text(dump(current))
+            print(f"wrote tests/golden/{name}.json")
+            continue
+        lines = differences(name, current)
+        failed = failed or bool(lines)
+        for line in lines:
+            print(line)
+        if not lines:
+            print(f"tests/golden/{name}.json: unchanged")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
