@@ -20,7 +20,7 @@ from conftest import run_once
 
 from repro.control.autoscale import autoscale_sim
 from repro.control.controller import FixedPolicy
-from repro.control.scenarios import SLO_RESPONSE, _design_capacity
+from repro.control.scenarios import SLO_RESPONSE, _design_capacity, sim_dims
 from repro.engine import run_scenario
 from repro.ops.scenarios import FLEET, ROLLING_LOAD, _steady_trace
 from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER
@@ -77,7 +77,7 @@ def test_selfheal_live_cluster(benchmark, settings, fast_mode):
 def _single_replica_out_envelope(settings, design):
     """SLO-violation fraction of an N-1 fleet on the rolling trace."""
     spec = tpcw.SHOPPING
-    capacity = _design_capacity(design, spec, settings)
+    capacity = _design_capacity(design, sim_dims(settings, spec), settings)
     trace = _steady_trace(ROLLING_LOAD * capacity,
                           settings.autoscale_duration)
     result = autoscale_sim(

@@ -159,32 +159,32 @@ def dump(manifest: object) -> str:
     return json.dumps(manifest, indent=1, sort_keys=True) + "\n"
 
 
-def differences(name: str, current: object) -> List[str]:
+def _entries(name: str, manifest: dict) -> Dict[str, object]:
+    """A manifest as flat ``{entry name: pinned value}``."""
+    if name == "digests":
+        return {f"{group}/{case}": value
+                for group, cases in manifest.items()
+                for case, value in cases.items()}
+    entries = {scenario: len(rows) for scenario, rows in manifest.items()}
+    for scenario, rows in manifest.items():
+        for index, row in enumerate(rows):
+            entries[f"{scenario}[{index}] {row[0]}"] = row
+    return entries
+
+
+def differences(name: str, current: dict) -> List[str]:
     """One line per entry of ``<name>.json`` that moved (or is new/gone)."""
     path = GOLDEN / f"{name}.json"
     if not path.exists():
         return [f"{path} is missing (run scripts/golden.py --update)"]
-    committed = json.loads(path.read_text())
-    if name == "digests":
-        committed = {f"{g}/{k}": v for g, group in committed.items()
-                     for k, v in group.items()}
-        current = {f"{g}/{k}": v for g, group in current.items()
-                   for k, v in group.items()}
+    committed = _entries(name, json.loads(path.read_text()))
+    current = _entries(name, current)
     lines = []
     for key in sorted(set(committed) | set(current)):
         old, new = committed.get(key), current.get(key)
-        if old == new:
-            continue
-        if old is None or new is None:
-            lines.append(f"{name}: {key} {'added' if old is None else 'removed'}")
-        elif name == "points" and len(old) == len(new):
-            moved = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
-            lines.append(
-                f"points: {key} moved at index {moved[0]} "
-                f"({old[moved[0]][0]!r}; {len(moved)} of {len(old)} points)"
-            )
-        else:
-            lines.append(f"{name}: {key} moved")
+        if old != new:
+            verb = "added" if old is None else "removed" if new is None else "moved"
+            lines.append(f"{name}: {key} {verb}")
     return lines
 
 

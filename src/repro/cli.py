@@ -32,17 +32,22 @@ import time
 from typing import List, Optional
 
 from . import experiments
-from .core.errors import EngineError, ReproError
+from .core.errors import ConfigurationError, EngineError, ReproError
 from .core.rng import DEFAULT_SEED
 from .core.units import to_ms
 from .engine import (
+    RUN_WIDE,
     UnknownScenarioError,
     UnknownTagError,
+    all_scenarios,
+    execute_points,
     get_scenario,
     point_timings,
+    resolve_cache,
     run_scenario,
     scenario_names,
     scenario_names_with_tag,
+    scenario_points,
 )
 from .models.api import DESIGNS, predict
 from .simulator.runner import simulate
@@ -274,6 +279,34 @@ def _telemetry_empty(result) -> bool:
     return not (result.spans or result.events or result.samples)
 
 
+def _instrumented_run(args, pillar: str, verb: str = "running"):
+    """Run one point of ``args.workload`` on *pillar* under the
+    :class:`TelemetryConfig` the telemetry flags describe; returns the
+    run's :class:`TelemetryResult` (``None`` when nothing attached)."""
+    from .cluster import run_cluster
+    from .telemetry import TelemetryConfig
+
+    spec = get_workload(args.workload)
+    options = dict(
+        design=args.design, seed=args.seed, warmup=args.warmup,
+        duration=args.duration,
+        telemetry=TelemetryConfig(
+            span_sample_rate=args.span_rate,
+            snapshot_interval=args.interval,
+            max_spans=args.max_spans,
+            span_ring=args.span_ring,
+            audit=args.audit,
+        ),
+    )
+    print(f"{verb} {args.workload} on {args.design} "
+          f"(N={args.replicas}, {pillar} pillar)...", file=sys.stderr)
+    config = spec.replication_config(args.replicas)
+    if pillar == "simulator":
+        return simulate(spec, config, **options).telemetry
+    return run_cluster(spec, config, time_scale=args.time_scale,
+                       **options).telemetry
+
+
 def _cmd_metrics(args) -> int:
     """One instrumented run (or pillar pair) with exports.
 
@@ -281,41 +314,15 @@ def _cmd_metrics(args) -> int:
     simulator and the live cluster must emit the same shared metric
     names from the same workload, or the command fails.
     """
-    from .cluster import run_cluster
-    from .telemetry import TelemetryConfig, render_dashboard
     from .telemetry import export as tel_export
+    from .telemetry import render_dashboard
     from .telemetry.schema import SHARED_SCHEMA
 
-    spec = get_workload(args.workload)
-    config = spec.replication_config(args.replicas)
-    telemetry = TelemetryConfig(
-        span_sample_rate=args.span_rate,
-        snapshot_interval=args.interval,
-        max_spans=args.max_spans,
-        span_ring=args.span_ring,
-        audit=args.audit,
-    )
     pillars = (
         ("simulator", "cluster") if args.pillar == "both"
         else (args.pillar,)
     )
-    results = {}
-    for pillar in pillars:
-        print(f"running {args.workload} on {args.design} "
-              f"(N={args.replicas}, {pillar} pillar)...", file=sys.stderr)
-        if pillar == "simulator":
-            run = simulate(
-                spec, config, design=args.design, seed=args.seed,
-                warmup=args.warmup, duration=args.duration,
-                telemetry=telemetry,
-            )
-        else:
-            run = run_cluster(
-                spec, config, design=args.design, seed=args.seed,
-                warmup=args.warmup, duration=args.duration,
-                time_scale=args.time_scale, telemetry=telemetry,
-            )
-        results[pillar] = run.telemetry
+    results = {pillar: _instrumented_run(args, pillar) for pillar in pillars}
 
     if all(_telemetry_empty(result) for result in results.values()):
         print("no telemetry recorded (telemetry disabled?)")
@@ -403,9 +410,7 @@ def _cmd_trace(args) -> int:
     ``--chrome-out`` exports the multi-track Chrome trace (one track
     per replica plus the shared certifier track).
     """
-    from .cluster import run_cluster
     from .telemetry import (
-        TelemetryConfig,
         causal_traces,
         critical_path,
         render_critical_path,
@@ -413,30 +418,7 @@ def _cmd_trace(args) -> int:
         write_causal_chrome_trace,
     )
 
-    spec = get_workload(args.workload)
-    config = spec.replication_config(args.replicas)
-    telemetry = TelemetryConfig(
-        span_sample_rate=args.span_rate,
-        snapshot_interval=args.interval,
-        max_spans=args.max_spans,
-        span_ring=args.span_ring,
-        audit=args.audit,
-    )
-    print(f"tracing {args.workload} on {args.design} "
-          f"(N={args.replicas}, {args.pillar} pillar)...", file=sys.stderr)
-    if args.pillar == "simulator":
-        run = simulate(
-            spec, config, design=args.design, seed=args.seed,
-            warmup=args.warmup, duration=args.duration,
-            telemetry=telemetry,
-        )
-    else:
-        run = run_cluster(
-            spec, config, design=args.design, seed=args.seed,
-            warmup=args.warmup, duration=args.duration,
-            time_scale=args.time_scale, telemetry=telemetry,
-        )
-    result = run.telemetry
+    result = _instrumented_run(args, args.pillar, verb="tracing")
     if _telemetry_empty(result):
         print("no telemetry recorded (telemetry disabled?)")
         return 0
@@ -510,75 +492,87 @@ def _render_artifact(result) -> str:
     return str(result)
 
 
-def _entry_label(entry) -> str:
-    """Best-effort label for one artifact entry in failure lines."""
-    return " ".join(
-        str(part) for part in (getattr(entry, "design", ""),
-                               getattr(entry, "policy", ""),
-                               getattr(entry, "label", ""))
-        if part
-    ) or repr(entry)
+#: CLI spelling of each run-wide option.
+_RUN_WIDE_FLAGS = {"telemetry": "--audit", "certifier": "--certifier",
+                   "capacity_source": "--capacity-source"}
 
 
-def _audit_failure(label: str, obj) -> Optional[str]:
-    """One FAIL line when *obj* carries a failed audit report."""
-    telemetry = getattr(obj, "telemetry", None)
-    audit = getattr(telemetry, "audit", None)
-    if audit is None or audit.ok:
-        return None
-    worst = "; ".join(v.to_text() for v in audit.violations[:3])
-    return (f"{label}: {audit.total_violations} audit violation(s) "
-            f"[{worst}]")
+def _unreached_flags(scenario, settings, points) -> List[str]:
+    """Run-wide flags *settings* carry that no point of *scenario* runs
+    under: the scenario sweeps the axis itself, or none of its points
+    can take the option."""
+    return [
+        _RUN_WIDE_FLAGS[name] for name in RUN_WIDE
+        if getattr(settings, name) is not None and (
+            name in scenario.owns
+            or all(point.option(name) != getattr(settings, name)
+                   for point in points)
+        )
+    ]
 
 
-def _artifact_failures(result) -> List[str]:
-    """Correctness failures an artifact may carry.
+def _audit_report(result):
+    """The :class:`repro.audit.AuditReport` an audited point result
+    carries on its telemetry, else ``None``."""
+    return getattr(getattr(result, "telemetry", None), "audit", None)
 
-    Cluster-backed artifacts (autoscale comparisons, crossval results)
-    record whether the live replicas converged to identical state; a
-    non-converged entry must fail the command, not exit 0 behind a
-    pretty table.  Audited runs (``--audit``) additionally attach an
-    :class:`repro.audit.AuditReport` to each result's telemetry — any
-    invariant violation fails the command the same way.
+
+def _run_failures(points, results, artifact=None) -> List[str]:
+    """Correctness failures of one scenario run, read off the raw point
+    results the engine holds.
+
+    Live results record whether the replicas converged to identical
+    state, and audited runs (``--audit``) attach an
+    :class:`repro.audit.AuditReport` to each result's telemetry; a
+    non-converged point or an invariant violation must fail the command,
+    not exit 0 behind a pretty table.  The artifact adds its own
+    ``converged`` verdict when it has one.
     """
     failures = []
-    if getattr(result, "converged", True) is False:
+    if getattr(artifact, "converged", True) is False:
         failures.append("artifact did not converge")
-    audited = [("artifact", result)]
-    for entry in getattr(result, "results", None) or ():
-        if getattr(entry, "converged", True) is False:
-            failures.append(f"{_entry_label(entry)} did not converge")
-        audited.append((_entry_label(entry), entry))
-        inner = getattr(entry, "result", None)
-        if inner is not None:
-            audited.append((_entry_label(entry), inner))
-    for row in getattr(result, "rows", None) or ():
-        for attr in ("sim_full", "sim_partial"):
-            cell = getattr(row, attr, None)
-            if cell is not None:
-                audited.append(
-                    (f"Pw={getattr(row, 'write_fraction', '?')} {attr}",
-                     cell)
-                )
-    for label, obj in audited:
-        failure = _audit_failure(label, obj)
-        if failure is not None:
-            failures.append(failure)
+    for point, result in zip(points, results):
+        label = (f"{point.tag or point.backend} "
+                 f"[{point.backend} {point.design} N={point.replicas}]")
+        converged = getattr(result, "state_converged",
+                            getattr(result, "converged", True))
+        if converged is False:
+            failures.append(f"{label} did not converge")
+        audit = _audit_report(result)
+        if audit is not None and not audit.ok:
+            worst = "; ".join(v.to_text() for v in audit.violations[:3])
+            failures.append(f"{label}: {audit.total_violations} audit "
+                            f"violation(s) [{worst}]")
     return failures
 
 
 def _run_registered(args, name: str, after_render=None) -> int:
     scenario = get_scenario(name)
+    settings = _settings(args)
+    disk = resolve_cache(_cache(args))
     started = time.time()
     try:
-        result = run_scenario(
-            scenario,
-            _settings(args),
+        points = scenario_points(scenario, settings, cache=disk)
+        unreached = _unreached_flags(scenario, settings, points)
+        if unreached:
+            raise ConfigurationError(
+                f"{', '.join(unreached)} reaches no point of "
+                f"{scenario.name!r}"
+            )
+    except ConfigurationError as exc:
+        # An option combination the grid cannot run is a usage error:
+        # one line, before any point runs.
+        print(f"repro: [{scenario.name}] {exc}", file=sys.stderr)
+        return 2
+    try:
+        results = execute_points(
+            points,
             jobs=_jobs(args),
-            cache=_cache(args),
+            cache=disk,
             progress=lambda line: print(f"[{scenario.name}] {line}",
                                         file=sys.stderr),
         )
+        artifact = scenario.assemble(settings, points, results)
     except (EngineError, ReproError) as exc:
         # A backend that cannot produce the point — most commonly a
         # live-cluster cell that failed to converge or drain — must fail
@@ -588,33 +582,47 @@ def _run_registered(args, name: str, after_render=None) -> int:
         message = lines[-1] if lines else repr(exc)
         print(f"repro: [{scenario.name}] error: {message}", file=sys.stderr)
         return 1
-    print(_render_artifact(result))
+    print(_render_artifact(artifact))
     if after_render is not None:
-        after_render(result)
+        after_render(artifact)
     print(f"[{scenario.name}] {time.time() - started:.1f}s wall-clock",
           file=sys.stderr)
-    failures = _artifact_failures(result)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    return 0
+    failures = _run_failures(points, results, artifact)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    audits = [audit for audit in map(_audit_report, results)
+              if audit is not None]
+    if audits and not failures:
+        print(f"audit: PASS — {len(audits)} point(s) audited, "
+              f"{sum(a.total_checks for a in audits)} checks, "
+              f"zero invariant violations")
+    return 1 if failures else 0
 
 
-def _cmd_figure(args) -> int:
-    return _run_registered(args, args.name)
-
-
-def _cmd_table(args) -> int:
-    return _run_registered(args, args.name)
+def _run_each(args, names, after_render=None) -> int:
+    return max(_run_registered(args, name, after_render) for name in names)
 
 
 def _cmd_run(args) -> int:
+    """``run`` / ``figure`` / ``table``: one registered scenario."""
     try:
         return _run_registered(args, args.name)
     except UnknownScenarioError as exc:
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
+
+
+def _family(kind: str, choice: str, live: bool) -> List[str]:
+    """The registered *kind* scenarios a family verb runs: every
+    simulator one (``all``) or the one carrying *choice* as a word of its
+    name or as an alias, then — with ``--live`` — their ``-live`` twins."""
+    names = [
+        scenario.name for scenario in all_scenarios().values()
+        if scenario.kind == kind and "live" not in scenario.tags
+        and (choice == "all" or choice in scenario.name.split("-")
+             or choice in scenario.aliases)
+    ]
+    return names + [f"{name}-live" for name in names] if live else names
 
 
 def _cmd_autoscale(args) -> int:
@@ -628,33 +636,11 @@ def _cmd_autoscale(args) -> int:
     names = [f"autoscale-{args.trace}"]
     if args.live:
         names.append("autoscale-diurnal-live")
-    code = 0
-    for name in names:
-        code = max(code, _run_registered(
-            args, name,
-            after_render=print_timelines if args.timeline else None,
-        ))
-    return code
+    return _run_each(args, names, print_timelines if args.timeline else None)
 
 
 def _cmd_ops(args) -> int:
     from .control.autoscale import render_timeline
-    from .ops.scenarios import LIVE_SCENARIOS, SIM_SCENARIOS
-
-    by_operation = {
-        "selfheal": ("selfheal-crashstorm", "selfheal-crashstorm-live"),
-        "rolling": ("rolling-upgrade", "rolling-upgrade-live"),
-        "hetero": ("hetero-fleet", "hetero-fleet-live"),
-        "brownout": ("brownout-detection", "brownout-detection-live"),
-        "capest": ("capacity-estimation", "capacity-estimation-live"),
-        "all": (SIM_SCENARIOS, LIVE_SCENARIOS),
-    }
-    if args.operation == "all":
-        sim_names, live_names = by_operation["all"]
-        names = list(sim_names) + (list(live_names) if args.live else [])
-    else:
-        sim_name, live_name = by_operation[args.operation]
-        names = [sim_name] + ([live_name] if args.live else [])
 
     def print_detail(artifact) -> None:
         for entry in getattr(artifact, "results", ()) or ():
@@ -664,13 +650,8 @@ def _cmd_ops(args) -> int:
             print()
             print(render_timeline(result))
 
-    code = 0
-    for name in names:
-        code = max(code, _run_registered(
-            args, name,
-            after_render=print_detail if args.timeline else None,
-        ))
-    return code
+    return _run_each(args, _family("ops", args.operation, args.live),
+                     print_detail if args.timeline else None)
 
 
 def _cmd_perf(args) -> int:
@@ -687,36 +668,11 @@ def _cmd_perf(args) -> int:
                 print()
                 print(render_timeline(result))
 
-    names = ["capacity-estimation"]
-    if args.live:
-        names.append("capacity-estimation-live")
-    code = 0
-    for name in names:
-        code = max(code, _run_registered(
-            args, name, after_render=print_report,
-        ))
-    return code
+    return _run_each(args, _family("ops", "capest", args.live), print_report)
 
 
 def _cmd_partition(args) -> int:
-    from .partition.scenarios import LIVE_SCENARIOS, SIM_SCENARIOS
-
-    # SIM_SCENARIOS and LIVE_SCENARIOS are aligned pairwise: the n-th
-    # live scenario validates the n-th simulator one.
-    families = dict(zip(("sweep", "placement", "certifier"),
-                        zip(SIM_SCENARIOS, LIVE_SCENARIOS)))
-    if args.family == "all":
-        names = list(SIM_SCENARIOS) + (
-            list(LIVE_SCENARIOS) if args.live else []
-        )
-    else:
-        sim_name, live_name = families[args.family]
-        names = [sim_name] + ([live_name] if args.live else [])
-
-    code = 0
-    for name in names:
-        code = max(code, _run_registered(args, name))
-    return code
+    return _run_each(args, _family("partition", args.family, args.live))
 
 
 def _cmd_reproduce(args) -> int:
@@ -837,6 +793,36 @@ def _add_engine_options(parser: argparse.ArgumentParser,
     )
 
 
+def _add_instrumented_options(parser: argparse.ArgumentParser, pillars,
+                              span_rate: float, pillar_help: str,
+                              span_rate_help: str) -> None:
+    """The one-instrumented-point flags ``metrics`` and ``trace`` share
+    (read by :func:`_instrumented_run`)."""
+    parser.add_argument("--workload", default="tpcw/shopping")
+    parser.add_argument("--design", choices=DESIGNS, default="multi-master")
+    parser.add_argument("--pillar", choices=pillars, default="simulator",
+                        help=pillar_help)
+    parser.add_argument("--replicas", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--warmup", type=float, default=5.0)
+    parser.add_argument("--duration", type=float, default=20.0)
+    parser.add_argument("--time-scale", type=float, default=0.1,
+                        help="wall seconds per virtual second (cluster "
+                        "pillar)")
+    parser.add_argument("--interval", type=float, default=1.0,
+                        help="timeline snapshot interval (virtual seconds)")
+    parser.add_argument("--span-rate", type=float, default=span_rate,
+                        help=span_rate_help)
+    parser.add_argument("--max-spans", type=int, default=50_000,
+                        help="retained-span cap (drops are counted loudly)")
+    parser.add_argument("--span-ring", action="store_true",
+                        help="ring-buffer span retention: keep the latest "
+                        "max-spans spans instead of the first")
+    parser.add_argument("--audit", action="store_true",
+                        help="run the online invariant auditor alongside; "
+                        "any violation fails the command")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -900,30 +886,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one instrumented point and show the telemetry "
         "dashboard (spans, metrics, timeline; exportable)",
     )
-    p.add_argument("--workload", default="tpcw/shopping")
-    p.add_argument("--design", choices=DESIGNS, default="multi-master")
-    p.add_argument("--pillar", choices=("simulator", "cluster", "both"),
-                   default="simulator",
-                   help="execution pillar; 'both' also checks that the "
-                   "two pillars emit the same shared metric schema")
-    p.add_argument("--replicas", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--warmup", type=float, default=5.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--time-scale", type=float, default=0.1,
-                   help="wall seconds per virtual second (cluster pillar)")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="timeline snapshot interval (virtual seconds)")
-    p.add_argument("--span-rate", type=float, default=0.1,
-                   help="fraction of transactions traced as spans (0-1)")
-    p.add_argument("--max-spans", type=int, default=50_000,
-                   help="retained-span cap (drops are counted loudly)")
-    p.add_argument("--span-ring", action="store_true",
-                   help="ring-buffer span retention: keep the latest "
-                   "max-spans spans instead of the first")
-    p.add_argument("--audit", action="store_true",
-                   help="run the online invariant auditor alongside; "
-                   "any violation fails the command")
+    _add_instrumented_options(
+        p, pillars=("simulator", "cluster", "both"), span_rate=0.1,
+        pillar_help="execution pillar; 'both' also checks that the "
+        "two pillars emit the same shared metric schema",
+        span_rate_help="fraction of transactions traced as spans (0-1)",
+    )
     p.add_argument("--trace-out", default=None,
                    help="write sampled spans to this JSONL file")
     p.add_argument("--chrome-out", default=None,
@@ -939,29 +907,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="causal replication tracing: critical-path breakdown of "
         "one instrumented run (optionally audited)",
     )
-    p.add_argument("--workload", default="tpcw/shopping")
-    p.add_argument("--design", choices=DESIGNS, default="multi-master")
-    p.add_argument("--pillar", choices=("simulator", "cluster"),
-                   default="simulator")
-    p.add_argument("--replicas", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--warmup", type=float, default=5.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--time-scale", type=float, default=0.1,
-                   help="wall seconds per virtual second (cluster pillar)")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="timeline snapshot interval (virtual seconds)")
-    p.add_argument("--span-rate", type=float, default=1.0,
-                   help="fraction of transactions traced (default: all, "
-                   "so the causal graph is complete)")
-    p.add_argument("--max-spans", type=int, default=50_000,
-                   help="retained-span cap (drops are counted loudly)")
-    p.add_argument("--span-ring", action="store_true",
-                   help="ring-buffer span retention: keep the latest "
-                   "max-spans spans instead of the first")
-    p.add_argument("--audit", action="store_true",
-                   help="run the online invariant auditor alongside; "
-                   "any violation fails the command")
+    _add_instrumented_options(
+        p, pillars=("simulator", "cluster"), span_rate=1.0,
+        pillar_help="execution pillar",
+        span_rate_help="fraction of transactions traced (default: all, "
+        "so the causal graph is complete)",
+    )
     p.add_argument("--chrome-out", default=None,
                    help="write the multi-track causal Chrome trace "
                    "(one track per replica) to this JSON file")
@@ -995,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(set(_FIGURE_NAMES + _FIGURE_ALIASES)))
     p.add_argument("--fast", action="store_true")
     _add_engine_options(p)
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
         "run", help="run any registered scenario (see: repro scenarios)"
@@ -1009,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(_TABLE_NAMES))
     p.add_argument("--fast", action="store_true")
     _add_engine_options(p)
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("validate", help="check the <=15%% error-margin claim")
     p.add_argument("--fast", action="store_true")

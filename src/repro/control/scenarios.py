@@ -14,25 +14,32 @@ sweeps the same relative load range regardless of its absolute capacity —
 and the whole pipeline stays faithful to the paper's methodology
 (standalone measurements in, provisioning decisions out).
 
-``autoscale-diurnal-live`` is the live-cluster validation cell: a smaller
-trace on a millisecond-scale workload, run on real threads with real
-elastic membership; it reports the same comparison plus the
+``autoscale-diurnal-live`` is the live-cluster validation twin: the same
+grid declaration over the live :class:`~repro.engine.family.PillarDims`
+(a smaller trace on a millisecond-scale workload, real threads, real
+elastic membership); it reports the same comparison plus the
 replication-correctness evidence.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Sequence
+from typing import List
 
 from ..core.params import ConflictProfile, WorkloadMix
-from ..engine import CLUSTER, Scenario, autoscale_point, register_scenario
+from ..engine import (
+    CLUSTER,
+    SIMULATOR,
+    PillarDims,
+    Scenario,
+    register_family,
+    register_scenario,
+)
 from ..engine.scenario import profile_task
 from ..models.api import predict
 from ..simulator.runner import MULTI_MASTER, SINGLE_MASTER
 from ..workloads import tpcw
 from ..workloads.spec import WorkloadSpec, demands_ms
-from .autoscale import AutoscaleComparison, AutoscaleResult
+from .autoscale import AutoscaleComparison
 from .controller import FeedforwardPolicy, ReactivePolicy, StaticPeakPolicy
 from .trace import DiurnalTrace, FlashCrowdTrace
 
@@ -45,139 +52,6 @@ SLO_RESPONSE = 1.5
 #: the static-peak control) so replica-hour comparisons are apples to
 #: apples.
 HEADROOM = 0.25
-
-
-def _policies(settings):
-    # Forecast two control periods ahead: enough lead for joins (bulk
-    # replay) to land before the load does, small against the trace
-    # period so the trough is actually tracked.
-    horizon = 2.0 * settings.autoscale_control_interval
-    return (
-        FeedforwardPolicy(horizon=horizon, headroom=HEADROOM),
-        ReactivePolicy(initial_replicas=2, low_utilization=0.45,
-                       down_patience=2),
-        StaticPeakPolicy(headroom=HEADROOM),
-    )
-
-
-def _design_capacity(design: str, spec: WorkloadSpec, settings) -> float:
-    """Predicted capacity anchoring the trace peak for *design*."""
-    from ..experiments.context import get_profile
-
-    profile = get_profile(spec, settings)
-    config = spec.replication_config(
-        settings.autoscale_peak_replicas,
-        load_balancer_delay=settings.load_balancer_delay,
-        certifier_delay=settings.certifier_delay,
-    )
-    return predict(design, profile, config).throughput
-
-
-def _autoscale_points(settings, spec: WorkloadSpec, trace_for,
-                      designs: Sequence[str]) -> List:
-    task = profile_task(spec, settings)
-    points = []
-    for design in designs:
-        capacity = _design_capacity(design, spec, settings)
-        trace = trace_for(settings, capacity)
-        for policy in _policies(settings):
-            points.append(autoscale_point(
-                spec,
-                spec.replication_config(
-                    1,
-                    load_balancer_delay=settings.load_balancer_delay,
-                    certifier_delay=settings.certifier_delay,
-                ),
-                design,
-                seed=settings.seed,
-                trace=trace,
-                policy=policy,
-                slo_response=SLO_RESPONSE,
-                warmup=settings.autoscale_warmup,
-                duration=settings.autoscale_duration,
-                control_interval=settings.autoscale_control_interval,
-                max_replicas=2 * settings.autoscale_peak_replicas,
-                telemetry=settings.telemetry,
-                capacity_source=settings.capacity_source,
-                profile=task,
-                tag=f"{design}:{policy.kind}",
-            ))
-    return points
-
-
-def _assemble(spec, pillar, settings, points, results) -> AutoscaleComparison:
-    ordered: List[AutoscaleResult] = [r for r in results]
-    return AutoscaleComparison(
-        workload=spec.name,
-        trace=ordered[0].trace if ordered else "",
-        pillar=pillar,
-        slo_response=SLO_RESPONSE,
-        results=tuple(ordered),
-    )
-
-
-def _diurnal_trace(settings, capacity: float) -> DiurnalTrace:
-    # Two full day/night cycles across the run; load swings between 10%
-    # and 85% of the anchor capacity — the day/night ratio real
-    # data-center traces show, and wide enough that tracking the trough
-    # pays for itself.
-    return DiurnalTrace(
-        base_rate=0.10 * capacity,
-        peak_rate=0.85 * capacity,
-        period=settings.autoscale_duration / 2.0,
-    )
-
-
-def _flashcrowd_trace(settings, capacity: float) -> FlashCrowdTrace:
-    # Quiet baseline with one sharp spike in the middle of the window.
-    duration = settings.autoscale_duration
-    return FlashCrowdTrace(
-        base_rate=0.20 * capacity,
-        spike_rate=0.80 * capacity,
-        spike_start=settings.autoscale_warmup + 0.40 * duration,
-        spike_duration=0.20 * duration,
-        ramp=max(2.0 * settings.autoscale_control_interval, 10.0),
-    )
-
-
-def _register(name: str, title: str, trace_for, aliases=()) -> Scenario:
-    spec = tpcw.SHOPPING
-    designs = (MULTI_MASTER, SINGLE_MASTER)
-
-    def points(settings):
-        return _autoscale_points(settings, spec, trace_for, designs)
-
-    def assemble(settings, pts, results):
-        return _assemble(spec, "simulator", settings, pts, results)
-
-    return register_scenario(Scenario(
-        name=name,
-        title=title,
-        kind="autoscale",
-        metrics=("replica_seconds", "slo_violation_fraction"),
-        points=points,
-        assemble=assemble,
-        aliases=aliases,
-    ))
-
-
-DIURNAL = _register(
-    "autoscale-diurnal",
-    "Autoscaling policies under diurnal load (TPC-W shopping)",
-    _diurnal_trace,
-    aliases=("autoscale",),
-)
-
-FLASHCROWD = _register(
-    "autoscale-flashcrowd",
-    "Autoscaling policies under a flash crowd (TPC-W shopping)",
-    _flashcrowd_trace,
-)
-
-
-# ----------------------------------------------------------------------
-# Live-cluster validation scenario
-# ----------------------------------------------------------------------
 
 #: Millisecond-scale workload for the live cells: heavy enough that the
 #: emulated service sleeps dominate scheduler jitter, light enough that
@@ -204,74 +78,150 @@ LIVE_CONTROL_INTERVAL = 1.0
 LIVE_TIME_SCALE = 0.25
 LIVE_PEAK_REPLICAS = 3
 
+#: Diurnal load as (trough, peak) fractions of the anchor capacity.  The
+#: simulator swing is the day/night ratio real data-center traces show,
+#: wide enough that tracking the trough pays for itself; the short live
+#: run stays a little further from both edges.
+DIURNAL_SWING = {SIMULATOR: (0.10, 0.85), CLUSTER: (0.15, 0.80)}
 
-def _live_points(settings) -> List:
-    task = profile_task(LIVE_SPEC, settings)
-    capacity = _live_design_capacity(settings)
-    trace = DiurnalTrace(
-        base_rate=0.15 * capacity,
-        peak_rate=0.80 * capacity,
-        period=LIVE_DURATION / 2.0,
+
+def sim_dims(settings, spec: WorkloadSpec = tpcw.SHOPPING) -> PillarDims:
+    """The simulator cells' dimensions: everything follows *settings*;
+    the trace peak is anchored at ``autoscale_peak_replicas``."""
+    config = spec.replication_config(
+        1,
+        load_balancer_delay=settings.load_balancer_delay,
+        certifier_delay=settings.certifier_delay,
     )
+    return PillarDims(
+        pillar=SIMULATOR,
+        spec=spec,
+        seed=settings.seed,
+        config=config,
+        warmup=settings.autoscale_warmup,
+        duration=settings.autoscale_duration,
+        control_interval=settings.autoscale_control_interval,
+        anchor=config.with_replicas(settings.autoscale_peak_replicas),
+        designs=(MULTI_MASTER, SINGLE_MASTER),
+    )
+
+
+def live_dims(settings) -> PillarDims:
+    """The live validation cells' dimensions: a smaller trace on the
+    millisecond-scale workload, real threads, real elastic membership."""
+    return PillarDims(
+        pillar=CLUSTER,
+        spec=LIVE_SPEC,
+        seed=settings.seed,
+        config=LIVE_SPEC.replication_config(
+            1, load_balancer_delay=0.0005, certifier_delay=0.002,
+        ),
+        warmup=LIVE_WARMUP,
+        duration=LIVE_DURATION,
+        time_scale=LIVE_TIME_SCALE,
+        control_interval=LIVE_CONTROL_INTERVAL,
+        transfer_writesets=8,
+        anchor=LIVE_SPEC.replication_config(LIVE_PEAK_REPLICAS),
+    )
+
+
+def _policies(dims: PillarDims):
+    # Forecast two control periods ahead: enough lead for joins (bulk
+    # replay) to land before the load does, small against the trace
+    # period so the trough is actually tracked.
+    return (
+        FeedforwardPolicy(horizon=2.0 * dims.control_interval,
+                          headroom=HEADROOM),
+        ReactivePolicy(initial_replicas=2, low_utilization=0.45,
+                       down_patience=2),
+        StaticPeakPolicy(headroom=HEADROOM),
+    )
+
+
+def _design_capacity(design: str, dims: PillarDims, settings) -> float:
+    """Predicted capacity of *design* at the family's anchor deployment;
+    it sizes the trace, so every design sweeps the same relative load."""
+    from ..experiments.context import get_profile
+
+    profile = get_profile(dims.spec, settings)
+    return predict(design, profile, dims.anchor).throughput
+
+
+def _autoscale_points(settings, dims: PillarDims, trace_for) -> List:
+    task = profile_task(dims.spec, settings)
     points = []
-    for policy in _policies(settings):
-        points.append(autoscale_point(
-            LIVE_SPEC,
-            LIVE_SPEC.replication_config(
-                1, load_balancer_delay=0.0005, certifier_delay=0.002,
-            ),
-            MULTI_MASTER,
-            seed=settings.seed,
-            trace=trace,
-            policy=_live_policy(policy),
-            slo_response=SLO_RESPONSE,
-            warmup=LIVE_WARMUP,
-            duration=LIVE_DURATION,
-            control_interval=LIVE_CONTROL_INTERVAL,
-            pillar=CLUSTER,
-            time_scale=LIVE_TIME_SCALE,
-            max_replicas=2 * LIVE_PEAK_REPLICAS,
-            transfer_writesets=8,
-            telemetry=settings.telemetry,
-            capacity_source=settings.capacity_source,
-            profile=task,
-            tag=f"live:{policy.kind}",
-        ))
+    for design in dims.designs:
+        trace = trace_for(dims, _design_capacity(design, dims, settings))
+        for policy in _policies(dims):
+            points.append(dims.elastic_point(
+                design,
+                trace=trace,
+                policy=policy,
+                slo_response=SLO_RESPONSE,
+                max_replicas=2 * dims.anchor.replicas,
+                profile=task,
+                tag=f"{dims.label(design)}:{policy.kind}",
+            ))
     return points
 
 
-def _live_policy(policy):
-    """Shrink policy time constants to the live run's short horizon.
-
-    Only the time constants change — thresholds and head-room carry over
-    from :func:`_policies`, so cross-pillar comparisons differ only in
-    pillar physics.
-    """
-    if isinstance(policy, FeedforwardPolicy):
-        return dataclasses.replace(policy,
-                                   horizon=2.0 * LIVE_CONTROL_INTERVAL)
-    if isinstance(policy, ReactivePolicy):
-        return dataclasses.replace(policy, down_patience=2)
-    return policy
+def _assemble(settings, points, results) -> AutoscaleComparison:
+    return AutoscaleComparison(
+        workload=points[0].spec.name,
+        trace=results[0].trace,
+        pillar=points[0].option("pillar"),
+        slo_response=SLO_RESPONSE,
+        results=tuple(results),
+    )
 
 
-def _live_design_capacity(settings) -> float:
-    from ..experiments.context import get_profile
+def _diurnal_trace(dims: PillarDims, capacity: float) -> DiurnalTrace:
+    # Two full day/night cycles across the run.
+    trough, peak = DIURNAL_SWING[dims.pillar]
+    return DiurnalTrace(
+        base_rate=trough * capacity,
+        peak_rate=peak * capacity,
+        period=dims.duration / 2.0,
+    )
 
-    profile = get_profile(LIVE_SPEC, settings)
-    config = LIVE_SPEC.replication_config(LIVE_PEAK_REPLICAS)
-    return predict(MULTI_MASTER, profile, config).throughput
+
+def _flashcrowd_trace(dims: PillarDims, capacity: float) -> FlashCrowdTrace:
+    # Quiet baseline with one sharp spike in the middle of the window.
+    return FlashCrowdTrace(
+        base_rate=0.20 * capacity,
+        spike_rate=0.80 * capacity,
+        spike_start=dims.warmup + 0.40 * dims.duration,
+        spike_duration=0.20 * dims.duration,
+        ramp=max(2.0 * dims.control_interval, 10.0),
+    )
 
 
-LIVE = register_scenario(Scenario(
-    name="autoscale-diurnal-live",
-    title="Live-cluster autoscaling under diurnal load (elastic membership)",
-    kind="autoscale",
-    metrics=("replica_seconds", "slo_violation_fraction", "converged"),
-    points=_live_points,
-    assemble=lambda settings, pts, results: _assemble(
-        LIVE_SPEC, "cluster", settings, pts, results
+_METRICS = ("replica_seconds", "slo_violation_fraction")
+
+register_family(
+    lambda settings, dims: _autoscale_points(settings, dims, _diurnal_trace),
+    sim_dims,
+    live_dims,
+    live=dict(
+        title="Live-cluster autoscaling under diurnal load "
+        "(elastic membership)",
+        metrics=_METRICS + ("converged",),
     ),
-    aliases=("autoscale-live",),
-    tags=("live",),
+    name="autoscale-diurnal",
+    title="Autoscaling policies under diurnal load (TPC-W shopping)",
+    kind="autoscale",
+    metrics=_METRICS,
+    assemble=_assemble,
+    aliases=("autoscale",),
+)
+
+register_scenario(Scenario(
+    name="autoscale-flashcrowd",
+    title="Autoscaling policies under a flash crowd (TPC-W shopping)",
+    kind="autoscale",
+    metrics=_METRICS,
+    points=lambda settings: _autoscale_points(
+        settings, sim_dims(settings), _flashcrowd_trace
+    ),
+    assemble=_assemble,
 ))

@@ -11,16 +11,7 @@ pool and caching completed points on disk, with results identical to
 serial execution.
 """
 
-from .backends import (
-    BACKENDS,
-    AutoscaleBackend,
-    Backend,
-    ClusterBackend,
-    ModelBackend,
-    ProfileBackend,
-    SimulatorBackend,
-    execute_point,
-)
+from .backends import BACKENDS, accepted_options, execute_point
 from .cache import (
     CACHE_VERSION,
     ResultCache,
@@ -29,6 +20,7 @@ from .cache import (
     profile_key,
     resolve_cache,
 )
+from .family import PillarDims, live_twin, register_family
 from .registry import (
     UnknownScenarioError,
     UnknownTagError,
@@ -40,7 +32,9 @@ from .registry import (
     scenario_names_with_tag,
 )
 from .runner import (
+    RUN_WIDE,
     PointTiming,
+    apply_run_wide,
     clear_memo,
     clear_point_timings,
     default_jobs,
@@ -48,6 +42,7 @@ from .runner import (
     memo_size,
     point_timings,
     run_scenario,
+    scenario_points,
 )
 from .scenario import (
     AUTOSCALE,
@@ -68,26 +63,24 @@ from .scenario import (
 
 __all__ = [
     "AUTOSCALE",
-    "AutoscaleBackend",
     "BACKENDS",
-    "Backend",
     "CACHE_VERSION",
     "CLUSTER",
-    "ClusterBackend",
     "MODEL",
-    "ModelBackend",
     "PROFILE",
+    "PillarDims",
     "PointTiming",
-    "ProfileBackend",
     "ProfileTask",
+    "RUN_WIDE",
     "ResultCache",
     "SIMULATOR",
     "Scenario",
-    "SimulatorBackend",
     "SweepPoint",
     "UnknownScenarioError",
     "UnknownTagError",
+    "accepted_options",
     "all_scenarios",
+    "apply_run_wide",
     "autoscale_point",
     "clear_memo",
     "clear_point_timings",
@@ -98,6 +91,7 @@ __all__ = [
     "execute_points",
     "get_scenario",
     "known_tags",
+    "live_twin",
     "memo_size",
     "model_point",
     "point_key",
@@ -105,10 +99,12 @@ __all__ = [
     "profile_key",
     "profile_point",
     "profile_task",
+    "register_family",
     "register_scenario",
     "resolve_cache",
     "run_scenario",
     "scenario_names",
     "scenario_names_with_tag",
+    "scenario_points",
     "sim_point",
 ]

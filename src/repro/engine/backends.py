@@ -1,27 +1,31 @@
-"""The three execution pillars behind one protocol.
+"""The execution pillars behind one table.
 
-A :class:`Backend` turns one :class:`~repro.engine.scenario.SweepPoint`
-into a result object:
+:data:`BACKENDS` maps a :class:`~repro.engine.scenario.SweepPoint`'s
+backend name to the function that turns the point into a result:
 
-* :class:`ModelBackend` — the analytical models
-  (:func:`repro.models.api.predict`), fed only by a standalone profile;
-* :class:`SimulatorBackend` — the discrete-event simulator
-  (:func:`repro.simulator.runner.simulate`);
-* :class:`ClusterBackend` — the live replicated cluster
-  (:func:`repro.cluster.run_cluster`), real threads against real SI
-  engines;
-* :class:`ProfileBackend` — standalone profiling
-  (:func:`repro.profiling.profile_standalone`), the measurement step every
-  model point depends on.
+* ``model`` — :func:`repro.models.api.predict`, fed only by a
+  standalone profile;
+* ``simulator`` — :func:`repro.simulator.runner.simulate`;
+* ``cluster`` — :func:`repro.cluster.run_cluster`, real threads against
+  real SI engines;
+* ``autoscale`` — :func:`repro.control.autoscale.autoscale_sim` or
+  ``autoscale_cluster`` (the point's ``pillar`` option picks), so a
+  policy grid mixes cacheable simulator cells with live ones freely;
+* ``profile`` — :func:`repro.profiling.profile_standalone`, the
+  measurement step every model point depends on.
 
+A point's options *are* the harness's keywords: each function splats
+them, so a default is stated once, in the harness signature, and
+:func:`accepted_options` is what the point builders validate against.
 :func:`execute_point` is the single dispatch used by the sweep runner —
-both inline and inside pool workers — so serial and parallel execution are
-the same code path.
+both inline and inside pool workers — so serial and parallel execution
+are the same code path.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+import functools
+import inspect
 
 from ..cluster import run_cluster
 from ..core.errors import ConfigurationError
@@ -31,15 +35,34 @@ from ..profiling.profiler import ProfilingReport, profile_standalone
 from ..simulator.runner import simulate
 from .scenario import AUTOSCALE, CLUSTER, MODEL, PROFILE, SIMULATOR, SweepPoint
 
+#: What a harness is handed from the point itself, never from its options.
+_CARRIED = frozenset({"spec", "config", "design", "seed", "profile"})
 
-class Backend(Protocol):
-    """One execution pillar: turns a sweep point into a result."""
 
-    name: str
+def _autoscale_harness(pillar: str):
+    # Imported lazily: repro.control imports the simulator and the
+    # cluster runtime, which must not load during engine import.
+    from ..control.autoscale import autoscale_cluster, autoscale_sim
 
-    def run(self, point: SweepPoint, profile: object = None) -> object:
-        """Execute *point*; *profile* is its resolved profile dependency."""
-        ...
+    return autoscale_cluster if pillar == CLUSTER else autoscale_sim
+
+
+@functools.lru_cache(maxsize=None)
+def accepted_options(backend: str, pillar: str = SIMULATOR) -> frozenset:
+    """Option names a *backend* point may carry: the keywords of the
+    harness it calls (computed once per harness).  Model points spell the
+    one ``MultiMasterOptions`` field that has two real values as
+    ``cw_mode``; the rest of ``predict``'s keywords come from the spec."""
+    if backend == MODEL:
+        return frozenset({"cw_mode", "partition_map", "certifier"})
+    if backend == AUTOSCALE:
+        names = set(inspect.signature(_autoscale_harness(pillar)).parameters)
+        names.add("pillar")
+    else:
+        harness = {SIMULATOR: simulate, CLUSTER: run_cluster}.get(backend)
+        # Profile points carry their task, not options.
+        names = set(inspect.signature(harness).parameters) if harness else ()
+    return frozenset(names) - _CARRIED
 
 
 def _standalone_profile(profile: object):
@@ -51,151 +74,70 @@ def _standalone_profile(profile: object):
     return profile
 
 
-class ModelBackend:
-    """Analytical prediction from a standalone profile."""
-
-    name = MODEL
-
-    def run(self, point: SweepPoint, profile: object = None) -> object:
-        cw_mode = point.option("cw_mode")
-        mm_options = None if cw_mode is None else MultiMasterOptions(cw_mode=cw_mode)
-        return predict(
-            point.design,
-            _standalone_profile(profile),
-            point.config,
-            mm_options=mm_options,
-            partition_map=point.option("partition_map"),
-            cross_partition_fraction=point.spec.cross_partition_fraction,
-            partition_weights=point.spec.partition_weights,
-            certifier=point.option("certifier"),
-            partitions=point.spec.partitions,
-        )
+def _run_model(point: SweepPoint, profile: object = None):
+    options = point.options_dict()
+    cw_mode = options.pop("cw_mode", None)
+    return predict(
+        point.design,
+        _standalone_profile(profile),
+        point.config,
+        mm_options=(
+            None if cw_mode is None else MultiMasterOptions(cw_mode=cw_mode)
+        ),
+        cross_partition_fraction=point.spec.cross_partition_fraction,
+        partition_weights=point.spec.partition_weights,
+        partitions=point.spec.partitions,
+        **options,
+    )
 
 
-class SimulatorBackend:
-    """Discrete-event measurement of the replicated (or standalone) system."""
-
-    name = SIMULATOR
-
-    def run(self, point: SweepPoint, profile: object = None) -> object:
-        opts = point.options_dict()
-        return simulate(
-            point.spec,
-            point.config,
-            design=point.design,
-            seed=point.seed,
-            warmup=opts["warmup"],
-            duration=opts["duration"],
-            distribution=opts.get("distribution", "exponential"),
-            lb_policy=opts.get("lb_policy", "least-loaded"),
-            faults=opts.get("faults", ()),
-            arrival_rate=opts.get("arrival_rate"),
-            capacities=opts.get("capacities"),
-            partition_map=opts.get("partition_map"),
-            telemetry=opts.get("telemetry"),
-            certifier=opts.get("certifier"),
-        )
+def _run_simulator(point: SweepPoint, profile: object = None):
+    return simulate(point.spec, point.config, design=point.design,
+                    seed=point.seed, **point.options_dict())
 
 
-class ClusterBackend:
-    """Live execution on the threaded replicated-cluster runtime."""
-
-    name = CLUSTER
-
-    def run(self, point: SweepPoint, profile: object = None) -> object:
-        opts = point.options_dict()
-        return run_cluster(
-            point.spec,
-            point.config,
-            design=point.design,
-            seed=point.seed,
-            warmup=opts["warmup"],
-            duration=opts["duration"],
-            time_scale=opts["time_scale"],
-            distribution=opts.get("distribution", "exponential"),
-            lb_policy=opts.get("lb_policy", "least-loaded"),
-            capacities=opts.get("capacities"),
-            arrival_rate=opts.get("arrival_rate"),
-            partition_map=opts.get("partition_map"),
-            telemetry=opts.get("telemetry"),
-            certifier=opts.get("certifier"),
-        )
+def _run_cluster(point: SweepPoint, profile: object = None):
+    return run_cluster(point.spec, point.config, design=point.design,
+                       seed=point.seed, **point.options_dict())
 
 
-class AutoscaleBackend:
-    """Elastic autoscale runs on either execution pillar.
-
-    One backend covers both pillars (the point's ``pillar`` option picks
-    simulator vs live cluster) so a policy-comparison grid mixes cacheable
-    deterministic simulator cells with live validation cells freely.
-    """
-
-    name = AUTOSCALE
-
-    def run(self, point: SweepPoint, profile: object = None) -> object:
-        # Imported lazily: repro.control imports the simulator and the
-        # cluster runtime, which must not load during engine import.
-        from ..control.autoscale import autoscale_cluster, autoscale_sim
-
-        opts = point.options_dict()
-        resolved = None if profile is None else _standalone_profile(profile)
-        kwargs = dict(
-            profile=resolved,
-            seed=point.seed,
-            warmup=opts["warmup"],
-            duration=opts["duration"],
-            control_interval=opts["control_interval"],
-            slo_response=opts["slo_response"],
-            min_replicas=opts.get("min_replicas", 1),
-            max_replicas=opts.get("max_replicas", 16),
-            transfer_writesets=opts.get("transfer_writesets", 16),
-            config=point.config,
-            ops=opts.get("ops"),
-            capacities=opts.get("capacities"),
-            telemetry=opts.get("telemetry"),
-            capacity_source=opts.get("capacity_source"),
-        )
-        if opts.get("pillar") == CLUSTER:
-            return autoscale_cluster(
-                point.spec, opts["trace"], opts["policy"],
-                design=point.design,
-                time_scale=opts.get("time_scale", 0.25),
-                **kwargs,
-            )
-        return autoscale_sim(
-            point.spec, opts["trace"], opts["policy"],
-            design=point.design, **kwargs,
-        )
+def _run_autoscale(point: SweepPoint, profile: object = None):
+    options = point.options_dict()
+    return _autoscale_harness(options.pop("pillar", SIMULATOR))(
+        point.spec,
+        design=point.design,
+        profile=None if profile is None else _standalone_profile(profile),
+        seed=point.seed,
+        config=point.config,
+        **options,
+    )
 
 
-class ProfileBackend:
-    """Standalone profiling: measure the paper's model inputs."""
-
-    name = PROFILE
-
-    def run(self, point: SweepPoint, profile: object = None) -> ProfilingReport:
-        task = point.profile
-        return profile_standalone(
-            task.spec,
-            seed=task.seed,
-            replay_duration=task.replay_duration,
-            mixed_duration=task.mixed_duration,
-        )
+def _run_profile(point: SweepPoint, profile: object = None) -> ProfilingReport:
+    task = point.profile
+    return profile_standalone(
+        task.spec,
+        seed=task.seed,
+        replay_duration=task.replay_duration,
+        mixed_duration=task.mixed_duration,
+    )
 
 
 BACKENDS = {
-    backend.name: backend
-    for backend in (ModelBackend(), SimulatorBackend(), ClusterBackend(),
-                    ProfileBackend(), AutoscaleBackend())
+    MODEL: _run_model,
+    SIMULATOR: _run_simulator,
+    CLUSTER: _run_cluster,
+    PROFILE: _run_profile,
+    AUTOSCALE: _run_autoscale,
 }
 
 
 def execute_point(point: SweepPoint, profile: object = None) -> object:
     """Run one sweep point on its backend (inline or in a pool worker)."""
     try:
-        backend: Optional[Backend] = BACKENDS[point.backend]
+        backend = BACKENDS[point.backend]
     except KeyError:
         raise ConfigurationError(
             f"unknown backend {point.backend!r}; one of {sorted(BACKENDS)}"
         ) from None
-    return backend.run(point, profile)
+    return backend(point, profile)

@@ -1,0 +1,110 @@
+"""Scenario families: one declaration, a simulator cell set and a live twin.
+
+A family's grid is written once over a :class:`PillarDims` record — the
+things its deterministic simulator cells and its live-cluster validation
+cells differ in — and :func:`register_family` registers it on both,
+deriving the ``<name>-live`` twin from the simulator scenario
+(:func:`live_twin`), so the pair cannot drift apart.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+from ..core.params import ReplicationConfig
+from ..workloads.spec import WorkloadSpec
+from .registry import register_scenario
+from .scenario import (
+    CLUSTER,
+    Scenario,
+    SweepPoint,
+    autoscale_point,
+    cluster_point,
+    sim_point,
+)
+
+
+@dataclass(frozen=True)
+class PillarDims:
+    """What one pillar's cells of a family are built from."""
+
+    #: ``simulator`` or ``cluster``.
+    pillar: str
+    spec: WorkloadSpec
+    seed: int
+    #: The family's N=1 deployment: carries the pillar's delays.
+    config: ReplicationConfig
+    warmup: float
+    duration: float
+    #: Wall seconds per virtual second (live cells only).
+    time_scale: float = 0.25
+    #: Control period and join cost of elastic cells.
+    control_interval: float = 0.0
+    transfer_writesets: int = 16
+    #: Deployment whose model-predicted capacity sizes the offered load.
+    anchor: Optional[ReplicationConfig] = None
+    #: Designs the pillar runs: the live twin validates multi-master.
+    designs: Tuple[str, ...] = ("multi-master",)
+    #: Replica count the family pins its fleet at.
+    fleet: int = 1
+
+    @property
+    def horizon(self) -> float:
+        """Virtual seconds from run start to the end of the window."""
+        return self.warmup + self.duration
+
+    def label(self, design: str) -> str:
+        """Tag prefix of a cell: the design, or ``live`` on the twin."""
+        return "live" if self.pillar == CLUSTER else design
+
+    def measured_point(self, design: str, replicas: Optional[int] = None, *,
+                       tag: str, **options) -> SweepPoint:
+        """A steady-state cell at *replicas* (default: the fleet): a
+        simulator or a live-cluster point."""
+        config = self.config.with_replicas(replicas or self.fleet)
+        shared = dict(options, seed=self.seed, warmup=self.warmup,
+                      duration=self.duration, tag=tag)
+        if self.pillar == CLUSTER:
+            return cluster_point(self.spec, config, design,
+                                 time_scale=self.time_scale, **shared)
+        return sim_point(self.spec, config, design, **shared)
+
+    def elastic_point(self, design: str, *, tag: str, **options) -> SweepPoint:
+        """An autoscale cell on this pillar's elastic harness."""
+        return autoscale_point(
+            self.spec, self.config, design,
+            seed=self.seed, warmup=self.warmup, duration=self.duration,
+            control_interval=self.control_interval, pillar=self.pillar,
+            time_scale=self.time_scale,
+            transfer_writesets=self.transfer_writesets, tag=tag, **options,
+        )
+
+
+def live_twin(scenario: Scenario, **changes) -> Scenario:
+    """The live validation twin of a simulator *scenario*: ``<name>-live``
+    with ``<alias>-live`` aliases and the ``live`` tag; *changes* are the
+    fields that differ (title, metrics, points, assemble)."""
+    return dataclasses.replace(
+        scenario,
+        name=f"{scenario.name}-live",
+        aliases=tuple(f"{alias}-live" for alias in scenario.aliases),
+        tags=scenario.tags + ("live",),
+        **changes,
+    )
+
+
+def register_family(points, sim_dims, live_dims, live: dict, **fields) -> None:
+    """Register one grid declaration on both pillars.
+
+    ``points(settings, dims)`` builds the grid over a :class:`PillarDims`;
+    *sim_dims* and *live_dims* map settings to each pillar's record.
+    *fields* are the simulator scenario's :class:`Scenario` fields and
+    *live* the ones its twin changes (see :func:`live_twin`).
+    """
+    def on(dims_for):
+        return lambda settings: points(settings, dims_for(settings))
+
+    sim = register_scenario(Scenario(points=on(sim_dims), **fields))
+    register_scenario(live_twin(sim, points=on(live_dims), **live))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import difflib
 from typing import Dict, List, Tuple
 
-from ..core.errors import ReproError
+from ..core.errors import ConfigurationError, ReproError
 from .scenario import Scenario
 
 _SCENARIOS: Dict[str, Scenario] = {}
@@ -70,8 +70,19 @@ def register_scenario(scenario: Scenario) -> Scenario:
     """Add *scenario* to the registry (idempotent per name).
 
     Returns the scenario so modules can register and keep a reference in
-    one expression.
+    one expression.  ``<name>-live`` is reserved for the ``live``-tagged
+    cluster twin of an already registered ``<name>``: the CLI's family
+    verbs pair scenarios by that convention.
     """
+    base, _, suffix = scenario.name.rpartition("-")
+    if suffix == "live" and not (
+        base in _SCENARIOS and "live" in scenario.tags
+        and scenario.kind == _SCENARIOS[base].kind
+    ):
+        raise ConfigurationError(
+            f"{scenario.name!r} must be the 'live'-tagged twin of a "
+            f"registered {base!r} of the same kind"
+        )
     _SCENARIOS[scenario.name] = scenario
     for alias in scenario.aliases:
         _ALIASES[alias] = scenario.name

@@ -2,7 +2,8 @@
 
 :func:`run_scenario` is the one API every experiment goes through:
 
-1. build the scenario's point grid from the experiment settings;
+1. build the scenario's point grid from the experiment settings and
+   overlay the settings' run-wide options (:func:`scenario_points`);
 2. resolve the distinct profiling runs the grid depends on (deduplicated,
    parallelised, cached — the paper's measure-once step);
 3. execute every remaining point, satisfying what it can from the
@@ -29,13 +30,15 @@ import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import EngineError
-from .backends import execute_point
+from ..sidb.certifier_api import require_sharded, resolve_certifier_spec
+from ..simulator.runner import DESIGNS, MULTI_MASTER, assembly_class
+from .backends import accepted_options, execute_point
 from .cache import ResultCache, point_key, profile_key, resolve_cache
-from .scenario import PROFILE, ProfileTask, Scenario, SweepPoint
+from .scenario import PROFILE, SIMULATOR, ProfileTask, Scenario, SweepPoint
 
 #: In-process memo of completed points, keyed like the disk cache.  This is
 #: what lets figure pairs that share a sweep (6/7, 8/9, ...) pay for it
@@ -56,7 +59,7 @@ class PointTiming:
 
 
 #: Per-point wall-clock, in completion order, scoped to one scenario run:
-#: :func:`run_scenario` clears it on entry, so the log never accumulates
+#: :func:`execute_points` clears it on entry, so the log never accumulates
 #: across the many scenarios of a long-lived process (``repro
 #: reproduce``, the test session).  For pool workers the time is measured
 #: inside the worker, so it excludes queueing and pickling overhead.
@@ -211,6 +214,7 @@ def execute_points(
     :func:`repro.engine.cache.resolve_cache` does.  Points already present
     in the in-process memo or the disk cache are served without running.
     """
+    clear_point_timings()  # scope the per-point timing log to this run
     disk = resolve_cache(cache)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     points = list(points)
@@ -260,6 +264,76 @@ def execute_points(
     return results
 
 
+#: Run-wide options :class:`~repro.experiments.settings.ExperimentSettings`
+#: may carry, and the designs each is limited to (empty: any).  Which
+#: backends take one is not restated here: it is whether the harness
+#: behind the point has the keyword.
+RUN_WIDE = {"telemetry": (), "certifier": (MULTI_MASTER,),
+            "capacity_source": ()}
+
+
+def check_point(point: SweepPoint) -> None:
+    """Run the harnesses' own option validators on *point*, so an
+    unsupported combination fails before the first point of a grid runs
+    rather than in the middle of it."""
+    from ..control.estimator import resolve_capacity_source
+
+    certifier = resolve_certifier_spec(point.option("certifier"))
+    if certifier is not None:
+        assembly_class(dict.fromkeys(DESIGNS), None, point.design, certifier)
+        if certifier.is_sharded:
+            require_sharded(certifier, point.spec, f"a {point.backend} point")
+    resolve_capacity_source(point.option("capacity_source"))
+
+
+def apply_run_wide(scenario: Scenario, settings,
+                   points: List[SweepPoint]) -> List[SweepPoint]:
+    """Overlay the settings' run-wide options onto every point that can
+    take them — the harness has the keyword, the design is allowed, the
+    scenario does not sweep the axis itself (``Scenario.owns``) and the
+    point did not set it — then validate the grid.  Settings that carry
+    none return *points* untouched."""
+    wanted = {name: getattr(settings, name) for name in RUN_WIDE
+              if name not in scenario.owns
+              and getattr(settings, name) is not None}
+    if not wanted:
+        return points
+    overlaid = []
+    for point in points:
+        accepted = accepted_options(point.backend,
+                                    point.option("pillar", SIMULATOR))
+        extra = tuple(
+            (name, value) for name, value in wanted.items()
+            if name in accepted and point.option(name) is None
+            and (not RUN_WIDE[name] or point.design in RUN_WIDE[name])
+        )
+        if extra:
+            point = replace(point, options=tuple(sorted(point.options + extra)))
+        check_point(point)
+        overlaid.append(point)
+    return overlaid
+
+
+def scenario_points(
+    scenario: Union[str, Scenario], settings, *, cache: object = None,
+) -> List[SweepPoint]:
+    """The grid *scenario* runs under *settings*: its declared points
+    with the settings' run-wide options overlaid.  The disk cache (if
+    any) is visible to profiling done while the grid is being built, so
+    interrupted runs resume incrementally."""
+    from ..experiments import context
+    from .registry import get_scenario
+
+    if isinstance(scenario, str):
+        scenario = get_scenario(scenario)
+    previous = context.set_disk_cache(resolve_cache(cache))
+    try:
+        points = list(scenario.points(settings))
+    finally:
+        context.set_disk_cache(previous)
+    return apply_run_wide(scenario, settings, points)
+
+
 def run_scenario(
     scenario: Union[str, Scenario],
     settings=None,
@@ -271,11 +345,11 @@ def run_scenario(
     """Build, execute, and assemble one scenario; returns its artifact.
 
     *scenario* is a :class:`~repro.engine.scenario.Scenario` or a registry
-    name/alias.  The disk cache (if any) is also visible to profiling done
-    while the point grid is being built, so interrupted runs resume
-    incrementally.
+    name/alias.  Callers that need the raw per-point results (the CLI
+    reads audit and convergence verdicts off them) run the three steps
+    themselves: :func:`scenario_points`, :func:`execute_points`,
+    ``scenario.assemble``.
     """
-    from ..experiments import context
     from ..experiments.settings import ExperimentSettings
     from .registry import get_scenario
 
@@ -283,13 +357,7 @@ def run_scenario(
         scenario = get_scenario(scenario)
     if settings is None:
         settings = ExperimentSettings()
-    clear_point_timings()  # scope the per-point timing log to this run
     disk = resolve_cache(cache)
-    previous = context.set_disk_cache(disk)
-    try:
-        points = list(scenario.points(settings))
-        results = execute_points(points, jobs=jobs, cache=disk,
-                                 progress=progress)
-    finally:
-        context.set_disk_cache(previous)
+    points = scenario_points(scenario, settings, cache=disk)
+    results = execute_points(points, jobs=jobs, cache=disk, progress=progress)
     return scenario.assemble(settings, points, results)

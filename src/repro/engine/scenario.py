@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig
 from ..core.rng import DEFAULT_SEED
 from ..workloads.spec import WorkloadSpec
@@ -70,7 +71,8 @@ class SweepPoint:
     #: System design (``multi-master`` | ``single-master`` | ``standalone``).
     design: str = ""
     seed: int = DEFAULT_SEED
-    #: Backend keyword arguments as a sorted tuple (stable cache keys).
+    #: The keywords of the harness the backend calls, as a sorted tuple
+    #: (stable cache keys); see :func:`_freeze_options`.
     options: Tuple[Tuple[str, object], ...] = ()
     #: Standalone profile dependency: a :class:`ProfileTask` to measure, a
     #: literal :class:`~repro.core.params.StandaloneProfile`, or ``None``.
@@ -121,6 +123,10 @@ class Scenario:
     #: Extra filter tags for ``repro scenarios --tag`` (the kind is
     #: always an implicit tag; ``live`` marks cluster-backed cells).
     tags: Tuple[str, ...] = ()
+    #: Run-wide options (``telemetry`` | ``certifier`` |
+    #: ``capacity_source``) this scenario sweeps itself; the engine's
+    #: settings overlay leaves them alone on every point.
+    owns: Tuple[str, ...] = ()
 
     @property
     def all_tags(self) -> Tuple[str, ...]:
@@ -128,8 +134,35 @@ class Scenario:
         return tuple(sorted({self.kind, *self.tags}))
 
 
-def _freeze_options(options: Dict[str, object]) -> Tuple[Tuple[str, object], ...]:
-    return tuple(sorted((k, v) for k, v in options.items() if v is not None))
+def _freeze_options(
+    backend: str, options: Dict[str, object], pillar: str = SIMULATOR
+) -> Tuple[Tuple[str, object], ...]:
+    """The one freeze rule every point builder shares.
+
+    A point's options are the keywords of the harness its backend calls
+    (:func:`repro.engine.backends.accepted_options`); a name the harness
+    does not take is a :class:`ConfigurationError` here, when the point is
+    built, not a ``TypeError`` in a pool worker.  ``None`` — every
+    harness's spelling of "not set" — and an empty fault schedule drop
+    out, so a run that names an option at its default keys exactly like
+    one that never mentions it and old cache keys survive new options.
+    Lists become tuples (hashable, stable ``repr``).
+    """
+    from .backends import accepted_options  # backends imports this module
+
+    frozen = tuple(sorted(
+        (name, tuple(value) if isinstance(value, list) else value)
+        for name, value in options.items()
+        if value is not None and not (name == "faults" and not value)
+    ))
+    accepted = accepted_options(backend, pillar)
+    unknown = [name for name, _ in frozen if name not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"{backend} points take no option {unknown}; the harness "
+            f"accepts {sorted(accepted)}"
+        )
+    return frozen
 
 
 def profile_task(spec: WorkloadSpec, settings) -> ProfileTask:
@@ -153,217 +186,74 @@ def profile_point(spec: WorkloadSpec, settings, tag: str = "") -> SweepPoint:
     )
 
 
-def model_point(
-    spec: WorkloadSpec,
-    config: ReplicationConfig,
-    design: str,
-    *,
-    profile: object,
-    tag: str = "",
-    cw_mode: Optional[str] = None,
-    partition_map: object = None,
-    certifier: object = None,
-) -> SweepPoint:
-    """An analytical-model prediction point.
-
-    *partition_map* (a frozen
-    :class:`~repro.partition.placement.PartitionMap`) switches the
-    multi-master model to partial replication; like traces and ops
-    plans, its stable ``repr`` makes it a cache-key citizen.
-    *certifier* (a frozen :class:`~repro.sidb.certifier_api.CertifierSpec`)
-    selects the certification protocol; ``None`` — the default — drops
-    out of the options, preserving every pre-sharding cache key.
-    """
+def _point(backend: str, spec, config, design: str, options: Dict[str, object],
+           pillar: str = SIMULATOR, **fields) -> SweepPoint:
+    live = CLUSTER in (backend, pillar)
     return SweepPoint(
-        backend=MODEL,
-        spec=spec,
-        config=config,
-        design=design,
-        options=_freeze_options({"cw_mode": cw_mode,
-                                 "partition_map": partition_map,
-                                 "certifier": certifier}),
-        profile=profile,
-        tag=tag,
+        backend=backend, spec=spec, config=config, design=design,
+        options=_freeze_options(backend, options, pillar),
+        cacheable=not live, **fields,
     )
 
 
-def sim_point(
-    spec: WorkloadSpec,
-    config: ReplicationConfig,
-    design: str,
-    *,
-    seed: int,
-    warmup: float,
-    duration: float,
-    distribution: str = "exponential",
-    lb_policy: str = "least-loaded",
-    faults: Tuple = (),
-    arrival_rate: Optional[float] = None,
-    capacities: Optional[Tuple[float, ...]] = None,
-    partition_map: object = None,
-    telemetry: object = None,
-    certifier: object = None,
-    tag: str = "",
-) -> SweepPoint:
-    """A discrete-event-simulator measurement point.
-
-    *telemetry* (a frozen :class:`repro.telemetry.TelemetryConfig`) opts
-    the point into the observability layer; ``None`` — the default —
-    drops out of the options entirely, so every pre-telemetry cache key
-    is preserved byte-for-byte.  *certifier* (a frozen
-    :class:`~repro.sidb.certifier_api.CertifierSpec`) selects the
-    certification protocol with the same ``None``-drop-out guarantee.
-    """
-    options = {
-        "warmup": warmup,
-        "duration": duration,
-        "distribution": distribution,
-        "lb_policy": lb_policy,
-    }
-    if faults:
-        options["faults"] = tuple(faults)
-    if arrival_rate is not None:
-        options["arrival_rate"] = arrival_rate
-    if capacities is not None:
-        options["capacities"] = tuple(capacities)
-    if partition_map is not None:
-        options["partition_map"] = partition_map
-    if telemetry is not None:
-        options["telemetry"] = telemetry
-    if certifier is not None:
-        options["certifier"] = certifier
-    return SweepPoint(
-        backend=SIMULATOR,
-        spec=spec,
-        config=config,
-        design=design,
-        seed=seed,
-        options=_freeze_options(options),
-        tag=tag,
-    )
+def model_point(spec: WorkloadSpec, config: ReplicationConfig, design: str, *,
+                profile: object, tag: str = "", **options) -> SweepPoint:
+    """An analytical-model prediction point; *options* are ``cw_mode``
+    plus the :func:`repro.models.api.predict` keywords the workload spec
+    does not already fix (``partition_map``, ``certifier``)."""
+    return _point(MODEL, spec, config, design, options, profile=profile, tag=tag)
 
 
-def autoscale_point(
-    spec: WorkloadSpec,
-    config: ReplicationConfig,
-    design: str,
-    *,
-    seed: int,
-    trace: object,
-    policy: object,
-    slo_response: float,
-    warmup: float,
-    duration: float,
-    control_interval: float,
-    pillar: str = SIMULATOR,
-    time_scale: float = 0.25,
-    min_replicas: int = 1,
-    max_replicas: int = 16,
-    transfer_writesets: int = 16,
-    ops: object = None,
-    capacities: Optional[Tuple[float, ...]] = None,
-    telemetry: object = None,
-    capacity_source: Optional[str] = None,
-    profile: object = None,
-    tag: str = "",
-) -> SweepPoint:
+def sim_point(spec: WorkloadSpec, config: ReplicationConfig, design: str, *,
+              seed: int, warmup: float, duration: float,
+              distribution: str = "exponential",
+              lb_policy: str = "least-loaded",
+              tag: str = "", **options) -> SweepPoint:
+    """A discrete-event-simulator measurement point; *options* are the
+    remaining :func:`repro.simulator.runner.simulate` keywords."""
+    return _point(SIMULATOR, spec, config, design, dict(
+        options, warmup=warmup, duration=duration,
+        distribution=distribution, lb_policy=lb_policy,
+    ), seed=seed, tag=tag)
+
+
+def cluster_point(spec: WorkloadSpec, config: ReplicationConfig, design: str, *,
+                  seed: int, warmup: float, duration: float, time_scale: float,
+                  distribution: str = "exponential",
+                  lb_policy: str = "least-loaded",
+                  tag: str = "", **options) -> SweepPoint:
+    """A live-cluster execution point (never cached: it measures real
+    wall-clock behaviour, which must not be replayed stale); *options*
+    are the remaining :func:`repro.cluster.run_cluster` keywords."""
+    return _point(CLUSTER, spec, config, design, dict(
+        options, warmup=warmup, duration=duration, time_scale=time_scale,
+        distribution=distribution, lb_policy=lb_policy,
+    ), seed=seed, tag=tag)
+
+
+def autoscale_point(spec: WorkloadSpec, config: ReplicationConfig, design: str, *,
+                    seed: int, trace: object, policy: object,
+                    slo_response: float, warmup: float, duration: float,
+                    control_interval: float, pillar: str = SIMULATOR,
+                    time_scale: float = 0.25, min_replicas: int = 1,
+                    max_replicas: int = 16, transfer_writesets: int = 16,
+                    profile: object = None, tag: str = "",
+                    **options) -> SweepPoint:
     """An autoscale-run point: a trace × controller policy × design cell.
 
-    *trace* and *policy* are the frozen dataclasses of
-    :mod:`repro.control` — their stable ``repr`` makes them cache-key
-    citizens like every other point input, and so is the optional *ops*
-    plan (:class:`repro.ops.plan.OpsPlan`: crash faults, self-healing,
-    rolling restarts) and the *capacities* vector of a heterogeneous
-    fleet.  ``pillar`` picks the elastic execution engine: simulator
-    points are deterministic and cacheable, live-cluster points measure
-    wall-clock behaviour and are not.  *telemetry* (a frozen
-    :class:`repro.telemetry.TelemetryConfig`) opts the run into the
-    observability layer — and, with ``audit=True``, the online invariant
-    auditor; ``None`` drops out of the options, preserving every
-    pre-telemetry cache key byte-for-byte.  *capacity_source*
-    (``"estimated"``) replaces declared replica capacities with the
-    online estimator's live values in the LB and controller; ``None``
-    (declared) drops out the same way.
+    *trace*, *policy* and the optional ``ops`` plan are frozen
+    dataclasses whose stable ``repr`` makes them cache-key citizens like
+    every other point input.  ``pillar`` picks the elastic harness
+    (:func:`~repro.control.autoscale.autoscale_sim` or
+    ``autoscale_cluster``; *options* are its remaining keywords):
+    simulator points are deterministic and cacheable, live-cluster
+    points measure wall-clock behaviour, carry ``time_scale`` and are
+    not.
     """
-    options = {
-        "trace": trace,
-        "policy": policy,
-        "slo_response": slo_response,
-        "warmup": warmup,
-        "duration": duration,
-        "control_interval": control_interval,
-        "pillar": pillar,
-        "min_replicas": min_replicas,
-        "max_replicas": max_replicas,
-        "transfer_writesets": transfer_writesets,
-    }
-    if ops is not None:
-        options["ops"] = ops
-    if capacities is not None:
-        options["capacities"] = tuple(capacities)
-    if telemetry is not None:
-        options["telemetry"] = telemetry
-    if capacity_source is not None:
-        options["capacity_source"] = capacity_source
-    if pillar == CLUSTER:
-        options["time_scale"] = time_scale
-    return SweepPoint(
-        backend=AUTOSCALE,
-        spec=spec,
-        config=config,
-        design=design,
-        seed=seed,
-        options=_freeze_options(options),
-        profile=profile,
-        tag=tag,
-        cacheable=pillar != CLUSTER,
-    )
-
-
-def cluster_point(
-    spec: WorkloadSpec,
-    config: ReplicationConfig,
-    design: str,
-    *,
-    seed: int,
-    warmup: float,
-    duration: float,
-    time_scale: float,
-    distribution: str = "exponential",
-    lb_policy: str = "least-loaded",
-    capacities: Optional[Tuple[float, ...]] = None,
-    arrival_rate: Optional[float] = None,
-    partition_map: object = None,
-    telemetry: object = None,
-    certifier: object = None,
-    tag: str = "",
-) -> SweepPoint:
-    """A live-cluster execution point (never cached: it measures real
-    wall-clock behaviour, which must not be replayed stale)."""
-    options = {
-        "warmup": warmup,
-        "duration": duration,
-        "time_scale": time_scale,
-        "distribution": distribution,
-        "lb_policy": lb_policy,
-    }
-    if capacities is not None:
-        options["capacities"] = tuple(capacities)
-    if arrival_rate is not None:
-        options["arrival_rate"] = arrival_rate
-    if partition_map is not None:
-        options["partition_map"] = partition_map
-    if telemetry is not None:
-        options["telemetry"] = telemetry
-    if certifier is not None:
-        options["certifier"] = certifier
-    return SweepPoint(
-        backend=CLUSTER,
-        spec=spec,
-        config=config,
-        design=design,
-        seed=seed,
-        options=_freeze_options(options),
-        tag=tag,
-        cacheable=False,
-    )
+    return _point(AUTOSCALE, spec, config, design, dict(
+        options, trace=trace, policy=policy, slo_response=slo_response,
+        warmup=warmup, duration=duration, control_interval=control_interval,
+        pillar=pillar, time_scale=time_scale if pillar == CLUSTER else None,
+        min_replicas=min_replicas, max_replicas=max_replicas,
+        transfer_writesets=transfer_writesets,
+    ), pillar, seed=seed, profile=profile, tag=tag)

@@ -42,24 +42,20 @@ class ExperimentSettings:
     autoscale_duration: float = 480.0
     autoscale_control_interval: float = 10.0
     autoscale_peak_replicas: int = 6
-    #: Optional frozen :class:`repro.telemetry.TelemetryConfig` threaded
-    #: into every executable scenario point (simulator, cluster, and
-    #: autoscale cells).  ``None`` — the default — keeps telemetry out of
-    #: the point options entirely, so pre-telemetry cache keys are
-    #: preserved byte-for-byte.
+    # Run-wide options (``repro ... --audit``, ``--certifier``,
+    # ``--capacity-source``).  No scenario reads them: the engine overlays
+    # each onto every point that can take it
+    # (:func:`repro.engine.runner.apply_run_wide`), and ``None`` — the
+    # default — leaves every grid and cache key untouched.
+    #: A frozen :class:`repro.telemetry.TelemetryConfig` for every
+    #: simulator, cluster and autoscale point.
     telemetry: object = None
-    #: Optional frozen :class:`repro.sidb.certifier_api.CertifierSpec`
-    #: threaded into every multi-master scenario point
-    #: (``repro ... --certifier sharded``).  ``None`` — the default —
-    #: keeps the spec out of the point options entirely, so pre-sharding
-    #: cache keys are preserved byte-for-byte.
+    #: A frozen :class:`repro.sidb.certifier_api.CertifierSpec` for every
+    #: multi-master model, simulator and cluster point.
     certifier: object = None
-    #: Capacity source for autoscale points (``repro ...
-    #: --capacity-source estimated``): ``"estimated"`` routes and scales
-    #: on the online estimator's live per-replica capacities instead of
-    #: the declared ones.  ``None`` — the default, aka ``declared`` —
-    #: keeps the knob out of the point options entirely, preserving
-    #: pre-estimator cache keys byte-for-byte.
+    #: ``"estimated"``: autoscale points route and scale on the online
+    #: estimator's live per-replica capacities instead of the declared
+    #: ones.
     capacity_source: object = None
 
     @classmethod
@@ -90,12 +86,8 @@ class ExperimentSettings:
 
     def with_certifier(self, certifier: object) -> "ExperimentSettings":
         """Return a copy running multi-master points under *certifier*
-        (``repro ... --certifier sharded``).
-
-        The default global spec normalises to ``None`` so that
-        ``--certifier global`` produces byte-identical point options —
-        and therefore cache keys — to omitting the flag entirely.
-        """
+        (``repro ... --certifier sharded``); the default global spec
+        normalises to ``None``, i.e. to omitting the flag."""
         from ..sidb.certifier_api import resolve_certifier_spec
 
         spec = resolve_certifier_spec(certifier)
@@ -105,12 +97,8 @@ class ExperimentSettings:
 
     def with_capacity_source(self, source: object) -> "ExperimentSettings":
         """Return a copy running autoscale points under *source*
-        (``repro ... --capacity-source estimated``).
-
-        ``declared`` — the default — normalises to ``None`` so that
-        spelling it out produces byte-identical point options (and
-        cache keys) to omitting the flag entirely.
-        """
+        (``repro ... --capacity-source estimated``); ``declared`` — the
+        default — normalises to ``None``, i.e. to omitting the flag."""
         from ..control.estimator import resolve_capacity_source
 
         return replace(self, capacity_source=resolve_capacity_source(source))

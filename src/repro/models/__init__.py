@@ -41,7 +41,7 @@ from .planning import (
     provisioning_schedule,
     replicas_for_response_time,
 )
-from .singlemaster import SingleMasterOptions, predict_singlemaster
+from .singlemaster import predict_singlemaster
 from .standalone import predict_standalone, predict_standalone_from_config
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "MULTI_MASTER",
     "SINGLE_MASTER",
     "MultiMasterOptions",
-    "SingleMasterOptions",
     "compare_designs",
     "db_update_size_for_abort_rate",
     "master_abort_rate",

@@ -15,7 +15,7 @@ from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig, StandaloneProfile
 from ..core.results import Prediction, ScalabilityCurve
 from .multimaster import MultiMasterOptions, predict_multimaster
-from .singlemaster import SingleMasterOptions, predict_singlemaster
+from .singlemaster import predict_singlemaster
 
 #: Replicated system designs supported by the models.
 MULTI_MASTER = "multi-master"
@@ -29,7 +29,6 @@ def predict(
     config: ReplicationConfig,
     *,
     mm_options: Optional[MultiMasterOptions] = None,
-    sm_options: Optional[SingleMasterOptions] = None,
     partition_map=None,
     cross_partition_fraction: float = 0.0,
     partition_weights=None,
@@ -71,7 +70,7 @@ def predict(
                 "the certifier axis is multi-master only (the certifier "
                 f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
             )
-        return predict_singlemaster(profile, config, options=sm_options)
+        return predict_singlemaster(profile, config)
     raise ConfigurationError(f"unknown design {design!r}; expected one of {DESIGNS}")
 
 
@@ -82,7 +81,6 @@ def predict_curve(
     replica_counts: Sequence[int],
     *,
     mm_options: Optional[MultiMasterOptions] = None,
-    sm_options: Optional[SingleMasterOptions] = None,
 ) -> ScalabilityCurve:
     """Predict a whole scalability curve across *replica_counts*."""
     counts = list(replica_counts)
@@ -95,7 +93,6 @@ def predict_curve(
             profile,
             config.with_replicas(n),
             mm_options=mm_options,
-            sm_options=sm_options,
         )
         points.append(prediction.point)
     return ScalabilityCurve(

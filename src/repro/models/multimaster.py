@@ -50,18 +50,17 @@ CERTIFY_SERVICE = "certify_service"
 CW_ONE_STEP_LAG = "one_step_lag"  # the paper's scheme (§4.1.1)
 CW_FIXED_POINT = "fixed_point"  # converged fixed point per population step
 _CW_MODES = (CW_ONE_STEP_LAG, CW_FIXED_POINT)
+#: Fixed-point mode: convergence tolerance on AN, and the iteration cap.
+FIXED_POINT_TOLERANCE = 1e-10
+MAX_FIXED_POINT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
 class MultiMasterOptions:
-    """Tuning knobs for the multi-master solver."""
+    """The multi-master solver's one option with two real values."""
 
     #: Conflict-window update scheme; see module docstring.
     cw_mode: str = CW_ONE_STEP_LAG
-    #: Convergence tolerance on AN for the fixed-point mode.
-    tolerance: float = 1e-10
-    #: Iteration cap for the fixed-point mode.
-    max_fixed_point_iterations: int = 200
 
     def __post_init__(self) -> None:
         if self.cw_mode not in _CW_MODES:
@@ -286,16 +285,16 @@ def _update_conflict_state(
     # the abort rate stabilises for this population.
     an = abort_rate
     cw = _conflict_window(profile, config, solution, an, certify_latency)
-    for iteration in range(options.max_fixed_point_iterations):
+    for iteration in range(MAX_FIXED_POINT_ITERATIONS):
         new_an = abort_fn(cw)
         new_cw = _conflict_window(profile, config, solution, new_an,
                                   certify_latency)
-        if abs(new_an - an) < options.tolerance:
+        if abs(new_an - an) < FIXED_POINT_TOLERANCE:
             return new_cw, new_an
         an, cw = new_an, new_cw
     raise ConvergenceError(
         "conflict-window fixed point did not converge",
-        iterations=options.max_fixed_point_iterations,
+        iterations=MAX_FIXED_POINT_ITERATIONS,
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.errors import ConfigurationError, ConvergenceError
+from ..core.errors import ConvergenceError
 from ..core.params import (
     CPU,
     DISK,
@@ -56,19 +56,12 @@ READ = "read"
 WRITE = "write"
 
 
-@dataclass(frozen=True)
-class SingleMasterOptions:
-    """Tuning knobs for the single-master solver."""
-
-    #: Relative tolerance for the "ratio approximately equals Pr:Pw" test.
-    ratio_tolerance: float = 0.02
-    #: Outer fixed-point iterations for the master abort rate A'N.
-    max_abort_iterations: int = 50
-    abort_tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.ratio_tolerance <= 0:
-            raise ConfigurationError("ratio tolerance must be positive")
+#: Relative tolerance for the "ratio approximately equals Pr:Pw" test.
+RATIO_TOLERANCE = 0.02
+#: Outer fixed-point iterations for the master abort rate A'N, and the
+#: change in A'N below which the iteration has converged.
+MAX_ABORT_ITERATIONS = 50
+ABORT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,15 +81,13 @@ class _BalanceResult:
 def predict_singlemaster(
     profile: StandaloneProfile,
     config: ReplicationConfig,
-    options: Optional[SingleMasterOptions] = None,
 ) -> Prediction:
     """Predict throughput/response time of an N-replica single-master system."""
-    options = options or SingleMasterOptions()
     if profile.mix.read_only:
         return _predict_read_only(profile, config)
     if config.replicas == 1:
-        return _predict_master_only(profile, config, options)
-    return _predict_balanced(profile, config, options)
+        return _predict_master_only(profile, config)
+    return _predict_balanced(profile, config)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +127,11 @@ def _predict_read_only(
 def _predict_master_only(
     profile: StandaloneProfile,
     config: ReplicationConfig,
-    options: SingleMasterOptions,
 ) -> Prediction:
     """N = 1: the master serves the full mix, like a standalone database."""
     abort = profile.abort_rate
     solution = None
-    for _ in range(options.max_abort_iterations):
+    for _ in range(MAX_ABORT_ITERATIONS):
         demand = standalone_demand(profile.demands, profile.mix, abort)
         network = ClosedNetwork(
             centers=(
@@ -162,7 +152,7 @@ def _predict_master_only(
         new_abort = master_abort_rate(
             profile.abort_rate, 1, latency, profile.update_response_time
         )
-        if abs(new_abort - abort) < options.abort_tolerance:
+        if abs(new_abort - abort) < ABORT_TOLERANCE:
             abort = new_abort
             break
         abort = new_abort
@@ -191,24 +181,23 @@ def _predict_master_only(
 def _predict_balanced(
     profile: StandaloneProfile,
     config: ReplicationConfig,
-    options: SingleMasterOptions,
 ) -> Prediction:
     n = config.replicas
     abort = profile.abort_rate
     balance: Optional[_BalanceResult] = None
-    for _ in range(options.max_abort_iterations):
-        balance = _balance(profile, config, options, abort)
+    for _ in range(MAX_ABORT_ITERATIONS):
+        balance = _balance(profile, config, abort)
         latency = _master_update_latency(balance.master, profile, config, abort)
         new_abort = _master_abort_estimate(profile, n, latency, balance)
-        if abs(new_abort - abort) < options.abort_tolerance:
+        if abs(new_abort - abort) < ABORT_TOLERANCE:
             abort = new_abort
-            balance = _balance(profile, config, options, abort)
+            balance = _balance(profile, config, abort)
             break
         abort = new_abort
     else:
         raise ConvergenceError(
             "master abort-rate fixed point did not converge",
-            iterations=options.max_abort_iterations,
+            iterations=MAX_ABORT_ITERATIONS,
         )
 
     assert balance is not None
@@ -382,7 +371,6 @@ def _ratio_state(
 def _balance(
     profile: StandaloneProfile,
     config: ReplicationConfig,
-    options: SingleMasterOptions,
     abort: float,
 ) -> _BalanceResult:
     """One pass of the Figure 3 balancing algorithm at a fixed A'N."""
@@ -400,7 +388,7 @@ def _balance(
     slave_sol = _solve_slave(profile, config, slave_clients, wspr)
     read_thpt = slaves * slave_sol.throughput
 
-    state = _ratio_state(read_thpt, write_thpt, mix_ratio, options.ratio_tolerance)
+    state = _ratio_state(read_thpt, write_thpt, mix_ratio, RATIO_TOLERANCE)
     if state == 0:
         return _BalanceResult(
             read_throughput=read_thpt,
@@ -414,17 +402,17 @@ def _balance(
         )
     if state < 0:
         return _rebalance_excess_master(
-            profile, config, options, network, master_clients, slave_clients,
+            profile, config, network, master_clients, slave_clients,
             mix_ratio, read_thpt, write_thpt, master_sol, slave_sol,
         )
     return _rebalance_bottleneck_master(
-        profile, config, options, network, master_clients, slave_clients,
+        profile, config, network, master_clients, slave_clients,
         mix_ratio, read_thpt, write_thpt, master_sol, slave_sol, wspr,
     )
 
 
 def _rebalance_excess_master(
-    profile, config, options, network, master_clients, slave_clients,
+    profile, config, network, master_clients, slave_clients,
     mix_ratio, read_thpt, write_thpt, master_sol, slave_sol,
 ):
     """Master has spare capacity: move read-only clients onto the master.
@@ -471,7 +459,7 @@ def _rebalance_excess_master(
         if _total(current) > _total(best):
             best = current
         if _ratio_state(
-            total_read, write_thpt, mix_ratio, options.ratio_tolerance
+            total_read, write_thpt, mix_ratio, RATIO_TOLERANCE
         ) >= 0:
             return _blend_at_ratio(previous, current, mix_ratio)
         # Both tiers are saturated when moving more clients only lowers the
@@ -531,7 +519,7 @@ def _blend_at_ratio(
 
 
 def _rebalance_bottleneck_master(
-    profile, config, options, network, master_clients, slave_clients,
+    profile, config, network, master_clients, slave_clients,
     mix_ratio, read_thpt, write_thpt, master_sol, slave_sol, wspr,
 ):
     """Master is the bottleneck: clients queue at the master.
@@ -573,7 +561,7 @@ def _rebalance_bottleneck_master(
             master_write_clients=master_clients + j * slaves,
         )
         if _ratio_state(
-            read_thpt, write_thpt, mix_ratio, options.ratio_tolerance
+            read_thpt, write_thpt, mix_ratio, RATIO_TOLERANCE
         ) <= 0:
             return _blend_at_ratio(previous, best, mix_ratio)
     return best

@@ -1,7 +1,8 @@
 """Registered operations scenarios: availability under churn.
 
-Three scenario families, each with a deterministic simulator cell and a
-live-cluster validation cell:
+Five scenario families, each declared once over a
+:class:`~repro.engine.family.PillarDims` and registered as a
+deterministic simulator scenario plus its ``-live`` cluster twin:
 
 * ``selfheal-crashstorm`` — two staggered replica crashes under steady
   load; the health monitor force-detaches each casualty and rejoins a
@@ -14,6 +15,10 @@ live-cluster validation cell:
   least-loaded policy vs the capacity-weighted one, plus the model's
   :func:`~repro.models.planning.plan_mixed_fleet` sizing of the same
   inventory.
+* ``brownout-detection`` — a silent half-speed replica that only the
+  online capacity estimator can notice.
+* ``capacity-estimation`` — the same brownout routed and scaled on
+  declared vs estimated capacities (the scenario owns that axis).
 
 All cells are ordinary engine sweep points: simulator cells are cached
 and fan out over ``--jobs``; live cells re-execute (they measure real
@@ -22,45 +27,54 @@ wall-clock behaviour).  The CLI front end is ``repro ops``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..control.autoscale import AutoscaleResult
 from ..control.controller import FeedforwardPolicy, FixedPolicy
 from ..control.estimator import ESTIMATED
 from ..control.scenarios import (
-    LIVE_PEAK_REPLICAS,
-    LIVE_SPEC,
     SLO_RESPONSE,
     _design_capacity,
-    _live_design_capacity,
+    live_dims,
+    sim_dims,
 )
 from ..control.trace import DiurnalTrace
-from ..engine import CLUSTER, Scenario, register_scenario
-from ..engine.scenario import (
-    autoscale_point,
-    cluster_point,
-    profile_point,
-    profile_task,
-    sim_point,
+from ..engine import (
+    CLUSTER,
+    PROFILE,
+    SIMULATOR,
+    PillarDims,
+    register_family,
 )
+from ..engine.scenario import profile_point, profile_task
 from ..simulator.faults import brownout_fault, crash_fault
-from ..simulator.runner import MULTI_MASTER, SINGLE_MASTER
+from ..simulator.runner import MULTI_MASTER
 from ..simulator.systems import CAPACITY_WEIGHTED, LEAST_LOADED, RANDOM
-from ..workloads import tpcw
 from .events import OpsSummary, summarize
 from .plan import OpsPlan
 
-#: Fleet size the self-heal and rolling scenarios pin (FixedPolicy).
+#: Fleet size the self-heal and rolling scenarios pin (FixedPolicy):
+#: simulator cells, and the live twin's smaller fleet.
 FLEET = 4
+LIVE_FLEET = 3
+#: The live cells' window (virtual seconds); the rest of their
+#: dimensions are the autoscale family's (``control.scenarios.live_dims``).
+LIVE_DURATION = 24.0
 #: Offered load as a fraction of the model-predicted fleet capacity.
 SELFHEAL_LOAD = 0.50
 ROLLING_LOAD = 0.45
+#: Crash schedule of the self-heal cells, as (replica index, fraction of
+#: the run horizon).  Indices 1 and 2 are valid for both designs (index 0
+#: is the single-master master); each crash is detected and replaced
+#: before the next lands.  The short live run fits one.
+SELFHEAL_CRASHES = {SIMULATOR: ((1, 0.30), (2, 0.60)), CLUSTER: ((1, 0.35),)}
 #: Capacity inventory of the heterogeneous-fleet scenarios, and the
 #: open-loop offered load as a fraction of the fleet's predicted
 #: capacity.  Open-loop matters: a closed loop's think-time feedback lets
 #: even capacity-oblivious policies self-correct, hiding the difference.
-HETERO_CAPACITIES = (2.0, 1.0, 1.0, 0.5)
+HETERO_CAPACITIES = {SIMULATOR: (2.0, 1.0, 1.0, 0.5), CLUSTER: (1.5, 1.0, 0.5)}
 HETERO_LOAD = 0.75
 
 #: Gray-failure scenarios: the brownout runs every resource on the
@@ -71,9 +85,14 @@ BROWNOUT_LOAD = 0.50
 #: offered 95% of its predicted capacity with almost no feedforward
 #: head-room, so silently losing half a replica saturates the
 #: declared-capacity arm while the estimated arm detects the shortfall
-#: and scales out around it.
+#: and scales out around it.  The live cell is offered a multiple of the
+#: predicted capacity instead: the analytic model is deliberately
+#: conservative about the millisecond-scale live pillar (thread
+#: scheduling overlaps it cannot see), so saturating the live anchor
+#: fleet takes ~1.5x its prediction — calibrated so the declared arm is
+#: genuinely capacity-bound during the brownout.
 CAPEST_FLEET = 2
-CAPEST_LOAD = 0.95
+CAPEST_LOAD = {SIMULATOR: 0.95, CLUSTER: 1.5}
 CAPEST_HEADROOM = 0.05
 #: Brownout onset and span as fractions of the run horizon, and the
 #: recovery window (post-onset settle to end, fractions of the horizon)
@@ -82,21 +101,6 @@ BROWNOUT_START = 0.35
 BROWNOUT_SPAN = 0.55
 RECOVERY_SETTLE = 0.15
 RECOVERY_END = 0.90
-
-#: Live-cell dimensions (the live workload is millisecond-scale).
-LIVE_FLEET = 3
-LIVE_TIME_SCALE = 0.25
-LIVE_WARMUP = 2.0
-LIVE_DURATION = 24.0
-LIVE_CONTROL_INTERVAL = 1.0
-LIVE_HETERO_CAPACITIES = (1.5, 1.0, 0.5)
-#: Live capacity-estimation cell: offered load as a multiple of the
-#: model-predicted two-replica capacity.  The analytic model is
-#: deliberately conservative about the millisecond-scale live pillar
-#: (thread scheduling overlaps it cannot see), so saturating the live
-#: anchor fleet takes ~1.5x its predicted capacity — calibrated so the
-#: declared arm is genuinely capacity-bound during the brownout.
-LIVE_CAPEST_LOAD = 1.5
 
 
 # ----------------------------------------------------------------------
@@ -280,212 +284,189 @@ class CapacityRecoveryComparison:
 
 
 # ----------------------------------------------------------------------
-# Simulator cells
+# Families: each grid is declared once and registered on both pillars
 # ----------------------------------------------------------------------
+
+def _sim_dims(settings) -> PillarDims:
+    return dataclasses.replace(sim_dims(settings), fleet=FLEET)
+
+
+def _live_dims(settings) -> PillarDims:
+    return dataclasses.replace(
+        live_dims(settings), duration=LIVE_DURATION, fleet=LIVE_FLEET
+    )
+
+
+def _register_family(name: str, title: str, live_title: str, metrics,
+                     live_metrics, points, assemble, aliases,
+                     sim_dims_for=_sim_dims, owns=()) -> None:
+    """Register ``points(settings, dims)`` / ``assemble(name, points,
+    results)`` as *name* on the simulator and ``<name>-live`` on the
+    cluster."""
+    def named(scenario_name):
+        return lambda settings, pts, results: assemble(
+            scenario_name, pts, results
+        )
+
+    register_family(
+        points, sim_dims_for, _live_dims,
+        live=dict(title=live_title, metrics=live_metrics,
+                  assemble=named(f"{name}-live")),
+        name=name, title=title, kind="ops", metrics=metrics,
+        assemble=named(name), aliases=aliases, owns=owns,
+    )
+
 
 def _steady_trace(rate: float, duration: float) -> DiurnalTrace:
     """A constant-rate trace (a diurnal curve with zero swing)."""
     return DiurnalTrace(base_rate=rate, peak_rate=rate, period=duration)
 
 
-def _ops_sim_points(settings, spec, load_fraction: float, plan_for,
-                    capacity_source: Optional[str] = None,
-                    with_profile: bool = False) -> List:
-    points = []
-    duration = settings.autoscale_duration
-    task = profile_task(spec, settings) if with_profile else None
-    for design in (MULTI_MASTER, SINGLE_MASTER):
-        capacity = _design_capacity(design, spec, settings)
-        trace = _steady_trace(load_fraction * capacity, duration)
-        points.append(autoscale_point(
-            spec,
-            spec.replication_config(
-                1,
-                load_balancer_delay=settings.load_balancer_delay,
-                certifier_delay=settings.certifier_delay,
-            ),
-            design,
-            seed=settings.seed,
-            trace=trace,
-            policy=FixedPolicy(replicas=FLEET),
-            slo_response=SLO_RESPONSE,
-            warmup=settings.autoscale_warmup,
-            duration=duration,
-            control_interval=settings.autoscale_control_interval,
-            max_replicas=2 * FLEET,
-            ops=plan_for(settings),
-            telemetry=settings.telemetry,
-            capacity_source=(
-                capacity_source if capacity_source is not None
-                else settings.capacity_source
-            ),
-            profile=task,
-            tag=design,
-        ))
+def _ops_points(load_fraction: float, plan_for, with_profile: bool = False,
+                **options):
+    """A pinned fleet under steady load with an operations plan attached,
+    one cell per design."""
+    def points(settings, dims: PillarDims) -> List:
+        task = profile_task(dims.spec, settings) if with_profile else None
+        return [
+            dims.elastic_point(
+                design,
+                trace=_steady_trace(
+                    load_fraction * _design_capacity(design, dims, settings),
+                    dims.duration,
+                ),
+                policy=FixedPolicy(replicas=dims.fleet),
+                slo_response=SLO_RESPONSE,
+                max_replicas=2 * dims.fleet,
+                ops=plan_for(dims),
+                profile=task,
+                tag=dims.label(design),
+                **options,
+            )
+            for design in dims.designs
+        ]
+
     return points
 
 
-def _selfheal_plan(settings) -> OpsPlan:
-    # Two staggered crashes (replica indices 1 and 2 are valid for both
-    # designs: index 0 is the single-master master), each detected and
-    # replaced before the next lands.
-    horizon = settings.autoscale_warmup + settings.autoscale_duration
-    return OpsPlan(
-        faults=(
-            crash_fault(1, 0.30 * horizon),
-            crash_fault(2, 0.60 * horizon),
-        ),
-        self_heal=True,
-        transfer_writesets=16,
-    )
-
-
-def _rolling_plan(settings) -> OpsPlan:
-    horizon = settings.autoscale_warmup + settings.autoscale_duration
-    return OpsPlan(
-        rolling_start=0.25 * horizon,
-        rolling_settle=settings.autoscale_control_interval,
-        transfer_writesets=16,
-    )
-
-
-def _assemble_ops(name, spec, pillar, results) -> OpsComparison:
+def _assemble_ops(name, points, results) -> OpsComparison:
     reports = tuple(
         OpsRunReport(result=result, summary=summarize(result))
         for result in results
     )
     return OpsComparison(
-        name=name, workload=spec.name, pillar=pillar, results=reports
+        name=name, workload=points[0].spec.name,
+        pillar=points[0].option("pillar"), results=reports,
     )
 
 
-def _register_ops_sim(name: str, title: str, load_fraction: float,
-                      plan_for, aliases=(),
-                      metrics=("mttr", "unavailability",
-                               "slo_violation_fraction"),
-                      capacity_source: Optional[str] = None,
-                      with_profile: bool = False) -> Scenario:
-    spec = tpcw.SHOPPING
-
-    return register_scenario(Scenario(
-        name=name,
-        title=title,
-        kind="ops",
-        metrics=metrics,
-        points=lambda settings: _ops_sim_points(
-            settings, spec, load_fraction, plan_for,
-            capacity_source=capacity_source, with_profile=with_profile,
-        ),
-        assemble=lambda settings, pts, results: _assemble_ops(
-            name, spec, "simulator", results
-        ),
-        aliases=aliases,
-    ))
+def _selfheal_plan(dims: PillarDims) -> OpsPlan:
+    return OpsPlan(
+        faults=tuple(crash_fault(replica, at * dims.horizon)
+                     for replica, at in SELFHEAL_CRASHES[dims.pillar]),
+        self_heal=True,
+        transfer_writesets=dims.transfer_writesets,
+    )
 
 
-SELFHEAL = _register_ops_sim(
-    "selfheal-crashstorm",
-    "Self-healing: crash storm with automatic replica replacement",
-    SELFHEAL_LOAD,
-    _selfheal_plan,
-    aliases=("selfheal",),
-)
-
-ROLLING = _register_ops_sim(
-    "rolling-upgrade",
-    "Rolling upgrade: cycle every replica through drain/rejoin under load",
-    ROLLING_LOAD,
-    _rolling_plan,
-    aliases=("rolling",),
-)
+def _rolling_plan(dims: PillarDims) -> OpsPlan:
+    return OpsPlan(
+        rolling_start=0.25 * dims.horizon,
+        rolling_settle=dims.control_interval,
+        transfer_writesets=dims.transfer_writesets,
+    )
 
 
-def _brownout_plan(settings) -> OpsPlan:
+def _brownout_plan(dims: PillarDims) -> OpsPlan:
     # One replica silently degrades to half speed mid-run and recovers
     # before the end; nothing crashes, so membership never changes and
     # only the capacity estimator can notice.
-    horizon = settings.autoscale_warmup + settings.autoscale_duration
     return OpsPlan(faults=(brownout_fault(
-        1, 0.30 * horizon, BROWNOUT_SPAN * horizon,
+        1, 0.30 * dims.horizon, BROWNOUT_SPAN * dims.horizon,
         severity=BROWNOUT_SEVERITY,
     ),))
 
 
-BROWNOUT_DETECTION = _register_ops_sim(
+_register_family(
+    "selfheal-crashstorm",
+    "Self-healing: crash storm with automatic replica replacement",
+    "Live-cluster self-healing: crash, detect, replace on real threads",
+    ("mttr", "unavailability", "slo_violation_fraction"),
+    ("mttr", "unavailability", "converged"),
+    _ops_points(SELFHEAL_LOAD, _selfheal_plan),
+    _assemble_ops,
+    aliases=("selfheal",),
+)
+
+_register_family(
+    "rolling-upgrade",
+    "Rolling upgrade: cycle every replica through drain/rejoin under load",
+    "Live-cluster rolling upgrade: drain/rejoin the whole fleet",
+    ("mttr", "unavailability", "slo_violation_fraction"),
+    ("slo_violation_fraction", "converged"),
+    _ops_points(ROLLING_LOAD, _rolling_plan),
+    _assemble_ops,
+    aliases=("rolling",),
+)
+
+_register_family(
     "brownout-detection",
     "Gray failure: a silent brownout caught by the capacity estimator",
-    BROWNOUT_LOAD,
-    _brownout_plan,
+    "Live-cluster gray failure: brownout on real threads, caught live",
+    ("gray_detected", "mean_gray_detection_latency",
+     "slo_violation_fraction"),
+    ("gray_detected", "mean_gray_detection_latency", "converged"),
+    _ops_points(BROWNOUT_LOAD, _brownout_plan, with_profile=True,
+                capacity_source=ESTIMATED),
+    _assemble_ops,
     aliases=("brownout",),
-    metrics=("gray_detected", "mean_gray_detection_latency",
-             "slo_violation_fraction"),
-    capacity_source=ESTIMATED,
-    with_profile=True,
 )
 
 
-def _capest_policy(settings) -> FeedforwardPolicy:
-    return FeedforwardPolicy(
-        horizon=2.0 * settings.autoscale_control_interval,
-        headroom=CAPEST_HEADROOM,
-    )
-
-
-def _capest_plan(warmup: float, duration: float) -> OpsPlan:
-    horizon = warmup + duration
-    return OpsPlan(faults=(brownout_fault(
-        1, BROWNOUT_START * horizon, BROWNOUT_SPAN * horizon,
+def _capest_points(settings, dims: PillarDims) -> List:
+    capacity = CAPEST_FLEET * _design_capacity(
+        MULTI_MASTER, dims, settings
+    ) / dims.anchor.replicas
+    if dims.pillar == CLUSTER:
+        # The live cell pins the base fleet: the model's conservative
+        # live prediction would make a feedforward target absorb the
+        # brownout by over-provisioning both arms.  The estimated arm
+        # still scales out — the estimator's fleet-health factor
+        # inflates the pinned target.
+        policy = FixedPolicy(replicas=CAPEST_FLEET)
+    else:
+        policy = FeedforwardPolicy(horizon=2.0 * dims.control_interval,
+                                   headroom=CAPEST_HEADROOM)
+    plan = OpsPlan(faults=(brownout_fault(
+        1, BROWNOUT_START * dims.horizon, BROWNOUT_SPAN * dims.horizon,
         severity=BROWNOUT_SEVERITY,
     ),))
-
-
-def _capest_sim_points(settings) -> List:
-    spec = tpcw.SHOPPING
-    task = profile_task(spec, settings)
-    warmup = settings.autoscale_warmup
-    duration = settings.autoscale_duration
-    capacity = CAPEST_FLEET * _design_capacity(
-        MULTI_MASTER, spec, settings
-    ) / settings.autoscale_peak_replicas
-    trace = _steady_trace(CAPEST_LOAD * capacity, duration)
-    plan = _capest_plan(warmup, duration)
-    points = []
-    for source in (None, ESTIMATED):
-        points.append(autoscale_point(
-            spec,
-            spec.replication_config(
-                1,
-                load_balancer_delay=settings.load_balancer_delay,
-                certifier_delay=settings.certifier_delay,
-            ),
+    return [
+        dims.elastic_point(
             MULTI_MASTER,
-            seed=settings.seed,
-            trace=trace,
-            policy=_capest_policy(settings),
+            trace=_steady_trace(CAPEST_LOAD[dims.pillar] * capacity,
+                                dims.duration),
+            policy=policy,
             slo_response=SLO_RESPONSE,
-            warmup=warmup,
-            duration=duration,
-            control_interval=settings.autoscale_control_interval,
             max_replicas=3 * CAPEST_FLEET,
             ops=plan,
-            telemetry=settings.telemetry,
             capacity_source=source,
-            profile=task,
-            tag="declared" if source is None else "estimated",
-        ))
-    return points
+            profile=profile_task(dims.spec, settings),
+            tag=source or "declared",
+        )
+        for source in (None, ESTIMATED)
+    ]
 
 
-def _assemble_capest(name, spec, pillar, warmup, duration,
-                     results) -> CapacityRecoveryComparison:
-    horizon = warmup + duration
+def _assemble_capest(name, points, results) -> CapacityRecoveryComparison:
+    horizon = points[0].option("warmup") + points[0].option("duration")
     onset = BROWNOUT_START * horizon
     window = (onset + RECOVERY_SETTLE * horizon, RECOVERY_END * horizon)
     declared, estimated = results
     return CapacityRecoveryComparison(
         name=name,
-        workload=spec.name,
-        pillar=pillar,
+        workload=points[0].spec.name,
+        pillar=points[0].option("pillar"),
         severity=BROWNOUT_SEVERITY,
         onset=onset,
         window=window,
@@ -495,323 +476,89 @@ def _assemble_capest(name, spec, pillar, warmup, duration,
     )
 
 
-CAPACITY_ESTIMATION = register_scenario(Scenario(
-    name="capacity-estimation",
-    title="Online capacity estimation: recover throughput from a brownout",
-    kind="ops",
-    metrics=("recovery", "detection_latency", "throughput"),
-    points=_capest_sim_points,
-    assemble=lambda settings, pts, results: _assemble_capest(
-        "capacity-estimation", tpcw.SHOPPING, "simulator",
-        settings.autoscale_warmup, settings.autoscale_duration, results,
-    ),
+_register_family(
+    "capacity-estimation",
+    "Online capacity estimation: recover throughput from a brownout",
+    "Live online capacity estimation: brownout recovery on threads",
+    ("recovery", "detection_latency", "throughput"),
+    ("recovery", "detection_latency", "converged"),
+    _capest_points,
+    _assemble_capest,
     aliases=("capest",),
-))
+    # Both arms of the capacity-source axis are the experiment.
+    owns=("capacity_source",),
+)
 
 
-def _hetero_rate(settings, capacities: Sequence[float]) -> float:
-    """Offered open-loop rate for a mixed fleet: HETERO_LOAD of the
-    homogeneous capacity curve evaluated at the summed multipliers."""
-    spec = tpcw.SHOPPING
-    effective = sum(capacities)
-    per_replica = _design_capacity(MULTI_MASTER, spec, settings) / (
-        settings.autoscale_peak_replicas
+def _hetero_points(settings, dims: PillarDims) -> List:
+    capacities = HETERO_CAPACITIES[dims.pillar]
+    # Open-loop at HETERO_LOAD of the homogeneous capacity curve
+    # evaluated at the summed multipliers.
+    per_replica = _design_capacity(
+        MULTI_MASTER, dims, settings
+    ) / dims.anchor.replicas
+    rate = HETERO_LOAD * per_replica * sum(capacities)
+    # Only the simulator cells size the inventory with the model.
+    points = (
+        [profile_point(dims.spec, settings, tag="profile")]
+        if dims.pillar == SIMULATOR else []
     )
-    return HETERO_LOAD * per_replica * effective
-
-
-def _hetero_points(settings) -> List:
-    spec = tpcw.SHOPPING
-    points = [profile_point(spec, settings, tag="profile")]
-    config = spec.replication_config(
-        len(HETERO_CAPACITIES),
-        load_balancer_delay=settings.load_balancer_delay,
-        certifier_delay=settings.certifier_delay,
-    )
-    rate = _hetero_rate(settings, HETERO_CAPACITIES)
     # RANDOM is the capacity-oblivious control: without feedback or
     # weighting it saturates the slowest box and collapses.
     for policy in (LEAST_LOADED, CAPACITY_WEIGHTED, RANDOM):
-        points.append(sim_point(
-            spec,
-            config,
+        points.append(dims.measured_point(
             MULTI_MASTER,
-            seed=settings.seed,
-            warmup=settings.sim_warmup,
-            duration=settings.sim_duration,
+            len(capacities),
             lb_policy=policy,
-            capacities=HETERO_CAPACITIES,
+            capacities=capacities,
             arrival_rate=rate,
-            telemetry=settings.telemetry,
             tag=policy,
         ))
     return points
 
 
-def _assemble_hetero(settings, points, results) -> HeteroFleetComparison:
+def _assemble_hetero(name, points, results) -> HeteroFleetComparison:
     from ..models.planning import plan_mixed_fleet
 
-    report, cells = results[0], results[1:]
-    named = tuple(
-        (point.option("lb_policy"), result)
-        for point, result in zip(points[1:], cells)
-    )
-    best = max(cells, key=lambda r: r.throughput)
-    plan = plan_mixed_fleet(
-        report.profile,
-        points[1].config,
-        target_throughput=0.9 * best.throughput,
-        capacities=HETERO_CAPACITIES,
-        design=MULTI_MASTER,
-        headroom=0.1,
-    )
+    cells = [(point, result) for point, result in zip(points, results)
+             if point.backend != PROFILE]
+    first = cells[0][0]
+    capacities = first.option("capacities")
+    plan = None
+    if points[0].backend == PROFILE:
+        best = max((result for _, result in cells),
+                   key=lambda r: r.throughput)
+        plan = plan_mixed_fleet(
+            results[0].profile,
+            first.config,
+            target_throughput=0.9 * best.throughput,
+            capacities=capacities,
+            design=MULTI_MASTER,
+            headroom=0.1,
+        )
     return HeteroFleetComparison(
-        workload=tpcw.SHOPPING.name,
-        pillar="simulator",
-        capacities=HETERO_CAPACITIES,
-        cells=named,
+        workload=first.spec.name,
+        pillar=first.backend,
+        capacities=capacities,
+        cells=tuple((point.option("lb_policy"), result)
+                    for point, result in cells),
         plan_text="" if plan is None else plan.to_text(),
     )
 
 
-HETERO = register_scenario(Scenario(
-    name="hetero-fleet",
-    title="Heterogeneous-capacity fleet: capacity-weighted vs least-loaded",
-    kind="ops",
-    metrics=("throughput", "response_time"),
-    points=_hetero_points,
-    assemble=_assemble_hetero,
-    aliases=("hetero",),
-))
-
-
-# ----------------------------------------------------------------------
-# Live-cluster cells
-# ----------------------------------------------------------------------
-
-def _ops_live_points(settings, load_fraction: float, plan,
-                     capacity_source: Optional[str] = None,
-                     with_profile: bool = False) -> List:
-    capacity = _live_design_capacity(settings)
-    trace = _steady_trace(load_fraction * capacity, LIVE_DURATION)
-    task = profile_task(LIVE_SPEC, settings) if with_profile else None
-    return [autoscale_point(
-        LIVE_SPEC,
-        LIVE_SPEC.replication_config(
-            1, load_balancer_delay=0.0005, certifier_delay=0.002,
-        ),
-        MULTI_MASTER,
-        seed=settings.seed,
-        trace=trace,
-        policy=FixedPolicy(replicas=LIVE_FLEET),
-        slo_response=SLO_RESPONSE,
-        warmup=LIVE_WARMUP,
-        duration=LIVE_DURATION,
-        control_interval=LIVE_CONTROL_INTERVAL,
-        pillar=CLUSTER,
-        time_scale=LIVE_TIME_SCALE,
-        max_replicas=2 * LIVE_FLEET,
-        transfer_writesets=8,
-        ops=plan,
-        telemetry=settings.telemetry,
-        capacity_source=(
-            capacity_source if capacity_source is not None
-            else settings.capacity_source
-        ),
-        profile=task,
-        tag="live",
-    )]
-
-
-_LIVE_SELFHEAL_PLAN = OpsPlan(
-    faults=(crash_fault(1, 0.35 * (LIVE_WARMUP + LIVE_DURATION)),),
-    self_heal=True,
-    transfer_writesets=8,
-)
-
-_LIVE_ROLLING_PLAN = OpsPlan(
-    rolling_start=0.25 * (LIVE_WARMUP + LIVE_DURATION),
-    rolling_settle=LIVE_CONTROL_INTERVAL,
-    transfer_writesets=8,
-)
-
-
-SELFHEAL_LIVE = register_scenario(Scenario(
-    name="selfheal-crashstorm-live",
-    title="Live-cluster self-healing: crash, detect, replace on real threads",
-    kind="ops",
-    metrics=("mttr", "unavailability", "converged"),
-    points=lambda settings: _ops_live_points(
-        settings, SELFHEAL_LOAD, _LIVE_SELFHEAL_PLAN
-    ),
-    assemble=lambda settings, pts, results: _assemble_ops(
-        "selfheal-crashstorm-live", LIVE_SPEC, "cluster", results
-    ),
-    aliases=("selfheal-live",),
-    tags=("live",),
-))
-
-ROLLING_LIVE = register_scenario(Scenario(
-    name="rolling-upgrade-live",
-    title="Live-cluster rolling upgrade: drain/rejoin the whole fleet",
-    kind="ops",
-    metrics=("slo_violation_fraction", "converged"),
-    points=lambda settings: _ops_live_points(
-        settings, ROLLING_LOAD, _LIVE_ROLLING_PLAN
-    ),
-    assemble=lambda settings, pts, results: _assemble_ops(
-        "rolling-upgrade-live", LIVE_SPEC, "cluster", results
-    ),
-    aliases=("rolling-live",),
-    tags=("live",),
-))
-
-
-def _hetero_live_points(settings) -> List:
-    points = []
-    config = LIVE_SPEC.replication_config(
-        len(LIVE_HETERO_CAPACITIES),
-        load_balancer_delay=0.0005, certifier_delay=0.002,
-    )
-    # Open-loop at HETERO_LOAD of the fleet's predicted capacity, like
-    # the simulator cell (the live fleet sums to 3.0 equivalents, the
-    # anchor deployment's size).
-    rate = HETERO_LOAD * _live_design_capacity(settings) * (
-        sum(LIVE_HETERO_CAPACITIES) / 3.0
-    )
-    for policy in (LEAST_LOADED, CAPACITY_WEIGHTED, RANDOM):
-        points.append(cluster_point(
-            LIVE_SPEC,
-            config,
-            MULTI_MASTER,
-            seed=settings.seed,
-            warmup=LIVE_WARMUP,
-            duration=LIVE_DURATION,
-            time_scale=LIVE_TIME_SCALE,
-            lb_policy=policy,
-            capacities=LIVE_HETERO_CAPACITIES,
-            arrival_rate=rate,
-            telemetry=settings.telemetry,
-            tag=policy,
-        ))
-    return points
-
-
-def _assemble_hetero_live(settings, points, results) -> HeteroFleetComparison:
-    named = tuple(
-        (point.option("lb_policy"), result)
-        for point, result in zip(points, results)
-    )
-    return HeteroFleetComparison(
-        workload=LIVE_SPEC.name,
-        pillar="cluster",
-        capacities=LIVE_HETERO_CAPACITIES,
-        cells=named,
-    )
-
-
-HETERO_LIVE = register_scenario(Scenario(
-    name="hetero-fleet-live",
-    title="Live heterogeneous fleet: capacity-weighted vs least-loaded",
-    kind="ops",
-    metrics=("throughput", "response_time", "converged"),
-    points=_hetero_live_points,
-    assemble=_assemble_hetero_live,
-    aliases=("hetero-live",),
-    tags=("live",),
-))
-
-_LIVE_HORIZON = LIVE_WARMUP + LIVE_DURATION
-
-_LIVE_BROWNOUT_PLAN = OpsPlan(faults=(brownout_fault(
-    1, 0.30 * _LIVE_HORIZON, BROWNOUT_SPAN * _LIVE_HORIZON,
-    severity=BROWNOUT_SEVERITY,
-),))
-
-
-BROWNOUT_DETECTION_LIVE = register_scenario(Scenario(
-    name="brownout-detection-live",
-    title="Live-cluster gray failure: brownout on real threads, caught live",
-    kind="ops",
-    metrics=("gray_detected", "mean_gray_detection_latency", "converged"),
-    points=lambda settings: _ops_live_points(
-        settings, BROWNOUT_LOAD, _LIVE_BROWNOUT_PLAN,
-        capacity_source=ESTIMATED, with_profile=True,
-    ),
-    assemble=lambda settings, pts, results: _assemble_ops(
-        "brownout-detection-live", LIVE_SPEC, "cluster", results
-    ),
-    aliases=("brownout-live",),
-    tags=("live",),
-))
-
-
-def _capest_live_points(settings) -> List:
-    task = profile_task(LIVE_SPEC, settings)
-    capacity = CAPEST_FLEET * _live_design_capacity(settings) / (
-        LIVE_PEAK_REPLICAS
-    )
-    trace = _steady_trace(LIVE_CAPEST_LOAD * capacity, LIVE_DURATION)
-    plan = _capest_plan(LIVE_WARMUP, LIVE_DURATION)
-    # The live cell pins the base fleet: the model's conservative live
-    # prediction would make a feedforward target absorb the brownout by
-    # over-provisioning both arms.  The estimated arm still scales out —
-    # the estimator's fleet-health factor inflates the pinned target.
-    policy = FixedPolicy(replicas=CAPEST_FLEET)
-    points = []
-    for source in (None, ESTIMATED):
-        points.append(autoscale_point(
-            LIVE_SPEC,
-            LIVE_SPEC.replication_config(
-                1, load_balancer_delay=0.0005, certifier_delay=0.002,
-            ),
-            MULTI_MASTER,
-            seed=settings.seed,
-            trace=trace,
-            policy=policy,
-            slo_response=SLO_RESPONSE,
-            warmup=LIVE_WARMUP,
-            duration=LIVE_DURATION,
-            control_interval=LIVE_CONTROL_INTERVAL,
-            pillar=CLUSTER,
-            time_scale=LIVE_TIME_SCALE,
-            max_replicas=3 * CAPEST_FLEET,
-            transfer_writesets=8,
-            ops=plan,
-            telemetry=settings.telemetry,
-            capacity_source=source,
-            profile=task,
-            tag="declared" if source is None else "estimated",
-        ))
-    return points
-
-
-CAPACITY_ESTIMATION_LIVE = register_scenario(Scenario(
-    name="capacity-estimation-live",
-    title="Live online capacity estimation: brownout recovery on threads",
-    kind="ops",
-    metrics=("recovery", "detection_latency", "converged"),
-    points=_capest_live_points,
-    assemble=lambda settings, pts, results: _assemble_capest(
-        "capacity-estimation-live", LIVE_SPEC, "cluster",
-        LIVE_WARMUP, LIVE_DURATION, results,
-    ),
-    aliases=("capest-live",),
-    tags=("live",),
-))
-
-#: Scenario names grouped for the ``repro ops`` verb.
-SIM_SCENARIOS = (
-    "selfheal-crashstorm",
-    "rolling-upgrade",
+_register_family(
     "hetero-fleet",
-    "brownout-detection",
-    "capacity-estimation",
-)
-LIVE_SCENARIOS = (
-    "selfheal-crashstorm-live",
-    "rolling-upgrade-live",
-    "hetero-fleet-live",
-    "brownout-detection-live",
-    "capacity-estimation-live",
+    "Heterogeneous-capacity fleet: capacity-weighted vs least-loaded",
+    "Live heterogeneous fleet: capacity-weighted vs least-loaded",
+    ("throughput", "response_time"),
+    ("throughput", "response_time", "converged"),
+    _hetero_points,
+    _assemble_hetero,
+    aliases=("hetero",),
+    # Steady-state cells measure over the simulation window, not the
+    # autoscale trace length.
+    sim_dims_for=lambda settings: dataclasses.replace(
+        _sim_dims(settings), warmup=settings.sim_warmup,
+        duration=settings.sim_duration,
+    ),
 )

@@ -1,7 +1,7 @@
 """Registered partial-replication scenarios.
 
-Two families, each with a deterministic simulator cell set and a
-live-cluster validation cell set:
+Three families, each a deterministic simulator cell set and a ``-live``
+cluster twin registered from the same declaration:
 
 * ``partial-replication-sweep`` — full vs partial replication across an
   update-fraction sweep on one fleet: the A/B that quantifies how much
@@ -24,17 +24,21 @@ is ``repro partition``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.params import ConflictProfile, WorkloadMix
-from ..engine import Scenario, register_scenario
-from ..engine.scenario import (
-    cluster_point,
-    model_point,
-    profile_task,
-    sim_point,
+from ..engine import (
+    CLUSTER,
+    SIMULATOR,
+    PillarDims,
+    Scenario,
+    live_twin,
+    register_family,
+    register_scenario,
 )
+from ..engine.scenario import model_point, profile_task
 from ..models.planning import plan_placement
 from ..sidb.certifier_api import CertifierSpec
 from ..simulator.runner import MULTI_MASTER
@@ -79,8 +83,7 @@ CERT_DELAY = 0.012
 #: regime*: the live cluster's absolute rate is far below the
 #: simulator's (real threads), so it needs a proportionally longer
 #: service time for the same comparison.
-CERT_SERVICE_SIM = 0.008
-CERT_SERVICE_LIVE = 0.04
+CERT_SERVICE = {SIMULATOR: 0.008, CLUSTER: 0.04}
 CERT_LIVE_TIME_SCALE = 0.04
 CERT_LIVE_WARMUP = 4.0
 CERT_LIVE_DURATION = 20.0
@@ -370,7 +373,44 @@ class PlacementAblationReport:
 
 
 # ----------------------------------------------------------------------
-# partial-replication-sweep (simulator + model)
+# Pillar dimensions shared by the three families
+# ----------------------------------------------------------------------
+
+def _sim_dims(settings, spec: WorkloadSpec, fleet: int,
+              certifier_delay: Optional[float] = None) -> PillarDims:
+    return PillarDims(
+        pillar=SIMULATOR,
+        spec=spec,
+        seed=settings.seed,
+        config=spec.replication_config(
+            1,
+            load_balancer_delay=settings.load_balancer_delay,
+            certifier_delay=(settings.certifier_delay
+                             if certifier_delay is None else certifier_delay),
+        ),
+        warmup=settings.sim_warmup,
+        duration=settings.sim_duration,
+        fleet=fleet,
+    )
+
+
+def _live_dims(settings, spec: WorkloadSpec) -> PillarDims:
+    return PillarDims(
+        pillar=CLUSTER,
+        spec=spec,
+        seed=settings.seed,
+        config=spec.replication_config(
+            1, load_balancer_delay=0.0005, certifier_delay=0.002,
+        ),
+        warmup=LIVE_WARMUP,
+        duration=LIVE_DURATION,
+        time_scale=LIVE_TIME_SCALE,
+        fleet=LIVE_FLEET,
+    )
+
+
+# ----------------------------------------------------------------------
+# partial-replication-sweep (simulator + model) and its live A/B
 # ----------------------------------------------------------------------
 
 def sweep_map() -> PartitionMap:
@@ -378,51 +418,39 @@ def sweep_map() -> PartitionMap:
     return PartitionMap.ring(SWEEP_PARTITIONS, SWEEP_FLEET, SWEEP_FACTOR)
 
 
+def live_sweep_map() -> PartitionMap:
+    """The live A/B's partial placement (ring, factor 2)."""
+    return PartitionMap.ring(LIVE_PARTITIONS, LIVE_FLEET, SWEEP_FACTOR)
+
+
+def _full_and_partial(dims: PillarDims, partial: PartitionMap,
+                      tag: str = "{}") -> List:
+    # Full replication is the partitioned spec with no map (the resolver
+    # defaults to PartitionMap.full): identical workload, identical
+    # routing policy, only the placement differs.
+    return [
+        dims.measured_point(
+            MULTI_MASTER, lb_policy=PARTITION_AWARE,
+            partition_map=pmap, tag=tag.format(label),
+        )
+        for label, pmap in (("full", None), ("partial", partial))
+    ]
+
+
 def _sweep_points(settings) -> List:
     partial = sweep_map()
     points = []
     for write_fraction in WRITE_FRACTIONS:
-        spec = sweep_spec(write_fraction)
-        config = spec.replication_config(
-            SWEEP_FLEET,
-            load_balancer_delay=settings.load_balancer_delay,
-            certifier_delay=settings.certifier_delay,
-        )
-        task = profile_task(spec, settings)
+        dims = _sim_dims(settings, sweep_spec(write_fraction), SWEEP_FLEET)
         prefix = f"{write_fraction:g}"
-        # Full replication is the partitioned spec with no map (the
-        # resolver defaults to PartitionMap.full): identical workload,
-        # identical routing policy, only the placement differs.
-        points.append(sim_point(
-            spec, config, MULTI_MASTER,
-            seed=settings.seed,
-            warmup=settings.sim_warmup,
-            duration=settings.sim_duration,
-            lb_policy=PARTITION_AWARE,
-            telemetry=settings.telemetry,
-            tag=f"{prefix}:sim-full",
-        ))
-        points.append(sim_point(
-            spec, config, MULTI_MASTER,
-            seed=settings.seed,
-            warmup=settings.sim_warmup,
-            duration=settings.sim_duration,
-            lb_policy=PARTITION_AWARE,
-            partition_map=partial,
-            telemetry=settings.telemetry,
-            tag=f"{prefix}:sim-partial",
-        ))
-        points.append(model_point(
-            spec, config, MULTI_MASTER,
-            profile=task,
-            tag=f"{prefix}:model-full",
-        ))
-        points.append(model_point(
-            spec, config, MULTI_MASTER,
-            profile=task,
-            partition_map=partial,
-            tag=f"{prefix}:model-partial",
-        ))
+        points += _full_and_partial(dims, partial, prefix + ":sim-{}")
+        for label, pmap in (("full", None), ("partial", partial)):
+            points.append(model_point(
+                dims.spec, dims.config.with_replicas(dims.fleet), MULTI_MASTER,
+                profile=profile_task(dims.spec, settings),
+                partition_map=pmap,
+                tag=f"{prefix}:model-{label}",
+            ))
     return points
 
 
@@ -446,47 +474,6 @@ def _assemble_sweep(settings, points, results) -> PartialReplicationReport:
     )
 
 
-SWEEP = register_scenario(Scenario(
-    name="partial-replication-sweep",
-    title="Partial vs full replication across update fractions (sim + model)",
-    kind="partition",
-    metrics=("throughput", "speedup", "model_vs_sim_deviation"),
-    points=_sweep_points,
-    assemble=_assemble_sweep,
-    aliases=("partial-replication", "partition-sweep"),
-))
-
-
-# ----------------------------------------------------------------------
-# partial-replication-sweep-live (live cluster)
-# ----------------------------------------------------------------------
-
-def live_sweep_map() -> PartitionMap:
-    """The live A/B's partial placement (ring, factor 2)."""
-    return PartitionMap.ring(LIVE_PARTITIONS, LIVE_FLEET, SWEEP_FACTOR)
-
-
-def _live_sweep_points(settings) -> List:
-    spec = live_sweep_spec()
-    config = spec.replication_config(
-        LIVE_FLEET, load_balancer_delay=0.0005, certifier_delay=0.002,
-    )
-    shared = dict(
-        seed=settings.seed,
-        warmup=LIVE_WARMUP,
-        duration=LIVE_DURATION,
-        time_scale=LIVE_TIME_SCALE,
-        lb_policy=PARTITION_AWARE,
-        telemetry=settings.telemetry,
-        certifier=getattr(settings, "certifier", None),
-    )
-    return [
-        cluster_point(spec, config, MULTI_MASTER, tag="full", **shared),
-        cluster_point(spec, config, MULTI_MASTER, tag="partial",
-                      partition_map=live_sweep_map(), **shared),
-    ]
-
-
 def _assemble_live_sweep(settings, points, results):
     cells = tuple(
         LiveCell(label=point.tag, result=result)
@@ -499,20 +486,28 @@ def _assemble_live_sweep(settings, points, results):
     )
 
 
-SWEEP_LIVE = register_scenario(Scenario(
-    name="partial-replication-sweep-live",
+register_scenario(live_twin(
+    register_scenario(Scenario(
+        name="partial-replication-sweep",
+        title="Partial vs full replication across update fractions "
+        "(sim + model)",
+        kind="partition",
+        metrics=("throughput", "speedup", "model_vs_sim_deviation"),
+        points=_sweep_points,
+        assemble=_assemble_sweep,
+        aliases=("partial-replication", "partition-sweep"),
+    )),
     title="Live-cluster partial vs full replication (scoped propagation)",
-    kind="partition",
     metrics=("throughput", "response_time", "converged"),
-    points=_live_sweep_points,
+    points=lambda settings: _full_and_partial(
+        _live_dims(settings, live_sweep_spec()), live_sweep_map()
+    ),
     assemble=_assemble_live_sweep,
-    aliases=("partial-replication-live",),
-    tags=("live",),
 ))
 
 
 # ----------------------------------------------------------------------
-# placement-ablation (simulator)
+# placement-ablation (simulator, live cluster)
 # ----------------------------------------------------------------------
 
 def balanced_map(partitions: int, replicas: int,
@@ -522,40 +517,32 @@ def balanced_map(partitions: int, replicas: int,
                           weights=weights).partition_map
 
 
-def _ablation_points(settings) -> List:
-    spec = ablation_spec()
-    config = spec.replication_config(
-        ABLATION_FLEET,
-        load_balancer_delay=settings.load_balancer_delay,
-        certifier_delay=settings.certifier_delay,
+def _placement_points(settings, dims: PillarDims) -> List:
+    spec = dims.spec
+    placements = (
+        ("ring-oblivious",
+         PartitionMap.ring(spec.partitions, dims.fleet, SWEEP_FACTOR)),
+        ("weight-balanced",
+         balanced_map(spec.partitions, dims.fleet, spec.partition_weights)),
     )
-    shared = dict(
-        seed=settings.seed,
-        warmup=settings.sim_warmup,
-        duration=settings.sim_duration,
-        lb_policy=PARTITION_AWARE,
-        telemetry=settings.telemetry,
-        certifier=getattr(settings, "certifier", None),
-    )
-    oblivious = PartitionMap.ring(ABLATION_PARTITIONS, ABLATION_FLEET,
-                                  SWEEP_FACTOR)
-    balanced = balanced_map(ABLATION_PARTITIONS, ABLATION_FLEET,
-                            ABLATION_WEIGHTS)
     return [
-        sim_point(spec, config, MULTI_MASTER, tag="ring-oblivious",
-                  partition_map=oblivious, **shared),
-        sim_point(spec, config, MULTI_MASTER, tag="weight-balanced",
-                  partition_map=balanced, **shared),
+        dims.measured_point(
+            MULTI_MASTER, lb_policy=PARTITION_AWARE,
+            partition_map=pmap, tag=tag,
+        )
+        for tag, pmap in placements
     ]
 
 
-def _assemble_ablation(settings, points, results) -> PlacementAblationReport:
-    plan = plan_placement(ABLATION_PARTITIONS, ABLATION_FLEET, SWEEP_FACTOR,
-                          weights=ABLATION_WEIGHTS)
+def _assemble_placement(settings, points, results) -> PlacementAblationReport:
+    first = points[0]
+    spec = first.spec
+    plan = plan_placement(spec.partitions, first.replicas, SWEEP_FACTOR,
+                          weights=spec.partition_weights)
     return PlacementAblationReport(
-        workload=ablation_spec().name,
-        pillar="simulator",
-        weights=ABLATION_WEIGHTS,
+        workload=spec.name,
+        pillar=first.backend,
+        weights=spec.partition_weights,
         cells=tuple(
             (point.tag, result) for point, result in zip(points, results)
         ),
@@ -563,74 +550,26 @@ def _assemble_ablation(settings, points, results) -> PlacementAblationReport:
     )
 
 
-ABLATION = register_scenario(Scenario(
+register_family(
+    _placement_points,
+    lambda settings: _sim_dims(settings, ablation_spec(), ABLATION_FLEET),
+    lambda settings: _live_dims(settings, live_ablation_spec()),
+    live=dict(
+        title="Live-cluster placement planning: balanced vs oblivious ring",
+        metrics=("throughput", "response_time", "converged"),
+    ),
     name="placement-ablation",
-    title="Placement planning: weight-balanced vs oblivious ring (skewed load)",
+    title="Placement planning: weight-balanced vs oblivious ring "
+    "(skewed load)",
     kind="partition",
     metrics=("throughput", "response_time"),
-    points=_ablation_points,
-    assemble=_assemble_ablation,
+    assemble=_assemble_placement,
     aliases=("placement",),
-))
+)
 
 
 # ----------------------------------------------------------------------
-# placement-ablation-live (live cluster)
-# ----------------------------------------------------------------------
-
-def _live_ablation_points(settings) -> List:
-    spec = live_ablation_spec()
-    config = spec.replication_config(
-        LIVE_FLEET, load_balancer_delay=0.0005, certifier_delay=0.002,
-    )
-    shared = dict(
-        seed=settings.seed,
-        warmup=LIVE_WARMUP,
-        duration=LIVE_DURATION,
-        time_scale=LIVE_TIME_SCALE,
-        lb_policy=PARTITION_AWARE,
-        telemetry=settings.telemetry,
-        certifier=getattr(settings, "certifier", None),
-    )
-    oblivious = PartitionMap.ring(LIVE_ABLATION_PARTITIONS, LIVE_FLEET,
-                                  SWEEP_FACTOR)
-    balanced = balanced_map(LIVE_ABLATION_PARTITIONS, LIVE_FLEET,
-                            LIVE_ABLATION_WEIGHTS)
-    return [
-        cluster_point(spec, config, MULTI_MASTER, tag="ring-oblivious",
-                      partition_map=oblivious, **shared),
-        cluster_point(spec, config, MULTI_MASTER, tag="weight-balanced",
-                      partition_map=balanced, **shared),
-    ]
-
-
-def _assemble_live_ablation(settings, points, results) -> PlacementAblationReport:
-    plan = plan_placement(LIVE_ABLATION_PARTITIONS, LIVE_FLEET, SWEEP_FACTOR,
-                          weights=LIVE_ABLATION_WEIGHTS)
-    return PlacementAblationReport(
-        workload=live_ablation_spec().name,
-        pillar="cluster",
-        weights=LIVE_ABLATION_WEIGHTS,
-        cells=tuple(
-            (point.tag, result) for point, result in zip(points, results)
-        ),
-        plan_text=plan.to_text(),
-    )
-
-
-ABLATION_LIVE = register_scenario(Scenario(
-    name="placement-ablation-live",
-    title="Live-cluster placement planning: balanced vs oblivious ring",
-    kind="partition",
-    metrics=("throughput", "response_time", "converged"),
-    points=_live_ablation_points,
-    assemble=_assemble_live_ablation,
-    aliases=("placement-live",),
-    tags=("live",),
-))
-
-# ----------------------------------------------------------------------
-# certifier-sharding (simulator + model)
+# certifier-sharding (simulator + model, live cluster)
 # ----------------------------------------------------------------------
 
 def certifier_workload() -> WorkloadSpec:
@@ -706,124 +645,70 @@ class CertifierShardingReport:
         return "\n".join(lines)
 
 
-def _certifier_points(settings) -> List:
-    spec = certifier_workload()
-    config = spec.replication_config(
-        CERT_FLEET,
-        load_balancer_delay=settings.load_balancer_delay,
-        certifier_delay=CERT_DELAY,
-    )
-    task = profile_task(spec, settings)
-    shared = dict(
-        seed=settings.seed,
-        warmup=settings.sim_warmup,
-        duration=settings.sim_duration,
-        lb_policy=PARTITION_AWARE,
-        telemetry=settings.telemetry,
-    )
+def _certifier_points(settings, dims: PillarDims) -> List:
     # Both arms carry the SAME positive service time: the A/B isolates
     # the protocol (one sequencer vs per-partition shards), not the cost
     # of certification itself.
-    return [
-        sim_point(spec, config, MULTI_MASTER, tag="sim-global",
-                  certifier=CertifierSpec("global",
-                                          service_time=CERT_SERVICE_SIM),
-                  **shared),
-        sim_point(spec, config, MULTI_MASTER, tag="sim-sharded",
-                  certifier=CertifierSpec("sharded",
-                                          service_time=CERT_SERVICE_SIM),
-                  **shared),
-        model_point(spec, config, MULTI_MASTER, profile=task,
-                    tag="model-global",
-                    certifier=CertifierSpec("global",
-                                            service_time=CERT_SERVICE_SIM)),
-        model_point(spec, config, MULTI_MASTER, profile=task,
-                    tag="model-sharded",
-                    certifier=CertifierSpec("sharded",
-                                            service_time=CERT_SERVICE_SIM)),
+    arms = [(kind, CertifierSpec(kind, service_time=CERT_SERVICE[dims.pillar]))
+            for kind in ("global", "sharded")]
+    points = [
+        dims.measured_point(
+            MULTI_MASTER, lb_policy=PARTITION_AWARE,
+            certifier=certifier, tag=f"{dims.label('sim')}-{kind}",
+        )
+        for kind, certifier in arms
     ]
+    if dims.pillar == SIMULATOR:
+        points += [
+            model_point(
+                dims.spec, dims.config.with_replicas(dims.fleet), MULTI_MASTER,
+                profile=profile_task(dims.spec, settings),
+                certifier=certifier, tag=f"model-{kind}",
+            )
+            for kind, certifier in arms
+        ]
+    return points
 
 
 def _assemble_certifier(settings, points, results) -> CertifierShardingReport:
+    first = points[0]
     return CertifierShardingReport(
-        workload=certifier_workload().name,
-        pillar="simulator+model",
-        partitions=CERT_PARTITIONS,
-        service_time=CERT_SERVICE_SIM,
+        workload=first.spec.name,
+        pillar="+".join(dict.fromkeys(point.backend for point in points)),
+        partitions=first.spec.partitions,
+        service_time=first.option("certifier").service_time,
         cells=tuple(
             (point.tag, result) for point, result in zip(points, results)
         ),
     )
 
 
-CERTIFIER = register_scenario(Scenario(
+def _certifier_sim_dims(settings) -> PillarDims:
+    return _sim_dims(settings, certifier_workload(), CERT_FLEET, CERT_DELAY)
+
+
+register_family(
+    _certifier_points,
+    _certifier_sim_dims,
+    # Same workload, fleet and delays on real threads; only the clock
+    # (and with it the service occupancy) is the live pillar's.
+    lambda settings: dataclasses.replace(
+        _certifier_sim_dims(settings), pillar=CLUSTER,
+        warmup=CERT_LIVE_WARMUP, duration=CERT_LIVE_DURATION,
+        time_scale=CERT_LIVE_TIME_SCALE,
+    ),
+    live=dict(
+        title="Live-cluster certifier sharding: global vs per-partition "
+        "shards",
+        metrics=("throughput", "response_time", "converged"),
+    ),
     name="certifier-sharding",
     title="Certifier sharding: global sequencer vs per-partition shards "
     "(sim + model)",
     kind="partition",
     metrics=("throughput", "speedup", "abort_rate"),
-    points=_certifier_points,
     assemble=_assemble_certifier,
     aliases=("sharded-certifier",),
-))
-
-
-# ----------------------------------------------------------------------
-# certifier-sharding-live (live cluster)
-# ----------------------------------------------------------------------
-
-def _live_certifier_points(settings) -> List:
-    spec = certifier_workload()
-    config = spec.replication_config(
-        CERT_FLEET,
-        load_balancer_delay=settings.load_balancer_delay,
-        certifier_delay=CERT_DELAY,
-    )
-    shared = dict(
-        seed=settings.seed,
-        warmup=CERT_LIVE_WARMUP,
-        duration=CERT_LIVE_DURATION,
-        time_scale=CERT_LIVE_TIME_SCALE,
-        lb_policy=PARTITION_AWARE,
-        telemetry=settings.telemetry,
-    )
-    return [
-        cluster_point(spec, config, MULTI_MASTER, tag="live-global",
-                      certifier=CertifierSpec("global",
-                                              service_time=CERT_SERVICE_LIVE),
-                      **shared),
-        cluster_point(spec, config, MULTI_MASTER, tag="live-sharded",
-                      certifier=CertifierSpec("sharded",
-                                              service_time=CERT_SERVICE_LIVE),
-                      **shared),
-    ]
-
-
-def _assemble_live_certifier(settings, points, results):
-    return CertifierShardingReport(
-        workload=certifier_workload().name,
-        pillar="cluster",
-        partitions=CERT_PARTITIONS,
-        service_time=CERT_SERVICE_LIVE,
-        cells=tuple(
-            (point.tag, result) for point, result in zip(points, results)
-        ),
-    )
-
-
-CERTIFIER_LIVE = register_scenario(Scenario(
-    name="certifier-sharding-live",
-    title="Live-cluster certifier sharding: global vs per-partition shards",
-    kind="partition",
-    metrics=("throughput", "response_time", "converged"),
-    points=_live_certifier_points,
-    assemble=_assemble_live_certifier,
-    aliases=("sharded-certifier-live",),
-    tags=("live",),
-))
-
-#: Scenario names grouped for the ``repro partition`` verb.
-SIM_SCENARIOS = ("partial-replication-sweep", "placement-ablation",
-                 "certifier-sharding")
-LIVE_SCENARIOS = ("partial-replication-sweep-live", "placement-ablation-live",
-                  "certifier-sharding-live")
+    # Both arms of the certifier axis are the experiment.
+    owns=("certifier",),
+)

@@ -493,7 +493,9 @@ def test_cli_metrics_reports_missing_telemetry(capsys, monkeypatch):
 def test_artifact_failures_surface_audit_violations():
     from types import SimpleNamespace
 
-    from repro.cli import _artifact_failures
+    from repro.cli import _run_failures
+    from repro.engine import scenario_points
+    from repro.experiments.settings import ExperimentSettings
 
     violation = audit_mod.AuditViolation(
         invariant=audit_mod.APPLY_ONCE, subject="replica1", version=7,
@@ -502,18 +504,12 @@ def test_artifact_failures_surface_audit_violations():
     bad = AuditReport(checks=((audit_mod.APPLY_ONCE, 1),),
                       violations=(violation,))
     good = AuditReport(checks=((audit_mod.APPLY_ONCE, 1),))
-    artifact = SimpleNamespace(
-        converged=True,
-        results=(
-            SimpleNamespace(design="multi-master", policy="fixed",
-                            converged=True,
-                            telemetry=SimpleNamespace(audit=bad)),
-            SimpleNamespace(design="single-master", policy="fixed",
-                            converged=True,
-                            telemetry=SimpleNamespace(audit=good)),
-        ),
-    )
-    failures = _artifact_failures(artifact)
+    points = scenario_points("selfheal-crashstorm", ExperimentSettings.fast())
+    results = [
+        SimpleNamespace(converged=True, telemetry=SimpleNamespace(audit=bad)),
+        SimpleNamespace(converged=True, telemetry=SimpleNamespace(audit=good)),
+    ]
+    failures = _run_failures(points, results)
     assert len(failures) == 1
     assert "audit violation" in failures[0]
     assert "multi-master" in failures[0]

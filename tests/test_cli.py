@@ -120,6 +120,33 @@ class TestCommands:
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, scenario", [
+        (["--capacity-source", "estimated"], "figure6"),
+        (["--capacity-source", "estimated"], "capacity-estimation"),
+        (["--certifier", "sharded"], "certifier-sharding"),
+        (["--audit"], "table3"),
+    ])
+    def test_flag_that_reaches_no_point_exits_2(self, capsys, flag, scenario):
+        """A run-wide flag is honoured or refused, never silently dropped:
+        one line naming the flag and the scenario, before anything runs."""
+        assert main(["run", scenario, "--fast", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[0]} reaches no point of {scenario!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_sharded_certifier_on_unpartitioned_workload_exits_2(self, capsys):
+        assert main(["run", "figure6", "--fast", "--certifier", "sharded"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs a partitioned workload" in captured.err
+
+    def test_audit_verdict_counts_the_audited_points(self, capsys):
+        code = main(["run", "placement-ablation", "--fast", "--audit",
+                     "--no-cache"])
+        assert code == 0
+        assert "audit: PASS — 2 point(s) audited" in capsys.readouterr().out
+
     def test_ops_parses_options(self):
         args = build_parser().parse_args(
             ["ops", "--operation", "rolling", "--live", "--timeline",
@@ -150,7 +177,7 @@ class TestCommands:
                 "can drain"
             )
 
-        monkeypatch.setattr(cli, "run_scenario", boom)
+        monkeypatch.setattr(cli, "execute_points", boom)
         code = main(["run", "selfheal-crashstorm-live", "--fast"])
         assert code == 1
         err = capsys.readouterr().err
@@ -198,7 +225,7 @@ class TestCommands:
 
 
 class TestArtifactFailures:
-    """`repro run` must exit non-zero on non-converged cluster artifacts."""
+    """`repro run` must exit non-zero on non-converged cluster results."""
 
     def _result(self, converged):
         from repro.control.autoscale import AutoscaleResult
@@ -211,29 +238,29 @@ class TestArtifactFailures:
             scale_events=1, converged=converged,
         )
 
-    def test_non_converged_entries_are_failures(self):
-        from repro.cli import _artifact_failures
-        from repro.control.autoscale import AutoscaleComparison
+    def _points(self, count):
+        from repro.engine import scenario_points
+        from repro.experiments.settings import ExperimentSettings
 
-        comparison = AutoscaleComparison(
-            workload="w", trace="diurnal", pillar="cluster",
-            slo_response=1.0,
-            results=(self._result(True), self._result(False)),
+        points = scenario_points("autoscale-diurnal-live",
+                                 ExperimentSettings.fast())
+        return points[:count]
+
+    def test_non_converged_entries_are_failures(self):
+        from repro.cli import _run_failures
+
+        failures = _run_failures(
+            self._points(2), [self._result(True), self._result(False)]
         )
-        failures = _artifact_failures(comparison)
         assert len(failures) == 1
         assert "did not converge" in failures[0]
+        assert "live:reactive" in failures[0]
 
     def test_converged_artifacts_pass(self):
-        from repro.cli import _artifact_failures
-        from repro.control.autoscale import AutoscaleComparison
+        from repro.cli import _run_failures
 
-        comparison = AutoscaleComparison(
-            workload="w", trace="diurnal", pillar="cluster",
-            slo_response=1.0, results=(self._result(True),),
-        )
-        assert _artifact_failures(comparison) == []
-        assert _artifact_failures(["plain", "rows"]) == []
+        assert _run_failures(self._points(1), [self._result(True)]) == []
+        assert _run_failures([], [], ["plain", "rows"]) == []
 
 
 class TestPartitionCli:

@@ -12,8 +12,11 @@ import pytest
 
 from repro.core.errors import ConfigurationError, EngineError
 from repro.engine import (
+    RUN_WIDE,
     ResultCache,
     SweepPoint,
+    all_scenarios,
+    apply_run_wide,
     clear_memo,
     default_jobs,
     execute_points,
@@ -284,6 +287,88 @@ class TestCLI:
             a.choices for a in figure._actions if a.dest == "name"
         )
         assert len(choices) == len(set(choices))
+
+
+class TestRunWideOptions:
+    """Run-wide settings are applied by the engine, in one place: a flag
+    either reaches every point that can take it or the grid refuses to
+    build — it is never a silent no-op."""
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        """Every registered grid at fast(), built once: the builders no
+        longer read the run-wide settings fields."""
+        settings = ExperimentSettings.fast()
+        return {name: (scenario, list(scenario.points(settings)))
+                for name, scenario in all_scenarios().items()}
+
+    def test_default_settings_leave_the_grid_untouched(self, grids):
+        settings = ExperimentSettings.fast()
+        assert all(getattr(settings, name) is None for name in RUN_WIDE)
+        for scenario, points in grids.values():
+            assert apply_run_wide(scenario, settings, points) is points
+
+    def test_audit_reaches_every_executable_point(self, grids):
+        settings = ExperimentSettings.fast().audited()
+        for name, (scenario, points) in grids.items():
+            for point in apply_run_wide(scenario, settings, points):
+                if point.backend in ("simulator", "cluster", "autoscale"):
+                    assert point.option("telemetry") is not None, (
+                        f"--audit is a no-op on {name} [{point.tag}]")
+                else:
+                    assert point.option("telemetry") is None
+
+    def test_certifier_reaches_every_multi_master_point_or_refuses(self, grids):
+        settings = ExperimentSettings.fast().with_certifier("sharded")
+        reached = refused = 0
+        for name, (scenario, points) in grids.items():
+            try:
+                overlaid = apply_run_wide(scenario, settings, points)
+            except ConfigurationError as exc:
+                # Unpartitioned workloads cannot run sharded: loud, early.
+                assert "partitioned workload" in str(exc)
+                refused += 1
+                continue
+            for before, point in zip(points, overlaid):
+                takes = (point.design == "multi-master"
+                         and point.backend in ("model", "simulator", "cluster"))
+                if "certifier" in scenario.owns or not takes:
+                    assert point is before or (
+                        point.option("certifier") == before.option("certifier")
+                    )
+                else:
+                    assert point.option("certifier") is not None, (
+                        f"--certifier is a no-op on {name} [{point.tag}]")
+                    reached += 1
+        assert reached and refused
+
+    def test_capacity_source_reaches_autoscale_points_only(self, grids):
+        settings = ExperimentSettings.fast().with_capacity_source("estimated")
+        for name, (scenario, points) in grids.items():
+            for before, point in zip(
+                    points, apply_run_wide(scenario, settings, points)):
+                if point.backend != "autoscale" or \
+                        "capacity_source" in scenario.owns:
+                    assert point == before
+                else:
+                    assert point.option("capacity_source") == "estimated"
+
+    def test_sim_and_live_twins_take_the_same_flags(self, grids):
+        """The bug this design removes: --certifier reached the live
+        partial-replication cells but not their simulator twins."""
+        settings = ExperimentSettings.fast().with_certifier("sharded")
+        for name in ("partial-replication-sweep",
+                     "partial-replication-sweep-live"):
+            scenario, points = grids[name]
+            overlaid = apply_run_wide(scenario, settings, points)
+            assert all(p.option("certifier") == settings.certifier
+                       for p in overlaid if p.backend != "profile")
+
+    def test_unknown_option_fails_when_the_point_is_built(self):
+        spec = tpcw.SHOPPING
+        with pytest.raises(ConfigurationError, match="telemetri"):
+            sim_point(spec, spec.replication_config(2), "multi-master",
+                      seed=1, warmup=1.0, duration=4.0, telemetri=True)
 
 
 class TestPointIntrospection:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.params import ReplicationConfig, StandaloneProfile, WorkloadMix
-from repro.models.singlemaster import SingleMasterOptions, predict_singlemaster
+from repro.models.singlemaster import predict_singlemaster
 from repro.models.standalone import predict_standalone
 
 
@@ -115,17 +115,6 @@ class TestBalancing:
     def test_breakdown_n1_master_only(self, simple_profile):
         prediction = predict_singlemaster(simple_profile, config(1))
         assert [b.role for b in prediction.breakdown] == ["master"]
-
-    def test_ratio_tolerance_must_be_positive(self):
-        with pytest.raises(Exception):
-            SingleMasterOptions(ratio_tolerance=0.0)
-
-    def test_custom_tolerance_accepted(self, simple_profile):
-        prediction = predict_singlemaster(
-            simple_profile, config(4),
-            options=SingleMasterOptions(ratio_tolerance=0.10),
-        )
-        assert prediction.throughput > 0
 
 
 class TestAbortRates:
