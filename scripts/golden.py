@@ -10,7 +10,11 @@ must preserve:
   hashes only the point's declared inputs, not the code).
 * ``digests.json`` — the ledger's ``result_digest`` recipe
   (``sha256(repr(replace(r, telemetry=None, perf=None)))``) over a
-  17-case DES grid and the model curve of both designs.
+  17-case DES grid, the model curve of both designs up to N=32 (where
+  the single-master population lattice is largest, one workload per
+  rebalancing regime), the same models on one *measured* profile (its
+  non-zero abort rate drives the abort fixed point through several
+  balancing passes) and a reachable plus an unreachable deployment plan.
 
 ``python scripts/golden.py`` recomputes both and diffs them against the
 committed files (exit 1 on any difference); ``--update`` rewrites them.
@@ -36,7 +40,9 @@ if str(ROOT / "src") not in sys.path:
 #: Stand-in for ``source_fingerprint()`` while point keys are computed.
 FINGERPRINT = "golden"
 SEED = 20090401
-MODEL_REPLICAS = (1, 2, 4, 8, 16)
+MODEL_REPLICAS = (1, 2, 4, 8, 16, 32)
+#: Replica counts predicted on the measured profile.
+MEASURED_REPLICAS = (2, 8)
 
 
 def points_manifest() -> Dict[str, List[list]]:
@@ -60,14 +66,16 @@ def points_manifest() -> Dict[str, List[list]]:
 
 
 def result_digest(result: object) -> str:
-    """A result's identity with the observation fields left out."""
-    dropped = {
-        f.name: None
-        for f in dataclasses.fields(result)
-        if f.name in ("telemetry", "perf")
-    }
-    bare = dataclasses.replace(result, **dropped)
-    return hashlib.sha256(repr(bare).encode("utf-8")).hexdigest()
+    """A result's identity with the observation fields left out (``None``
+    — an unreachable plan — digests as itself)."""
+    if dataclasses.is_dataclass(result):
+        dropped = {
+            f.name: None
+            for f in dataclasses.fields(result)
+            if f.name in ("telemetry", "perf")
+        }
+        result = dataclasses.replace(result, **dropped)
+    return hashlib.sha256(repr(result).encode("utf-8")).hexdigest()
 
 
 def des_cases() -> Dict[str, dict]:
@@ -130,10 +138,22 @@ def des_cases() -> Dict[str, dict]:
 
 
 def digests_manifest() -> Dict[str, Dict[str, str]]:
-    """``{"des": {case: digest}, "model": {"<workload> <design> N=n": digest}}``."""
+    """``{"des": {case: digest}, "model": {"<workload> <design> N=n": digest},
+    "plan": {"reachable" | "unreachable": digest}}``."""
+    from repro.core.errors import ConvergenceError
     from repro.models.api import DESIGNS, predict
+    from repro.models.planning import plan_deployment
+    from repro.profiling import profile_standalone
     from repro.simulator.runner import simulate
     from repro.workloads import rubis, tpcw
+
+    def predicted(design, profile, config) -> str:
+        # A diverging abort fixed point (rubis/bidding single-master at
+        # N=32) is pinned as the error it raises.
+        try:
+            return result_digest(predict(design, profile, config))
+        except ConvergenceError as error:
+            return result_digest(repr(error))
 
     des = {}
     for label, kwargs in des_cases().items():
@@ -146,9 +166,27 @@ def digests_manifest() -> Dict[str, Dict[str, str]]:
         )
         for design in DESIGNS:
             for n in MODEL_REPLICAS:
-                prediction = predict(design, profile, spec.replication_config(n))
-                model[f"{spec.name} {design} N={n}"] = result_digest(prediction)
-    return {"des": des, "model": model}
+                model[f"{spec.name} {design} N={n}"] = predicted(
+                    design, profile, spec.replication_config(n)
+                )
+    measured = profile_standalone(
+        tpcw.SHOPPING, seed=SEED, replay_duration=40.0, mixed_duration=40.0
+    ).profile
+    config = tpcw.SHOPPING.replication_config(1)
+    for design in DESIGNS:
+        for n in MEASURED_REPLICAS:
+            model[f"tpcw/shopping measured {design} N={n}"] = predicted(
+                design, measured, config.with_replicas(n)
+            )
+    plan = {
+        "reachable": result_digest(
+            plan_deployment(measured, config, 50.0, max_replicas=4)
+        ),
+        "unreachable": result_digest(
+            plan_deployment(measured, config, 100_000.0, max_replicas=3)
+        ),
+    }
+    return {"des": des, "model": model, "plan": plan}
 
 
 MANIFESTS = {"points": points_manifest, "digests": digests_manifest}

@@ -3,7 +3,7 @@
 Three policies, all sharing one tiny protocol (:class:`Controller`):
 
 * **model-feedforward** — the paper's dynamic-provisioning use case: size
-  each forecast window with :func:`repro.models.planning.plan_deployment`,
+  each forecast window with :class:`repro.models.planning.ReplicaScan`,
   consuming only the *standalone* profile.  The trace is the forecast (a
   data-center operator provisioning for a diurnal cycle knows tomorrow
   looks like today); the controller reads the worst case of the upcoming
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
-from ..core.errors import ConfigurationError, ConvergenceError
+from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig, StandaloneProfile
-from ..models.api import predict
-from ..models.planning import plan_deployment
+from ..models.planning import ReplicaScan
 from .trace import LoadTrace
 
 #: Policy kinds, in the order comparisons report them.
@@ -97,7 +96,7 @@ class FeedforwardPolicy:
     #: Forecast window the controller sizes for, in seconds ahead of now.
     #: Covers at least the join latency, so capacity lands before load.
     horizon: float = 30.0
-    #: Capacity head-room handed to :func:`plan_deployment`.
+    #: Capacity head-room the sizing scan keeps spare.
     headroom: float = 0.2
 
     def __post_init__(self) -> None:
@@ -171,7 +170,7 @@ class StaticPeakPolicy:
 
 
 class _ModelSizer:
-    """Smallest deployment serving a load within the SLA (memoized)."""
+    """Smallest deployment serving a load within the SLA."""
 
     def __init__(
         self,
@@ -183,65 +182,37 @@ class _ModelSizer:
         min_replicas: int,
         max_replicas: int,
     ) -> None:
-        self.design = design
-        self.profile = profile
-        self.config = config
         self.slo_response = slo_response
         self.headroom = headroom
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
-        self._memo: Dict[float, int] = {}
+        # Every tick sizes against the same curve: the scan predicts each
+        # replica count once for the life of the controller.
+        self._scan = ReplicaScan(design, profile, config)
 
     def size_for(self, load: float) -> int:
         if load <= 0.0:
             return self.min_replicas
-        # Quantize the load upward to three significant figures: a
-        # continuously varying forecast (the diurnal ramp) collapses to a
-        # few hundred buckets, so the MVA scan runs once per bucket, not
-        # per tick — and rounding *up* (at most +0.5%, far inside the
-        # head-room) can never under-provision the SLA.
+        # Quantize the load upward to three significant figures, so a
+        # continuously varying forecast (the diurnal ramp) sizes in steps
+        # — and rounding *up* (at most +0.5%, far inside the head-room)
+        # can never under-provision the SLA.
         exponent = math.floor(math.log10(load))
         quantum = 10.0 ** (exponent - 2)
-        key = math.ceil(load / quantum) * quantum
-        load = key
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        try:
-            plan = plan_deployment(
-                self.profile,
-                self.config,
-                target_throughput=load,
-                max_response_time=self.slo_response,
-                designs=(self.design,),
-                headroom=self.headroom,
-                max_replicas=self.max_replicas,
-            )
-            replicas = self.max_replicas if plan is None else plan.replicas
-        except ConvergenceError:
-            # A deployment whose abort fixed point diverges is a saturated
-            # one that cannot serve the window — skip it and keep growing
-            # instead of failing the control loop.
-            replicas = self._tolerant_scan(load)
+        load = math.ceil(load / quantum) * quantum
+        # A deployment whose abort fixed point diverges is a saturated one
+        # that cannot serve the window — skip it and keep growing instead
+        # of failing the control loop.
+        found = self._scan.smallest(
+            self.max_replicas,
+            load / (1.0 - self.headroom),
+            self.slo_response,
+            skip_diverged=True,
+        )
         # An unreachable window saturates provisioning rather than failing
         # the run: the timeline shows the SLO violations honestly.
-        replicas = max(self.min_replicas, min(self.max_replicas, replicas))
-        self._memo[key] = replicas
-        return replicas
-
-    def _tolerant_scan(self, load: float) -> int:
-        required = load / (1.0 - self.headroom)
-        for n in range(1, self.max_replicas + 1):
-            try:
-                prediction = predict(
-                    self.design, self.profile, self.config.with_replicas(n)
-                )
-            except ConvergenceError:
-                continue
-            if (prediction.throughput >= required
-                    and prediction.response_time <= self.slo_response):
-                return n
-        return self.max_replicas
+        replicas = self.max_replicas if found is None else found.replicas
+        return max(self.min_replicas, replicas)
 
 
 class FeedforwardController(Controller):

@@ -258,33 +258,20 @@ class ModelDriftMonitor:
     this monitor re-evaluates the same comparison at every control tick,
     so a deployment learns *while running* when reality leaves the
     envelope (a gray failure, an unmodelled bottleneck, a stale
-    profile).  Predictions are memoized per member count — a tick costs
-    one dict lookup once the fleet has been seen at that size.
+    profile).  Predictions are kept per member count — a tick costs one
+    dict lookup once the fleet has been seen at that size.
     """
 
     def __init__(self, design: str, profile, config,
                  envelope: float = DRIFT_ENVELOPE,
                  patience: int = DRIFT_PATIENCE) -> None:
-        from ..models.api import predict
+        from ..models.planning import ReplicaScan
 
-        self._predict = predict
-        self._design = design
-        self._profile = profile
-        self._config = config
+        self._predictions = ReplicaScan(design, profile, config)
         self.envelope = envelope
         self.patience = patience
-        self._memo: Dict[int, object] = {}
         self._streak = 0
         self.points: List[DriftPoint] = []
-
-    def _prediction(self, members: int):
-        cached = self._memo.get(members)
-        if cached is None:
-            cached = self._memo[members] = self._predict(
-                self._design, self._profile,
-                self._config.with_replicas(members),
-            )
-        return cached
 
     def observe(self, now: float, members: int, offered_rate: float,
                 throughput: float, p95: float) -> Optional[DriftPoint]:
@@ -293,7 +280,7 @@ class ModelDriftMonitor:
         """
         if members <= 0:
             return None
-        prediction = self._prediction(members)
+        prediction = self._predictions.at(members)
         predicted = min(offered_rate, prediction.throughput)
         if predicted <= 1e-9:
             return None

@@ -132,8 +132,9 @@ def replicas_for_throughput(
     """
     if target_throughput <= 0:
         raise ConfigurationError("target throughput must be positive")
-    for n in range(1, max_replicas + 1):
-        prediction = predict(design, profile, config.with_replicas(n))
-        if prediction.throughput >= target_throughput:
-            return n
-    return None
+    from .planning import ReplicaScan  # planning imports this module
+
+    found = ReplicaScan(design, profile, config).smallest(
+        max_replicas, target_throughput
+    )
+    return None if found is None else found.replicas

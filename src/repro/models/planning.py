@@ -12,18 +12,120 @@ follows diurnal cycles.  This module implements both:
   forecast (the diurnal-cycle use case), plus how many replica-hours the
   predictions save against static peak provisioning.
 
+All three, and the feed-forward controller, find "the smallest deployment
+that ..." through one helper, :class:`ReplicaScan`.
+
 Everything here consumes only a :class:`~repro.core.params.StandaloneProfile`
 — the point of the paper is that no replicated measurements are needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ConvergenceError
 from ..core.params import ReplicationConfig, StandaloneProfile
+from ..core.results import Prediction
 from .api import DESIGNS, predict
+
+#: Relative slack on the population bound: ``Pr + Pw`` may miss 1 by 1e-9
+#: and the balancing arithmetic rounds, so the clients the models spread
+#: over their sub-networks can exceed ``n * clients_per_replica`` by that.
+_BOUND_SLACK = 1e-6
+
+
+class ReplicaScan:
+    """One design's predictions across replica counts, and the scan for the
+    smallest deployment that meets a target.
+
+    Predictions are computed on first use and kept for the life of this
+    object — one scan, one forecast, one controller — so sizing many loads
+    against the same ``(design, profile, config)`` predicts each replica
+    count once.  There is nothing to invalidate: a new profile or config
+    is a new scan.
+    """
+
+    def __init__(
+        self, design: str, profile: StandaloneProfile, config: ReplicationConfig
+    ) -> None:
+        if design not in DESIGNS:
+            # Checked here, not at the first prediction: the scan may skip
+            # them all.
+            raise ConfigurationError(
+                f"unknown design {design!r}; expected one of {DESIGNS}"
+            )
+        self._design = design
+        self._profile = profile
+        self._config = config
+        self._memo: Dict[int, Union[Prediction, ConvergenceError]] = {}
+
+    def at(self, replicas: int) -> Prediction:
+        """The prediction at *replicas*; a diverged one raises every time."""
+        cached = self._memo.get(replicas)
+        if cached is None:
+            try:
+                cached = predict(
+                    self._design, self._profile, self._config.with_replicas(replicas)
+                )
+            except ConvergenceError as error:
+                cached = error
+            self._memo[replicas] = cached
+        if isinstance(cached, ConvergenceError):
+            # Dropping the traceback frees the solver frames (and their
+            # lattices) the kept error would otherwise hold for our life.
+            raise cached.with_traceback(None)
+        return cached
+
+    def population_bound(self, replicas: int) -> float:
+        """Throughput no prediction at *replicas* can exceed.
+
+        Little's law with zero response time: both designs close every
+        sub-network over a share of the ``replicas * clients_per_replica``
+        clients, each of which completes at most one transaction per think
+        time.  Infinite (no bound) when clients do not think.
+        """
+        think_time = self._config.think_time
+        if think_time <= 0.0:
+            return math.inf
+        clients = replicas * self._config.clients_per_replica
+        return clients / think_time * (1.0 + _BOUND_SLACK)
+
+    def smallest(
+        self,
+        max_replicas: int,
+        min_throughput: float = 0.0,
+        max_response_time: Optional[float] = None,
+        skip_diverged: bool = False,
+    ) -> Optional[Prediction]:
+        """Prediction of the fewest replicas meeting both targets, or
+        ``None`` when no deployment up to *max_replicas* does.
+
+        A replica count whose :meth:`population_bound` is already below
+        *min_throughput* is passed over without being predicted.
+        *skip_diverged* treats a deployment whose abort fixed point
+        diverges as one that misses the targets instead of raising.
+        """
+        if max_replicas < 1:
+            raise ConfigurationError(
+                f"max_replicas must be >= 1, got {max_replicas}"
+            )
+        for n in range(1, max_replicas + 1):
+            if self.population_bound(n) < min_throughput:
+                continue
+            try:
+                prediction = self.at(n)
+            except ConvergenceError:
+                if skip_diverged:
+                    continue
+                raise
+            if prediction.throughput >= min_throughput and (
+                max_response_time is None
+                or prediction.response_time <= max_response_time
+            ):
+                return prediction
+        return None
 
 
 def replicas_for_response_time(
@@ -41,11 +143,10 @@ def replicas_for_response_time(
     """
     if max_response_time <= 0:
         raise ConfigurationError("max response time must be positive")
-    for n in range(1, max_replicas + 1):
-        prediction = predict(design, profile, config.with_replicas(n))
-        if prediction.response_time <= max_response_time:
-            return n
-    return None
+    found = ReplicaScan(design, profile, config).smallest(
+        max_replicas, max_response_time=max_response_time
+    )
+    return None if found is None else found.replicas
 
 
 @dataclass(frozen=True)
@@ -83,25 +184,17 @@ def plan_deployment(
 
     best: Optional[DeploymentPlan] = None
     for design in designs:
-        for n in range(1, max_replicas + 1):
-            prediction = predict(design, profile, config.with_replicas(n))
-            if prediction.throughput < required:
-                continue
-            if (
-                max_response_time is not None
-                and prediction.response_time > max_response_time
-            ):
-                continue
-            plan = DeploymentPlan(
+        found = ReplicaScan(design, profile, config).smallest(
+            max_replicas, required, max_response_time
+        )
+        if found is not None and (best is None or found.replicas < best.replicas):
+            best = DeploymentPlan(
                 design=design,
-                replicas=n,
-                predicted_throughput=prediction.throughput,
-                predicted_response_time=prediction.response_time,
-                load_factor=target_throughput / prediction.throughput,
+                replicas=found.replicas,
+                predicted_throughput=found.throughput,
+                predicted_response_time=found.response_time,
+                load_factor=target_throughput / found.throughput,
             )
-            if best is None or plan.replicas < best.replicas:
-                best = plan
-            break  # smallest n for this design found
     return best
 
 
@@ -136,11 +229,7 @@ class MixedFleetPlan:
 
 
 def _interpolated_throughput(
-    design: str,
-    profile: StandaloneProfile,
-    config: ReplicationConfig,
-    effective: float,
-    max_replicas: int,
+    scan: ReplicaScan, effective: float, max_replicas: int
 ) -> float:
     """Predicted throughput at a *fractional* replica count.
 
@@ -155,10 +244,10 @@ def _interpolated_throughput(
         return 0.0
     lo = max(1, min(max_replicas, int(effective)))
     hi = min(max_replicas, lo + 1)
-    t_lo = predict(design, profile, config.with_replicas(lo)).throughput
+    t_lo = scan.at(lo).throughput
     if effective <= lo or hi == lo:
         return t_lo * min(1.0, effective / lo)
-    t_hi = predict(design, profile, config.with_replicas(hi)).throughput
+    t_hi = scan.at(hi).throughput
     return t_lo + (t_hi - t_lo) * (effective - lo)
 
 
@@ -193,32 +282,25 @@ def plan_mixed_fleet(
     inventory = sorted((float(c) for c in capacities), reverse=True)
     max_replicas = max(64, int(sum(inventory)) + 1)
 
+    scan = ReplicaScan(design, profile, config)
     picked: List[float] = []
     for capacity in inventory:
         picked.append(capacity)
         effective = sum(picked)
-        throughput = _interpolated_throughput(
-            design, profile, config, effective, max_replicas
-        )
+        throughput = _interpolated_throughput(scan, effective, max_replicas)
         if throughput < required:
             continue
-        if max_response_time is not None:
-            # Latency is checked at the bracketing integer deployment
-            # (the conservative, larger-population side).
-            n = max(1, int(round(effective)))
-            prediction = predict(design, profile, config.with_replicas(n))
-            if prediction.response_time > max_response_time:
-                continue
+        # Latency is read at the bracketing integer deployment (the
+        # conservative, larger-population side).
+        response_time = scan.at(max(1, int(round(effective)))).response_time
+        if max_response_time is not None and response_time > max_response_time:
+            continue
         return MixedFleetPlan(
             design=design,
             capacities=tuple(picked),
             effective_replicas=effective,
             predicted_throughput=throughput,
-            predicted_response_time=(
-                predict(design, profile,
-                        config.with_replicas(max(1, int(round(effective))))
-                        ).response_time
-            ),
+            predicted_response_time=response_time,
             load_factor=target_throughput / throughput,
         )
     return None
@@ -377,26 +459,16 @@ def provisioning_schedule(
     if not 0.0 <= headroom < 1.0:
         raise ConfigurationError("headroom must be in [0, 1)")
 
-    # Predictions are monotone-ish in N but sizing each period is cheap;
-    # cache by target bucket via the per-design capacity curve.
-    capacities: List[float] = []  # capacities[n-1] = predicted tps at n
-    def capacity(n: int) -> float:
-        while len(capacities) < n:
-            prediction = predict(
-                design, profile, config.with_replicas(len(capacities) + 1)
-            )
-            capacities.append(prediction.throughput)
-        return capacities[n - 1]
+    scan = ReplicaScan(design, profile, config)
 
     def size_for(load: float) -> int:
-        required = load / (1.0 - headroom)
-        for n in range(1, max_replicas + 1):
-            if capacity(n) >= required:
-                return n
-        raise ConfigurationError(
-            f"{design} cannot serve {load:.1f} tps (+{headroom:.0%} headroom) "
-            f"within {max_replicas} replicas"
-        )
+        found = scan.smallest(max_replicas, load / (1.0 - headroom))
+        if found is None:
+            raise ConfigurationError(
+                f"{design} cannot serve {load:.1f} tps (+{headroom:.0%} "
+                f"headroom) within {max_replicas} replicas"
+            )
+        return found.replicas
 
     periods = tuple(
         (label, load, size_for(load)) for label, load in load_forecast

@@ -32,14 +32,15 @@ from ..core.params import (
     CPU,
     DISK,
     ReplicationConfig,
+    ResourceDemand,
     StandaloneProfile,
 )
 from ..core.results import OperatingPoint, Prediction, ReplicaBreakdown
 from ..queueing.mva import (
     MVASolution,
+    MulticlassLattice,
     MulticlassSolution,
     solve_mva,
-    solve_mva_multiclass,
 )
 from ..queueing.network import (
     ClosedNetwork,
@@ -78,6 +79,20 @@ class _BalanceResult:
     master_write_clients: float
 
 
+def _replica_network(
+    demand: ResourceDemand, config: ReplicationConfig
+) -> ClosedNetwork:
+    """One replica serving a single class: CPU and disk behind the balancer."""
+    return ClosedNetwork(
+        centers=(
+            queueing_center(CPU, demand.cpu),
+            queueing_center(DISK, demand.disk),
+            delay_center(LB, config.load_balancer_delay),
+        ),
+        think_time=config.think_time,
+    )
+
+
 def predict_singlemaster(
     profile: StandaloneProfile,
     config: ReplicationConfig,
@@ -99,23 +114,23 @@ def _predict_read_only(
     profile: StandaloneProfile, config: ReplicationConfig
 ) -> Prediction:
     """Pw = 0: the master is just another read replica behind the balancer."""
-    network = ClosedNetwork(
-        centers=(
-            queueing_center(CPU, profile.demands.read.cpu),
-            queueing_center(DISK, profile.demands.read.disk),
-            delay_center(LB, config.load_balancer_delay),
-        ),
-        think_time=config.think_time,
-    )
+    network = _replica_network(profile.demands.read, config)
     solution = solve_mva(network, config.clients_per_replica)
+    return _uniform_prediction(config, solution, "replica", abort_rate=0.0)
+
+
+def _uniform_prediction(
+    config: ReplicationConfig, solution: MVASolution, role: str, abort_rate: float
+) -> Prediction:
+    """Every replica is the one solved network (Pw = 0, or N = 1)."""
     point = OperatingPoint(
         throughput=config.replicas * solution.throughput,
         response_time=solution.response_time,
-        abort_rate=0.0,
+        abort_rate=abort_rate,
         utilization=dict(solution.utilization),
     )
     breakdown = ReplicaBreakdown(
-        role="replica",
+        role=role,
         throughput=solution.throughput,
         clients=float(config.clients_per_replica),
         utilization=dict(solution.utilization),
@@ -133,15 +148,9 @@ def _predict_master_only(
     solution = None
     for _ in range(MAX_ABORT_ITERATIONS):
         demand = standalone_demand(profile.demands, profile.mix, abort)
-        network = ClosedNetwork(
-            centers=(
-                queueing_center(CPU, demand.cpu),
-                queueing_center(DISK, demand.disk),
-                delay_center(LB, config.load_balancer_delay),
-            ),
-            think_time=config.think_time,
+        solution = solve_mva(
+            _replica_network(demand, config), config.clients_per_replica
         )
-        solution = solve_mva(network, config.clients_per_replica)
         update = profile.demands.write.scaled(retry_inflation(abort))
         queue_cap = (
             None if config.max_concurrency is None else config.max_concurrency - 1
@@ -157,20 +166,7 @@ def _predict_master_only(
             break
         abort = new_abort
     assert solution is not None
-    point = OperatingPoint(
-        throughput=solution.throughput,
-        response_time=solution.response_time,
-        abort_rate=abort,
-        utilization=dict(solution.utilization),
-    )
-    breakdown = ReplicaBreakdown(
-        role="master",
-        throughput=solution.throughput,
-        clients=float(config.clients_per_replica),
-        utilization=dict(solution.utilization),
-        residence_times=dict(solution.residence_times),
-    )
-    return Prediction(replicas=1, point=point, breakdown=(breakdown,))
+    return _uniform_prediction(config, solution, "master", abort_rate=abort)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +270,9 @@ def _master_network(
 
 
 def _solve_master(
-    network: MulticlassNetwork, read_clients: float, write_clients: float
+    lattice: MulticlassLattice, read_clients: float, write_clients: float
 ) -> Tuple[float, float, MulticlassSolution]:
-    solution = solve_mva_multiclass(
-        network, {READ: read_clients, WRITE: write_clients}
-    )
+    solution = lattice.solve({READ: read_clients, WRITE: write_clients})
     return solution.throughputs[READ], solution.throughputs[WRITE], solution
 
 
@@ -294,15 +288,7 @@ def _solve_slave(
         config.replicas,
         writesets_per_read=writesets_per_read,
     )
-    network = ClosedNetwork(
-        centers=(
-            queueing_center(CPU, demand.cpu),
-            queueing_center(DISK, demand.disk),
-            delay_center(LB, config.load_balancer_delay),
-        ),
-        think_time=config.think_time,
-    )
-    return solve_mva(network, clients)
+    return solve_mva(_replica_network(demand, config), clients)
 
 
 def _master_abort_estimate(
@@ -381,48 +367,16 @@ def _balance(
     slave_clients = mix.read_fraction * config.clients_per_replica * n / slaves
     mix_ratio = mix.read_fraction / mix.write_fraction
 
-    network = _master_network(profile, config, abort)
+    # Every step re-solves the master's network one client per slave
+    # further on; one lattice, kept for this pass, computes each
+    # population once.
+    lattice = MulticlassLattice(_master_network(profile, config, abort))
 
-    _, write_thpt, master_sol = _solve_master(network, 0.0, master_clients)
+    _, write_thpt, master_sol = _solve_master(lattice, 0.0, master_clients)
     wspr = slaves * mix.write_fraction / mix.read_fraction
     slave_sol = _solve_slave(profile, config, slave_clients, wspr)
-    read_thpt = slaves * slave_sol.throughput
-
-    state = _ratio_state(read_thpt, write_thpt, mix_ratio, RATIO_TOLERANCE)
-    if state == 0:
-        return _BalanceResult(
-            read_throughput=read_thpt,
-            write_throughput=write_thpt,
-            extra_read_throughput=0.0,
-            master=master_sol,
-            slave=slave_sol,
-            slave_clients=slave_clients,
-            master_read_clients=0.0,
-            master_write_clients=master_clients,
-        )
-    if state < 0:
-        return _rebalance_excess_master(
-            profile, config, network, master_clients, slave_clients,
-            mix_ratio, read_thpt, write_thpt, master_sol, slave_sol,
-        )
-    return _rebalance_bottleneck_master(
-        profile, config, network, master_clients, slave_clients,
-        mix_ratio, read_thpt, write_thpt, master_sol, slave_sol, wspr,
-    )
-
-
-def _rebalance_excess_master(
-    profile, config, network, master_clients, slave_clients,
-    mix_ratio, read_thpt, write_thpt, master_sol, slave_sol,
-):
-    """Master has spare capacity: move read-only clients onto the master.
-
-    Each step j moves one client from every slave ((N-1) clients total) into
-    the master's read class, exactly as in Figure 3.
-    """
-    slaves = config.replicas - 1
-    current = _BalanceResult(
-        read_throughput=read_thpt,
+    proportional = _BalanceResult(
+        read_throughput=slaves * slave_sol.throughput,
         write_throughput=write_thpt,
         extra_read_throughput=0.0,
         master=master_sol,
@@ -431,14 +385,39 @@ def _rebalance_excess_master(
         master_read_clients=0.0,
         master_write_clients=master_clients,
     )
-    best = current
-    max_steps = int(slave_clients)
-    for j in range(1, max_steps + 1):
+    state = _ratio_state(
+        proportional.read_throughput, write_thpt, mix_ratio, RATIO_TOLERANCE
+    )
+    if state == 0:
+        return proportional
+    rebalance = (
+        _rebalance_excess_master if state < 0 else _rebalance_bottleneck_master
+    )
+    return rebalance(profile, config, lattice, mix_ratio, proportional)
+
+
+def _rebalance_excess_master(
+    profile: StandaloneProfile,
+    config: ReplicationConfig,
+    lattice: MulticlassLattice,
+    mix_ratio: float,
+    proportional: _BalanceResult,
+) -> _BalanceResult:
+    """Master has spare capacity: move read-only clients onto the master.
+
+    Each step j moves one client from every slave ((N-1) clients total) into
+    the master's read class, exactly as in Figure 3.
+    """
+    slaves = config.replicas - 1
+    master_clients = proportional.master_write_clients
+    read_thpt = proportional.read_throughput
+    best = current = proportional
+    for j in range(1, int(proportional.slave_clients) + 1):
         previous = current
         extra_read, write_thpt, master_sol = _solve_master(
-            network, j * slaves, master_clients
+            lattice, j * slaves, master_clients
         )
-        remaining = slave_clients - j
+        remaining = proportional.slave_clients - j
         # Writesets applied per read at a slave, from the current iterate's
         # committed update rate and the previous slave read rate (§3.3.3).
         slave_read_rate = max(read_thpt, 1e-12)
@@ -519,9 +498,12 @@ def _blend_at_ratio(
 
 
 def _rebalance_bottleneck_master(
-    profile, config, network, master_clients, slave_clients,
-    mix_ratio, read_thpt, write_thpt, master_sol, slave_sol, wspr,
-):
+    profile: StandaloneProfile,
+    config: ReplicationConfig,
+    lattice: MulticlassLattice,
+    mix_ratio: float,
+    proportional: _BalanceResult,
+) -> _BalanceResult:
     """Master is the bottleneck: clients queue at the master.
 
     Each step j moves one client from every slave into the master's update
@@ -529,23 +511,15 @@ def _rebalance_bottleneck_master(
     the workload mix.
     """
     slaves = config.replicas - 1
-    best = _BalanceResult(
-        read_throughput=read_thpt,
-        write_throughput=write_thpt,
-        extra_read_throughput=0.0,
-        master=master_sol,
-        slave=slave_sol,
-        slave_clients=slave_clients,
-        master_read_clients=0.0,
-        master_write_clients=master_clients,
-    )
-    max_steps = int(slave_clients)
-    for j in range(1, max_steps + 1):
+    master_clients = proportional.master_write_clients
+    read_thpt = proportional.read_throughput
+    best = proportional
+    for j in range(1, int(proportional.slave_clients) + 1):
         previous = best
         _, write_thpt, master_sol = _solve_master(
-            network, 0.0, master_clients + j * slaves
+            lattice, 0.0, master_clients + j * slaves
         )
-        remaining = slave_clients - j
+        remaining = proportional.slave_clients - j
         slave_read_rate = max(read_thpt, 1e-12)
         wspr = slaves * write_thpt / slave_read_rate
         slave_sol = _solve_slave(profile, config, remaining, wspr)

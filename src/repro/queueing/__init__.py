@@ -10,6 +10,7 @@ from .bounds import (
 from .mva import (
     MVASolution,
     MVAStepper,
+    MulticlassLattice,
     MulticlassSolution,
     approximate_mva,
     solve_mva,
@@ -40,6 +41,7 @@ __all__ = [
     "ClosedNetwork",
     "MVASolution",
     "MVAStepper",
+    "MulticlassLattice",
     "MulticlassNetwork",
     "MulticlassSolution",
     "approximate_mva",

@@ -12,9 +12,12 @@ This module implements the standard algorithms the paper relies on
 * :func:`solve_mva` — convenience wrapper with linear interpolation for
   fractional populations (the single-master balancing algorithm produces
   non-integer client counts such as ``Pr*C*N/(N-1)``).
-* :func:`solve_mva_multiclass` — exact multiclass MVA over the full
-  population lattice, used by the single-master model when the master
-  serves both update transactions and extra read-only transactions.
+* :class:`MulticlassLattice` — exact multiclass MVA over a population
+  lattice that is kept and grown from query to query, the multiclass
+  sibling of :class:`MVAStepper`.  The single-master model's master serves
+  both update transactions and extra read-only transactions, and its
+  balancing loop re-solves that one network at populations one step apart.
+* :func:`solve_mva_multiclass` — one-shot wrapper around a fresh lattice.
 * :func:`approximate_mva` — Schweitzer's fixed-point approximation, kept as
   an ablation to show exact MVA is worth it at these population sizes.
 """
@@ -26,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, ConvergenceError
-from .network import Center, CenterKind, ClosedNetwork, MulticlassNetwork
+from .network import CenterKind, ClosedNetwork, MulticlassNetwork
+from .operational import closed_loop_throughput
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,18 @@ class MVAStepper:
     Each :meth:`step` adds one customer and returns the exact solution **if
     the demands had been constant at their current values** — which is the
     approximation the paper makes when it lets the conflict window evolve
-    with the iteration number.
+    with the iteration number.  :meth:`advance` adds customers without
+    building their solutions, for callers that only want the last one.
     """
 
     def __init__(self, network: ClosedNetwork) -> None:
-        self._network = network
-        self._centers: List[Center] = list(network.centers)
+        centers = list(network.centers)
+        self._names = [c.name for c in centers]
+        self._queueing = [c.kind is CenterKind.QUEUEING for c in centers]
         self._think_time = network.think_time
-        self._queue: Dict[str, float] = {c.name: 0.0 for c in self._centers}
+        self._demands = [c.demand for c in centers]
+        self._queue = [0.0] * len(centers)
         self._population = 0
-        self._demands: Dict[str, float] = {c.name: c.demand for c in self._centers}
 
     @property
     def population(self) -> int:
@@ -111,77 +117,76 @@ class MVAStepper:
     @property
     def demands(self) -> Dict[str, float]:
         """Current per-center demands (a copy)."""
-        return dict(self._demands)
+        return dict(zip(self._names, self._demands))
 
     def set_demands(self, demands: Mapping[str, float]) -> None:
         """Replace the demands of the named centers before the next step."""
         for name, demand in demands.items():
-            if name not in self._demands:
+            if name not in self._names:
                 raise ConfigurationError(f"unknown center {name!r}")
             if demand < 0.0:
                 raise ConfigurationError(
                     f"center {name!r} given negative demand {demand}"
                 )
-            self._demands[name] = demand
+            self._demands[self._names.index(name)] = demand
+
+    def _add_customer(self) -> Tuple[List[float], float]:
+        """Add one customer; return its residence times and throughput."""
+        residence = [
+            demand * (1.0 + queue) if queueing else demand
+            for demand, queue, queueing in zip(
+                self._demands, self._queue, self._queueing
+            )
+        ]
+        throughput = closed_loop_throughput(
+            self._population + 1, sum(residence), self._think_time
+        )
+        self._population += 1
+        self._queue = [throughput * r for r in residence]
+        return residence, throughput
+
+    def advance(self, customers: int) -> None:
+        """Add *customers* customers, updating only the queue lengths."""
+        for _ in range(customers):
+            self._add_customer()
 
     def step(self) -> MVASolution:
         """Add one customer and return the resulting network solution."""
-        arrival_queue = dict(self._queue)
-        self._population += 1
-        n = self._population
-
-        residence: Dict[str, float] = {}
-        for center in self._centers:
-            demand = self._demands[center.name]
-            if center.kind is CenterKind.QUEUEING:
-                residence[center.name] = demand * (1.0 + arrival_queue[center.name])
-            else:
-                residence[center.name] = demand
-
-        total_residence = sum(residence.values())
-        throughput = n / (self._think_time + total_residence)
-
-        queue = {name: throughput * r for name, r in residence.items()}
-        self._queue = queue
-
-        utilization = {
-            c.name: min(1.0, throughput * self._demands[c.name])
-            for c in self._centers
-            if c.kind is CenterKind.QUEUEING
-        }
+        names = self._names
+        arrival_queue = dict(zip(names, self._queue))
+        residence, throughput = self._add_customer()
         return MVASolution(
-            population=float(n),
+            population=float(self._population),
             throughput=throughput,
-            response_time=total_residence,
-            residence_times=residence,
-            queue_lengths=queue,
+            response_time=sum(residence),
+            residence_times=dict(zip(names, residence)),
+            queue_lengths=dict(zip(names, self._queue)),
             arrival_queue_lengths=arrival_queue,
-            utilization=utilization,
-        )
-
-
-def _solve_integer(network: ClosedNetwork, population: int) -> MVASolution:
-    if population == 0:
-        zero = {c.name: 0.0 for c in network.centers}
-        return MVASolution(
-            population=0.0,
-            throughput=0.0,
-            response_time=0.0,
-            residence_times=dict(zero),
-            queue_lengths=dict(zero),
-            arrival_queue_lengths=dict(zero),
             utilization={
-                c.name: 0.0
-                for c in network.centers
-                if c.kind is CenterKind.QUEUEING
+                name: min(1.0, throughput * demand)
+                for name, demand, queueing in zip(
+                    names, self._demands, self._queueing
+                )
+                if queueing
             },
         )
-    stepper = MVAStepper(network)
-    solution: Optional[MVASolution] = None
-    for _ in range(population):
-        solution = stepper.step()
-    assert solution is not None
-    return solution
+
+
+def _empty_solution(network: ClosedNetwork) -> MVASolution:
+    zero = {c.name: 0.0 for c in network.centers}
+    return MVASolution(
+        population=0.0,
+        throughput=0.0,
+        response_time=0.0,
+        residence_times=dict(zero),
+        queue_lengths=dict(zero),
+        arrival_queue_lengths=dict(zero),
+        utilization={
+            c.name: 0.0
+            for c in network.centers
+            if c.kind is CenterKind.QUEUEING
+        },
+    )
 
 
 def _interpolate(low: MVASolution, high: MVASolution, frac: float) -> MVASolution:
@@ -210,16 +215,21 @@ def solve_mva(network: ClosedNetwork, population: float) -> MVASolution:
     Integer populations use the exact recurrence; fractional populations are
     linearly interpolated between the two neighbouring integer solutions
     (needed by the single-master balancing algorithm, whose per-slave client
-    counts are generally not integers).
+    counts are generally not integers), both taken from one pass of the
+    recurrence.
     """
     if population < 0:
         raise ConfigurationError(f"population must be >= 0, got {population}")
     floor = int(population)
+    stepper = MVAStepper(network)
+    if floor == 0:
+        low = _empty_solution(network)
+    else:
+        stepper.advance(floor - 1)
+        low = stepper.step()
     if floor == population:
-        return _solve_integer(network, floor)
-    low = _solve_integer(network, floor)
-    high = _solve_integer(network, floor + 1)
-    return _interpolate(low, high, population - floor)
+        return low
+    return _interpolate(low, stepper.step(), population - floor)
 
 
 def approximate_mva(
@@ -238,7 +248,7 @@ def approximate_mva(
     if population < 0:
         raise ConfigurationError(f"population must be >= 0, got {population}")
     if population == 0:
-        return _solve_integer(network, 0)
+        return _empty_solution(network)
 
     centers = list(network.centers)
     queueing = [c for c in centers if c.kind is CenterKind.QUEUEING]
@@ -307,55 +317,146 @@ class MulticlassSolution:
         return sum(self.throughputs.values())
 
 
+class MulticlassLattice:
+    """Exact multiclass MVA of one network, answered from a kept lattice.
+
+    The recurrence needs the mean queue lengths at every population vector
+    below the target.  The lattice owns that ``state -> queue lengths``
+    table for the box of populations computed so far and extends it only
+    over the new slab when a query leaves the box, so a caller that
+    re-solves one network at growing (or repeated, or smaller) populations
+    — the single-master balancing loop — pays for each state once.  Every
+    state is a pure function of its predecessors, so an answer does not
+    depend on the order of the queries before it.
+    """
+
+    def __init__(self, network: MulticlassNetwork) -> None:
+        self._classes = network.classes
+        centers = list(network.centers)
+        self._names = [c.name for c in centers]
+        self._queueing = [c.kind is CenterKind.QUEUEING for c in centers]
+        self._demands = [list(network.demands[k]) for k in self._classes]
+        self._think = [network.think_times[k] for k in self._classes]
+        #: Per-class extent of the box of states already in ``_queue``.
+        self._box = [0] * len(self._classes)
+        #: Queue lengths of the empty network (and the residence times of
+        #: a class with no customers); shared, never written.
+        self._empty = [0.0] * len(centers)
+        self._queue: Dict[Tuple[int, ...], List[float]] = {
+            tuple(self._box): self._empty
+        }
+
+    def solve(self, populations: Mapping[str, float]) -> MulticlassSolution:
+        """Solve at *populations* (classes left out have no customers).
+
+        Fractional per-class populations are handled by multilinear
+        interpolation over the neighbouring integer lattice points, all
+        read from this one lattice.
+        """
+        classes = self._classes
+        unknown = set(populations) - set(classes)
+        if unknown:
+            raise ConfigurationError(f"unknown classes {sorted(unknown)}")
+        pops = [float(populations.get(k, 0.0)) for k in classes]
+        if any(p < 0 for p in pops):
+            raise ConfigurationError("populations must be non-negative")
+
+        floors = [int(p) for p in pops]
+        fracs = [p - f for p, f in zip(pops, floors)]
+        self._extend([f + (frac > 0.0) for f, frac in zip(floors, fracs)])
+        if all(f == 0.0 for f in fracs):
+            return self._solve_integer(tuple(floors))
+
+        # Multilinear interpolation over the corners of the fractional cell.
+        corners: List[Tuple[float, MulticlassSolution]] = []
+        for offsets in itertools.product(
+            *[[0, 1] if frac > 0.0 else [0] for frac in fracs]
+        ):
+            weight = 1.0
+            for frac, off in zip(fracs, offsets):
+                weight *= frac if off else (1.0 - frac if frac > 0.0 else 1.0)
+            if weight == 0.0:
+                continue
+            corner = tuple(f + off for f, off in zip(floors, offsets))
+            corners.append((weight, self._solve_integer(corner)))
+        return _blend_multiclass(classes, self._names, pops, corners)
+
+    def _extend(self, target: Sequence[int]) -> None:
+        """Grow the box to cover *target*, one axis slab at a time."""
+        box = self._box
+        for axis, extent in enumerate(target):
+            if extent <= box[axis]:
+                continue
+            # Lexicographic order inside the slab visits every predecessor
+            # first; the ones outside it are in the box already.
+            ranges = [range(b + 1) for b in box]
+            ranges[axis] = range(box[axis] + 1, extent + 1)
+            for state in itertools.product(*ranges):
+                self._queue[state] = self._visit(state)[2]
+            box[axis] = extent
+
+    def _visit(
+        self, state: Tuple[int, ...]
+    ) -> Tuple[List[float], List[List[float]], List[float]]:
+        """Per-class throughputs and residence times, and the queue lengths,
+        at *state*, from the queue lengths of its predecessors."""
+        queueing, queue = self._queueing, self._queue
+        throughputs = [0.0] * len(state)
+        residences = [self._empty] * len(state)
+        q_now = [0.0] * len(queueing)
+        centers = range(len(queueing))
+        for ci, customers in enumerate(state):
+            if customers == 0:
+                continue
+            prev_queue = queue[state[:ci] + (customers - 1,) + state[ci + 1:]]
+            r_class = [
+                d * (1.0 + q) if is_queueing else d
+                for d, q, is_queueing in zip(self._demands[ci], prev_queue, queueing)
+            ]
+            x = closed_loop_throughput(customers, sum(r_class), self._think[ci])
+            throughputs[ci] = x
+            residences[ci] = r_class
+            for k in centers:
+                q_now[k] += x * r_class[k]
+        return throughputs, residences, q_now
+
+    def _solve_integer(self, target: Tuple[int, ...]) -> MulticlassSolution:
+        classes, names = self._classes, self._names
+        throughputs, residences, queue = self._visit(target)
+        utilization = {}
+        for k, (name, is_queueing) in enumerate(zip(names, self._queueing)):
+            busy = sum(x * d[k] for x, d in zip(throughputs, self._demands))
+            utilization[name] = min(1.0, busy) if is_queueing else 0.0
+        return MulticlassSolution(
+            populations={k: float(n) for k, n in zip(classes, target)},
+            throughputs=dict(zip(classes, throughputs)),
+            response_times={k: sum(r) for k, r in zip(classes, residences)},
+            residence_times={
+                k: dict(zip(names, r)) for k, r in zip(classes, residences)
+            },
+            queue_lengths=dict(zip(names, queue)),
+            utilization=utilization,
+        )
+
+
 def solve_mva_multiclass(
     network: MulticlassNetwork, populations: Mapping[str, float]
 ) -> MulticlassSolution:
-    """Exact multiclass MVA over the full population lattice.
+    """Exact multiclass MVA at *populations*, from a fresh lattice.
 
-    Fractional per-class populations are handled by multilinear
-    interpolation over the neighbouring integer lattice points.  Complexity
-    is the product of the class populations; the single-master balancing
-    algorithm only ever needs two classes with a few hundred customers each,
-    which solves in well under a second.
+    Complexity is the product of the class populations; a caller that
+    solves the same network more than once keeps a
+    :class:`MulticlassLattice` instead.
     """
-    classes = network.classes
-    unknown = set(populations) - set(classes)
-    if unknown:
-        raise ConfigurationError(f"unknown classes {sorted(unknown)}")
-    pops = [float(populations.get(k, 0.0)) for k in classes]
-    if any(p < 0 for p in pops):
-        raise ConfigurationError("populations must be non-negative")
-
-    floors = [int(p) for p in pops]
-    fracs = [p - f for p, f in zip(pops, floors)]
-    if all(f == 0.0 for f in fracs):
-        return _solve_multiclass_integer(network, dict(zip(classes, floors)))
-
-    # Multilinear interpolation over the corners of the fractional cell.
-    corners: List[Tuple[float, MulticlassSolution]] = []
-    for offsets in itertools.product(
-        *[[0, 1] if frac > 0.0 else [0] for frac in fracs]
-    ):
-        weight = 1.0
-        corner_pop = {}
-        for klass, floor, frac, off in zip(classes, floors, fracs, offsets):
-            weight *= frac if off else (1.0 - frac if frac > 0.0 else 1.0)
-            corner_pop[klass] = floor + off
-        if weight == 0.0:
-            continue
-        corners.append((weight, _solve_multiclass_integer(network, corner_pop)))
-
-    return _blend_multiclass(classes, network, pops, corners)
+    return MulticlassLattice(network).solve(populations)
 
 
 def _blend_multiclass(
     classes: Sequence[str],
-    network: MulticlassNetwork,
+    names: Sequence[str],
     pops: Sequence[float],
     corners: Sequence[Tuple[float, MulticlassSolution]],
 ) -> MulticlassSolution:
-    names = [c.name for c in network.centers]
-
     def blend(getter) -> float:
         return sum(w * getter(sol) for w, sol in corners)
 
@@ -377,83 +478,4 @@ def _blend_multiclass(
         residence_times=residence,
         queue_lengths=queues,
         utilization=util,
-    )
-
-
-def _solve_multiclass_integer(
-    network: MulticlassNetwork, populations: Mapping[str, int]
-) -> MulticlassSolution:
-    classes = network.classes
-    centers = list(network.centers)
-    n_centers = len(centers)
-    demands = {k: list(network.demands[k]) for k in classes}
-    think = {k: network.think_times[k] for k in classes}
-    target = tuple(int(populations.get(k, 0)) for k in classes)
-
-    # Dynamic program over the population lattice.  queue[state][k] is the
-    # mean queue length at center k with population vector `state`.
-    zero_state = tuple(0 for _ in classes)
-    queue: Dict[Tuple[int, ...], List[float]] = {zero_state: [0.0] * n_centers}
-    ranges = [range(t + 1) for t in target]
-
-    last_throughputs = {k: 0.0 for k in classes}
-    last_residence = {k: [0.0] * n_centers for k in classes}
-
-    # Iterate lattice points in an order where all predecessors are ready.
-    for state in itertools.product(*ranges):
-        if state == zero_state:
-            continue
-        residences: Dict[str, List[float]] = {}
-        throughputs: Dict[str, float] = {}
-        q_now = [0.0] * n_centers
-        for ci, klass in enumerate(classes):
-            if state[ci] == 0:
-                continue
-            prev = list(state)
-            prev[ci] -= 1
-            prev_queue = queue[tuple(prev)]
-            r_class = [0.0] * n_centers
-            for k, center in enumerate(centers):
-                d = demands[klass][k]
-                if center.kind is CenterKind.QUEUEING:
-                    r_class[k] = d * (1.0 + prev_queue[k])
-                else:
-                    r_class[k] = d
-            total = sum(r_class)
-            x = state[ci] / (think[klass] + total) if (think[klass] + total) else 0.0
-            residences[klass] = r_class
-            throughputs[klass] = x
-            for k in range(n_centers):
-                q_now[k] += x * r_class[k]
-        queue[tuple(state)] = q_now
-        if tuple(state) == target:
-            last_throughputs.update(throughputs)
-            for klass, r_class in residences.items():
-                last_residence[klass] = r_class
-
-    names = [c.name for c in centers]
-    residence_out = {
-        k: dict(zip(names, last_residence[k])) for k in classes
-    }
-    response_out = {k: sum(last_residence[k]) for k in classes}
-    queue_out = dict(zip(names, queue[target]))
-    util_out = {}
-    for k_idx, center in enumerate(centers):
-        if center.kind is CenterKind.QUEUEING:
-            util_out[center.name] = min(
-                1.0,
-                sum(
-                    last_throughputs[klass] * demands[klass][k_idx]
-                    for klass in classes
-                ),
-            )
-        else:
-            util_out[center.name] = 0.0
-    return MulticlassSolution(
-        populations={k: float(populations.get(k, 0)) for k in classes},
-        throughputs=dict(last_throughputs),
-        response_times=response_out,
-        residence_times=residence_out,
-        queue_lengths=queue_out,
-        utilization=util_out,
     )

@@ -59,10 +59,17 @@ def interactive_response_time(
 def closed_loop_throughput(
     population: float, response_time: float, think_time: float
 ) -> float:
-    """Inverse of the interactive response-time law: ``X = N / (R + Z)``."""
+    """Inverse of the interactive response-time law: ``X = N / (R + Z)``.
+
+    Both exact MVA solvers take every throughput from here, so a network
+    with no demand and no think time fails in this one place.
+    """
     if population < 0:
         raise ConfigurationError("population must be non-negative")
     denom = response_time + think_time
     if denom <= 0:
-        raise ConfigurationError("R + Z must be positive")
+        raise ConfigurationError(
+            "R + Z must be positive: a closed network with no service "
+            "demand and no think time has no throughput"
+        )
     return population / denom

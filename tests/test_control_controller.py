@@ -1,5 +1,7 @@
 """Tests for the autoscaling controller policies."""
 
+import math
+
 import pytest
 
 from repro.control.controller import (
@@ -7,11 +9,13 @@ from repro.control.controller import (
     FeedforwardPolicy,
     ReactivePolicy,
     StaticPeakPolicy,
+    _ModelSizer,
     make_controller,
 )
 from repro.control.trace import DiurnalTrace
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ConvergenceError
 from repro.core.params import ReplicationConfig
+from repro.models import planning
 from repro.models.api import MULTI_MASTER, predict
 
 
@@ -70,6 +74,61 @@ class TestFeedforwardController:
             profile=simple_profile, max_replicas=6,
         )
         assert controller.target(_observation()) == 6
+
+
+class TestModelSizer:
+    """The sizer against a plain scan that predicts every replica count,
+    with the deployment at N=2 diverging mid-scan."""
+
+    SLO, HEADROOM, MAX = 0.11, 0.1, 5
+
+    @pytest.fixture
+    def diverging(self, monkeypatch):
+        attempts = []
+
+        def flaky(design, profile, config, **kwargs):
+            attempts.append(config.replicas)
+            if config.replicas == 2:
+                raise ConvergenceError("abort fixed point diverged", 50)
+            return predict(design, profile, config, **kwargs)
+
+        monkeypatch.setattr(planning, "predict", flaky)
+        return attempts
+
+    def _linear_size(self, profile, config, load):
+        exponent = math.floor(math.log10(load))
+        quantum = 10.0 ** (exponent - 2)
+        required = math.ceil(load / quantum) * quantum / (1.0 - self.HEADROOM)
+        for n in (1, 3, 4, 5):  # N=2 diverges: skipped, not fatal
+            prediction = predict(MULTI_MASTER, profile, config.with_replicas(n))
+            if (prediction.throughput >= required
+                    and prediction.response_time <= self.SLO):
+                return n
+        return self.MAX
+
+    def test_diverged_deployment_is_skipped_like_the_linear_scan(
+            self, simple_profile, simple_config, diverging):
+        sizer = _ModelSizer(MULTI_MASTER, simple_profile, simple_config,
+                            self.SLO, self.HEADROOM, 1, self.MAX)
+        # Loads straddling every capacity step (18n tps), the 20n
+        # population bound, the SLO (met up to N=4) and the fleet's reach.
+        loads = (3.0, 16.2, 16.5, 17.9, 18.1, 30.0, 36.1, 48.7, 49.0,
+                 64.0, 65.0, 80.0, 100.0, 1e5)
+        sized = [sizer.size_for(load) for load in loads]
+        assert sized == [
+            self._linear_size(simple_profile, simple_config, load)
+            for load in loads
+        ]
+        assert {1, 3, 4, 5} <= set(sized) and 2 not in sized
+        # Each replica count, the diverging one included, predicted once.
+        assert sorted(diverging) == [1, 2, 3, 4, 5]
+        assert sizer.size_for(0.0) == 1
+
+    def test_min_replicas_floors_the_answer(self, simple_profile,
+                                            simple_config):
+        sizer = _ModelSizer(MULTI_MASTER, simple_profile, simple_config,
+                            self.SLO, self.HEADROOM, 3, self.MAX)
+        assert sizer.size_for(3.0) == 3
 
 
 class TestReactiveController:

@@ -3,8 +3,16 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.models.api import MULTI_MASTER, SINGLE_MASTER, predict
+from repro.core.params import ReplicationConfig
+from repro.models import planning
+from repro.models.api import (
+    MULTI_MASTER,
+    SINGLE_MASTER,
+    predict,
+    replicas_for_throughput,
+)
 from repro.models.planning import (
+    DeploymentPlan,
     plan_deployment,
     provisioning_schedule,
     replicas_for_response_time,
@@ -233,3 +241,135 @@ class TestProvisioningScheduleEdgeCases:
                 [("over", fits * 1.001)], headroom=headroom,
                 max_replicas=max_replicas,
             )
+
+
+# ---------------------------------------------------------------------
+# The shared smallest-n scan: bound skipping, memo, validation
+# ---------------------------------------------------------------------
+
+
+def _linear_plan(profile, config, target, max_response_time=None,
+                 headroom=0.0, max_replicas=64):
+    """``plan_deployment`` as a plain scan: every n predicted, none skipped."""
+    required = target / (1.0 - headroom)
+    best = None
+    for design in (MULTI_MASTER, SINGLE_MASTER):
+        for n in range(1, max_replicas + 1):
+            prediction = predict(design, profile, config.with_replicas(n))
+            if prediction.throughput < required:
+                continue
+            if (max_response_time is not None
+                    and prediction.response_time > max_response_time):
+                continue
+            if best is None or n < best.replicas:
+                best = DeploymentPlan(
+                    design=design,
+                    replicas=n,
+                    predicted_throughput=prediction.throughput,
+                    predicted_response_time=prediction.response_time,
+                    load_factor=target / prediction.throughput,
+                )
+            break
+    return best
+
+
+@pytest.fixture
+def counted_predict(monkeypatch):
+    """Count the replica counts the planner actually predicts."""
+    seen = []
+
+    def counting(design, profile, config, **kwargs):
+        seen.append((design, config.replicas))
+        return predict(design, profile, config, **kwargs)
+
+    monkeypatch.setattr(planning, "predict", counting)
+    return seen
+
+
+class TestSmallestDeploymentScan:
+    MAX = 6
+    #: 20 clients per replica thinking 1 s: the population bound is 20n tps
+    #: and the predicted capacity about 18n, so these straddle both at
+    #: every n, and the reach of six replicas (107.9 tps).
+    TARGETS = (5.0, 18.0, 18.2, 19.9, 20.1, 36.3, 54.3, 61.0, 72.2, 90.0,
+               107.5, 108.0, 119.0, 120.2, 500.0, 1e6)
+
+    @pytest.mark.parametrize("max_response_time", [None, 0.105])
+    @pytest.mark.parametrize("headroom", [0.0, 0.2])
+    def test_bound_skipping_plan_equals_the_linear_scan(
+            self, simple_profile, simple_config, max_response_time, headroom):
+        reached = set()
+        for target in self.TARGETS:
+            plan = plan_deployment(
+                simple_profile, simple_config, target,
+                max_response_time=max_response_time, headroom=headroom,
+                max_replicas=self.MAX,
+            )
+            assert plan == _linear_plan(
+                simple_profile, simple_config, target, max_response_time,
+                headroom, self.MAX,
+            )
+            reached.add(plan is not None)
+        assert reached == {True, False}
+
+    def test_zero_think_time_disables_the_bound(
+            self, simple_profile, counted_predict):
+        config = ReplicationConfig(
+            replicas=1, clients_per_replica=20, think_time=0.0
+        )
+        for target in (10.0, 40.0, 1e6):
+            assert plan_deployment(
+                simple_profile, config, target, max_replicas=3
+            ) == _linear_plan(simple_profile, config, target, max_replicas=3)
+        # The unreachable target had every deployment predicted.
+        assert counted_predict[-6:] == [
+            (design, n) for design in (MULTI_MASTER, SINGLE_MASTER)
+            for n in (1, 2, 3)
+        ]
+
+    def test_ruled_out_deployments_are_never_predicted(
+            self, simple_profile, simple_config, counted_predict):
+        assert plan_deployment(
+            simple_profile, simple_config, 1e6, max_replicas=self.MAX
+        ) is None
+        assert counted_predict == []
+        # 61 tps needs more than 3 replicas' 60 clients: n <= 3 is skipped.
+        replicas_for_throughput(
+            MULTI_MASTER, simple_profile, simple_config, 61.0,
+            max_replicas=self.MAX,
+        )
+        assert counted_predict[0] == (MULTI_MASTER, 4)
+
+    def test_a_forecast_predicts_each_replica_count_once(
+            self, simple_profile, simple_config, counted_predict):
+        provisioning_schedule(
+            MULTI_MASTER, simple_profile, simple_config,
+            [("a", 30.0), ("b", 70.0), ("c", 30.0), ("d", 70.0)],
+            max_replicas=self.MAX,
+        )
+        assert len(counted_predict) == len(set(counted_predict))
+
+    def test_max_replicas_below_one_is_one_error(
+            self, simple_profile, simple_config):
+        message = "max_replicas must be >= 1, got 0"
+        with pytest.raises(ConfigurationError, match=message):
+            plan_deployment(simple_profile, simple_config, 10.0, max_replicas=0)
+        with pytest.raises(ConfigurationError, match=message):
+            replicas_for_response_time(
+                MULTI_MASTER, simple_profile, simple_config, 1.0, max_replicas=0
+            )
+        with pytest.raises(ConfigurationError, match=message):
+            replicas_for_throughput(
+                MULTI_MASTER, simple_profile, simple_config, 10.0, max_replicas=0
+            )
+        with pytest.raises(ConfigurationError, match=message):
+            provisioning_schedule(
+                MULTI_MASTER, simple_profile, simple_config, [("a", 10.0)],
+                max_replicas=0,
+            )
+
+    def test_unknown_design_is_rejected_even_when_every_n_is_skipped(
+            self, simple_profile, simple_config):
+        with pytest.raises(ConfigurationError, match="unknown design"):
+            plan_deployment(simple_profile, simple_config, 1e6,
+                            designs=("multi-mister",), max_replicas=3)

@@ -313,11 +313,10 @@ class TestFleetCapacityEstimator:
 # ---------------------------------------------------------------------
 
 def _drift_monitor(predicted_throughput):
-    config = SimpleNamespace(with_replicas=lambda n: n)
-    monitor = ModelDriftMonitor("multi-master", object(), config)
-    monitor._predict = lambda design, profile, cfg: SimpleNamespace(
+    monitor = ModelDriftMonitor("multi-master", object(), object())
+    monitor._predictions = SimpleNamespace(at=lambda members: SimpleNamespace(
         throughput=predicted_throughput, response_time=0.1
-    )
+    ))
     return monitor
 
 
