@@ -14,7 +14,11 @@ must preserve:
   the single-master population lattice is largest, one workload per
   rebalancing regime), the same models on one *measured* profile (its
   non-zero abort rate drives the abort fixed point through several
-  balancing passes) and a reachable plus an unreachable deployment plan.
+  balancing passes), a reachable plus an unreachable deployment plan,
+  the elastic loop (every autoscale point of the simulator's elastic
+  scenarios, their rendered artifacts, and three direct
+  ``autoscale_sim`` runs) and the ``repr`` of audited, fully traced
+  telemetry (which pins every recorder ``attached`` baseline).
 
 ``python scripts/golden.py`` recomputes both and diffs them against the
 committed files (exit 1 on any difference); ``--update`` rewrites them.
@@ -137,9 +141,108 @@ def des_cases() -> Dict[str, dict]:
     }
 
 
+#: The simulator's elastic scenarios (autoscale backend), pinned point by
+#: point and as rendered artifacts.
+ELASTIC_SCENARIOS = (
+    "autoscale-diurnal", "autoscale-flashcrowd", "brownout-detection",
+    "capacity-estimation", "rolling-upgrade", "selfheal-crashstorm",
+)
+
+
+def elastic_cases() -> Dict[str, dict]:
+    """Direct ``autoscale_sim`` runs the scenarios do not reach: a pinned
+    fleet, detection on its own timer, and a rolling cycle the end of
+    the run cuts short."""
+    from repro.control.controller import FixedPolicy
+    from repro.control.trace import DiurnalTrace
+    from repro.ops import OpsPlan
+    from repro.simulator.faults import crash_fault
+    from repro.workloads import tpcw
+
+    def case(design="multi-master", **options):
+        return dict(
+            spec=tpcw.SHOPPING,
+            trace=DiurnalTrace(base_rate=30.0, peak_rate=30.0, period=60.0),
+            policy=FixedPolicy(replicas=3),
+            design=design,
+            seed=SEED,
+            warmup=5.0,
+            duration=40.0,
+            control_interval=5.0,
+            slo_response=1.5,
+            max_replicas=6,
+            **options,
+        )
+
+    return {
+        "fixed-3": case(),
+        "selfheal-detect-interval": case(ops=OpsPlan(
+            faults=(crash_fault(1, 15.0),), self_heal=True,
+            detect_interval=1.5,
+        )),
+        # The second slave's replacement is still joining when the drain
+        # phase ends (t=60): no "upgraded", no "rolling-complete".
+        "rolling-cut-short": case(
+            "single-master",
+            ops=OpsPlan(rolling_start=55.0, transfer_writesets=400),
+        ),
+    }
+
+
+def elastic_digests() -> Dict[str, str]:
+    """The elastic scenarios through the engine (``scenario_points`` ->
+    ``execute_points`` -> ``assemble`` -> ``to_text``) plus the direct
+    cases."""
+    from repro.control.autoscale import autoscale_sim
+    from repro.engine import execute_points, get_scenario, scenario_points
+    from repro.experiments.settings import ExperimentSettings
+
+    settings = ExperimentSettings.fast()
+    digests = {}
+    for name in ELASTIC_SCENARIOS:
+        scenario = get_scenario(name)
+        points = scenario_points(scenario, settings)
+        results = execute_points(points, cache=None)
+        for index, (point, result) in enumerate(zip(points, results)):
+            digests[f"{name}[{index}] {point.tag}"] = result_digest(result)
+        artifact = scenario.assemble(settings, points, results)
+        digests[f"{name} text"] = result_digest(artifact.to_text())
+    for label, kwargs in elastic_cases().items():
+        digests[label] = result_digest(autoscale_sim(**kwargs))
+    return digests
+
+
+def telemetry_digests() -> Dict[str, str]:
+    """``repr`` of audited, fully traced telemetry: three DES designs and
+    one self-healing run per elastic design."""
+    from repro.control.autoscale import autoscale_sim
+    from repro.ops import OpsPlan
+    from repro.simulator.faults import crash_fault
+    from repro.simulator.runner import simulate
+    from repro.telemetry import TelemetryConfig
+
+    audited = TelemetryConfig(span_sample_rate=1.0, audit=True)
+    digests = {}
+    cases = des_cases()
+    for label in ("mm", "sm", "mm-sharded"):
+        kwargs = cases[label]
+        spec, config = kwargs.pop("spec"), kwargs.pop("config")
+        result = simulate(spec, config, telemetry=audited, **kwargs)
+        digests[label] = result_digest(result.telemetry)
+    heal = OpsPlan(faults=(crash_fault(1, 10.0),), self_heal=True)
+    for design in ("multi-master", "single-master"):
+        kwargs = elastic_cases()["fixed-3"]
+        kwargs.update(design=design, duration=25.0, ops=heal,
+                      telemetry=audited)
+        result = autoscale_sim(**kwargs)
+        digests[f"{design} selfheal"] = result_digest(result.telemetry)
+    return digests
+
+
 def digests_manifest() -> Dict[str, Dict[str, str]]:
     """``{"des": {case: digest}, "model": {"<workload> <design> N=n": digest},
-    "plan": {"reachable" | "unreachable": digest}}``."""
+    "plan": {"reachable" | "unreachable": digest}, "elastic": {...},
+    "telemetry": {...}}``."""
     from repro.core.errors import ConvergenceError
     from repro.models.api import DESIGNS, predict
     from repro.models.planning import plan_deployment
@@ -186,7 +289,8 @@ def digests_manifest() -> Dict[str, Dict[str, str]]:
             plan_deployment(measured, config, 100_000.0, max_replicas=3)
         ),
     }
-    return {"des": des, "model": model, "plan": plan}
+    return {"des": des, "model": model, "plan": plan,
+            "elastic": elastic_digests(), "telemetry": telemetry_digests()}
 
 
 MANIFESTS = {"points": points_manifest, "digests": digests_manifest}
