@@ -16,7 +16,11 @@ The transaction protocol is written once, in :meth:`Cluster.execute`;
 what differs sits behind two seams fixed at construction: a
 :class:`~repro.simulator.systems.Topology` (who executes updates) and a
 certification path (:class:`GlobalCertification` here,
-:class:`~.sharded.ShardedCertification` for per-partition shards).
+:class:`~.sharded.ShardedCertification` for per-partition shards).  The
+fleet around it — initial replicas, joiner names, removal targets,
+member counts and every refusal — is the simulator's
+:class:`~repro.simulator.systems.Fleet`; only the join and leave
+mechanics live here.
 
 Commit-order discipline: certification (or master commit) and channel
 publication happen under the path's order lock — one per cluster on the
@@ -47,12 +51,11 @@ from ..sidb.certifier_api import CertificationOutcome
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
 from ..simulator.stats import MetricsCollector
 from ..simulator.systems import (
-    ELASTIC_NEEDS_FULL_REPLICATION,
+    MASTER,
     MULTI_MASTER_TOPOLOGY,
     SINGLE_MASTER_TOPOLOGY,
-    check_capacities,
+    Fleet,
 )
-from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
 from .balancer import LoadBalancer
 from .channel import ReplicationChannel
@@ -68,6 +71,9 @@ _PRUNE_INTERVAL = 256
 class GlobalCertification:
     """The global certification path: one certifier, one commit-order
     lock, one replication channel, scalar snapshots."""
+
+    #: Scalar snapshots transfer as one version: joins are fine.
+    elastic = True
 
     def __init__(self, clock: VirtualClock, certifier_spec=None) -> None:
         self._clock = clock
@@ -94,9 +100,6 @@ class GlobalCertification:
 
     def subscribe(self, replica: ClusterReplica) -> None:
         self.channel.subscribe(replica)
-
-    def require_elastic(self) -> None:
-        """Scalar snapshots transfer as one version: joins are fine."""
 
     def pin(self, replica: ClusterReplica) -> None:
         """Nothing to pin: the engines' own active snapshots hold the
@@ -153,17 +156,12 @@ class GlobalCertification:
         self.certifier.observe_snapshot(max(0, floor))
 
 
-class Cluster:
-    """Shared plumbing of the live topologies — replicas, balancer,
-    metrics — and the one transaction protocol body (:meth:`execute`)."""
+class Cluster(Fleet):
+    """The live fleet — replicas, balancer, metrics — with the one
+    transaction protocol body (:meth:`execute`) and the membership
+    mechanics (:meth:`add_replica`, :meth:`remove_replica`)."""
 
-    #: Who executes updates (subclasses override; its design name also
-    #: validates partition maps).
-    topology = MULTI_MASTER_TOPOLOGY
-
-    #: Protocol recorder (:mod:`repro.telemetry.recorder`): the null
-    #: sink until :meth:`attach_telemetry` swaps in a real one.
-    recorder = NULL_RECORDER
+    _replica_stream = "live-replica"
 
     #: Wall seconds a graceful ``remove_replica`` waits for in-flight
     #: transactions when the caller names no ``drain_timeout``.
@@ -180,108 +178,48 @@ class Cluster:
         lb_policy: str = "least-loaded",
         capacities: Optional[Sequence[float]] = None,
         partition_map=None,
+        certifier_spec=None,
         certification=None,
     ) -> None:
-        from ..partition.placement import resolve_partition_map
-
-        self._capacities = check_capacities(capacities, config.replicas)
-        self.partition_map = resolve_partition_map(
-            spec, config, partition_map, self.design
+        # The global path unless an assembly passes a sharded one: it
+        # also owns the commit-order lock(s) and replication channel(s).
+        super().__init__(
+            spec, config, seed, metrics, distribution, capacities,
+            partition_map,
+            certification or GlobalCertification(clock, certifier_spec),
         )
-        self.spec = spec
-        self.config = config
         self.clock = clock
-        self.metrics = metrics
         #: Serialises MetricsCollector access across client threads.
         self.metrics_lock = threading.Lock()
-        self._seed = seed
-        self._distribution = distribution
         self.balancer = LoadBalancer(
             lb_policy, rng_util.spawn(seed, "live-load-balancer")
         )
-        #: The certification path (global unless an assembly passes a
-        #: sharded one): it owns the certifier, the commit-order lock(s)
-        #: and the replication channel(s), and builds the replicas.
-        self.certification = certification or GlobalCertification(clock)
-        self.certifier = self.certification.certifier
         self._prune_lock = threading.Lock()
         # Serialises elastic membership changes (add/remove) against each
         # other; the replica list itself is replaced copy-on-write under
         # the order lock so readers never see a half-updated list.
         self._membership_lock = threading.Lock()
         self._certifications_since_prune = 0
-        self.replicas: List[ClusterReplica] = []
-        #: Monotonic counter naming elastically added replicas (metric
-        #: keys must never be reused after a removal).
-        self._members_created = 0
+        self._build_fleet()
+        # The master commits locally; every other replica hears every
+        # commit over the channel.
+        for replica in self.slaves:
+            self.certification.subscribe(replica)
 
-    @property
-    def design(self) -> str:
-        return self.topology.design
+    def _now(self) -> float:
+        return self.clock.now()
 
-    def _initial_capacity(self, index: int) -> float:
-        """Capacity multiplier for the *index*-th initial replica."""
-        if self._capacities is None:
-            return 1.0
-        return self._capacities[index]
-
-    def _hosted_for_index(self, index: int):
-        """Hosted-partition set of the *index*-th initial replica
-        (``None`` — host everything — without a partial map)."""
-        if self.partition_map is None or self.partition_map.is_full:
-            return None
-        return self.partition_map.hosted_by(index)
-
-    def _new_replica(
-        self, name: str, path: object,
-        certifier: Optional[GlobalCertifier] = None, capacity: float = 1.0,
-        hosted_partitions=None,
-    ) -> ClusterReplica:
-        """Create a replica and register its resources, without attaching
-        it to the routing list (elastic joins attach under the order
-        lock, after state transfer)."""
-        sampler = WorkloadSampler(
-            self.spec,
-            rng_util.spawn(self._seed, "live-replica", path),
-            distribution=self._distribution,
+    def _new_replica(self, name: str, sampler: WorkloadSampler,
+                     capacity: float, hosted_partitions) -> ClusterReplica:
+        # Multi-master engines — and the single-master master's, whose
+        # certifier is the system-wide one — are built around the shared
+        # certifier (the sharded path's replicas ignore it); slaves never
+        # certify.
+        shared = not self.topology.master_updates or name == MASTER
+        return self.certification.new_replica(
+            name, sampler, self.certifier if shared else None,
+            self.config.max_concurrency, capacity, hosted_partitions,
         )
-        replica = self.certification.new_replica(
-            name, sampler, certifier, self.config.max_concurrency,
-            capacity, hosted_partitions,
-        )
-        with self.metrics_lock:
-            self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
-            self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        self._wire(replica)
-        return replica
-
-    def _wire(self, replica: ClusterReplica) -> None:
-        """Share the recorder with *replica* and baseline its lanes."""
-        replica.recorder = self.recorder
-        for shard, watermark in replica.watermarks():
-            self.recorder.attached(replica.name, watermark, shard=shard)
-
-    def _make_replica(
-        self, name: str, path: object,
-        certifier: Optional[GlobalCertifier] = None, capacity: float = 1.0,
-        hosted_partitions=None,
-    ) -> ClusterReplica:
-        replica = self._new_replica(name, path, certifier, capacity,
-                                    hosted_partitions)
-        self.replicas.append(replica)
-        return replica
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.telemetry.Telemetry` into the cluster.
-
-        Called once after construction by a telemetry-enabled run; the
-        certifier, every current replica, and every replica created
-        later (elastic joins) share the same recorder.
-        """
-        self.recorder = ProtocolRecorder(telemetry, self.clock.now)
-        self.certifier.telemetry = telemetry
-        for replica in self.replicas:
-            self._wire(replica)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -366,40 +304,45 @@ class Cluster:
             replica = self.balancer.select(self.replicas, client_id,
                                            is_update, partitions)
             replica.enter()
-            if not replica.retiring and not replica.failed:
+            if replica.staying:
                 return replica
             replica.exit()
 
     # ------------------------------------------------------------------
-    # Elastic membership (dynamic provisioning)
+    # Elastic membership mechanics (the decisions live in Fleet)
     # ------------------------------------------------------------------
-
-    @property
-    def member_count(self) -> int:
-        """Replicas provisioned, healthy, and not retiring (controller
-        view): a crashed replica is no longer a member."""
-        return sum(
-            1 for r in self.replicas if not r.retiring and not r.failed
-        )
-
-    def upgrade_targets(self) -> List[ClusterReplica]:
-        """Replicas a rolling restart cycles (single-master: slaves only,
-        the master cannot be detached)."""
-        pool = getattr(self, "slaves", self.replicas)
-        return [r for r in pool if not r.retiring and not r.failed]
-
-    def _require_elastic(self) -> None:
-        """Refuse membership changes the placement or the certification
-        path cannot follow (see the ``ELASTIC_NEEDS_*`` messages in
-        :mod:`repro.simulator.systems`)."""
-        self.certification.require_elastic()
-        if self.partition_map is not None and not self.partition_map.is_full:
-            raise ConfigurationError(ELASTIC_NEEDS_FULL_REPLICATION)
 
     def add_replica(self, transfer_writesets: int = 16,
                     capacity: float = 1.0) -> ClusterReplica:
-        """Grow the cluster by one live replica; topology-specific."""
-        raise NotImplementedError(f"{type(self).__name__} is not elastic")
+        """Grow the fleet by one live member (single-master: a read-only
+        slave; the master is fixed).
+
+        Under the commit-order lock the joiner's engine is seeded with a
+        state snapshot cloned from the donor (the master, else the
+        freshest healthy replica) and the channel's retained history
+        above that snapshot is bulk-enqueued before subscribing — every
+        committed writeset reaches it exactly once.  A join worker then
+        pays the *transfer_writesets* bulk-replay charge and flips the
+        replica into rotation once caught up.
+        """
+        with self._membership_lock:
+            name, _ = self._next_member()
+            replica = self._create(name, name, capacity)
+            replica.begin_join()
+            try:
+                with self.certification.order_lock:
+                    version, state = self._donor().db.clone_state()
+                    replica.db.seed_state(version, state)
+                    self._attach(replica)
+            except ConfigurationError:
+                self._discard_failed_join(replica)
+                raise
+            replica.start()
+        threading.Thread(
+            target=self._join_worker, args=(replica, transfer_writesets),
+            name=f"{name}-join", daemon=True,
+        ).start()
+        return replica
 
     def remove_replica(
         self,
@@ -408,8 +351,22 @@ class Cluster:
         *,
         drain_timeout: Optional[float] = None,
     ) -> ClusterReplica:
-        """Drain (or, with ``force``, immediately detach) one replica."""
-        raise NotImplementedError(f"{type(self).__name__} is not elastic")
+        """Shrink the fleet by one replica — never the master: drain,
+        then detach.
+
+        Without a target, picks the youngest fully-joined replica; at
+        least one healthy replica always remains.  Blocks (wall time, up
+        to *drain_timeout*) until the replica's in-flight transactions
+        finish — unless ``force``, which detaches immediately (the
+        replacement path for crashed replicas).
+        """
+        with self._membership_lock:
+            replica = self._removal_target(replica)
+            if force:
+                self._force_detach(replica)
+            else:
+                self._retire(replica, drain_timeout)
+        return replica
 
     def _attach(self, replica: ClusterReplica) -> None:
         """Wire a freshly seeded replica into replication and routing.
@@ -657,200 +614,11 @@ class MultiMasterCluster(Cluster):
 
     topology = MULTI_MASTER_TOPOLOGY
 
-    def __init__(self, spec, config, seed, clock, metrics,
-                 distribution=EXPONENTIAL, lb_policy="least-loaded",
-                 capacities=None, partition_map=None, certifier_spec=None,
-                 certification=None):
-        super().__init__(
-            spec, config, seed, clock, metrics, distribution, lb_policy,
-            capacities, partition_map,
-            certification or GlobalCertification(clock, certifier_spec),
-        )
-        for index in range(config.replicas):
-            # Global path: each engine is built around the shared
-            # certifier service (the sharded path's replicas ignore it).
-            replica = self._make_replica(
-                f"replica{index}", index, certifier=self.certifier,
-                capacity=self._initial_capacity(index),
-                hosted_partitions=self._hosted_for_index(index),
-            )
-            self.certification.subscribe(replica)
-        self._members_created = config.replicas
-
-    def add_replica(self, transfer_writesets: int = 16,
-                    capacity: float = 1.0) -> ClusterReplica:
-        """Grow the cluster by one live replica (elastic provisioning).
-
-        Under the commit-order lock the joiner's engine is seeded with a
-        state snapshot cloned from the freshest replica and the channel's
-        retained history above that snapshot is bulk-enqueued before
-        subscribing — every committed writeset reaches it exactly once.
-        A join worker then pays the *transfer_writesets* bulk-replay
-        charge and flips the replica into rotation once caught up.
-        """
-        self._require_elastic()
-        with self._membership_lock:
-            name = f"replica{self._members_created}"
-            self._members_created += 1
-            replica = self._new_replica(name, name, certifier=self.certifier,
-                                        capacity=capacity)
-            replica.begin_join()
-            try:
-                with self.certification.order_lock:
-                    donors = [r for r in self.replicas if not r.failed]
-                    if not donors:
-                        raise ConfigurationError(
-                            "no healthy donor replica for state transfer"
-                        )
-                    donor = max(donors, key=lambda r: r.applied_version)
-                    version, state = donor.db.clone_state()
-                    replica.db.seed_state(version, state)
-                    self._attach(replica)
-            except ConfigurationError:
-                self._discard_failed_join(replica)
-                raise
-            replica.start()
-        threading.Thread(
-            target=self._join_worker, args=(replica, transfer_writesets),
-            name=f"{name}-join", daemon=True,
-        ).start()
-        return replica
-
-    def remove_replica(
-        self,
-        replica: Optional[ClusterReplica] = None,
-        force: bool = False,
-        *,
-        drain_timeout: Optional[float] = None,
-    ) -> ClusterReplica:
-        """Shrink the cluster by one replica: drain, then detach.
-
-        Without a target, picks the youngest fully-joined replica; at
-        least one healthy replica always remains.  Blocks (wall time, up
-        to *drain_timeout*) until the replica's in-flight transactions
-        finish — unless ``force``, which detaches immediately (the
-        replacement path for crashed replicas).
-        """
-        self._require_elastic()
-        with self._membership_lock:
-            if replica is None:
-                candidates = [
-                    r for r in self.replicas
-                    if not r.retiring and not r.joining and not r.failed
-                ]
-                if len(candidates) <= 1:
-                    raise ConfigurationError("cannot remove the last replica")
-                replica = candidates[-1]
-            elif replica not in self.replicas:
-                raise ConfigurationError(f"{replica.name} is not attached")
-            survivors = [
-                r for r in self.replicas
-                if r is not replica and not r.retiring and not r.failed
-            ]
-            if not survivors:
-                raise ConfigurationError(
-                    "cannot remove the last healthy replica"
-                )
-            if force:
-                self._force_detach(replica)
-            else:
-                self._retire(replica, drain_timeout)
-        return replica
-
 
 class SingleMasterCluster(Cluster):
     """Figure 5: one live master for updates, N-1 slaves for reads."""
 
     topology = SINGLE_MASTER_TOPOLOGY
-
-    def __init__(self, spec, config, seed, clock, metrics,
-                 distribution=EXPONENTIAL, lb_policy="least-loaded",
-                 capacities=None, partition_map=None):
-        super().__init__(spec, config, seed, clock, metrics,
-                         distribution, lb_policy, capacities, partition_map)
-        # The master executes every update, so it hosts every partition
-        # implicitly; a partition map only constrains the slaves.  Its
-        # engine's certifier is the system-wide one.
-        self.master = self._make_replica(
-            "master", "master", certifier=self.certifier,
-            capacity=self._initial_capacity(0),
-        )
-        self.slaves = []
-        for index in range(config.replicas - 1):
-            slave = self._make_replica(
-                f"slave{index}", index,
-                capacity=self._initial_capacity(index + 1),
-                hosted_partitions=self._hosted_for_index(index + 1),
-            )
-            self.certification.subscribe(slave)
-            self.slaves.append(slave)
-        self._members_created = config.replicas - 1
-
-    def add_replica(self, transfer_writesets: int = 16,
-                    capacity: float = 1.0) -> ClusterReplica:
-        """Grow the system by one read-only slave (the master is fixed).
-
-        The master is the natural state-transfer donor: its commits and
-        channel publishes share the commit-order lock, so under that lock
-        its snapshot is exactly the published watermark and the history
-        replay is empty — new writesets simply start arriving.
-        """
-        self._require_elastic()
-        with self._membership_lock:
-            name = f"slave{self._members_created}"
-            self._members_created += 1
-            slave = self._new_replica(name, name, capacity=capacity)
-            slave.begin_join()
-            try:
-                with self.certification.order_lock:
-                    version, state = self.master.db.clone_state()
-                    slave.db.seed_state(version, state)
-                    self._attach(slave)
-            except ConfigurationError:
-                self._discard_failed_join(slave)
-                raise
-            self.slaves = self.slaves + [slave]
-            slave.start()
-        threading.Thread(
-            target=self._join_worker, args=(slave, transfer_writesets),
-            name=f"{name}-join", daemon=True,
-        ).start()
-        return slave
-
-    def remove_replica(
-        self,
-        replica: Optional[ClusterReplica] = None,
-        force: bool = False,
-        *,
-        drain_timeout: Optional[float] = None,
-    ) -> ClusterReplica:
-        """Drain (or force-detach) one slave — never the master."""
-        self._require_elastic()
-        with self._membership_lock:
-            if replica is None:
-                candidates = [
-                    s for s in self.slaves
-                    if not s.retiring and not s.joining and not s.failed
-                ]
-                if not candidates:
-                    raise ConfigurationError(
-                        "no removable slave (the master cannot be removed)"
-                    )
-                slave = candidates[-1]
-            elif replica is self.master:
-                raise ConfigurationError("the master cannot be removed")
-            elif replica not in self.slaves:
-                raise ConfigurationError(
-                    f"{replica.name} is not an attached slave"
-                )
-            else:
-                slave = replica
-            if force:
-                self._force_detach(slave)
-            else:
-                self._retire(slave, drain_timeout)
-            self.slaves = [s for s in self.slaves if s is not slave]
-        return slave
 
     def _commit_at_master(self, txn):
         """Commit *txn* through the master's own engine, whose certifier

@@ -217,16 +217,17 @@ class ClusterReplica:
         self.recorder.crashed(self.name)
 
     @property
-    def joining(self) -> bool:
-        """True while the elastic join (state transfer) is in progress."""
+    def staying(self) -> bool:
+        """Healthy and not retiring (a member the cluster counts)."""
         with self._state:
-            return self._joining
+            return not self._retiring and not self._failed
 
     @property
-    def retiring(self) -> bool:
-        """True once the replica has been picked for elastic removal."""
+    def removable(self) -> bool:
+        """Eligible as a default removal target: healthy, fully joined
+        and not retiring (a drain-faulted replica still qualifies)."""
         with self._state:
-            return self._retiring
+            return not (self._retiring or self._joining or self._failed)
 
     def begin_join(self) -> None:
         """Hide the replica from the balancer while it catches up.

@@ -43,9 +43,7 @@ from ..core.errors import ConfigurationError, SimulationError
 from ..core.params import ReplicationConfig
 from ..core.rng import DEFAULT_SEED
 from ..sidb.certifier_api import resolve_certifier_spec
-from ..simulator.faults import (
-    BROWNOUT, CRASH, ReplicaFault, scale_replica_rates, validate_faults,
-)
+from ..simulator.faults import BROWNOUT, CRASH, ReplicaFault, scale_replica_rates
 from ..simulator.runner import (
     MULTI_MASTER,
     SINGLE_MASTER,
@@ -57,7 +55,7 @@ from ..simulator.runner import (
 )
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import LEAST_LOADED
+from ..simulator.systems import LEAST_LOADED, check_supported
 from ..workloads.spec import WorkloadSpec
 from .clock import VirtualClock
 from .cluster import Cluster, MultiMasterCluster, SingleMasterCluster
@@ -434,10 +432,8 @@ def run_cluster(
         raise ConfigurationError(
             f"arrival rate must be positive, got {arrival_rate}"
         )
-    from ..partition.placement import check_faults_against_map
-
-    check_faults_against_map(faults, partition_map)
-    checked_faults = validate_faults(faults, config.replicas, design)
+    checked_faults = check_supported(design, partition_map=partition_map,
+                                     faults=faults, replicas=config.replicas)
     run = ClusterRun(
         design, spec, config, seed, MetricsCollector(), time_scale,
         telemetry=telemetry, certifier_spec=certifier_spec,

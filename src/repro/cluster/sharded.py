@@ -39,8 +39,9 @@ the global path:
   every commit through the one order lock — the contention sharding
   removes.
 
-Elastic membership is refused loudly: joins would need vector-valued
-state transfer and per-shard replay, the follow-on seam.
+Elastic membership is refused loudly (the path is not ``elastic``):
+joins would need vector-valued state transfer and per-shard replay, the
+follow-on seam.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..sidb.certifier_api import CertifierSpec, require_sharded
 from ..sidb.sharded import ShardedCertifier
 from ..sidb.writeset import Writeset
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
-from ..simulator.systems import ELASTIC_NEEDS_GLOBAL_CERTIFIER, hosts_any
+from ..simulator.systems import hosts_any
 from .channel import ReplicationChannel
 from .cluster import MultiMasterCluster
 from .replica import _VACUUM_INTERVAL, ClusterReplica
@@ -242,6 +243,10 @@ class ShardedCertification:
     Same interface as :class:`~.cluster.GlobalCertification`.
     """
 
+    #: Joins would need vector-valued state transfer and per-shard
+    #: replay: the fleet refuses membership changes on this path.
+    elastic = False
+
     def __init__(self, clock, spec,
                  certifier_spec: Optional[CertifierSpec]) -> None:
         require_sharded(certifier_spec, spec, "ShardedMultiMasterCluster")
@@ -280,9 +285,6 @@ class ShardedCertification:
     def subscribe(self, replica: ShardedClusterReplica) -> None:
         for channel in self._shard_channels:
             channel.subscribe(replica)
-
-    def require_elastic(self) -> None:
-        raise SimulationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
 
     def pin(self, replica) -> Tuple[int, Dict[int, int]]:
         """Read *replica*'s applied vector — one attempt's GSI floors —

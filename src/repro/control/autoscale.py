@@ -10,8 +10,9 @@ cost as a bulk writeset replay, drain before removal).
 The loop is written once (:func:`_run_elastic`); :func:`autoscale_sim` and
 :func:`autoscale_cluster` only build the substrate's *run object* and hand
 it over.  Membership needs no interface — the DES systems and the live
-clusters spell ``replicas``, ``member_count``, ``add_replica``,
-``remove_replica`` and ``upgrade_targets`` identically.  What the pillars
+clusters share one :class:`~repro.simulator.systems.Fleet`, so
+``replicas``, ``member_count``, ``add_replica``, ``remove_replica`` and
+``upgrade_targets`` mean the same on both.  What the pillars
 really differ in is time and tasking, and that is the whole run seam
 (:class:`~repro.simulator.runner.SimRun`,
 :class:`~repro.cluster.runner.ClusterRun`, and a scripted fake in the
@@ -52,16 +53,14 @@ from ..ops.events import OpsEvent
 from ..ops.health import HealthMonitor
 from ..ops.plan import OpsPlan
 from ..ops.rolling import rolling_restart
-from ..simulator.faults import validate_faults
 from ..simulator.runner import (
     MULTI_MASTER,
-    SINGLE_MASTER,
     SimRun,
     check_run_options,
 )
 from ..simulator.sampling import EXPONENTIAL
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import LEAST_LOADED
+from ..simulator.systems import LEAST_LOADED, check_supported
 from ..telemetry import render_events
 from ..workloads.spec import WorkloadSpec
 from .controller import ControlObservation, make_controller
@@ -73,9 +72,6 @@ from .estimator import (
 )
 from .slo import BurnRate, SLOMonitor, max_burn
 from .trace import LoadTrace
-
-#: Designs that support elastic membership (standalone has nothing to grow).
-ELASTIC_DESIGNS = (MULTI_MASTER, SINGLE_MASTER)
 
 
 @dataclass(frozen=True)
@@ -401,10 +397,7 @@ def _run_elastic(
     by insertion): fault installs → detect task → rolling task → control
     task → ``measure``.
     """
-    if design not in ELASTIC_DESIGNS:
-        raise ConfigurationError(
-            f"design {design!r} is not elastic; one of {ELASTIC_DESIGNS}"
-        )
+    check_supported(design, membership=True)
     if trace.max_rate <= 0:
         raise ConfigurationError("trace peak rate must be positive")
     check_run_options(distribution, lb_policy, warmup, duration)
@@ -425,7 +418,8 @@ def _run_elastic(
 
     initial = clamp(controller.initial_target())
     plan = ops if ops is not None and ops.active else None
-    faults = validate_faults(plan.faults, initial, design) if plan else ()
+    faults = (check_supported(design, faults=plan.faults, replicas=initial)
+              if plan else ())
 
     metrics = _SampledMetrics()
     run = assemble(base_config.with_replicas(initial), metrics)

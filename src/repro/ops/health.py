@@ -45,7 +45,7 @@ class HealthMonitor:
     def tick(self, now: float) -> None:
         """One health-check pass (called once per control interval)."""
         for replica in list(self._fleet.replicas):
-            if not getattr(replica, "failed", False):
+            if not replica.failed:
                 continue
             self._events.append(OpsEvent(now, DETECT, replica.name))
             try:
@@ -58,9 +58,7 @@ class HealthMonitor:
                 ))
                 continue
             self._events.append(OpsEvent(now, DETACH, replica.name))
-            self._backlog.append(
-                (getattr(replica, "capacity", 1.0), replica.name)
-            )
+            self._backlog.append((replica.capacity, replica.name))
         self._place_backlog(now)
         self._watch_joins(now)
 
@@ -93,8 +91,3 @@ class HealthMonitor:
             else:
                 still_joining.append((replica, crashed))
         self._joining = still_joining
-
-    @property
-    def settled(self) -> bool:
-        """True when no replacement is pending or joining."""
-        return not self._backlog and not self._joining

@@ -242,34 +242,6 @@ def _normalized_weights(
     return tuple(w / total for w in values)
 
 
-def check_faults_against_map(
-    faults, partition_map: Optional[PartitionMap]
-) -> None:
-    """Reject crash faults on a partially replicated fleet.
-
-    A crash permanently destroys one copy of every partition the replica
-    hosts, and the self-healing replacement path cannot run (elastic
-    membership is rejected under partial maps).  Worse, once *every*
-    host of a partition has crashed, the routing fallback would execute
-    that partition's transactions on non-hosts, whose replicas install
-    only version markers — committed data stored nowhere while the
-    convergence check still passes.  Like elastic membership, the
-    combination is rejected loudly until partition re-placement exists.
-    Drain faults remain allowed: their writesets defer and replay on
-    recovery, so no copy is ever lost.
-    """
-    if partition_map is None or partition_map.is_full:
-        return
-    for fault in faults:
-        if getattr(fault, "kind", None) == "crash":
-            raise ConfigurationError(
-                "crash faults are not supported under a partial "
-                "partition map: a crashed host permanently loses its "
-                "partitions and cannot be replaced (drain faults are "
-                "fine — their backlog replays on recovery)"
-            )
-
-
 def resolve_partition_map(
     spec,
     config,

@@ -40,11 +40,7 @@ def asymptotic_bounds(network: ClosedNetwork, population: float) -> AsymptoticBo
     heavy = 1.0 / d_max if d_max > 0 else float("inf")
     throughput_upper = min(light, heavy)
 
-    delay_demand = sum(
-        c.demand for c in network.centers if c.kind is CenterKind.DELAY
-    )
     if d_max > 0:
-        response_lower = max(total_demand, population * d_max - z + delay_demand * 0.0)
         response_lower = max(total_demand, population * d_max - z)
     else:
         response_lower = total_demand

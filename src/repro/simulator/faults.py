@@ -31,16 +31,18 @@ not a boolean).  Overlapping brownouts compose multiplicatively and each
 restores exactly its own factor.  Faults scheduled past the end of the
 run simply never fire.
 
-Restrictions: the single-master design only supports slave drain/crash
-faults (master failover needs a promotion protocol the paper does not
-describe); a brownout never changes membership, so it may target the
-master.
+Restrictions (checked by :func:`repro.simulator.systems.check_supported`,
+the one place fault schedules and membership changes are refused): the
+single-master design only supports slave drain/crash faults (master
+failover needs a promotion protocol the paper does not describe); a
+brownout never changes membership, so it may target the master; crash
+faults need full replication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 
@@ -109,31 +111,6 @@ def brownout_fault(
         replica_index=replica_index, start=start, downtime=downtime,
         kind=BROWNOUT, severity=severity,
     )
-
-
-def validate_faults(
-    faults: Sequence[ReplicaFault], replicas: int, design: str
-) -> List[ReplicaFault]:
-    """Check a fault schedule against a system layout."""
-    checked: List[ReplicaFault] = []
-    for fault in faults:
-        if fault.replica_index >= replicas:
-            raise ConfigurationError(
-                f"fault targets replica {fault.replica_index} but the "
-                f"system has {replicas}"
-            )
-        if (design == "single-master" and fault.replica_index == 0
-                and fault.kind != BROWNOUT):
-            raise ConfigurationError(
-                "cannot fault the master of a single-master system "
-                "(no promotion protocol); fault a slave instead"
-            )
-        if design == "standalone":
-            raise ConfigurationError(
-                "standalone systems have no redundancy to fault"
-            )
-        checked.append(fault)
-    return checked
 
 
 @dataclass

@@ -209,6 +209,17 @@ class SimReplica:
         if came_back:
             self._flush_deferred()
 
+    @property
+    def staying(self) -> bool:
+        """Healthy and not draining away (a member the fleet counts)."""
+        return not self.draining and not self.failed
+
+    @property
+    def removable(self) -> bool:
+        """Eligible as a default removal target: in rotation and not
+        draining (a drain-faulted or still-joining replica is skipped)."""
+        return not self.draining and self.available
+
     def crash(self) -> None:
         """Kill the replica permanently (state lost, no self-recovery).
 

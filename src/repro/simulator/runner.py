@@ -26,7 +26,7 @@ from ..sidb.certifier_api import resolve_certifier_spec
 from ..telemetry import Telemetry, active_config
 from ..workloads.spec import WorkloadSpec
 from .des import Environment, Timeout
-from .faults import ReplicaFault, install_faults, validate_faults
+from .faults import ReplicaFault, install_faults
 from .sampling import DISTRIBUTIONS, EXPONENTIAL
 from .sharded import ShardedMultiMasterSystem
 from .stats import MetricsCollector
@@ -36,6 +36,7 @@ from .systems import (
     MultiMasterSystem,
     SingleMasterSystem,
     StandaloneSystem,
+    check_supported,
 )
 
 #: System designs the simulator can build.
@@ -222,8 +223,7 @@ class SimRun:
                                        system.certifier)
         latest = system.certifier.latest_version
         final_versions = tuple(
-            r.applied_version for r in system.replicas
-            if not r.draining and not r.failed
+            r.applied_version for r in system.replicas if r.staying
         )
         return all(v == latest for v in final_versions), final_versions
 
@@ -291,10 +291,8 @@ def simulate(
             "capacities describe a replicated fleet; standalone systems "
             "have exactly one machine"
         )
-    from ..partition.placement import check_faults_against_map
-
-    check_faults_against_map(faults, partition_map)
-    checked_faults = validate_faults(faults, config.replicas, design)
+    checked_faults = check_supported(design, partition_map=partition_map,
+                                     faults=faults, replicas=config.replicas)
     run = SimRun(
         design, spec, config, seed, MetricsCollector(),
         telemetry=telemetry, certifier_spec=certifier_spec,

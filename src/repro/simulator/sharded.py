@@ -30,8 +30,9 @@ handed to the replicas in assignment order per shard — the per-lane
 contiguity the replicas and the auditor check.
 
 Elastic membership is not supported: shard snapshots, join baselines
-and catch-up would all need vector-valued state transfer, and the
-path refuses loudly rather than silently miscounting.
+and catch-up would all need vector-valued state transfer, so the path
+declares itself not ``elastic`` and the fleet refuses joins and leaves
+(:func:`~.systems.check_supported`).
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ from ..sidb.sharded import ShardedCertifier
 from .des import Acquire, Semaphore, Service, Timeout
 from .replica import SimReplica
 from .sampling import WorkloadSampler
-from .systems import (
-    ELASTIC_NEEDS_GLOBAL_CERTIFIER,
-    LEAST_LOADED,
-    MultiMasterSystem,
-)
+from .systems import LEAST_LOADED, MultiMasterSystem
 
 
 class ShardedSimReplica(SimReplica):
@@ -168,12 +165,6 @@ class ShardedSimReplica(SimReplica):
         """One ``(shard, watermark)`` delivery lane per certifier shard."""
         return tuple(self.applied_vector.items())
 
-    def sync_to(self, commit_version: int) -> None:
-        raise SimulationError(
-            f"{self.name}: elastic join is not supported with the "
-            f"sharded certifier (vector-valued state transfer)"
-        )
-
     def crash(self) -> None:
         self._deferred_shard.clear()
         super().crash()
@@ -193,6 +184,10 @@ class ShardedCertification:
     are always remote services, so every snapshot is a replica's applied
     vector and lagging replicas always pin the per-shard prune floors.
     """
+
+    #: Joins would need vector-valued state transfer: the fleet refuses
+    #: membership changes on this path.
+    elastic = False
 
     def __init__(self, env, spec, config,
                  certifier_spec: Optional[CertifierSpec]) -> None:
@@ -215,9 +210,6 @@ class ShardedCertification:
                     capacity: float) -> ShardedSimReplica:
         return ShardedSimReplica(self._env, name, sampler, capacity=capacity,
                                  partitions=self._shard_count)
-
-    def require_elastic(self) -> None:
-        raise SimulationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
 
     def pin(self, replica: ShardedSimReplica) -> Tuple[int, int]:
         """Pin *replica*'s applied vector for one attempt; returns the

@@ -21,10 +21,18 @@ propagate, retry on a write-write conflict — is written once, in
 two seams fixed at construction: a :class:`Topology` (who executes
 updates) and a certification path (:class:`GlobalCertification` here,
 :class:`~.sharded.ShardedCertification` for per-partition shards).
+
+Beside :class:`Topology` sits what both substrates share about the fleet
+around the protocol: :class:`Fleet` builds the first replicas from the
+topology, names joiners, picks removals and counts members, and
+:func:`check_supported` is the one place a membership change or a fault
+schedule is refused.  This module and the live cluster
+(:mod:`repro.cluster.cluster`) keep only the join and leave mechanics.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +47,7 @@ from ..sidb.certifier import GlobalCertifier
 from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
 from .des import Acquire, Environment, Semaphore, Timeout
+from .faults import BROWNOUT, CRASH, ReplicaFault
 from .replica import SimReplica
 from .sampling import WorkloadSampler
 from .stats import MetricsCollector
@@ -154,7 +163,8 @@ def select_replica(policy, candidates, client_id, is_update, rng,
 @dataclass(frozen=True)
 class Topology:
     """Who executes update transactions — the one decision the paper's
-    two designs differ in.  Shared by the simulator and the live cluster.
+    two designs differ in — and what the fleet around it is called.
+    Shared by the simulator and the live cluster.
     """
 
     #: Design name (validates partition maps, names retry failures).
@@ -166,25 +176,277 @@ class Topology:
     #: round-trip to a remote service.  ``True`` (single-master,
     #: Figure 5): the master executes every update under plain SI — its
     #: snapshot is the latest commit and it is its own certifier, so
-    #: there is no staleness to record and no round-trip to pay.
+    #: there is no staleness to record and no round-trip to pay.  Such a
+    #: fleet is built with a :data:`MASTER` in front of its members; the
+    #: master takes capacity and placement index 0.
     master_updates: bool
+    #: Name prefix of the members the fleet is built and grown from
+    #: (``replica0``, ``replica1``, …).
+    member: str = "replica"
 
 
+#: Name (and sampler path) of the replica executing every update.
+MASTER = "master"
 MULTI_MASTER_TOPOLOGY = Topology("multi-master", master_updates=False)
-SINGLE_MASTER_TOPOLOGY = Topology("single-master", master_updates=True)
+SINGLE_MASTER_TOPOLOGY = Topology("single-master", master_updates=True,
+                                  member="slave")
+STANDALONE_TOPOLOGY = Topology("standalone", master_updates=True)
 
-#: Why elastic membership is refused (one wording for both substrates).
-#: Re-placing partitions on join/leave — split, merge, migrate — and
-#: vector-valued state transfer are the natural follow-ons; until then
-#: the combinations fail loudly rather than silently miscounting.
-ELASTIC_NEEDS_FULL_REPLICATION = (
-    "elastic membership requires full replication; the partition map "
-    "places data on a fixed fleet"
-)
+#: Every membership and fault combination a fleet refuses, one message
+#: each, raised as :class:`ConfigurationError` by both substrates (the
+#: README's restrictions table lists the same rows).  Re-placing
+#: partitions on join/leave — split, merge, migrate — vector-valued
+#: state transfer and master promotion are the natural follow-ons; until
+#: then the combinations fail loudly rather than silently miscounting.
 ELASTIC_NEEDS_GLOBAL_CERTIFIER = (
     "elastic membership is not supported with the sharded certifier "
     "(joins need vector-valued state transfer)"
 )
+ELASTIC_NEEDS_FULL_REPLICATION = (
+    "elastic membership requires full replication; the partition map "
+    "places data on a fixed fleet"
+)
+STANDALONE_IS_NOT_ELASTIC = "a standalone system has no fleet to resize"
+MASTER_IS_NOT_REMOVABLE = "the master cannot be removed"
+LAST_HEALTHY_REPLICA = "cannot remove the last healthy replica"
+CRASH_NEEDS_FULL_REPLICATION = (
+    "crash faults are not supported under a partial partition map: a "
+    "crashed host permanently loses its partitions and cannot be "
+    "replaced (drain faults are fine — their backlog replays on recovery)"
+)
+MASTER_IS_NOT_FAULTABLE = (
+    "cannot fault the master of a single-master system (no promotion "
+    "protocol); fault a slave instead"
+)
+STANDALONE_HAS_NO_REDUNDANCY = "standalone systems have no redundancy to fault"
+
+
+def check_supported(design: str, *, membership: bool = False,
+                    elastic_path: bool = True, partition_map=None,
+                    faults: Sequence[ReplicaFault] = (),
+                    replicas: int = 1) -> List[ReplicaFault]:
+    """The one place a membership change or a fault schedule is refused.
+
+    *membership* asks whether the fleet may grow or shrink at all
+    (*elastic_path*: its certification path can seed a joiner); *faults*
+    is checked against a *replicas*-strong fleet.  Raises
+    :class:`ConfigurationError` with the combination's one message;
+    returns the accepted fault schedule.
+    """
+    partial = partition_map is not None and not partition_map.is_full
+    if membership:
+        if design == STANDALONE_TOPOLOGY.design:
+            raise ConfigurationError(STANDALONE_IS_NOT_ELASTIC)
+        if not elastic_path:
+            raise ConfigurationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
+        if partial:
+            raise ConfigurationError(ELASTIC_NEEDS_FULL_REPLICATION)
+    if partial and any(fault.kind == CRASH for fault in faults):
+        # A crash destroys one copy of every partition its replica hosts
+        # and replacement cannot run; once every host of a partition
+        # crashed, routing would fall back to non-hosts that install only
+        # version markers — committed data stored nowhere while the
+        # convergence check still passes.
+        raise ConfigurationError(CRASH_NEEDS_FULL_REPLICATION)
+    for fault in faults:
+        if fault.replica_index >= replicas:
+            raise ConfigurationError(
+                f"fault targets replica {fault.replica_index} but the "
+                f"system has {replicas}"
+            )
+        if (design == SINGLE_MASTER_TOPOLOGY.design
+                and fault.replica_index == 0 and fault.kind != BROWNOUT):
+            raise ConfigurationError(MASTER_IS_NOT_FAULTABLE)
+        if design == STANDALONE_TOPOLOGY.design:
+            raise ConfigurationError(STANDALONE_HAS_NO_REDUNDANCY)
+    return list(faults)
+
+
+class Fleet:
+    """One replicated fleet's membership, written once for both substrates.
+
+    :class:`_BaseSystem` (DES) and :class:`repro.cluster.cluster.Cluster`
+    (live) build their first replicas from the :class:`Topology`, name
+    joiners, pick and refuse removals, and count members here.  Each
+    substrate supplies only the mechanics: ``_new_replica`` (its replica
+    class on a sampler), the join and the drain or force-detach.  Both
+    replica classes answer ``staying`` (healthy and not leaving) and
+    ``removable`` (eligible as a default removal target) — the latter is
+    each class's own predicate: the DES skips drain-faulted replicas,
+    the live cluster skips joining ones.
+    """
+
+    topology = MULTI_MASTER_TOPOLOGY
+    #: Protocol recorder (:mod:`repro.telemetry.recorder`): the null
+    #: sink until :meth:`attach_telemetry` swaps in a real one.
+    recorder = NULL_RECORDER
+    #: The replica executing every update — always ``replicas[0]`` — or
+    #: ``None`` when the routed replica does.
+    master = None
+    #: RNG stream the replicas' samplers are spawned from.
+    _replica_stream = "replica"
+
+    def __init__(self, spec: WorkloadSpec, config: ReplicationConfig,
+                 seed: int, metrics: MetricsCollector, distribution: str,
+                 capacities: Optional[Sequence[float]], partition_map,
+                 certification) -> None:
+        from ..partition.placement import resolve_partition_map
+
+        self._capacities = check_capacities(capacities, config.replicas)
+        self.partition_map = resolve_partition_map(
+            spec, config, partition_map, self.design
+        )
+        #: The certification path: it owns the certifier and builds the
+        #: replicas.
+        self.certification = certification
+        self.certifier = certification.certifier
+        self.spec = spec
+        self.config = config
+        self.metrics = metrics
+        self._seed = seed
+        self._distribution = distribution
+        self.replicas: list = []
+        #: Monotonic counter naming joined replicas (names and metric
+        #: keys must never be reused after a removal).
+        self._members_created = 0
+
+    @property
+    def design(self) -> str:
+        return self.topology.design
+
+    @property
+    def slaves(self) -> list:
+        """The replicas minus the master (all of them without one)."""
+        return [r for r in self.replicas if r is not self.master]
+
+    def _initial_capacity(self, index: int) -> float:
+        """Capacity multiplier for the *index*-th initial replica."""
+        if self._capacities is None:
+            return 1.0
+        return self._capacities[index]
+
+    def _hosted_for_index(self, index: int):
+        """Hosted-partition set of the *index*-th initial replica
+        (``None`` — host everything — without a partial map)."""
+        if self.partition_map is None or self.partition_map.is_full:
+            return None
+        return self.partition_map.hosted_by(index)
+
+    def _create(self, name: str, path: object, capacity: float,
+                hosted_partitions=None):
+        """A new replica on its own sampler stream, its resources watched
+        and its lanes wired to the recorder (the caller lists it)."""
+        sampler = WorkloadSampler(
+            self.spec,
+            rng_util.spawn(self._seed, self._replica_stream, path),
+            distribution=self._distribution,
+        )
+        replica = self._new_replica(name, sampler, capacity,
+                                    hosted_partitions)
+        with self.metrics_lock:
+            self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
+            self.metrics.watch_resource(f"{name}.disk", replica.disk)
+        self._wire(replica)
+        return replica
+
+    def _build_fleet(self) -> None:
+        """Create the initial replicas the topology names.  Creation
+        order, names, sampler paths and capacity/placement indices are
+        behaviour: the golden DES digests pin them."""
+        shift = 0
+        if self.topology.master_updates:
+            # The master executes every update, so it hosts every
+            # partition implicitly; a partition map only constrains the
+            # other members.
+            self.master = self._create(MASTER, MASTER,
+                                       self._initial_capacity(0))
+            self.replicas.append(self.master)
+            shift = 1
+        for index in range(self.config.replicas - shift):
+            self.replicas.append(self._create(
+                f"{self.topology.member}{index}", index,
+                self._initial_capacity(index + shift),
+                self._hosted_for_index(index + shift),
+            ))
+        self._members_created = self.config.replicas - shift
+
+    def _wire(self, replica) -> None:
+        """Share the recorder with *replica* and baseline its lanes."""
+        replica.recorder = self.recorder
+        for shard, watermark in replica.watermarks():
+            self.recorder.attached(replica.name, watermark, shard=shard)
+
+    def attach_telemetry(self, telemetry) -> None:
+        """Wire a :class:`repro.telemetry.Telemetry` into the fleet.
+
+        Called once after construction by a telemetry-enabled run; the
+        certifier, every current replica, and every replica created
+        later (elastic joins) share the same recorder.
+        """
+        self.recorder = ProtocolRecorder(telemetry, self._now)
+        self.certifier.telemetry = telemetry
+        for replica in self.replicas:
+            self._wire(replica)
+
+    # ------------------------------------------------------------------
+    # Elastic membership (dynamic provisioning)
+    # ------------------------------------------------------------------
+
+    @property
+    def member_count(self) -> int:
+        """Replicas provisioned, healthy, and not leaving (controller
+        view): a crashed replica is no longer a member."""
+        return sum(1 for r in self.replicas if r.staying)
+
+    def upgrade_targets(self) -> list:
+        """Replicas a rolling restart cycles (never the master: it cannot
+        be detached)."""
+        return [r for r in self.slaves if r.staying]
+
+    def _check_membership(self) -> None:
+        check_supported(self.design, membership=True,
+                        elastic_path=self.certification.elastic,
+                        partition_map=self.partition_map)
+
+    def _next_member(self) -> Tuple[str, int]:
+        """Refuse a join this fleet cannot take, else claim the next
+        member's name and index."""
+        self._check_membership()
+        index = self._members_created
+        self._members_created += 1
+        return f"{self.topology.member}{index}", index
+
+    def _donor(self):
+        """The replica a state-transfer join clones: the master (under
+        the commit-order lock its snapshot is exactly the published
+        watermark), else the freshest healthy replica."""
+        if self.master is not None:
+            return self.master
+        donors = [r for r in self.replicas if not r.failed]
+        if not donors:
+            raise ConfigurationError(
+                "no healthy donor replica for state transfer"
+            )
+        return max(donors, key=lambda r: r.applied_version)
+
+    def _removal_target(self, replica):
+        """The replica a removal takes — *replica*, or without one the
+        youngest removable replica — after refusing the master, a
+        replica that is not attached, and the last healthy one."""
+        self._check_membership()
+        if replica is None:
+            # The master, always replicas[0], is never the last of two.
+            candidates = [r for r in self.replicas if r.removable]
+            if len(candidates) <= 1:
+                raise ConfigurationError(LAST_HEALTHY_REPLICA)
+            return candidates[-1]
+        if replica is self.master:
+            raise ConfigurationError(MASTER_IS_NOT_REMOVABLE)
+        if replica not in self.replicas:
+            raise ConfigurationError(f"{replica.name} is not attached")
+        if not any(r.staying for r in self.replicas if r is not replica):
+            raise ConfigurationError(LAST_HEALTHY_REPLICA)
+        return replica
 
 
 class GlobalCertification:
@@ -196,6 +458,9 @@ class GlobalCertification:
     (single-master, standalone): only a remote certifier is lagged by
     the replicas' snapshots and costs a response delay.
     """
+
+    #: Scalar snapshots transfer as one version: joins are fine.
+    elastic = True
 
     def __init__(self, env: Environment, certifier_spec=None,
                  remote: bool = False, response_delay: float = 0.0) -> None:
@@ -221,9 +486,6 @@ class GlobalCertification:
     def new_replica(self, name: str, sampler: WorkloadSampler,
                     capacity: float) -> SimReplica:
         return SimReplica(self._env, name, sampler, capacity=capacity)
-
-    def require_elastic(self) -> None:
-        """Scalar snapshots transfer as one version: joins are fine."""
 
     def pin(self, replica: SimReplica) -> Tuple[int, int]:
         """Take one attempt's snapshot at *replica* and pin it against
@@ -284,21 +546,18 @@ class GlobalCertification:
         replica.enqueue_writeset(outcome.commit_version, charged=charged)
 
 
-class _BaseSystem:
-    """Shared plumbing: replicas, samplers, metric wiring, client loop,
-    and the one transaction protocol body (:meth:`execute`)."""
+class _BaseSystem(Fleet):
+    """The DES fleet: replicas, samplers, client loop, the one
+    transaction protocol body (:meth:`execute`) and the membership
+    mechanics (:meth:`add_replica`, :meth:`remove_replica`)."""
 
     #: How often an elastic drain re-checks that a leaving replica has
     #: finished its in-flight transactions (simulated seconds).
     _DRAIN_POLL = 0.025
 
-    #: Who executes updates (subclasses override; its design name also
-    #: validates partition maps).
-    topology = MULTI_MASTER_TOPOLOGY
-
-    #: Protocol recorder (:mod:`repro.telemetry.recorder`): the null
-    #: sink until :meth:`attach_telemetry` swaps in a real one.
-    recorder = NULL_RECORDER
+    #: Metric registration needs no lock: the event loop is
+    #: single-threaded.
+    metrics_lock = contextlib.nullcontext()
 
     def __init__(
         self,
@@ -311,60 +570,39 @@ class _BaseSystem:
         lb_policy: str = LEAST_LOADED,
         capacities: Optional[Sequence[float]] = None,
         partition_map=None,
+        certifier_spec=None,
         certification=None,
     ) -> None:
-        from ..partition.placement import resolve_partition_map
-
         if lb_policy not in LB_POLICIES:
             raise SimulationError(
                 f"unknown lb_policy {lb_policy!r}; one of {LB_POLICIES}"
             )
-        self._capacities = check_capacities(capacities, config.replicas)
-        self.partition_map = resolve_partition_map(
-            spec, config, partition_map, self.design
+        # The global path unless an assembly passes a sharded one; only a
+        # multi-master certifier is a remote service.
+        super().__init__(
+            spec, config, seed, metrics, distribution, capacities,
+            partition_map,
+            certification or GlobalCertification(
+                env, certifier_spec, remote=not self.topology.master_updates,
+                response_delay=config.certifier_delay,
+            ),
         )
-        #: The certification path (global unless an assembly passes a
-        #: sharded one); it owns the certifier and builds the replicas.
-        self.certification = certification or GlobalCertification(env)
-        self.certifier = self.certification.certifier
         self.env = env
-        self.spec = spec
-        self.config = config
-        self.metrics = metrics
-        self._seed = seed
-        self._distribution = distribution
         self.lb_policy = lb_policy
         self._lb_rng = rng_util.spawn(seed, "load-balancer")
-        self.replicas: List[SimReplica] = []
-        #: Monotonic counter naming elastically added replicas (names and
-        #: metric keys must never be reused after a removal).
-        self._members_created = 0
         #: Highest commit version already handed to update propagation —
         #: the sync point elastic joins adopt (the certifier can be ahead
         #: by in-flight certification delays).
         self._propagated_version = 0
         #: Cleared by :meth:`stop_arrivals` to end open-loop streams.
         self._arrivals_on = True
+        self._build_fleet()
 
-    @property
-    def design(self) -> str:
-        return self.topology.design
+    def _now(self) -> float:
+        return self.env.now
 
-    def _initial_capacity(self, index: int) -> float:
-        """Capacity multiplier for the *index*-th initial replica."""
-        if self._capacities is None:
-            return 1.0
-        return self._capacities[index]
-
-    def _make_replica(
-        self, name: str, path: object, capacity: float = 1.0,
-        hosted_partitions=None,
-    ) -> SimReplica:
-        sampler = WorkloadSampler(
-            self.spec,
-            rng_util.spawn(self._seed, "replica", path),
-            distribution=self._distribution,
-        )
+    def _new_replica(self, name: str, sampler: WorkloadSampler,
+                     capacity: float, hosted_partitions) -> SimReplica:
         replica = self.certification.new_replica(name, sampler, capacity)
         replica.hosted_partitions = hosted_partitions
         # Admission control: the connection pool bounds how many client
@@ -373,29 +611,7 @@ class _BaseSystem:
             replica.admission = Semaphore(self.env, self.config.max_concurrency)
         else:
             replica.admission = None
-        self.metrics.watch_resource(f"{name}.cpu", replica.cpu)
-        self.metrics.watch_resource(f"{name}.disk", replica.disk)
-        self._wire(replica)
-        self.replicas.append(replica)
         return replica
-
-    def _wire(self, replica: SimReplica) -> None:
-        """Share the recorder with *replica* and baseline its lanes."""
-        replica.recorder = self.recorder
-        for shard, watermark in replica.watermarks():
-            self.recorder.attached(replica.name, watermark, shard=shard)
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.telemetry.Telemetry` into the system.
-
-        Called once after construction by a telemetry-enabled run; the
-        certifier, every current replica, and every replica created
-        later (elastic joins) share the same recorder.
-        """
-        self.recorder = ProtocolRecorder(telemetry, lambda: self.env.now)
-        self.certifier.telemetry = telemetry
-        for replica in self.replicas:
-            self._wire(replica)
 
     def start_fleet_sampler(self, telemetry) -> None:
         """Snapshot fleet state onto *telemetry*'s timeline every
@@ -417,13 +633,6 @@ class _BaseSystem:
     def _release(self, replica: SimReplica) -> None:
         if replica.admission is not None:
             replica.admission.release()
-
-    def _hosted_for_index(self, index: int):
-        """Hosted-partition set of the *index*-th initial replica
-        (``None`` — host everything — without a partial map)."""
-        if self.partition_map is None or self.partition_map.is_full:
-            return None
-        return self.partition_map.hosted_by(index)
 
     def start_clients(self, count: int) -> None:
         """Launch *count* closed-loop client processes."""
@@ -628,39 +837,46 @@ class _BaseSystem:
         )
 
     # ------------------------------------------------------------------
-    # Elastic membership (dynamic provisioning)
+    # Elastic membership mechanics (the decisions live in Fleet)
     # ------------------------------------------------------------------
-
-    @property
-    def member_count(self) -> int:
-        """Replicas provisioned, healthy, and not draining away
-        (controller view): a crashed replica is no longer a member."""
-        return sum(
-            1 for r in self.replicas if not r.draining and not r.failed
-        )
-
-    def upgrade_targets(self) -> List[SimReplica]:
-        """Replicas a rolling restart cycles (single-master: slaves only,
-        the master cannot be detached)."""
-        pool = getattr(self, "slaves", self.replicas)
-        return [r for r in pool if not r.draining and not r.failed]
-
-    def _require_elastic(self) -> None:
-        """Refuse membership changes the placement or the certification
-        path cannot follow (see the ``ELASTIC_NEEDS_*`` messages)."""
-        self.certification.require_elastic()
-        if self.partition_map is not None and not self.partition_map.is_full:
-            raise SimulationError(ELASTIC_NEEDS_FULL_REPLICATION)
 
     def add_replica(self, transfer_writesets: int = 0,
                     capacity: float = 1.0) -> SimReplica:
-        """Grow the system by one replica; topology-specific."""
-        raise NotImplementedError(f"{type(self).__name__} is not elastic")
+        """Grow the fleet by one member (single-master: a read-only
+        slave; the master is fixed).
+
+        The joiner adopts a state snapshot at the current propagation
+        watermark (everything already handed to the replicas; versions
+        certified but still inside their certification delay arrive
+        normally afterwards) and pays for it with a bulk writeset replay
+        of *transfer_writesets* applications before entering rotation.
+        """
+        name, index = self._next_member()
+        replica = self._create(name, index, capacity)
+        self.replicas.append(replica)
+        replica.sync_to(self._propagated_version)
+        replica.available = False
+        self.env.start(self._join_process(replica, transfer_writesets))
+        return replica
 
     def remove_replica(self, replica: Optional[SimReplica] = None,
                        force: bool = False) -> SimReplica:
-        """Drain (or, with ``force``, immediately detach) one replica."""
-        raise NotImplementedError(f"{type(self).__name__} is not elastic")
+        """Shrink the fleet by one replica — never the master: drain,
+        then detach.
+
+        Without a target, picks the youngest fully-joined replica; at
+        least one healthy replica always remains.  ``force`` detaches
+        immediately without draining — the replacement path for crashed
+        replicas, whose state is already lost.
+        """
+        replica = self._removal_target(replica)
+        if force:
+            self._detach_now(replica)
+        else:
+            replica.draining = True
+            replica.available = False
+            self.env.start(self._drain_and_detach(replica))
+        return replica
 
     def _detach_now(self, replica: SimReplica) -> None:
         """Forget *replica* immediately (force-detach, no drain).
@@ -673,9 +889,6 @@ class _BaseSystem:
         """
         if replica in self.replicas:
             self.replicas.remove(replica)
-        slaves = getattr(self, "slaves", None)
-        if slaves is not None and replica in slaves:
-            slaves.remove(replica)
 
     def _join_process(self, replica: SimReplica, transfer_writesets: int):
         """Pay the join cost, then enter load-balancer rotation.
@@ -708,15 +921,12 @@ class _BaseSystem:
 class StandaloneSystem(_BaseSystem):
     """A single snapshot-isolated database with directly attached clients."""
 
-    topology = Topology("standalone", master_updates=True)
+    topology = STANDALONE_TOPOLOGY
 
-    def __init__(self, env, spec, config, seed, metrics,
-                 distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None):
-        super().__init__(env, spec, config, seed, metrics, distribution,
-                         lb_policy, capacities, partition_map)
-        self.database = self._make_replica("standalone", 0,
-                                           capacity=self._initial_capacity(0))
+    def _build_fleet(self) -> None:
+        self.database = self._create("standalone", 0,
+                                     self._initial_capacity(0))
+        self.replicas.append(self.database)
 
     def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int = 0):
         replica = self.database
@@ -756,138 +966,8 @@ class MultiMasterSystem(_BaseSystem):
 
     topology = MULTI_MASTER_TOPOLOGY
 
-    def __init__(self, env, spec, config, seed, metrics,
-                 distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None, certifier_spec=None,
-                 certification=None):
-        super().__init__(
-            env, spec, config, seed, metrics, distribution, lb_policy,
-            capacities, partition_map,
-            certification or GlobalCertification(
-                env, certifier_spec, remote=True,
-                response_delay=config.certifier_delay,
-            ),
-        )
-        for index in range(config.replicas):
-            self._make_replica(f"replica{index}", index,
-                               capacity=self._initial_capacity(index),
-                               hosted_partitions=self._hosted_for_index(index))
-        self._members_created = config.replicas
-
-    def add_replica(self, transfer_writesets: int = 0,
-                    capacity: float = 1.0) -> SimReplica:
-        """Grow the cluster by one replica (elastic provisioning).
-
-        The joiner adopts a state snapshot at the current propagation
-        watermark (everything already handed to the replicas; versions
-        certified but still inside their certification delay arrive
-        normally afterwards) and pays for it with a bulk writeset replay
-        of *transfer_writesets* applications before entering rotation.
-        """
-        self._require_elastic()
-        index = self._members_created
-        self._members_created += 1
-        replica = self._make_replica(f"replica{index}", index,
-                                     capacity=capacity)
-        replica.sync_to(self._propagated_version)
-        replica.available = False
-        self.env.start(self._join_process(replica, transfer_writesets))
-        return replica
-
-    def remove_replica(self, replica: Optional[SimReplica] = None,
-                       force: bool = False) -> SimReplica:
-        """Shrink the cluster by one replica: drain, then detach.
-
-        Without a target, picks the youngest fully-joined replica; at
-        least one healthy replica always remains.  ``force`` detaches
-        immediately without draining — the replacement path for crashed
-        replicas, whose state is already lost.
-        """
-        self._require_elastic()
-        if replica is None:
-            candidates = [
-                r for r in self.replicas if not r.draining and r.available
-            ]
-            if len(candidates) <= 1:
-                raise SimulationError(
-                    "cannot remove the last available replica"
-                )
-            replica = candidates[-1]
-        elif replica not in self.replicas:
-            raise SimulationError(f"{replica.name} is not attached")
-        survivors = [
-            r for r in self.replicas
-            if r is not replica and not r.draining and not r.failed
-        ]
-        if not survivors:
-            raise SimulationError("cannot remove the last healthy replica")
-        if force:
-            self._detach_now(replica)
-            return replica
-        replica.draining = True
-        replica.available = False
-        self.env.start(self._drain_and_detach(replica))
-        return replica
-
 
 class SingleMasterSystem(_BaseSystem):
     """Figure 5: one master for updates, N-1 slaves for reads."""
 
     topology = SINGLE_MASTER_TOPOLOGY
-
-    def __init__(self, env, spec, config, seed, metrics,
-                 distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None):
-        super().__init__(env, spec, config, seed, metrics, distribution,
-                         lb_policy, capacities, partition_map)
-        # The master executes every update, so it hosts every partition
-        # implicitly; a partition map only constrains the slaves.
-        self.master = self._make_replica("master", "master",
-                                         capacity=self._initial_capacity(0))
-        self.slaves = [
-            self._make_replica(
-                f"slave{index}", index,
-                capacity=self._initial_capacity(index + 1),
-                hosted_partitions=self._hosted_for_index(index + 1),
-            )
-            for index in range(config.replicas - 1)
-        ]
-        self._members_created = config.replicas - 1
-
-    def add_replica(self, transfer_writesets: int = 0,
-                    capacity: float = 1.0) -> SimReplica:
-        """Grow the system by one read-only slave (the master is fixed)."""
-        self._require_elastic()
-        index = self._members_created
-        self._members_created += 1
-        slave = self._make_replica(f"slave{index}", index, capacity=capacity)
-        self.slaves.append(slave)
-        slave.sync_to(self._propagated_version)
-        slave.available = False
-        self.env.start(self._join_process(slave, transfer_writesets))
-        return slave
-
-    def remove_replica(self, replica: Optional[SimReplica] = None,
-                       force: bool = False) -> SimReplica:
-        """Drain (or force-detach) one slave — never the master."""
-        self._require_elastic()
-        if replica is None:
-            candidates = [
-                r for r in self.slaves if not r.draining and r.available
-            ]
-            if not candidates:
-                raise SimulationError(
-                    "no removable slave (the master cannot be removed)"
-                )
-            replica = candidates[-1]
-        elif replica is self.master:
-            raise SimulationError("the master cannot be removed")
-        elif replica not in self.slaves:
-            raise SimulationError(f"{replica.name} is not an attached slave")
-        if force:
-            self._detach_now(replica)
-            return replica
-        replica.draining = True
-        replica.available = False
-        self.env.start(self._drain_and_detach(replica))
-        return replica

@@ -107,3 +107,63 @@ def simple_config():
 def simple_conflict():
     """A conflict profile with easy round numbers."""
     return ConflictProfile(db_update_size=10_000, updates_per_transaction=3)
+
+
+def _build_fleets(design, spec, replicas, seed=5, **options):
+    """The same fleet on both substrates: ``[DES system, live cluster]``.
+
+    *design* is ``"multi-master"``, ``"single-master"`` or ``"sharded"``
+    (multi-master with per-partition certifier shards).  The live
+    cluster is never started, so nothing needs shutting down.
+    """
+    from repro.cluster import (
+        MultiMasterCluster,
+        ShardedMultiMasterCluster,
+        SingleMasterCluster,
+        VirtualClock,
+    )
+    from repro.sidb.certifier_api import CertifierSpec
+    from repro.simulator import Environment, MetricsCollector
+    from repro.simulator.sharded import ShardedMultiMasterSystem
+    from repro.simulator.systems import MultiMasterSystem, SingleMasterSystem
+
+    sim_class, live_class = {
+        "multi-master": (MultiMasterSystem, MultiMasterCluster),
+        "single-master": (SingleMasterSystem, SingleMasterCluster),
+        "sharded": (ShardedMultiMasterSystem, ShardedMultiMasterCluster),
+    }[design]
+    if design == "sharded":
+        options["certifier_spec"] = CertifierSpec(kind="sharded")
+    config = spec.replication_config(replicas)
+    return [
+        sim_class(Environment(), spec, config, seed, MetricsCollector(),
+                  **options),
+        live_class(spec, config, seed, VirtualClock(0.01), MetricsCollector(),
+                   **options),
+    ]
+
+
+@pytest.fixture(scope="session")
+def refusals():
+    """``refusals(change, fleets)``: apply ``change(fleet)`` to each fleet
+    (see :func:`_build_fleets`), require a ``ConfigurationError`` from
+    every one, and return the set of messages — a single element when
+    the substrates refuse alike."""
+    from repro.core.errors import ConfigurationError
+
+    def collect(change, fleets):
+        messages = set()
+        for fleet in fleets:
+            with pytest.raises(ConfigurationError) as refused:
+                change(fleet)
+            messages.add(str(refused.value))
+        return messages
+
+    return collect
+
+
+@pytest.fixture(scope="session")
+def fleets():
+    """``fleets(design, spec, replicas, **options)``: see
+    :func:`_build_fleets`."""
+    return _build_fleets

@@ -362,3 +362,69 @@ class TestTraceNotice:
         assert code == 0
         out = capsys.readouterr().out
         assert "no telemetry recorded (telemetry disabled?)" in out
+
+
+class TestFamilyVerbs:
+    """`autoscale`/`ops`/`perf`/`partition` resolve every choice to
+    registered scenarios, and `--live` adds their registered `-live`
+    twins — checked with the runner stubbed out, so nothing executes."""
+
+    #: (verb, choice flag or None, scenario kind).
+    VERBS = (("autoscale", "--trace", "autoscale"),
+             ("ops", "--operation", "ops"),
+             ("perf", None, "ops"),
+             ("partition", "--family", "partition"))
+
+    @staticmethod
+    def _choices(verb, flag):
+        import argparse
+
+        if flag is None:
+            return [None]
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        return next(action.choices
+                    for action in commands.choices[verb]._actions
+                    if flag in action.option_strings)
+
+    @pytest.mark.parametrize("verb, flag, kind", VERBS)
+    def test_every_choice_resolves_and_live_adds_the_twins(
+        self, monkeypatch, verb, flag, kind
+    ):
+        import repro.cli as cli
+        from repro.engine import all_scenarios
+
+        resolved = []
+        monkeypatch.setattr(
+            cli, "_run_each",
+            lambda args, names, after_render=None: resolved.append(names) or 0,
+        )
+
+        def names(choice, *extra):
+            argv = [verb] + ([flag, choice] if flag else []) + list(extra)
+            resolved.clear()
+            assert main(argv) == 0
+            return list(resolved[0])
+
+        registered = all_scenarios()
+        for choice in self._choices(verb, flag):
+            base = names(choice)
+            assert base, f"{verb} {flag} {choice} resolves to nothing"
+            for name in base:
+                assert registered[name].kind == kind
+                assert "live" not in registered[name].tags
+            if choice == "all":
+                assert set(base) == {
+                    name for name, scenario in registered.items()
+                    if scenario.kind == kind and "live" not in scenario.tags
+                }
+            live = names(choice, "--live")
+            assert live[:len(base)] == base
+            added = live[len(base):]
+            if verb == "autoscale":
+                # One live validation cell serves every trace.
+                assert added == ["autoscale-diurnal-live"]
+            else:
+                assert added == [f"{name}-live" for name in base]
+            for name in added:
+                assert "live" in registered[name].tags

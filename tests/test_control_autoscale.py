@@ -30,7 +30,12 @@ from repro.ops import OpsPlan
 from repro.simulator.faults import brownout_fault, crash_fault
 from repro.simulator.des import Environment
 from repro.simulator.stats import MetricsCollector
-from repro.simulator.systems import MultiMasterSystem, SingleMasterSystem
+from repro.simulator.systems import (
+    LAST_HEALTHY_REPLICA,
+    MASTER_IS_NOT_REMOVABLE,
+    MultiMasterSystem,
+    SingleMasterSystem,
+)
 from repro.workloads.spec import WorkloadSpec, demands_ms
 
 
@@ -235,27 +240,24 @@ class TestElasticMembershipChurn:
             if not replica.draining:
                 assert replica.applied_version == latest
 
-    def test_cannot_remove_last_replica(self, tiny_spec):
-        from repro.core.errors import SimulationError
+    def test_cannot_remove_last_replica(self, tiny_spec, fleets, refusals):
+        # Both substrates refuse with one type and one message.
+        lone = fleets("multi-master", tiny_spec, 1)
+        assert refusals(lambda fleet: fleet.remove_replica(), lone) == {
+            LAST_HEALTHY_REPLICA
+        }
+        assert all(len(fleet.replicas) == 1 for fleet in lone)
 
-        env = Environment()
-        system = MultiMasterSystem(
-            env, tiny_spec, tiny_spec.replication_config(1), 5,
-            MetricsCollector(),
-        )
-        with pytest.raises(SimulationError):
-            system.remove_replica()
-
-    def test_master_is_never_removable(self, tiny_spec):
-        from repro.core.errors import SimulationError
-
-        env = Environment()
-        system = SingleMasterSystem(
-            env, tiny_spec, tiny_spec.replication_config(1), 5,
-            MetricsCollector(),
-        )
-        with pytest.raises(SimulationError):
-            system.remove_replica()
+    def test_master_is_never_removable(self, tiny_spec, fleets, refusals):
+        # Neither as the default target of a master-only fleet nor by name.
+        assert refusals(
+            lambda fleet: fleet.remove_replica(),
+            fleets("single-master", tiny_spec, 1),
+        ) == {LAST_HEALTHY_REPLICA}
+        assert refusals(
+            lambda fleet: fleet.remove_replica(replica=fleet.master),
+            fleets("single-master", tiny_spec, 2),
+        ) == {MASTER_IS_NOT_REMOVABLE}
 
 
 class _FakeResource:

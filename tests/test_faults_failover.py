@@ -9,9 +9,9 @@ from repro.simulator.faults import (
     ReplicaFault,
     crash_fault,
     install_faults,
-    validate_faults,
 )
 from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER, simulate
+from repro.simulator.systems import check_supported
 
 
 class TestReplicaFault:
@@ -30,21 +30,21 @@ class TestReplicaFault:
     def test_validate_rejects_out_of_range_replica(self):
         fault = ReplicaFault(replica_index=5, start=0.0, downtime=1.0)
         with pytest.raises(ConfigurationError):
-            validate_faults([fault], replicas=4, design=MULTI_MASTER)
+            check_supported(MULTI_MASTER, faults=[fault], replicas=4)
 
     def test_validate_rejects_master_fault(self):
         fault = ReplicaFault(replica_index=0, start=0.0, downtime=1.0)
         with pytest.raises(ConfigurationError):
-            validate_faults([fault], replicas=4, design=SINGLE_MASTER)
+            check_supported(SINGLE_MASTER, faults=[fault], replicas=4)
 
     def test_validate_allows_slave_fault(self):
         fault = ReplicaFault(replica_index=1, start=0.0, downtime=1.0)
-        assert validate_faults([fault], replicas=4, design=SINGLE_MASTER)
+        assert check_supported(SINGLE_MASTER, faults=[fault], replicas=4)
 
     def test_validate_rejects_standalone(self):
         fault = ReplicaFault(replica_index=0, start=0.0, downtime=1.0)
         with pytest.raises(ConfigurationError):
-            validate_faults([fault], replicas=1, design="standalone")
+            check_supported("standalone", faults=[fault], replicas=1)
 
 
 class TestFaultedSimulation:
@@ -157,13 +157,13 @@ class TestFaultEdgeCases:
 
     def test_single_master_master_crash_rejected(self):
         with pytest.raises(ConfigurationError):
-            validate_faults(
-                [crash_fault(0, 5.0)], replicas=4, design=SINGLE_MASTER
+            check_supported(
+                SINGLE_MASTER, faults=[crash_fault(0, 5.0)], replicas=4
             )
 
     def test_single_master_slave_crash_allowed(self):
-        checked = validate_faults(
-            [crash_fault(2, 5.0)], replicas=4, design=SINGLE_MASTER
+        checked = check_supported(
+            SINGLE_MASTER, faults=[crash_fault(2, 5.0)], replicas=4
         )
         assert checked[0].kind == CRASH
 

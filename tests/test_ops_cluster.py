@@ -102,6 +102,42 @@ class TestCrashSemantics:
             cluster.shutdown()
 
 
+class TestMembershipRollbacks:
+    """The two live rollbacks, driven deterministically: the clusters are
+    never started, so no traffic, applier or join thread runs."""
+
+    @staticmethod
+    def _idle_cluster(replicas):
+        return MultiMasterCluster(
+            LIVE_SPEC, LIVE_SPEC.replication_config(replicas), 1,
+            VirtualClock(0.02), MetricsCollector(),
+        )
+
+    def test_join_without_a_healthy_donor_leaves_no_trace(self):
+        cluster = self._idle_cluster(2)
+        for replica in cluster.replicas:
+            replica.crash()
+        for _ in range(2):  # a controller retrying every tick
+            with pytest.raises(ConfigurationError, match="no healthy donor"):
+                cluster.add_replica()
+        assert [r.name for r in cluster.replicas] == ["replica0", "replica1"]
+        assert not [key for key in cluster.metrics._resources
+                    if key.startswith("replica2.")]
+        # The joiner's name was released for the next attempt.
+        assert cluster._next_member() == ("replica2", 2)
+
+    def test_drain_that_outlasts_the_timeout_rolls_back(self):
+        cluster = self._idle_cluster(2)
+        victim = cluster.replicas[1]
+        victim.enter()  # one resident transaction that never finishes
+        with pytest.raises(SimulationError, match="did not drain"):
+            cluster.remove_replica(replica=victim, drain_timeout=0)
+        # Back in rotation, fully functional, still a member.
+        assert victim in cluster.replicas
+        assert victim.available and victim.removable
+        assert cluster.member_count == 2
+
+
 def _steady(rate, period=20.0):
     return DiurnalTrace(base_rate=rate, peak_rate=rate, period=period)
 

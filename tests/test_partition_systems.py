@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import rng as rng_util
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.partition import PartitionMap
 from repro.simulator.des import Environment
 from repro.simulator.faults import ReplicaFault
@@ -11,6 +11,7 @@ from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER, simulate
 from repro.simulator.sampling import WorkloadSampler
 from repro.simulator.stats import MetricsCollector
 from repro.simulator.systems import (
+    ELASTIC_NEEDS_FULL_REPLICATION,
     PARTITION_AWARE,
     MultiMasterSystem,
     select_replica,
@@ -218,13 +219,17 @@ class TestPartialPropagationSim:
         result = run_partial(part_spec, None, faults=(crash,))
         assert result.throughput > 0
 
-    def test_elastic_membership_rejected_under_partial_map(self, part_spec,
-                                                           ring_map):
-        env, system = self._build(part_spec, ring_map)
-        with pytest.raises(SimulationError):
-            system.add_replica()
-        with pytest.raises(SimulationError):
-            system.remove_replica()
+    def test_elastic_membership_rejected_under_partial_map(
+        self, part_spec, ring_map, fleets, refusals
+    ):
+        # Both substrates refuse joins and leaves with one type and one
+        # message, before anything changes.
+        pair = fleets("multi-master", part_spec, 4,
+                      lb_policy=PARTITION_AWARE, partition_map=ring_map)
+        for change in (lambda fleet: fleet.add_replica(),
+                       lambda fleet: fleet.remove_replica()):
+            assert refusals(change, pair) == {ELASTIC_NEEDS_FULL_REPLICATION}
+        assert all(len(fleet.replicas) == 4 for fleet in pair)
 
     def test_full_map_keeps_membership_elastic(self, part_spec):
         env, system = self._build(part_spec, None)  # defaults to full

@@ -39,8 +39,8 @@ from repro.simulator.faults import (
     FAULT_KINDS,
     brownout_fault,
     crash_fault,
-    validate_faults,
 )
+from repro.simulator.systems import check_supported
 from repro.telemetry.perf import Ewma, WindowedQuantile
 from repro.workloads import tpcw
 
@@ -136,9 +136,11 @@ class TestBrownoutFault:
     def test_single_master_master_may_brown_out_but_not_crash(self):
         # A brownout never changes membership, so degrading the master
         # is legal where crashing it is not (no failover support).
-        validate_faults((brownout_fault(0, 1.0, 1.0),), 2, "single-master")
+        check_supported("single-master", replicas=2,
+                        faults=(brownout_fault(0, 1.0, 1.0),))
         with pytest.raises(ConfigurationError):
-            validate_faults((crash_fault(0, 1.0),), 2, "single-master")
+            check_supported("single-master", replicas=2,
+                            faults=(crash_fault(0, 1.0),))
 
 
 class TestOpsPlanMembership:

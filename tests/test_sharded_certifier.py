@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.sidb.certifier import GlobalCertifier
 from repro.sidb.certifier_api import (
     CERTIFIER_KINDS,
@@ -453,39 +453,22 @@ class TestLivePruneFloorPinning:
 
 
 class TestElasticRefusal:
-    """Elastic x sharded is refused with one message on both substrates
-    (and elastic x partial map with another), before anything changes."""
+    """Elastic x sharded is refused with one type and one message on both
+    substrates (and elastic x partial map with another), before anything
+    changes."""
 
-    @staticmethod
-    def _refusals(assembly):
-        messages = set()
-        for change in (assembly.add_replica, assembly.remove_replica):
-            with pytest.raises(SimulationError) as refused:
-                change()
-            messages.add(str(refused.value))
-        return messages
-
-    def test_sim_and_live_refuse_sharded_joins_with_one_message(self):
-        from repro.cluster import ShardedMultiMasterCluster, VirtualClock
-        from repro.simulator import Environment, MetricsCollector
-        from repro.simulator.sharded import ShardedMultiMasterSystem
+    def test_sim_and_live_refuse_sharded_joins_with_one_message(
+        self, fleets, refusals
+    ):
+        from repro.simulator.systems import ELASTIC_NEEDS_GLOBAL_CERTIFIER
         from repro.workloads import tpcw
 
-        spec = tpcw.SHOPPING.with_partitions(4, 0.1)
-        config = spec.replication_config(2)
-        sharded = CertifierSpec(kind="sharded")
-        system = ShardedMultiMasterSystem(
-            Environment(), spec, config, 7, MetricsCollector(),
-            certifier_spec=sharded,
-        )
-        cluster = ShardedMultiMasterCluster(
-            spec, config, 7, VirtualClock(0.01), MetricsCollector(),
-            certifier_spec=sharded,
-        )
-        sim, live = self._refusals(system), self._refusals(cluster)
-        assert sim == live and len(sim) == 1
-        assert "sharded certifier" in sim.pop()
-        assert len(system.replicas) == len(cluster.replicas) == 2
+        pair = fleets("sharded", tpcw.SHOPPING.with_partitions(4, 0.1), 2,
+                      seed=7)
+        for change in (lambda fleet: fleet.add_replica(),
+                       lambda fleet: fleet.remove_replica()):
+            assert refusals(change, pair) == {ELASTIC_NEEDS_GLOBAL_CERTIFIER}
+        assert [len(fleet.replicas) for fleet in pair] == [2, 2]
 
 
 class TestObserveSnapshot:
