@@ -181,14 +181,11 @@ class Cluster(Fleet):
         certifier_spec=None,
         certification=None,
     ) -> None:
-        # The global path unless an assembly passes a sharded one: it
-        # also owns the commit-order lock(s) and replication channel(s).
+        self.clock = clock
         super().__init__(
             spec, config, seed, metrics, distribution, capacities,
-            partition_map,
-            certification or GlobalCertification(clock, certifier_spec),
+            partition_map, certifier_spec, certification,
         )
-        self.clock = clock
         #: Serialises MetricsCollector access across client threads.
         self.metrics_lock = threading.Lock()
         self.balancer = LoadBalancer(
@@ -208,6 +205,10 @@ class Cluster(Fleet):
 
     def _now(self) -> float:
         return self.clock.now()
+
+    def _global_certification(self, certifier_spec) -> GlobalCertification:
+        # The path also owns the commit-order lock and replication channel.
+        return GlobalCertification(self.clock, certifier_spec)
 
     def _new_replica(self, name: str, sampler: WorkloadSampler,
                      capacity: float, hosted_partitions) -> ClusterReplica:

@@ -397,6 +397,9 @@ def _run_elastic(
     by insertion): fault installs → detect task → rolling task → control
     task → ``measure``.
     """
+    # Refused before the controller is built: a model-driven policy would
+    # otherwise fail first, sizing a design the models do not know.  The
+    # fault schedule is checked once the initial fleet size is known.
     check_supported(design, membership=True)
     if trace.max_rate <= 0:
         raise ConfigurationError("trace peak rate must be positive")

@@ -219,6 +219,12 @@ MASTER_IS_NOT_FAULTABLE = (
     "protocol); fault a slave instead"
 )
 STANDALONE_HAS_NO_REDUNDANCY = "standalone systems have no redundancy to fault"
+#: Raised by :class:`Fleet` when a single-master or standalone assembly
+#: is handed a certifier choice (a non-default spec or a path).
+CERTIFIER_AXIS_IS_MULTI_MASTER = (
+    "the certifier axis is multi-master only: a single-master or "
+    "standalone database certifies its own commits"
+)
 
 
 def check_supported(design: str, *, membership: bool = False,
@@ -268,8 +274,10 @@ class Fleet:
     :class:`_BaseSystem` (DES) and :class:`repro.cluster.cluster.Cluster`
     (live) build their first replicas from the :class:`Topology`, name
     joiners, pick and refuse removals, and count members here.  Each
-    substrate supplies only the mechanics: ``_new_replica`` (its replica
-    class on a sampler), the join and the drain or force-detach.  Both
+    substrate supplies only the mechanics: ``_global_certification``
+    (its default path), ``_new_replica`` (its replica class on a
+    sampler), the join and the drain or force-detach.  A certifier
+    choice reaches multi-master fleets only.  Both
     replica classes answer ``staying`` (healthy and not leaving) and
     ``removable`` (eligible as a default removal target) — the latter is
     each class's own predicate: the DES skips drain-faulted replicas,
@@ -289,19 +297,25 @@ class Fleet:
     def __init__(self, spec: WorkloadSpec, config: ReplicationConfig,
                  seed: int, metrics: MetricsCollector, distribution: str,
                  capacities: Optional[Sequence[float]], partition_map,
-                 certification) -> None:
+                 certifier_spec, certification) -> None:
         from ..partition.placement import resolve_partition_map
 
+        if self.topology.master_updates and (
+                certification is not None
+                or not (certifier_spec is None or certifier_spec.is_default)):
+            raise ConfigurationError(CERTIFIER_AXIS_IS_MULTI_MASTER)
         self._capacities = check_capacities(capacities, config.replicas)
         self.partition_map = resolve_partition_map(
             spec, config, partition_map, self.design
         )
-        #: The certification path: it owns the certifier and builds the
-        #: replicas.
-        self.certification = certification
-        self.certifier = certification.certifier
         self.spec = spec
         self.config = config
+        #: The certification path — the global one unless an assembly
+        #: passes a sharded one: it owns the certifier and builds the
+        #: replicas.
+        self.certification = (certification
+                              or self._global_certification(certifier_spec))
+        self.certifier = self.certification.certifier
         self.metrics = metrics
         self._seed = seed
         self._distribution = distribution
@@ -577,17 +591,11 @@ class _BaseSystem(Fleet):
             raise SimulationError(
                 f"unknown lb_policy {lb_policy!r}; one of {LB_POLICIES}"
             )
-        # The global path unless an assembly passes a sharded one; only a
-        # multi-master certifier is a remote service.
+        self.env = env
         super().__init__(
             spec, config, seed, metrics, distribution, capacities,
-            partition_map,
-            certification or GlobalCertification(
-                env, certifier_spec, remote=not self.topology.master_updates,
-                response_delay=config.certifier_delay,
-            ),
+            partition_map, certifier_spec, certification,
         )
-        self.env = env
         self.lb_policy = lb_policy
         self._lb_rng = rng_util.spawn(seed, "load-balancer")
         #: Highest commit version already handed to update propagation —
@@ -600,6 +608,13 @@ class _BaseSystem(Fleet):
 
     def _now(self) -> float:
         return self.env.now
+
+    def _global_certification(self, certifier_spec) -> GlobalCertification:
+        # Only a multi-master certifier is a remote service.
+        return GlobalCertification(
+            self.env, certifier_spec, remote=not self.topology.master_updates,
+            response_delay=self.config.certifier_delay,
+        )
 
     def _new_replica(self, name: str, sampler: WorkloadSampler,
                      capacity: float, hosted_partitions) -> SimReplica:

@@ -33,6 +33,7 @@ from repro.simulator.stats import MetricsCollector
 from repro.simulator.systems import (
     LAST_HEALTHY_REPLICA,
     MASTER_IS_NOT_REMOVABLE,
+    STANDALONE_IS_NOT_ELASTIC,
     MultiMasterSystem,
     SingleMasterSystem,
 )
@@ -394,7 +395,10 @@ class TestLoopOnScriptedFake:
 
 class TestValidation:
     def test_rejects_bad_inputs(self, tiny_spec, tiny_profile, diurnal):
-        with pytest.raises(ConfigurationError):
+        # The membership refusal wins over the model-driven policy, which
+        # cannot size a standalone design.
+        with pytest.raises(ConfigurationError,
+                           match=STANDALONE_IS_NOT_ELASTIC):
             autoscale_sim(tiny_spec, diurnal, StaticPeakPolicy(),
                           "standalone", profile=tiny_profile)
         with pytest.raises(ConfigurationError):

@@ -229,7 +229,11 @@ class TestPartialPropagationSim:
         for change in (lambda fleet: fleet.add_replica(),
                        lambda fleet: fleet.remove_replica()):
             assert refusals(change, pair) == {ELASTIC_NEEDS_FULL_REPLICATION}
-        assert all(len(fleet.replicas) == 4 for fleet in pair)
+        for fleet in pair:
+            assert [r.name for r in fleet.replicas] == [
+                f"replica{i}" for i in range(4)
+            ]
+            assert fleet.member_count == 4
 
     def test_full_map_keeps_membership_elastic(self, part_spec):
         env, system = self._build(part_spec, None)  # defaults to full

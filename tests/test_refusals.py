@@ -1,4 +1,5 @@
-"""Every refused membership and fault combination, on both substrates.
+"""Every refused membership, fault and certifier combination, on both
+substrates.
 
 Each row drives the DES and the live cluster through one combination the
 fleet refuses and expects the same :class:`ConfigurationError` message
@@ -11,15 +12,18 @@ from functools import partial
 
 import pytest
 
+from repro.cluster import SingleMasterCluster, VirtualClock
 from repro.cluster.runner import run_cluster
 from repro.control.autoscale import autoscale_cluster, autoscale_sim
 from repro.control.controller import FixedPolicy
 from repro.control.trace import DiurnalTrace
 from repro.partition import PartitionMap
+from repro.sidb.certifier_api import CertifierSpec
 from repro.simulator import Environment, MetricsCollector
 from repro.simulator.faults import ReplicaFault, crash_fault
 from repro.simulator.runner import simulate
 from repro.simulator.systems import (
+    CERTIFIER_AXIS_IS_MULTI_MASTER,
     CRASH_NEEDS_FULL_REPLICATION,
     ELASTIC_NEEDS_FULL_REPLICATION,
     ELASTIC_NEEDS_GLOBAL_CERTIFIER,
@@ -28,6 +32,8 @@ from repro.simulator.systems import (
     MASTER_IS_NOT_REMOVABLE,
     STANDALONE_HAS_NO_REDUNDANCY,
     STANDALONE_IS_NOT_ELASTIC,
+    GlobalCertification,
+    SingleMasterSystem,
     StandaloneSystem,
 )
 from repro.workloads import tpcw
@@ -70,6 +76,25 @@ def _last_healthy(fleets):
                     force=True) for fleet in pair]
 
 
+def _certifier_choice(fleets):
+    # A master certifies its own commits: neither a non-default spec nor
+    # a certification path may reach a single-master or standalone fleet.
+    config = SPEC.replication_config(2)
+    sharded = CertifierSpec(kind="sharded")
+    env = Environment()
+    return [
+        partial(SingleMasterSystem, env, SPEC, config, 5, MetricsCollector(),
+                certifier_spec=sharded),
+        partial(SingleMasterCluster, SPEC, config, 5, VirtualClock(0.01),
+                MetricsCollector(), certifier_spec=sharded),
+        partial(StandaloneSystem, env, SPEC, SPEC.replication_config(1), 5,
+                MetricsCollector(),
+                certifier_spec=CertifierSpec(service_time=0.001)),
+        partial(StandaloneSystem, env, SPEC, SPEC.replication_config(1), 5,
+                MetricsCollector(), certification=GlobalCertification(env)),
+    ]
+
+
 #: refused combination -> (its one message, the attempts on both
 #: substrates as ``attempts(fleets)``).
 ROWS = {
@@ -110,6 +135,9 @@ ROWS = {
             faults=(ReplicaFault(0, 1.0, downtime=1.0),),
         ),
     ),
+    "certifier choice x single-master or standalone": (
+        CERTIFIER_AXIS_IS_MULTI_MASTER, _certifier_choice,
+    ),
 }
 
 
@@ -117,13 +145,3 @@ ROWS = {
 def test_both_substrates_refuse_with_the_one_message(row, fleets, refusals):
     message, attempts = ROWS[row]
     assert refusals(lambda attempt: attempt(), attempts(fleets)) == {message}
-
-
-def test_a_refused_change_leaves_the_fleet_untouched(fleets, refusals):
-    pair = fleets("multi-master", PARTS, 4, partition_map=RING)
-    refusals(lambda attempt: attempt(), _joins_and_leaves(pair))
-    for fleet in pair:
-        assert [r.name for r in fleet.replicas] == [
-            f"replica{i}" for i in range(4)
-        ]
-        assert fleet.member_count == 4
