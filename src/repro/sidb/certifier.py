@@ -20,6 +20,16 @@ partitioning narrows the *conflict check*, not the version clock.
 The same logic certifies commits on a standalone/master database, where the
 "service" is the local concurrency-control subsystem.
 
+Cost model
+----------
+Beside the history the certifier keeps a *last-writer index*: each key
+written by a retained commit maps to the newest such commit's version.  A
+key conflicts with a wildcard writeset exactly when its last writer is
+newer than the snapshot, so certification is O(|ws|) — one lookup per
+written key.  Only a partition-scoped writeset with a candidate conflict
+falls back to scanning the history newer than its snapshot, because
+there the partition sets of the individual commits decide.
+
 Locking discipline
 ------------------
 The certifier is shared by every replica thread of the live cluster runtime
@@ -39,13 +49,13 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, FrozenSet, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from .certifier_api import CertificationOutcome
 from .writeset import Writeset
 
-__all__ = ["CertificationOutcome", "Certifier", "GlobalCertifier"]
+__all__ = ["CertificationOutcome", "GlobalCertifier"]
 
 
 class GlobalCertifier:
@@ -71,6 +81,8 @@ class GlobalCertifier:
         self._history: Deque[
             Tuple[int, FrozenSet[object], FrozenSet[int]]
         ] = deque()
+        # key -> version of the newest retained commit that wrote it.
+        self._last_writer: Dict[object, int] = {}
         self._max_history = max_history
         self._next_version = 1
         self._oldest_retained = 1
@@ -104,9 +116,8 @@ class GlobalCertifier:
                     f"snapshot {snapshot} is newer than the latest commit "
                     f"{self.latest_version}"
                 )
-            conflicts = self._find_conflicts(
-                snapshot, writeset.keys, writeset.partition_set
-            )
+            keys, partitions = writeset.keys, writeset.partition_set
+            conflicts = self._find_conflicts(snapshot, keys, partitions)
             telemetry = self.telemetry
             if conflicts:
                 self.aborts += 1
@@ -119,9 +130,10 @@ class GlobalCertifier:
                 )
             version = self._next_version
             self._next_version += 1
-            self._history.append(
-                (version, writeset.keys, writeset.partition_set)
-            )
+            self._history.append((version, keys, partitions))
+            last_writer = self._last_writer
+            for key in keys:
+                last_writer[key] = version
             self._trim()
             self.commits += 1
             if telemetry is not None:
@@ -139,18 +151,24 @@ class GlobalCertifier:
             # report a conflict on every key (forces a retry with a fresher
             # snapshot — safe, and only possible for extremely stale reads).
             return set(keys)
+        # Every commit newer than the snapshot is retained, so a key was
+        # written after the snapshot exactly when its last writer is newer.
+        last_writer = self._last_writer
+        candidates = {
+            key for key in keys if last_writer.get(key, 0) > snapshot
+        }
+        if not candidates or not partitions:
+            return candidates
         conflicts: Set[object] = set()
-        # History is version-ordered; scan newest-first and stop at the
-        # snapshot boundary.
+        # A partition-scoped writeset: disjoint commits do not count, so
+        # scan the history newest-first and stop at the snapshot boundary.
         for version, committed_keys, committed_partitions in reversed(
             self._history
         ):
             if version <= snapshot:
                 break
-            if (
-                partitions
-                and committed_partitions
-                and partitions.isdisjoint(committed_partitions)
+            if committed_partitions and partitions.isdisjoint(
+                committed_partitions
             ):
                 # Disjoint partition sets cannot write-write conflict;
                 # the key comparison is skipped entirely (per-partition
@@ -171,8 +189,12 @@ class GlobalCertifier:
             self._popleft()
 
     def _popleft(self) -> None:
-        version, _, _ = self._history.popleft()
+        version, keys, _ = self._history.popleft()
         self._oldest_retained = version + 1
+        last_writer = self._last_writer
+        for key in keys:
+            if last_writer.get(key) == version:
+                del last_writer[key]
 
     @property
     def abort_fraction(self) -> float:

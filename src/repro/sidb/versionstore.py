@@ -10,6 +10,14 @@ Versions are dense integers assigned by the commit path (the engine for a
 standalone database, the certifier for a replicated one).  Version 0 is the
 initial database state.
 
+Cost model
+----------
+Garbage collection is incremental: the store remembers which keys have
+been written since their chain was last down to one version, so
+:meth:`vacuum` costs O(keys with more than one version), not O(keys), and
+trims each chain in place.  :meth:`retained_versions` is a running count,
+O(1).  Reads are O(log chain) and :meth:`install` is O(|writes|).
+
 Locking discipline
 ------------------
 The live cluster runtime (:mod:`repro.cluster`) reads a replica's store
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..core.errors import ConfigurationError
 
@@ -54,10 +62,15 @@ class VersionedStore:
         self._versions: Dict[object, List[int]] = {}
         self._values: Dict[object, List[object]] = {}
         self._latest_version = 0
+        # Keys whose chain may hold more than one version: every key
+        # installed since :meth:`vacuum` last trimmed it to one.
+        self._dirty: Set[object] = set()
+        self._retained = 0
         if initial:
             for key, value in initial.items():
                 self._versions[key] = [0]
                 self._values[key] = [value]
+            self._retained = len(self._versions)
 
     @property
     def latest_version(self) -> int:
@@ -105,6 +118,8 @@ class VersionedStore:
             for key, value in writes.items():
                 self._versions.setdefault(key, []).append(version)
                 self._values.setdefault(key, []).append(value)
+            self._dirty.update(writes)
+            self._retained += len(writes)
             self._latest_version = version
 
     def version_of(self, key: object) -> Optional[int]:
@@ -124,29 +139,39 @@ class VersionedStore:
             return len(self._versions.get(key, ()))
 
     def retained_versions(self) -> int:
-        """Total retained row versions across all keys.
+        """Total retained row versions across all keys, in O(1).
 
         The space cost of SI's space-for-concurrency trade, sampled by
         the telemetry layer as ``version_store_versions`` and driven
-        back down by :meth:`vacuum`.
+        back down by :meth:`vacuum`.  A running count: :meth:`install`
+        adds its writes, :meth:`vacuum` subtracts what it frees.
         """
-        with self._lock:
-            return sum(len(versions) for versions in self._versions.values())
+        return self._retained
 
     def vacuum(self, oldest_active_snapshot: int) -> int:
         """Drop versions no snapshot can see anymore; return versions freed.
 
         For each key we must keep the newest version <= the oldest active
-        snapshot (it is still visible) and everything newer.
+        snapshot (it is still visible) and everything newer.  Only keys
+        that may hold more than one version are visited, so a call costs
+        O(keys with more than one version); a key leaves that set once
+        its chain is down to one version, and a key whose old versions an
+        active snapshot still pins stays in it.
         """
         with self._lock:
             freed = 0
-            for key, versions in self._versions.items():
+            done = []
+            for key in self._dirty:
+                versions = self._versions[key]
                 keep_from = bisect_right(versions, oldest_active_snapshot) - 1
                 if keep_from > 0:
                     freed += keep_from
-                    self._versions[key] = versions[keep_from:]
-                    self._values[key] = self._values[key][keep_from:]
+                    del versions[:keep_from]
+                    del self._values[key][:keep_from]
+                if len(versions) == 1:
+                    done.append(key)
+            self._dirty.difference_update(done)
+            self._retained -= freed
             return freed
 
     def snapshot_view(self, version: int) -> Dict[object, object]:

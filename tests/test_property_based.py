@@ -5,6 +5,7 @@ abort-rate algebra, the multi-version store, and the certifier's
 first-committer-wins guarantee.
 """
 
+from bisect import bisect_right
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -203,6 +204,60 @@ class TestVersionStoreModel:
         for (k, v), expected in before.items():
             assert store.get(k, v, "MISSING") == expected
 
+    # One step: install a batch ({} is a version marker), or raise the
+    # vacuum cut by some amount (0 re-vacuums at the same cut).
+    steps = st.lists(
+        st.one_of(
+            st.dictionaries(st.integers(0, 5), st.integers(0, 100),
+                            max_size=3).map(lambda w: ("install", w)),
+            st.integers(0, 3).map(lambda up: ("vacuum", up)),
+        ),
+        min_size=1, max_size=40,
+    )
+
+    @given(steps=steps)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_incremental_vacuum_matches_full_walk(self, steps):
+        """The incremental vacuum frees, keeps and counts exactly what a
+        full walk over every key's chain does."""
+        store = VersionedStore({0: "initial"})
+        reference = _FullWalkStore({0: "initial"})
+        version = cut = 0
+        for kind, arg in steps:
+            if kind == "install":
+                version += 1
+                store.install(version, arg)
+                reference.install(version, arg)
+            else:
+                # Cuts below the latest version pin the newer chain tails.
+                cut = min(cut + arg, version)
+                assert store.vacuum(cut) == reference.vacuum(cut)
+            for key in range(6):
+                for snapshot in range(cut, version + 1):
+                    assert (store.get(key, snapshot, "MISSING")
+                            == reference.get(key, snapshot, "MISSING"))
+            assert store.retained_versions() == sum(
+                store.version_count(key) for key in store.keys()
+            ) == reference.retained_versions()
+
+
+class _FullWalkStore(VersionedStore):
+    """The reference for incremental GC: ``vacuum`` walks every key's
+    chain and ``retained_versions`` sums the chain lengths."""
+
+    def vacuum(self, oldest_active_snapshot):
+        freed = 0
+        for key, versions in self._versions.items():
+            keep_from = bisect_right(versions, oldest_active_snapshot) - 1
+            if keep_from > 0:
+                freed += keep_from
+                self._versions[key] = versions[keep_from:]
+                self._values[key] = self._values[key][keep_from:]
+        return freed
+
+    def retained_versions(self):
+        return sum(len(versions) for versions in self._versions.values())
+
 
 class TestCertifierProperties:
     @given(
@@ -330,6 +385,74 @@ class TestPartitionedCertifierProperties:
             9999, 0, {key: 9999 for key in keys}
         )
         assert not certifier.certify(wildcard).committed
+
+
+class _ScanCertifier(GlobalCertifier):
+    """The reference for the last-writer index: every check scans the
+    retained history newest-first back to the snapshot."""
+
+    def _find_conflicts(self, snapshot, keys, partitions):
+        if snapshot + 1 < self._oldest_retained:
+            return set(keys)
+        conflicts = set()
+        for version, committed_keys, committed_partitions in reversed(
+            self._history
+        ):
+            if version <= snapshot:
+                break
+            if (partitions and committed_partitions
+                    and partitions.isdisjoint(committed_partitions)):
+                continue
+            conflicts.update(keys & committed_keys)
+        return conflicts
+
+
+class TestCertifierIndexProperties:
+    """The last-writer index answers exactly what the history scan does."""
+
+    # ("certify", keys, partitions, how far behind the latest version the
+    # snapshot is) or ("observe", how far behind the latest version the
+    # reported oldest snapshot is).  Keys overlap across partitions on
+    # purpose, so the partition filter decides some conflicts.
+    operations = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("certify"),
+                st.frozensets(st.integers(0, 4), min_size=1, max_size=3),
+                st.lists(st.integers(0, 2), max_size=2),  # [] = wildcard
+                st.integers(0, 4),
+            ),
+            st.tuples(st.just("observe"), st.integers(0, 4)),
+        ),
+        min_size=1, max_size=40,
+    )
+
+    @given(ops=operations, max_history=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_index_matches_history_scan(self, ops, max_history):
+        indexed = GlobalCertifier(max_history=max_history)
+        scanned = _ScanCertifier(max_history=max_history)
+        for txn_id, op in enumerate(ops, start=1):
+            latest = indexed.latest_version
+            if op[0] == "observe":
+                for certifier in (indexed, scanned):
+                    certifier.observe_snapshot(max(0, latest - op[1]))
+                continue
+            _, keys, partitions, back = op
+            writeset = Writeset.from_dict(
+                txn_id, max(0, latest - back), {k: txn_id for k in keys},
+                partitions=tuple(partitions),
+            )
+            a = indexed.certify(writeset)
+            b = scanned.certify(writeset)
+            assert (a.committed, a.commit_version, a.conflicting_keys) == (
+                b.committed, b.commit_version, b.conflicting_keys)
+            # The index maps each key to its newest retained writer.
+            newest = {}
+            for version, committed_keys, _ in indexed._history:
+                newest.update(dict.fromkeys(committed_keys, version))
+            assert indexed._last_writer == newest
+        assert indexed.history_size == scanned.history_size
 
 
 class TestRunningStatsProperties:

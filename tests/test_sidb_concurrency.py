@@ -9,7 +9,9 @@ store whose watermark never runs ahead of its data.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 
 from repro.sidb.certifier import GlobalCertifier
@@ -79,6 +81,60 @@ def test_versionstore_concurrent_readers_during_installs():
         t.join(10.0)
     assert errors == []
     assert store.latest_version == 499
+
+
+def test_vacuum_concurrent_with_pinned_readers():
+    """One thread installs and vacuums while readers hold snapshots open:
+    the in-place chain trim never takes a version a pinned snapshot sees.
+    Version v writes row v % rows with value v, so the value a snapshot
+    must see is computable from the snapshot alone."""
+    rows, installs, vacuum_every = 8, 2000, 8
+    db = SIDatabase(initial={("row", i): 0 for i in range(rows)})
+    stop = threading.Event()
+    errors = []
+
+    def expected(row, snapshot):
+        # Newest v <= snapshot with v % rows == row, else the initial 0.
+        return max(0, snapshot - (snapshot - row) % rows)
+
+    def reader(thread_id):
+        while not stop.is_set():
+            txn = db.begin()
+            snapshot = txn.snapshot_version
+            for _ in range(2):
+                for row in range(rows):
+                    value = txn.get(("row", row))
+                    if value != expected(row, snapshot):
+                        errors.append((thread_id, row, snapshot, value))
+                        return
+                time.sleep(0)  # let the writer install and vacuum
+            db.commit(txn)
+
+    readers = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave readers with every trim
+    try:
+        for t in readers:
+            t.start()
+        freed = 0
+        for version in range(1, installs + 1):
+            db.apply_writeset(Writeset.from_dict(
+                txn_id=version, snapshot_version=version - 1,
+                writes={("row", version % rows): version},
+            ).committed(version))
+            if version % vacuum_every == 0:
+                freed += db.vacuum()
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    for t in readers:
+        t.join(10.0)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    freed += db.vacuum()
+    # Every installed version was eventually freed, leaving one per row.
+    assert freed == installs
+    assert db.retained_versions() == rows
 
 
 def test_engine_concurrent_commits_master_style():
