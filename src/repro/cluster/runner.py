@@ -390,6 +390,11 @@ class ClusterRun:
             cluster.shutdown()
         return converged, final_versions
 
+    def close(self) -> None:
+        """Nothing left to free: :meth:`measure` already stopped every
+        thread (the DES :class:`~repro.simulator.runner.SimRun` frees its
+        event loop here)."""
+
 
 def run_cluster(
     spec: WorkloadSpec,

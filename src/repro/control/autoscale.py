@@ -395,7 +395,7 @@ def _run_elastic(
     :class:`~repro.cluster.runner.ClusterRun`).  Everything else happens
     here, in an order that is behaviour on the DES (event-heap ties break
     by insertion): fault installs → detect task → rolling task → control
-    task → ``measure``.
+    task → ``measure``.  The run is closed once the result is assembled.
     """
     # Refused before the controller is built: a model-driven policy would
     # otherwise fail first, sizing a design the models do not know.  The
@@ -566,7 +566,7 @@ def _run_elastic(
     )
     if recorder is not None:
         recorder.ingest_events(state.events)
-    return AutoscaleResult(
+    result = AutoscaleResult(
         design=design,
         policy=controller.name,
         pillar=run.pillar,
@@ -589,6 +589,8 @@ def _run_elastic(
         telemetry=None if recorder is None else recorder.result(),
         perf=perf.report() if perf is not None else None,
     )
+    run.close()
+    return result
 
 
 def _reconcile_membership(fleet, target: int, transfer_writesets: int,

@@ -138,10 +138,12 @@ def measure_class_demand(
         )
     busy = metrics.utilizations()
     window = metrics.window
-    return ResourceDemand(
+    demand = ResourceDemand(
         cpu=utilization_law_demand(busy["profiled.cpu"] * window, completions[0]),
         disk=utilization_law_demand(busy["profiled.disk"] * window, completions[0]),
     )
+    env.close()
+    return demand
 
 
 def measure_service_demands(

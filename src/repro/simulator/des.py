@@ -71,6 +71,8 @@ class Environment:
         self._heap: List = []
         self._sequence = 0
         self._cancelled = 0
+        #: Resources and semaphores built on this loop (see :meth:`close`).
+        self._holders: List = []
         if compact_min is None:
             compact_min = self._COMPACT_MIN
         if compact_min < 0:
@@ -130,6 +132,36 @@ class Environment:
             self._now = time
             handle.callback(*handle.args)
         self._now = end_time
+
+    def register(self, holder) -> None:
+        """Note a resource or semaphore that parks processes on this loop.
+
+        *holder* has an ``_unpark()`` method that empties its waiting
+        containers and returns what it removed (see :meth:`close`).
+        """
+        self._holders.append(holder)
+
+    def close(self) -> None:
+        """Drop every pending event and every process parked on a
+        registered resource or semaphore.
+
+        At the end of a run the suspended processes, their pending
+        events, and the resources and the loop they wait on reference one
+        another in cycles that only a full garbage collection reclaims.
+        Dropping the parked callbacks frees them by reference counting
+        instead.  A freed suspended process runs its ``finally`` blocks
+        (releasing slots and snapshot pins), so call this only once
+        everything the run reports, telemetry included, is assembled.
+        The loop cannot be run again.
+        """
+        parked = [self._heap]
+        parked.extend(holder._unpark() for holder in self._holders)
+        self._heap, self._holders, self._cancelled = [], [], 0
+        # Every container is already empty when the processes' finally
+        # blocks run, so a release wakes no one; anything they schedule
+        # is dropped with the heap below.
+        del parked
+        self._heap = []
 
     def start(self, process: Process) -> None:
         """Begin driving a generator process."""
@@ -199,6 +231,7 @@ class Semaphore:
         self.capacity = capacity
         self._available = capacity
         self._waiters: List[Callable] = []
+        env.register(self)
 
     @property
     def in_use(self) -> int:
@@ -216,6 +249,10 @@ class Semaphore:
             self._env.schedule(0.0, resume)
         else:
             self._waiters.append(resume)
+
+    def _unpark(self) -> List[Callable]:
+        waiters, self._waiters = self._waiters, []
+        return waiters
 
     def release(self) -> None:
         """Return a slot, admitting the longest-waiting process if any."""

@@ -71,6 +71,7 @@ class ProcessorSharingResource:
         self._next_job_id = 0
         self._last_sync = env.now
         self._completion: Optional[EventHandle] = None
+        env.register(self)
 
     @property
     def queue_length(self) -> int:
@@ -99,6 +100,12 @@ class ProcessorSharingResource:
         self._resume[job_id] = resume
         self._demand[job_id] = demand
         self._reschedule()
+
+    def _unpark(self) -> Dict[int, Callable]:
+        # The completion handle's callback is this resource: drop it too.
+        resumes, self._resume = self._resume, {}
+        self._completion = None
+        return resumes
 
     def _sync(self) -> None:
         """Charge elapsed time against resident jobs at equal shares."""
@@ -159,6 +166,7 @@ class FIFOResource:
         self._current_start = 0.0
         self._current_work = 0.0
         self._current_demand = 0.0
+        env.register(self)
 
     @property
     def queue_length(self) -> int:
@@ -176,6 +184,11 @@ class FIFOResource:
             self._queue.append((work, demand, resume))
             return
         self._begin(work, demand, resume)
+
+    def _unpark(self) -> Deque[Tuple[float, float, Callable]]:
+        # The job in service is parked in the loop's heap, not here.
+        queue, self._queue = self._queue, deque()
+        return queue
 
     def _begin(self, work: float, demand: float, resume: Callable) -> None:
         self._busy = True

@@ -227,6 +227,12 @@ class SimRun:
         )
         return all(v == latest for v in final_versions), final_versions
 
+    def close(self) -> None:
+        """Free the finished run's processes and events without waiting
+        for a garbage collection (:meth:`Environment.close`): call it once
+        the result and its telemetry are assembled."""
+        self.env.close()
+
 
 def simulate(
     spec: WorkloadSpec,
@@ -307,10 +313,12 @@ def simulate(
     else:
         run.fleet.start_clients(config.total_clients)
     run.measure(warmup, duration)
-    return SimulationResult(
+    result = SimulationResult(
         **measured_fields(design, config, run.metrics, run.fleet.certifier),
         telemetry=None if run.recorder is None else run.recorder.result(),
     )
+    run.close()
+    return result
 
 
 def measured_fields(

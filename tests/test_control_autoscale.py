@@ -333,6 +333,9 @@ class _FakeRun:
         on_close()
         return True, ()
 
+    def close(self):
+        self.tasks = []
+
 
 def _fake_elastic(spec, fleet, ops=None):
     """FixedPolicy(3) on *fleet*: ticks at 10, 20, 30 (and never 40) of

@@ -1,8 +1,13 @@
 """Tests for the simulation runner and curve measurement."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.profiling.profiler import measure_class_demand
+from repro.sidb.certifier_api import CertifierSpec
 from repro.simulator.runner import (
     MULTI_MASTER,
     SINGLE_MASTER,
@@ -69,6 +74,60 @@ class TestSimulationResult:
     def test_per_replica_utilizations_present(self, result):
         assert "replica0.cpu" in result.utilizations
         assert "replica1.disk" in result.utilizations
+
+
+def _simulator_objects_left_by(run) -> list:
+    """Names of the simulator objects *run* creates that reference
+    counting does not free: a collection under ``DEBUG_SAVEALL`` keeps
+    the cyclic ones, and objects a finalizer resurrects stay alive."""
+    def simulator_objects():
+        return {id(obj): type(obj).__qualname__ for obj in gc.get_objects()
+                if str(type(obj).__module__).startswith("repro.simulator")}
+
+    gc.collect()
+    before = simulator_objects()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return sorted({name for key, name in simulator_objects().items()
+                       if key not in before})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """A finished run frees its suspended processes, pending events,
+    resources and event loop by reference counting, not at the next
+    full garbage collection."""
+
+    @pytest.mark.parametrize("design", [MULTI_MASTER, SINGLE_MASTER])
+    def test_simulate(self, ordering_spec, design):
+        # Four slots for 50 clients per replica: processes are parked on
+        # the admission semaphores as well as on the CPU and disk.
+        config = dataclasses.replace(
+            ordering_spec.replication_config(2), max_concurrency=4
+        )
+        assert _simulator_objects_left_by(lambda: simulate(
+            ordering_spec, config, design=design, warmup=1.0, duration=3.0,
+        )) == []
+
+    def test_sharded_certifier_with_service_time(self, ordering_spec):
+        spec = ordering_spec.with_partitions(8, 0.1)
+        assert _simulator_objects_left_by(lambda: simulate(
+            spec, spec.replication_config(2), warmup=1.0, duration=3.0,
+            certifier=CertifierSpec("sharded", service_time=0.004),
+        )) == []
+
+    def test_profiler_replay(self, ordering_spec):
+        assert _simulator_objects_left_by(lambda: measure_class_demand(
+            ordering_spec, "read", duration=5.0,
+        )) == []
 
 
 class TestMeasureCurve:
