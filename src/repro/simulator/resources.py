@@ -10,6 +10,14 @@ validation probe that insensitivity.
 Both resources track a *busy-time integral* so the profiler can apply the
 Utilization Law, and a completion count for throughput accounting.
 
+Cost per event: the disk is O(1).  The CPU keeps processor sharing in its
+virtual-time formulation — one attained-service clock shared by every
+resident job, and the jobs in a heap keyed by the clock value at which
+each one finishes — so an arrival or departure is O(log n) in the ``n``
+resident jobs instead of a pass over all of them.  That matters on the
+multi-master write path, where concurrently applied writesets keep tens
+of jobs resident on every CPU.
+
 Heterogeneous capacity: both servers take a ``rate`` multiplier (default
 1.0) — a rate-2 CPU finishes the same sampled work in half the time.  The
 scaling happens once, at submit, so the processor-sharing bookkeeping and
@@ -19,14 +27,16 @@ of time the (faster) server is busy.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from .des import Environment, EventHandle
 
-#: Work remaining below this threshold counts as finished (absorbs float
-#: drift in the processor-sharing bookkeeping).
+#: Work below this threshold is no work; a processor-sharing job whose
+#: finish tag is this close to the virtual clock has finished (near-ties
+#: finish together, and float drift is absorbed).
 _EPSILON = 1e-12
 
 
@@ -57,18 +67,28 @@ def _check_rate(rate: float, name: str) -> float:
 
 
 class ProcessorSharingResource:
-    """A single server shared equally among all resident jobs (the CPU)."""
+    """A single server shared equally among all resident jobs (the CPU).
+
+    Virtual-time form: ``_virtual`` is the service every resident job has
+    received since the server was last idle — it advances by
+    ``elapsed / n`` while ``n`` jobs are resident — and each job sits in a
+    heap keyed by its finish tag, the clock's value at submit plus its
+    scaled work.  The job with the smallest tag finishes first, after
+    ``(tag - clock) * n`` more seconds.  An arrival or a departure is one
+    heap operation and one rescheduled completion event: O(log n), with
+    no pass over the resident jobs.  The clock restarts at zero whenever
+    the server goes idle, so its precision does not decay over long runs.
+    """
 
     def __init__(self, env: Environment, name: str, rate: float = 1.0) -> None:
         self._env = env
         self.name = name
         self.rate = _check_rate(rate, name)
         self.stats = ResourceStats()
-        self._jobs: Dict[int, Tuple[float, Callable]] = {}
-        self._remaining: Dict[int, float] = {}
-        self._resume: Dict[int, Callable] = {}
-        self._demand: Dict[int, float] = {}
-        self._next_job_id = 0
+        #: Resident jobs as ``(finish tag, sequence, demand, resume)``.
+        self._jobs: List[Tuple[float, int, float, Callable]] = []
+        self._sequence = 0
+        self._virtual = 0.0
         self._last_sync = env.now
         self._completion: Optional[EventHandle] = None
         env.register(self)
@@ -76,7 +96,7 @@ class ProcessorSharingResource:
     @property
     def queue_length(self) -> int:
         """Number of resident jobs (all of them are 'in service' under PS)."""
-        return len(self._remaining)
+        return len(self._jobs)
 
     def busy_time_now(self) -> float:
         """Busy time up to the current instant (forces an accounting sync)."""
@@ -85,70 +105,62 @@ class ProcessorSharingResource:
 
     def submit(self, work: float, resume: Callable) -> None:
         """Add a job needing *work* seconds of service; call *resume* when done."""
-        self._sync()
-        demand = work
-        work = work / self.rate
-        if work <= _EPSILON:
+        scaled = work / self.rate
+        if scaled <= _EPSILON:
             # Zero-cost work completes immediately (but asynchronously, to
-            # keep process resumption ordering consistent).
+            # keep process resumption ordering consistent); it changes no
+            # one's share, so the pending completion stands.
             self._env.schedule(0.0, resume)
-            self._reschedule()
             return
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        self._remaining[job_id] = work
-        self._resume[job_id] = resume
-        self._demand[job_id] = demand
+        self._sync()
+        self._sequence += 1
+        heapq.heappush(
+            self._jobs, (self._virtual + scaled, self._sequence, work, resume)
+        )
         self._reschedule()
 
-    def _unpark(self) -> Dict[int, Callable]:
+    def _unpark(self) -> List[Tuple[float, int, float, Callable]]:
         # The completion handle's callback is this resource: drop it too.
-        resumes, self._resume = self._resume, {}
+        jobs, self._jobs = self._jobs, []
         self._completion = None
-        return resumes
+        return jobs
 
     def _sync(self) -> None:
-        """Charge elapsed time against resident jobs at equal shares."""
+        """Advance the virtual clock by each resident job's equal share."""
         now = self._env.now
         elapsed = now - self._last_sync
         self._last_sync = now
-        if elapsed <= 0.0 or not self._remaining:
+        if elapsed <= 0.0 or not self._jobs:
             return
-        share = elapsed / len(self._remaining)
-        for job_id in self._remaining:
-            self._remaining[job_id] -= share
+        self._virtual += elapsed / len(self._jobs)
         self.stats.busy_time += elapsed
 
     def _reschedule(self) -> None:
         if self._completion is not None:
             self._completion.cancel()
             self._completion = None
-        if not self._remaining:
+        if not self._jobs:
             return
-        shortest = min(self._remaining.values())
-        delay = max(0.0, shortest) * len(self._remaining)
+        delay = max(0.0, self._jobs[0][0] - self._virtual) * len(self._jobs)
         self._completion = self._env.schedule(delay, self._complete)
 
     def _complete(self) -> None:
         self._completion = None
         self._sync()
-        finished = [
-            job_id
-            for job_id, remaining in self._remaining.items()
-            if remaining <= _EPSILON
-        ]
-        if not finished:
-            # Numerical drift can leave the shortest job epsilon short;
-            # finish the closest one explicitly.
-            closest = min(self._remaining, key=self._remaining.get)
-            finished = [closest]
-        resumes = []
-        for job_id in finished:
-            del self._remaining[job_id]
-            self.stats.work_done += self._demand.pop(job_id)
-            resumes.append(self._resume.pop(job_id))
+        jobs = self._jobs
+        # Every job the clock has reached finishes now, near-ties included;
+        # when float drift leaves even the first one epsilon short, it
+        # finishes anyway (this event was scheduled for it).
+        finished = [heapq.heappop(jobs)]
+        horizon = self._virtual + _EPSILON
+        while jobs and jobs[0][0] <= horizon:
+            finished.append(heapq.heappop(jobs))
+        if not jobs:
+            self._virtual = 0.0
+        for _, _, demand, _ in finished:
+            self.stats.work_done += demand
         self._reschedule()
-        for resume in resumes:
+        for _, _, _, resume in finished:
             self.stats.completions += 1
             resume()
 

@@ -1,9 +1,16 @@
 """Unit tests for the processor-sharing CPU and FIFO disk models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.des import Environment
-from repro.simulator.resources import FIFOResource, ProcessorSharingResource
+from repro.simulator.resources import (
+    _EPSILON,
+    FIFOResource,
+    ProcessorSharingResource,
+    ResourceStats,
+)
 
 
 def run_jobs(resource_cls, jobs, horizon=100.0):
@@ -120,3 +127,150 @@ class TestProcessorSharing:
         _, _, completions = run_jobs(ProcessorSharingResource, jobs, horizon=20.0)
         for job_id in range(10):
             assert completions[job_id] == pytest.approx(10.0)
+
+    def test_zero_work_submit_leaves_the_pending_completion_alone(self):
+        env = Environment()
+        resource = ProcessorSharingResource(env, "r")
+        resource.submit(1.0, lambda: None)
+        pending = resource._completion
+        resource.submit(0.0, lambda: None)
+        assert resource._completion is pending
+        assert not pending.cancelled
+
+
+class ReferenceProcessorSharing:
+    """The direct processor-sharing bookkeeping, kept as the oracle for the
+    virtual-time resource: every event decrements each resident job's
+    remaining work, then rescans them all for the shortest and the
+    finished ones (O(n) per event)."""
+
+    def __init__(self, env, name, rate=1.0):
+        self._env = env
+        self.name = name
+        self.rate = rate
+        self.stats = ResourceStats()
+        self._remaining = {}
+        self._resume = {}
+        self._demand = {}
+        self._next_job_id = 0
+        self._last_sync = env.now
+        self._completion = None
+
+    def busy_time_now(self):
+        self._sync()
+        return self.stats.busy_time
+
+    def submit(self, work, resume):
+        self._sync()
+        demand = work
+        work = work / self.rate
+        if work <= _EPSILON:
+            self._env.schedule(0.0, resume)
+            self._reschedule()
+            return
+        job_id = self._next_job_id
+        self._next_job_id += 1
+        self._remaining[job_id] = work
+        self._resume[job_id] = resume
+        self._demand[job_id] = demand
+        self._reschedule()
+
+    def _sync(self):
+        now = self._env.now
+        elapsed = now - self._last_sync
+        self._last_sync = now
+        if elapsed <= 0.0 or not self._remaining:
+            return
+        share = elapsed / len(self._remaining)
+        for job_id in self._remaining:
+            self._remaining[job_id] -= share
+        self.stats.busy_time += elapsed
+
+    def _reschedule(self):
+        if self._completion is not None:
+            self._completion.cancel()
+            self._completion = None
+        if not self._remaining:
+            return
+        shortest = min(self._remaining.values())
+        delay = max(0.0, shortest) * len(self._remaining)
+        self._completion = self._env.schedule(delay, self._complete)
+
+    def _complete(self):
+        self._completion = None
+        self._sync()
+        finished = [job_id for job_id, remaining in self._remaining.items()
+                    if remaining <= _EPSILON]
+        if not finished:
+            closest = min(self._remaining, key=self._remaining.get)
+            finished = [closest]
+        resumes = []
+        for job_id in finished:
+            del self._remaining[job_id]
+            self.stats.work_done += self._demand.pop(job_id)
+            resumes.append(self._resume.pop(job_id))
+        self._reschedule()
+        for resume in resumes:
+            self.stats.completions += 1
+            resume()
+
+
+#: One step of a schedule: wait *gap* seconds, then submit *work* (0 is a
+#: zero-work submit) or, for a float *rate*, change the server's rate.
+_steps = st.one_of(
+    st.tuples(st.floats(0.0, 2.0), st.just("submit"),
+              st.one_of(st.just(0.0), st.floats(0.001, 3.0))),
+    st.tuples(st.floats(0.0, 2.0), st.just("rate"), st.floats(0.25, 4.0)),
+    # A long idle gap: the virtual-time clock restarts from zero.
+    st.tuples(st.floats(50.0, 500.0), st.just("submit"),
+              st.floats(0.001, 3.0)),
+)
+
+
+def _replay(resource_class, initial_rate, steps):
+    """Drive *steps* on a fresh resource; return its completion events as
+    ``[(time, job ids)]``, the ``busy_time_now()`` read after every step
+    and at the end, and the final stats."""
+    env = Environment()
+    resource = resource_class(env, "r", rate=initial_rate)
+    events = []
+    busy = []
+
+    def done(job_id):
+        if events and events[-1][0] == env.now:
+            events[-1][1].add(job_id)
+        else:
+            events.append((env.now, {job_id}))
+
+    def step(job_id, kind, value):
+        if kind == "rate":
+            resource.rate = value
+        else:
+            resource.submit(value, lambda: done(job_id))
+        busy.append(resource.busy_time_now())
+
+    at = 0.0
+    for job_id, (gap, kind, value) in enumerate(steps):
+        at += gap
+        env.schedule(at, step, job_id, kind, value)
+    env.run_until(at + 1000.0)
+    busy.append(resource.busy_time_now())
+    return events, busy, resource.stats
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-9 * (1.0 + abs(a))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.floats(0.25, 4.0), st.lists(_steps, min_size=1, max_size=30))
+def test_virtual_time_ps_matches_the_reference(initial_rate, steps):
+    got, busy, stats = _replay(ProcessorSharingResource, initial_rate, steps)
+    want, want_busy, want_stats = _replay(
+        ReferenceProcessorSharing, initial_rate, steps
+    )
+    assert [jobs for _, jobs in got] == [jobs for _, jobs in want]
+    assert all(_close(t, u) for (t, _), (u, _) in zip(got, want))
+    assert all(_close(b, c) for b, c in zip(busy, want_busy))
+    assert stats.completions == want_stats.completions
+    assert _close(stats.work_done, want_stats.work_done)
