@@ -52,9 +52,10 @@ class Environment:
     Cancelled events stay in the heap as tombstones (cancellation is O(1))
     and are normally discarded when popped; when they come to outnumber the
     live events the heap is lazily compacted, so long runs whose resources
-    reschedule constantly (processor sharing cancels one completion per
-    arrival/departure) hold memory proportional to the *live* event count
-    instead of the cancellation history.
+    reschedule constantly (a processor-sharing CPU cancels its pending
+    completion at every arrival, since each one slows every resident job)
+    hold memory proportional to the *live* event count instead of the
+    cancellation history.
 
     ``compact_min`` tunes how small a heap is left uncompacted.  The
     default suits fixed sweeps; long *elastic* runs (autoscaling churns

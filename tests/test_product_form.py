@@ -16,7 +16,7 @@ batch-means interval, and the oracle must fall inside it:
   so every replica's CPU and disk serve the whole population at a visit
   ratio of ``1/n``: the oracle is the whole fleet as one network, ``n``
   CPU and ``n`` disk centres at demand ``D/n`` each and ``n·C`` clients.
-  Per-replica MVA times ``n`` overestimates it by 2–4% here (it assumes
+  Per-replica MVA times ``n`` overestimates it by 3–4% here (it assumes
   the load is always perfectly balanced) and falls outside the interval.
 * The processor-sharing CPU is insensitive to its service distribution:
   on a CPU-only spec, exponential, deterministic and lognormal demands
