@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
 from ..core.errors import (
@@ -48,7 +48,7 @@ from ..core.errors import (
 from ..core.params import ReplicationConfig
 from ..sidb.certifier import GlobalCertifier
 from ..sidb.certifier_api import CertificationOutcome
-from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
+from ..simulator.sampling import EXPONENTIAL, ServiceSampler, WorkloadSampler
 from ..simulator.stats import MetricsCollector
 from ..simulator.systems import (
     MASTER,
@@ -203,14 +203,14 @@ class Cluster(Fleet):
         for replica in self.slaves:
             self.certification.subscribe(replica)
 
-    def _now(self) -> float:
-        return self.clock.now()
+    def _clock(self) -> Callable[[], float]:
+        return self.clock.now
 
     def _global_certification(self, certifier_spec) -> GlobalCertification:
         # The path also owns the commit-order lock and replication channel.
         return GlobalCertification(self.clock, certifier_spec)
 
-    def _new_replica(self, name: str, sampler: WorkloadSampler,
+    def _new_replica(self, name: str, sampler: ServiceSampler,
                      capacity: float, hosted_partitions) -> ClusterReplica:
         # Multi-master engines — and the single-master master's, whose
         # certifier is the system-wide one — are built around the shared
@@ -409,7 +409,7 @@ class Cluster(Fleet):
         ``applier_error`` so quiesce reports them loudly.
         """
         try:
-            sampler = WorkloadSampler(
+            sampler = ServiceSampler(
                 self.spec,
                 rng_util.spawn(self._seed, "live-join", replica.name),
                 distribution=self._distribution,

@@ -39,7 +39,7 @@ from typing import Deque, Optional, Tuple
 from ..sidb.certifier import GlobalCertifier
 from ..sidb.engine import SIDatabase
 from ..sidb.writeset import Writeset
-from ..simulator.sampling import WorkloadSampler
+from ..simulator.sampling import ServiceSampler, WorkloadSampler
 from ..simulator.systems import hosts_any
 from ..telemetry.recorder import NULL_RECORDER
 from .clock import VirtualClock
@@ -57,7 +57,7 @@ class ClusterReplica:
         self,
         name: str,
         clock: VirtualClock,
-        sampler: WorkloadSampler,
+        sampler: ServiceSampler,
         certifier: Optional[GlobalCertifier] = None,
         max_concurrency: Optional[int] = None,
         capacity: float = 1.0,

@@ -55,7 +55,7 @@ from ..core.errors import ConfigurationError, SimulationError
 from ..sidb.certifier_api import CertifierSpec, require_sharded
 from ..sidb.sharded import ShardedCertifier
 from ..sidb.writeset import Writeset
-from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
+from ..simulator.sampling import EXPONENTIAL, ServiceSampler
 from ..simulator.systems import hosts_any
 from .channel import ReplicationChannel
 from .cluster import MultiMasterCluster
@@ -119,7 +119,7 @@ class ShardedClusterReplica(ClusterReplica):
         self,
         name: str,
         clock,
-        sampler: WorkloadSampler,
+        sampler: ServiceSampler,
         partitions: int,
         max_concurrency: Optional[int] = None,
         capacity: float = 1.0,

@@ -32,7 +32,7 @@ from ..queueing.operational import utilization_law_demand
 from ..simulator.des import Environment, Timeout
 from ..simulator.replica import SimReplica
 from ..simulator.runner import STANDALONE, simulate
-from ..simulator.sampling import WorkloadSampler
+from ..simulator.sampling import ServiceSampler
 from ..simulator.stats import MetricsCollector
 from ..workloads.spec import WorkloadSpec
 
@@ -110,7 +110,7 @@ def measure_class_demand(
     clients = clients or spec.clients_per_replica
     env = Environment()
     metrics = MetricsCollector()
-    sampler = WorkloadSampler(spec, rng_util.spawn(seed, "profile", klass, "svc"))
+    sampler = ServiceSampler(spec, rng_util.spawn(seed, "profile", klass, "svc"))
     replica = SimReplica(env, "profiled", sampler)
     metrics.watch_resource("profiled.cpu", replica.cpu)
     metrics.watch_resource("profiled.disk", replica.disk)

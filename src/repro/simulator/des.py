@@ -1,138 +1,119 @@
 """A small discrete-event simulation kernel.
 
 Processes are Python generators that yield *effects*; the kernel resumes a
-process when its current effect completes.  Two effects exist:
+process when its current effect completes.  Three effects exist:
 
 * :class:`Timeout` — resume after a fixed simulated delay (think times,
   network and certification latencies);
 * :class:`Service` — resume after a resource (CPU, disk) has performed a
   given amount of work for this process, including any queueing imposed by
-  the resource's scheduling discipline.
+  the resource's scheduling discipline;
+* :class:`Acquire` — resume once a :class:`Semaphore` grants a slot
+  (admission control, certifier occupancy).
 
 Sub-activities compose with ``yield from``, so a transaction's life cycle
 reads top-to-bottom in the system assemblies.
+
+Cost model: one heap entry per event and no allocation per effect beyond
+the effect itself.  :meth:`Environment.start` wraps each generator once in
+a :class:`_Process`, which *is* the callback every effect resumes it
+through — a ``Timeout`` pushes it straight onto the heap, a ``Service``
+hands it to the resource, an ``Acquire`` to the semaphore.  A heap entry
+is the list ``[time, sequence, callback, args]`` and doubles as the
+event's handle: :meth:`Environment.cancel` clears its callback.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, List, Optional
+from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Callable, Deque, Generator, List
 
 from ..core.errors import SimulationError
 
 #: Type alias for simulator processes.
 Process = Generator
 
+#: A scheduled event, ``[time, sequence, callback, args]``: what
+#: :meth:`Environment.schedule` returns and :meth:`Environment.cancel`
+#: takes.  A cancelled entry's callback is ``None``.
+Event = list
 
-class EventHandle:
-    """A scheduled callback that can be cancelled before it fires."""
-
-    __slots__ = ("time", "callback", "args", "cancelled", "_env")
-
-    def __init__(
-        self, time: float, callback: Callable, args: tuple, env=None
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._env = env
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._env is not None:
-                self._env._note_cancelled()
+#: Heaps at most this large are never compacted.
+_COMPACT_MIN = 64
 
 
 class Environment:
     """Event loop: a time-ordered heap of callbacks.
 
-    Cancelled events stay in the heap as tombstones (cancellation is O(1))
-    and are normally discarded when popped; when they come to outnumber the
-    live events the heap is lazily compacted, so long runs whose resources
-    reschedule constantly (a processor-sharing CPU cancels its pending
-    completion at every arrival, since each one slows every resident job)
-    hold memory proportional to the *live* event count instead of the
+    Entries order by ``(time, sequence)`` — the sequence number breaks
+    ties in scheduling order, so a run is deterministic.  Cancelled
+    entries stay in the heap as tombstones (cancellation is O(1)) and are
+    normally discarded when popped; when they come to outnumber the live
+    entries of a heap larger than ``_COMPACT_MIN`` the heap is compacted,
+    so long runs whose resources reschedule constantly (a
+    processor-sharing CPU cancels its pending completion at every
+    positive-work arrival, since each one slows every resident job) hold
+    memory proportional to the *live* event count instead of the
     cancellation history.
-
-    ``compact_min`` tunes how small a heap is left uncompacted.  The
-    default suits fixed sweeps; long *elastic* runs (autoscaling churns
-    membership and cancels events far more aggressively) may lower it to
-    reclaim memory sooner, or raise it to trade memory for fewer
-    re-heapifications.
     """
 
-    #: Default for ``compact_min``: don't bother compacting smaller heaps.
-    _COMPACT_MIN = 64
-
-    def __init__(self, compact_min: Optional[int] = None) -> None:
-        self._now = 0.0
-        self._heap: List = []
+    def __init__(self) -> None:
+        #: Current simulated time in seconds (only the loop advances it).
+        self.now = 0.0
+        self._heap: List[Event] = []
         self._sequence = 0
         self._cancelled = 0
         #: Resources and semaphores built on this loop (see :meth:`close`).
         self._holders: List = []
-        if compact_min is None:
-            compact_min = self._COMPACT_MIN
-        if compact_min < 0:
-            raise SimulationError(
-                f"compact_min must be >= 0, got {compact_min}"
-            )
-        self.compact_min = compact_min
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
         """Heap entries, cancelled tombstones included (diagnostics)."""
         return len(self._heap)
 
-    def schedule(self, delay: float, callback: Callable, *args) -> EventHandle:
-        """Run ``callback(*args)`` after *delay* seconds of simulated time."""
+    def schedule(self, delay: float, callback: Callable, *args) -> Event:
+        """Run ``callback(*args)`` after *delay* seconds of simulated time;
+        returns the event's entry, which :meth:`cancel` takes."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self._now + delay, callback, args, self)
         self._sequence += 1
-        heapq.heappush(self._heap, (handle.time, self._sequence, handle))
-        return handle
+        entry = [self.now + delay, self._sequence, callback, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def _note_cancelled(self) -> None:
+    def cancel(self, entry: Event) -> None:
+        """Prevent a scheduled event from firing (idempotent)."""
+        if entry[2] is None:
+            return
+        entry[2] = None
         self._cancelled += 1
-        if (len(self._heap) > self.compact_min
-                and self._cancelled * 2 > len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled tombstones and restore the heap invariant.
-
-        Entries are (time, sequence, handle) tuples, so re-heapifying the
-        filtered list reproduces exactly the pop order the tombstoned heap
-        would have produced — determinism is unaffected.
-        """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
+        heap = self._heap
+        if len(heap) > _COMPACT_MIN and self._cancelled * 2 > len(heap):
+            # Entries order by (time, sequence), so re-heapifying the
+            # filtered list reproduces exactly the pop order the
+            # tombstoned heap would have produced.  In place: a running
+            # loop holds the list.
+            heap[:] = [e for e in heap if e[2] is not None]
+            heapify(heap)
+            self._cancelled = 0
 
     def run_until(self, end_time: float) -> None:
         """Process events until simulated time reaches *end_time*."""
-        if end_time < self._now:
+        if end_time < self.now:
             raise SimulationError("end_time is in the past")
-        while self._heap and self._heap[0][0] <= end_time:
-            time, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            time, _, callback, args = heappop(heap)
+            if callback is None:
                 if self._cancelled > 0:
                     self._cancelled -= 1
                 continue
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError("event heap went backwards in time")
-            self._now = time
-            handle.callback(*handle.args)
-        self._now = end_time
+            self.now = time
+            callback(*args)
+        self.now = end_time
 
     def register(self, holder) -> None:
         """Note a resource or semaphore that parks processes on this loop.
@@ -166,24 +147,49 @@ class Environment:
 
     def start(self, process: Process) -> None:
         """Begin driving a generator process."""
-        self._resume(process, None)
+        _Process(self, process)()
 
-    def _resume(self, process: Process, value: Any) -> None:
+
+class _Process:
+    """A generator under the kernel's control, and its resume callback.
+
+    Calling the object sends the generator ``None`` and acts on the
+    effect it yields next.  It holds the generator's ``send`` — never a
+    bound method of itself — so a parked process is no reference cycle.
+    """
+
+    __slots__ = ("_env", "_send")
+
+    def __init__(self, env: Environment, process: Process) -> None:
+        self._env = env
+        self._send = process.send
+
+    def __call__(self) -> None:
         try:
-            effect = process.send(value)
+            effect = self._send(None)
         except StopIteration:
             return
-        if not isinstance(effect, _Effect):
+        if type(effect) is Timeout:
+            env = self._env
+            env._sequence += 1
+            heappush(env._heap,
+                     [env.now + effect.delay, env._sequence, self, ()])
+        elif isinstance(effect, _Effect):
+            effect.apply(self._env, self)
+        else:
             raise SimulationError(
-                f"process yielded {effect!r}; expected Timeout or Service"
+                f"process yielded {effect!r}; expected Timeout, Service "
+                f"or Acquire"
             )
-        effect.apply(self, process)
 
 
 class _Effect:
     """Base class for things a process may yield."""
 
-    def apply(self, env: Environment, process: Process) -> None:
+    __slots__ = ()
+
+    def apply(self, env: Environment, resume: Callable[[], None]) -> None:
+        """Arrange for ``resume()`` to be called when the effect completes."""
         raise NotImplementedError
 
 
@@ -197,8 +203,8 @@ class Timeout(_Effect):
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
 
-    def apply(self, env: Environment, process: Process) -> None:
-        env.schedule(self.delay, env._resume, process, None)
+    def apply(self, env: Environment, resume: Callable[[], None]) -> None:
+        env.schedule(self.delay, resume)
 
 
 class Service(_Effect):
@@ -212,8 +218,8 @@ class Service(_Effect):
         self.resource = resource
         self.work = work
 
-    def apply(self, env: Environment, process: Process) -> None:
-        self.resource.submit(self.work, lambda: env._resume(process, None))
+    def apply(self, env: Environment, resume: Callable[[], None]) -> None:
+        self.resource.submit(self.work, resume)
 
 
 class Semaphore:
@@ -231,7 +237,7 @@ class Semaphore:
         self._env = env
         self.capacity = capacity
         self._available = capacity
-        self._waiters: List[Callable] = []
+        self._waiters: Deque[Callable[[], None]] = deque()
         env.register(self)
 
     @property
@@ -244,21 +250,21 @@ class Semaphore:
         """Processes queued for admission."""
         return len(self._waiters)
 
-    def _acquire(self, resume: Callable) -> None:
+    def _acquire(self, resume: Callable[[], None]) -> None:
         if self._available > 0:
             self._available -= 1
             self._env.schedule(0.0, resume)
         else:
             self._waiters.append(resume)
 
-    def _unpark(self) -> List[Callable]:
-        waiters, self._waiters = self._waiters, []
+    def _unpark(self) -> Deque[Callable[[], None]]:
+        waiters, self._waiters = self._waiters, deque()
         return waiters
 
     def release(self) -> None:
         """Return a slot, admitting the longest-waiting process if any."""
         if self._waiters:
-            self._env.schedule(0.0, self._waiters.pop(0))
+            self._env.schedule(0.0, self._waiters.popleft())
         else:
             if self._available >= self.capacity:
                 raise SimulationError("semaphore released more than acquired")
@@ -273,5 +279,5 @@ class Acquire(_Effect):
     def __init__(self, semaphore: Semaphore) -> None:
         self.semaphore = semaphore
 
-    def apply(self, env: Environment, process: Process) -> None:
-        self.semaphore._acquire(lambda: env._resume(process, None))
+    def apply(self, env: Environment, resume: Callable[[], None]) -> None:
+        self.semaphore._acquire(resume)

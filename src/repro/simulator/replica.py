@@ -17,24 +17,44 @@ from ..core.errors import SimulationError
 from ..telemetry.recorder import NULL_RECORDER
 from .des import Environment, Service
 from .resources import FIFOResource, ProcessorSharingResource
-from .sampling import WorkloadSampler
+from .sampling import ServiceSampler
+
+
+class _Availability:
+    """``SimReplica.available``: a plain instance attribute to read — the
+    load balancer reads it on every candidate of every transaction — and
+    :meth:`SimReplica._set_available` to assign.
+
+    A descriptor with ``__set__`` and no ``__get__`` yields to the
+    instance dictionary on reads, so only assignment runs Python code.
+    """
+
+    def __set__(self, replica: "SimReplica", value: bool) -> None:
+        replica._set_available(value)
 
 
 class SimReplica:
     """One replica's timed resources and replication state."""
 
+    #: Whether the load balancer may route new transactions here: up
+    #: and not crashed.  Assigning ``True`` to a replica that was down
+    #: starts the catch-up on the writesets it missed.
+    available = _Availability()
+
     def __init__(
         self,
         env: Environment,
         name: str,
-        sampler: WorkloadSampler,
+        sampler: ServiceSampler,
         capacity: float = 1.0,
     ) -> None:
         if capacity <= 0.0:
             raise SimulationError(f"{name}: capacity must be positive")
         self._env = env
         self.name = name
-        self._sampler = sampler
+        #: Service-time draws for the transactions and writesets executed
+        #: here (a stream of its own).
+        self.sampler = sampler
         #: Relative hardware speed: a capacity-2 replica finishes the same
         #: sampled work in half the time (threaded into both resources).
         self.capacity = capacity
@@ -54,8 +74,10 @@ class SimReplica:
         #: Admission-control semaphore (set by the system assembly; ``None``
         #: means unlimited concurrency).
         self.admission = None
-        #: Load-balancer availability (failure injection flips this).
+        #: Up as far as failure injection is concerned (``available``
+        #: additionally excludes a crash).
         self._available = True
+        self.__dict__["available"] = True
         #: True once the replica has crashed for good: its state is lost,
         #: writesets are dropped instead of deferred, and only replacement
         #: by a fresh member (state transfer) can restore redundancy.
@@ -81,13 +103,13 @@ class SimReplica:
 
     def serve_read(self):
         """Charge one read-only transaction's CPU and disk work."""
-        yield Service(self.cpu, self._sampler.read_cpu())
-        yield Service(self.disk, self._sampler.read_disk())
+        yield Service(self.cpu, self.sampler.read_cpu())
+        yield Service(self.disk, self.sampler.read_disk())
 
     def serve_update_attempt(self):
         """Charge one update attempt's local execution work."""
-        yield Service(self.cpu, self._sampler.update_cpu())
-        yield Service(self.disk, self._sampler.update_disk())
+        yield Service(self.cpu, self.sampler.update_cpu())
+        yield Service(self.disk, self.sampler.update_disk())
 
     def serve_writeset_inline(self):
         """Charge one writeset application in the caller's context.
@@ -95,8 +117,8 @@ class SimReplica:
         Used by the profiler's writeset-replay run (§4.1.1); regular
         propagation goes through :meth:`enqueue_writeset` instead.
         """
-        yield Service(self.cpu, self._sampler.writeset_cpu())
-        yield Service(self.disk, self._sampler.writeset_disk())
+        yield Service(self.cpu, self.sampler.writeset_cpu())
+        yield Service(self.disk, self.sampler.writeset_disk())
 
     # ------------------------------------------------------------------
     # Update propagation
@@ -145,8 +167,8 @@ class SimReplica:
 
     def _apply_one(self, commit_version: int, started):
         """Apply one writeset, charging CPU and disk work."""
-        yield Service(self.cpu, self._sampler.writeset_cpu())
-        yield Service(self.disk, self._sampler.writeset_disk())
+        yield Service(self.cpu, self.sampler.writeset_cpu())
+        yield Service(self.disk, self.sampler.writeset_disk())
         self.writesets_applied += 1
         self._mark_applied(commit_version)
         self.recorder.applied(
@@ -197,15 +219,10 @@ class SimReplica:
     # Failure injection
     # ------------------------------------------------------------------
 
-    @property
-    def available(self) -> bool:
-        """Whether the load balancer may route new transactions here."""
-        return self._available and not self.failed
-
-    @available.setter
-    def available(self, value: bool) -> None:
+    def _set_available(self, value: bool) -> None:
         came_back = value and not self._available and not self.failed
         self._available = value
+        self.__dict__["available"] = value and not self.failed
         if came_back:
             self._flush_deferred()
 
@@ -230,6 +247,7 @@ class SimReplica:
         """
         self.failed = True
         self._available = False
+        self.__dict__["available"] = False
         self._deferred.clear()
         self.recorder.crashed(self.name)
 

@@ -32,7 +32,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core.errors import SimulationError
-from .des import Environment, EventHandle
+from .des import Environment, Event
 
 #: Work below this threshold is no work; a processor-sharing job whose
 #: finish tag is this close to the virtual clock has finished (near-ties
@@ -90,7 +90,7 @@ class ProcessorSharingResource:
         self._sequence = 0
         self._virtual = 0.0
         self._last_sync = env.now
-        self._completion: Optional[EventHandle] = None
+        self._completion: Optional[Event] = None
         env.register(self)
 
     @property
@@ -120,7 +120,7 @@ class ProcessorSharingResource:
         self._reschedule()
 
     def _unpark(self) -> List[Tuple[float, int, float, Callable]]:
-        # The completion handle's callback is this resource: drop it too.
+        # The completion entry's callback is this resource: drop it too.
         jobs, self._jobs = self._jobs, []
         self._completion = None
         return jobs
@@ -136,13 +136,15 @@ class ProcessorSharingResource:
         self.stats.busy_time += elapsed
 
     def _reschedule(self) -> None:
+        env = self._env
         if self._completion is not None:
-            self._completion.cancel()
+            env.cancel(self._completion)
             self._completion = None
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
             return
-        delay = max(0.0, self._jobs[0][0] - self._virtual) * len(self._jobs)
-        self._completion = self._env.schedule(delay, self._complete)
+        delay = max(0.0, jobs[0][0] - self._virtual) * len(jobs)
+        self._completion = env.schedule(delay, self._complete)
 
     def _complete(self) -> None:
         self._completion = None

@@ -10,7 +10,7 @@ update transactions touch ``U`` uniformly chosen rows of the updatable set.
 from __future__ import annotations
 
 import itertools
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,14 +32,109 @@ DISTRIBUTIONS = (EXPONENTIAL, DETERMINISTIC, LOGNORMAL)
 #: Coefficient of variation used for the lognormal ablation.
 _LOGNORMAL_CV = 1.0
 
+#: Exponential draws a :class:`ServiceSampler` takes per numpy call.
+_BLOCK = 256
+
 
 def next_txn_id() -> int:
     """Allocate a fresh transaction id."""
     return next(_txn_ids)
 
 
-class WorkloadSampler:
+class _ServiceTimes:
+    """The six per-attempt service-time draws, around the workload's
+    ground-truth mean demands; ``_draw(mean)`` is the one primitive."""
+
+    def __init__(self, spec: WorkloadSpec, rng: np.random.Generator,
+                 distribution: str) -> None:
+        if distribution not in DISTRIBUTIONS:
+            raise ConfigurationError(
+                f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
+            )
+        self._spec = spec
+        self._rng = rng
+        self._distribution = distribution
+        self._demands = spec.demands
+
+    @property
+    def spec(self) -> WorkloadSpec:
+        """The workload being sampled."""
+        return self._spec
+
+    def _draw(self, mean: float) -> float:
+        if mean <= 0.0:
+            return 0.0
+        if self._distribution == EXPONENTIAL:
+            return float(self._rng.exponential(mean))
+        if self._distribution == DETERMINISTIC:
+            return mean
+        # Lognormal with the configured coefficient of variation.
+        sigma2 = np.log(1.0 + _LOGNORMAL_CV**2)
+        mu = np.log(mean) - sigma2 / 2.0
+        return float(self._rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+
+    def read_cpu(self) -> float:
+        """CPU time of one read-only transaction."""
+        return self._draw(self._demands.read.cpu)
+
+    def read_disk(self) -> float:
+        """Disk time of one read-only transaction."""
+        return self._draw(self._demands.read.disk)
+
+    def update_cpu(self) -> float:
+        """CPU time of one update-transaction attempt."""
+        return self._draw(self._demands.write.cpu)
+
+    def update_disk(self) -> float:
+        """Disk time of one update-transaction attempt."""
+        return self._draw(self._demands.write.disk)
+
+    def writeset_cpu(self) -> float:
+        """CPU time to apply one propagated writeset."""
+        return self._draw(self._demands.writeset.cpu)
+
+    def writeset_disk(self) -> float:
+        """Disk time to apply one propagated writeset."""
+        return self._draw(self._demands.writeset.disk)
+
+
+class ServiceSampler(_ServiceTimes):
+    """Service-time draws on a stream that draws nothing else (a fleet
+    replica's, or the profiler's replayed database's).
+
+    Exponential draws are taken :data:`_BLOCK` at a time.  numpy's
+    ``exponential(scale)`` is ``scale * standard_exponential()`` on the
+    same bit stream, so ``mean * block[i]`` reproduces the scalar draws
+    bit for bit — but only while every draw of the stream goes through
+    the block, which is why this type has no client draws (class,
+    think time, partitions, rows).  Deterministic and lognormal draws
+    stay scalar.
+    """
+
+    def __init__(self, spec: WorkloadSpec, rng: np.random.Generator,
+                 distribution: str = EXPONENTIAL) -> None:
+        super().__init__(spec, rng, distribution)
+        self._exponential = distribution == EXPONENTIAL
+        self._block: List[float] = []
+        self._next = _BLOCK
+
+    def _draw(self, mean: float) -> float:
+        if mean <= 0.0 or not self._exponential:
+            return super()._draw(mean)
+        index = self._next
+        if index == _BLOCK:
+            self._block = self._rng.standard_exponential(_BLOCK).tolist()
+            index = 0
+        self._next = index + 1
+        return mean * self._block[index]
+
+
+class WorkloadSampler(_ServiceTimes):
     """Draws transaction classes, service times, and conflict footprints.
+
+    A client's stream interleaves every kind of draw, so its service
+    times are scalar draws (:class:`ServiceSampler` is the block-drawing
+    form for streams that only draw service times).
 
     For partitioned workloads (``spec.partitions > 1``) the sampler also
     draws each transaction's partition set: a weighted primary partition,
@@ -59,13 +154,7 @@ class WorkloadSampler:
         distribution: str = EXPONENTIAL,
         partition_map=None,
     ) -> None:
-        if distribution not in DISTRIBUTIONS:
-            raise ConfigurationError(
-                f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
-            )
-        self._spec = spec
-        self._rng = rng
-        self._distribution = distribution
+        super().__init__(spec, rng, distribution)
         self._partition_weights = None
         self._partners = None
         if spec.partitions > 1:
@@ -87,11 +176,6 @@ class WorkloadSampler:
                     for p in range(spec.partitions)
                 )
 
-    @property
-    def spec(self) -> WorkloadSpec:
-        """The workload being sampled."""
-        return self._spec
-
     def next_is_update(self) -> bool:
         """Decide the class of the next transaction (Bernoulli(Pw))."""
         pw = self._spec.mix.write_fraction
@@ -102,44 +186,6 @@ class WorkloadSampler:
     def think_time(self) -> float:
         """One exponential think-time draw (closed-loop model, §3.1)."""
         return rng_util.exponential(self._rng, self._spec.think_time)
-
-    def _draw(self, mean: float) -> float:
-        if mean <= 0.0:
-            return 0.0
-        if self._distribution == EXPONENTIAL:
-            return float(self._rng.exponential(mean))
-        if self._distribution == DETERMINISTIC:
-            return mean
-        # Lognormal with the configured coefficient of variation.
-        sigma2 = np.log(1.0 + _LOGNORMAL_CV**2)
-        mu = np.log(mean) - sigma2 / 2.0
-        return float(self._rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
-
-    # Per-attempt service-time draws -----------------------------------
-
-    def read_cpu(self) -> float:
-        """CPU time of one read-only transaction."""
-        return self._draw(self._spec.demands.read.cpu)
-
-    def read_disk(self) -> float:
-        """Disk time of one read-only transaction."""
-        return self._draw(self._spec.demands.read.disk)
-
-    def update_cpu(self) -> float:
-        """CPU time of one update-transaction attempt."""
-        return self._draw(self._spec.demands.write.cpu)
-
-    def update_disk(self) -> float:
-        """Disk time of one update-transaction attempt."""
-        return self._draw(self._spec.demands.write.disk)
-
-    def writeset_cpu(self) -> float:
-        """CPU time to apply one propagated writeset."""
-        return self._draw(self._spec.demands.writeset.cpu)
-
-    def writeset_disk(self) -> float:
-        """Disk time to apply one propagated writeset."""
-        return self._draw(self._spec.demands.writeset.disk)
 
     # Partition footprint ------------------------------------------------
 

@@ -45,8 +45,16 @@ from ..sidb.certifier_api import CertifierSpec, require_sharded
 from ..sidb.sharded import ShardedCertifier
 from .des import Acquire, Semaphore, Service, Timeout
 from .replica import SimReplica
-from .sampling import WorkloadSampler
+from .sampling import ServiceSampler
 from .systems import LEAST_LOADED, MultiMasterSystem
+
+
+def _shard_minima(vectors, shards: range):
+    """Each shard's minimum over *vectors* (an absent shard counts as 0),
+    in one sweep over the vectors."""
+    zeros = (0,) * len(shards)
+    return map(min, zip(*[map(vector.get, shards, zeros)
+                          for vector in vectors]))
 
 
 class ShardedSimReplica(SimReplica):
@@ -62,7 +70,7 @@ class ShardedSimReplica(SimReplica):
         self,
         env,
         name: str,
-        sampler: WorkloadSampler,
+        sampler: ServiceSampler,
         capacity: float = 1.0,
         partitions: int = 1,
     ) -> None:
@@ -139,8 +147,8 @@ class ShardedSimReplica(SimReplica):
 
     def _apply_one_sharded(self, shard_versions, started):
         """Apply one writeset (charged once), advancing every touched lane."""
-        yield Service(self.cpu, self._sampler.writeset_cpu())
-        yield Service(self.disk, self._sampler.writeset_disk())
+        yield Service(self.cpu, self.sampler.writeset_cpu())
+        yield Service(self.disk, self.sampler.writeset_disk())
         self.writesets_applied += 1
         home = shard_versions[0][0]
         for partition, version in shard_versions:
@@ -206,7 +214,7 @@ class ShardedCertification:
             if self._service_time > 0.0 else None
         )
 
-    def new_replica(self, name: str, sampler: WorkloadSampler,
+    def new_replica(self, name: str, sampler: ServiceSampler,
                     capacity: float) -> ShardedSimReplica:
         return ShardedSimReplica(self._env, name, sampler, capacity=capacity,
                                  partitions=self._shard_count)
@@ -253,20 +261,21 @@ class ShardedCertification:
                 self._shard_service[p].release()
 
     def release(self, token: int, replicas) -> None:
-        """Unpin one attempt's vector and advance each shard's floor."""
+        """Unpin one attempt's vector and advance each shard's floor: the
+        most-lagging replica's watermark or the oldest pinned snapshot,
+        whichever is older."""
         self._active_snapshots.pop(token, None)
-        floors: Dict[int, int] = {}
-        for p in range(self._shard_count):
-            lagging = min(
-                replica.applied_vector.get(p, 0) for replica in replicas
-            )
-            active = min(
-                (vector.get(p, 0)
-                 for vector in self._active_snapshots.values()),
-                default=lagging,
-            )
-            floors[p] = max(0, min(lagging, active))
-        self.certifier.observe_snapshot(floors)
+        shards = range(self._shard_count)
+        floors = _shard_minima(
+            (replica.applied_vector for replica in replicas), shards
+        )
+        if self._active_snapshots:
+            floors = map(min, floors, _shard_minima(
+                self._active_snapshots.values(), shards
+            ))
+        self.certifier.observe_snapshot(
+            {p: max(0, floor) for p, floor in zip(shards, floors)}
+        )
 
     def shards(self, partitions) -> int:
         """How many certifier shards coordinate (a certify-span tag)."""

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
 from ..core.errors import (
@@ -46,10 +47,10 @@ from ..core.params import ReplicationConfig
 from ..sidb.certifier import GlobalCertifier
 from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
-from .des import Acquire, Environment, Semaphore, Timeout
+from .des import Acquire, Environment, Semaphore, Service, Timeout
 from .faults import BROWNOUT, CRASH, ReplicaFault
 from .replica import SimReplica
-from .sampling import WorkloadSampler
+from .sampling import ServiceSampler, WorkloadSampler
 from .stats import MetricsCollector
 
 #: Load-balancer routing policies.  The paper's prototypes route to the
@@ -74,6 +75,10 @@ CAPACITY_WEIGHTED = "capacity-weighted"
 PARTITION_AWARE = "partition-aware"
 LB_POLICIES = (LEAST_LOADED, PINNED, RANDOM, CONFLICT_AWARE,
                CAPACITY_WEIGHTED, PARTITION_AWARE)
+
+#: The least-loaded order: fewest resident transactions, ties to the
+#: smallest name.
+_LEAST_LOADED = attrgetter("active", "name")
 
 
 def check_capacities(
@@ -157,7 +162,7 @@ def select_replica(policy, candidates, client_id, is_update, rng,
             alive,
             key=lambda r: (r.active / getattr(r, "capacity", 1.0), r.name),
         )
-    return min(alive, key=lambda r: (r.active, r.name))
+    return min(alive, key=_LEAST_LOADED)
 
 
 @dataclass(frozen=True)
@@ -276,9 +281,9 @@ class Fleet:
     joiners, pick and refuse removals, and count members here.  Each
     substrate supplies only the mechanics: ``_global_certification``
     (its default path), ``_new_replica`` (its replica class on a
-    sampler), the join and the drain or force-detach.  A certifier
-    choice reaches multi-master fleets only.  Both
-    replica classes answer ``staying`` (healthy and not leaving) and
+    sampler), ``_clock`` (its time source for the recorder), the join
+    and the drain or force-detach.  A certifier choice reaches
+    multi-master fleets only.  Both replica classes answer ``staying`` (healthy and not leaving) and
     ``removable`` (eligible as a default removal target) — the latter is
     each class's own predicate: the DES skips drain-faulted replicas,
     the live cluster skips joining ones.
@@ -350,7 +355,7 @@ class Fleet:
                 hosted_partitions=None):
         """A new replica on its own sampler stream, its resources watched
         and its lanes wired to the recorder (the caller lists it)."""
-        sampler = WorkloadSampler(
+        sampler = ServiceSampler(
             self.spec,
             rng_util.spawn(self._seed, self._replica_stream, path),
             distribution=self._distribution,
@@ -397,7 +402,9 @@ class Fleet:
         certifier, every current replica, and every replica created
         later (elastic joins) share the same recorder.
         """
-        self.recorder = ProtocolRecorder(telemetry, self._now)
+        # The recorder's clock must not reference the fleet, which holds
+        # the recorder: that cycle would outlive the run.
+        self.recorder = ProtocolRecorder(telemetry, self._clock())
         self.certifier.telemetry = telemetry
         for replica in self.replicas:
             self._wire(replica)
@@ -497,7 +504,7 @@ class GlobalCertification:
             Semaphore(env, 1) if self._service_time > 0.0 else None
         )
 
-    def new_replica(self, name: str, sampler: WorkloadSampler,
+    def new_replica(self, name: str, sampler: ServiceSampler,
                     capacity: float) -> SimReplica:
         return SimReplica(self._env, name, sampler, capacity=capacity)
 
@@ -606,8 +613,9 @@ class _BaseSystem(Fleet):
         self._arrivals_on = True
         self._build_fleet()
 
-    def _now(self) -> float:
-        return self.env.now
+    def _clock(self) -> Callable[[], float]:
+        env = self.env
+        return lambda: env.now
 
     def _global_certification(self, certifier_spec) -> GlobalCertification:
         # Only a multi-master certifier is a remote service.
@@ -616,7 +624,7 @@ class _BaseSystem(Fleet):
             response_delay=self.config.certifier_delay,
         )
 
-    def _new_replica(self, name: str, sampler: WorkloadSampler,
+    def _new_replica(self, name: str, sampler: ServiceSampler,
                      capacity: float, hosted_partitions) -> SimReplica:
         replica = self.certification.new_replica(name, sampler, capacity)
         replica.hosted_partitions = hosted_partitions
@@ -640,14 +648,13 @@ class _BaseSystem(Fleet):
 
         self.env.start(sampler())
 
-    def _admit(self, replica: SimReplica):
-        """Wait for an execution slot at *replica* (no-op without a limit)."""
-        if replica.admission is not None:
-            yield Acquire(replica.admission)
-
-    def _release(self, replica: SimReplica) -> None:
+    @staticmethod
+    def _leave(replica: SimReplica) -> None:
+        """Give back the execution slot and the resident count a client
+        transaction took at *replica*."""
         if replica.admission is not None:
             replica.admission.release()
+        replica.active -= 1
 
     def start_clients(self, count: int) -> None:
         """Launch *count* closed-loop client processes."""
@@ -770,13 +777,18 @@ class _BaseSystem(Fleet):
         txn.routed(replica.name, is_update, policy)
         replica.active += 1
         aborts = 0
-        yield from self._admit(replica)
+        # Admission control: wait for an execution slot (config's
+        # max_concurrency) before taking a snapshot.
+        if replica.admission is not None:
+            yield Acquire(replica.admission)
         try:
             if not is_update:
                 # Read-only transactions execute entirely locally and always
                 # commit (§2: GSI read-only transactions never abort).
                 txn.staleness(replica, self.certifier)
-                yield from replica.serve_read()
+                draws = replica.sampler
+                yield Service(replica.cpu, draws.read_cpu())
+                yield Service(replica.disk, draws.read_disk())
                 txn.executed(replica.name, "read")
                 return aborts
             for attempt in range(1, self.config.max_retries + 1):
@@ -835,8 +847,7 @@ class _BaseSystem(Fleet):
                 topology.design, "update", self.config.max_retries
             )
         finally:
-            self._release(replica)
-            replica.active -= 1
+            self._leave(replica)
 
     def route(
         self,
@@ -948,7 +959,8 @@ class StandaloneSystem(_BaseSystem):
         path = self.certification
         replica.active += 1
         aborts = 0
-        yield from self._admit(replica)
+        if replica.admission is not None:
+            yield Acquire(replica.admission)
         try:
             if not is_update:
                 yield from replica.serve_read()
@@ -972,8 +984,7 @@ class StandaloneSystem(_BaseSystem):
                 "standalone", "update", self.config.max_retries
             )
         finally:
-            self._release(replica)
-            replica.active -= 1
+            self._leave(replica)
 
 
 class MultiMasterSystem(_BaseSystem):

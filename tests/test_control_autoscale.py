@@ -219,7 +219,7 @@ class TestElasticMembershipChurn:
             assert replica.apply_backlog == 0
 
     def test_churn_converges_single_master(self, tiny_spec):
-        env = Environment(compact_min=32)
+        env = Environment()
         metrics = MetricsCollector()
         system = SingleMasterSystem(
             env, tiny_spec, tiny_spec.replication_config(2), 13, metrics

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.simulator.des import (
@@ -10,7 +14,7 @@ from repro.simulator.des import (
     Service,
     Timeout,
 )
-from repro.simulator.resources import FIFOResource
+from repro.simulator.resources import FIFOResource, ProcessorSharingResource
 
 
 class TestScheduling:
@@ -52,8 +56,8 @@ class TestScheduling:
     def test_cancelled_event_skipped(self):
         env = Environment()
         fired = []
-        handle = env.schedule(1.0, fired.append, True)
-        handle.cancel()
+        entry = env.schedule(1.0, fired.append, True)
+        env.cancel(entry)
         env.run_until(2.0)
         assert fired == []
 
@@ -199,21 +203,21 @@ class TestHeapCompaction:
     def test_cancelled_events_compacted_out(self):
         env = Environment()
         live = env.schedule(1000.0, lambda: None)
-        handles = [env.schedule(2000.0, lambda: None) for _ in range(500)]
+        entries = [env.schedule(2000.0, lambda: None) for _ in range(500)]
         assert env.pending_events == 501
-        for handle in handles:
-            handle.cancel()
+        for entry in entries:
+            env.cancel(entry)
         # More than half the heap was tombstones, so it was compacted.
         assert env.pending_events < 500
-        assert not live.cancelled
+        assert live[2] is not None  # not cancelled
 
     def test_compaction_preserves_event_order(self):
         fired = []
         env = Environment()
-        handles = [env.schedule(float(i), fired.append, i) for i in range(500)]
+        entries = [env.schedule(float(i), fired.append, i) for i in range(500)]
         for i in range(500):
             if i % 5:
-                handles[i].cancel()
+                env.cancel(entries[i])
         # 400 of 500 cancelled: well past the half-tombstone threshold, so
         # compaction (heapify of the filtered list) ran mid-loop.
         assert env.pending_events < 250
@@ -223,19 +227,216 @@ class TestHeapCompaction:
 
     def test_cancel_is_idempotent_in_counter(self):
         env = Environment()
-        handles = [env.schedule(10.0, lambda: None) for _ in range(200)]
-        for handle in handles[:150]:
-            handle.cancel()
-            handle.cancel()  # double-cancel must not over-count
+        entries = [env.schedule(10.0, lambda: None) for _ in range(200)]
+        for entry in entries[:150]:
+            env.cancel(entry)
+            env.cancel(entry)  # double-cancel must not over-count
         env.run_until(20.0)
         assert env.pending_events == 0
 
     def test_small_heaps_not_compacted(self):
         env = Environment()
-        handles = [env.schedule(10.0, lambda: None) for _ in range(10)]
-        for handle in handles:
-            handle.cancel()
+        entries = [env.schedule(10.0, lambda: None) for _ in range(10)]
+        for entry in entries:
+            env.cancel(entry)
         # Below the compaction threshold the tombstones just sit there.
         assert env.pending_events == 10
         env.run_until(20.0)
         assert env.pending_events == 0
+
+
+# ---------------------------------------------------------------------------
+# The kernel against its previous form
+# ---------------------------------------------------------------------------
+
+
+class ReferenceHandle:
+    """A scheduled callback of the reference kernel: one object per event,
+    cancelled through its own method."""
+
+    def __init__(self, time, callback, args, env):
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self._env = env
+
+    def cancel(self):
+        if not self.cancelled:
+            self.cancelled = True
+            self._env._note_cancelled()
+
+
+class ReferenceEnvironment:
+    """The previous kernel, kept as the oracle for the current one:
+    ``(time, sequence, handle)`` tuples on the heap and a fresh closure
+    per ``Service`` or ``Acquire`` effect.  ``cancel`` adapts the
+    handle-method API to the entry API the resources call."""
+
+    _COMPACT_MIN = 64
+
+    def __init__(self):
+        self._now = 0.0
+        self._heap = []
+        self._sequence = 0
+        self._cancelled = 0
+
+    @property
+    def now(self):
+        return self._now
+
+    def schedule(self, delay, callback, *args):
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past ({delay})")
+        handle = ReferenceHandle(self._now + delay, callback, args, self)
+        self._sequence += 1
+        heapq.heappush(self._heap, (handle.time, self._sequence, handle))
+        return handle
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def _note_cancelled(self):
+        self._cancelled += 1
+        if (len(self._heap) > self._COMPACT_MIN
+                and self._cancelled * 2 > len(self._heap)):
+            self._heap = [e for e in self._heap if not e[2].cancelled]
+            heapq.heapify(self._heap)
+            self._cancelled = 0
+
+    def run_until(self, end_time):
+        while self._heap and self._heap[0][0] <= end_time:
+            time, _, handle = heapq.heappop(self._heap)
+            if handle.cancelled:
+                if self._cancelled > 0:
+                    self._cancelled -= 1
+                continue
+            self._now = time
+            handle.callback(*handle.args)
+        self._now = end_time
+
+    def register(self, holder):
+        pass
+
+    def start(self, process):
+        self._resume(process, None)
+
+    def _resume(self, process, value):
+        try:
+            effect = process.send(value)
+        except StopIteration:
+            return
+        effect.apply(self, process)
+
+
+class ReferenceTimeout:
+    def __init__(self, delay):
+        self.delay = delay
+
+    def apply(self, env, process):
+        env.schedule(self.delay, env._resume, process, None)
+
+
+class ReferenceService:
+    def __init__(self, resource, work):
+        self.resource = resource
+        self.work = work
+
+    def apply(self, env, process):
+        self.resource.submit(self.work, lambda: env._resume(process, None))
+
+
+class ReferenceSemaphore:
+    def __init__(self, env, capacity):
+        self._env = env
+        self.capacity = capacity
+        self._available = capacity
+        self._waiters = []
+
+    def _acquire(self, resume):
+        if self._available > 0:
+            self._available -= 1
+            self._env.schedule(0.0, resume)
+        else:
+            self._waiters.append(resume)
+
+    def release(self):
+        if self._waiters:
+            self._env.schedule(0.0, self._waiters.pop(0))
+        else:
+            self._available += 1
+
+
+class ReferenceAcquire:
+    def __init__(self, semaphore):
+        self.semaphore = semaphore
+
+    def apply(self, env, process):
+        self.semaphore._acquire(lambda: env._resume(process, None))
+
+
+_KERNELS = {
+    "reference": (ReferenceEnvironment, ReferenceTimeout, ReferenceService,
+                  ReferenceAcquire, ReferenceSemaphore),
+    "current": (Environment, Timeout, Service, Acquire, Semaphore),
+}
+
+_work = st.one_of(st.just(0.0), st.floats(0.001, 2.0))
+#: One step of a process: a timeout, a service on the CPU or the disk,
+#: or holding one of two semaphore slots for a while.
+_op = st.one_of(
+    st.tuples(st.just("timeout"), st.floats(0.0, 2.0)),
+    st.tuples(st.sampled_from(["cpu", "disk"]), _work),
+    st.tuples(st.just("hold"), st.floats(0.0, 1.0)),
+)
+#: A process: its start time and its steps.
+_process = st.tuples(st.floats(0.0, 3.0), st.lists(_op, max_size=6))
+#: A burst of labelled callbacks scheduled at one instant, and the time
+#: they are all cancelled at (``None``: never) — bursts push the heap
+#: past the compaction threshold.
+_burst = st.tuples(st.floats(0.0, 8.0), st.integers(1, 40),
+                   st.one_of(st.none(), st.floats(0.0, 8.0)))
+
+
+def _firing_trace(kernel, processes, bursts):
+    """Drive *processes* and *bursts* on *kernel*; return every step
+    completion and callback firing as ``(time, label)``."""
+    environment, timeout, service, acquire, semaphore = _KERNELS[kernel]
+    env = environment()
+    cpu = ProcessorSharingResource(env, "cpu")
+    disk = FIFOResource(env, "disk")
+    slots = semaphore(env, 2)
+    trace = []
+
+    def fire(label):
+        trace.append((env.now, label))
+
+    def body(pid, ops):
+        for step, (kind, value) in enumerate(ops):
+            if kind == "timeout":
+                yield timeout(value)
+            elif kind == "hold":
+                yield acquire(slots)
+                fire(f"p{pid}.{step} admitted")
+                yield timeout(value)
+                slots.release()
+            else:
+                yield service(cpu if kind == "cpu" else disk, value)
+            fire(f"p{pid}.{step}")
+
+    for pid, (start, ops) in enumerate(processes):
+        env.schedule(start, env.start, body(pid, ops))
+    for bid, (at, count, cancel_at) in enumerate(bursts):
+        entries = [env.schedule(at, fire, f"b{bid}.{i}") for i in range(count)]
+        if cancel_at is not None:
+            for entry in entries:
+                env.schedule(cancel_at, env.cancel, entry)
+    env.run_until(60.0)
+    return trace
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(_process, max_size=8), st.lists(_burst, max_size=6))
+def test_kernel_fires_exactly_like_the_reference(processes, bursts):
+    want = _firing_trace("reference", processes, bursts)
+    assert _firing_trace("current", processes, bursts) == want

@@ -15,6 +15,7 @@ from repro.simulator.runner import (
     measure_curve,
     simulate,
 )
+from repro.telemetry import TelemetryConfig
 
 
 class TestSimulateValidation:
@@ -115,6 +116,17 @@ class TestNoReferenceCycles:
         )
         assert _simulator_objects_left_by(lambda: simulate(
             ordering_spec, config, design=design, warmup=1.0, duration=3.0,
+        )) == []
+
+    @pytest.mark.parametrize("telemetry", [
+        TelemetryConfig(), TelemetryConfig(audit=True),
+    ], ids=["telemetry", "audit"])
+    def test_observed_simulate(self, ordering_spec, telemetry):
+        # The fleet holds the recorder; the recorder's clock must not
+        # hold the fleet.
+        assert _simulator_objects_left_by(lambda: simulate(
+            ordering_spec, ordering_spec.replication_config(2),
+            warmup=1.0, duration=3.0, telemetry=telemetry,
         )) == []
 
     def test_sharded_certifier_with_service_time(self, ordering_spec):

@@ -6,8 +6,10 @@ import pytest
 from repro.core import rng as rng_util
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.simulator.sampling import (
+    _BLOCK,
     DETERMINISTIC,
     LOGNORMAL,
+    ServiceSampler,
     WorkloadSampler,
     next_txn_id,
 )
@@ -179,3 +181,46 @@ class TestWorkloadSampler:
         sampler = WorkloadSampler(shopping_spec, rng_util.make_rng(4))
         samples = [sampler.think_time() for _ in range(20_000)]
         assert np.mean(samples) == pytest.approx(1.0, rel=0.03)
+
+
+class TestServiceSampler:
+    """A replica's service-only stream draws exponentials in blocks."""
+
+    def test_block_draws_equal_scalar_draws_bit_for_bit(self, shopping_spec):
+        # Means drawn at random, with zeros (which consume nothing) placed
+        # on and around block boundaries; three and a half blocks' worth.
+        means = rng_util.make_rng(4).uniform(0.0, 0.2, 7 * _BLOCK // 2)
+        means[[0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 2]] = 0.0
+        blocked = ServiceSampler(shopping_spec, rng_util.make_rng(9))
+        scalar = rng_util.make_rng(9)
+        for mean in means.tolist():
+            want = float(scalar.exponential(mean)) if mean > 0.0 else 0.0
+            assert blocked._draw(mean).hex() == want.hex()
+
+    def test_public_draws_match_a_client_sampler(self, shopping_spec):
+        blocked = ServiceSampler(shopping_spec, rng_util.make_rng(5))
+        client = WorkloadSampler(shopping_spec, rng_util.make_rng(5))
+        kinds = ("read_cpu", "read_disk", "update_cpu", "update_disk",
+                 "writeset_cpu", "writeset_disk")
+        for i in range(3 * _BLOCK):
+            kind = kinds[i % len(kinds)]
+            assert getattr(blocked, kind)() == getattr(client, kind)()
+
+    @pytest.mark.parametrize("distribution", [DETERMINISTIC, LOGNORMAL])
+    def test_other_distributions_stay_scalar(self, shopping_spec,
+                                             distribution):
+        blocked = ServiceSampler(shopping_spec, rng_util.make_rng(6),
+                                 distribution=distribution)
+        client = WorkloadSampler(shopping_spec, rng_util.make_rng(6),
+                                 distribution=distribution)
+        for _ in range(50):
+            assert blocked.update_cpu() == client.update_cpu()
+
+    @pytest.mark.parametrize("draw", [
+        "next_is_update", "think_time", "sample_partition_set",
+        "sample_writeset",
+    ])
+    def test_client_draws_are_refused(self, shopping_spec, draw):
+        # A client draw would desynchronise the block from the stream.
+        sampler = ServiceSampler(shopping_spec, rng_util.make_rng(0))
+        assert not hasattr(sampler, draw)
