@@ -143,7 +143,8 @@ class ProcessorSharingResource:
         jobs = self._jobs
         if not jobs:
             return
-        delay = max(0.0, jobs[0][0] - self._virtual) * len(jobs)
+        ahead = jobs[0][0] - self._virtual
+        delay = (ahead if ahead > 0.0 else 0.0) * len(jobs)
         self._completion = env.schedule(delay, self._complete)
 
     def _complete(self) -> None:

@@ -79,6 +79,8 @@ LB_POLICIES = (LEAST_LOADED, PINNED, RANDOM, CONFLICT_AWARE,
 #: The least-loaded order: fewest resident transactions, ties to the
 #: smallest name.
 _LEAST_LOADED = attrgetter("active", "name")
+#: A replica's applied version (the prune floor's most-lagging term).
+_APPLIED_VERSION = attrgetter("applied_version")
 
 
 def check_capacities(
@@ -552,7 +554,7 @@ class GlobalCertification:
             # applied version, which can lag the certifier; pruning must
             # keep history back to the most-lagging replica as well as
             # all active snapshots.
-            floor = min(floor, min(r.applied_version for r in replicas))
+            floor = min(floor, min(map(_APPLIED_VERSION, replicas)))
         self.certifier.observe_snapshot(max(0, floor))
 
     def shards(self, partitions) -> None:
