@@ -490,7 +490,9 @@ class GlobalCertification:
         self._env = env
         self.certifier = GlobalCertifier()
         self._remote = remote
-        self._response_delay = response_delay
+        #: The certification response's trip back (effects are immutable,
+        #: so every commit yields this one).
+        self._response = Timeout(response_delay)
         self._active_snapshots: Dict[int, int] = {}
         self._snapshot_token = 0
         # Optional certifier occupancy (CertifierSpec.service_time): the
@@ -539,7 +541,7 @@ class GlobalCertification:
         else:
             outcome = self.certifier.certify(writeset)
         if self._remote:
-            yield Timeout(self._response_delay)
+            yield self._response
         return outcome
 
     def release(self, token: int, replicas: Sequence[SimReplica]) -> None:
@@ -607,6 +609,9 @@ class _BaseSystem(Fleet):
         )
         self.lb_policy = lb_policy
         self._lb_rng = rng_util.spawn(seed, "load-balancer")
+        #: The load-balancer hop every transaction pays first (one shared
+        #: effect: effects are immutable).
+        self._lb_hop = Timeout(config.load_balancer_delay)
         #: Highest commit version already handed to update propagation —
         #: the sync point elastic joins adopt (the certifier can be ahead
         #: by in-flight certification delays).
@@ -765,7 +770,7 @@ class _BaseSystem(Fleet):
         """
         topology, path = self.topology, self.certification
         txn = self.recorder.begin()
-        yield Timeout(self.config.load_balancer_delay)
+        yield self._lb_hop
         # Partitioned workloads pick their data before routing: the
         # transaction must land on a replica hosting what it touches
         # (the master hosts everything).
