@@ -285,8 +285,9 @@ class Fleet:
     (its default path), ``_new_replica`` (its replica class on a
     sampler), ``_clock`` (its time source for the recorder), the join
     and the drain or force-detach.  A certifier choice reaches
-    multi-master fleets only.  Both replica classes answer ``staying`` (healthy and not leaving) and
-    ``removable`` (eligible as a default removal target) — the latter is
+    multi-master fleets only.  Both replica classes answer ``staying``
+    (healthy and not leaving) and ``removable`` (eligible as a default
+    removal target) — the latter is
     each class's own predicate: the DES skips drain-faulted replicas,
     the live cluster skips joining ones.
     """
@@ -655,13 +656,9 @@ class _BaseSystem(Fleet):
 
         self.env.start(sampler())
 
-    @staticmethod
-    def _leave(replica: SimReplica) -> None:
-        """Give back the execution slot and the resident count a client
-        transaction took at *replica*."""
+    def _release(self, replica: SimReplica) -> None:
         if replica.admission is not None:
             replica.admission.release()
-        replica.active -= 1
 
     def start_clients(self, count: int) -> None:
         """Launch *count* closed-loop client processes."""
@@ -854,7 +851,8 @@ class _BaseSystem(Fleet):
                 topology.design, "update", self.config.max_retries
             )
         finally:
-            self._leave(replica)
+            self._release(replica)
+            replica.active -= 1
 
     def route(
         self,
@@ -991,7 +989,8 @@ class StandaloneSystem(_BaseSystem):
                 "standalone", "update", self.config.max_retries
             )
         finally:
-            self._leave(replica)
+            self._release(replica)
+            replica.active -= 1
 
 
 class MultiMasterSystem(_BaseSystem):
