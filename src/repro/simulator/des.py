@@ -154,8 +154,9 @@ class _Process:
     """A generator under the kernel's control, and its resume callback.
 
     Calling the object sends the generator ``None`` and acts on the
-    effect it yields next.  It holds the generator's ``send`` — never a
-    bound method of itself — so a parked process is no reference cycle.
+    effect it yields next.  It holds the generator's ``send``, never a
+    bound method of itself: that would be a cycle through the object
+    alone, which :meth:`Environment.close` could not break.
     """
 
     __slots__ = ("_env", "_send")

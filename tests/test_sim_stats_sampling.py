@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import rng as rng_util
 from repro.core.errors import ConfigurationError, SimulationError
+from repro.simulator import sampling
 from repro.simulator.sampling import (
-    _BLOCK,
     DETERMINISTIC,
     LOGNORMAL,
     ServiceSampler,
@@ -189,8 +189,9 @@ class TestServiceSampler:
     def test_block_draws_equal_scalar_draws_bit_for_bit(self, shopping_spec):
         # Means drawn at random, with zeros (which consume nothing) placed
         # on and around block boundaries; three and a half blocks' worth.
-        means = rng_util.make_rng(4).uniform(0.0, 0.2, 7 * _BLOCK // 2)
-        means[[0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 2]] = 0.0
+        block = sampling._BLOCK
+        means = rng_util.make_rng(4).uniform(0.0, 0.2, 7 * block // 2)
+        means[[0, block - 1, block, block + 1, 2 * block, 3 * block - 2]] = 0.0
         blocked = ServiceSampler(shopping_spec, rng_util.make_rng(9))
         scalar = rng_util.make_rng(9)
         for mean in means.tolist():
@@ -202,7 +203,7 @@ class TestServiceSampler:
         client = WorkloadSampler(shopping_spec, rng_util.make_rng(5))
         kinds = ("read_cpu", "read_disk", "update_cpu", "update_disk",
                  "writeset_cpu", "writeset_disk")
-        for i in range(3 * _BLOCK):
+        for i in range(3 * sampling._BLOCK):
             kind = kinds[i % len(kinds)]
             assert getattr(blocked, kind)() == getattr(client, kind)()
 
