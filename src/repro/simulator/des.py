@@ -17,8 +17,9 @@ reads top-to-bottom in the system assemblies.
 Cost model: one heap entry per event and no allocation per effect beyond
 the effect itself.  :meth:`Environment.start` wraps each generator once in
 a :class:`_Process`, which *is* the callback every effect resumes it
-through — a ``Timeout`` pushes it straight onto the heap, a ``Service``
-hands it to the resource, an ``Acquire`` to the semaphore.  A heap entry
+through.  On a ``Timeout`` the process pushes itself straight onto the
+heap (a ``Timeout`` has no ``apply``); a ``Service`` hands it to the
+resource, an ``Acquire`` to the semaphore.  A heap entry
 is the list ``[time, sequence, callback, args]`` and doubles as the
 event's handle: :meth:`Environment.cancel` clears its callback.
 """
@@ -203,9 +204,6 @@ class Timeout(_Effect):
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
-
-    def apply(self, env: Environment, resume: Callable[[], None]) -> None:
-        env.schedule(self.delay, resume)
 
 
 class Service(_Effect):

@@ -81,6 +81,9 @@ class SimReplica:
         #: True once the replica has crashed for good: its state is lost,
         #: writesets are dropped instead of deferred, and only replacement
         #: by a fresh member (state transfer) can restore redundancy.
+        #: Invariant: ``__dict__["available"] == (self._available and not
+        #: self.failed)``; only :meth:`_set_available` and :meth:`crash`
+        #: change these three fields.
         self.failed = False
         #: Writesets received while down, applied in bulk on recovery.
         self._deferred: List[Tuple[int, bool]] = []
