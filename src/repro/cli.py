@@ -34,6 +34,7 @@ from typing import List, Optional
 from . import experiments
 from .core.errors import ConfigurationError, EngineError, ReproError
 from .core.rng import DEFAULT_SEED
+from .core.topology import DESIGNS, REPLICATED_DESIGNS
 from .core.units import to_ms
 from .engine import (
     RUN_WIDE,
@@ -49,7 +50,7 @@ from .engine import (
     scenario_names_with_tag,
     scenario_points,
 )
-from .models.api import DESIGNS, predict
+from .models.api import predict
 from .simulator.runner import simulate
 from .simulator.systems import LB_POLICIES
 from .workloads import get_workload, workload_names
@@ -799,7 +800,8 @@ def _add_instrumented_options(parser: argparse.ArgumentParser, pillars,
     """The one-instrumented-point flags ``metrics`` and ``trace`` share
     (read by :func:`_instrumented_run`)."""
     parser.add_argument("--workload", default="tpcw/shopping")
-    parser.add_argument("--design", choices=DESIGNS, default="multi-master")
+    parser.add_argument("--design", choices=REPLICATED_DESIGNS,
+                        default="multi-master")
     parser.add_argument("--pillar", choices=pillars, default="simulator",
                         help=pillar_help)
     parser.add_argument("--replicas", type=int, default=3)
@@ -864,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict replicated performance")
     p.add_argument("workload")
-    p.add_argument("--design", choices=DESIGNS, default="multi-master")
+    p.add_argument("--design", choices=REPLICATED_DESIGNS,
+                   default="multi-master")
     p.add_argument("--replicas", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     p.add_argument("--fast", action="store_true",
                    help="use fast profiling settings")
@@ -873,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measure replicated performance")
     p.add_argument("workload")
     p.add_argument("--design",
-                   choices=("standalone",) + tuple(DESIGNS),
+                   choices=DESIGNS,
                    default="multi-master")
     p.add_argument("--replicas", type=int, nargs="+", default=[1, 2, 4, 8])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -925,7 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="tpcw",
                    help="workload name; bare benchmark names pick the "
                    "primary mix (tpcw -> tpcw/shopping)")
-    p.add_argument("--design", choices=DESIGNS, default="multi-master")
+    p.add_argument("--design", choices=REPLICATED_DESIGNS,
+                   default="multi-master")
     p.add_argument("--replicas", type=int, default=4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--warmup", type=float, default=5.0,
@@ -1058,10 +1062,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.  A refused option combination is a usage error on
+    every verb: one line, ``repro <verb>: <message>``, and exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,18 +30,18 @@ quiesce — the replication-correctness check.
 from .balancer import LoadBalancer
 from .channel import ReplicationChannel
 from .clock import VirtualClock
-from .cluster import Cluster, MultiMasterCluster, SingleMasterCluster
+from .cluster import (
+    Cluster,
+    MultiMasterCluster,
+    ShardedMultiMasterCluster,
+    SingleMasterCluster,
+)
 from .replica import ClusterReplica
 from .resources import LiveResource
-from .runner import CLUSTER_DESIGNS, ClusterResult, run_cluster
-from .sharded import (
-    ShardDelivery,
-    ShardedClusterReplica,
-    ShardedMultiMasterCluster,
-)
+from .runner import ClusterResult, run_cluster
+from .sharded import ShardDelivery, ShardedClusterReplica
 
 __all__ = [
-    "CLUSTER_DESIGNS",
     "Cluster",
     "ClusterReplica",
     "ClusterResult",

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.errors import ConfigurationError
 from ..simulator.systems import (
     CAPACITY_WEIGHTED,
     CONFLICT_AWARE,
@@ -43,13 +42,11 @@ __all__ = [
 
 
 class LoadBalancer:
-    """Routes transactions to replicas according to a named policy."""
+    """Routes transactions to replicas according to a named policy (one
+    of :data:`LB_POLICIES`, checked with the run's other options by
+    :meth:`~repro.simulator.systems.RunOptions.validate`)."""
 
     def __init__(self, policy: str, rng: np.random.Generator) -> None:
-        if policy not in LB_POLICIES:
-            raise ConfigurationError(
-                f"unknown lb_policy {policy!r}; one of {LB_POLICIES}"
-            )
         self.policy = policy
         self._rng = rng
         self._rng_lock = threading.Lock()

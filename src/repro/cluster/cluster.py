@@ -14,11 +14,12 @@ system-wide one) and streams committed writesets to the read-only slaves.
 
 The transaction protocol is written once, in :meth:`Cluster.execute`;
 what differs sits behind two seams fixed at construction: a
-:class:`~repro.simulator.systems.Topology` (who executes updates) and a
+:class:`~repro.core.topology.Topology` (who executes updates) and a
 certification path (:class:`GlobalCertification` here,
-:class:`~.sharded.ShardedCertification` for per-partition shards).  The
+:class:`~.sharded.ShardedCertification` for per-partition shards), both
+read off the run's :class:`~repro.simulator.systems.RunOptions`.  The
 fleet around it — initial replicas, joiner names, removal targets,
-member counts and every refusal — is the simulator's
+member counts and membership refusals — is the simulator's
 :class:`~repro.simulator.systems.Fleet`; only the join and leave
 mechanics live here.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core import rng as rng_util
 from ..core.errors import (
@@ -46,21 +47,18 @@ from ..core.errors import (
     TransactionAborted,
 )
 from ..core.params import ReplicationConfig
+from ..core.topology import MASTER, MULTI_MASTER_TOPOLOGY, SINGLE_MASTER_TOPOLOGY
 from ..sidb.certifier import GlobalCertifier
-from ..sidb.certifier_api import CertificationOutcome
-from ..simulator.sampling import EXPONENTIAL, ServiceSampler, WorkloadSampler
+from ..sidb.certifier_api import CertificationOutcome, CertifierSpec
+from ..simulator.sampling import ServiceSampler, WorkloadSampler
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import (
-    MASTER,
-    MULTI_MASTER_TOPOLOGY,
-    SINGLE_MASTER_TOPOLOGY,
-    Fleet,
-)
+from ..simulator.systems import Fleet, RunOptions
 from ..workloads.spec import WorkloadSpec
 from .balancer import LoadBalancer
 from .channel import ReplicationChannel
 from .clock import VirtualClock
 from .replica import ClusterReplica
+from .sharded import ShardedCertification
 
 #: Every this many certification requests the cluster garbage-collects
 #: state no snapshot can reach (certifier history / master versions); the
@@ -167,29 +165,15 @@ class Cluster(Fleet):
     #: transactions when the caller names no ``drain_timeout``.
     drain_timeout = 30.0
 
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        config: ReplicationConfig,
-        seed: int,
-        clock: VirtualClock,
-        metrics: MetricsCollector,
-        distribution: str = EXPONENTIAL,
-        lb_policy: str = "least-loaded",
-        capacities: Optional[Sequence[float]] = None,
-        partition_map=None,
-        certifier_spec=None,
-        certification=None,
-    ) -> None:
+    def __init__(self, spec: WorkloadSpec, config: ReplicationConfig,
+                 seed: int, clock: VirtualClock, metrics: MetricsCollector,
+                 options: Optional[RunOptions] = None) -> None:
         self.clock = clock
-        super().__init__(
-            spec, config, seed, metrics, distribution, capacities,
-            partition_map, certifier_spec, certification,
-        )
+        super().__init__(spec, config, seed, metrics, options)
         #: Serialises MetricsCollector access across client threads.
         self.metrics_lock = threading.Lock()
         self.balancer = LoadBalancer(
-            lb_policy, rng_util.spawn(seed, "live-load-balancer")
+            self.options.lb_policy, rng_util.spawn(seed, "live-load-balancer")
         )
         self._prune_lock = threading.Lock()
         # Serialises elastic membership changes (add/remove) against each
@@ -209,6 +193,9 @@ class Cluster(Fleet):
     def _global_certification(self, certifier_spec) -> GlobalCertification:
         # The path also owns the commit-order lock and replication channel.
         return GlobalCertification(self.clock, certifier_spec)
+
+    def _sharded_certification(self, certifier_spec) -> ShardedCertification:
+        return ShardedCertification(self.clock, self.spec, certifier_spec)
 
     def _new_replica(self, name: str, sampler: ServiceSampler,
                      capacity: float, hosted_partitions) -> ClusterReplica:
@@ -412,7 +399,7 @@ class Cluster(Fleet):
             sampler = ServiceSampler(
                 self.spec,
                 rng_util.spawn(self._seed, "live-join", replica.name),
-                distribution=self._distribution,
+                distribution=self.options.distribution,
             )
             for _ in range(transfer_writesets):
                 if replica.stopping:
@@ -614,6 +601,17 @@ class MultiMasterCluster(Cluster):
     """Figure 4: N symmetric live replicas + shared certifier service."""
 
     topology = MULTI_MASTER_TOPOLOGY
+
+
+class ShardedMultiMasterCluster(MultiMasterCluster):
+    """Figure 4 with the write path sharded: one certifier shard (and
+    one replication channel) per partition — the multi-master cluster a
+    run with ``certifier="sharded"`` builds, spelt as a class."""
+
+    def __init__(self, spec, config, seed, clock, metrics,
+                 certifier_spec: CertifierSpec) -> None:
+        super().__init__(spec, config, seed, clock, metrics, RunOptions(
+            certifier=certifier_spec).validate(spec, config))
 
 
 class SingleMasterCluster(Cluster):

@@ -39,31 +39,21 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import rng as rng_util
-from ..core.errors import ConfigurationError, SimulationError
+from ..core.errors import SimulationError
 from ..core.params import ReplicationConfig
 from ..core.rng import DEFAULT_SEED
-from ..sidb.certifier_api import resolve_certifier_spec
+from ..core.topology import MULTI_MASTER, REPLICATED_DESIGNS, SINGLE_MASTER
 from ..simulator.faults import BROWNOUT, CRASH, ReplicaFault, scale_replica_rates
-from ..simulator.runner import (
-    MULTI_MASTER,
-    SINGLE_MASTER,
-    SimulationResult,
-    assembly_class,
-    attach_recorder,
-    check_run_options,
-    measured_fields,
-)
+from ..simulator.runner import SimulationResult, attach_recorder, measured_fields
 from ..simulator.sampling import EXPONENTIAL, WorkloadSampler
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import LEAST_LOADED, check_supported
+from ..simulator.systems import LEAST_LOADED, RunOptions
 from ..workloads.spec import WorkloadSpec
 from .clock import VirtualClock
 from .cluster import Cluster, MultiMasterCluster, SingleMasterCluster
-from .sharded import ShardedMultiMasterCluster
 
-#: System designs the live runtime can assemble.
-CLUSTER_DESIGNS = (MULTI_MASTER, SINGLE_MASTER)
-
+#: The live assembly of each replicated design (the live runtime builds
+#: no standalone database).
 _CLUSTER_CLASSES = {
     MULTI_MASTER: MultiMasterCluster,
     SINGLE_MASTER: SingleMasterCluster,
@@ -191,7 +181,7 @@ def _open_loop_source(
         sampler = WorkloadSampler(
             cluster.spec,
             rng_util.spawn(seed, client_stream, sequence),
-            distribution=cluster._distribution,
+            distribution=cluster.options.distribution,
             partition_map=cluster.partition_map,
         )
         drivers.launch(
@@ -249,7 +239,8 @@ def _fault_process(
 class ClusterRun:
     """One live run: clock + cluster + driver threads + the epilogue.
 
-    Building it starts the cluster's applier threads and (when telemetry
+    Built from validated :class:`~repro.simulator.systems.RunOptions`;
+    building it starts the cluster's applier threads and (when telemetry
     is on) the fleet-sampler task; the caller then installs faults,
     starts traffic and spawns tasks, and calls :meth:`measure`, whose
     ``finally`` stops every driver and shuts the cluster down on every
@@ -259,20 +250,15 @@ class ClusterRun:
 
     pillar = "cluster"
 
-    def __init__(self, design: str, spec: WorkloadSpec,
+    def __init__(self, options: RunOptions, spec: WorkloadSpec,
                  config: ReplicationConfig, seed: int,
                  metrics: MetricsCollector, time_scale: float, *,
-                 telemetry=None, certifier_spec=None,
-                 quiesce_timeout: float = 30.0, **cluster_options) -> None:
-        cluster_class, extra = assembly_class(
-            _CLUSTER_CLASSES, ShardedMultiMasterCluster, design,
-            certifier_spec,
-        )
+                 telemetry=None, quiesce_timeout: float = 30.0) -> None:
         self.clock = VirtualClock(time_scale)
         self.metrics = metrics
-        self.fleet = cluster_class(
-            spec, config, seed, self.clock, metrics,
-            **cluster_options, **extra,
+        #: The cluster the (validated) *options* describe.
+        self.fleet = _CLUSTER_CLASSES[options.design](
+            spec, config, seed, self.clock, metrics, options
         )
         #: Sample slicing and window marks are taken under the lock the
         #: client threads record commits under.
@@ -417,37 +403,27 @@ def run_cluster(
     """Execute *spec* on a live *design* cluster and measure steady state.
 
     *warmup* and *duration* are virtual seconds; the wall cost is
-    ``(warmup + duration) * time_scale`` plus drain time.  See
-    :func:`repro.simulator.runner.simulate` for the shared parameter
-    semantics (*faults*, *arrival_rate*, *lb_policy*, *distribution*,
-    *partition_map*, *telemetry*, *certifier*).  Telemetry samples the
-    fleet from a dedicated thread on the configured virtual interval and
-    attaches a :class:`repro.telemetry.TelemetryResult`
-    (``pillar="cluster"``) with the same metric-name schema the
-    simulator emits.  ``certifier="sharded"`` (or a sharded
-    :class:`~repro.sidb.certifier_api.CertifierSpec`) assembles
-    :class:`~repro.cluster.sharded.ShardedMultiMasterCluster` —
-    per-partition certifier shards, channels and order locks — while
-    ``None`` keeps the single shared certifier byte-identical to before
-    the sharded path existed.
+    ``(warmup + duration) * time_scale`` plus drain time.  The run
+    options mean what they mean for
+    :func:`repro.simulator.runner.simulate` (the fields of
+    :class:`~repro.simulator.systems.RunOptions`), minus the standalone
+    design.  Telemetry samples the fleet from a dedicated thread on the
+    configured virtual interval and attaches a
+    :class:`repro.telemetry.TelemetryResult` (``pillar="cluster"``) with
+    the same metric-name schema the simulator emits.
     """
-    certifier_spec = resolve_certifier_spec(certifier)
-    check_run_options(distribution, lb_policy, warmup, duration)
-    if arrival_rate is not None and arrival_rate <= 0:
-        raise ConfigurationError(
-            f"arrival rate must be positive, got {arrival_rate}"
-        )
-    checked_faults = check_supported(design, partition_map=partition_map,
-                                     faults=faults, replicas=config.replicas)
-    run = ClusterRun(
-        design, spec, config, seed, MetricsCollector(), time_scale,
-        telemetry=telemetry, certifier_spec=certifier_spec,
-        quiesce_timeout=quiesce_timeout,
-        distribution=distribution, lb_policy=lb_policy,
+    options = RunOptions(
+        design=design, distribution=distribution, lb_policy=lb_policy,
         capacities=capacities, partition_map=partition_map,
+        certifier=certifier, faults=faults, arrival_rate=arrival_rate,
+    ).validate(spec, config, designs=REPLICATED_DESIGNS,
+               window=(warmup, duration))
+    run = ClusterRun(
+        options, spec, config, seed, MetricsCollector(), time_scale,
+        telemetry=telemetry, quiesce_timeout=quiesce_timeout,
     )
     cluster = run.fleet
-    run.install_faults(checked_faults)
+    run.install_faults(options.faults)
     if arrival_rate is None:
         for client_id in range(config.total_clients):
             sampler = WorkloadSampler(

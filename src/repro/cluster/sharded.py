@@ -3,10 +3,9 @@
 :class:`ShardedCertification` plugs per-partition
 :class:`~repro.sidb.sharded.ShardedCertifier` shards — and one order
 lock and one replication channel *per shard* — into the one protocol
-body (:meth:`~.cluster.Cluster.execute`);
-:class:`ShardedMultiMasterCluster` is the multi-master assembly whose
-constructor selects it (the live counterpart of
-:class:`~repro.simulator.sharded.ShardedMultiMasterSystem`).  Against
+body (:meth:`~.cluster.Cluster.execute`); a multi-master cluster whose
+run chose ``certifier="sharded"`` takes it, as the simulator's fleet
+takes :class:`~repro.simulator.sharded.ShardedCertification`.  Against
 the global path:
 
 * **Per-shard commit order.**  Each certifier shard has its own order
@@ -52,13 +51,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, SimulationError
-from ..sidb.certifier_api import CertifierSpec, require_sharded
+from ..sidb.certifier_api import CertifierSpec
 from ..sidb.sharded import ShardedCertifier
 from ..sidb.writeset import Writeset
-from ..simulator.sampling import EXPONENTIAL, ServiceSampler
+from ..simulator.sampling import ServiceSampler
 from ..simulator.systems import hosts_any
 from .channel import ReplicationChannel
-from .cluster import MultiMasterCluster
 from .replica import _VACUUM_INTERVAL, ClusterReplica
 
 
@@ -247,9 +245,7 @@ class ShardedCertification:
     #: replay: the fleet refuses membership changes on this path.
     elastic = False
 
-    def __init__(self, clock, spec,
-                 certifier_spec: Optional[CertifierSpec]) -> None:
-        require_sharded(certifier_spec, spec, "ShardedMultiMasterCluster")
+    def __init__(self, clock, spec, certifier_spec: CertifierSpec) -> None:
         self._clock = clock
         self._service_time = certifier_spec.service_time
         self._shard_count = spec.partitions
@@ -386,18 +382,3 @@ class ShardedCertification:
                 if p in floors and floor < floors[p]:
                     floors[p] = floor
         self.certifier.observe_snapshot(floors)
-
-
-class ShardedMultiMasterCluster(MultiMasterCluster):
-    """Figure 4 with the write path sharded: N symmetric live replicas,
-    one certifier shard (and one replication channel) per partition."""
-
-    def __init__(self, spec, config, seed, clock, metrics,
-                 distribution=EXPONENTIAL, lb_policy="least-loaded",
-                 capacities=None, partition_map=None,
-                 certifier_spec: Optional[CertifierSpec] = None):
-        super().__init__(
-            spec, config, seed, clock, metrics, distribution, lb_policy,
-            capacities, partition_map, certifier_spec,
-            certification=ShardedCertification(clock, spec, certifier_spec),
-        )

@@ -43,24 +43,21 @@ is exactly deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.params import ReplicationConfig, StandaloneProfile
 from ..core.rng import DEFAULT_SEED
+from ..core.topology import MULTI_MASTER
 from ..ops.events import OpsEvent
 from ..ops.health import HealthMonitor
 from ..ops.plan import OpsPlan
 from ..ops.rolling import rolling_restart
-from ..simulator.runner import (
-    MULTI_MASTER,
-    SimRun,
-    check_run_options,
-)
+from ..simulator.runner import SimRun
 from ..simulator.sampling import EXPONENTIAL
 from ..simulator.stats import MetricsCollector
-from ..simulator.systems import LEAST_LOADED, check_supported
+from ..simulator.systems import LEAST_LOADED, RunOptions, check_supported
 from ..telemetry import render_events
 from ..workloads.spec import WorkloadSpec
 from .controller import ControlObservation, make_controller
@@ -156,11 +153,6 @@ class AutoscaleResult:
         if self.window <= 0:
             return 0.0
         return self.replica_seconds / self.window
-
-    @property
-    def replica_hours(self) -> float:
-        """Replica-seconds expressed in replica-hours."""
-        return self.replica_seconds / 3600.0
 
     def savings_vs(self, baseline: "AutoscaleResult") -> float:
         """Fraction of replica-seconds saved against *baseline*."""
@@ -382,28 +374,29 @@ def _every(state: _ControlState, interval: float, now, action):
 
 
 def _run_elastic(
-    assemble, spec: WorkloadSpec, trace: LoadTrace, policy, design: str, *,
-    profile, seed, warmup, duration, control_interval, slo_response,
-    min_replicas, max_replicas, transfer_writesets, distribution, lb_policy,
-    config, ops, capacities, capacity_source,
+    assemble, spec: WorkloadSpec, trace: LoadTrace, policy,
+    options: RunOptions, *, profile, seed, warmup, duration,
+    control_interval, slo_response, min_replicas, max_replicas,
+    transfer_writesets, config, ops, capacity_source,
 ) -> AutoscaleResult:
     """The elastic run loop, written once for both pillars.
 
-    ``assemble(run_config, metrics)`` builds the substrate's run object at
-    the controller's initial size with trace traffic started
+    ``assemble(options, run_config, metrics)`` builds the substrate's run
+    object from the validated *options* at the controller's initial size
+    with trace traffic started
     (:class:`~repro.simulator.runner.SimRun` or
     :class:`~repro.cluster.runner.ClusterRun`).  Everything else happens
     here, in an order that is behaviour on the DES (event-heap ties break
     by insertion): fault installs → detect task → rolling task → control
     task → ``measure``.  The run is closed once the result is assembled.
     """
+    design = options.design
     # Refused before the controller is built: a model-driven policy would
     # otherwise fail first, sizing a design the models do not know.  The
-    # fault schedule is checked once the initial fleet size is known.
+    # options are validated once the initial fleet size is known.
     check_supported(design, membership=True)
     if trace.max_rate <= 0:
         raise ConfigurationError("trace peak rate must be positive")
-    check_run_options(distribution, lb_policy, warmup, duration)
     if control_interval <= 0:
         raise ConfigurationError("control_interval must be positive")
     if slo_response <= 0:
@@ -419,13 +412,13 @@ def _run_elastic(
     def clamp(target: int) -> int:
         return max(min_replicas, min(max_replicas, target))
 
-    initial = clamp(controller.initial_target())
+    run_config = base_config.with_replicas(clamp(controller.initial_target()))
     plan = ops if ops is not None and ops.active else None
-    faults = (check_supported(design, faults=plan.faults, replicas=initial)
-              if plan else ())
+    checked = replace(options, faults=plan.faults if plan else ()).validate(
+        spec, run_config, window=(warmup, duration))
 
     metrics = _SampledMetrics()
-    run = assemble(base_config.with_replicas(initial), metrics)
+    run = assemble(checked, run_config, metrics)
     fleet, recorder = run.fleet, run.recorder
     window_start, window_end = warmup, warmup + duration
     state = _ControlState(last_attached=len(fleet.replicas),
@@ -458,7 +451,7 @@ def _run_elastic(
     # estimated-capacity mode scales out around a browned-out replica).
     reconcile = ops is None or not ops.manages_membership
     if plan is not None:
-        run.install_faults(faults, state.record)
+        run.install_faults(checked.faults, state.record)
         if plan.self_heal:
             monitor = HealthMonitor(fleet, plan.transfer_writesets,
                                     state.events)
@@ -585,7 +578,8 @@ def _run_elastic(
         final_versions=final_versions,
         abort_rate=metrics.abort_rate(),
         ops_events=tuple(sorted(state.events, key=lambda e: e.time)),
-        capacities=tuple(capacities) if capacities else (),
+        # As the caller spelt them (validation normalises to floats).
+        capacities=tuple(options.capacities or ()),
         telemetry=None if recorder is None else recorder.result(),
         perf=perf.report() if perf is not None else None,
     )
@@ -670,23 +664,20 @@ def autoscale_sim(
     recovers throughput when a replica silently browns out.  The
     estimator also engages (observe-only) on any telemetry-enabled run.
     """
-    def assemble(run_config, metrics):
-        run = SimRun(
-            design, spec, run_config, seed, metrics,
-            telemetry=telemetry, drain=_SIM_DRAIN,
-            distribution=distribution, lb_policy=lb_policy,
-            capacities=capacities,
-        )
+    def assemble(options, run_config, metrics):
+        run = SimRun(options, spec, run_config, seed, metrics,
+                     telemetry=telemetry, drain=_SIM_DRAIN)
         run.fleet.start_trace_arrivals(trace)
         return run
 
     return _run_elastic(
-        assemble, spec, trace, policy, design,
+        assemble, spec, trace, policy,
+        RunOptions(design=design, distribution=distribution,
+                   lb_policy=lb_policy, capacities=capacities),
         profile=profile, seed=seed, warmup=warmup, duration=duration,
         control_interval=control_interval, slo_response=slo_response,
         min_replicas=min_replicas, max_replicas=max_replicas,
-        transfer_writesets=transfer_writesets, distribution=distribution,
-        lb_policy=lb_policy, config=config, ops=ops, capacities=capacities,
+        transfer_writesets=transfer_writesets, config=config, ops=ops,
         capacity_source=capacity_source,
     )
 
@@ -731,22 +722,20 @@ def autoscale_cluster(
     """
     from ..cluster.runner import ClusterRun
 
-    def assemble(run_config, metrics):
-        run = ClusterRun(
-            design, spec, run_config, seed, metrics, time_scale, telemetry=telemetry, quiesce_timeout=quiesce_timeout,
-            distribution=distribution, lb_policy=lb_policy,
-            capacities=capacities,
-        )
+    def assemble(options, run_config, metrics):
+        run = ClusterRun(options, spec, run_config, seed, metrics, time_scale,
+                         telemetry=telemetry, quiesce_timeout=quiesce_timeout)
         run.fleet.drain_timeout = drain_timeout
         run.start_arrivals(seed, trace=trace)
         return run
 
     return _run_elastic(
-        assemble, spec, trace, policy, design,
+        assemble, spec, trace, policy,
+        RunOptions(design=design, distribution=distribution,
+                   lb_policy=lb_policy, capacities=capacities),
         profile=profile, seed=seed, warmup=warmup, duration=duration,
         control_interval=control_interval, slo_response=slo_response,
         min_replicas=min_replicas, max_replicas=max_replicas,
-        transfer_writesets=transfer_writesets, distribution=distribution,
-        lb_policy=lb_policy, config=config, ops=ops, capacities=capacities,
+        transfer_writesets=transfer_writesets, config=config, ops=ops,
         capacity_source=capacity_source,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.params import ConflictProfile, WorkloadMix
+from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..engine import (
     CLUSTER,
     SIMULATOR,
@@ -36,7 +37,6 @@ from ..engine import (
 )
 from ..engine.scenario import profile_task
 from ..models.api import predict
-from ..simulator.runner import MULTI_MASTER, SINGLE_MASTER
 from ..workloads import tpcw
 from ..workloads.spec import WorkloadSpec, demands_ms
 from .autoscale import AutoscaleComparison

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import EngineError
-from ..sidb.certifier_api import require_sharded, resolve_certifier_spec
-from ..simulator.runner import DESIGNS, MULTI_MASTER, assembly_class
+from ..core.topology import TOPOLOGIES
+from ..simulator.systems import RunOptions
 from .backends import accepted_options, execute_point
 from .cache import ResultCache, point_key, profile_key, resolve_cache
 from .scenario import PROFILE, SIMULATOR, ProfileTask, Scenario, SweepPoint
@@ -265,24 +265,26 @@ def execute_points(
 
 
 #: Run-wide options :class:`~repro.experiments.settings.ExperimentSettings`
-#: may carry, and the designs each is limited to (empty: any).  Which
+#: may carry, and the designs each is limited to (empty: any) — a
+#: certifier only where the topology has a certifier axis.  Which
 #: backends take one is not restated here: it is whether the harness
 #: behind the point has the keyword.
-RUN_WIDE = {"telemetry": (), "certifier": (MULTI_MASTER,),
+RUN_WIDE = {"telemetry": (),
+            "certifier": tuple(design for design, topology
+                               in TOPOLOGIES.items() if topology.certifier_axis),
             "capacity_source": ()}
 
 
 def check_point(point: SweepPoint) -> None:
-    """Run the harnesses' own option validators on *point*, so an
-    unsupported combination fails before the first point of a grid runs
-    rather than in the middle of it."""
+    """Validate the run-wide options overlaid on *point* the way its
+    harness will (:meth:`~repro.simulator.systems.RunOptions.validate`),
+    so an unsupported combination fails before the first point of a grid
+    runs rather than in the middle of it."""
     from ..control.estimator import resolve_capacity_source
 
-    certifier = resolve_certifier_spec(point.option("certifier"))
-    if certifier is not None:
-        assembly_class(dict.fromkeys(DESIGNS), None, point.design, certifier)
-        if certifier.is_sharded:
-            require_sharded(certifier, point.spec, f"a {point.backend} point")
+    if point.option("certifier") is not None:
+        RunOptions(point.design, certifier=point.option("certifier")
+                   ).validate(point.spec, point.config)
     resolve_capacity_source(point.option("capacity_source"))
 
 

@@ -27,6 +27,7 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 from ..core.params import CPU, DISK
+from ..core.topology import MULTI_MASTER
 from ..engine import (
     Scenario,
     execute_points,
@@ -40,7 +41,6 @@ from ..models.multimaster import CW_FIXED_POINT, CW_ONE_STEP_LAG
 from ..queueing.mva import approximate_mva, solve_mva
 from ..queueing.network import ClosedNetwork, queueing_center
 from ..workloads import tpcw
-from .figures import MULTI_MASTER
 from .settings import ExperimentSettings
 
 

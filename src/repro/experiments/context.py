@@ -87,8 +87,3 @@ def get_profile(spec: WorkloadSpec, settings: ExperimentSettings) -> StandaloneP
 def clear_cache() -> None:
     """Drop all cached profiles (tests use this for isolation)."""
     _cache.clear()
-
-
-def cache_size() -> int:
-    """Number of cached profiling reports."""
-    return len(_cache)

@@ -31,6 +31,7 @@ from ..cluster import ClusterResult
 from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig, StandaloneProfile
 from ..core.rng import DEFAULT_SEED
+from ..core.topology import MULTI_MASTER
 from ..core.units import to_ms
 from ..engine import (
     Scenario,
@@ -40,7 +41,6 @@ from ..engine import (
     register_scenario,
     sim_point,
 )
-from ..simulator.runner import MULTI_MASTER
 from ..simulator.sampling import EXPONENTIAL
 from ..simulator.systems import LEAST_LOADED
 from ..workloads import get_workload, tpcw

@@ -38,6 +38,7 @@ from ..core.results import (
     ValidationPoint,
     ValidationSeries,
 )
+from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..core.units import to_ms
 from ..engine import (
     MODEL,
@@ -53,9 +54,6 @@ from ..workloads import microbench, rubis, tpcw
 from ..workloads.spec import WorkloadSpec
 from .context import get_profiling_report
 from .settings import ExperimentSettings
-
-MULTI_MASTER = "multi-master"
-SINGLE_MASTER = "single-master"
 
 _BENCHMARKS: Dict[str, Dict[str, WorkloadSpec]] = {
     "tpcw": dict(tpcw.MIXES),

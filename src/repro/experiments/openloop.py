@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
+from ..core.topology import STANDALONE
 from ..engine import Scenario, register_scenario, sim_point
 from ..models.standalone import predict_standalone
-from ..simulator.runner import STANDALONE
 from ..workloads import tpcw
 from ..workloads.spec import WorkloadSpec
 from .context import get_profile

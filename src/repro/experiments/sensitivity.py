@@ -24,6 +24,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core import rng as rng_util
+from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..engine import (
     Scenario,
     execute_points,
@@ -35,7 +36,7 @@ from ..engine import (
 from ..simulator.des import Environment, Timeout
 from ..simulator.stats import RunningStats
 from ..workloads import tpcw
-from .figures import MULTI_MASTER, SINGLE_MASTER, assemble_sweep, sweep_points
+from .figures import assemble_sweep, sweep_points
 from .settings import ExperimentSettings
 
 

@@ -14,13 +14,28 @@ from typing import Iterable, Optional, Sequence
 from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig, StandaloneProfile
 from ..core.results import Prediction, ScalabilityCurve
+from ..core.topology import (
+    MULTI_MASTER,
+    PARTITION_MODEL_IS_MULTI_MASTER,
+    REPLICATED_DESIGNS,
+    SINGLE_MASTER,
+    topology_of,
+)
 from .multimaster import MultiMasterOptions, predict_multimaster
 from .singlemaster import predict_singlemaster
 
 #: Replicated system designs supported by the models.
-MULTI_MASTER = "multi-master"
-SINGLE_MASTER = "single-master"
-DESIGNS = (MULTI_MASTER, SINGLE_MASTER)
+DESIGNS = REPLICATED_DESIGNS
+
+__all__ = [
+    "DESIGNS",
+    "MULTI_MASTER",
+    "SINGLE_MASTER",
+    "compare_designs",
+    "predict",
+    "predict_curve",
+    "replicas_for_throughput",
+]
 
 
 def predict(
@@ -48,6 +63,7 @@ def predict(
     model; the single-master design has no shared certifier, so a
     non-default spec there is an error.
     """
+    topology = topology_of(design, DESIGNS)
     if design == MULTI_MASTER:
         return predict_multimaster(
             profile, config, options=mm_options,
@@ -57,21 +73,12 @@ def predict(
             certifier=certifier,
             partitions=partitions,
         )
-    if design == SINGLE_MASTER:
-        if partition_map is not None:
-            raise ConfigurationError(
-                "the partition-aware model covers multi-master only"
-            )
-        from ..sidb.certifier_api import resolve_certifier_spec
-
-        certifier_spec = resolve_certifier_spec(certifier)
-        if certifier_spec is not None and not certifier_spec.is_default:
-            raise ConfigurationError(
-                "the certifier axis is multi-master only (the certifier "
-                f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
-            )
-        return predict_singlemaster(profile, config)
-    raise ConfigurationError(f"unknown design {design!r}; expected one of {DESIGNS}")
+    # The topology refuses a certifier choice here exactly as it does on
+    # the simulator and the live cluster (RunOptions.validate).
+    topology.resolve_certifier(certifier, partitions)
+    if partition_map is not None:
+        raise ConfigurationError(PARTITION_MODEL_IS_MULTI_MASTER)
+    return predict_singlemaster(profile, config)
 
 
 def predict_curve(

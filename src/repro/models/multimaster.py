@@ -30,9 +30,9 @@ from ..core.params import (
     StandaloneProfile,
 )
 from ..core.results import OperatingPoint, Prediction, ReplicaBreakdown
+from ..core.topology import MULTI_MASTER_TOPOLOGY
 from ..queueing.mva import MVAStepper
 from ..queueing.network import ClosedNetwork, delay_center, queueing_center
-from ..sidb.certifier_api import resolve_certifier_spec
 from .aborts import multimaster_abort_rate, partition_abort_mixture
 from .demands import multimaster_demand
 
@@ -107,12 +107,6 @@ def _shard_weights(partition_weights, partitions):
         if total <= 0.0:
             raise ConfigurationError("partition weights must sum to > 0")
         return tuple(w / total for w in weights)
-    if partitions is None or partitions < 2:
-        raise ConfigurationError(
-            "the sharded certifier model needs partitions >= 2 (pass "
-            "partitions= or partition_weights=); use the global "
-            "certifier for unpartitioned predictions"
-        )
     return tuple(1.0 / partitions for _ in range(partitions))
 
 
@@ -160,7 +154,12 @@ def predict_multimaster(
     demands = profile.demands
     n = config.replicas
 
-    certifier_spec = resolve_certifier_spec(certifier)
+    # The design's own certifier refusals (RunOptions.validate's on the
+    # simulator and the live cluster): sharding needs >= 2 partitions.
+    certifier_spec = MULTI_MASTER_TOPOLOGY.resolve_certifier(
+        certifier,
+        partitions if partition_weights is None else len(partition_weights),
+    )
     sharded = certifier_spec is not None and certifier_spec.is_sharded
     service_time = 0.0 if certifier_spec is None else certifier_spec.service_time
     certify_rounds = 1.0

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ConfigurationError, ConvergenceError
 from ..core.params import ReplicationConfig, StandaloneProfile
 from ..core.results import Prediction
+from ..core.topology import topology_of
 from .api import DESIGNS, predict
 
 #: Relative slack on the population bound: ``Pr + Pw`` may miss 1 by 1e-9
@@ -50,12 +51,9 @@ class ReplicaScan:
     def __init__(
         self, design: str, profile: StandaloneProfile, config: ReplicationConfig
     ) -> None:
-        if design not in DESIGNS:
-            # Checked here, not at the first prediction: the scan may skip
-            # them all.
-            raise ConfigurationError(
-                f"unknown design {design!r}; expected one of {DESIGNS}"
-            )
+        # Checked here, not at the first prediction: the scan may skip
+        # them all.
+        topology_of(design, DESIGNS)
         self._design = design
         self._profile = profile
         self._config = config

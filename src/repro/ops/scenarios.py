@@ -41,6 +41,7 @@ from ..control.scenarios import (
     sim_dims,
 )
 from ..control.trace import DiurnalTrace
+from ..core.topology import MULTI_MASTER
 from ..engine import (
     CLUSTER,
     PROFILE,
@@ -50,7 +51,6 @@ from ..engine import (
 )
 from ..engine.scenario import profile_point, profile_task
 from ..simulator.faults import brownout_fault, crash_fault
-from ..simulator.runner import MULTI_MASTER
 from ..simulator.systems import CAPACITY_WEIGHTED, LEAST_LOADED, RANDOM
 from .events import OpsSummary, summarize
 from .plan import OpsPlan

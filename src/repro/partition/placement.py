@@ -30,11 +30,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
-
-#: Design names, duplicated here (not imported) to keep this module a
-#: leaf: everything — models, simulator, cluster — imports placement.
-MULTI_MASTER = "multi-master"
-SINGLE_MASTER = "single-master"
+from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.params import ConflictProfile, WorkloadMix
+from ..core.topology import MULTI_MASTER
 from ..engine import (
     CLUSTER,
     SIMULATOR,
@@ -41,7 +42,6 @@ from ..engine import (
 from ..engine.scenario import model_point, profile_task
 from ..models.planning import plan_placement
 from ..sidb.certifier_api import CertifierSpec
-from ..simulator.runner import MULTI_MASTER
 from ..simulator.systems import PARTITION_AWARE
 from ..workloads import get_workload
 from ..workloads.spec import WorkloadSpec, demands_ms

@@ -84,10 +84,6 @@ class TransactionLog:
         """The update transactions, in capture order."""
         return [r for r in self.records if r.kind == UPDATE]
 
-    def reads(self) -> List[LogRecord]:
-        """The read-only transactions, in capture order."""
-        return [r for r in self.records if r.kind == READ_ONLY]
-
 
 def capture_log(
     spec: WorkloadSpec,

@@ -27,11 +27,12 @@ from ..core.params import (
     StandaloneProfile,
     WorkloadMix,
 )
+from ..core.topology import STANDALONE
 from ..models.aborts import standalone_abort_rate
 from ..queueing.operational import utilization_law_demand
 from ..simulator.des import Environment, Timeout
 from ..simulator.replica import SimReplica
-from ..simulator.runner import STANDALONE, simulate
+from ..simulator.runner import simulate
 from ..simulator.sampling import ServiceSampler
 from ..simulator.stats import MetricsCollector
 from ..workloads.spec import WorkloadSpec

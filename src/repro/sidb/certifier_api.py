@@ -187,23 +187,6 @@ def resolve_certifier_spec(value) -> Optional[CertifierSpec]:
     )
 
 
-def require_sharded(certifier_spec: Optional[CertifierSpec], workload,
-                    assembly: str) -> None:
-    """Validate what a sharded assembly is built from: a sharded
-    *certifier_spec* and a partitioned *workload* spec (one certifier
-    shard per partition)."""
-    if certifier_spec is None or not certifier_spec.is_sharded:
-        raise ConfigurationError(
-            f"{assembly} requires a sharded CertifierSpec"
-        )
-    if workload.partitions < 2:
-        raise ConfigurationError(
-            "the sharded certifier needs a partitioned workload "
-            f"(spec {workload.name!r} has partitions={workload.partitions}); "
-            "use --certifier global for unpartitioned runs"
-        )
-
-
 def shard_version_key(shard: int, version: int) -> str:
     """The telemetry key of one per-shard version.
 

@@ -8,7 +8,7 @@ transaction commits (§2).  Read-only transactions always commit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..core.errors import ConfigurationError
 from .versionstore import VersionedStore
@@ -81,11 +81,6 @@ class Transaction:
         return not self._writes
 
     @property
-    def write_keys(self) -> frozenset:
-        """Keys written so far (the conflict footprint)."""
-        return frozenset(self._writes)
-
-    @property
     def read_keys(self) -> frozenset:
         """Keys read so far (diagnostics; SI does not validate reads)."""
         return frozenset(self._read_keys)
@@ -98,10 +93,6 @@ class Transaction:
             self.txn_id, self.snapshot_version, self._writes,
             partitions=self.partitions,
         )
-
-    def pending_writes(self) -> Iterator:
-        """Iterate buffered (key, value) pairs (engine internal)."""
-        return iter(self._writes.items())
 
     def mark_committed(self, version: int) -> None:
         """Engine callback: transition to COMMITTED at *version*."""

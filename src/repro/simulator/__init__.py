@@ -1,18 +1,11 @@
 """Discrete-event simulator of the paper's prototype systems (§5)."""
 
+from ..core.topology import DESIGNS, MULTI_MASTER, SINGLE_MASTER, STANDALONE
 from .des import Acquire, Environment, Semaphore, Service, Timeout
 from .faults import ReplicaFault
 from .replica import SimReplica
 from .resources import FIFOResource, ProcessorSharingResource
-from .runner import (
-    DESIGNS,
-    MULTI_MASTER,
-    SINGLE_MASTER,
-    STANDALONE,
-    SimulationResult,
-    measure_curve,
-    simulate,
-)
+from .runner import SimulationResult, measure_curve, simulate
 from .sampling import DISTRIBUTIONS, WorkloadSampler
 from .stats import MetricsCollector, RunningStats
 from .systems import (
@@ -21,6 +14,7 @@ from .systems import (
     PINNED,
     RANDOM,
     MultiMasterSystem,
+    RunOptions,
     SingleMasterSystem,
     StandaloneSystem,
 )
@@ -41,6 +35,7 @@ __all__ = [
     "MULTI_MASTER",
     "MultiMasterSystem",
     "ProcessorSharingResource",
+    "RunOptions",
     "RunningStats",
     "Service",
     "SimReplica",

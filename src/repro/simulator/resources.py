@@ -55,10 +55,6 @@ class ResourceStats:
         self.completions = 0
         self.work_done = 0.0
 
-    def snapshot(self) -> Tuple[float, int]:
-        """Return (busy_time, completions) for windowed measurements."""
-        return (self.busy_time, self.completions)
-
 
 def _check_rate(rate: float, name: str) -> float:
     if rate <= 0.0:

@@ -22,29 +22,22 @@ from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig
 from ..core.results import OperatingPoint, ScalabilityCurve
 from ..core.rng import DEFAULT_SEED
-from ..sidb.certifier_api import resolve_certifier_spec
+from ..core.topology import MULTI_MASTER, SINGLE_MASTER, STANDALONE
 from ..telemetry import Telemetry, active_config
 from ..workloads.spec import WorkloadSpec
 from .des import Environment, Timeout
 from .faults import ReplicaFault, install_faults
-from .sampling import DISTRIBUTIONS, EXPONENTIAL
-from .sharded import ShardedMultiMasterSystem
+from .sampling import EXPONENTIAL
 from .stats import MetricsCollector
 from .systems import (
-    LB_POLICIES,
     LEAST_LOADED,
     MultiMasterSystem,
+    RunOptions,
     SingleMasterSystem,
     StandaloneSystem,
-    check_supported,
 )
 
-#: System designs the simulator can build.
-STANDALONE = "standalone"
-MULTI_MASTER = "multi-master"
-SINGLE_MASTER = "single-master"
-DESIGNS = (STANDALONE, MULTI_MASTER, SINGLE_MASTER)
-
+#: The DES assembly of each design (the simulator builds them all).
 _SYSTEM_CLASSES = {
     STANDALONE: StandaloneSystem,
     MULTI_MASTER: MultiMasterSystem,
@@ -99,39 +92,6 @@ class SimulationResult:
         return self.point.abort_rate
 
 
-def check_run_options(distribution: str, lb_policy: str, warmup: float,
-                      duration: float) -> None:
-    """Reject the run options every harness on every pillar shares."""
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
-    if lb_policy not in LB_POLICIES:
-        raise ConfigurationError(f"unknown lb_policy {lb_policy!r}")
-    if warmup < 0 or duration <= 0:
-        raise ConfigurationError("warmup must be >= 0 and duration > 0")
-
-
-def assembly_class(classes: Dict[str, type], sharded_class: type,
-                   design: str, certifier_spec) -> Tuple[type, dict]:
-    """The assembly class for *design* on one pillar, and the constructor
-    options a non-default *certifier_spec* adds (the sharded certifier
-    swaps the multi-master assembly for *sharded_class*)."""
-    if design not in classes:
-        raise ConfigurationError(
-            f"unknown design {design!r}; one of {tuple(classes)}"
-        )
-    if certifier_spec is None or certifier_spec.is_default:
-        return classes[design], {}
-    if design != MULTI_MASTER:
-        raise ConfigurationError(
-            "the certifier axis is multi-master only (the certifier "
-            f"spec {certifier_spec.kind!r} cannot apply to {design!r})"
-        )
-    return (
-        sharded_class if certifier_spec.is_sharded else classes[design],
-        {"certifier_spec": certifier_spec},
-    )
-
-
 def attach_recorder(fleet, telemetry, pillar: str) -> Optional[Telemetry]:
     """Wire a recorder into *fleet* when *telemetry* asks for one."""
     telemetry_config = active_config(telemetry)
@@ -145,8 +105,9 @@ def attach_recorder(fleet, telemetry, pillar: str) -> Optional[Telemetry]:
 class SimRun:
     """One DES run: event loop + system + telemetry + measurement window.
 
-    Building it starts the fleet sampler (when telemetry is on) and
-    nothing else; the caller starts its traffic on :attr:`fleet`,
+    Built from validated :class:`~.systems.RunOptions`; building it
+    starts the fleet sampler (when telemetry is on) and nothing else;
+    the caller starts its traffic on :attr:`fleet`,
     installs faults and spawns tasks in the order it wants them to win
     event-heap ties, then calls :meth:`measure`.  The live counterpart
     with the same members is :class:`repro.cluster.runner.ClusterRun`.
@@ -156,18 +117,15 @@ class SimRun:
     #: Sample slicing needs no lock: the event loop is single-threaded.
     metrics_lock = contextlib.nullcontext()
 
-    def __init__(self, design: str, spec: WorkloadSpec,
+    def __init__(self, options: RunOptions, spec: WorkloadSpec,
                  config: ReplicationConfig, seed: int,
                  metrics: MetricsCollector, *, telemetry=None,
-                 certifier_spec=None, drain: float = 0.0,
-                 **system_options) -> None:
-        system_class, extra = assembly_class(
-            _SYSTEM_CLASSES, ShardedMultiMasterSystem, design, certifier_spec
-        )
+                 drain: float = 0.0) -> None:
         self.env = Environment()
         self.metrics = metrics
-        self.fleet = system_class(
-            self.env, spec, config, seed, metrics, **system_options, **extra
+        #: The system the (validated) *options* describe.
+        self.fleet = _SYSTEM_CLASSES[options.design](
+            self.env, spec, config, seed, metrics, options
         )
         #: Virtual seconds :meth:`measure` keeps the loop running after
         #: the window with arrivals stopped (elastic runs: joins, drains
@@ -252,23 +210,10 @@ def simulate(
 ) -> SimulationResult:
     """Simulate *spec* on *design* with *config* and measure steady state.
 
-    *faults* optionally injects replica crash/recovery events
-    (:class:`~repro.simulator.faults.ReplicaFault`); fault times are
-    relative to the start of the run (warm-up included).
-
-    *arrival_rate* switches from the closed-loop client model (§3.1) to an
-    open-loop Poisson stream of that many transactions per second — the
-    open-vs-closed comparison of [Schroeder 2006].
-
-    *capacities* builds a heterogeneous fleet: one speed multiplier per
-    replica (single-master: index 0 is the master), scaling that
-    replica's CPU and disk rates.
-
-    *partition_map* places a partitioned workload's data on replica
-    subsets (:class:`~repro.partition.placement.PartitionMap`): writesets
-    propagate only to hosting replicas and transactions route to hosts of
-    everything they touch.  Partitioned specs with no explicit map run
-    fully replicated (the A/B baseline).
+    *design*, *distribution*, *lb_policy*, *faults*, *arrival_rate*,
+    *capacities*, *partition_map* and *certifier* are the fields of
+    :class:`~repro.simulator.systems.RunOptions` — see its field docs —
+    validated together before anything is built.
 
     *telemetry* opts into the observability layer: ``None`` (default)
     records nothing and changes nothing; a
@@ -279,33 +224,15 @@ def simulate(
     :class:`~repro.telemetry.TelemetryResult` to the result.  Telemetry
     never perturbs workload randomness or charges simulated time, so
     measurements are identical with it on or off.
-
-    *certifier* selects the certification service: ``None`` (default)
-    and the default :class:`~repro.sidb.certifier_api.CertifierSpec`
-    keep the single global certifier byte-identical to before the
-    sharded path existed; ``"sharded"`` (or a sharded spec) runs
-    per-partition certifier shards with version vectors and the
-    cross-partition forwarding coordinator
-    (:class:`~repro.simulator.sharded.ShardedMultiMasterSystem`).
     """
-    certifier_spec = resolve_certifier_spec(certifier)
-    check_run_options(distribution, lb_policy, warmup, duration)
-    if design == STANDALONE and config.replicas != 1:
-        raise ConfigurationError("standalone design requires replicas == 1")
-    if capacities is not None and design == STANDALONE:
-        raise ConfigurationError(
-            "capacities describe a replicated fleet; standalone systems "
-            "have exactly one machine"
-        )
-    checked_faults = check_supported(design, partition_map=partition_map,
-                                     faults=faults, replicas=config.replicas)
-    run = SimRun(
-        design, spec, config, seed, MetricsCollector(),
-        telemetry=telemetry, certifier_spec=certifier_spec,
-        distribution=distribution, lb_policy=lb_policy,
+    options = RunOptions(
+        design=design, distribution=distribution, lb_policy=lb_policy,
         capacities=capacities, partition_map=partition_map,
-    )
-    run.install_faults(checked_faults)
+        certifier=certifier, faults=faults, arrival_rate=arrival_rate,
+    ).validate(spec, config, window=(warmup, duration))
+    run = SimRun(options, spec, config, seed, MetricsCollector(),
+                 telemetry=telemetry)
+    run.install_faults(options.faults)
     if arrival_rate is not None:
         run.fleet.start_open_arrivals(arrival_rate)
     elif design == STANDALONE:

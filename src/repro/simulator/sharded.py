@@ -2,9 +2,9 @@
 
 :class:`ShardedCertification` plugs per-partition
 :class:`~repro.sidb.sharded.ShardedCertifier` shards into the one
-protocol body (:meth:`~.systems._BaseSystem.execute`);
-:class:`ShardedMultiMasterSystem` is the multi-master assembly whose
-constructor selects it.  Against the global path:
+protocol body (:meth:`~.systems._BaseSystem.execute`); a multi-master
+fleet whose run chose ``certifier="sharded"`` takes it
+(:class:`~.systems.Fleet`).  Against the global path:
 
 * **Snapshots are version vectors.**  A transaction's snapshot is the
   originating replica's per-shard applied vector; the sampled writeset
@@ -41,12 +41,11 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import SimulationError
-from ..sidb.certifier_api import CertifierSpec, require_sharded
+from ..sidb.certifier_api import CertifierSpec
 from ..sidb.sharded import ShardedCertifier
 from .des import Acquire, Semaphore, Service, Timeout
 from .replica import SimReplica
 from .sampling import ServiceSampler
-from .systems import LEAST_LOADED, MultiMasterSystem
 
 
 def _shard_minima(vectors, shards: range):
@@ -198,8 +197,7 @@ class ShardedCertification:
     elastic = False
 
     def __init__(self, env, spec, config,
-                 certifier_spec: Optional[CertifierSpec]) -> None:
-        require_sharded(certifier_spec, spec, "ShardedMultiMasterSystem")
+                 certifier_spec: CertifierSpec) -> None:
         self._env = env
         self._shard_count = spec.partitions
         self._round_delay = config.certifier_delay
@@ -289,19 +287,3 @@ class ShardedCertification:
                 charged: bool) -> None:
         """Hand one commit's shard versions to *replica*."""
         replica.enqueue_shard_writeset(outcome.shard_versions, charged=charged)
-
-
-class ShardedMultiMasterSystem(MultiMasterSystem):
-    """Multi-master assembly running per-partition certifier shards."""
-
-    def __init__(self, env, spec, config, seed, metrics,
-                 distribution="exponential", lb_policy=LEAST_LOADED,
-                 capacities=None, partition_map=None,
-                 certifier_spec: Optional[CertifierSpec] = None):
-        super().__init__(
-            env, spec, config, seed, metrics, distribution, lb_policy,
-            capacities, partition_map, certifier_spec,
-            certification=ShardedCertification(
-                env, spec, config, certifier_spec
-            ),
-        )

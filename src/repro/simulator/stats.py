@@ -63,12 +63,6 @@ class ResourceWindow:
     busy_time: float = 0.0
     completions: int = 0
 
-    def utilization(self, window: float) -> float:
-        """Fraction of the window the resource was busy."""
-        if window <= 0:
-            raise SimulationError("measurement window must be positive")
-        return self.busy_time / window
-
 
 class MetricsCollector:
     """Accumulates transaction and resource measurements for one run."""

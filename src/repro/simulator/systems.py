@@ -18,22 +18,25 @@ by the (simulated) application server, as the paper's Java servlets do.
 The replicated transaction protocol — route, snapshot, execute, certify,
 propagate, retry on a write-write conflict — is written once, in
 :meth:`_BaseSystem.execute`.  What differs between assemblies sits behind
-two seams fixed at construction: a :class:`Topology` (who executes
-updates) and a certification path (:class:`GlobalCertification` here,
-:class:`~.sharded.ShardedCertification` for per-partition shards).
+two seams fixed at construction: a :class:`~repro.core.topology.Topology`
+(who executes updates) and a certification path
+(:class:`GlobalCertification` here, :class:`~.sharded.ShardedCertification`
+for per-partition shards).
 
-Beside :class:`Topology` sits what both substrates share about the fleet
-around the protocol: :class:`Fleet` builds the first replicas from the
-topology, names joiners, picks removals and counts members, and
-:func:`check_supported` is the one place a membership change or a fault
-schedule is refused.  This module and the live cluster
-(:mod:`repro.cluster.cluster`) keep only the join and leave mechanics.
+What both substrates share about a run sits here too.
+:class:`RunOptions` declares the options every harness takes and is the
+one place a run is refused before it starts; :class:`Fleet` builds the
+first replicas from the topology and the options, names joiners, picks
+removals and counts members; :func:`check_supported` is the one place a
+membership change or a fault schedule is refused.  This module and the
+live cluster (:mod:`repro.cluster.cluster`) keep only the join and leave
+mechanics.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,13 +47,38 @@ from ..core.errors import (
     SimulationError,
 )
 from ..core.params import ReplicationConfig
+from ..core.topology import (
+    ARRIVAL_RATE_MUST_BE_POSITIVE,
+    CRASH_NEEDS_FULL_REPLICATION,
+    DESIGNS,
+    ELASTIC_NEEDS_FULL_REPLICATION,
+    ELASTIC_NEEDS_GLOBAL_CERTIFIER,
+    LAST_HEALTHY_REPLICA,
+    MASTER,
+    MASTER_IS_NOT_FAULTABLE,
+    MASTER_IS_NOT_REMOVABLE,
+    MULTI_MASTER,
+    MULTI_MASTER_TOPOLOGY,
+    SINGLE_MASTER,
+    SINGLE_MASTER_TOPOLOGY,
+    STANDALONE,
+    STANDALONE_HAS_NO_CAPACITIES,
+    STANDALONE_HAS_NO_REDUNDANCY,
+    STANDALONE_IS_NOT_ELASTIC,
+    STANDALONE_IS_ONE_REPLICA,
+    STANDALONE_TOPOLOGY,
+    TOPOLOGIES,
+    topology_of,
+)
+from ..partition.placement import resolve_partition_map
 from ..sidb.certifier import GlobalCertifier
 from ..telemetry.recorder import NULL_RECORDER, ProtocolRecorder
 from ..workloads.spec import WorkloadSpec
 from .des import Acquire, Environment, Semaphore, Service, Timeout
 from .faults import BROWNOUT, CRASH, ReplicaFault
 from .replica import SimReplica
-from .sampling import ServiceSampler, WorkloadSampler
+from .sampling import DISTRIBUTIONS, EXPONENTIAL, ServiceSampler, WorkloadSampler
+from .sharded import ShardedCertification
 from .stats import MetricsCollector
 
 #: Load-balancer routing policies.  The paper's prototypes route to the
@@ -81,27 +109,6 @@ LB_POLICIES = (LEAST_LOADED, PINNED, RANDOM, CONFLICT_AWARE,
 _LEAST_LOADED = attrgetter("active", "name")
 #: A replica's applied version (the prune floor's most-lagging term).
 _APPLIED_VERSION = attrgetter("applied_version")
-
-
-def check_capacities(
-    capacities: Optional[Sequence[float]], replicas: int
-) -> Optional[Tuple[float, ...]]:
-    """Validate a heterogeneous-fleet capacity vector (``None`` = uniform).
-
-    Shared by the simulator systems and the live clusters: one multiplier
-    per initial replica, all positive.
-    """
-    if capacities is None:
-        return None
-    caps = tuple(float(c) for c in capacities)
-    if len(caps) != replicas:
-        raise ConfigurationError(
-            f"capacities names {len(caps)} replicas but the deployment "
-            f"has {replicas}"
-        )
-    if any(c <= 0.0 for c in caps):
-        raise ConfigurationError("every capacity multiplier must be positive")
-    return caps
 
 
 def hosts_all(replica, partitions) -> bool:
@@ -168,76 +175,111 @@ def select_replica(policy, candidates, client_id, is_update, rng,
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Who executes update transactions — the one decision the paper's
-    two designs differ in — and what the fleet around it is called.
-    Shared by the simulator and the live cluster.
+class RunOptions:
+    """The options every harness takes, declared once.
+
+    :func:`~repro.simulator.runner.simulate`,
+    :func:`~repro.cluster.runner.run_cluster` and the elastic loop in
+    :mod:`repro.control.autoscale` keep these as plain keywords (a sweep
+    point's options *are* its harness's keywords), build one
+    ``RunOptions`` from them and call :meth:`validate` once, before
+    anything runs; the run objects and fleets then take the validated
+    object whole.  Every field's default is the harness default.
     """
 
-    #: Design name (validates partition maps, names retry failures).
-    design: str
-    #: ``False`` (multi-master, Figure 4): the routed replica executes
-    #: the update under GSI — its snapshot is the replica's own applied
-    #: state, which can lag the certifier (so snapshot age is recorded
-    #: and lagging replicas pin the prune floor), and certification is a
-    #: round-trip to a remote service.  ``True`` (single-master,
-    #: Figure 5): the master executes every update under plain SI — its
-    #: snapshot is the latest commit and it is its own certifier, so
-    #: there is no staleness to record and no round-trip to pay.  Such a
-    #: fleet is built with a :data:`MASTER` in front of its members; the
-    #: master takes capacity and placement index 0.
-    master_updates: bool
-    #: Name prefix of the members the fleet is built and grown from
-    #: (``replica0``, ``replica1``, …).
-    member: str = "replica"
+    #: System design: ``"multi-master"`` (Figure 4), ``"single-master"``
+    #: (Figure 5) or — on the simulator only — ``"standalone"``.
+    design: str = MULTI_MASTER
+    #: Service-time distribution (one of
+    #: :data:`~repro.simulator.sampling.DISTRIBUTIONS`).
+    distribution: str = EXPONENTIAL
+    #: Load-balancer routing policy (one of :data:`LB_POLICIES`).
+    lb_policy: str = LEAST_LOADED
+    #: A heterogeneous fleet: one positive speed multiplier per initial
+    #: replica (single-master: index 0 is the master), scaling that
+    #: replica's CPU and disk rates; ``None`` is a uniform fleet.
+    capacities: Optional[Sequence[float]] = None
+    #: Places a partitioned workload's data on replica subsets
+    #: (:class:`~repro.partition.placement.PartitionMap`): writesets
+    #: propagate only to hosting replicas and transactions route to hosts
+    #: of everything they touch.  A partitioned workload with no map runs
+    #: fully replicated (the A/B baseline).
+    partition_map: object = None
+    #: The certification service: ``None`` (or the default
+    #: :class:`~repro.sidb.certifier_api.CertifierSpec`) is the single
+    #: global certifier; ``"sharded"`` (or a sharded spec) runs
+    #: per-partition certifier shards with version vectors and the
+    #: cross-partition forwarding coordinator
+    #: (:class:`~.sharded.ShardedCertification`).  Multi-master only
+    #: (:attr:`~repro.core.topology.Topology.certifier_axis`).
+    certifier: object = None
+    #: Replica crash/drain/brownout events
+    #: (:class:`~repro.simulator.faults.ReplicaFault`), timed from the
+    #: start of the run (warm-up included).
+    faults: Sequence[ReplicaFault] = ()
+    #: Switches the closed-loop client model (§3.1) to an open-loop
+    #: Poisson stream of that many transactions per second — the
+    #: open-vs-closed comparison of [Schroeder 2006].
+    arrival_rate: Optional[float] = None
 
+    def validate(self, spec: WorkloadSpec, config: ReplicationConfig, *,
+                 designs: Tuple[str, ...] = DESIGNS,
+                 window: Optional[Tuple[float, float]] = None,
+                 ) -> "RunOptions":
+        """The options normalised for a run of *spec* on *config* — the
+        certifier resolved to ``None`` or a non-default spec, the
+        partition map resolved, capacities a tuple and the fault schedule
+        accepted — or the one :class:`ConfigurationError` refusing them.
 
-#: Name (and sampler path) of the replica executing every update.
-MASTER = "master"
-MULTI_MASTER_TOPOLOGY = Topology("multi-master", master_updates=False)
-SINGLE_MASTER_TOPOLOGY = Topology("single-master", master_updates=True,
-                                  member="slave")
-STANDALONE_TOPOLOGY = Topology("standalone", master_updates=True)
-
-#: Every membership and fault combination a fleet refuses, one message
-#: each, raised as :class:`ConfigurationError` by both substrates (the
-#: README's restrictions table lists the same rows).  Re-placing
-#: partitions on join/leave — split, merge, migrate — vector-valued
-#: state transfer and master promotion are the natural follow-ons; until
-#: then the combinations fail loudly rather than silently miscounting.
-ELASTIC_NEEDS_GLOBAL_CERTIFIER = (
-    "elastic membership is not supported with the sharded certifier "
-    "(joins need vector-valued state transfer)"
-)
-ELASTIC_NEEDS_FULL_REPLICATION = (
-    "elastic membership requires full replication; the partition map "
-    "places data on a fixed fleet"
-)
-STANDALONE_IS_NOT_ELASTIC = "a standalone system has no fleet to resize"
-MASTER_IS_NOT_REMOVABLE = "the master cannot be removed"
-LAST_HEALTHY_REPLICA = "cannot remove the last healthy replica"
-CRASH_NEEDS_FULL_REPLICATION = (
-    "crash faults are not supported under a partial partition map: a "
-    "crashed host permanently loses its partitions and cannot be "
-    "replaced (drain faults are fine — their backlog replays on recovery)"
-)
-MASTER_IS_NOT_FAULTABLE = (
-    "cannot fault the master of a single-master system (no promotion "
-    "protocol); fault a slave instead"
-)
-STANDALONE_HAS_NO_REDUNDANCY = "standalone systems have no redundancy to fault"
-#: Raised by :class:`Fleet` when a single-master or standalone assembly
-#: is handed a certifier choice (a non-default spec or a path).
-CERTIFIER_AXIS_IS_MULTI_MASTER = (
-    "the certifier axis is multi-master only: a single-master or "
-    "standalone database certifies its own commits"
-)
-
+        *designs* are the designs the asking pillar builds; *window* is
+        the run's ``(warmup, duration)`` when it has one.
+        """
+        # A design no pillar builds is refused at once; one this pillar
+        # does not build (the live standalone) only after the checks
+        # below, so a refused standalone combination reads the same on
+        # every pillar.
+        topology = TOPOLOGIES.get(self.design) or topology_of(
+            self.design, designs)
+        if self.distribution not in DISTRIBUTIONS:
+            raise ConfigurationError(
+                f"unknown distribution {self.distribution!r}")
+        if self.lb_policy not in LB_POLICIES:
+            raise ConfigurationError(
+                f"unknown lb_policy {self.lb_policy!r}; one of {LB_POLICIES}")
+        if window is not None and (window[0] < 0 or window[1] <= 0):
+            raise ConfigurationError("warmup must be >= 0 and duration > 0")
+        if self.arrival_rate is not None and self.arrival_rate <= 0:
+            raise ConfigurationError(ARRIVAL_RATE_MUST_BE_POSITIVE)
+        certifier = topology.resolve_certifier(self.certifier, spec.partitions)
+        if topology is STANDALONE_TOPOLOGY:
+            if config.replicas != 1:
+                raise ConfigurationError(STANDALONE_IS_ONE_REPLICA)
+            if self.capacities is not None:
+                raise ConfigurationError(STANDALONE_HAS_NO_CAPACITIES)
+        partition_map = resolve_partition_map(spec, config,
+                                              self.partition_map, self.design)
+        faults = check_supported(self.design, partition_map=partition_map,
+                                 faults=self.faults, replicas=config.replicas)
+        topology_of(self.design, designs)
+        capacities = self.capacities
+        if capacities is not None:
+            capacities = tuple(float(c) for c in capacities)
+            if len(capacities) != config.replicas:
+                raise ConfigurationError(
+                    f"capacities names {len(capacities)} replicas but the "
+                    f"deployment has {config.replicas}"
+                )
+            if any(c <= 0.0 for c in capacities):
+                raise ConfigurationError(
+                    "every capacity multiplier must be positive")
+        return replace(self, capacities=capacities,
+                       partition_map=partition_map, certifier=certifier,
+                       faults=faults)
 
 def check_supported(design: str, *, membership: bool = False,
                     elastic_path: bool = True, partition_map=None,
                     faults: Sequence[ReplicaFault] = (),
-                    replicas: int = 1) -> List[ReplicaFault]:
+                    replicas: int = 1) -> Tuple[ReplicaFault, ...]:
     """The one place a membership change or a fault schedule is refused.
 
     *membership* asks whether the fleet may grow or shrink at all
@@ -248,7 +290,7 @@ def check_supported(design: str, *, membership: bool = False,
     """
     partial = partition_map is not None and not partition_map.is_full
     if membership:
-        if design == STANDALONE_TOPOLOGY.design:
+        if design == STANDALONE:
             raise ConfigurationError(STANDALONE_IS_NOT_ELASTIC)
         if not elastic_path:
             raise ConfigurationError(ELASTIC_NEEDS_GLOBAL_CERTIFIER)
@@ -267,29 +309,29 @@ def check_supported(design: str, *, membership: bool = False,
                 f"fault targets replica {fault.replica_index} but the "
                 f"system has {replicas}"
             )
-        if (design == SINGLE_MASTER_TOPOLOGY.design
+        if (design == SINGLE_MASTER
                 and fault.replica_index == 0 and fault.kind != BROWNOUT):
             raise ConfigurationError(MASTER_IS_NOT_FAULTABLE)
-        if design == STANDALONE_TOPOLOGY.design:
+        if design == STANDALONE:
             raise ConfigurationError(STANDALONE_HAS_NO_REDUNDANCY)
-    return list(faults)
+    return tuple(faults)
 
 
 class Fleet:
     """One replicated fleet's membership, written once for both substrates.
 
     :class:`_BaseSystem` (DES) and :class:`repro.cluster.cluster.Cluster`
-    (live) build their first replicas from the :class:`Topology`, name
-    joiners, pick and refuse removals, and count members here.  Each
-    substrate supplies only the mechanics: ``_global_certification``
-    (its default path), ``_new_replica`` (its replica class on a
-    sampler), ``_clock`` (its time source for the recorder), the join
-    and the drain or force-detach.  A certifier choice reaches
-    multi-master fleets only.  Both replica classes answer ``staying``
-    (healthy and not leaving) and ``removable`` (eligible as a default
-    removal target) — the latter is
-    each class's own predicate: the DES skips drain-faulted replicas,
-    the live cluster skips joining ones.
+    (live) build their first replicas from the
+    :class:`~repro.core.topology.Topology` and the run's
+    :class:`RunOptions`, name joiners, pick and refuse removals, and count
+    members here.  Each substrate supplies only the mechanics:
+    ``_global_certification`` and ``_sharded_certification`` (its two
+    paths), ``_new_replica`` (its replica class on a sampler), ``_clock``
+    (its time source for the recorder), the join and the drain or
+    force-detach.  Both replica classes answer ``staying`` (healthy and
+    not leaving) and ``removable`` (eligible as a default removal target)
+    — the latter is each class's own predicate: the DES skips
+    drain-faulted replicas, the live cluster skips joining ones.
     """
 
     topology = MULTI_MASTER_TOPOLOGY
@@ -303,30 +345,28 @@ class Fleet:
     _replica_stream = "replica"
 
     def __init__(self, spec: WorkloadSpec, config: ReplicationConfig,
-                 seed: int, metrics: MetricsCollector, distribution: str,
-                 capacities: Optional[Sequence[float]], partition_map,
-                 certifier_spec, certification) -> None:
-        from ..partition.placement import resolve_partition_map
-
-        if self.topology.master_updates and (
-                certification is not None
-                or not (certifier_spec is None or certifier_spec.is_default)):
-            raise ConfigurationError(CERTIFIER_AXIS_IS_MULTI_MASTER)
-        self._capacities = check_capacities(capacities, config.replicas)
-        self.partition_map = resolve_partition_map(
-            spec, config, partition_map, self.design
-        )
+                 seed: int, metrics: MetricsCollector,
+                 options: Optional[RunOptions] = None) -> None:
+        #: The run's validated options (:meth:`RunOptions.validate`);
+        #: ``None`` builds the design's defaults.
+        self.options = options = options or RunOptions(
+            self.design).validate(spec, config)
+        self.partition_map = options.partition_map
         self.spec = spec
         self.config = config
-        #: The certification path — the global one unless an assembly
-        #: passes a sharded one: it owns the certifier and builds the
+        #: The certification path — sharded when the validated options
+        #: chose a sharded certifier, which only a design with a
+        #: certifier axis can: it owns the certifier and builds the
         #: replicas.
-        self.certification = (certification
-                              or self._global_certification(certifier_spec))
+        certifier = options.certifier
+        self.certification = (
+            self._sharded_certification(certifier)
+            if certifier is not None and certifier.is_sharded
+            else self._global_certification(certifier)
+        )
         self.certifier = self.certification.certifier
         self.metrics = metrics
         self._seed = seed
-        self._distribution = distribution
         self.replicas: list = []
         #: Monotonic counter naming joined replicas (names and metric
         #: keys must never be reused after a removal).
@@ -343,9 +383,8 @@ class Fleet:
 
     def _initial_capacity(self, index: int) -> float:
         """Capacity multiplier for the *index*-th initial replica."""
-        if self._capacities is None:
-            return 1.0
-        return self._capacities[index]
+        capacities = self.options.capacities
+        return 1.0 if capacities is None else capacities[index]
 
     def _hosted_for_index(self, index: int):
         """Hosted-partition set of the *index*-th initial replica
@@ -361,7 +400,7 @@ class Fleet:
         sampler = ServiceSampler(
             self.spec,
             rng_util.spawn(self._seed, self._replica_stream, path),
-            distribution=self._distribution,
+            distribution=self.options.distribution,
         )
         replica = self._new_replica(name, sampler, capacity,
                                     hosted_partitions)
@@ -585,30 +624,13 @@ class _BaseSystem(Fleet):
     #: single-threaded.
     metrics_lock = contextlib.nullcontext()
 
-    def __init__(
-        self,
-        env: Environment,
-        spec: WorkloadSpec,
-        config: ReplicationConfig,
-        seed: int,
-        metrics: MetricsCollector,
-        distribution: str = "exponential",
-        lb_policy: str = LEAST_LOADED,
-        capacities: Optional[Sequence[float]] = None,
-        partition_map=None,
-        certifier_spec=None,
-        certification=None,
-    ) -> None:
-        if lb_policy not in LB_POLICIES:
-            raise SimulationError(
-                f"unknown lb_policy {lb_policy!r}; one of {LB_POLICIES}"
-            )
+    def __init__(self, env: Environment, spec: WorkloadSpec,
+                 config: ReplicationConfig, seed: int,
+                 metrics: MetricsCollector,
+                 options: Optional[RunOptions] = None) -> None:
         self.env = env
-        super().__init__(
-            spec, config, seed, metrics, distribution, capacities,
-            partition_map, certifier_spec, certification,
-        )
-        self.lb_policy = lb_policy
+        super().__init__(spec, config, seed, metrics, options)
+        self.lb_policy = self.options.lb_policy
         self._lb_rng = rng_util.spawn(seed, "load-balancer")
         #: The load-balancer hop every transaction pays first (one shared
         #: effect: effects are immutable).
@@ -631,6 +653,10 @@ class _BaseSystem(Fleet):
             self.env, certifier_spec, remote=not self.topology.master_updates,
             response_delay=self.config.certifier_delay,
         )
+
+    def _sharded_certification(self, certifier_spec) -> ShardedCertification:
+        return ShardedCertification(self.env, self.spec, self.config,
+                                    certifier_spec)
 
     def _new_replica(self, name: str, sampler: ServiceSampler,
                      capacity: float, hosted_partitions) -> SimReplica:
@@ -666,7 +692,7 @@ class _BaseSystem(Fleet):
             sampler = WorkloadSampler(
                 self.spec,
                 rng_util.spawn(self._seed, "client", client_id),
-                distribution=self._distribution,
+                distribution=self.options.distribution,
                 partition_map=self.partition_map,
             )
             self.env.start(self._client_loop(client_id, sampler))
@@ -679,8 +705,6 @@ class _BaseSystem(Fleet):
         — grows without bound, the contrast with the closed-loop model that
         [Schroeder 2006] warns about and §3.1 adopts deliberately.
         """
-        if rate <= 0:
-            raise SimulationError(f"arrival rate must be positive, got {rate}")
         self.env.start(self._arrival_process(rate))
 
     def _arrival_process(self, rate: float):
@@ -688,7 +712,7 @@ class _BaseSystem(Fleet):
         sampler = WorkloadSampler(
             self.spec,
             rng_util.spawn(self._seed, "open-client"),
-            distribution=self._distribution,
+            distribution=self.options.distribution,
             partition_map=self.partition_map,
         )
         sequence = 0
@@ -718,7 +742,7 @@ class _BaseSystem(Fleet):
         sampler = WorkloadSampler(
             self.spec,
             rng_util.spawn(self._seed, "trace-client"),
-            distribution=self._distribution,
+            distribution=self.options.distribution,
             partition_map=self.partition_map,
         )
         peak = trace.max_rate

@@ -108,11 +108,6 @@ class TelemetryResult:
                 return sample
         return None
 
-    def counter_value(self, name: str, **labels) -> float:
-        """A counter's total (0 when never incremented)."""
-        sample = self.find(name, **labels)
-        return sample.value if sample else 0.0
-
     def label_values(self, name: str, label: str) -> frozenset:
         """All values one label took for one metric name."""
         return frozenset(

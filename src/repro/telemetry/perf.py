@@ -179,13 +179,6 @@ class PerfReport:
         """Did any tick conclude the analytic model has drifted?"""
         return any(point.verdict for point in self.drift)
 
-    @property
-    def final_capacities(self) -> Tuple[EffectiveCapacity, ...]:
-        """The last snapshot's estimates (empty if never sampled)."""
-        if not self.snapshots:
-            return ()
-        return self.snapshots[-1].capacities
-
     def detection_latency(self, onset: float,
                           replica: Optional[str] = None) -> Optional[float]:
         """Seconds from a brownout *onset* to the first detection at or

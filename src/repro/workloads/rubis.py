@@ -14,7 +14,7 @@ updates over ``DbUpdateSize = 10,000`` active-item rows.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..core.params import ConflictProfile, WorkloadMix
 from .spec import WorkloadSpec, demands_ms
@@ -68,11 +68,6 @@ MIXES: Dict[str, WorkloadSpec] = {
     "browsing": BROWSING,
     "bidding": BIDDING,
 }
-
-
-def mix_names() -> Tuple[str, ...]:
-    """The RUBiS mix names in paper order."""
-    return tuple(MIXES)
 
 
 def get_mix(name: str) -> WorkloadSpec:

@@ -15,7 +15,7 @@ the paper reports (A1 < 0.023%).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..core.params import ConflictProfile, WorkloadMix
 from .spec import WorkloadSpec, demands_ms
@@ -91,11 +91,6 @@ MIXES: Dict[str, WorkloadSpec] = {
     "shopping": SHOPPING,
     "ordering": ORDERING,
 }
-
-
-def mix_names() -> Tuple[str, ...]:
-    """The TPC-W mix names in paper order."""
-    return tuple(MIXES)
 
 
 def get_mix(name: str) -> WorkloadSpec:

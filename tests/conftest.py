@@ -113,33 +113,31 @@ def _build_fleets(design, spec, replicas, seed=5, **options):
     """The same fleet on both substrates: ``[DES system, live cluster]``.
 
     *design* is ``"multi-master"``, ``"single-master"`` or ``"sharded"``
-    (multi-master with per-partition certifier shards).  The live
-    cluster is never started, so nothing needs shutting down.
+    (multi-master with per-partition certifier shards); *options* are
+    further :class:`~repro.simulator.systems.RunOptions` fields.  The
+    live cluster is never started, so nothing needs shutting down.
     """
-    from repro.cluster import (
-        MultiMasterCluster,
-        ShardedMultiMasterCluster,
-        SingleMasterCluster,
-        VirtualClock,
-    )
-    from repro.sidb.certifier_api import CertifierSpec
+    from repro.cluster import MultiMasterCluster, SingleMasterCluster, VirtualClock
     from repro.simulator import Environment, MetricsCollector
-    from repro.simulator.sharded import ShardedMultiMasterSystem
-    from repro.simulator.systems import MultiMasterSystem, SingleMasterSystem
+    from repro.simulator.systems import (
+        MultiMasterSystem,
+        RunOptions,
+        SingleMasterSystem,
+    )
 
+    if design == "sharded":
+        design, options["certifier"] = "multi-master", "sharded"
     sim_class, live_class = {
         "multi-master": (MultiMasterSystem, MultiMasterCluster),
         "single-master": (SingleMasterSystem, SingleMasterCluster),
-        "sharded": (ShardedMultiMasterSystem, ShardedMultiMasterCluster),
     }[design]
-    if design == "sharded":
-        options["certifier_spec"] = CertifierSpec(kind="sharded")
     config = spec.replication_config(replicas)
+    run_options = RunOptions(design, **options).validate(spec, config)
     return [
         sim_class(Environment(), spec, config, seed, MetricsCollector(),
-                  **options),
+                  run_options),
         live_class(spec, config, seed, VirtualClock(0.01), MetricsCollector(),
-                   **options),
+                   run_options),
     ]
 
 

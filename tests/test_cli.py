@@ -94,6 +94,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tps" in out
 
+    def test_refused_combination_is_one_line_on_every_verb(self, capsys):
+        """A ConfigurationError outside the scenario verbs: one line
+        naming the verb, exit 2, no traceback."""
+        code = main(["simulate", "tpcw/shopping", "--design", "standalone",
+                     "--replicas", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("repro simulate: standalone design requires "
+                       "replicas == 1\n")
+
     def test_plan_smoke(self, capsys):
         code = main(["plan", "tpcw/shopping", "--target", "50", "--fast"])
         assert code == 0

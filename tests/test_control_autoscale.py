@@ -35,6 +35,7 @@ from repro.simulator.systems import (
     MASTER_IS_NOT_REMOVABLE,
     STANDALONE_IS_NOT_ELASTIC,
     MultiMasterSystem,
+    RunOptions,
     SingleMasterSystem,
 )
 from repro.workloads.spec import WorkloadSpec, demands_ms
@@ -340,7 +341,7 @@ class _FakeRun:
 def _fake_elastic(spec, fleet, ops=None):
     """FixedPolicy(3) on *fleet*: ticks at 10, 20, 30 (and never 40) of
     a (10, 35] window, one 0.1 s commit per virtual second."""
-    def assemble(config, metrics):
+    def assemble(options, config, metrics):
         run = _FakeRun(fleet)
 
         def traffic():
@@ -353,11 +354,10 @@ def _fake_elastic(spec, fleet, ops=None):
 
     return _run_elastic(
         assemble, spec, PiecewiseTrace([(0.0, 5.0)]), FixedPolicy(replicas=3),
-        "multi-master", profile=None, seed=1, warmup=10.0, duration=25.0,
-        control_interval=10.0, slo_response=1.0, min_replicas=1,
-        max_replicas=8, transfer_writesets=4, distribution="exponential",
-        lb_policy="least-loaded", config=None, ops=ops, capacities=None,
-        capacity_source=None,
+        RunOptions("multi-master"), profile=None, seed=1, warmup=10.0,
+        duration=25.0, control_interval=10.0, slo_response=1.0,
+        min_replicas=1, max_replicas=8, transfer_writesets=4, config=None,
+        ops=ops, capacity_source=None,
     )
 
 

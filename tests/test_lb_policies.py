@@ -21,7 +21,7 @@ from repro.core.params import ConflictProfile, ReplicationConfig, WorkloadMix
 from repro.simulator.des import Environment
 from repro.simulator.runner import simulate
 from repro.simulator.stats import MetricsCollector
-from repro.simulator.systems import LB_POLICIES, MultiMasterSystem
+from repro.simulator.systems import LB_POLICIES, MultiMasterSystem, RunOptions
 from repro.workloads.spec import WorkloadSpec, demands_ms
 
 
@@ -119,9 +119,10 @@ class TestClusterBalancer:
 class TestSimulatorRoute:
     def _system(self, spec, lb_policy, replicas=3):
         env = Environment()
+        config = _config(spec, replicas)
         return MultiMasterSystem(
-            env, spec, _config(spec, replicas), seed=11,
-            metrics=MetricsCollector(), lb_policy=lb_policy,
+            env, spec, config, seed=11, metrics=MetricsCollector(),
+            options=RunOptions(lb_policy=lb_policy).validate(spec, config),
         )
 
     def test_least_loaded_avoids_hot_replica(self, tiny_spec):

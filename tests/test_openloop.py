@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.experiments.openloop import open_vs_closed
 from repro.simulator.runner import STANDALONE, simulate
 
@@ -42,7 +42,7 @@ class TestOpenArrivals:
         assert result.throughput == pytest.approx(30.0, rel=0.2)
 
     def test_zero_rate_rejected(self, shopping_spec):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError, match="must be positive"):
             simulate(
                 shopping_spec, shopping_spec.replication_config(1),
                 design=STANDALONE, warmup=1.0, duration=5.0,

@@ -16,13 +16,15 @@ from repro.core.errors import ConfigurationError, SimulationError
 from repro.ops import OpsPlan, summarize
 from repro.simulator.faults import crash_fault
 from repro.simulator.stats import MetricsCollector
+from repro.simulator.systems import RunOptions
 
 
 def _mm_cluster(replicas=3, capacities=None):
     clock = VirtualClock(0.02)
+    config = LIVE_SPEC.replication_config(replicas)
     cluster = MultiMasterCluster(
-        LIVE_SPEC, LIVE_SPEC.replication_config(replicas), 1, clock,
-        MetricsCollector(), capacities=capacities,
+        LIVE_SPEC, config, 1, clock, MetricsCollector(),
+        RunOptions(capacities=capacities).validate(LIVE_SPEC, config),
     )
     cluster.start()
     return cluster
@@ -241,9 +243,9 @@ class TestLiveEpilogue:
             resumed.append(True)
 
         before = _run_threads()
-        run = ClusterRun("multi-master", LIVE_SPEC,
-                         LIVE_SPEC.replication_config(2), 4,
-                         MetricsCollector(), 0.1)
+        config = LIVE_SPEC.replication_config(2)
+        run = ClusterRun(RunOptions().validate(LIVE_SPEC, config), LIVE_SPEC,
+                         config, 4, MetricsCollector(), 0.1)
         run.spawn(task(), "sleeper")
         converged, versions = run.measure(0.2, 0.5)
         assert converged and len(set(versions)) <= 1

@@ -7,11 +7,16 @@ from repro.models.planning import plan_deployment, plan_mixed_fleet
 from repro.simulator.des import Environment
 from repro.simulator.resources import FIFOResource, ProcessorSharingResource
 from repro.simulator.runner import MULTI_MASTER, simulate
-from repro.simulator.systems import (
-    CAPACITY_WEIGHTED,
-    check_capacities,
-    select_replica,
-)
+from repro.simulator.systems import CAPACITY_WEIGHTED, RunOptions, select_replica
+from repro.workloads import tpcw
+
+
+def _capacities(capacities, replicas):
+    """*capacities* as :meth:`RunOptions.validate` normalises them for a
+    *replicas*-strong multi-master fleet."""
+    return RunOptions(capacities=capacities).validate(
+        tpcw.SHOPPING, tpcw.SHOPPING.replication_config(replicas)
+    ).capacities
 
 
 class TestCapacityRates:
@@ -36,16 +41,17 @@ class TestCapacityRates:
         with pytest.raises(Exception):
             ProcessorSharingResource(env, "bad", rate=0.0)
 
-    def test_check_capacities_validates_length(self):
-        with pytest.raises(ConfigurationError):
-            check_capacities((1.0, 2.0), replicas=3)
+    def test_validate_refuses_capacities_of_the_wrong_length(self):
+        with pytest.raises(ConfigurationError, match="names 2 replicas"):
+            _capacities((1.0, 2.0), replicas=3)
 
-    def test_check_capacities_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            check_capacities((1.0, 0.0, 1.0), replicas=3)
+    def test_validate_refuses_a_non_positive_capacity(self):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            _capacities((1.0, 0.0, 1.0), replicas=3)
 
-    def test_check_capacities_none_means_uniform(self):
-        assert check_capacities(None, replicas=4) is None
+    def test_validate_keeps_no_capacities_uniform(self):
+        assert _capacities(None, replicas=4) is None
+        assert _capacities([2, 1], replicas=2) == (2.0, 1.0)
 
 
 class _FakeReplica:

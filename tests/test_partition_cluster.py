@@ -7,7 +7,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.params import ConflictProfile, WorkloadMix
 from repro.partition import PartitionMap
 from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER
-from repro.simulator.systems import PARTITION_AWARE
+from repro.simulator.systems import PARTITION_AWARE, RunOptions
 from repro.workloads.spec import WorkloadSpec, demands_ms
 
 
@@ -87,10 +87,11 @@ class TestScopedInstalls:
         from repro.simulator.sampling import WorkloadSampler
         from repro.simulator.stats import MetricsCollector
 
+        config = live_spec.replication_config(3)
         cluster = MultiMasterCluster(
-            live_spec, live_spec.replication_config(3), 9,
-            VirtualClock(0.02), MetricsCollector(),
-            lb_policy=PARTITION_AWARE, partition_map=live_map,
+            live_spec, config, 9, VirtualClock(0.02), MetricsCollector(),
+            RunOptions(lb_policy=PARTITION_AWARE, partition_map=live_map
+                       ).validate(live_spec, config),
         )
         cluster.start()
         try:
@@ -131,10 +132,11 @@ class TestScopedInstalls:
         from repro.cluster.cluster import MultiMasterCluster
         from repro.simulator.stats import MetricsCollector
 
+        config = live_spec.replication_config(3)
         cluster = MultiMasterCluster(
-            live_spec, live_spec.replication_config(3), 9,
-            VirtualClock(0.02), MetricsCollector(),
-            lb_policy=PARTITION_AWARE, partition_map=live_map,
+            live_spec, config, 9, VirtualClock(0.02), MetricsCollector(),
+            RunOptions(lb_policy=PARTITION_AWARE, partition_map=live_map
+                       ).validate(live_spec, config),
         )
         cluster.start()
         try:

@@ -14,6 +14,7 @@ from repro.simulator.systems import (
     ELASTIC_NEEDS_FULL_REPLICATION,
     PARTITION_AWARE,
     MultiMasterSystem,
+    RunOptions,
     select_replica,
 )
 from repro.workloads import tpcw
@@ -164,9 +165,11 @@ class TestPartialPropagationSim:
     def _build(self, spec, pm, seed=11):
         env = Environment()
         metrics = MetricsCollector()
+        config = spec.replication_config(4)
         system = MultiMasterSystem(
-            env, spec, spec.replication_config(4), seed, metrics,
-            lb_policy=PARTITION_AWARE, partition_map=pm,
+            env, spec, config, seed, metrics,
+            RunOptions(lb_policy=PARTITION_AWARE, partition_map=pm
+                       ).validate(spec, config),
         )
         return env, system
 
