@@ -1,7 +1,7 @@
 """Golden manifests: byte-identity of grids and results as a command.
 
-Two committed files under ``tests/golden/`` pin the behaviour a refactor
-must preserve:
+Three committed files under ``tests/golden/`` pin the behaviour a
+refactor must preserve and what it costs:
 
 * ``points.json`` — for every registered scenario at
   ``ExperimentSettings.fast()``, the ordered list of ``[tag, backend,
@@ -20,10 +20,18 @@ must preserve:
   ``autoscale_sim`` runs) and the ``repr`` of audited, fully traced
   telemetry (which pins every recorder ``attached`` baseline).
 
-``python scripts/golden.py`` recomputes both and diffs them against the
-committed files (exit 1 on any difference); ``--update`` rewrites them.
-A PR that moves an entry re-pins it here and says which and why.
-``tests/test_golden.py`` runs the same comparison in tier-1.
+* ``costs.json`` — what the DES spends per committed transaction on
+  five write-heavy runs: heap pushes, processes started and calls
+  (see :func:`measure_costs`).  These are counts, not timings, so
+  a spend PR is judged by them exactly; a count may fall freely but not
+  rise by more than :data:`COST_TOLERANCE`, and call counts are gated
+  only on the Python version they were pinned on.
+
+``python scripts/golden.py`` recomputes all three and diffs them against
+the committed files (exit 1 on any difference, or any cost rise);
+``--update`` rewrites them.  A PR that moves an entry re-pins it here and
+says which and why.  ``tests/test_golden.py`` and ``tests/test_costs.py``
+run the same comparisons in tier-1.
 """
 
 from __future__ import annotations
@@ -293,7 +301,131 @@ def digests_manifest() -> Dict[str, Dict[str, str]]:
             "elastic": elastic_digests(), "telemetry": telemetry_digests()}
 
 
-MANIFESTS = {"points": points_manifest, "digests": digests_manifest}
+#: A pinned cost may rise by this fraction before it fails.
+COST_TOLERANCE = 0.01
+#: The cost counts, in manifest order.
+COSTS = ("heap_pushes", "processes", "calls")
+
+
+def cost_cases() -> Dict[str, dict]:
+    """The cost grid: the ledger's three ``des-write-heavy`` points over
+    their ``shortened()`` windows (1 s warm-up, 2 s window), then the
+    faulted and the sharded DES golden cases."""
+    from repro.workloads import tpcw
+
+    def point(spec, replicas, design, **options):
+        return dict(spec=spec, config=spec.replication_config(replicas),
+                    design=design, seed=SEED, warmup=1.0, duration=2.0,
+                    **options)
+
+    sharded = tpcw.ORDERING.with_partitions(8, 0.1)
+    cases = des_cases()
+    return {
+        "write_mm": point(tpcw.ORDERING, 16, "multi-master"),
+        "write_sm": point(tpcw.ORDERING, 8, "single-master"),
+        "write_sharded": point(sharded, 8, "multi-master",
+                               certifier="sharded"),
+        "des/mm-crash": cases["mm-crash"],
+        "des/mm-sharded": cases["mm-sharded"],
+    }
+
+
+def measure_costs(kwargs: dict) -> Dict[str, float]:
+    """Run one ``simulate`` call under a ``sys.setprofile`` counter and
+    return its costs per committed (window) transaction:
+
+    * ``heap_pushes`` — ``Environment._sequence`` at the end of the run;
+    * ``processes`` — calls of ``Environment.start``;
+    * ``calls`` — every call a profiler sees: Python functions,
+      generator resumptions and builtins (profile ``call`` and
+      ``c_call`` events, what cProfile counts).
+    """
+    from repro.simulator.des import Environment
+    from repro.simulator.runner import simulate
+
+    kwargs = dict(kwargs)
+    spec, config = kwargs.pop("spec"), kwargs.pop("config")
+    start, init = Environment.start.__code__, Environment.__init__.__code__
+    counts = {"calls": 0, "processes": 0}
+    environments = []
+
+    def count(frame, event, arg):
+        if event == "c_call":
+            counts["calls"] += 1
+        elif event == "call":
+            counts["calls"] += 1
+            code = frame.f_code
+            if code is start:
+                counts["processes"] += 1
+            elif code is init:
+                environments.append(frame.f_locals["self"])
+
+    sys.setprofile(count)
+    try:
+        result = simulate(spec, config, **kwargs)
+    finally:
+        sys.setprofile(None)
+    counts["heap_pushes"] = sum(env._sequence for env in environments)
+    committed = result.committed_transactions
+    return {name: round(counts[name] / committed, 3) for name in COSTS}
+
+
+def python_version() -> str:
+    """``major.minor`` of the running interpreter (call counts vary
+    between versions)."""
+    return "%d.%d" % sys.version_info[:2]
+
+
+def costs_manifest() -> dict:
+    """``{"python": "<major.minor>", "cases": {case: {count: per txn}}}``."""
+    from repro.simulator.runner import simulate
+    from repro.workloads import tpcw
+
+    # Lazy imports and first-use set-up are not a run's cost: pay them
+    # before anything is counted.
+    simulate(tpcw.ORDERING, tpcw.ORDERING.replication_config(2),
+             warmup=0.1, duration=0.2)
+    return {
+        "python": python_version(),
+        "cases": {label: measure_costs(kwargs)
+                  for label, kwargs in cost_cases().items()},
+    }
+
+
+def cost_differences(committed: dict, current: dict) -> List[str]:
+    """One line per pinned count that rose by more than the tolerance,
+    or per case added or gone.  Call counts depend on the interpreter:
+    they are compared only when *current* was measured on the Python
+    *committed* was pinned on."""
+    gated = [name for name in COSTS
+             if name != "calls" or current["python"] == committed["python"]]
+    old, new = committed["cases"], current["cases"]
+    lines = [f"costs: {case} {'added' if case in new else 'removed'}"
+             for case in sorted(set(old) ^ set(new))]
+    for case in sorted(set(old) & set(new)):
+        for name in gated:
+            pinned, measured = old[case][name], new[case][name]
+            if measured > pinned * (1.0 + COST_TOLERANCE):
+                lines.append(f"costs: {case} {name} rose {pinned} -> "
+                             f"{measured} per committed transaction")
+    return lines
+
+
+def _report_costs(current: dict) -> None:
+    """Print every measured count beside its pin."""
+    path = GOLDEN / "costs.json"
+    committed = json.loads(path.read_text()) if path.exists() else {}
+    pins = committed.get("cases", {})
+    print(f"costs per committed transaction on Python {current['python']} "
+          f"(pinned on {committed.get('python')}):")
+    for case, counts in current["cases"].items():
+        print(f"  {case}: " + ", ".join(
+            f"{name} {value} (pinned {pins.get(case, {}).get(name)})"
+            for name, value in counts.items()))
+
+
+MANIFESTS = {"points": points_manifest, "digests": digests_manifest,
+             "costs": costs_manifest}
 
 
 def dump(manifest: object) -> str:
@@ -319,6 +451,8 @@ def differences(name: str, current: dict) -> List[str]:
     path = GOLDEN / f"{name}.json"
     if not path.exists():
         return [f"{path} is missing (run scripts/golden.py --update)"]
+    if name == "costs":
+        return cost_differences(json.loads(path.read_text()), current)
     committed = _entries(name, json.loads(path.read_text()))
     current = _entries(name, current)
     lines = []
@@ -344,12 +478,15 @@ def main(argv=None) -> int:
             (GOLDEN / f"{name}.json").write_text(dump(current))
             print(f"wrote tests/golden/{name}.json")
             continue
+        if name == "costs":
+            _report_costs(current)
         lines = differences(name, current)
         failed = failed or bool(lines)
         for line in lines:
             print(line)
         if not lines:
-            print(f"tests/golden/{name}.json: unchanged")
+            print(f"tests/golden/{name}.json: "
+                  + ("no count rose" if name == "costs" else "unchanged"))
     return 1 if failed else 0
 
 
