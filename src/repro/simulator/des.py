@@ -22,6 +22,12 @@ heap (a ``Timeout`` has no ``apply``); a ``Service`` hands it to the
 resource, an ``Acquire`` to the semaphore.  A heap entry
 is the list ``[time, sequence, callback, args]`` and doubles as the
 event's handle: :meth:`Environment.cancel` clears its callback.
+
+Not everything timed is a process.  A resource resumes any callable, so
+a fixed chain of services can be one slotted object that is its own
+callback: writeset application at a replica is one such object
+(:class:`~repro.simulator.replica._Apply`), not a process — no generator
+or :class:`_Process` per propagated writeset, and the same heap entries.
 """
 
 from __future__ import annotations

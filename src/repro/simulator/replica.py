@@ -6,6 +6,16 @@ does over parallel connections), but the ``applied_version`` watermark —
 the version of the local snapshot new transactions receive (GSI, §2) —
 advances contiguously, so snapshot staleness *emerges* from propagation
 and application latency rather than being assumed.
+
+Cost model of one apply: no process.  A charged writeset is one
+:class:`_Apply` object that is its own resume callback — it submits a
+CPU draw, then a disk draw, then advances the watermark — so it costs
+the two resource submissions and their completion events, exactly the
+heap entries a generator process would have, and nothing else.  A free
+version marker (a replica that already holds the effects, or does not
+host the data) advances the watermark on the spot.  In-order
+completions, the common case, advance the watermark without touching
+the out-of-order heap.
 """
 
 from __future__ import annotations
@@ -31,6 +41,35 @@ class _Availability:
 
     def __set__(self, replica: "SimReplica", value: bool) -> None:
         replica._set_available(value)
+
+
+class _Apply:
+    """One charged writeset application, and its own resume callback.
+
+    Building it submits the CPU draw to the replica's CPU; the first
+    resume draws and submits the disk demand; the second hands
+    *versions* (a commit version, or a sharded replica's shard versions)
+    and the recorder's *started* mark back to the replica's
+    ``_finish_apply``.  Draws and submissions happen in the order a
+    generator process would make them, so the event order is the same.
+    """
+
+    __slots__ = ("_replica", "_versions", "_started", "_on_disk")
+
+    def __init__(self, replica: "SimReplica", versions, started) -> None:
+        self._replica = replica
+        self._versions = versions
+        self._started = started
+        self._on_disk = False
+        replica.cpu.submit(replica.sampler.writeset_cpu(), self)
+
+    def __call__(self) -> None:
+        replica = self._replica
+        if self._on_disk:
+            replica._finish_apply(self._versions, self._started)
+        else:
+            self._on_disk = True
+            replica.disk.submit(replica.sampler.writeset_disk(), self)
 
 
 class SimReplica:
@@ -85,8 +124,11 @@ class SimReplica:
         #: self.failed)``; only :meth:`_set_available` and :meth:`crash`
         #: change these three fields.
         self.failed = False
-        #: Writesets received while down, applied in bulk on recovery.
-        self._deferred: List[Tuple[int, bool]] = []
+        #: ``(versions, charged)`` of the writesets received while down,
+        #: applied in bulk on recovery (*versions* is what
+        #: :meth:`_apply_marker` and :class:`_Apply` take: a commit
+        #: version here, shard versions on a sharded replica).
+        self._deferred: List[Tuple[object, bool]] = []
         #: True while the replica is being drained for elastic removal:
         #: the load balancer routes around it (``available`` is cleared
         #: too) and it leaves the system once its resident count hits 0.
@@ -101,7 +143,9 @@ class SimReplica:
         self.recorder = NULL_RECORDER
 
     # ------------------------------------------------------------------
-    # Transaction execution (generators composed by the system assemblies)
+    # Transaction execution: generators for the profiler's replay and the
+    # standalone assembly (the replicated protocol body charges the same
+    # two services inline)
     # ------------------------------------------------------------------
 
     def serve_read(self):
@@ -136,9 +180,11 @@ class SimReplica:
         new snapshots never expose a gap.  ``charged=False`` marks a
         transaction that committed locally: its effects are already in the
         local database, so only the version bookkeeping advances (at zero
-        resource cost).
+        resource cost).  Versions must arrive one by one: a repeated, an
+        older or a skipped version is refused, since a skipped one would
+        stall the watermark for good.
         """
-        if commit_version <= self._enqueued_version:
+        if commit_version != self._enqueued_version + 1:
             raise SimulationError(
                 f"{self.name}: writeset {commit_version} arrived out of order "
                 f"(latest is {self._enqueued_version})"
@@ -154,24 +200,20 @@ class SimReplica:
             # The replica is down: its proxy queues the writeset; the
             # backlog is applied on recovery (catch-up).
             self._deferred.append((commit_version, charged))
-            return
-        self._start_apply(commit_version, charged)
-
-    def _start_apply(self, commit_version: int, charged: bool) -> None:
-        if charged:
-            self._env.start(
-                self._apply_one(commit_version, self.recorder.mark())
-            )
+        elif charged:
+            _Apply(self, commit_version, self.recorder.mark())
         else:
-            self._mark_applied(commit_version)
-            self.recorder.applied(
-                self.name, commit_version, False, self.hosted_partitions
-            )
+            self._apply_marker(commit_version)
 
-    def _apply_one(self, commit_version: int, started):
-        """Apply one writeset, charging CPU and disk work."""
-        yield Service(self.cpu, self.sampler.writeset_cpu())
-        yield Service(self.disk, self.sampler.writeset_disk())
+    def _apply_marker(self, commit_version: int) -> None:
+        """Advance past a version whose effects cost nothing here."""
+        self._mark_applied(commit_version)
+        self.recorder.applied(
+            self.name, commit_version, False, self.hosted_partitions
+        )
+
+    def _finish_apply(self, commit_version: int, started) -> None:
+        """The last step of one charged application (:class:`_Apply`)."""
         self.writesets_applied += 1
         self._mark_applied(commit_version)
         self.recorder.applied(
@@ -180,12 +222,13 @@ class SimReplica:
         )
 
     def _mark_applied(self, commit_version: int) -> None:
-        heapq.heappush(self._completed_out_of_order, commit_version)
-        while (
-            self._completed_out_of_order
-            and self._completed_out_of_order[0] == self.applied_version + 1
-        ):
-            heapq.heappop(self._completed_out_of_order)
+        pending = self._completed_out_of_order
+        if not pending and commit_version == self.applied_version + 1:
+            self.applied_version = commit_version
+            return
+        heapq.heappush(pending, commit_version)
+        while pending and pending[0] == self.applied_version + 1:
+            heapq.heappop(pending)
             self.applied_version += 1
 
     def watermarks(self):
@@ -257,5 +300,8 @@ class SimReplica:
     def _flush_deferred(self) -> None:
         """Start catch-up on the writesets missed while down."""
         deferred, self._deferred = self._deferred, []
-        for commit_version, charged in deferred:
-            self._start_apply(commit_version, charged)
+        for versions, charged in deferred:
+            if charged:
+                _Apply(self, versions, self.recorder.mark())
+            else:
+                self._apply_marker(versions)

@@ -102,18 +102,29 @@ class ProcessorSharingResource:
     def submit(self, work: float, resume: Callable) -> None:
         """Add a job needing *work* seconds of service; call *resume* when done."""
         scaled = work / self.rate
+        env = self._env
         if scaled <= _EPSILON:
             # Zero-cost work completes immediately (but asynchronously, to
             # keep process resumption ordering consistent); it changes no
             # one's share, so the pending completion stands.
-            self._env.schedule(0.0, resume)
+            env.schedule(0.0, resume)
             return
-        self._sync()
+        # _sync and _reschedule, written out: this runs on every arrival.
+        jobs = self._jobs
+        now = env.now
+        elapsed = now - self._last_sync
+        self._last_sync = now
+        if elapsed > 0.0 and jobs:
+            self._virtual += elapsed / len(jobs)
+            self.stats.busy_time += elapsed
         self._sequence += 1
-        heapq.heappush(
-            self._jobs, (self._virtual + scaled, self._sequence, work, resume)
+        heapq.heappush(jobs, (self._virtual + scaled, self._sequence, work, resume))
+        if self._completion is not None:
+            env.cancel(self._completion)
+        ahead = jobs[0][0] - self._virtual
+        self._completion = env.schedule(
+            (ahead if ahead > 0.0 else 0.0) * len(jobs), self._complete
         )
-        self._reschedule()
 
     def _unpark(self) -> List[Tuple[float, int, float, Callable]]:
         # The completion entry's callback is this resource: drop it too.
@@ -131,22 +142,15 @@ class ProcessorSharingResource:
         self._virtual += elapsed / len(self._jobs)
         self.stats.busy_time += elapsed
 
-    def _reschedule(self) -> None:
-        env = self._env
-        if self._completion is not None:
-            env.cancel(self._completion)
-            self._completion = None
-        jobs = self._jobs
-        if not jobs:
-            return
-        ahead = jobs[0][0] - self._virtual
-        delay = (ahead if ahead > 0.0 else 0.0) * len(jobs)
-        self._completion = env.schedule(delay, self._complete)
-
     def _complete(self) -> None:
-        self._completion = None
-        self._sync()
+        # _sync, written out; a completion always has resident jobs.
         jobs = self._jobs
+        now = self._env.now
+        elapsed = now - self._last_sync
+        self._last_sync = now
+        if elapsed > 0.0:
+            self._virtual += elapsed / len(jobs)
+            self.stats.busy_time += elapsed
         # Every job the clock has reached finishes now, near-ties included;
         # when float drift leaves even the first one epsilon short, it
         # finishes anyway (this event was scheduled for it).
@@ -154,11 +158,16 @@ class ProcessorSharingResource:
         horizon = self._virtual + _EPSILON
         while jobs and jobs[0][0] <= horizon:
             finished.append(heapq.heappop(jobs))
-        if not jobs:
+        if jobs:
+            ahead = jobs[0][0] - self._virtual
+            self._completion = self._env.schedule(
+                (ahead if ahead > 0.0 else 0.0) * len(jobs), self._complete
+            )
+        else:
+            self._completion = None
             self._virtual = 0.0
         for _, _, demand, _ in finished:
             self.stats.work_done += demand
-        self._reschedule()
         for _, _, _, resume in finished:
             self.stats.completions += 1
             resume()

@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.errors import SimulationError
 from ..sidb.certifier_api import CertifierSpec
 from ..sidb.sharded import ShardedCertifier
-from .des import Acquire, Semaphore, Service, Timeout
-from .replica import SimReplica
+from .des import Acquire, Semaphore, Timeout
+from .replica import SimReplica, _Apply
 from .sampling import ServiceSampler
 
 
@@ -54,6 +54,17 @@ def _shard_minima(vectors, shards: range):
     zeros = (0,) * len(shards)
     return map(min, zip(*[map(vector.get, shards, zeros)
                           for vector in vectors]))
+
+
+def _live_floor(heap: List[Tuple[int, int]], active) -> Optional[int]:
+    """The smallest value in *heap* whose token is still in *active*,
+    popping released entries off the top (lazy deletion)."""
+    while heap:
+        value, token = heap[0]
+        if token in active:
+            return value
+        heapq.heappop(heap)
+    return None
 
 
 class ShardedSimReplica(SimReplica):
@@ -86,9 +97,6 @@ class ShardedSimReplica(SimReplica):
         self._enqueued_vector: Dict[int, int] = {
             p: 0 for p in range(partitions)
         }
-        self._deferred_shard: List[
-            Tuple[Tuple[Tuple[int, int], ...], bool]
-        ] = []
 
     # The global-path entry point must not be reachable by accident:
     # a scalar version is meaningless against a vector watermark.
@@ -108,6 +116,7 @@ class ShardedSimReplica(SimReplica):
         *shard_versions* is the certification outcome's sorted
         ``(partition, shard version)`` tuple; the first entry is the
         home shard carrying the data, the rest are vector markers.
+        Every lane must advance by exactly one.
         """
         for partition, version in shard_versions:
             enqueued = self._enqueued_vector.get(partition)
@@ -115,7 +124,7 @@ class ShardedSimReplica(SimReplica):
                 raise SimulationError(
                     f"{self.name}: unknown certifier shard {partition}"
                 )
-            if version <= enqueued:
+            if version != enqueued + 1:
                 raise SimulationError(
                     f"{self.name}: shard {partition} writeset v{version} "
                     f"arrived out of order (latest is {enqueued})"
@@ -123,20 +132,17 @@ class ShardedSimReplica(SimReplica):
         for partition, version in shard_versions:
             self.recorder.delivered(self.name, version, shard=partition)
             self._enqueued_vector[partition] = version
-        self._enqueued_version = sum(self._enqueued_vector.values())
+        self._enqueued_version += len(shard_versions)
         if self.failed:
             return
         if not self._available:
-            self._deferred_shard.append((shard_versions, charged))
-            return
-        self._start_apply_sharded(shard_versions, charged)
+            self._deferred.append((shard_versions, charged))
+        elif charged:
+            _Apply(self, shard_versions, self.recorder.mark())
+        else:
+            self._apply_marker(shard_versions)
 
-    def _start_apply_sharded(self, shard_versions, charged: bool) -> None:
-        if charged:
-            self._env.start(
-                self._apply_one_sharded(shard_versions, self.recorder.mark())
-            )
-            return
+    def _apply_marker(self, shard_versions) -> None:
         for partition, version in shard_versions:
             self._mark_shard_applied(partition, version)
             self.recorder.applied(
@@ -144,10 +150,8 @@ class ShardedSimReplica(SimReplica):
                 shard=partition,
             )
 
-    def _apply_one_sharded(self, shard_versions, started):
+    def _finish_apply(self, shard_versions, started) -> None:
         """Apply one writeset (charged once), advancing every touched lane."""
-        yield Service(self.cpu, self.sampler.writeset_cpu())
-        yield Service(self.disk, self.sampler.writeset_disk())
         self.writesets_applied += 1
         home = shard_versions[0][0]
         for partition, version in shard_versions:
@@ -162,25 +166,20 @@ class ShardedSimReplica(SimReplica):
 
     def _mark_shard_applied(self, partition: int, version: int) -> None:
         heap = self._shard_ahead[partition]
+        applied = self.applied_vector
+        if not heap and version == applied[partition] + 1:
+            applied[partition] = version
+            self.applied_version += 1
+            return
         heapq.heappush(heap, version)
-        while heap and heap[0] == self.applied_vector[partition] + 1:
+        while heap and heap[0] == applied[partition] + 1:
             heapq.heappop(heap)
-            self.applied_vector[partition] += 1
+            applied[partition] += 1
             self.applied_version += 1
 
     def watermarks(self):
         """One ``(shard, watermark)`` delivery lane per certifier shard."""
         return tuple(self.applied_vector.items())
-
-    def crash(self) -> None:
-        self._deferred_shard.clear()
-        super().crash()
-
-    def _flush_deferred(self) -> None:
-        deferred, self._deferred_shard = self._deferred_shard, []
-        for shard_versions, charged in deferred:
-            self._start_apply_sharded(shard_versions, charged)
-        super()._flush_deferred()
 
 
 class ShardedCertification:
@@ -203,6 +202,12 @@ class ShardedCertification:
         self._round_delay = config.certifier_delay
         self.certifier = ShardedCertifier(partitions=spec.partitions)
         self._active_snapshots: Dict[int, Dict[int, int]] = {}
+        #: Per shard, ``(pinned value, token)`` of every pin not yet
+        #: popped; an entry whose token was released is stale and is
+        #: dropped when it reaches the top.
+        self._pinned_floors: List[List[Tuple[int, int]]] = [
+            [] for _ in range(spec.partitions)
+        ]
         self._snapshot_token = 0
         self._service_time = certifier_spec.service_time
         # One service token per shard: disjoint-partition commits
@@ -221,10 +226,12 @@ class ShardedCertification:
         """Pin *replica*'s applied vector for one attempt; returns the
         scalar snapshot (the vector's sum) and the pin's token."""
         self._snapshot_token += 1
-        self._active_snapshots[self._snapshot_token] = dict(
-            replica.applied_vector
-        )
-        return replica.applied_version, self._snapshot_token
+        token = self._snapshot_token
+        vector = self._active_snapshots[token] = dict(replica.applied_vector)
+        # An applied vector lists every shard, in shard order.
+        for heap, value in zip(self._pinned_floors, vector.values()):
+            heapq.heappush(heap, (value, token))
+        return replica.applied_version, token
 
     def stamp(self, writeset, token: int):
         """Attach the touched shards' pinned floors to *writeset*."""
@@ -262,15 +269,15 @@ class ShardedCertification:
         """Unpin one attempt's vector and advance each shard's floor: the
         most-lagging replica's watermark or the oldest pinned snapshot,
         whichever is older."""
-        self._active_snapshots.pop(token, None)
+        active = self._active_snapshots
+        active.pop(token, None)
         shards = range(self._shard_count)
         floors = _shard_minima(
             (replica.applied_vector for replica in replicas), shards
         )
-        if self._active_snapshots:
-            floors = map(min, floors, _shard_minima(
-                self._active_snapshots.values(), shards
-            ))
+        if active:
+            floors = map(min, floors, [_live_floor(heap, active)
+                                       for heap in self._pinned_floors])
         self.certifier.observe_snapshot(
             {p: max(0, floor) for p, floor in zip(shards, floors)}
         )
@@ -283,7 +290,15 @@ class ShardedCertification:
         """The summed shard clock (what ``applied_version`` tracks)."""
         return self.certifier.latest_version
 
-    def deliver(self, replica: ShardedSimReplica, outcome,
-                charged: bool) -> None:
-        """Hand one commit's shard versions to *replica*."""
-        replica.enqueue_shard_writeset(outcome.shard_versions, charged=charged)
+    def propagate(self, members, outcome, origin, partitions) -> None:
+        """Hand one commit's shard versions to every member; see
+        :meth:`~.systems.GlobalCertification.propagate`."""
+        shard_versions = outcome.shard_versions
+        for member in members:
+            hosted = member.hosted_partitions
+            member.enqueue_shard_writeset(
+                shard_versions,
+                member is not origin and (
+                    hosted is None or not partitions
+                    or not hosted.isdisjoint(partitions)),
+            )

@@ -606,9 +606,26 @@ class GlobalCertification:
         """The system-wide version clock after *outcome* committed."""
         return outcome.commit_version
 
-    def deliver(self, replica: SimReplica, outcome, charged: bool) -> None:
-        """Hand one committed version to *replica*."""
-        replica.enqueue_writeset(outcome.commit_version, charged=charged)
+    def propagate(self, members: Sequence[SimReplica], outcome,
+                  origin: SimReplica, partitions) -> None:
+        """Hand one committed version to every member, in member order.
+
+        The executing replica (*origin*) already holds the effects;
+        under partial replication only members hosting one of the
+        writeset's *partitions* pay the application work — everyone else
+        advances its watermark for free (the version marker that keeps
+        the snapshot clock contiguous).  Hosting is :func:`hosts_any`,
+        written out: this runs for every member of every commit.
+        """
+        version = outcome.commit_version
+        for member in members:
+            hosted = member.hosted_partitions
+            member.enqueue_writeset(
+                version,
+                member is not origin and (
+                    hosted is None or not partitions
+                    or not hosted.isdisjoint(partitions)),
+            )
 
 
 class _BaseSystem(Fleet):
@@ -830,7 +847,9 @@ class _BaseSystem(Fleet):
                     )
                 txn.staleness(replica, self.certifier, snapshot)
                 try:
-                    yield from replica.serve_update_attempt()
+                    draws = replica.sampler
+                    yield Service(replica.cpu, draws.update_cpu())
+                    yield Service(replica.disk, draws.update_disk())
                     writeset = path.stamp(
                         sampler.sample_writeset(snapshot, partitions), token
                     )
@@ -857,18 +876,8 @@ class _BaseSystem(Fleet):
                     version = path.version(outcome)
                     txn.propagated(version, len(self.replicas))
                     self._propagated_version = version
-                    for member in self.replicas:
-                        # The executing replica already holds the effects;
-                        # under partial replication only replicas hosting
-                        # one of the writeset's partitions pay the
-                        # application work — everyone else advances its
-                        # watermark for free (the version marker that
-                        # keeps the snapshot clock contiguous).
-                        path.deliver(
-                            member, outcome,
-                            charged=member is not replica
-                            and hosts_any(member, writeset.partitions),
-                        )
+                    path.propagate(self.replicas, outcome, replica,
+                                   writeset.partitions)
                     return aborts
                 aborts += 1
             raise RetryLimitExceeded(

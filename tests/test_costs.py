@@ -19,6 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.simulator.des import Environment
+from repro.simulator.runner import simulate
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
 
 
@@ -60,3 +63,18 @@ def test_call_counts_are_gated_only_on_the_pinned_python(golden, measured):
     assert len(golden.cost_differences(pinned, measured)) == 1
     pinned["python"] = "2.7"
     assert golden.cost_differences(pinned, measured) == []
+
+
+def test_writeset_application_starts_no_process(golden, monkeypatch):
+    # A closed-loop run without faults or telemetry starts one process
+    # per client and nothing else: propagated writesets are applied by
+    # callback objects, not processes.
+    started = []
+    start = Environment.start
+    monkeypatch.setattr(Environment, "start",
+                        lambda env, process: started.append(start(env, process)))
+    case = dict(golden.cost_cases()["write_mm"])
+    spec, config = case.pop("spec"), case.pop("config")
+    result = simulate(spec, config, **case)
+    assert result.total_certifications > 0
+    assert len(started) == config.total_clients

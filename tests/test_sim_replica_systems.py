@@ -50,9 +50,18 @@ class TestReplicaWatermark:
 
     def test_out_of_order_enqueue_rejected(self, shopping_spec):
         env, replica = make_replica(shopping_spec)
+        replica.enqueue_writeset(1, charged=False)
         replica.enqueue_writeset(2, charged=False)
         with pytest.raises(SimulationError):
             replica.enqueue_writeset(1, charged=False)
+
+    def test_skipped_version_rejected(self, shopping_spec):
+        # A gap would stall the watermark for good: refused on arrival.
+        env, replica = make_replica(shopping_spec)
+        replica.enqueue_writeset(1, charged=False)
+        with pytest.raises(SimulationError, match="out of order"):
+            replica.enqueue_writeset(3, charged=False)
+        assert replica.apply_backlog == 0
 
     def test_duplicate_version_rejected(self, shopping_spec):
         env, replica = make_replica(shopping_spec)
