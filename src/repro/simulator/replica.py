@@ -10,10 +10,9 @@ and application latency rather than being assumed.
 Cost model of one apply: no process.  A charged writeset is one
 :class:`_Apply` object that is its own resume callback — it submits a
 CPU draw, then a disk draw, then advances the watermark — so it costs
-the two resource submissions and their completion events, exactly the
-heap entries a generator process would have, and nothing else.  A free
-version marker (a replica that already holds the effects, or does not
-host the data) advances the watermark on the spot.  In-order
+the two resource submissions and their completion events and nothing
+else.  A free version marker (a replica that already holds the effects,
+or does not host the data) advances the watermark on the spot.  In-order
 completions, the common case, advance the watermark without touching
 the out-of-order heap.
 """
@@ -50,8 +49,9 @@ class _Apply:
     resume draws and submits the disk demand; the second hands
     *versions* (a commit version, or a sharded replica's shard versions)
     and the recorder's *started* mark back to the replica's
-    ``_finish_apply``.  Draws and submissions happen in the order a
-    generator process would make them, so the event order is the same.
+    ``_finish_apply``.  The disk demand is drawn only when the CPU step
+    is done: concurrent applies share the replica's sampler stream, so
+    when a draw is taken fixes which value it gets.
     """
 
     __slots__ = ("_replica", "_versions", "_started", "_on_disk")
