@@ -370,12 +370,6 @@ def measure_costs(kwargs: dict) -> Dict[str, float]:
     return {name: round(counts[name] / committed, 3) for name in COSTS}
 
 
-def python_version() -> str:
-    """``major.minor`` of the running interpreter (call counts vary
-    between versions)."""
-    return "%d.%d" % sys.version_info[:2]
-
-
 def costs_manifest() -> dict:
     """``{"python": "<major.minor>", "cases": {case: {count: per txn}}}``."""
     from repro.simulator.runner import simulate
@@ -386,7 +380,8 @@ def costs_manifest() -> dict:
     simulate(tpcw.ORDERING, tpcw.ORDERING.replication_config(2),
              warmup=0.1, duration=0.2)
     return {
-        "python": python_version(),
+        # Call counts vary between interpreter versions.
+        "python": "%d.%d" % sys.version_info[:2],
         "cases": {label: measure_costs(kwargs)
                   for label, kwargs in cost_cases().items()},
     }
