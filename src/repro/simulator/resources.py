@@ -109,7 +109,8 @@ class ProcessorSharingResource:
             # one's share, so the pending completion stands.
             env.schedule(0.0, resume)
             return
-        # _sync and _reschedule, written out: this runs on every arrival.
+        # The clock sync and the completion reschedule, written out: this
+        # runs on every arrival.
         jobs = self._jobs
         now = env.now
         elapsed = now - self._last_sync
