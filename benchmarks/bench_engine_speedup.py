@@ -1,6 +1,6 @@
 """Engine speedup benchmark: serial vs parallel wall-clock.
 
-Runs one fig06-sized validation sweep (TPC-W, multi-master: every mix ×
+Runs one figure6-sized validation sweep (TPC-W, multi-master: every mix ×
 replica count × {model, simulator} plus the standalone profiling runs)
 twice from a cold cache — once with ``jobs=1`` and once fanned out over a
 process pool — and records the wall-clock ratio.  Guards against future

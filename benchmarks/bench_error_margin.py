@@ -6,11 +6,14 @@ throughput figures (6, 8, 10, 12) across both benchmarks and both designs.
 
 from conftest import run_once
 
-from repro.experiments import error_margin
+from repro.engine import run_scenario
 
 
 def test_error_margin_within_paper_claim(benchmark, settings):
-    result = run_once(benchmark, lambda: error_margin(settings))
+    result = run_once(
+        benchmark,
+        lambda: run_scenario("error-margin", settings, jobs=1, cache=None),
+    )
     print("\n" + result.to_text())
     # The paper reports performance predictions within 15%.
     assert result.max_throughput_error < 0.15

@@ -8,11 +8,14 @@ within 15%.
 
 from conftest import run_once
 
-from repro.experiments import figure6
+from repro.engine import run_scenario
 
 
 def test_figure6_tpcw_mm_throughput(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure6(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure6", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

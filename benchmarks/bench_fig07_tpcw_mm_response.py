@@ -7,11 +7,14 @@ benchmark reuses the Figure 6 sweep when it ran first in the session.)
 
 from conftest import run_once
 
-from repro.experiments import figure7
+from repro.engine import run_scenario
 
 
 def test_figure7_tpcw_mm_response_time(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure7(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure7", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

@@ -7,11 +7,14 @@ soon as the master becomes the bottleneck (~4 replicas) and stays flat.
 
 from conftest import run_once
 
-from repro.experiments import figure8
+from repro.engine import run_scenario
 
 
 def test_figure8_tpcw_sm_throughput(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure8(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure8", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

@@ -7,11 +7,14 @@ master.
 
 from conftest import run_once
 
-from repro.experiments import figure9
+from repro.engine import run_scenario
 
 
 def test_figure9_tpcw_sm_response_time(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure9(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure9", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

@@ -9,11 +9,14 @@ replicas' capacity.
 
 from conftest import run_once
 
-from repro.experiments import figure10
+from repro.engine import run_scenario
 
 
 def test_figure10_rubis_mm_throughput(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure10(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure10", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

@@ -7,11 +7,14 @@ disk.  The model tracks both curves.
 
 from conftest import run_once
 
-from repro.experiments import figure11
+from repro.engine import run_scenario
 
 
 def test_figure11_rubis_mm_response_time(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure11(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure11", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

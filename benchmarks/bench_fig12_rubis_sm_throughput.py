@@ -7,11 +7,14 @@ adding slaves past ~4 buys almost nothing.
 
 from conftest import run_once
 
-from repro.experiments import figure12
+from repro.engine import run_scenario
 
 
 def test_figure12_rubis_sm_throughput(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure12(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure12", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

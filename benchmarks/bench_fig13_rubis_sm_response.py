@@ -8,11 +8,14 @@ for throughput.
 
 from conftest import run_once
 
-from repro.experiments import figure13
+from repro.engine import run_scenario
 
 
 def test_figure13_rubis_sm_response_time(benchmark, settings, fast_mode):
-    figure = run_once(benchmark, lambda: figure13(settings))
+    figure = run_once(
+        benchmark,
+        lambda: run_scenario("figure13", settings, jobs=1, cache=None),
+    )
     print("\n" + figure.to_text())
 
     browsing = figure.series["browsing"].measured_curve()

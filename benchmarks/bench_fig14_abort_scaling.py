@@ -9,14 +9,17 @@ largest rates.
 
 from conftest import run_once
 
-from repro.experiments import figure14
+from repro.engine import run_scenario
 
 #: The paper's measured A16 values per A1 target (§6.3.3).
 PAPER_A16 = {0.0024: 0.10, 0.0053: 0.17, 0.0090: 0.29}
 
 
 def test_figure14_abort_probability_scaling(benchmark, settings, fast_mode):
-    result = run_once(benchmark, lambda: figure14(settings))
+    result = run_once(
+        benchmark,
+        lambda: run_scenario("figure14", settings, jobs=1, cache=None),
+    )
     print("\n" + result.to_text())
 
     top = max(settings.replica_counts)

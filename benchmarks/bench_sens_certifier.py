@@ -12,7 +12,8 @@ Two experiments back the paper's modelling decision:
 
 from conftest import run_once
 
-from repro.experiments import certifier_capacity, certifier_delay_sensitivity
+from repro.engine import run_scenario
+from repro.experiments import certifier_capacity
 
 
 def test_certifier_latency_constant_under_load(benchmark):
@@ -30,7 +31,10 @@ def test_certifier_latency_constant_under_load(benchmark):
 
 
 def test_certifier_delay_sensitivity(benchmark, settings):
-    result = run_once(benchmark, lambda: certifier_delay_sensitivity(settings))
+    result = run_once(
+        benchmark,
+        lambda: run_scenario("sens-certifier-delay", settings, jobs=1, cache=None),
+    )
     print("\n" + result.to_text())
     # Throughput is insensitive to 6 vs 24 ms certification.
     assert result.max_throughput_drop() < 0.02

@@ -6,11 +6,14 @@ The paper argues the ~1 ms LB/network delay is negligible; sweeping it to
 
 from conftest import run_once
 
-from repro.experiments import lb_delay_sensitivity
+from repro.engine import run_scenario
 
 
 def test_lb_delay_sensitivity(benchmark, settings):
-    result = run_once(benchmark, lambda: lb_delay_sensitivity(settings))
+    result = run_once(
+        benchmark,
+        lambda: run_scenario("sens-lb-delay", settings, jobs=1, cache=None),
+    )
     print("\n" + result.to_text())
     # Sub-millisecond to 10 ms: predicted throughput moves < 1%.
     assert result.max_throughput_drop() < 0.01

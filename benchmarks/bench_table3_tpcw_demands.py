@@ -8,11 +8,14 @@ noise.
 
 from conftest import run_once
 
-from repro.experiments import table3
+from repro.engine import run_scenario
 
 
 def test_table3_tpcw_service_demands(benchmark, settings):
-    table = run_once(benchmark, lambda: table3(settings))
+    table = run_once(
+        benchmark,
+        lambda: run_scenario("table3", settings, jobs=1, cache=None),
+    )
     print("\n" + table.to_text())
     # The Utilization Law should recover every demand within ~10%.
     assert table.max_relative_error() < 0.10

@@ -2,11 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import table5
+from repro.engine import run_scenario
 
 
 def test_table5_rubis_service_demands(benchmark, settings):
-    table = run_once(benchmark, lambda: table5(settings))
+    table = run_once(
+        benchmark,
+        lambda: run_scenario("table5", settings, jobs=1, cache=None),
+    )
     print("\n" + table.to_text())
     assert table.max_relative_error() < 0.10
     # §6.2.2: writeset application for bidding is disk-heavy — the measured

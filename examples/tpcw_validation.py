@@ -11,13 +11,8 @@ Run:  python examples/tpcw_validation.py [--fast]
 
 import sys
 
-from repro.experiments import (
-    ExperimentSettings,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-)
+from repro.engine import run_scenario
+from repro.experiments import ExperimentSettings
 
 
 def main() -> None:
@@ -25,14 +20,14 @@ def main() -> None:
     settings = ExperimentSettings.fast() if fast else ExperimentSettings()
 
     worst_throughput_error = 0.0
-    for runner in (figure6, figure8):
-        figure = runner(settings)
+    for name in ("figure6", "figure8"):
+        figure = run_scenario(name, settings, jobs=1, cache=None)
         print(figure.to_text())
         worst_throughput_error = max(worst_throughput_error,
                                      figure.max_error())
         print()
-    for runner in (figure7, figure9):
-        figure = runner(settings)
+    for name in ("figure7", "figure9"):
+        figure = run_scenario(name, settings, jobs=1, cache=None)
         print(figure.to_text())
         print()
 

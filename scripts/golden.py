@@ -332,7 +332,9 @@ def cost_cases() -> Dict[str, dict]:
 
 def measure_costs(kwargs: dict) -> Dict[str, float]:
     """Run one ``simulate`` call under a ``sys.setprofile`` counter and
-    return its costs per committed (window) transaction:
+    return its costs per committed (window) transaction (the hook in
+    place before the call, e.g. ``scripts/never_run.py``'s, is put back
+    after it):
 
     * ``heap_pushes`` — ``Environment._sequence`` at the end of the run;
     * ``processes`` — calls of ``Environment.start``;
@@ -360,11 +362,12 @@ def measure_costs(kwargs: dict) -> Dict[str, float]:
             elif code is init:
                 environments.append(frame.f_locals["self"])
 
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         result = simulate(spec, config, **kwargs)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     counts["heap_pushes"] = sum(env._sequence for env in environments)
     committed = result.committed_transactions
     return {name: round(counts[name] / committed, 3) for name in COSTS}

@@ -6,7 +6,8 @@ then prints every ``def`` in ``src/repro`` whose code no frame entered,
 one ``path:line qualname`` per line, and a count.  Pool workers are
 separate processes and are not traced, so a function only a
 ``--jobs N`` worker runs shows up here.  Arguments after ``--`` go to
-pytest; the exit status is pytest's::
+pytest; the exit status is pytest's, or 3 (and no list) when a test
+replaced the profile hook without restoring it::
 
     PYTHONPATH=src python scripts/never_run.py -- -q -p no:cacheprovider
 
@@ -59,9 +60,17 @@ def main(argv) -> int:
     threading.setprofile(hook)
     try:
         status = pytest.main(argv)
+        # A test that installed its own hook and did not put this one
+        # back blinded the trace from then on: the list would be wrong.
+        replaced = sys.getprofile() is not hook
     finally:
         threading.setprofile(None)
         sys.setprofile(None)
+    if replaced:
+        print("never_run: a test replaced the profile hook and did not "
+              "restore it; the functions run after it went untraced",
+              file=sys.stderr)
+        return 3
     entered = {(str(Path(name).resolve()), line) for name, line in entered}
     total = 0
     never = []

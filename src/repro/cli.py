@@ -8,19 +8,18 @@ Examples::
     repro predict tpcw/shopping --design multi-master --replicas 1 2 4 8 16
     repro simulate tpcw/shopping --design single-master --replicas 8
     repro crossval --workload tpcw --replicas 4
-    repro figure fig06 --fast --jobs 4
-    repro table table3 --fast
-    repro run ablation-lb-policy --fast
-    repro autoscale --trace diurnal --fast --jobs 6
-    repro scenarios --profile fig06 --fast
-    repro validate --fast
+    repro run figure6 --fast --jobs 4
+    repro run table3 error-margin --fast
+    repro run autoscale-diurnal autoscale-diurnal-live --timeline --fast
+    repro scenarios --profile figure6 --fast
     repro reproduce --fast --jobs 8
 
-Every figure/table/ablation is a registered scenario executed by the sweep
-engine: ``--jobs N`` fans sweep points out over a process pool (identical
-results to serial execution) and completed points are cached on disk
-(``--no-cache`` disables; ``$REPRO_CACHE_DIR`` moves the cache), so
-interrupted or repeated runs are incremental.
+Every figure, table, ablation and operations experiment is a registered
+scenario, run by its canonical name (``repro scenarios`` lists them)
+through the sweep engine: ``--jobs N`` fans sweep points out over a
+process pool (identical results to serial execution) and completed points
+are cached on disk (``--no-cache`` disables; ``$REPRO_CACHE_DIR`` moves
+the cache), so interrupted or repeated runs are incremental.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .engine import (
     RUN_WIDE,
     UnknownScenarioError,
     UnknownTagError,
-    all_scenarios,
     execute_points,
     get_scenario,
     point_timings,
@@ -54,13 +52,6 @@ from .models.api import predict
 from .simulator.runner import simulate
 from .simulator.systems import LB_POLICIES
 from .workloads import get_workload, workload_names
-
-_FIGURE_NAMES = tuple(f"figure{i}" for i in range(6, 15))
-_FIGURE_ALIASES = tuple(f"fig{i:02d}" for i in range(6, 15)) + tuple(
-    f"fig{i}" for i in range(6, 15)
-)
-_TABLE_NAMES = ("table2", "table3", "table4", "table5")
-
 
 def _settings(args) -> experiments.ExperimentSettings:
     settings = (
@@ -138,21 +129,16 @@ def _cmd_scenarios(args) -> int:
     names = getattr(args, "names", None) or tagged or scenario_names()
     for name in names:
         try:
-            scenario = get_scenario(name)  # resolves aliases too
+            scenario = get_scenario(name)
         except UnknownScenarioError as exc:
             print(f"repro scenarios: {exc}", file=sys.stderr)
             return 2
         if tagged is not None and scenario.name not in tagged:
             continue  # explicit names restricted by --tag
-        aliases = (
-            f" (aka {', '.join(scenario.aliases)})" if scenario.aliases else ""
-        )
-        print(f"{scenario.name:<26s} [{scenario.kind}] "
-              f"{scenario.title}{aliases}")
+        print(f"{scenario.name:<26s} [{scenario.kind}] {scenario.title}")
     if not getattr(args, "names", None) and tagged is None:
         print(f"{len(names)} scenarios; run any with: repro run <name> "
-              f"(figures/tables also via repro figure | repro table; "
-              f"everything via repro reproduce)")
+              f"[<name> ...] (the paper's artifacts via repro reproduce)")
     return 0
 
 
@@ -180,7 +166,7 @@ def _profile_scenarios(args, tagged=None) -> int:
         # full settings) from what reads as a listing command would be a
         # multi-hour surprise; make the workload explicit.
         print("repro scenarios --profile: name the scenarios to profile, "
-              "e.g.: repro scenarios --profile fig06 table3 --fast",
+              "e.g.: repro scenarios --profile figure6 table3 --fast",
               file=sys.stderr)
         return 2
     names = args.names or tagged
@@ -527,9 +513,10 @@ def _run_failures(points, results, artifact=None) -> List[str]:
     :class:`repro.audit.AuditReport` to each result's telemetry; a
     non-converged point or an invariant violation must fail the command,
     not exit 0 behind a pretty table.  The artifact adds its own
-    ``converged`` verdict when it has one.
+    ``converged`` verdict and ``failures`` (the error margin's 15% claim)
+    when it has them.
     """
-    failures = []
+    failures = list(getattr(artifact, "failures", ()))
     if getattr(artifact, "converged", True) is False:
         failures.append("artifact did not converge")
     for point, result in zip(points, results):
@@ -547,8 +534,22 @@ def _run_failures(points, results, artifact=None) -> List[str]:
     return failures
 
 
-def _run_registered(args, name: str, after_render=None) -> int:
-    scenario = get_scenario(name)
+def _print_timelines(results) -> None:
+    """``--timeline``: the perf report (when the run estimated capacity)
+    and the per-interval timeline of every elastic run among *results*."""
+    from .control.autoscale import AutoscaleResult, render_timeline
+
+    for result in results:
+        if not isinstance(result, AutoscaleResult):
+            continue
+        if result.perf is not None:
+            print()
+            print(result.perf.to_text())
+        print()
+        print(render_timeline(result))
+
+
+def _run_registered(args, scenario) -> int:
     settings = _settings(args)
     disk = resolve_cache(_cache(args))
     started = time.time()
@@ -584,8 +585,8 @@ def _run_registered(args, name: str, after_render=None) -> int:
         print(f"repro: [{scenario.name}] error: {message}", file=sys.stderr)
         return 1
     print(_render_artifact(artifact))
-    if after_render is not None:
-        after_render(artifact)
+    if args.timeline:
+        _print_timelines(results)
     print(f"[{scenario.name}] {time.time() - started:.1f}s wall-clock",
           file=sys.stderr)
     failures = _run_failures(points, results, artifact)
@@ -600,80 +601,15 @@ def _run_registered(args, name: str, after_render=None) -> int:
     return 1 if failures else 0
 
 
-def _run_each(args, names, after_render=None) -> int:
-    return max(_run_registered(args, name, after_render) for name in names)
-
-
 def _cmd_run(args) -> int:
-    """``run`` / ``figure`` / ``table``: one registered scenario."""
+    """``run``: the named scenarios in order; the worst exit status wins.
+    An unknown name exits 2 before anything runs."""
     try:
-        return _run_registered(args, args.name)
+        scenarios = [get_scenario(name) for name in args.names]
     except UnknownScenarioError as exc:
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
-
-
-def _family(kind: str, choice: str, live: bool) -> List[str]:
-    """The registered *kind* scenarios a family verb runs: every
-    simulator one (``all``) or the one carrying *choice* as a word of its
-    name or as an alias, then — with ``--live`` — their ``-live`` twins."""
-    names = [
-        scenario.name for scenario in all_scenarios().values()
-        if scenario.kind == kind and "live" not in scenario.tags
-        and (choice == "all" or choice in scenario.name.split("-")
-             or choice in scenario.aliases)
-    ]
-    return names + [f"{name}-live" for name in names] if live else names
-
-
-def _cmd_autoscale(args) -> int:
-    from .control.autoscale import render_timeline
-
-    def print_timelines(comparison) -> None:
-        for result in comparison.results:
-            print()
-            print(render_timeline(result))
-
-    names = [f"autoscale-{args.trace}"]
-    if args.live:
-        names.append("autoscale-diurnal-live")
-    return _run_each(args, names, print_timelines if args.timeline else None)
-
-
-def _cmd_ops(args) -> int:
-    from .control.autoscale import render_timeline
-
-    def print_detail(artifact) -> None:
-        for entry in getattr(artifact, "results", ()) or ():
-            result = getattr(entry, "result", None)
-            if result is None:
-                continue
-            print()
-            print(render_timeline(result))
-
-    return _run_each(args, _family("ops", args.operation, args.live),
-                     print_detail if args.timeline else None)
-
-
-def _cmd_perf(args) -> int:
-    from .control.autoscale import render_timeline
-
-    def print_report(artifact) -> None:
-        for result in getattr(artifact, "results", ()) or ():
-            perf = getattr(result, "perf", None)
-            if perf is None:
-                continue
-            print()
-            print(perf.to_text())
-            if args.timeline:
-                print()
-                print(render_timeline(result))
-
-    return _run_each(args, _family("ops", "capest", args.live), print_report)
-
-
-def _cmd_partition(args) -> int:
-    return _run_each(args, _family("partition", args.family, args.live))
+    return max([_run_registered(args, scenario) for scenario in scenarios])
 
 
 def _cmd_reproduce(args) -> int:
@@ -740,21 +676,6 @@ def _cmd_plan(args) -> int:
           f"{to_ms(plan.predicted_response_time):.0f} ms "
           f"(load factor {plan.load_factor:.0%})")
     return 0
-
-
-def _cmd_validate(args) -> int:
-    settings = _settings(args)
-    result = experiments.error_margin(
-        settings, jobs=_jobs(args), cache=_cache(args)
-    )
-    print(result.to_text())
-    threshold = 0.15
-    if result.mean_throughput_error <= threshold:
-        print(f"PASS: mean error {result.mean_throughput_error:.1%} <= "
-              f"{threshold:.0%} (paper's claim)")
-        return 0
-    print(f"FAIL: mean error {result.mean_throughput_error:.1%} > {threshold:.0%}")
-    return 1
 
 
 def _add_engine_options(parser: argparse.ArgumentParser,
@@ -844,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per-point wall-clock)",
     )
     p.add_argument("names", nargs="*",
-                   help="restrict to these scenarios (names or aliases)")
+                   help="restrict to these scenarios")
     p.add_argument("--tag", default=None,
                    help="list only scenarios carrying this tag (a kind "
                    "like figure|ablation|autoscale|ops|partition, or an "
@@ -945,31 +866,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the three pillars concurrently with --jobs 3")
     p.set_defaults(func=_cmd_crossval)
 
-    p = sub.add_parser("figure", help="regenerate a paper figure")
-    p.add_argument("name",
-                   choices=sorted(set(_FIGURE_NAMES + _FIGURE_ALIASES)))
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_run)
-
     p = sub.add_parser(
-        "run", help="run any registered scenario (see: repro scenarios)"
+        "run", help="run registered scenarios by name (see: repro scenarios)"
     )
-    p.add_argument("name", help="scenario name or alias from the registry")
+    p.add_argument("names", nargs="+", metavar="name",
+                   help="canonical scenario names, run in order")
+    p.add_argument("--timeline", action="store_true",
+                   help="also print each elastic run's perf report and "
+                   "per-interval timeline")
     p.add_argument("--fast", action="store_true")
     _add_engine_options(p)
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("table", help="regenerate a paper table")
-    p.add_argument("name", choices=sorted(_TABLE_NAMES))
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("validate", help="check the <=15%% error-margin claim")
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(
         "reproduce", help="regenerate every table and figure into one report"
@@ -978,72 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report to a file")
     _add_engine_options(p, default_jobs=None)
     p.set_defaults(func=_cmd_reproduce)
-
-    p = sub.add_parser(
-        "autoscale",
-        help="compare autoscaling policies (feedforward/reactive/static) "
-        "on a load trace",
-    )
-    p.add_argument("--trace", choices=("diurnal", "flashcrowd"),
-                   default="diurnal", help="registered trace scenario to run")
-    p.add_argument("--live", action="store_true",
-                   help="also run the live-cluster validation scenario "
-                   "(elastic membership on real threads)")
-    p.add_argument("--timeline", action="store_true",
-                   help="print each run's per-interval timeline")
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_autoscale)
-
-    p = sub.add_parser(
-        "ops",
-        help="run the self-healing operations scenarios (failure "
-        "replacement, rolling upgrades, heterogeneous fleets)",
-    )
-    p.add_argument("--operation",
-                   choices=("selfheal", "rolling", "hetero", "brownout",
-                            "capest", "all"),
-                   default="all", help="which operations family to run")
-    p.add_argument("--live", action="store_true",
-                   help="also run the live-cluster validation cells "
-                   "(real threads, real membership)")
-    p.add_argument("--timeline", action="store_true",
-                   help="print per-interval timelines and the ops event "
-                   "log of every run")
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_ops)
-
-    p = sub.add_parser(
-        "perf",
-        help="performance observability: online capacity estimation, "
-        "model-drift detection, and gray-failure diagnosis under a "
-        "brownout",
-    )
-    p.add_argument("--live", action="store_true",
-                   help="also run the live-cluster validation cell "
-                   "(brownout on real threads)")
-    p.add_argument("--timeline", action="store_true",
-                   help="print each instrumented run's per-interval "
-                   "timeline")
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_perf)
-
-    p = sub.add_parser(
-        "partition",
-        help="run the partial-replication scenarios (partitioned "
-        "placement, per-partition certification, placement planning)",
-    )
-    p.add_argument("--family",
-                   choices=("sweep", "placement", "certifier", "all"),
-                   default="all", help="which scenario family to run")
-    p.add_argument("--live", action="store_true",
-                   help="also run the live-cluster validation cells "
-                   "(scoped propagation on real threads)")
-    p.add_argument("--fast", action="store_true")
-    _add_engine_options(p)
-    p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("plan", help="size a deployment for a target load")
     p.add_argument("workload")

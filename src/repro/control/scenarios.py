@@ -212,7 +212,6 @@ register_family(
     kind="autoscale",
     metrics=_METRICS,
     assemble=_assemble,
-    aliases=("autoscale",),
 )
 
 register_scenario(Scenario(

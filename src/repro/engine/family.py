@@ -84,12 +84,11 @@ class PillarDims:
 
 def live_twin(scenario: Scenario, **changes) -> Scenario:
     """The live validation twin of a simulator *scenario*: ``<name>-live``
-    with ``<alias>-live`` aliases and the ``live`` tag; *changes* are the
-    fields that differ (title, metrics, points, assemble)."""
+    with the ``live`` tag; *changes* are the fields that differ (title,
+    metrics, points, assemble)."""
     return dataclasses.replace(
         scenario,
         name=f"{scenario.name}-live",
-        aliases=tuple(f"{alias}-live" for alias in scenario.aliases),
         tags=scenario.tags + ("live",),
         **changes,
     )

@@ -1,9 +1,9 @@
 """Scenario registry: every reproducible artifact under one namespace.
 
 Mirrors :mod:`repro.workloads.registry`: experiment modules register their
-scenarios at import time, and the CLI (``repro scenarios``, ``repro figure
-fig06 --jobs 4``) resolves names — including aliases like ``fig06`` for
-``figure6`` — through one lookup.  Adding a new scenario is one
+scenarios at import time, and the CLI (``repro scenarios``, ``repro run
+figure6 --jobs 4``) and :func:`~repro.engine.runner.run_scenario` resolve
+a scenario by its one canonical name.  Adding a new scenario is one
 :func:`register_scenario` call; the sweep runner, parallelism, and caching
 come for free.
 """
@@ -17,7 +17,6 @@ from ..core.errors import ConfigurationError, ReproError
 from .scenario import Scenario
 
 _SCENARIOS: Dict[str, Scenario] = {}
-_ALIASES: Dict[str, str] = {}
 
 
 class UnknownTagError(ReproError, KeyError):
@@ -71,8 +70,9 @@ def register_scenario(scenario: Scenario) -> Scenario:
 
     Returns the scenario so modules can register and keep a reference in
     one expression.  ``<name>-live`` is reserved for the ``live``-tagged
-    cluster twin of an already registered ``<name>``: the CLI's family
-    verbs pair scenarios by that convention.
+    cluster twin of an already registered ``<name>`` of the same kind:
+    the suffix is how a reader (and ``repro scenarios --tag live``) finds
+    the live cells that validate a simulator scenario.
     """
     base, _, suffix = scenario.name.rpartition("-")
     if suffix == "live" and not (
@@ -84,8 +84,6 @@ def register_scenario(scenario: Scenario) -> Scenario:
             f"registered {base!r} of the same kind"
         )
     _SCENARIOS[scenario.name] = scenario
-    for alias in scenario.aliases:
-        _ALIASES[alias] = scenario.name
     return scenario
 
 
@@ -95,20 +93,18 @@ def _ensure_loaded() -> None:
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look up a scenario by canonical name or alias.
+    """Look up a scenario by its canonical name.
 
     Raises :class:`UnknownScenarioError` (a ``KeyError``) carrying
-    close-match suggestions for misspelt names.
+    close-match canonical names for misspelt ones.
     """
     _ensure_loaded()
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
     try:
-        return _SCENARIOS[key]
+        return _SCENARIOS[name]
     except KeyError:
-        candidates = sorted(set(_SCENARIOS) | set(_ALIASES))
         suggestions = tuple(
-            difflib.get_close_matches(key, candidates, n=3, cutoff=0.5)
+            difflib.get_close_matches(name, sorted(_SCENARIOS), n=3,
+                                      cutoff=0.5)
         )
         raise UnknownScenarioError(name, suggestions) from None
 

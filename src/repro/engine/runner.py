@@ -346,10 +346,10 @@ def run_scenario(
 ):
     """Build, execute, and assemble one scenario; returns its artifact.
 
-    *scenario* is a :class:`~repro.engine.scenario.Scenario` or a registry
-    name/alias.  Callers that need the raw per-point results (the CLI
-    reads audit and convergence verdicts off them) run the three steps
-    themselves: :func:`scenario_points`, :func:`execute_points`,
+    *scenario* is a :class:`~repro.engine.scenario.Scenario` or its
+    canonical registry name.  Callers that need the raw per-point results
+    (the CLI reads audit and convergence verdicts off them) run the three
+    steps themselves: :func:`scenario_points`, :func:`execute_points`,
     ``scenario.assemble``.
     """
     from ..experiments.settings import ExperimentSettings

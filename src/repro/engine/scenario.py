@@ -118,8 +118,6 @@ class Scenario:
     #: ``assemble(settings, points, results) -> artifact`` — *results* is
     #: aligned index-for-index with *points*.
     assemble: Callable[[object, Sequence[SweepPoint], Sequence[object]], object]
-    #: Alternate lookup names, e.g. ``("fig06", "fig6")``.
-    aliases: Tuple[str, ...] = ()
     #: Extra filter tags for ``repro scenarios --tag`` (the kind is
     #: always an implicit tag; ``live`` marks cluster-backed cells).
     tags: Tuple[str, ...] = ()

@@ -19,30 +19,17 @@ from .figures import (
     Figure14Result,
     FigureResult,
     clear_sweep_cache,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    validation_sweep,
 )
 from .openloop import OpenClosedResult, open_vs_closed
-from .report import FIGURE_RUNNERS, full_report, summary_table
+from .report import full_report
 from .sensitivity import (
     CertifierCapacityResult,
     DelaySensitivityResult,
     ErrorMarginResult,
     certifier_capacity,
-    certifier_delay_sensitivity,
-    error_margin,
-    lb_delay_sensitivity,
 )
 from .settings import PAPER_REPLICA_COUNTS, ExperimentSettings
-from .tables import DemandTable, ParameterTable, table2, table3, table4, table5
+from .tables import DemandTable, ParameterTable, table2, table4
 
 # isort: split
 # Imported last (they read .context and the engine): register the
@@ -68,36 +55,19 @@ __all__ = [
     "CrossValidationResult",
     "PillarPoint",
     "certifier_capacity",
-    "certifier_delay_sensitivity",
     "clear_cache",
     "clear_sweep_cache",
     "conflict_window_ablation",
     "cross_validate",
     "resolve_workload",
     "distribution_ablation",
-    "error_margin",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
     "full_report",
-    "FIGURE_RUNNERS",
-    "summary_table",
     "get_profile",
     "get_profiling_report",
     "lb_policy_ablation",
-    "lb_delay_sensitivity",
     "mva_ablation",
     "open_vs_closed",
     "OpenClosedResult",
     "table2",
-    "table3",
     "table4",
-    "table5",
-    "validation_sweep",
 ]

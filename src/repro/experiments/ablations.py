@@ -286,7 +286,6 @@ register_scenario(Scenario(
     metrics=("throughput",),
     points=lambda settings: (),
     assemble=lambda settings, points, results: mva_ablation(),
-    aliases=("mva",),
 ))
 
 register_scenario(Scenario(
@@ -296,7 +295,6 @@ register_scenario(Scenario(
     metrics=("abort_rate",),
     points=partial(_conflict_window_points, (2, 4, 8, 16)),
     assemble=partial(_conflict_window_assemble, (2, 4, 8, 16)),
-    aliases=("conflict-window",),
 ))
 
 register_scenario(Scenario(
@@ -311,7 +309,6 @@ register_scenario(Scenario(
     assemble=partial(
         _distribution_assemble, ("exponential", "deterministic", "lognormal")
     ),
-    aliases=("distributions",),
 ))
 
 register_scenario(Scenario(
@@ -325,5 +322,4 @@ register_scenario(Scenario(
     assemble=partial(
         _lb_policy_assemble, ("least-loaded", "pinned", "random")
     ),
-    aliases=("lb-policy",),
 ))

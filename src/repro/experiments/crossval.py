@@ -287,7 +287,6 @@ def _crossval_scenario(
         metrics=("throughput", "response_time", "abort_rate"),
         points=points,
         assemble=assemble,
-        aliases=("cross-validation",),
         tags=("live",),
     )
 

@@ -173,7 +173,6 @@ def _failover_scenario(
         metrics=("throughput",),
         points=points,
         assemble=assemble,
-        aliases=("failover",),
     )
 
 

@@ -1,20 +1,21 @@
 """Reproduction of Figures 6-14 as declarative engine scenarios.
 
-Each ``figureN`` function regenerates the corresponding paper artifact:
+Each figure is a registered scenario named ``figureN``; run one with
+``run_scenario("figure6", settings)`` or ``repro run figure6``:
 
-====== ====================================================== =============
-Figure Contents                                                Runner
-====== ====================================================== =============
-6      TPC-W throughput, multi-master, 3 mixes, N=1..16       :func:`figure6`
-7      TPC-W response time, multi-master                      :func:`figure7`
-8      TPC-W throughput, single-master                        :func:`figure8`
-9      TPC-W response time, single-master                     :func:`figure9`
-10     RUBiS throughput, multi-master                         :func:`figure10`
-11     RUBiS response time, multi-master                      :func:`figure11`
-12     RUBiS throughput, single-master                        :func:`figure12`
-13     RUBiS response time, single-master                     :func:`figure13`
-14     Multi-master abort probability at elevated A1          :func:`figure14`
-====== ====================================================== =============
+====== ======================================================
+Figure Contents
+====== ======================================================
+6      TPC-W throughput, multi-master, 3 mixes, N=1..16
+7      TPC-W response time, multi-master
+8      TPC-W throughput, single-master
+9      TPC-W response time, single-master
+10     RUBiS throughput, multi-master
+11     RUBiS response time, multi-master
+12     RUBiS throughput, single-master
+13     RUBiS response time, single-master
+14     Multi-master abort probability at elevated A1
+====== ======================================================
 
 The *measured* side is the discrete-event simulation of the prototypes; the
 *predicted* side is the analytical model fed only by standalone profiling.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.results import (
     OperatingPoint,
@@ -44,7 +45,6 @@ from ..engine import (
     MODEL,
     Scenario,
     clear_memo,
-    execute_points,
     model_point,
     profile_task,
     register_scenario,
@@ -172,20 +172,6 @@ def assemble_sweep(
     return series
 
 
-def validation_sweep(
-    benchmark: str,
-    design: str,
-    settings: ExperimentSettings,
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> Dict[str, ValidationSeries]:
-    """Predicted and measured curves for every mix of *benchmark* (cached)."""
-    points = sweep_points(benchmark, design, settings)
-    results = execute_points(points, jobs=jobs, cache=cache)
-    return assemble_sweep(settings, points, results)
-
-
 def clear_sweep_cache() -> None:
     """Drop memoized sweep points (tests use this for isolation)."""
     clear_memo()
@@ -233,7 +219,6 @@ def _figure_scenario(
     number: int, title: str, benchmark: str, design: str, metric: str
 ) -> Scenario:
     figure_id = f"figure{number}"
-    aliases = tuple(dict.fromkeys((f"fig{number:02d}", f"fig{number}")))
     return Scenario(
         name=figure_id,
         title=title,
@@ -241,77 +226,13 @@ def _figure_scenario(
         metrics=(metric,),
         points=partial(sweep_points, benchmark, design),
         assemble=partial(_assemble_figure, figure_id, title, metric),
-        aliases=aliases,
     )
 
 
-_FIGURE_SCENARIOS: Dict[str, Scenario] = {
-    f"figure{number}": register_scenario(
-        _figure_scenario(number, title, benchmark, design, metric)
+for _number, _title, _benchmark, _design, _metric in _FIGURE_DEFS:
+    register_scenario(
+        _figure_scenario(_number, _title, _benchmark, _design, _metric)
     )
-    for number, title, benchmark, design, metric in _FIGURE_DEFS
-}
-
-
-def _run_figure(
-    figure_id: str,
-    settings: ExperimentSettings,
-    jobs: Optional[int],
-    cache: object,
-) -> FigureResult:
-    from ..engine.runner import run_scenario
-
-    return run_scenario(
-        _FIGURE_SCENARIOS[figure_id], settings, jobs=jobs, cache=cache
-    )
-
-
-def figure6(settings: ExperimentSettings = ExperimentSettings(),
-            *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """TPC-W throughput on the multi-master system."""
-    return _run_figure("figure6", settings, jobs, cache)
-
-
-def figure7(settings: ExperimentSettings = ExperimentSettings(),
-            *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """TPC-W response time on the multi-master system."""
-    return _run_figure("figure7", settings, jobs, cache)
-
-
-def figure8(settings: ExperimentSettings = ExperimentSettings(),
-            *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """TPC-W throughput on the single-master system."""
-    return _run_figure("figure8", settings, jobs, cache)
-
-
-def figure9(settings: ExperimentSettings = ExperimentSettings(),
-            *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """TPC-W response time on the single-master system."""
-    return _run_figure("figure9", settings, jobs, cache)
-
-
-def figure10(settings: ExperimentSettings = ExperimentSettings(),
-             *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """RUBiS throughput on the multi-master system."""
-    return _run_figure("figure10", settings, jobs, cache)
-
-
-def figure11(settings: ExperimentSettings = ExperimentSettings(),
-             *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """RUBiS response time on the multi-master system."""
-    return _run_figure("figure11", settings, jobs, cache)
-
-
-def figure12(settings: ExperimentSettings = ExperimentSettings(),
-             *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """RUBiS throughput on the single-master system."""
-    return _run_figure("figure12", settings, jobs, cache)
-
-
-def figure13(settings: ExperimentSettings = ExperimentSettings(),
-             *, jobs: Optional[int] = 1, cache: object = None) -> FigureResult:
-    """RUBiS response time on the single-master system."""
-    return _run_figure("figure13", settings, jobs, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -433,38 +354,15 @@ def _figure14_assemble(
     return Figure14Result(curves=tuple(curves))
 
 
-def _figure14_scenario(abort_rates: Sequence[float]) -> Scenario:
-    rates = tuple(abort_rates)
-    return Scenario(
-        name="figure14",
-        title="TPC-W shopping MM abort probability at elevated A1",
-        kind="figure",
-        metrics=("abort_rate",),
-        points=partial(_figure14_points, rates),
-        assemble=partial(_figure14_assemble, rates),
-        aliases=("fig14",),
-    )
-
-
-register_scenario(_figure14_scenario(microbench.FIGURE14_ABORT_RATES))
-
-
-def figure14(
-    settings: ExperimentSettings = ExperimentSettings(),
-    abort_rates: Sequence[float] = microbench.FIGURE14_ABORT_RATES,
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> Figure14Result:
-    """Multi-master abort probability with an injected high-conflict table.
-
-    Following §6.3.3: the conflict footprint of TPC-W shopping is shrunk
-    (the "heap table") until the standalone abort rate A1 reaches each
-    target; the model then predicts AN from the *measured* A1 while the
-    simulator measures AN directly.
-    """
-    from ..engine.runner import run_scenario
-
-    return run_scenario(
-        _figure14_scenario(abort_rates), settings, jobs=jobs, cache=cache
-    )
+# Following §6.3.3: the conflict footprint of TPC-W shopping is shrunk (the
+# "heap table") until the standalone abort rate A1 reaches each target; the
+# model then predicts AN from the *measured* A1 while the simulator
+# measures AN directly.
+register_scenario(Scenario(
+    name="figure14",
+    title="TPC-W shopping MM abort probability at elevated A1",
+    kind="figure",
+    metrics=("abort_rate",),
+    points=partial(_figure14_points, microbench.FIGURE14_ABORT_RATES),
+    assemble=partial(_figure14_assemble, microbench.FIGURE14_ABORT_RATES),
+))

@@ -172,7 +172,6 @@ def _openloop_scenario(
         metrics=("response_time",),
         points=points,
         assemble=assemble,
-        aliases=("openloop", "open-vs-closed"),
     )
 
 

@@ -1,14 +1,12 @@
 """Full reproduction reports: regenerate every artifact into one document.
 
 :func:`full_report` runs Tables 2-5, Figures 6-14, the §6.3 sensitivity
-analyses, and the ablations, and renders them as one text report — the
-program behind ``repro reproduce`` and ``scripts/run_all_experiments.py``.
-Every artifact goes through the scenario engine, so ``jobs`` fans each
+analyses, the §6.2 error margin and the ablations, and renders them as one
+text report — the program behind ``repro reproduce``.  Every artifact is a
+registered scenario run by name through the engine, so ``jobs`` fans each
 sweep out over a process pool and ``cache`` makes interrupted reports
 resume incrementally; the progress heartbeat reports per-scenario
 wall-clock so parallel speedup is visible.
-:func:`summary_table` condenses the validation into the per-series error
-table of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -16,23 +14,29 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from . import ablations, figures, sensitivity, tables
+from ..engine import run_scenario
+from . import ablations
+from .figures import FigureResult
 from .settings import ExperimentSettings
+from .tables import DemandTable
 
-#: The figure runners in paper order.
-FIGURE_RUNNERS = tuple(
-    getattr(figures, f"figure{i}") for i in range(6, 14)
+#: The paper's artifacts in report order, by canonical scenario name.
+REPORT_SCENARIOS = (
+    "table2", "table4", "table3", "table5",
+    *(f"figure{i}" for i in range(6, 15)),
+    "sens-lb-delay", "sens-certifier-delay", "sens-certifier-capacity",
+    "error-margin",
 )
 
 
-def summary_table(
-    settings: ExperimentSettings,
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> str:
-    """The §6.2 error-margin summary as a text table."""
-    return sensitivity.error_margin(settings, jobs=jobs, cache=cache).to_text()
+def _summary(artifact) -> Optional[str]:
+    """The one-line accuracy summary printed under a measured table or a
+    validation figure (``None`` for every other artifact)."""
+    if isinstance(artifact, DemandTable):
+        return f"  -> max profiling error {artifact.max_relative_error():.2%}"
+    if isinstance(artifact, FigureResult):
+        return f"  -> max {artifact.metric} error {artifact.max_error():.1%}"
+    return None
 
 
 def full_report(
@@ -63,41 +67,13 @@ def full_report(
             )
         last = now
 
-    sections.append(tables.table2().to_text())
-    sections.append(tables.table4().to_text())
-    note("tables 2/4")
-
-    for runner, name in ((tables.table3, "table3"), (tables.table5, "table5")):
-        table = runner(settings, jobs=jobs, cache=cache)
-        sections.append(table.to_text())
-        sections.append(
-            f"  -> max profiling error {table.max_relative_error():.2%}"
-        )
+    for name in REPORT_SCENARIOS:
+        artifact = run_scenario(name, settings, jobs=jobs, cache=cache)
+        sections.append(artifact.to_text())
+        summary = _summary(artifact)
+        if summary is not None:
+            sections.append(summary)
         note(name)
-
-    for runner in FIGURE_RUNNERS:
-        figure = runner(settings, jobs=jobs, cache=cache)
-        sections.append(figure.to_text())
-        sections.append(
-            f"  -> max {figure.metric} error {figure.max_error():.1%}"
-        )
-        note(runner.__name__)
-
-    fig14 = figures.figure14(settings, jobs=jobs, cache=cache)
-    sections.append(fig14.to_text())
-    note("figure14")
-
-    sections.append(
-        sensitivity.lb_delay_sensitivity(settings, jobs=jobs,
-                                         cache=cache).to_text()
-    )
-    sections.append(
-        sensitivity.certifier_delay_sensitivity(settings, jobs=jobs,
-                                                cache=cache).to_text()
-    )
-    sections.append(sensitivity.certifier_capacity().to_text())
-    sections.append(summary_table(settings, jobs=jobs, cache=cache))
-    note("sensitivity")
 
     sections.append(_ablation_section(settings, jobs=jobs, cache=cache))
     note("ablations")

@@ -1,33 +1,35 @@
 """Sensitivity analyses of §6.3 and the §6.2 error-margin claim.
 
-* :func:`lb_delay_sensitivity` — §6.3.1: the combined load-balancer and
-  network delay is ~1 ms; sweeping it shows predictions are insensitive in
-  the sub-millisecond regime.
-* :func:`certifier_capacity` — §6.3.2: the certification service time is
-  dominated by batched disk writes and stays nearly constant with load,
-  justifying modelling the certifier as a *delay* center.  This runs a
-  dedicated discrete-event model of the group-committing certifier disk.
-* :func:`certifier_delay_sensitivity` — how predictions move when the
-  certification delay changes (6/12/24 ms).
-* :func:`error_margin` — aggregates |predicted - measured| / measured over
-  every point of Figures 6-13 and checks the paper's "within 15%" claim.
+* ``sens-lb-delay`` — §6.3.1: the combined load-balancer and network delay
+  is ~1 ms; sweeping it shows predictions are insensitive in the
+  sub-millisecond regime.
+* ``sens-certifier-capacity`` (:func:`certifier_capacity`) — §6.3.2: the
+  certification service time is dominated by batched disk writes and stays
+  nearly constant with load, justifying modelling the certifier as a
+  *delay* center.  This runs a dedicated discrete-event model of the
+  group-committing certifier disk.
+* ``sens-certifier-delay`` — how predictions move when the certification
+  delay changes (6/12/24 ms).
+* ``error-margin`` — aggregates |predicted - measured| / measured over
+  every point of Figures 6, 8, 10 and 12 and checks the paper's "within
+  15%" claim.
 
-The delay sweeps and the error margin are engine scenarios; the error
-margin's grid is exactly the union of the four validation sweeps, so after
-the figures have run it assembles entirely from cached points.
+Each is a registered scenario run by name through
+:func:`~repro.engine.runner.run_scenario`; the error margin's grid is
+exactly the union of the four validation sweeps, so after the figures have
+run it assembles entirely from cached points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..core import rng as rng_util
 from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..engine import (
     Scenario,
-    execute_points,
     model_point,
     profile_task,
     register_scenario,
@@ -144,47 +146,6 @@ def _delay_assemble(
     )
 
 
-def _delay_sweep(
-    parameter: str,
-    delays: Sequence[float],
-    replicas: int,
-    settings: ExperimentSettings,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> DelaySensitivityResult:
-    delays = tuple(delays)
-    points = _delay_points(parameter, delays, replicas, settings)
-    results = execute_points(points, jobs=jobs, cache=cache)
-    return _delay_assemble(parameter, delays, replicas, settings, points,
-                           results)
-
-
-def lb_delay_sensitivity(
-    settings: ExperimentSettings = ExperimentSettings(),
-    delays: Sequence[float] = (0.0, 0.001, 0.005, 0.010),
-    replicas: int = 8,
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> DelaySensitivityResult:
-    """§6.3.1: sweep the load-balancer/network delay."""
-    return _delay_sweep("load_balancer_delay", delays, replicas, settings,
-                        jobs, cache)
-
-
-def certifier_delay_sensitivity(
-    settings: ExperimentSettings = ExperimentSettings(),
-    delays: Sequence[float] = (0.006, 0.012, 0.024),
-    replicas: int = 8,
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> DelaySensitivityResult:
-    """§6.3.2 follow-up: sweep the certification delay."""
-    return _delay_sweep("certifier_delay", delays, replicas, settings,
-                        jobs, cache)
-
-
 register_scenario(Scenario(
     name="sens-lb-delay",
     title="Throughput sensitivity to load-balancer/network delay",
@@ -194,7 +155,6 @@ register_scenario(Scenario(
                    (0.0, 0.001, 0.005, 0.010), 8),
     assemble=partial(_delay_assemble, "load_balancer_delay",
                      (0.0, 0.001, 0.005, 0.010), 8),
-    aliases=("lb-delay",),
 ))
 
 register_scenario(Scenario(
@@ -205,7 +165,6 @@ register_scenario(Scenario(
     points=partial(_delay_points, "certifier_delay", (0.006, 0.012, 0.024), 8),
     assemble=partial(_delay_assemble, "certifier_delay",
                      (0.006, 0.012, 0.024), 8),
-    aliases=("certifier-delay",),
 ))
 
 
@@ -310,13 +269,15 @@ register_scenario(Scenario(
     metrics=("latency", "batch_size"),
     points=lambda settings: (),
     assemble=lambda settings, points, results: certifier_capacity(),
-    aliases=("certifier-capacity",),
 ))
 
 
 # ---------------------------------------------------------------------------
 # §6.2 — the "within 15%" error-margin claim
 # ---------------------------------------------------------------------------
+
+#: The paper's §6.2 claim: the mean throughput error is at most 15%.
+CLAIMED_MEAN_ERROR = 0.15
 
 #: The validation sweeps the error margin aggregates (Figures 6, 8, 10, 12).
 _ERROR_MARGIN_COMBOS = (
@@ -334,6 +295,15 @@ class ErrorMarginResult:
     per_series: Dict[str, float]
     mean_throughput_error: float
     max_throughput_error: float
+
+    @property
+    def failures(self) -> Tuple[str, ...]:
+        """The paper's verdict: empty when the mean error is within the
+        claimed 15%, else the one line saying by how much it is not."""
+        if self.mean_throughput_error <= CLAIMED_MEAN_ERROR:
+            return ()
+        return (f"mean error {self.mean_throughput_error:.1%} > "
+                f"{CLAIMED_MEAN_ERROR:.0%} (paper's claim)",)
 
     def to_text(self) -> str:
         """Render as a text table."""
@@ -378,25 +348,11 @@ def _error_margin_assemble(
     )
 
 
-_ERROR_MARGIN_SCENARIO = register_scenario(Scenario(
+register_scenario(Scenario(
     name="error-margin",
     title="Aggregate prediction error over Figures 6/8/10/12 (§6.2, <=15%)",
     kind="sensitivity",
     metrics=("throughput_error",),
     points=_error_margin_points,
     assemble=_error_margin_assemble,
-    aliases=("validate",),
 ))
-
-
-def error_margin(
-    settings: ExperimentSettings = ExperimentSettings(),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> ErrorMarginResult:
-    """Aggregate throughput errors over Figures 6, 8, 10 and 12."""
-    from ..engine.runner import run_scenario
-
-    return run_scenario(_ERROR_MARGIN_SCENARIO, settings, jobs=jobs,
-                        cache=cache)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.units import to_ms
 from ..engine import Scenario, profile_point, register_scenario
@@ -176,13 +176,11 @@ def _assemble_demands(
     return DemandTable(table_id=table_id, benchmark=benchmark, rows=rows)
 
 
-_TABLE_SCENARIOS: Dict[str, Scenario] = {}
-
 for _table_id, _benchmark, _mixes in (
     ("table3", "TPC-W", tpcw.MIXES),
     ("table5", "RUBiS", rubis.MIXES),
 ):
-    _TABLE_SCENARIOS[_table_id] = register_scenario(Scenario(
+    register_scenario(Scenario(
         name=_table_id,
         title=f"{_benchmark} measured service demands",
         kind="table",
@@ -195,7 +193,7 @@ for _table_id, _benchmark, _builder in (
     ("table2", "TPC-W", table2),
     ("table4", "RUBiS", table4),
 ):
-    _TABLE_SCENARIOS[_table_id] = register_scenario(Scenario(
+    register_scenario(Scenario(
         name=_table_id,
         title=f"{_benchmark} workload parameters",
         kind="table",
@@ -205,29 +203,3 @@ for _table_id, _benchmark, _builder in (
             _builder
         ),
     ))
-
-
-def table3(
-    settings: ExperimentSettings = ExperimentSettings(),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> DemandTable:
-    """Table 3: measured service demands for TPC-W."""
-    from ..engine.runner import run_scenario
-
-    return run_scenario(_TABLE_SCENARIOS["table3"], settings, jobs=jobs,
-                        cache=cache)
-
-
-def table5(
-    settings: ExperimentSettings = ExperimentSettings(),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> DemandTable:
-    """Table 5: measured service demands for RUBiS."""
-    from ..engine.runner import run_scenario
-
-    return run_scenario(_TABLE_SCENARIOS["table5"], settings, jobs=jobs,
-                        cache=cache)

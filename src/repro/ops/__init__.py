@@ -24,8 +24,8 @@ Everything an operation *does* to a run is declared up front in a frozen
 :class:`~repro.ops.plan.OpsPlan`, so operations scenarios are cache-key
 citizens of the sweep engine like any other point.  The registered
 scenarios (``selfheal-crashstorm``, ``rolling-upgrade``, ``hetero-fleet``
-and their ``-live`` variants) live in :mod:`repro.ops.scenarios`; the CLI
-front end is ``repro ops``.
+and their ``-live`` variants) live in :mod:`repro.ops.scenarios`; run one
+by name with ``repro run selfheal-crashstorm``.
 """
 
 from .events import OpsEvent, OpsSummary, summarize

@@ -39,7 +39,7 @@ class OpsEvent(TelemetryEvent):
     """One timestamped operations action.
 
     Originally its own dataclass; now a
-    :class:`~repro.telemetry.events.TelemetryEvent` so the ``repro ops``
+    :class:`~repro.telemetry.events.TelemetryEvent` so the ops scenarios'
     and ``repro metrics`` timelines share one event schema and renderer.
     The historical ``replica`` field survives as an alias of
     ``subject`` — third positional constructor argument included — so

@@ -22,7 +22,8 @@ deterministic simulator scenario plus its ``-live`` cluster twin:
 
 All cells are ordinary engine sweep points: simulator cells are cached
 and fan out over ``--jobs``; live cells re-execute (they measure real
-wall-clock behaviour).  The CLI front end is ``repro ops``.
+wall-clock behaviour).  Run them by name: ``repro run rolling-upgrade
+rolling-upgrade-live --timeline``.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _live_dims(settings) -> PillarDims:
 
 
 def _register_family(name: str, title: str, live_title: str, metrics,
-                     live_metrics, points, assemble, aliases,
+                     live_metrics, points, assemble,
                      sim_dims_for=_sim_dims, owns=()) -> None:
     """Register ``points(settings, dims)`` / ``assemble(name, points,
     results)`` as *name* on the simulator and ``<name>-live`` on the
@@ -313,7 +314,7 @@ def _register_family(name: str, title: str, live_title: str, metrics,
         live=dict(title=live_title, metrics=live_metrics,
                   assemble=named(f"{name}-live")),
         name=name, title=title, kind="ops", metrics=metrics,
-        assemble=named(name), aliases=aliases, owns=owns,
+        assemble=named(name), owns=owns,
     )
 
 
@@ -395,7 +396,6 @@ _register_family(
     ("mttr", "unavailability", "converged"),
     _ops_points(SELFHEAL_LOAD, _selfheal_plan),
     _assemble_ops,
-    aliases=("selfheal",),
 )
 
 _register_family(
@@ -406,7 +406,6 @@ _register_family(
     ("slo_violation_fraction", "converged"),
     _ops_points(ROLLING_LOAD, _rolling_plan),
     _assemble_ops,
-    aliases=("rolling",),
 )
 
 _register_family(
@@ -419,7 +418,6 @@ _register_family(
     _ops_points(BROWNOUT_LOAD, _brownout_plan, with_profile=True,
                 capacity_source=ESTIMATED),
     _assemble_ops,
-    aliases=("brownout",),
 )
 
 
@@ -484,7 +482,6 @@ _register_family(
     ("recovery", "detection_latency", "converged"),
     _capest_points,
     _assemble_capest,
-    aliases=("capest",),
     # Both arms of the capacity-source axis are the experiment.
     owns=("capacity_source",),
 )
@@ -554,7 +551,6 @@ _register_family(
     ("throughput", "response_time", "converged"),
     _hetero_points,
     _assemble_hetero,
-    aliases=("hetero",),
     # Steady-state cells measure over the simulation window, not the
     # autoscale trace length.
     sim_dims_for=lambda settings: dataclasses.replace(

@@ -18,8 +18,8 @@ cluster twin registered from the same declaration:
   pair on real threads.
 
 All cells are ordinary engine sweep points: simulator cells are cached
-and fan out over ``--jobs``; live cells re-execute.  The CLI front end
-is ``repro partition``.
+and fan out over ``--jobs``; live cells re-execute.  Run them by name:
+``repro run placement-ablation placement-ablation-live``.
 """
 
 from __future__ import annotations
@@ -495,7 +495,6 @@ register_scenario(live_twin(
         metrics=("throughput", "speedup", "model_vs_sim_deviation"),
         points=_sweep_points,
         assemble=_assemble_sweep,
-        aliases=("partial-replication", "partition-sweep"),
     )),
     title="Live-cluster partial vs full replication (scoped propagation)",
     metrics=("throughput", "response_time", "converged"),
@@ -564,7 +563,6 @@ register_family(
     kind="partition",
     metrics=("throughput", "response_time"),
     assemble=_assemble_placement,
-    aliases=("placement",),
 )
 
 
@@ -708,7 +706,6 @@ register_family(
     kind="partition",
     metrics=("throughput", "speedup", "abort_rate"),
     assemble=_assemble_certifier,
-    aliases=("sharded-certifier",),
     # Both arms of the certifier axis are the experiment.
     owns=("certifier",),
 )

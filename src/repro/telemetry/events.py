@@ -4,7 +4,7 @@ Everything that happens *to* a run — replica crashes, failure
 detections, replacements, rolling-upgrade steps, controller actions —
 is a :class:`TelemetryEvent`: a timestamped, kinded record about one
 subject.  The operations layer's ``OpsEvent`` is a subclass (keeping
-its ``replica`` field name as an alias), so ``repro ops`` and
+its ``replica`` field name as an alias), so ``repro run --timeline`` and
 ``repro metrics`` render one consistent timeline format through
 :func:`render_events`.
 """

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import get_scenario
 
 
 class TestParser:
@@ -20,18 +21,23 @@ class TestParser:
         assert args.replicas == [1, 2, 4, 8, 16]
 
     def test_figure_choices_cover_6_to_14(self):
-        for i in range(6, 15):
-            args = build_parser().parse_args(["figure", f"figure{i}", "--fast"])
-            assert args.name == f"figure{i}"
+        names = [f"figure{i}" for i in range(6, 15)]
+        args = build_parser().parse_args(["run", *names, "--fast"])
+        assert args.names == names
+        assert [get_scenario(name).kind for name in names] == ["figure"] * 9
 
-    def test_invalid_figure_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "figure99"])
+    def test_invalid_figure_rejected(self, capsys):
+        """An unknown name exits 2 before any name runs."""
+        assert main(["run", "table2", "figure99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown scenario 'figure99'" in captured.err
 
     def test_table_choices(self):
-        for name in ("table2", "table3", "table4", "table5"):
-            args = build_parser().parse_args(["table", name])
-            assert args.name == name
+        names = ["table2", "table3", "table4", "table5"]
+        args = build_parser().parse_args(["run", *names])
+        assert args.names == names
+        assert [get_scenario(name).kind for name in names] == ["table"] * 4
 
     def test_plan_requires_target(self):
         with pytest.raises(SystemExit):
@@ -50,23 +56,23 @@ class TestParser:
 
     def test_autoscale_parses_options(self):
         args = build_parser().parse_args(
-            ["autoscale", "--trace", "flashcrowd", "--live", "--timeline",
-             "--fast", "--jobs", "4"]
+            ["run", "autoscale-flashcrowd", "autoscale-diurnal-live",
+             "--timeline", "--fast", "--jobs", "4"]
         )
-        assert args.trace == "flashcrowd"
-        assert args.live and args.timeline
+        assert args.names == ["autoscale-flashcrowd", "autoscale-diurnal-live"]
+        assert args.timeline
         assert args.jobs == 4
 
-    def test_autoscale_rejects_unknown_trace(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["autoscale", "--trace", "sawtooth"])
+    def test_autoscale_rejects_unknown_trace(self, capsys):
+        assert main(["run", "autoscale-sawtooth"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_scenarios_parses_profile(self):
         args = build_parser().parse_args(
-            ["scenarios", "--profile", "fig06", "--fast"]
+            ["scenarios", "--profile", "figure6", "--fast"]
         )
         assert args.profile
-        assert args.names == ["fig06"]
+        assert args.names == ["figure6"]
 
 
 class TestCommands:
@@ -77,13 +83,32 @@ class TestCommands:
         assert "rubis/bidding" in out
 
     def test_table2_renders(self, capsys):
-        assert main(["table", "table2"]) == 0
+        assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
         assert "TPC-W parameters" in out
 
     def test_table4_renders(self, capsys):
-        assert main(["table", "table4"]) == 0
+        assert main(["run", "table4"]) == 0
         assert "RUBiS" in capsys.readouterr().out
+
+    def test_run_several_names_in_order(self, capsys):
+        assert main(["run", "table4", "table2"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("RUBiS") < out.index("TPC-W parameters")
+
+    def test_profile_smoke(self, capsys):
+        assert main(["profile", "tpcw/shopping"]) == 0
+        out = capsys.readouterr().out
+        assert "Pr/Pw measured" in out
+        assert "standalone:" in out
+
+    def test_predict_smoke(self, capsys):
+        assert main(["predict", "tpcw/shopping", "--fast",
+                     "--replicas", "1", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("tpcw/shopping on multi-master (predicted from "
+                            "standalone profile)")
+        assert [line.split()[0] for line in lines[2:]] == ["1", "4"]
 
     def test_simulate_standalone_smoke(self, capsys):
         code = main([
@@ -159,11 +184,11 @@ class TestCommands:
 
     def test_ops_parses_options(self):
         args = build_parser().parse_args(
-            ["ops", "--operation", "rolling", "--live", "--timeline",
+            ["run", "rolling-upgrade", "rolling-upgrade-live", "--timeline",
              "--fast"]
         )
-        assert args.operation == "rolling"
-        assert args.live and args.timeline
+        assert args.names == ["rolling-upgrade", "rolling-upgrade-live"]
+        assert args.timeline
 
     def test_plan_parses_capacities(self):
         args = build_parser().parse_args(
@@ -211,7 +236,7 @@ class TestCommands:
         assert "autoscale-diurnal-live" in out
 
     def test_scenarios_name_filter(self, capsys):
-        assert main(["scenarios", "autoscale"]) == 0  # alias resolves
+        assert main(["scenarios", "autoscale-diurnal"]) == 0
         out = capsys.readouterr().out
         assert "autoscale-diurnal" in out
         assert "table2" not in out
@@ -276,17 +301,17 @@ class TestArtifactFailures:
 class TestPartitionCli:
     def test_partition_parses_options(self):
         args = build_parser().parse_args(
-            ["partition", "--family", "sweep", "--live", "--fast",
-             "--jobs", "2"]
+            ["run", "partial-replication-sweep",
+             "partial-replication-sweep-live", "--fast", "--jobs", "2"]
         )
-        assert args.command == "partition"
-        assert args.family == "sweep"
-        assert args.live
+        assert args.command == "run"
+        assert args.names == ["partial-replication-sweep",
+                              "partial-replication-sweep-live"]
         assert args.jobs == 2
 
-    def test_partition_rejects_unknown_family(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["partition", "--family", "shards"])
+    def test_partition_rejects_unknown_family(self, capsys):
+        assert main(["run", "partition-shards"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_scenarios_tag_filter_lists_partition_family(self, capsys):
         assert main(["scenarios", "--tag", "partition"]) == 0
@@ -316,15 +341,16 @@ class TestPartitionCli:
 
 
 class TestPerfCli:
-    """The performance-observability surface: the `perf` verb, the
+    """The performance-observability surface: `run --timeline`, the
     `--capacity-source` engine option, and the gray-failure ops family."""
 
     def test_perf_parses_options(self):
         args = build_parser().parse_args(
-            ["perf", "--live", "--timeline", "--fast"]
+            ["run", "capacity-estimation", "capacity-estimation-live",
+             "--timeline", "--fast"]
         )
-        assert args.command == "perf"
-        assert args.live and args.timeline and args.fast
+        assert args.command == "run"
+        assert args.timeline and args.fast
 
     def test_capacity_source_accepts_both_sources(self):
         for source in ("declared", "estimated"):
@@ -340,7 +366,8 @@ class TestPerfCli:
     def test_unknown_capacity_source_exits_2_with_hint(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["perf", "--capacity-source", "estimatd"]
+                ["run", "capacity-estimation", "--capacity-source",
+                 "estimatd"]
             )
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
@@ -349,11 +376,10 @@ class TestPerfCli:
         assert "Traceback" not in err
 
     def test_ops_parses_gray_failure_operations(self):
-        for operation in ("brownout", "capest"):
-            args = build_parser().parse_args(
-                ["ops", "--operation", operation, "--fast"]
-            )
-            assert args.operation == operation
+        names = ["brownout-detection", "capacity-estimation"]
+        args = build_parser().parse_args(["run", *names, "--fast"])
+        assert args.names == names
+        assert [get_scenario(name).kind for name in names] == ["ops"] * 2
 
 
 class TestTraceNotice:
@@ -374,67 +400,60 @@ class TestTraceNotice:
         assert "no telemetry recorded (telemetry disabled?)" in out
 
 
-class TestFamilyVerbs:
-    """`autoscale`/`ops`/`perf`/`partition` resolve every choice to
-    registered scenarios, and `--live` adds their registered `-live`
-    twins — checked with the runner stubbed out, so nothing executes."""
+class TestRunVerdicts:
+    """What `repro run` reads off a result besides its text: the error
+    margin's §6.2 verdict and, with --timeline, the elastic runs' perf
+    reports and timelines."""
 
-    #: (verb, choice flag or None, scenario kind).
-    VERBS = (("autoscale", "--trace", "autoscale"),
-             ("ops", "--operation", "ops"),
-             ("perf", None, "ops"),
-             ("partition", "--family", "partition"))
+    @pytest.fixture
+    def error_margin(self, monkeypatch):
+        """Register an `error-margin` that runs no point and assembles
+        the given mean error."""
+        import dataclasses
 
-    @staticmethod
-    def _choices(verb, flag):
-        import argparse
+        from repro.engine import registry
+        from repro.experiments import ErrorMarginResult
 
-        if flag is None:
-            return [None]
-        commands = next(action for action in build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        return next(action.choices
-                    for action in commands.choices[verb]._actions
-                    if flag in action.option_strings)
+        def stub(mean):
+            scenario = get_scenario("error-margin")
+            result = ErrorMarginResult(
+                per_series={"tpcw/shopping multi-master": mean},
+                mean_throughput_error=mean, max_throughput_error=mean,
+            )
+            monkeypatch.setitem(registry._SCENARIOS, "error-margin",
+                                dataclasses.replace(
+                                    scenario, points=lambda settings: (),
+                                    assemble=lambda *args: result))
+            return result
+        return stub
 
-    @pytest.mark.parametrize("verb, flag, kind", VERBS)
-    def test_every_choice_resolves_and_live_adds_the_twins(
-        self, monkeypatch, verb, flag, kind
+    def test_mean_error_above_the_claim_exits_1(self, error_margin, capsys):
+        result = error_margin(0.16)
+        assert main(["run", "error-margin", "--fast", "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(result.to_text() + "\n")
+        assert "FAIL: mean error 16.0% > 15% (paper's claim)" in out
+
+    def test_mean_error_within_the_claim_exits_0(self, error_margin, capsys):
+        error_margin(0.14)
+        assert main(["run", "error-margin", "--fast", "--no-cache"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_timeline_prints_perf_report_and_timeline_of_elastic_runs(
+        self, capsys
     ):
-        import repro.cli as cli
-        from repro.engine import all_scenarios
+        import dataclasses
 
-        resolved = []
-        monkeypatch.setattr(
-            cli, "_run_each",
-            lambda args, names, after_render=None: resolved.append(names) or 0,
-        )
+        from repro.cli import _print_timelines
+        from repro.control.autoscale import render_timeline
 
-        def names(choice, *extra):
-            argv = [verb] + ([flag, choice] if flag else []) + list(extra)
-            resolved.clear()
-            assert main(argv) == 0
-            return list(resolved[0])
+        class Perf:
+            def to_text(self):
+                return "perf report"
 
-        registered = all_scenarios()
-        for choice in self._choices(verb, flag):
-            base = names(choice)
-            assert base, f"{verb} {flag} {choice} resolves to nothing"
-            for name in base:
-                assert registered[name].kind == kind
-                assert "live" not in registered[name].tags
-            if choice == "all":
-                assert set(base) == {
-                    name for name, scenario in registered.items()
-                    if scenario.kind == kind and "live" not in scenario.tags
-                }
-            live = names(choice, "--live")
-            assert live[:len(base)] == base
-            added = live[len(base):]
-            if verb == "autoscale":
-                # One live validation cell serves every trace.
-                assert added == ["autoscale-diurnal-live"]
-            else:
-                assert added == [f"{name}-live" for name in base]
-            for name in added:
-                assert "live" in registered[name].tags
+        plain = TestArtifactFailures()._result(True)
+        estimated = dataclasses.replace(plain, policy="reactive", perf=Perf())
+        _print_timelines([plain, "not an elastic run", estimated])
+        out = capsys.readouterr().out
+        assert out == (f"\n{render_timeline(plain)}\n\nperf report\n\n"
+                       f"{render_timeline(estimated)}\n")

@@ -78,3 +78,25 @@ def test_writeset_application_starts_no_process(golden, monkeypatch):
     result = simulate(spec, config, **case)
     assert result.total_certifications > 0
     assert len(started) == config.total_clients
+
+
+def test_measure_costs_puts_the_previous_profile_hook_back(golden):
+    # scripts/never_run.py traces tier-1 with a profile hook; a count
+    # that dropped it would leave every later test file untraced.
+    import sys
+
+    from repro.workloads import tpcw
+
+    def hook(frame, event, arg):
+        pass
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        golden.measure_costs(dict(
+            spec=tpcw.ORDERING, config=tpcw.ORDERING.replication_config(2),
+            design="multi-master", seed=1, warmup=0.5, duration=1.0,
+        ))
+        assert sys.getprofile() is hook
+    finally:
+        sys.setprofile(before)

@@ -15,6 +15,7 @@ from repro.engine import (
     RUN_WIDE,
     ResultCache,
     SweepPoint,
+    UnknownScenarioError,
     all_scenarios,
     apply_run_wide,
     clear_memo,
@@ -29,7 +30,7 @@ from repro.engine import (
     scenario_names,
     sim_point,
 )
-from repro.experiments import ExperimentSettings, clear_cache, figure6
+from repro.experiments import ExperimentSettings, clear_cache
 from repro.experiments.figures import sweep_points
 from repro.workloads import tpcw
 
@@ -75,15 +76,15 @@ class TestRegistry:
         assert "error-margin" in names
         assert "crossval" in names
 
-    def test_aliases_resolve(self):
-        assert get_scenario("fig06").name == "figure6"
-        assert get_scenario("fig6").name == "figure6"
-        assert get_scenario("FIG14").name == "figure14"
-        assert get_scenario("validate").name == "error-margin"
-
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
             get_scenario("figure99")
+
+    def test_suggestions_are_canonical_names(self):
+        with pytest.raises(UnknownScenarioError) as excinfo:
+            get_scenario("fig06")
+        assert excinfo.value.suggestions
+        assert set(excinfo.value.suggestions) <= set(scenario_names())
 
     def test_scenarios_carry_metadata(self):
         scenario = get_scenario("figure6")
@@ -162,18 +163,18 @@ class TestResultCache:
 
 class TestDeterminism:
     def test_parallel_identical_to_serial(self, micro_settings):
-        serial = figure6(micro_settings)
+        serial = run_scenario("figure6", micro_settings)
         clear_memo()
         clear_cache()
-        parallel = figure6(micro_settings, jobs=4)
+        parallel = run_scenario("figure6", micro_settings, jobs=4)
         assert serial == parallel
 
     def test_cache_hits_identical_to_cold_run(self, micro_settings, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = figure6(micro_settings, cache=cache)
+        cold = run_scenario("figure6", micro_settings, cache=cache)
         clear_memo()
         clear_cache()
-        warm = figure6(micro_settings, cache=cache)
+        warm = run_scenario("figure6", micro_settings, cache=cache)
         assert cold == warm
         assert cache.hits > 0
 
@@ -186,8 +187,8 @@ class TestDeterminism:
         assert all(result is not None for result in again)
 
     def test_run_scenario_by_name(self, micro_settings):
-        direct = figure6(micro_settings)
-        result = run_scenario("fig06", micro_settings)
+        direct = run_scenario(get_scenario("figure6"), micro_settings)
+        result = run_scenario("figure6", micro_settings)
         assert result == direct
 
 
@@ -223,10 +224,10 @@ class TestJobs:
 
     def test_jobs_none_means_cpu_count(self, micro_settings):
         # jobs=None must not crash and must produce the same artifact.
-        serial = figure6(micro_settings)
+        serial = run_scenario("figure6", micro_settings)
         clear_memo()
         clear_cache()
-        assert figure6(micro_settings, jobs=None) == serial
+        assert run_scenario("figure6", micro_settings, jobs=None) == serial
 
 
 class TestCLI:
@@ -239,16 +240,6 @@ class TestCLI:
         assert "table3" in out
         assert "error-margin" in out
 
-    def test_figure_parser_accepts_aliases(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["figure", "fig06", "--jobs", "4", "--no-cache"]
-        )
-        assert args.name == "fig06"
-        assert args.jobs == 4
-        assert args.no_cache
-
     def test_reproduce_jobs_defaults_to_cpu_count(self):
         from repro.cli import build_parser
 
@@ -258,13 +249,13 @@ class TestCLI:
     def test_figure_jobs_defaults_to_serial(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["figure", "figure6"])
+        args = build_parser().parse_args(["run", "figure6"])
         assert args.jobs == 1
 
     def test_table_runs_through_registry(self, capsys):
         from repro.cli import main
 
-        code = main(["table", "table2", "--no-cache", "--jobs", "2"])
+        code = main(["run", "table2", "--no-cache", "--jobs", "2"])
         assert code == 0
         assert "TPC-W parameters" in capsys.readouterr().out
 
@@ -276,17 +267,6 @@ class TestCLI:
         # Ablation artifacts are plain row lists; the CLI renders them
         # one row per line.
         assert "MVAAblationRow" in capsys.readouterr().out
-
-    def test_figure_choices_deduplicated(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for action in parser._subparsers._group_actions:
-            figure = action.choices.get("figure")
-        choices = next(
-            a.choices for a in figure._actions if a.dest == "name"
-        )
-        assert len(choices) == len(set(choices))
 
 
 class TestRunWideOptions:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.results import OperatingPoint, ValidationPoint, ValidationSeries
 from repro.experiments import (
+    DelaySensitivityResult,
     ExperimentSettings,
     certifier_capacity,
     clear_cache,
@@ -114,6 +115,21 @@ class TestFigureResultFormatting:
             series=self.make().series,
         )
         assert "ms" in figure.to_text()
+
+
+class TestDelaySensitivityResult:
+    def test_max_throughput_drop_is_against_the_first_row(self):
+        from repro.experiments.sensitivity import DelaySensitivityRow
+
+        rows = tuple(
+            DelaySensitivityRow(delay=delay, predicted_throughput=tps,
+                                measured_throughput=tps)
+            for delay, tps in ((0.0, 100.0), (0.005, 96.0), (0.01, 98.0))
+        )
+        result = DelaySensitivityResult(
+            parameter="load_balancer_delay", replicas=8, rows=rows
+        )
+        assert result.max_throughput_drop() == pytest.approx(0.04)
 
 
 class TestCertifierCapacity:

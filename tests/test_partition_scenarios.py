@@ -27,16 +27,6 @@ class TestRegistration:
             "live"
         )
 
-    def test_aliases_resolve(self):
-        assert get_scenario("partition-sweep").name == (
-            "partial-replication-sweep"
-        )
-        assert get_scenario("placement").name == "placement-ablation"
-        assert get_scenario("sharded-certifier").name == "certifier-sharding"
-        assert get_scenario("sharded-certifier-live").name == (
-            "certifier-sharding-live"
-        )
-
 
 class TestPartialReplicationSweep:
     @pytest.fixture(scope="class")

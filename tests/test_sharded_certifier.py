@@ -362,11 +362,12 @@ class TestCliSurface:
 
     def test_partition_verb_knows_the_certifier_family(self):
         from repro.cli import build_parser
+        from repro.engine import get_scenario
 
-        args = build_parser().parse_args(
-            ["partition", "--family", "certifier", "--fast"]
-        )
-        assert args.family == "certifier"
+        names = ["certifier-sharding", "certifier-sharding-live"]
+        args = build_parser().parse_args(["run", *names, "--fast"])
+        assert args.names == names
+        assert {get_scenario(name).kind for name in names} == {"partition"}
 
 
 class TestLivePruneFloorPinning:
