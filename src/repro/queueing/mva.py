@@ -98,12 +98,19 @@ class MVAStepper:
     approximation the paper makes when it lets the conflict window evolve
     with the iteration number.  :meth:`advance` adds customers without
     building their solutions, for callers that only want the last one.
+
+    Cost model: on the paper's replica layout (CPU and disk queueing, then
+    delays only; checked once, here) :meth:`advance` is a scalar kernel, a
+    few float operations on locals per customer and one queue list at the
+    end.  :meth:`step`, and ``advance`` on any other layout, build lists
+    per customer.  Both add residences left to right in center order.
     """
 
     def __init__(self, network: ClosedNetwork) -> None:
         centers = list(network.centers)
         self._names = [c.name for c in centers]
         self._queueing = [c.kind is CenterKind.QUEUEING for c in centers]
+        self._replica = _replica_layout(self._queueing)
         self._think_time = network.think_time
         self._demands = [c.demand for c in centers]
         self._queue = [0.0] * len(centers)
@@ -132,14 +139,15 @@ class MVAStepper:
 
     def _add_customer(self) -> Tuple[List[float], float]:
         """Add one customer; return its residence times and throughput."""
-        residence = [
-            demand * (1.0 + queue) if queueing else demand
-            for demand, queue, queueing in zip(
-                self._demands, self._queue, self._queueing
-            )
-        ]
+        # R is added left to right in center order, as the kernels add it
+        # (``sum`` compensates from Python 3.12).
+        residence, total = [], 0.0
+        for demand, queue, queueing in zip(self._demands, self._queue, self._queueing):
+            r = demand * (1.0 + queue) if queueing else demand
+            residence.append(r)
+            total += r
         throughput = closed_loop_throughput(
-            self._population + 1, sum(residence), self._think_time
+            self._population + 1, total, self._think_time
         )
         self._population += 1
         self._queue = [throughput * r for r in residence]
@@ -147,8 +155,23 @@ class MVAStepper:
 
     def advance(self, customers: int) -> None:
         """Add *customers* customers, updating only the queue lengths."""
-        for _ in range(customers):
-            self._add_customer()
+        if not self._replica or customers <= 0:
+            for _ in range(customers):
+                self._add_customer()
+            return
+        cpu, disk, *delays = self._demands
+        think, n = self._think_time, self._population
+        q_cpu, q_disk = self._queue[0], self._queue[1]
+        for n in range(n + 1, n + customers + 1):
+            r_cpu, r_disk = cpu * (1.0 + q_cpu), disk * (1.0 + q_disk)
+            r = r_cpu + r_disk
+            for d in delays:
+                r += d
+            z = r + think
+            x = n / z if z > 0 else closed_loop_throughput(n, r, think)
+            q_cpu, q_disk = x * r_cpu, x * r_disk
+        self._population = n
+        self._queue = [q_cpu, q_disk, *[x * d for d in delays]]
 
     def step(self) -> MVASolution:
         """Add one customer and return the resulting network solution."""
@@ -170,6 +193,11 @@ class MVAStepper:
                 if queueing
             },
         )
+
+
+def _replica_layout(queueing: List[bool]) -> bool:
+    """The paper's replica network: CPU and disk queueing, then delays."""
+    return queueing[:2] == [True, True] and not any(queueing[2:])
 
 
 def _empty_solution(network: ClosedNetwork) -> MVASolution:
@@ -328,6 +356,12 @@ class MulticlassLattice:
     — the single-master balancing loop — pays for each state once.  Every
     state is a pure function of its predecessors, so an answer does not
     depend on the order of the queries before it.
+
+    Cost model: one table entry (every center's queue length) per state.
+    On the paper's master, two classes over the replica layout (checked
+    once, here), :meth:`_fill` computes each state with float operations on
+    locals, no list, slice or call per class, and the same floats as the
+    loop over centers in :meth:`_visit` that any other network takes.
     """
 
     def __init__(self, network: MulticlassNetwork) -> None:
@@ -335,6 +369,7 @@ class MulticlassLattice:
         centers = list(network.centers)
         self._names = [c.name for c in centers]
         self._queueing = [c.kind is CenterKind.QUEUEING for c in centers]
+        self._replica = len(self._classes) == 2 and _replica_layout(self._queueing)
         self._demands = [list(network.demands[k]) for k in self._classes]
         self._think = [network.think_times[k] for k in self._classes]
         #: Per-class extent of the box of states already in ``_queue``.
@@ -391,9 +426,46 @@ class MulticlassLattice:
             # first; the ones outside it are in the box already.
             ranges = [range(b + 1) for b in box]
             ranges[axis] = range(box[axis] + 1, extent + 1)
-            for state in itertools.product(*ranges):
-                self._queue[state] = self._visit(state)[2]
+            if self._replica:
+                self._fill(*ranges)
+            else:
+                for state in itertools.product(*ranges):
+                    self._queue[state] = self._visit(state)[2]
             box[axis] = extent
+
+    def _fill(self, rows: range, cols: range) -> None:
+        """:meth:`_visit`'s queue lengths on ``rows x cols``, written out for
+        the two-class replica layout (an empty class adds ``0.0 * 0.0``)."""
+        queue = self._queue
+        (cpu_a, disk_a, *delays_a), (cpu_b, disk_b, *delays_b) = self._demands
+        think_a, think_b = self._think
+        delay_pairs = list(zip(delays_a, delays_b))
+        for a in rows:
+            left = queue.get((a, cols[0] - 1))
+            for b in cols:
+                if a:
+                    up = queue[a - 1, b]
+                    ra_cpu, ra_disk = cpu_a * (1.0 + up[0]), disk_a * (1.0 + up[1])
+                    r = ra_cpu + ra_disk
+                    for d in delays_a:
+                        r += d
+                    z = r + think_a
+                    xa = a / z if z > 0 else closed_loop_throughput(a, r, think_a)
+                else:
+                    xa = ra_cpu = ra_disk = 0.0
+                if b:
+                    rb_cpu, rb_disk = cpu_b * (1.0 + left[0]), disk_b * (1.0 + left[1])
+                    r = rb_cpu + rb_disk
+                    for d in delays_b:
+                        r += d
+                    z = r + think_b
+                    xb = b / z if z > 0 else closed_loop_throughput(b, r, think_b)
+                else:
+                    xb = rb_cpu = rb_disk = 0.0
+                left = [xa * ra_cpu + xb * rb_cpu, xa * ra_disk + xb * rb_disk]
+                for d, e in delay_pairs:
+                    left.append(xa * d + xb * e)
+                queue[a, b] = left
 
     def _visit(
         self, state: Tuple[int, ...]
@@ -409,11 +481,12 @@ class MulticlassLattice:
             if customers == 0:
                 continue
             prev_queue = queue[state[:ci] + (customers - 1,) + state[ci + 1:]]
-            r_class = [
-                d * (1.0 + q) if is_queueing else d
-                for d, q, is_queueing in zip(self._demands[ci], prev_queue, queueing)
-            ]
-            x = closed_loop_throughput(customers, sum(r_class), self._think[ci])
+            r_class, total = [], 0.0
+            for d, q, is_queueing in zip(self._demands[ci], prev_queue, queueing):
+                r = d * (1.0 + q) if is_queueing else d
+                r_class.append(r)
+                total += r
+            x = closed_loop_throughput(customers, total, self._think[ci])
             throughputs[ci] = x
             residences[ci] = r_class
             for k in centers:

@@ -6,6 +6,10 @@ the population lattice per integer target, one walk per corner of a
 fractional cell.  It stays here as the oracle — the lattice must return the
 *same floats*, whatever was asked of it before.  The single-class twin
 checks that ``solve_mva``'s one pass equals two independent integer solves.
+
+Both solvers take a scalar kernel on the paper's replica layout (CPU and
+disk queueing, then delays) and keep their loop over centers for any other
+layout, so the strategies draw both: the oracle judges the two paths alike.
 """
 
 import itertools
@@ -15,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.core.params import ReplicationConfig
+from repro.models import multimaster, singlemaster
 from repro.queueing.mva import (
     MVASolution,
     MVAStepper,
@@ -68,7 +74,10 @@ def _solve_integer_from_scratch(network, populations):
                     r_class[k] = d * (1.0 + prev_queue[k])
                 else:
                     r_class[k] = d
-            total = sum(r_class)
+            # Left to right in center order, as ``sum`` adds before 3.12.
+            total = 0.0
+            for r in r_class:
+                total += r
             x = state[ci] / (think[klass] + total)
             residences[klass] = r_class
             throughputs[klass] = x
@@ -165,14 +174,38 @@ population_st = st.one_of(
 )
 
 
+#: The multi-master's replica: CPU and disk, then balancer and certifier,
+#: with demands for which a pre-summed or regrouped delay sum moves floats.
+TWO_DELAYS = (
+    queueing_center("cpu", 0.0313),
+    queueing_center("disk", 0.0171),
+    delay_center("lb", 0.0017),
+    delay_center("certifier", 0.0093),
+)
+
+
+@st.composite
+def layouts(draw, demand=st.just(0.0)):
+    """1–3 queueing and 0–2 delay centers, two delays drawn first (a
+    regrouped delay sum differs from the kernels' only then).  Half the
+    draws are the replica layout (two queueing centers, then the delays),
+    which takes the kernels; the rest come in any order, a delay before a
+    queueing center included, and take the loop over centers."""
+    delays = ["d"] * draw(st.sampled_from([2, 1, 0]))
+    if draw(st.booleans()):
+        kinds = ["q", "q"] + delays
+    else:
+        kinds = draw(st.permutations(["q"] * draw(st.integers(1, 3)) + delays))
+    return tuple(
+        (queueing_center if kind == "q" else delay_center)(f"c{i}", draw(demand))
+        for i, kind in enumerate(kinds)
+    )
+
+
 @st.composite
 def multiclass_networks(draw):
     classes = ["a", "b", "c"][: draw(st.integers(2, 3))]
-    centers = (
-        queueing_center("cpu", 0.0),
-        queueing_center("disk", 0.0),
-        delay_center("lb", 0.0),
-    )
+    centers = draw(layouts())
     return MulticlassNetwork(
         centers=centers,
         demands={k: tuple(draw(demand_st) for _ in centers) for k in classes},
@@ -217,6 +250,22 @@ class TestLatticeAgainstOracle:
         assert len(lattice._queue) == states
         lattice.solve({"a": 5, "b": 4})
         assert len(lattice._queue) == states + 6  # one new slab
+
+    def test_two_delays_are_added_one_by_one(self):
+        """The multi-master's shape as a two-class kernel network: with
+        two delays a pre-summed or regrouped residence sum moves floats."""
+        network = MulticlassNetwork(
+            centers=TWO_DELAYS,
+            demands={"a": tuple(c.demand for c in TWO_DELAYS),
+                     "b": (0.0419, 0.0523, 0.0011, 0.0097)},
+            think_times={"a": 0.7, "b": 1.3},
+        )
+        lattice = MulticlassLattice(network)
+        for a, b in itertools.product(range(0, 30, 7), range(0, 30, 5)):
+            populations = {"a": a + 0.5, "b": b}
+            assert lattice.solve(populations) == solve_multiclass_from_scratch(
+                network, populations
+            )
 
     def test_one_shot_wrapper_is_a_fresh_lattice(self):
         network = MulticlassNetwork(
@@ -264,16 +313,10 @@ def _interpolated(low, high, frac):
     )
 
 
-@st.composite
-def single_class_networks(draw):
-    centers = [
-        queueing_center(f"q{i}", draw(demand_st))
-        for i in range(draw(st.integers(1, 3)))
-    ] + [
-        delay_center(f"d{i}", draw(demand_st))
-        for i in range(draw(st.integers(0, 1)))
-    ]
-    return ClosedNetwork(centers=tuple(centers), think_time=draw(think_st))
+def single_class_networks():
+    return st.builds(
+        ClosedNetwork, centers=layouts(demand_st), think_time=think_st
+    )
 
 
 class TestSinglePassAgainstTwoSolves:
@@ -302,14 +345,13 @@ class TestSinglePassAgainstTwoSolves:
         assert solve_mva(network, population) == _stepped(network, population)
 
     def test_advance_then_step_equals_stepping(self):
-        network = ClosedNetwork(
-            centers=(queueing_center("cpu", 0.04), delay_center("lb", 0.002)),
-            think_time=0.7,
-        )
-        stepper = MVAStepper(network)
-        stepper.advance(9)
-        assert stepper.population == 9
-        assert stepper.step() == _stepped(network, 10)
+        loop = (queueing_center("cpu", 0.04), delay_center("lb", 0.002))
+        for centers in (loop, TWO_DELAYS):
+            network = ClosedNetwork(centers=centers, think_time=0.7)
+            stepper = MVAStepper(network)
+            stepper.advance(39)
+            assert stepper.population == 39
+            assert stepper.step() == _stepped(network, 40)
 
 
 # ---------------------------------------------------------------------
@@ -318,27 +360,67 @@ class TestSinglePassAgainstTwoSolves:
 
 
 class TestNetworkNobodyEverLeaves:
-    """Zero demand everywhere and zero think time: ``X = n / 0``."""
+    """Zero demand everywhere and zero think time: ``X = n / 0``.
+
+    The (cpu, lb) layout takes the loop over centers, (cpu, disk, lb) the
+    scalar kernels; both refuse at the first state that holds a customer
+    of the degenerate class, not when the solver is built."""
 
     MESSAGE = "R \\+ Z must be positive"
+    LAYOUTS = (("cpu",), ("cpu", "disk"))
+
+    @staticmethod
+    def centers(names):
+        return tuple(queueing_center(n, 0.0) for n in names) + (
+            delay_center("lb", 0.0),
+        )
 
     def test_single_class(self):
-        network = ClosedNetwork(
-            centers=(queueing_center("cpu", 0.0), delay_center("lb", 0.0)),
-            think_time=0.0,
-        )
-        with pytest.raises(ConfigurationError, match=self.MESSAGE):
-            solve_mva(network, 3)
-        with pytest.raises(ConfigurationError, match=self.MESSAGE):
-            MVAStepper(network).step()
+        for names in self.LAYOUTS:
+            network = ClosedNetwork(centers=self.centers(names), think_time=0.0)
+            stepper = MVAStepper(network)
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                stepper.advance(2)
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                solve_mva(network, 3)
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                MVAStepper(network).step()
 
     def test_multiclass(self):
-        network = MulticlassNetwork(
-            centers=(queueing_center("cpu", 0.0), delay_center("lb", 0.0)),
-            demands={"a": (0.0, 0.0), "b": (0.02, 0.001)},
-            think_times={"a": 0.0, "b": 1.0},
-        )
-        with pytest.raises(ConfigurationError, match=self.MESSAGE):
-            solve_mva_multiclass(network, {"a": 2, "b": 2})
-        # The degenerate class harms nobody while it has no customers.
-        assert solve_mva_multiclass(network, {"b": 2}).throughputs["a"] == 0.0
+        for names in self.LAYOUTS:
+            network = MulticlassNetwork(
+                centers=self.centers(names),
+                demands={"a": (0.0,) * (len(names) + 1),
+                         "b": (0.02,) * len(names) + (0.001,)},
+                think_times={"a": 0.0, "b": 1.0},
+            )
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                solve_mva_multiclass(network, {"a": 2, "b": 2})
+            # The degenerate class harms nobody while it has no customers.
+            lattice = MulticlassLattice(network)
+            assert lattice.solve({"b": 2}).throughputs["a"] == 0.0
+            with pytest.raises(ConfigurationError, match=self.MESSAGE):
+                lattice.solve({"a": 1, "b": 2})
+
+
+# ---------------------------------------------------------------------
+# Which networks take the kernels
+# ---------------------------------------------------------------------
+
+
+def test_the_models_networks_take_the_kernels(shopping_profile):
+    """Every network ``models/`` solves many times is the replica layout;
+    the multi-master's certify-service center, after its delays, is not."""
+    config = ReplicationConfig(replicas=4, clients_per_replica=20)
+    demand = shopping_profile.demands.read
+    assert MulticlassLattice(
+        singlemaster._master_network(shopping_profile, config, 0.0)
+    )._replica
+    for network in (
+        singlemaster._replica_network(demand, config),
+        multimaster._build_network(config, 0.2),
+        ClosedNetwork((queueing_center("cpu", 0.1), queueing_center("disk", 0.1))),
+    ):
+        assert MVAStepper(network)._replica
+    certify_service = multimaster._build_network(config, 0.2, service_demand=0.01)
+    assert not MVAStepper(certify_service)._replica
