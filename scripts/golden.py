@@ -9,8 +9,8 @@ refactor must preserve and what it costs:
   ``point_key`` with the source fingerprint patched to a constant (so it
   hashes only the point's declared inputs, not the code).
 * ``digests.json`` — the ledger's ``result_digest`` recipe
-  (``sha256(repr(replace(r, telemetry=None, perf=None)))``) over a
-  17-case DES grid, the model curve of both designs up to N=32 (where
+  (``sha256(repr(replace(r, telemetry=None, perf=None)))``) over an
+  18-case DES grid, the model curve of both designs up to N=32 (where
   the single-master population lattice is largest, one workload per
   rebalancing regime), the same models on one *measured* profile (its
   non-zero abort rate drives the abort fixed point through several
@@ -121,6 +121,7 @@ def des_cases() -> Dict[str, dict]:
         "mm": case(plain),
         "sm": case(plain, design="single-master"),
         "standalone": case(plain, replicas=1, design="standalone"),
+        "standalone-partitioned": case(parts, replicas=1, design="standalone"),
         "mm-read-heavy": case(tpcw.BROWSING),
         "mm-partitioned": case(parts),
         "mm-sharded": case(parts, certifier="sharded"),
