@@ -21,7 +21,8 @@ refactor must preserve and what it costs:
   telemetry (which pins every recorder ``attached`` baseline).
 
 * ``costs.json`` — what the DES spends per committed transaction on
-  five write-heavy runs: heap pushes, processes started and calls
+  five write-heavy runs and one standalone run: heap pushes, processes
+  started and calls
   (see :func:`measure_costs`).  These are counts, not timings, so
   a spend PR is judged by them exactly; a count may fall freely but not
   rise by more than :data:`COST_TOLERANCE`, and call counts are gated
@@ -311,12 +312,14 @@ COSTS = ("heap_pushes", "processes", "calls")
 def cost_cases() -> Dict[str, dict]:
     """The cost grid: the ledger's three ``des-write-heavy`` points over
     their ``shortened()`` windows (1 s warm-up, 2 s window), then the
-    faulted and the sharded DES golden cases."""
+    faulted and the sharded DES golden cases, then the standalone
+    database the profiler runs (a 60 s window: over 2 s its few
+    transactions would mostly count the set-up)."""
     from repro.workloads import tpcw
 
-    def point(spec, replicas, design, **options):
+    def point(spec, replicas, design, duration=2.0, **options):
         return dict(spec=spec, config=spec.replication_config(replicas),
-                    design=design, seed=SEED, warmup=1.0, duration=2.0,
+                    design=design, seed=SEED, warmup=1.0, duration=duration,
                     **options)
 
     sharded = tpcw.ORDERING.with_partitions(8, 0.1)
@@ -328,6 +331,7 @@ def cost_cases() -> Dict[str, dict]:
                                certifier="sharded"),
         "des/mm-crash": cases["mm-crash"],
         "des/mm-sharded": cases["mm-sharded"],
+        "standalone": point(tpcw.SHOPPING, 1, "standalone", duration=60.0),
     }
 
 

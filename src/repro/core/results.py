@@ -109,11 +109,6 @@ class ScalabilityCurve:
         """Response-time values in replica-count order."""
         return [p.response_time for p in self.points]
 
-    @property
-    def abort_rates(self) -> List[float]:
-        """Abort-rate values in replica-count order."""
-        return [p.abort_rate for p in self.points]
-
     def point_at(self, replicas: int) -> OperatingPoint:
         """Return the operating point measured/predicted at *replicas*."""
         try:

@@ -17,7 +17,7 @@ analytical models need — no replicated measurement is ever taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..core import rng as rng_util
 from ..core.errors import ProfilingError
@@ -30,18 +30,19 @@ from ..core.params import (
 from ..core.topology import STANDALONE
 from ..models.aborts import standalone_abort_rate
 from ..queueing.operational import utilization_law_demand
-from ..simulator.des import Environment, Timeout
+from ..simulator.des import Environment, Service, Timeout
 from ..simulator.replica import SimReplica
 from ..simulator.runner import simulate
 from ..simulator.sampling import ServiceSampler
 from ..simulator.stats import MetricsCollector
 from ..workloads.spec import WorkloadSpec
 
-#: Transaction classes the replay step can play in isolation.
-_CLASS_SERVERS: Dict[str, Callable] = {
-    "read": lambda replica: replica.serve_read(),
-    "write": lambda replica: replica.serve_update_attempt(),
-    "writeset": lambda replica: replica.serve_writeset_inline(),
+#: Transaction classes the replay step can play in isolation, each as
+#: its CPU and disk draws on a :class:`ServiceSampler`.
+_CLASS_SERVERS: Dict[str, Tuple[str, str]] = {
+    "read": ("read_cpu", "read_disk"),
+    "write": ("update_cpu", "update_disk"),
+    "writeset": ("writeset_cpu", "writeset_disk"),
 }
 
 
@@ -117,12 +118,15 @@ def measure_class_demand(
     metrics.watch_resource("profiled.disk", replica.disk)
 
     completions = [0]
+    cpu_draw, disk_draw = (getattr(sampler, draw)
+                           for draw in _CLASS_SERVERS[klass])
 
     def replay_client(client_id: int):
         client_rng = rng_util.spawn(seed, "profile", klass, client_id)
         while True:
             yield Timeout(float(client_rng.exponential(spec.think_time)))
-            yield from _CLASS_SERVERS[klass](replica)
+            yield Service(replica.cpu, cpu_draw())
+            yield Service(replica.disk, disk_draw())
             if metrics.measuring:
                 completions[0] += 1
 

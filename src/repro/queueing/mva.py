@@ -121,11 +121,6 @@ class MVAStepper:
         """Number of customers added so far."""
         return self._population
 
-    @property
-    def demands(self) -> Dict[str, float]:
-        """Current per-center demands (a copy)."""
-        return dict(zip(self._names, self._demands))
-
     def set_demands(self, demands: Mapping[str, float]) -> None:
         """Replace the demands of the named centers before the next step."""
         for name, demand in demands.items():

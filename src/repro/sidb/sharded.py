@@ -162,10 +162,6 @@ class ShardedCertifier:
         with self._admin_lock:
             return self._shards.setdefault(partition, _Shard(self._max_history))
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
     def shard_version(self, partition: int) -> int:
         """Partition *partition*'s latest assigned shard version."""
         return self._shard(partition).latest_version

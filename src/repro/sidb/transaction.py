@@ -37,7 +37,6 @@ class Transaction:
         self.snapshot_version = snapshot_version
         self._store = store
         self._writes: Dict[object, object] = {}
-        self._read_keys: set = set()
         self.status = TransactionStatus.ACTIVE
         #: Commit version assigned at commit (-1 until then).
         self.commit_version = -1
@@ -54,7 +53,6 @@ class Transaction:
     def read(self, key: object) -> object:
         """Read *key*: own writes first, then the snapshot."""
         self._require_active()
-        self._read_keys.add(key)
         if key in self._writes:
             return self._writes[key]
         return self._store.read(key, self.snapshot_version)
@@ -79,11 +77,6 @@ class Transaction:
     def is_read_only(self) -> bool:
         """True when the transaction buffered no writes."""
         return not self._writes
-
-    @property
-    def read_keys(self) -> frozenset:
-        """Keys read so far (diagnostics; SI does not validate reads)."""
-        return frozenset(self._read_keys)
 
     def writeset(self) -> Optional[Writeset]:
         """Extract the writeset, or ``None`` for a read-only transaction."""

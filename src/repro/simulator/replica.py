@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from ..core.errors import SimulationError
 from ..telemetry.recorder import NULL_RECORDER
-from .des import Environment, Service
+from .des import Environment
 from .resources import FIFOResource, ProcessorSharingResource
 from .sampling import ServiceSampler
 
@@ -143,32 +143,8 @@ class SimReplica:
         self.recorder = NULL_RECORDER
 
     # ------------------------------------------------------------------
-    # Transaction execution: generators for the profiler's replay and the
-    # standalone assembly (the replicated protocol body charges the same
-    # two services inline)
-    # ------------------------------------------------------------------
-
-    def serve_read(self):
-        """Charge one read-only transaction's CPU and disk work."""
-        yield Service(self.cpu, self.sampler.read_cpu())
-        yield Service(self.disk, self.sampler.read_disk())
-
-    def serve_update_attempt(self):
-        """Charge one update attempt's local execution work."""
-        yield Service(self.cpu, self.sampler.update_cpu())
-        yield Service(self.disk, self.sampler.update_disk())
-
-    def serve_writeset_inline(self):
-        """Charge one writeset application in the caller's context.
-
-        Used by the profiler's writeset-replay run (§4.1.1); regular
-        propagation goes through :meth:`enqueue_writeset` instead.
-        """
-        yield Service(self.cpu, self.sampler.writeset_cpu())
-        yield Service(self.disk, self.sampler.writeset_disk())
-
-    # ------------------------------------------------------------------
-    # Update propagation
+    # Update propagation (transactions charge ``cpu`` and ``disk`` from
+    # the one protocol body, :meth:`~.systems._BaseSystem.execute`)
     # ------------------------------------------------------------------
 
     def enqueue_writeset(self, commit_version: int, charged: bool = True) -> None:

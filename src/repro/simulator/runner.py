@@ -235,8 +235,6 @@ def simulate(
     run.install_faults(options.faults)
     if arrival_rate is not None:
         run.fleet.start_open_arrivals(arrival_rate)
-    elif design == STANDALONE:
-        run.fleet.start_clients(config.clients_per_replica)
     else:
         run.fleet.start_clients(config.total_clients)
     run.measure(warmup, duration)

@@ -56,11 +56,6 @@ class _ServiceTimes:
         self._distribution = distribution
         self._demands = spec.demands
 
-    @property
-    def spec(self) -> WorkloadSpec:
-        """The workload being sampled."""
-        return self._spec
-
     def _draw(self, mean: float) -> float:
         if mean <= 0.0:
             return 0.0

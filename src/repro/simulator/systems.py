@@ -2,8 +2,9 @@
 
 Three assemblies share the client loop:
 
-* :class:`StandaloneSystem` — one database, no middleware.  This is what
-  the profiler measures.
+* :class:`StandaloneSystem` — the one-member topology: one database, its
+  clients attached directly (no load balancer) and certifying its own
+  commits.  This is what the profiler measures.
 * :class:`MultiMasterSystem` — Figure 4: load balancer, N replicas each
   executing reads and updates, and a certifier detecting system-wide
   write-write conflicts and driving update propagation (Tashkent-style).
@@ -17,9 +18,10 @@ by the (simulated) application server, as the paper's Java servlets do.
 
 The replicated transaction protocol — route, snapshot, execute, certify,
 propagate, retry on a write-write conflict — is written once, in
-:meth:`_BaseSystem.execute`.  What differs between assemblies sits behind
-two seams fixed at construction: a :class:`~repro.core.topology.Topology`
-(who executes updates) and a certification path
+:meth:`_BaseSystem.execute`, for the standalone database too.  What
+differs between assemblies sits behind two seams fixed at construction: a
+:class:`~repro.core.topology.Topology` (who executes updates, and whether
+a load balancer routes) and a certification path
 (:class:`GlobalCertification` here, :class:`~.sharded.ShardedCertification`
 for per-partition shards).
 
@@ -339,7 +341,9 @@ class Fleet:
     #: sink until :meth:`attach_telemetry` swaps in a real one.
     recorder = NULL_RECORDER
     #: The replica executing every update — always ``replicas[0]`` — or
-    #: ``None`` when the routed replica does.
+    #: ``None`` when the routed replica does.  A fleet without a load
+    #: balancer (the standalone database) is its master alone, and the
+    #: master takes its reads too.
     master = None
     #: RNG stream the replicas' samplers are spawned from.
     _replica_stream = "replica"
@@ -650,8 +654,10 @@ class _BaseSystem(Fleet):
         self.lb_policy = self.options.lb_policy
         self._lb_rng = rng_util.spawn(seed, "load-balancer")
         #: The load-balancer hop every transaction pays first (one shared
-        #: effect: effects are immutable).
-        self._lb_hop = Timeout(config.load_balancer_delay)
+        #: effect: effects are immutable).  The standalone database has
+        #: no load balancer (§3.3.1): ``None``, not a zero-length hop.
+        self._lb_hop = (None if self.topology is STANDALONE_TOPOLOGY
+                        else Timeout(config.load_balancer_delay))
         #: Highest commit version already handed to update propagation —
         #: the sync point elastic joins adopt (the certifier can be ahead
         #: by in-flight certification delays).
@@ -804,16 +810,22 @@ class _BaseSystem(Fleet):
         The replicated GSI life-cycle (§2, §4–5), written once for every
         topology and certification path: route, admit, then either a
         local read or the snapshot → execute → certify retry loop, and
-        on commit the hand-off to every replica.
+        on commit the hand-off to every replica.  The standalone
+        database is the topology with one member and no load balancer:
+        no balancer hop, no routing, and its own certifier (§3.3.1).
         """
         topology, path = self.topology, self.certification
         txn = self.recorder.begin()
-        yield self._lb_hop
+        hop = self._lb_hop
+        if hop is not None:
+            yield hop
         # Partitioned workloads pick their data before routing: the
         # transaction must land on a replica hosting what it touches
-        # (the master hosts everything).
-        partitions = sampler.sample_partition_set(is_update)
-        if is_update and topology.master_updates:
+        # (the master hosts everything).  A read's set only steers the
+        # balancer, so without one a read draws none.
+        partitions = (sampler.sample_partition_set(is_update)
+                      if is_update or hop is not None else ())
+        if topology.master_updates and (is_update or hop is None):
             replica, policy = self.master, "master"
         else:
             replica = self.route(self.replicas, client_id, is_update,
@@ -964,8 +976,10 @@ class _BaseSystem(Fleet):
         flushed by the ``available`` setter, so the total join cost is
         transfer work plus catch-up backlog.
         """
+        draws = replica.sampler
         for _ in range(transfer_writesets):
-            yield from replica.serve_writeset_inline()
+            yield Service(replica.cpu, draws.writeset_cpu())
+            yield Service(replica.disk, draws.writeset_disk())
         replica.available = True
 
     def _drain_and_detach(self, replica: SimReplica):
@@ -983,47 +997,16 @@ class _BaseSystem(Fleet):
 
 
 class StandaloneSystem(_BaseSystem):
-    """A single snapshot-isolated database with directly attached clients."""
+    """The one-member topology: a single snapshot-isolated database with
+    directly attached clients, which certifies its own commits."""
 
     topology = STANDALONE_TOPOLOGY
 
     def _build_fleet(self) -> None:
-        self.database = self._create("standalone", 0,
-                                     self._initial_capacity(0))
-        self.replicas.append(self.database)
-
-    def execute(self, sampler: WorkloadSampler, is_update: bool, client_id: int = 0):
-        replica = self.database
-        path = self.certification
-        replica.active += 1
-        aborts = 0
-        if replica.admission is not None:
-            yield Acquire(replica.admission)
-        try:
-            if not is_update:
-                yield from replica.serve_read()
-                return aborts
-            partitions = sampler.sample_partition_set(is_update=True)
-            for _ in range(self.config.max_retries):
-                # The snapshot is taken at begin; the conflict window is the
-                # full execution time on the standalone database (§2).
-                snapshot, token = path.pin(replica)
-                try:
-                    yield from replica.serve_update_attempt()
-                    writeset = sampler.sample_writeset(snapshot, partitions)
-                    self.metrics.record_certification()
-                    outcome = self.certifier.certify(writeset)
-                finally:
-                    path.release(token, self.replicas)
-                if outcome.committed:
-                    return aborts
-                aborts += 1
-            raise RetryLimitExceeded(
-                "standalone", "update", self.config.max_retries
-            )
-        finally:
-            self._release(replica)
-            replica.active -= 1
+        # The database keeps its own name and sampler path, not the
+        # master's: the golden standalone digests pin both.
+        self.master = self._create(STANDALONE, 0, self._initial_capacity(0))
+        self.replicas.append(self.master)
 
 
 class MultiMasterSystem(_BaseSystem):

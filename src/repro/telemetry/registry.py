@@ -216,11 +216,6 @@ class MetricsRegistry:
             HISTOGRAM, name, labels,
         )
 
-    def names(self) -> frozenset:
-        """The set of metric names registered so far."""
-        with self._lock:
-            return frozenset(name for name, _ in self._instruments)
-
     def snapshot(self) -> Tuple[MetricSample, ...]:
         """Freeze every instrument into picklable samples."""
         with self._lock:

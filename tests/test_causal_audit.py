@@ -192,23 +192,27 @@ def test_staleness_distributions_recorded_on_both(audited_pair):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("design,certifier", [
-    pytest.param("multi-master", None, id="mm"),
-    pytest.param("single-master", None, id="sm"),
-    pytest.param("multi-master", "sharded", id="mm-sharded"),
+@pytest.mark.parametrize("design,certifier,replicas", [
+    pytest.param("multi-master", None, 2, id="mm"),
+    pytest.param("single-master", None, 2, id="sm"),
+    pytest.param("multi-master", "sharded", 2, id="mm-sharded"),
+    pytest.param("standalone", None, 1, id="standalone"),
 ])
 def test_sim_results_identical_with_auditor_on_and_off(
-        tiny_spec, design, certifier):
+        tiny_spec, design, certifier, replicas):
     from repro.simulator.runner import simulate
 
     if certifier == "sharded":
         tiny_spec = tiny_spec.with_partitions(4, 0.2)
-    config = _config(tiny_spec, 2)
+    config = _config(tiny_spec, replicas)
     kwargs = dict(design=design, certifier=certifier, seed=13,
                   warmup=2.0, duration=10.0)
     off = simulate(tiny_spec, config, **kwargs)
     audited = simulate(tiny_spec, config, telemetry=_TELEMETRY, **kwargs)
-    assert audited.telemetry.audit is not None
+    audit = audited.telemetry.audit
+    # Every design runs the one protocol body, so every one is audited.
+    assert audit.ok, [v.to_text() for v in audit.violations]
+    assert audit.commits_seen > 0
     # The auditor is pure bookkeeping: stripping the telemetry
     # attachment leaves a bit-identical simulation result.
     assert dataclasses.replace(audited, telemetry=None) == off

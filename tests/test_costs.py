@@ -1,7 +1,7 @@
 """Tier-1 guard: what the DES spends per committed transaction.
 
 ``scripts/golden.py``'s ``costs`` group counts, on five write-heavy
-runs, the heap pushes, the processes started and the calls (Python and
+runs and one standalone run, the heap pushes, the processes started and the calls (Python and
 builtin) per committed transaction, and ``tests/golden/costs.json`` pins them.
 Counts are exact where timings are noisy, so a change to the hot path
 is judged by them: any count may fall, none may rise by more than

@@ -107,12 +107,14 @@ class TestNoReferenceCycles:
     resources and event loop by reference counting, not at the next
     full garbage collection."""
 
-    @pytest.mark.parametrize("design", [MULTI_MASTER, SINGLE_MASTER])
+    @pytest.mark.parametrize("design", [MULTI_MASTER, SINGLE_MASTER,
+                                        STANDALONE])
     def test_simulate(self, ordering_spec, design):
         # Four slots for 50 clients per replica: processes are parked on
         # the admission semaphores as well as on the CPU and disk.
+        replicas = 1 if design == STANDALONE else 2
         config = dataclasses.replace(
-            ordering_spec.replication_config(2), max_concurrency=4
+            ordering_spec.replication_config(replicas), max_concurrency=4
         )
         assert _simulator_objects_left_by(lambda: simulate(
             ordering_spec, config, design=design, warmup=1.0, duration=3.0,

@@ -223,22 +223,24 @@ def pillar_pair(tiny_spec):
 
 
 #: One DES point per (design x certification path): every assembly of
-#: the one protocol body.  The sharded path needs a partitioned spec.
+#: the one protocol body, the one-member standalone database included.
+#: The sharded path needs a partitioned spec.
 PROTOCOL_CASES = [
-    pytest.param("multi-master", None, id="mm"),
-    pytest.param("single-master", None, id="sm"),
-    pytest.param("multi-master", "sharded", id="mm-sharded"),
+    pytest.param("multi-master", None, 2, id="mm"),
+    pytest.param("single-master", None, 2, id="sm"),
+    pytest.param("multi-master", "sharded", 2, id="mm-sharded"),
+    pytest.param("standalone", None, 1, id="standalone"),
 ]
 
 
-@pytest.mark.parametrize("design,certifier", PROTOCOL_CASES)
+@pytest.mark.parametrize("design,certifier,replicas", PROTOCOL_CASES)
 def test_simulator_results_identical_with_telemetry_off_and_on(
-        tiny_spec, design, certifier):
+        tiny_spec, design, certifier, replicas):
     from repro.simulator.runner import simulate
 
     if certifier == "sharded":
         tiny_spec = tiny_spec.with_partitions(4, 0.2)
-    config = _config(tiny_spec, 2)
+    config = _config(tiny_spec, replicas)
     kwargs = dict(design=design, certifier=certifier, seed=13,
                   warmup=2.0, duration=10.0)
     off = simulate(tiny_spec, config, **kwargs)
