@@ -17,7 +17,9 @@ refactor must preserve and what it costs:
   balancing passes), a reachable plus an unreachable deployment plan,
   the elastic loop (every autoscale point of the simulator's elastic
   scenarios, their rendered artifacts, and three direct
-  ``autoscale_sim`` runs) and the ``repr`` of audited, fully traced
+  ``autoscale_sim`` runs), the rendered tables of the simulator's
+  labelled-cell comparisons (``hetero-fleet``, ``placement-ablation``,
+  ``certifier-sharding``) and the ``repr`` of audited, fully traced
   telemetry (which pins every recorder ``attached`` baseline).
 
 * ``costs.json`` — what the DES spends per committed transaction on
@@ -157,6 +159,9 @@ ELASTIC_SCENARIOS = (
     "autoscale-diurnal", "autoscale-flashcrowd", "brownout-detection",
     "capacity-estimation", "rolling-upgrade", "selfheal-crashstorm",
 )
+#: The simulator's labelled-cell comparison scenarios, pinned as rendered
+#: artifacts (their points are pinned by ``points.json``).
+TABLE_SCENARIOS = ("certifier-sharding", "hetero-fleet", "placement-ablation")
 
 
 def elastic_cases() -> Dict[str, dict]:
@@ -201,8 +206,8 @@ def elastic_cases() -> Dict[str, dict]:
 
 def elastic_digests() -> Dict[str, str]:
     """The elastic scenarios through the engine (``scenario_points`` ->
-    ``execute_points`` -> ``assemble`` -> ``to_text``) plus the direct
-    cases."""
+    ``execute_points`` -> ``assemble`` -> ``to_text``), the rendered
+    tables of the comparison scenarios, plus the direct cases."""
     from repro.control.autoscale import autoscale_sim
     from repro.engine import execute_points, get_scenario, scenario_points
     from repro.experiments.settings import ExperimentSettings
@@ -215,6 +220,12 @@ def elastic_digests() -> Dict[str, str]:
         results = execute_points(points, cache=None)
         for index, (point, result) in enumerate(zip(points, results)):
             digests[f"{name}[{index}] {point.tag}"] = result_digest(result)
+        artifact = scenario.assemble(settings, points, results)
+        digests[f"{name} text"] = result_digest(artifact.to_text())
+    for name in TABLE_SCENARIOS:
+        scenario = get_scenario(name)
+        points = scenario_points(scenario, settings)
+        results = execute_points(points, cache=None)
         artifact = scenario.assemble(settings, points, results)
         digests[f"{name} text"] = result_digest(artifact.to_text())
     for label, kwargs in elastic_cases().items():

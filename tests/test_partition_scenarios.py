@@ -1,5 +1,7 @@
 """Integration tests for the registered partial-replication scenarios."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine import get_scenario, run_scenario, scenario_names_with_tag
@@ -61,6 +63,38 @@ class TestPartialReplicationSweep:
 
     def test_sweep_map_is_partial(self):
         assert not sweep_map().is_full
+
+
+class TestLiveSweepAssembly:
+    """The live A/B's table, assembled from two stand-in cluster results."""
+
+    def test_one_row_per_cell_in_grid_order(self, tiny_settings):
+        scenario = get_scenario("partial-replication-sweep-live")
+        points = scenario.points(tiny_settings)
+        results = [
+            SimpleNamespace(throughput=40.0, response_time=0.25,
+                            abort_rate=0.1, state_converged=True),
+            SimpleNamespace(throughput=55.4, response_time=0.2,
+                            abort_rate=0.0525, state_converged=True),
+        ]
+        report = scenario.assemble(tiny_settings, points, results)
+        assert [point.tag for point in points] == ["full", "partial"]
+        assert report.results == tuple(results)
+        assert report.cell("partial") is results[1]
+        assert report.cell("missing") is None
+        lines = report.to_text().splitlines()
+        assert lines[0] == (
+            "partial replication (live cluster) — micro/partition-live, "
+            "3 partitions x factor 2 over 3 replicas"
+        )
+        assert lines[1].startswith(
+            "  placement   throughput  response  aborts"
+        )
+        rows = ["  full          40.0 tps    250 ms 10.00%",
+                "  partial       55.4 tps    200 ms  5.25%"]
+        assert len(lines) == 2 + len(rows)
+        for line, row in zip(lines[2:], rows):
+            assert line.startswith(row)
 
 
 class TestCertifierSharding:
