@@ -22,6 +22,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.engine import run_scenario
+from repro.partition.scenarios import sharded_speedup
 
 
 def test_sharded_beats_global_simulator(benchmark, settings, fast_mode):
@@ -34,11 +35,11 @@ def test_sharded_beats_global_simulator(benchmark, settings, fast_mode):
     print("\n" + report.to_text())
     # The tentpole claim on the deterministic pillar: strict dominance,
     # with real head-room at full fidelity.
-    assert report.speedup("sim") > 1.0
+    assert sharded_speedup(report, "sim") > 1.0
     if not fast_mode:
-        assert report.speedup("sim") >= 1.05
+        assert sharded_speedup(report, "sim") >= 1.05
     # The analytic model agrees on the direction and tracks both arms.
-    assert report.speedup("model") > 1.0
+    assert sharded_speedup(report, "model") > 1.0
     for arm in ("global", "sharded"):
         sim = report.cell(f"sim-{arm}").throughput
         model = report.cell(f"model-{arm}").throughput
@@ -55,9 +56,9 @@ def test_sharded_beats_global_live_cluster(benchmark, settings, fast_mode):
                              cache=None),
     )
     print("\n" + report.to_text())
-    assert report.speedup("live") > 1.0
+    assert sharded_speedup(report, "live") > 1.0
     if not fast_mode:
-        assert report.speedup("live") >= 1.2
+        assert sharded_speedup(report, "live") >= 1.2
     # Zero lost or duplicated committed writesets under either protocol.
     # ``state_converged`` is the strong check: quiesce compares every
     # replica's applied vector against the certifier's version vector

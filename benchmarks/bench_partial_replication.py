@@ -96,7 +96,7 @@ def test_placement_ablation(benchmark, settings, fast_mode):
     if not fast_mode:
         assert balanced.throughput >= 1.10 * oblivious.throughput
     # The planner rendered its placement into the artifact.
-    assert "imbalance" in report.plan_text
+    assert "imbalance" in report.notes[-1]
 
 
 def test_placement_ablation_live(benchmark, settings, fast_mode):

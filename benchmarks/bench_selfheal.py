@@ -22,13 +22,19 @@ from repro.control.autoscale import autoscale_sim
 from repro.control.controller import FixedPolicy
 from repro.control.scenarios import SLO_RESPONSE, _design_capacity, sim_dims
 from repro.engine import run_scenario
+from repro.ops.events import summarize
 from repro.ops.scenarios import FLEET, ROLLING_LOAD, _steady_trace
 from repro.simulator.runner import MULTI_MASTER, SINGLE_MASTER
 from repro.workloads import tpcw
 
 
-def _check_selfheal(report, expected_crashes, mttr_bound):
-    result, summary = report.result, report.summary
+def _by_design(comparison):
+    """An ops comparison's runs, keyed by design."""
+    return {result.design: result for result in comparison.results}
+
+
+def _check_selfheal(result, expected_crashes, mttr_bound):
+    summary = summarize(result)
     assert summary.crashes == expected_crashes, summary
     assert summary.replacements == expected_crashes, summary
     assert summary.mttr is not None and summary.mttr <= mttr_bound, summary
@@ -50,10 +56,10 @@ def test_selfheal_simulator(benchmark, settings, fast_mode):
     )
     print("\n" + comparison.to_text())
     mttr_bound = 3.0 * settings.autoscale_control_interval
+    results = _by_design(comparison)
     for design in (MULTI_MASTER, SINGLE_MASTER):
-        report = comparison.report_for(design)
-        assert report is not None
-        _check_selfheal(report, expected_crashes=2, mttr_bound=mttr_bound)
+        _check_selfheal(results[design], expected_crashes=2,
+                        mttr_bound=mttr_bound)
 
 
 def test_selfheal_live_cluster(benchmark, settings, fast_mode):
@@ -64,9 +70,8 @@ def test_selfheal_live_cluster(benchmark, settings, fast_mode):
                              cache=None),
     )
     print("\n" + comparison.to_text())
-    report = comparison.report_for(MULTI_MASTER)
-    assert report is not None
-    result, summary = report.result, report.summary
+    result = _by_design(comparison)[MULTI_MASTER]
+    summary = summarize(result)
     assert summary.crashes == 1 and summary.replacements == 1, summary
     assert summary.mttr is not None and summary.mttr <= 6.0, summary
     assert summary.recovery_ratio >= 0.90, summary
@@ -106,10 +111,10 @@ def test_rolling_upgrade_simulator(benchmark, settings, fast_mode):
                              cache=None),
     )
     print("\n" + comparison.to_text())
+    results = _by_design(comparison)
     for design in (MULTI_MASTER, SINGLE_MASTER):
-        report = comparison.report_for(design)
-        assert report is not None
-        result, summary = report.result, report.summary
+        result = results[design]
+        summary = summarize(result)
         cycled = FLEET if design == MULTI_MASTER else FLEET - 1
         assert summary.upgrades == cycled, summary
         assert any(e.kind == "rolling-complete" for e in result.ops_events)
@@ -135,9 +140,8 @@ def test_rolling_upgrade_live_cluster(benchmark, settings, fast_mode):
                              cache=None),
     )
     print("\n" + comparison.to_text())
-    report = comparison.report_for(MULTI_MASTER)
-    assert report is not None
-    result, summary = report.result, report.summary
+    result = _by_design(comparison)[MULTI_MASTER]
+    summary = summarize(result)
     assert summary.upgrades == 3, summary
     assert any(e.kind == "rolling-complete" for e in result.ops_events)
     assert min(p.members for p in result.timeline) >= 2
@@ -165,4 +169,4 @@ def test_hetero_fleet_simulator(benchmark, settings, fast_mode):
     assert weighted.response_time < 0.25 * oblivious.response_time
     assert weighted.throughput >= oblivious.throughput
     # The model sized the same inventory (mixed-fleet planning works).
-    assert comparison.plan_text
+    assert comparison.notes[0].startswith("model sizing: ")

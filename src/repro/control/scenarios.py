@@ -196,8 +196,6 @@ def _flashcrowd_trace(dims: PillarDims, capacity: float) -> FlashCrowdTrace:
     )
 
 
-_METRICS = ("replica_seconds", "slo_violation_fraction")
-
 register_family(
     lambda settings, dims: _autoscale_points(settings, dims, _diurnal_trace),
     sim_dims,
@@ -205,12 +203,10 @@ register_family(
     live=dict(
         title="Live-cluster autoscaling under diurnal load "
         "(elastic membership)",
-        metrics=_METRICS + ("converged",),
     ),
     name="autoscale-diurnal",
     title="Autoscaling policies under diurnal load (TPC-W shopping)",
     kind="autoscale",
-    metrics=_METRICS,
     assemble=_assemble,
 )
 
@@ -218,7 +214,6 @@ register_scenario(Scenario(
     name="autoscale-flashcrowd",
     title="Autoscaling policies under a flash crowd (TPC-W shopping)",
     kind="autoscale",
-    metrics=_METRICS,
     points=lambda settings: _autoscale_points(
         settings, sim_dims(settings), _flashcrowd_trace
     ),

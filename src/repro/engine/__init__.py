@@ -20,7 +20,7 @@ from .cache import (
     profile_key,
     resolve_cache,
 )
-from .family import PillarDims, live_twin, register_family
+from .family import CellTable, PillarDims, live_twin, register_family
 from .registry import (
     UnknownScenarioError,
     UnknownTagError,
@@ -66,6 +66,7 @@ __all__ = [
     "BACKENDS",
     "CACHE_VERSION",
     "CLUSTER",
+    "CellTable",
     "MODEL",
     "PROFILE",
     "PillarDims",

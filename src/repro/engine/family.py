@@ -4,7 +4,9 @@ A family's grid is written once over a :class:`PillarDims` record — the
 things its deterministic simulator cells and its live-cluster validation
 cells differ in — and :func:`register_family` registers it on both,
 deriving the ``<name>-live`` twin from the simulator scenario
-(:func:`live_twin`), so the pair cannot drift apart.
+(:func:`live_twin`), so the pair cannot drift apart.  A family whose
+cells are configurations compared on throughput, response time and
+aborts returns a :class:`CellTable`.
 """
 
 from __future__ import annotations
@@ -82,10 +84,56 @@ class PillarDims:
         )
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """A comparison artifact: one row per labelled cell, with its
+    throughput, response time and abort rate."""
+
+    title: str
+    #: Heading and width of the label column.
+    heading: str
+    width: int
+    #: ``(label, result)`` per cell, in grid order; a result is any
+    #: measured or predicted run (``SimulationResult``,
+    #: ``ClusterResult``, ``Prediction``).
+    cells: Tuple[Tuple[str, object], ...]
+    #: Footer lines, rendered under the rows.
+    notes: Tuple[str, ...] = ()
+
+    @property
+    def results(self) -> Tuple[object, ...]:
+        """The cells' results, in grid order."""
+        return tuple(result for _, result in self.cells)
+
+    def cell(self, label: str) -> Optional[object]:
+        """Result of one labelled cell."""
+        for name, result in self.cells:
+            if name == label:
+                return result
+        return None
+
+    def to_text(self) -> str:
+        """Render the title, the table and the notes."""
+        width = self.width
+        lines = [
+            self.title,
+            f"  {self.heading:<{width}s} {'throughput':>11s} "
+            f"{'response':>9s} {'aborts':>7s}",
+        ]
+        for name, result in self.cells:
+            lines.append(
+                f"  {name:<{width}s} {result.throughput:>7.1f} tps "
+                f"{result.response_time * 1000:>6.0f} ms "
+                f"{result.abort_rate:>6.2%}"
+            )
+        lines.extend("  " + note for note in self.notes)
+        return "\n".join(lines)
+
+
 def live_twin(scenario: Scenario, **changes) -> Scenario:
     """The live validation twin of a simulator *scenario*: ``<name>-live``
     with the ``live`` tag; *changes* are the fields that differ (title,
-    metrics, points, assemble)."""
+    points, assemble)."""
     return dataclasses.replace(
         scenario,
         name=f"{scenario.name}-live",

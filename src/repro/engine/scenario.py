@@ -111,8 +111,6 @@ class Scenario:
     title: str
     #: Grouping kind (one of :data:`KINDS`).
     kind: str
-    #: Metrics the artifact reports (documentation metadata).
-    metrics: Tuple[str, ...]
     #: ``points(settings) -> [SweepPoint, ...]`` — builds the sweep grid.
     points: Callable[[object], Sequence[SweepPoint]]
     #: ``assemble(settings, points, results) -> artifact`` — *results* is

@@ -283,7 +283,6 @@ register_scenario(Scenario(
     name="ablation-mva",
     title="Exact MVA vs Schweitzer approximation",
     kind="ablation",
-    metrics=("throughput",),
     points=lambda settings: (),
     assemble=lambda settings, points, results: mva_ablation(),
 ))
@@ -292,7 +291,6 @@ register_scenario(Scenario(
     name="ablation-conflict-window",
     title="Conflict window: one-step lag vs fixed point",
     kind="ablation",
-    metrics=("abort_rate",),
     points=partial(_conflict_window_points, (2, 4, 8, 16)),
     assemble=partial(_conflict_window_assemble, (2, 4, 8, 16)),
 ))
@@ -301,7 +299,6 @@ register_scenario(Scenario(
     name="ablation-distributions",
     title="Service-demand distribution vs MVA's exponential assumption",
     kind="ablation",
-    metrics=("throughput",),
     points=lambda settings: _axis_points(
         "distribution", ("exponential", "deterministic", "lognormal"), 4,
         settings,
@@ -315,7 +312,6 @@ register_scenario(Scenario(
     name="ablation-lb-policy",
     title="Load-balancer routing policy vs static partitioning",
     kind="ablation",
-    metrics=("throughput", "response_time"),
     points=lambda settings: _axis_points(
         "lb_policy", ("least-loaded", "pinned", "random"), 8, settings,
     ),

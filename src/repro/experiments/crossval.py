@@ -284,7 +284,6 @@ def _crossval_scenario(
         title=f"Three-pillar cross-validation ({spec.name}, {design}, "
         f"N={config.replicas})",
         kind="crossval",
-        metrics=("throughput", "response_time", "abort_rate"),
         points=points,
         assemble=assemble,
         tags=("live",),

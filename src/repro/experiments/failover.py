@@ -170,7 +170,6 @@ def _failover_scenario(
         name=name,
         title=f"Replica crash/recovery throughput ({spec.name}, {design})",
         kind="extension",
-        metrics=("throughput",),
         points=points,
         assemble=assemble,
     )

@@ -223,7 +223,6 @@ def _figure_scenario(
         name=figure_id,
         title=title,
         kind="figure",
-        metrics=(metric,),
         points=partial(sweep_points, benchmark, design),
         assemble=partial(_assemble_figure, figure_id, title, metric),
     )
@@ -362,7 +361,6 @@ register_scenario(Scenario(
     name="figure14",
     title="TPC-W shopping MM abort probability at elevated A1",
     kind="figure",
-    metrics=("abort_rate",),
     points=partial(_figure14_points, microbench.FIGURE14_ABORT_RATES),
     assemble=partial(_figure14_assemble, microbench.FIGURE14_ABORT_RATES),
 ))

@@ -169,7 +169,6 @@ def _openloop_scenario(
         name=name,
         title=f"Open vs closed arrivals ({spec.name}, standalone)",
         kind="extension",
-        metrics=("response_time",),
         points=points,
         assemble=assemble,
     )

@@ -150,7 +150,6 @@ register_scenario(Scenario(
     name="sens-lb-delay",
     title="Throughput sensitivity to load-balancer/network delay",
     kind="sensitivity",
-    metrics=("throughput",),
     points=partial(_delay_points, "load_balancer_delay",
                    (0.0, 0.001, 0.005, 0.010), 8),
     assemble=partial(_delay_assemble, "load_balancer_delay",
@@ -161,7 +160,6 @@ register_scenario(Scenario(
     name="sens-certifier-delay",
     title="Throughput sensitivity to certification delay",
     kind="sensitivity",
-    metrics=("throughput",),
     points=partial(_delay_points, "certifier_delay", (0.006, 0.012, 0.024), 8),
     assemble=partial(_delay_assemble, "certifier_delay",
                      (0.006, 0.012, 0.024), 8),
@@ -266,7 +264,6 @@ register_scenario(Scenario(
     name="sens-certifier-capacity",
     title="Group-committing certifier latency across load",
     kind="sensitivity",
-    metrics=("latency", "batch_size"),
     points=lambda settings: (),
     assemble=lambda settings, points, results: certifier_capacity(),
 ))
@@ -352,7 +349,6 @@ register_scenario(Scenario(
     name="error-margin",
     title="Aggregate prediction error over Figures 6/8/10/12 (§6.2, <=15%)",
     kind="sensitivity",
-    metrics=("throughput_error",),
     points=_error_margin_points,
     assemble=_error_margin_assemble,
 ))

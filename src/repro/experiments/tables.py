@@ -184,7 +184,6 @@ for _table_id, _benchmark, _mixes in (
         name=_table_id,
         title=f"{_benchmark} measured service demands",
         kind="table",
-        metrics=("service_demand",),
         points=partial(_demand_points, dict(_mixes)),
         assemble=partial(_assemble_demands, _table_id, _benchmark),
     ))
@@ -197,7 +196,6 @@ for _table_id, _benchmark, _builder in (
         name=_table_id,
         title=f"{_benchmark} workload parameters",
         kind="table",
-        metrics=("parameters",),
         points=lambda settings: (),
         assemble=(lambda builder: lambda settings, points, results: builder())(
             _builder

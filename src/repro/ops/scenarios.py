@@ -20,6 +20,14 @@ deterministic simulator scenario plus its ``-live`` cluster twin:
 * ``capacity-estimation`` — the same brownout routed and scaled on
   declared vs estimated capacities (the scenario owns that axis).
 
+The self-heal, rolling and brownout scenarios assemble an
+:class:`OpsComparison`, ``capacity-estimation`` a
+:class:`CapacityRecoveryComparison`; both hold the raw
+:class:`~repro.control.autoscale.AutoscaleResult` runs and summarize
+them when they render.  ``hetero-fleet`` assembles a
+:class:`~repro.engine.family.CellTable`, one row per routing policy,
+with the model sizing as its note.
+
 All cells are ordinary engine sweep points: simulator cells are cached
 and fan out over ``--jobs``; live cells re-execute (they measure real
 wall-clock behaviour).  Run them by name: ``repro run rolling-upgrade
@@ -47,13 +55,14 @@ from ..engine import (
     CLUSTER,
     PROFILE,
     SIMULATOR,
+    CellTable,
     PillarDims,
     register_family,
 )
 from ..engine.scenario import profile_point, profile_task
 from ..simulator.faults import brownout_fault, crash_fault
 from ..simulator.systems import CAPACITY_WEIGHTED, LEAST_LOADED, RANDOM
-from .events import OpsSummary, summarize
+from .events import summarize
 from .plan import OpsPlan
 
 #: Fleet size the self-heal and rolling scenarios pin (FixedPolicy):
@@ -109,86 +118,21 @@ RECOVERY_END = 0.90
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OpsRunReport:
-    """One ops run plus its availability summary."""
-
-    result: AutoscaleResult
-    summary: OpsSummary
-
-    @property
-    def converged(self) -> bool:
-        """Replication correctness of the underlying run."""
-        return self.result.converged
-
-
-@dataclass(frozen=True)
 class OpsComparison:
     """The artifact of a self-heal / rolling-upgrade scenario."""
 
     name: str
     workload: str
     pillar: str
-    results: Tuple[OpsRunReport, ...]
-
-    def report_for(self, design: str) -> Optional[OpsRunReport]:
-        """Look up one design's run."""
-        for report in self.results:
-            if report.result.design == design:
-                return report
-        return None
+    results: Tuple[AutoscaleResult, ...]
 
     def to_text(self) -> str:
         """Render per-design run lines and availability summaries."""
         lines = [f"{self.name} — {self.workload}, {self.pillar} pillar"]
-        for report in self.results:
-            lines.append("  " + report.result.to_text())
-            for line in report.summary.to_text().splitlines():
+        for result in self.results:
+            lines.append("  " + result.to_text())
+            for line in summarize(result).to_text().splitlines():
                 lines.append("  " + line)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class HeteroFleetComparison:
-    """The artifact of a heterogeneous-fleet scenario."""
-
-    workload: str
-    pillar: str
-    capacities: Tuple[float, ...]
-    #: (lb policy, result) per cell; results are SimulationResult or
-    #: ClusterResult (field-compatible where it matters here).
-    cells: Tuple[Tuple[str, object], ...]
-    #: Model sizing of the same inventory (``None`` when unavailable).
-    plan_text: str = ""
-
-    @property
-    def results(self) -> Tuple[object, ...]:
-        """The raw per-policy results (for convergence screening)."""
-        return tuple(result for _, result in self.cells)
-
-    def cell(self, policy: str) -> Optional[object]:
-        """Result of one load-balancing policy."""
-        for name, result in self.cells:
-            if name == policy:
-                return result
-        return None
-
-    def to_text(self) -> str:
-        """Render the policy comparison table."""
-        fleet = " + ".join(f"{c:g}x" for c in self.capacities)
-        lines = [
-            f"heterogeneous fleet [{fleet}] — {self.workload}, "
-            f"{self.pillar} pillar",
-            f"  {'lb policy':<18s} {'throughput':>11s} {'response':>9s} "
-            f"{'aborts':>7s}",
-        ]
-        for name, result in self.cells:
-            lines.append(
-                f"  {name:<18s} {result.throughput:>7.1f} tps "
-                f"{result.response_time * 1000:>6.0f} ms "
-                f"{result.abort_rate:>6.2%}"
-            )
-        if self.plan_text:
-            lines.append(f"  model sizing: {self.plan_text}")
         return "\n".join(lines)
 
 
@@ -206,17 +150,17 @@ class CapacityRecoveryComparison:
     onset: float
     #: Recovery window (start, end) the arms are compared over.
     window: Tuple[float, float]
-    declared: OpsRunReport
-    estimated: OpsRunReport
+    declared: AutoscaleResult
+    estimated: AutoscaleResult
 
     @property
     def results(self) -> Tuple[AutoscaleResult, ...]:
         """The raw per-arm results (for convergence screening)."""
-        return (self.declared.result, self.estimated.result)
+        return (self.declared, self.estimated)
 
-    def _window_throughput(self, report: OpsRunReport) -> float:
+    def _window_throughput(self, result: AutoscaleResult) -> float:
         lo, hi = self.window
-        points = [p for p in report.result.timeline if lo <= p.time <= hi]
+        points = [p for p in result.timeline if lo <= p.time <= hi]
         if not points:
             return 0.0
         return sum(p.throughput for p in points) / len(points)
@@ -242,7 +186,7 @@ class CapacityRecoveryComparison:
     @property
     def detection_latency(self) -> Optional[float]:
         """Brownout onset to the estimator's gray-detect (seconds)."""
-        perf = self.estimated.result.perf
+        perf = self.estimated.perf
         if perf is None:
             return None
         return perf.detection_latency(self.onset)
@@ -250,7 +194,7 @@ class CapacityRecoveryComparison:
     @property
     def drift_verdict(self) -> bool:
         """Did the estimated arm's drift monitor flag the model?"""
-        perf = self.estimated.result.perf
+        perf = self.estimated.perf
         return bool(perf is not None and perf.drift_verdict)
 
     def to_text(self) -> str:
@@ -276,10 +220,10 @@ class CapacityRecoveryComparison:
             + ("DRIFT (prediction off-envelope)" if self.drift_verdict
                else "on-model")
         )
-        for label, report in (("declared", self.declared),
+        for label, result in (("declared", self.declared),
                               ("estimated", self.estimated)):
-            lines.append(f"  [{label}] " + report.result.to_text())
-            for line in report.summary.to_text().splitlines():
+            lines.append(f"  [{label}] " + result.to_text())
+            for line in summarize(result).to_text().splitlines():
                 lines.append("    " + line)
         return "\n".join(lines)
 
@@ -298,9 +242,8 @@ def _live_dims(settings) -> PillarDims:
     )
 
 
-def _register_family(name: str, title: str, live_title: str, metrics,
-                     live_metrics, points, assemble,
-                     sim_dims_for=_sim_dims, owns=()) -> None:
+def _register_family(name: str, title: str, live_title: str, points,
+                     assemble, sim_dims_for=_sim_dims, owns=()) -> None:
     """Register ``points(settings, dims)`` / ``assemble(name, points,
     results)`` as *name* on the simulator and ``<name>-live`` on the
     cluster."""
@@ -311,10 +254,8 @@ def _register_family(name: str, title: str, live_title: str, metrics,
 
     register_family(
         points, sim_dims_for, _live_dims,
-        live=dict(title=live_title, metrics=live_metrics,
-                  assemble=named(f"{name}-live")),
-        name=name, title=title, kind="ops", metrics=metrics,
-        assemble=named(name), owns=owns,
+        live=dict(title=live_title, assemble=named(f"{name}-live")),
+        name=name, title=title, kind="ops", assemble=named(name), owns=owns,
     )
 
 
@@ -351,13 +292,9 @@ def _ops_points(load_fraction: float, plan_for, with_profile: bool = False,
 
 
 def _assemble_ops(name, points, results) -> OpsComparison:
-    reports = tuple(
-        OpsRunReport(result=result, summary=summarize(result))
-        for result in results
-    )
     return OpsComparison(
         name=name, workload=points[0].spec.name,
-        pillar=points[0].option("pillar"), results=reports,
+        pillar=points[0].option("pillar"), results=tuple(results),
     )
 
 
@@ -392,8 +329,6 @@ _register_family(
     "selfheal-crashstorm",
     "Self-healing: crash storm with automatic replica replacement",
     "Live-cluster self-healing: crash, detect, replace on real threads",
-    ("mttr", "unavailability", "slo_violation_fraction"),
-    ("mttr", "unavailability", "converged"),
     _ops_points(SELFHEAL_LOAD, _selfheal_plan),
     _assemble_ops,
 )
@@ -402,8 +337,6 @@ _register_family(
     "rolling-upgrade",
     "Rolling upgrade: cycle every replica through drain/rejoin under load",
     "Live-cluster rolling upgrade: drain/rejoin the whole fleet",
-    ("mttr", "unavailability", "slo_violation_fraction"),
-    ("slo_violation_fraction", "converged"),
     _ops_points(ROLLING_LOAD, _rolling_plan),
     _assemble_ops,
 )
@@ -412,9 +345,6 @@ _register_family(
     "brownout-detection",
     "Gray failure: a silent brownout caught by the capacity estimator",
     "Live-cluster gray failure: brownout on real threads, caught live",
-    ("gray_detected", "mean_gray_detection_latency",
-     "slo_violation_fraction"),
-    ("gray_detected", "mean_gray_detection_latency", "converged"),
     _ops_points(BROWNOUT_LOAD, _brownout_plan, with_profile=True,
                 capacity_source=ESTIMATED),
     _assemble_ops,
@@ -468,9 +398,8 @@ def _assemble_capest(name, points, results) -> CapacityRecoveryComparison:
         severity=BROWNOUT_SEVERITY,
         onset=onset,
         window=window,
-        declared=OpsRunReport(result=declared, summary=summarize(declared)),
-        estimated=OpsRunReport(result=estimated,
-                               summary=summarize(estimated)),
+        declared=declared,
+        estimated=estimated,
     )
 
 
@@ -478,8 +407,6 @@ _register_family(
     "capacity-estimation",
     "Online capacity estimation: recover throughput from a brownout",
     "Live online capacity estimation: brownout recovery on threads",
-    ("recovery", "detection_latency", "throughput"),
-    ("recovery", "detection_latency", "converged"),
     _capest_points,
     _assemble_capest,
     # Both arms of the capacity-source axis are the experiment.
@@ -514,14 +441,14 @@ def _hetero_points(settings, dims: PillarDims) -> List:
     return points
 
 
-def _assemble_hetero(name, points, results) -> HeteroFleetComparison:
+def _assemble_hetero(name, points, results) -> CellTable:
     from ..models.planning import plan_mixed_fleet
 
     cells = [(point, result) for point, result in zip(points, results)
              if point.backend != PROFILE]
     first = cells[0][0]
     capacities = first.option("capacities")
-    plan = None
+    notes = ()
     if points[0].backend == PROFILE:
         best = max((result for _, result in cells),
                    key=lambda r: r.throughput)
@@ -533,13 +460,17 @@ def _assemble_hetero(name, points, results) -> HeteroFleetComparison:
             design=MULTI_MASTER,
             headroom=0.1,
         )
-    return HeteroFleetComparison(
-        workload=first.spec.name,
-        pillar=first.backend,
-        capacities=capacities,
+        if plan is not None:
+            notes = (f"model sizing: {plan.to_text()}",)
+    fleet = " + ".join(f"{c:g}x" for c in capacities)
+    return CellTable(
+        title=f"heterogeneous fleet [{fleet}] — {first.spec.name}, "
+        f"{first.backend} pillar",
+        heading="lb policy",
+        width=18,
         cells=tuple((point.option("lb_policy"), result)
                     for point, result in cells),
-        plan_text="" if plan is None else plan.to_text(),
+        notes=notes,
     )
 
 
@@ -547,8 +478,6 @@ _register_family(
     "hetero-fleet",
     "Heterogeneous-capacity fleet: capacity-weighted vs least-loaded",
     "Live heterogeneous fleet: capacity-weighted vs least-loaded",
-    ("throughput", "response_time"),
-    ("throughput", "response_time", "converged"),
     _hetero_points,
     _assemble_hetero,
     # Steady-state cells measure over the simulation window, not the

@@ -17,6 +17,13 @@ cluster twin registered from the same declaration:
   many partitions).  Model + simulator cells, plus a live validation
   pair on real threads.
 
+The simulator sweep assembles a :class:`PartialReplicationReport`, one
+row per update fraction.  Every other cell set, the live sweep's
+included, assembles a :class:`~repro.engine.family.CellTable`, one row
+per labelled cell: the placement ablation's note is the planner's
+balanced placement, the certifier A/B's notes are its
+:func:`sharded_speedup` per pillar.
+
 All cells are ordinary engine sweep points: simulator cells are cached
 and fan out over ``--jobs``; live cells re-execute.  Run them by name:
 ``repro run placement-ablation placement-ablation-live``.
@@ -33,6 +40,7 @@ from ..core.topology import MULTI_MASTER
 from ..engine import (
     CLUSTER,
     SIMULATOR,
+    CellTable,
     PillarDims,
     Scenario,
     live_twin,
@@ -269,109 +277,6 @@ class PartialReplicationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class LiveCell:
-    """One live cluster measurement (labelled)."""
-
-    label: str
-    result: object  # ClusterResult
-
-    @property
-    def converged(self) -> bool:
-        """Replication correctness of the cell."""
-        return self.result.state_converged
-
-
-@dataclass(frozen=True)
-class PartialReplicationLiveReport:
-    """The ``partial-replication-sweep-live`` artifact."""
-
-    workload: str
-    partition_map: PartitionMap
-    cells: Tuple[LiveCell, ...]
-
-    @property
-    def results(self) -> Tuple[object, ...]:
-        """Raw per-cell results (CLI convergence screening)."""
-        return tuple(cell.result for cell in self.cells)
-
-    def cell(self, label: str) -> Optional[object]:
-        """Result of one labelled cell."""
-        for candidate in self.cells:
-            if candidate.label == label:
-                return candidate.result
-        return None
-
-    def to_text(self) -> str:
-        """Render the live A/B."""
-        lines = [
-            f"partial replication (live cluster) — {self.workload}, "
-            f"{self.partition_map.partitions} partitions x factor "
-            f"{self.partition_map.replication_factor:g} over "
-            f"{self.partition_map.replicas} replicas",
-            f"  {'placement':<10s} {'throughput':>11s} {'response':>9s} "
-            f"{'aborts':>7s} {'replication':>22s}",
-        ]
-        for cell in self.cells:
-            result = cell.result
-            state = (
-                "converged, identical" if result.state_converged
-                else "DIVERGED"
-            )
-            lines.append(
-                f"  {cell.label:<10s} {result.throughput:>7.1f} tps "
-                f"{result.response_time * 1000:>6.0f} ms "
-                f"{result.abort_rate:>6.2%} {state:>22s}"
-            )
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PlacementAblationReport:
-    """The ``placement-ablation`` artifact (sim or live pillar)."""
-
-    workload: str
-    pillar: str
-    weights: Tuple[float, ...]
-    #: (label, result) per placement cell.
-    cells: Tuple[Tuple[str, object], ...]
-    #: The planner's own rendering of the balanced placement.
-    plan_text: str = ""
-
-    @property
-    def results(self) -> Tuple[object, ...]:
-        """Raw per-cell results (CLI convergence screening)."""
-        return tuple(result for _, result in self.cells)
-
-    def cell(self, label: str) -> Optional[object]:
-        """Result of one placement cell."""
-        for name, result in self.cells:
-            if name == label:
-                return result
-        return None
-
-    def to_text(self) -> str:
-        """Render the placement comparison."""
-        skew = " ".join(f"{w:g}" for w in self.weights)
-        lines = [
-            f"placement ablation — {self.workload}, {self.pillar} pillar, "
-            f"partition weights [{skew}]",
-            f"  {'placement':<16s} {'throughput':>11s} {'response':>9s} "
-            f"{'aborts':>7s}",
-        ]
-        for name, result in self.cells:
-            lines.append(
-                f"  {name:<16s} {result.throughput:>7.1f} tps "
-                f"{result.response_time * 1000:>6.0f} ms "
-                f"{result.abort_rate:>6.2%}"
-            )
-        if self.plan_text:
-            lines.append("  balanced plan:")
-            for line in self.plan_text.splitlines():
-                lines.append("    " + line)
-        return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Pillar dimensions shared by the three families
 # ----------------------------------------------------------------------
@@ -474,15 +379,16 @@ def _assemble_sweep(settings, points, results) -> PartialReplicationReport:
     )
 
 
-def _assemble_live_sweep(settings, points, results):
-    cells = tuple(
-        LiveCell(label=point.tag, result=result)
-        for point, result in zip(points, results)
-    )
-    return PartialReplicationLiveReport(
-        workload=live_sweep_spec().name,
-        partition_map=live_sweep_map(),
-        cells=cells,
+def _assemble_live_sweep(settings, points, results) -> CellTable:
+    pmap = live_sweep_map()
+    return CellTable(
+        title=f"partial replication (live cluster) — "
+        f"{live_sweep_spec().name}, {pmap.partitions} partitions x factor "
+        f"{pmap.replication_factor:g} over {pmap.replicas} replicas",
+        heading="placement",
+        width=10,
+        cells=tuple((point.tag, result)
+                    for point, result in zip(points, results)),
     )
 
 
@@ -492,12 +398,10 @@ register_scenario(live_twin(
         title="Partial vs full replication across update fractions "
         "(sim + model)",
         kind="partition",
-        metrics=("throughput", "speedup", "model_vs_sim_deviation"),
         points=_sweep_points,
         assemble=_assemble_sweep,
     )),
     title="Live-cluster partial vs full replication (scoped propagation)",
-    metrics=("throughput", "response_time", "converged"),
     points=lambda settings: _full_and_partial(
         _live_dims(settings, live_sweep_spec()), live_sweep_map()
     ),
@@ -533,19 +437,23 @@ def _placement_points(settings, dims: PillarDims) -> List:
     ]
 
 
-def _assemble_placement(settings, points, results) -> PlacementAblationReport:
+def _assemble_placement(settings, points, results) -> CellTable:
     first = points[0]
     spec = first.spec
     plan = plan_placement(spec.partitions, first.replicas, SWEEP_FACTOR,
                           weights=spec.partition_weights)
-    return PlacementAblationReport(
-        workload=spec.name,
-        pillar=first.backend,
-        weights=spec.partition_weights,
+    skew = " ".join(f"{w:g}" for w in spec.partition_weights)
+    return CellTable(
+        title=f"placement ablation — {spec.name}, {first.backend} pillar, "
+        f"partition weights [{skew}]",
+        heading="placement",
+        width=16,
         cells=tuple(
             (point.tag, result) for point, result in zip(points, results)
         ),
-        plan_text=plan.to_text(),
+        notes=("balanced plan:",) + tuple(
+            "  " + line for line in plan.to_text().splitlines()
+        ),
     )
 
 
@@ -555,13 +463,11 @@ register_family(
     lambda settings: _live_dims(settings, live_ablation_spec()),
     live=dict(
         title="Live-cluster placement planning: balanced vs oblivious ring",
-        metrics=("throughput", "response_time", "converged"),
     ),
     name="placement-ablation",
     title="Placement planning: weight-balanced vs oblivious ring "
     "(skewed load)",
     kind="partition",
-    metrics=("throughput", "response_time"),
     assemble=_assemble_placement,
 )
 
@@ -582,65 +488,14 @@ def certifier_workload() -> WorkloadSpec:
     )
 
 
-@dataclass(frozen=True)
-class CertifierShardingReport:
-    """The ``certifier-sharding`` artifact (sim or live pillar)."""
-
-    workload: str
-    pillar: str
-    partitions: int
-    service_time: float
-    #: (label, result) per certifier cell.
-    cells: Tuple[Tuple[str, object], ...]
-
-    @property
-    def results(self) -> Tuple[object, ...]:
-        """Raw per-cell results (CLI convergence/audit screening)."""
-        return tuple(result for _, result in self.cells)
-
-    @property
-    def converged(self) -> bool:
-        """Replication correctness of every live cell (sim cells pass)."""
-        return all(
-            getattr(result, "state_converged", True) for result in self.results
-        )
-
-    def cell(self, label: str) -> Optional[object]:
-        """Result of one certifier cell."""
-        for name, result in self.cells:
-            if name == label:
-                return result
-        return None
-
-    def speedup(self, pillar_prefix: str) -> float:
-        """Sharded over global throughput within one pillar's cells."""
-        sharded = self.cell(f"{pillar_prefix}-sharded")
-        global_ = self.cell(f"{pillar_prefix}-global")
-        if sharded is None or global_ is None or global_.throughput <= 0:
-            return 0.0
-        return sharded.throughput / global_.throughput
-
-    def to_text(self) -> str:
-        """Render the certifier comparison."""
-        lines = [
-            f"certifier sharding — {self.workload}, {self.pillar} pillar, "
-            f"{self.partitions} certifier shards, per-certification "
-            f"service {self.service_time * 1000:g} ms",
-            f"  {'certifier':<16s} {'throughput':>11s} {'response':>9s} "
-            f"{'aborts':>7s}",
-        ]
-        for name, result in self.cells:
-            lines.append(
-                f"  {name:<16s} {result.throughput:>7.1f} tps "
-                f"{result.response_time * 1000:>6.0f} ms "
-                f"{result.abort_rate:>6.2%}"
-            )
-        for prefix in ("sim", "live", "model"):
-            ratio = self.speedup(prefix)
-            if ratio > 0.0:
-                lines.append(f"  {prefix} speedup (sharded/global): "
-                             f"{ratio:.2f}x")
-        return "\n".join(lines)
+def sharded_speedup(table: CellTable, prefix: str) -> float:
+    """Sharded over global throughput within one pillar's cells
+    (``sim``, ``live`` or ``model``); 0 when the pillar has none."""
+    sharded = table.cell(f"{prefix}-sharded")
+    global_ = table.cell(f"{prefix}-global")
+    if sharded is None or global_ is None or global_.throughput <= 0:
+        return 0.0
+    return sharded.throughput / global_.throughput
 
 
 def _certifier_points(settings, dims: PillarDims) -> List:
@@ -668,17 +523,26 @@ def _certifier_points(settings, dims: PillarDims) -> List:
     return points
 
 
-def _assemble_certifier(settings, points, results) -> CertifierShardingReport:
+def _assemble_certifier(settings, points, results) -> CellTable:
     first = points[0]
-    return CertifierShardingReport(
-        workload=first.spec.name,
-        pillar="+".join(dict.fromkeys(point.backend for point in points)),
-        partitions=first.spec.partitions,
-        service_time=first.option("certifier").service_time,
+    pillar = "+".join(dict.fromkeys(point.backend for point in points))
+    service = first.option("certifier").service_time
+    table = CellTable(
+        title=f"certifier sharding — {first.spec.name}, {pillar} pillar, "
+        f"{first.spec.partitions} certifier shards, per-certification "
+        f"service {service * 1000:g} ms",
+        heading="certifier",
+        width=16,
         cells=tuple(
             (point.tag, result) for point, result in zip(points, results)
         ),
     )
+    speedups = [(prefix, sharded_speedup(table, prefix))
+                for prefix in ("sim", "live", "model")]
+    return dataclasses.replace(table, notes=tuple(
+        f"{prefix} speedup (sharded/global): {ratio:.2f}x"
+        for prefix, ratio in speedups if ratio > 0.0
+    ))
 
 
 def _certifier_sim_dims(settings) -> PillarDims:
@@ -698,13 +562,11 @@ register_family(
     live=dict(
         title="Live-cluster certifier sharding: global vs per-partition "
         "shards",
-        metrics=("throughput", "response_time", "converged"),
     ),
     name="certifier-sharding",
     title="Certifier sharding: global sequencer vs per-partition shards "
     "(sim + model)",
     kind="partition",
-    metrics=("throughput", "speedup", "abort_rate"),
     assemble=_assemble_certifier,
     # Both arms of the certifier axis are the experiment.
     owns=("certifier",),

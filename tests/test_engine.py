@@ -89,7 +89,8 @@ class TestRegistry:
     def test_scenarios_carry_metadata(self):
         scenario = get_scenario("figure6")
         assert scenario.kind == "figure"
-        assert scenario.metrics == ("throughput",)
+        assert scenario.all_tags == ("figure",)
+        assert scenario.title.startswith("TPC-W throughput")
 
 
 class TestCacheKeys:
