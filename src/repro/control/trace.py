@@ -55,15 +55,11 @@ class LoadTrace:
     def peak_between(self, t0: float, t1: float) -> float:
         """Maximum rate over ``[t0, t1]`` (the forecast-window worst case).
 
-        The generic implementation samples densely; subclasses with known
-        structure (spikes, breakpoints) override it exactly so narrow
-        bursts cannot slip between samples.
+        Every trace computes it exactly from its structure (crest,
+        spike, dwell epochs, breakpoints), never by sampling, so a
+        narrow burst cannot slip between samples.
         """
-        if t1 < t0:
-            raise ConfigurationError(f"empty forecast window [{t0}, {t1}]")
-        samples = 64
-        step = (t1 - t0) / samples if t1 > t0 else 0.0
-        return max(self.rate(t0 + i * step) for i in range(samples + 1))
+        raise NotImplementedError
 
     def accept_arrival(self, rng, now: float) -> bool:
         """Thinning accept step [Lewis & Shedler 1979].

@@ -153,11 +153,6 @@ class CapacityRecoveryComparison:
     declared: AutoscaleResult
     estimated: AutoscaleResult
 
-    @property
-    def results(self) -> Tuple[AutoscaleResult, ...]:
-        """The raw per-arm results (for convergence screening)."""
-        return (self.declared, self.estimated)
-
     def _window_throughput(self, result: AutoscaleResult) -> float:
         lo, hi = self.window
         points = [p for p in result.timeline if lo <= p.time <= hi]

@@ -190,7 +190,7 @@ def profile_standalone(
     mixed_seed = int(rng_util.spawn(seed, "profile", "mixed").integers(0, 2**31))
     mixed = simulate(
         spec,
-        spec.replication_config(1, load_balancer_delay=0.0),
+        spec.replication_config(1),
         design=STANDALONE,
         seed=mixed_seed,
         warmup=warmup,

@@ -89,11 +89,6 @@ class ProcessorSharingResource:
         self._completion: Optional[Event] = None
         env.register(self)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of resident jobs (all of them are 'in service' under PS)."""
-        return len(self._jobs)
-
     def busy_time_now(self) -> float:
         """Busy time up to the current instant (forces an accounting sync)."""
         self._sync()
@@ -188,11 +183,6 @@ class FIFOResource:
         self._current_work = 0.0
         self._current_demand = 0.0
         env.register(self)
-
-    @property
-    def queue_length(self) -> int:
-        """Jobs waiting plus the one in service."""
-        return len(self._queue) + (1 if self._busy else 0)
 
     def submit(self, work: float, resume: Callable) -> None:
         """Enqueue a job needing *work* seconds; call *resume* when done."""

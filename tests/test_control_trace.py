@@ -77,6 +77,12 @@ class TestModulatedTrace:
         window_peak = trace.peak_between(0.0, 200.0)
         assert window_peak == max(trace.rate(t) for t in range(0, 201))
 
+    def test_max_rate_bounds_every_level_and_label_names_it(self):
+        trace = ModulatedTrace(rates=(10.0, 90.0, 40.0), dwell=5.0, seed=2)
+        assert trace.max_rate == 90.0
+        assert max(trace.rate(t) for t in range(0, 500)) <= trace.max_rate
+        assert trace.label == "modulated"
+
 
 class TestPiecewiseTrace:
     POINTS = ((0.0, 10.0), (60.0, 100.0), (120.0, 40.0))

@@ -41,6 +41,7 @@ from repro.simulator.faults import (
     crash_fault,
 )
 from repro.simulator.systems import check_supported
+from repro.telemetry import Telemetry, TelemetryConfig, schema
 from repro.telemetry.perf import Ewma, WindowedQuantile
 from repro.workloads import tpcw
 
@@ -404,6 +405,22 @@ class TestPerfMonitor:
                         offered_rate=10.0, throughput=10.0, p95=0.1)
         self._degrade(monitor, replica, 0.4)
         assert ("gray-detect", "replica0") in seen
+
+    def test_drift_points_reach_telemetry(self):
+        telemetry = Telemetry(TelemetryConfig(), pillar="simulator")
+        monitor = PerfMonitor(interval=1.0, pillar="simulator",
+                              drift=_drift_monitor(100.0),
+                              telemetry=telemetry)
+        replica = _FakeReplica("replica0")
+        for tick in range(3):
+            replica.advance(1.0, 1.0)
+            monitor.on_tick(float(tick), [replica], members=2,
+                            offered_rate=120.0, throughput=50.0, p95=0.2)
+        samples = {sample.name: sample.value
+                   for sample in telemetry.registry.snapshot()}
+        assert samples[schema.MODEL_RESIDUAL] == pytest.approx(-0.5)
+        # Patience 2: the second and the third breach are verdicts.
+        assert samples[schema.MODEL_DRIFT] == 2.0
 
     def test_report_freezes_source_and_detections(self):
         monitor = PerfMonitor(interval=1.0, pillar="simulator", apply=True)

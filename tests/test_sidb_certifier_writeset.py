@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.sidb.certifier import GlobalCertifier
+from repro.sidb.sharded import ShardedCertifier
 from repro.sidb.writeset import Writeset
 
 
@@ -106,11 +107,17 @@ class TestCertifierBasics:
         assert certifier.aborts == 1
         assert certifier.abort_fraction == pytest.approx(0.5)
 
-    def test_reset_statistics(self):
-        certifier = GlobalCertifier()
-        certifier.certify(ws(1, 0, ["a"]))
+    @pytest.mark.parametrize("make", [GlobalCertifier, ShardedCertifier],
+                             ids=["global", "sharded"])
+    def test_reset_statistics(self, make):
+        certifier = make()
+        certifier.certify(Writeset.from_dict(1, 0, {"a": 1}, partitions=(0,)))
+        certifier.certify(Writeset.from_dict(2, 0, {"a": 2}, partitions=(0,)))
+        assert certifier.aborts == 1
         certifier.reset_statistics()
         assert certifier.certifications == 0
+        assert certifier.commits == 0
+        assert certifier.aborts == 0
         assert certifier.abort_fraction == 0.0
         # Version counter is NOT reset.
         assert certifier.latest_version == 1

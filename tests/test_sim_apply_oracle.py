@@ -298,6 +298,17 @@ def test_a_skipped_shard_version_is_refused():
     assert replica.applied_version == 3
 
 
+def test_a_scalar_writeset_is_refused_by_a_sharded_replica():
+    env = Environment()
+    replica = ShardedSimReplica(
+        env, "r0", ServiceSampler(tpcw.ORDERING, rng_util.make_rng(0)),
+        partitions=2,
+    )
+    with pytest.raises(SimulationError, match="enqueue_shard_writeset"):
+        replica.enqueue_writeset(1, charged=False)
+    assert replica.applied_vector == {0: 0, 1: 0}
+
+
 # ---------------------------------------------------------------------------
 # Shard prune floors
 # ---------------------------------------------------------------------------

@@ -56,14 +56,6 @@ class TestFIFO:
         _, resource, completions = run_jobs(FIFOResource, [(1.0, 0.0)])
         assert completions[0] == pytest.approx(1.0)
 
-    def test_queue_length(self):
-        env = Environment()
-        resource = FIFOResource(env, "r")
-        resource.submit(5.0, lambda: None)
-        resource.submit(5.0, lambda: None)
-        env.run_until(1.0)
-        assert resource.queue_length == 2
-
 
 class TestProcessorSharing:
     def test_single_job_takes_its_work(self):
