@@ -7,11 +7,15 @@ the converged fixed point confirms the bias is tiny at TPC-W abort rates.
 
 from conftest import run_once
 
-from repro.experiments import conflict_window_ablation
+from repro.engine import run_scenario
 
 
 def test_conflict_window_one_step_lag_vs_fixed_point(benchmark, settings):
-    rows = run_once(benchmark, lambda: conflict_window_ablation(settings))
+    rows = run_once(
+        benchmark,
+        lambda: run_scenario("ablation-conflict-window", settings,
+                             jobs=1, cache=None),
+    ).rows
     print()
     for row in rows:
         print(

@@ -7,11 +7,15 @@ the distribution and the disk load is moderate, so predictions hold up.
 
 from conftest import run_once
 
-from repro.experiments import distribution_ablation
+from repro.engine import run_scenario
 
 
 def test_service_distribution_sensitivity(benchmark, settings):
-    rows = run_once(benchmark, lambda: distribution_ablation(settings))
+    rows = run_once(
+        benchmark,
+        lambda: run_scenario("ablation-distributions", settings,
+                             jobs=1, cache=None),
+    ).rows
     print()
     for row in rows:
         print(

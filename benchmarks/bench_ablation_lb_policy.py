@@ -9,11 +9,15 @@ utilization — the main source of the response-time prediction error.
 
 from conftest import run_once
 
-from repro.experiments import lb_policy_ablation
+from repro.engine import run_scenario
 
 
 def test_lb_policy_vs_model(benchmark, settings):
-    rows = run_once(benchmark, lambda: lb_policy_ablation(settings))
+    rows = run_once(
+        benchmark,
+        lambda: run_scenario("ablation-lb-policy", settings,
+                             jobs=1, cache=None),
+    ).rows
     print()
     by_policy = {}
     for row in rows:

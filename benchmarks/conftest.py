@@ -1,17 +1,16 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one paper artifact (table or figure) end to end:
-standalone profiling -> analytical prediction -> discrete-event measurement
--> comparison.  ``pytest-benchmark`` times the regeneration; the assertions
-check the *shape* of the reproduced result against the paper (who wins, by
-roughly what factor, where crossovers fall).
+The paper's claims are not judged here: each scenario declares them
+(:class:`repro.engine.Claim`) and ``repro reproduce`` judges every one,
+exiting 1 on a broken claim.  What stays in this suite measures what
+neither those claims nor the performance ledger (``benchmarks/ledger``)
+do: overheads, recovery floors, dominance margins, the four design
+ablations and the product-form grid.  ``pytest-benchmark`` times each
+run once (``run_once``).
 
-Every benchmark drives the shared scenario engine
-(:mod:`repro.engine`), whose per-process memo keys sweep points by
-content: figure pairs sharing runs (6/7, 8/9, 10/11, 12/13) pay for
-their sweep once — the first benchmark of each pair carries the cost.
-``bench_engine_speedup`` additionally times the same sweep serial vs
-fanned out over a process pool.
+Every benchmark that runs scenarios drives the shared engine
+(:mod:`repro.engine`); ``bench_engine_speedup`` additionally times one
+sweep serial vs fanned out over a process pool.
 
 Set ``REPRO_BENCH_FAST=1`` to run a cut-down sweep (fewer replica counts,
 shorter windows) for smoke-testing the harness itself.
@@ -31,7 +30,8 @@ def _settings() -> ExperimentSettings:
         return ExperimentSettings.fast()
     # Longer windows than the defaults: saturated single-master points need
     # the measurement window to dwarf the multi-second write response times,
-    # or the committed mix is transiently read-biased.
+    # or the committed mix is transiently read-biased (the claims that read
+    # them need a 60 s window: repro.experiments.figures.SATURATED_WINDOW).
     return ExperimentSettings(
         replica_counts=(1, 2, 4, 6, 8, 16),
         sim_warmup=25.0,

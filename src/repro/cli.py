@@ -25,10 +25,12 @@ the cache), so interrupted or repeated runs are incremental.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import experiments
 from .core.errors import ConfigurationError, EngineError, ReproError
@@ -36,7 +38,10 @@ from .core.rng import DEFAULT_SEED
 from .core.topology import DESIGNS, REPLICATED_DESIGNS
 from .core.units import to_ms
 from .engine import (
+    BROKEN,
+    HOLDS,
     RUN_WIDE,
+    ClaimRow,
     UnknownScenarioError,
     UnknownTagError,
     execute_points,
@@ -470,15 +475,6 @@ def _cmd_crossval(args) -> int:
     return 0
 
 
-def _render_artifact(result) -> str:
-    """Render any scenario artifact (ablation rows have no ``to_text``)."""
-    if hasattr(result, "to_text"):
-        return result.to_text()
-    if isinstance(result, (list, tuple)):
-        return "\n".join(str(row) for row in result)
-    return str(result)
-
-
 #: CLI spelling of each run-wide option.
 _RUN_WIDE_FLAGS = {"telemetry": "--audit", "certifier": "--certifier",
                    "capacity_source": "--capacity-source"}
@@ -504,19 +500,20 @@ def _audit_report(result):
     return getattr(getattr(result, "telemetry", None), "audit", None)
 
 
-def _run_failures(points, results, artifact=None) -> List[str]:
-    """Correctness failures of one scenario run, read off the raw point
-    results the engine holds.
+def _run_failures(points, results, artifact=None, claims=()) -> List[str]:
+    """Correctness failures of one scenario run: its broken claims, then
+    what the raw point results the engine holds say.
 
     Live results record whether the replicas converged to identical
     state, and audited runs (``--audit``) attach an
     :class:`repro.audit.AuditReport` to each result's telemetry; a
     non-converged point or an invariant violation must fail the command,
     not exit 0 behind a pretty table.  The artifact adds its own
-    ``converged`` verdict and ``failures`` (the error margin's 15% claim)
-    when it has them.
+    ``converged`` verdict when it has one.
     """
-    failures = list(getattr(artifact, "failures", ()))
+    failures = [f"{row.scenario}: {row.statement} = {row.value:.4g}, "
+                f"claimed {row.bound} ({row.source})"
+                for row in claims if row.verdict == BROKEN]
     if getattr(artifact, "converged", True) is False:
         failures.append("artifact did not converge")
     for point, result in zip(points, results):
@@ -549,7 +546,26 @@ def _print_timelines(results) -> None:
         print(render_timeline(result))
 
 
-def _run_registered(args, scenario) -> int:
+def _claims_table(rows) -> str:
+    """One line per judged claim, under a count of the verdicts."""
+    broken = sum(row.verdict == BROKEN for row in rows)
+    holds = sum(row.verdict == HOLDS for row in rows)
+    lines = [f"claims: {holds} hold, {broken} broken, "
+             f"{len(rows) - holds - broken} not checked"]
+    width = max(len(row.statement) for row in rows)
+    for row in [ClaimRow("scenario", "source", "claim", None, "bound",
+                         "verdict"), *rows]:
+        value = ("value" if row.scenario == "scenario" else "-"
+                 if row.value is None else f"{row.value:.4g}")
+        lines.append(f"  {row.scenario:<23s} {row.source:<10s} "
+                     f"{row.statement:<{width}s} {value:>9s} "
+                     f"{row.bound:<16s} {row.verdict}")
+    return "\n".join(lines)
+
+
+def _run_registered(args, scenario) -> Tuple[int, List[ClaimRow]]:
+    """Run one scenario, print its artifact and failures; returns the
+    exit status and the scenario's judged claims."""
     settings = _settings(args)
     disk = resolve_cache(_cache(args))
     started = time.time()
@@ -565,7 +581,7 @@ def _run_registered(args, scenario) -> int:
         # An option combination the grid cannot run is a usage error:
         # one line, before any point runs.
         print(f"repro: [{scenario.name}] {exc}", file=sys.stderr)
-        return 2
+        return 2, []
     try:
         results = execute_points(
             points,
@@ -583,13 +599,14 @@ def _run_registered(args, scenario) -> int:
         lines = str(exc).strip().splitlines()
         message = lines[-1] if lines else repr(exc)
         print(f"repro: [{scenario.name}] error: {message}", file=sys.stderr)
-        return 1
-    print(_render_artifact(artifact))
-    if args.timeline:
+        return 1, []
+    print(artifact.to_text())
+    if getattr(args, "timeline", False):
         _print_timelines(results)
     print(f"[{scenario.name}] {time.time() - started:.1f}s wall-clock",
           file=sys.stderr)
-    failures = _run_failures(points, results, artifact)
+    claims = scenario.judge(settings, artifact)
+    failures = _run_failures(points, results, artifact, claims)
     for failure in failures:
         print(f"FAIL: {failure}")
     audits = [audit for audit in map(_audit_report, results)
@@ -598,41 +615,46 @@ def _run_registered(args, scenario) -> int:
         print(f"audit: PASS — {len(audits)} point(s) audited, "
               f"{sum(a.total_checks for a in audits)} checks, "
               f"zero invariant violations")
-    return 1 if failures else 0
+    return (1 if failures else 0), claims
+
+
+def _run_all(args, names) -> int:
+    """Run the named scenarios in order, then print one table of every
+    claim they declare; the worst exit status wins.  An unknown name
+    exits 2 before anything runs."""
+    try:
+        scenarios = [get_scenario(name) for name in names]
+    except UnknownScenarioError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    code, claims = 0, []
+    for scenario in scenarios:
+        status, rows = _run_registered(args, scenario)
+        code, claims = max(code, status), claims + rows
+    if claims:
+        print()
+        print(_claims_table(claims))
+    return code
 
 
 def _cmd_run(args) -> int:
-    """``run``: the named scenarios in order; the worst exit status wins.
-    An unknown name exits 2 before anything runs."""
-    try:
-        scenarios = [get_scenario(name) for name in args.names]
-    except UnknownScenarioError as exc:
-        print(f"repro run: {exc}", file=sys.stderr)
-        return 2
-    return max([_run_registered(args, scenario) for scenario in scenarios])
+    """``run``: the named scenarios and their claims."""
+    return _run_all(args, args.names)
 
 
 def _cmd_reproduce(args) -> int:
-    settings = _settings(args)
-    try:
-        report = experiments.full_report(
-            settings,
-            progress=lambda line: print(line, file=sys.stderr),
-            jobs=_jobs(args),
-            cache=_cache(args),
-        )
-    except (EngineError, ReproError) as exc:
-        # A sweep point failing inside a worker must fail the whole
-        # reproduction run, not leave a half-written report behind.
-        print(f"reproduce failed: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-        print(f"wrote {args.out}")
-    else:
-        print(report)
-    return 0
+    """``reproduce``: every artifact of the paper and every claim, as
+    ``run`` prints them; ``--out`` also writes that text to a file."""
+    if not args.out:
+        return _run_all(args, experiments.REPORT_SCENARIOS)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = _run_all(args, experiments.REPORT_SCENARIOS)
+    sys.stdout.write(buffer.getvalue())
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(buffer.getvalue())
+    print(f"wrote {args.out}", file=sys.stderr)
+    return code
 
 
 def _cmd_plan(args) -> int:
@@ -879,10 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
-        "reproduce", help="regenerate every table and figure into one report"
+        "reproduce", help="regenerate every table and figure and judge "
+        "every claim of the paper (exit 1 on a broken one)"
     )
     p.add_argument("--fast", action="store_true")
-    p.add_argument("--out", default=None, help="write the report to a file")
+    p.add_argument("--out", default=None,
+                   help="also write the printed report to this file")
     _add_engine_options(p, default_jobs=None)
     p.set_defaults(func=_cmd_reproduce)
 

@@ -46,10 +46,14 @@ from .runner import (
 )
 from .scenario import (
     AUTOSCALE,
+    BROKEN,
     CLUSTER,
+    HOLDS,
     MODEL,
     PROFILE,
     SIMULATOR,
+    Claim,
+    ClaimRow,
     ProfileTask,
     Scenario,
     SweepPoint,
@@ -64,9 +68,13 @@ from .scenario import (
 __all__ = [
     "AUTOSCALE",
     "BACKENDS",
+    "BROKEN",
     "CACHE_VERSION",
     "CLUSTER",
     "CellTable",
+    "Claim",
+    "ClaimRow",
+    "HOLDS",
     "MODEL",
     "PROFILE",
     "PillarDims",

@@ -20,8 +20,9 @@ as a literal :class:`~repro.core.params.StandaloneProfile`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.params import ReplicationConfig
@@ -101,6 +102,79 @@ class SweepPoint:
         return dict(self.options)
 
 
+#: The comparisons a claim's bound may use.
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "==": operator.eq}
+#: A claim's verdict when it applies: the bound holds or it does not.
+HOLDS = "holds"
+BROKEN = "BROKEN"
+
+
+@dataclass(frozen=True)
+class ClaimRow:
+    """One judged claim, as ``repro run`` and ``repro reproduce`` print it.
+
+    *verdict* is :data:`HOLDS`, :data:`BROKEN` or ``not checked: <what
+    the run lacks>``; *value* is ``None`` only when the artifact lacks
+    the point the claim reads.
+    """
+
+    scenario: str
+    source: str
+    statement: str
+    value: Optional[float]
+    bound: str
+    verdict: str
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One statement of the paper that a scenario's artifact must bear out.
+
+    *value* maps the assembled artifact to the number the claim bounds;
+    *bound* is one comparison or two joined by ``and``, e.g. ``"< 0.15"``
+    or ``"> 100 and < 200"``.  The claim applies only to a run that holds
+    what it reads: every replica count in *replicas* on the grid and a
+    simulated measurement window of at least *window* seconds (saturated
+    points need a long window to reach their steady-state mix).
+    """
+
+    #: Where the paper makes the claim: a section, figure or table.
+    source: str
+    statement: str
+    value: Callable[[object], float]
+    bound: str
+    replicas: Tuple[int, ...] = ()
+    window: float = 0.0
+
+    def __post_init__(self) -> None:
+        self._comparisons()  # a malformed bound fails at declaration
+
+    def _comparisons(self) -> List[Tuple[Callable, float]]:
+        comparisons = []
+        for part in self.bound.split(" and "):
+            op, limit = part.split()
+            comparisons.append((_COMPARISONS[op], float(limit)))
+        return comparisons
+
+    def judge(self, scenario: str, settings, artifact) -> ClaimRow:
+        """The claim's row for *artifact*, which *settings* produced."""
+        absent = [n for n in self.replicas if n not in settings.replica_counts]
+        value = None if absent else float(self.value(artifact))
+        if absent:
+            verdict = f"not checked: needs N={', '.join(map(str, absent))}"
+        elif settings.sim_duration < self.window:
+            verdict = (f"not checked: needs a {self.window:g} s window "
+                       f"(ran {settings.sim_duration:g} s)")
+        elif all(compare(value, limit)
+                 for compare, limit in self._comparisons()):
+            verdict = HOLDS
+        else:
+            verdict = BROKEN
+        return ClaimRow(scenario, self.source, self.statement, value,
+                        self.bound, verdict)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A declarative experiment: a point grid plus an assembly step."""
@@ -123,6 +197,14 @@ class Scenario:
     #: ``capacity_source``) this scenario sweeps itself; the engine's
     #: settings overlay leaves them alone on every point.
     owns: Tuple[str, ...] = ()
+    #: What the paper says the artifact shows; judged by the CLI after
+    #: the run (:meth:`judge`), never by the engine.
+    claims: Tuple[Claim, ...] = ()
+
+    def judge(self, settings, artifact) -> List[ClaimRow]:
+        """One row per claim on *artifact*, which *settings* produced."""
+        return [claim.judge(self.name, settings, artifact)
+                for claim in self.claims]
 
     @property
     def all_tags(self) -> Tuple[str, ...]:

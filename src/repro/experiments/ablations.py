@@ -1,14 +1,14 @@
 """Ablations for the design choices called out in DESIGN.md.
 
-* :func:`mva_ablation` — exact MVA vs Schweitzer's approximation at the
-  populations the experiments use.
-* :func:`conflict_window_ablation` — the paper's one-step-lag conflict
+* ``ablation-mva`` (:func:`mva_ablation`) — exact MVA vs Schweitzer's
+  approximation at the populations the experiments use.
+* ``ablation-conflict-window`` — the paper's one-step-lag conflict
   window vs a converged per-population fixed point (§4.1.1 notes the lag
   "slightly underestimates the abort probability").
-* :func:`distribution_ablation` — MVA assumes exponential service demands
+* ``ablation-distributions`` — MVA assumes exponential service demands
   (§3.4 assumption 6); the simulator can draw deterministic or lognormal
   demands instead to probe how much the prediction error moves.
-* :func:`lb_policy_ablation` — the prototypes route to the least-loaded
+* ``ablation-lb-policy`` — the prototypes route to the least-loaded
   replica while the model statically partitions clients (§3.4 assumption
   6, "perfect load balancing").  Least-loaded routing outperforms static
   partitioning at high utilization, which is why measured response times
@@ -17,20 +17,19 @@
 Each ablation is a registered engine scenario: the sweep grid declares the
 model and simulator points, the shared runner executes them (parallel and
 cached like every other scenario), and the assemble step pairs them into
-the ablation rows.
+an :class:`AblationResult`, whose rows render themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from ..core.params import CPU, DISK
 from ..core.topology import MULTI_MASTER
 from ..engine import (
     Scenario,
-    execute_points,
     model_point,
     profile_task,
     register_scenario,
@@ -42,6 +41,19 @@ from ..queueing.mva import approximate_mva, solve_mva
 from ..queueing.network import ClosedNetwork, queueing_center
 from ..workloads import tpcw
 from .settings import ExperimentSettings
+
+
+@dataclass(frozen=True)
+class AblationResult:
+    """One ablation's rows under its heading."""
+
+    title: str
+    rows: Tuple[object, ...]
+
+    def to_text(self) -> str:
+        """The heading, then one indented line per row."""
+        return "\n".join([self.title,
+                          *(f"  {row.to_text()}" for row in self.rows)])
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,11 @@ class MVAAblationRow:
             abs(self.approximate_throughput - self.exact_throughput)
             / self.exact_throughput
         )
+
+    def to_text(self) -> str:
+        return (f"n={self.population:>4d} exact={self.exact_throughput:8.2f} "
+                f"schweitzer={self.approximate_throughput:8.2f} "
+                f"err={self.relative_error:.2%}")
 
 
 def mva_ablation(
@@ -96,6 +113,10 @@ class ConflictWindowAblationRow:
     one_step_lag_abort: float
     fixed_point_abort: float
 
+    def to_text(self) -> str:
+        return (f"N={self.replicas:>2d} lag={self.one_step_lag_abort:.4%} "
+                f"fixed={self.fixed_point_abort:.4%}")
+
 
 def _conflict_window_points(
     replica_counts: Sequence[int], settings: ExperimentSettings
@@ -118,33 +139,22 @@ def _conflict_window_assemble(
     settings: ExperimentSettings,
     points: Sequence,
     results: Sequence,
-) -> List[ConflictWindowAblationRow]:
+) -> AblationResult:
     aborts = {
         (point.tag, point.replicas): result.abort_rate
         for point, result in zip(points, results)
     }
-    return [
-        ConflictWindowAblationRow(
-            replicas=n,
-            one_step_lag_abort=aborts[(CW_ONE_STEP_LAG, n)],
-            fixed_point_abort=aborts[(CW_FIXED_POINT, n)],
-        )
-        for n in replica_counts
-    ]
-
-
-def conflict_window_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
-    replica_counts: Sequence[int] = (2, 4, 8, 16),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> List[ConflictWindowAblationRow]:
-    """One-step-lag (paper) vs converged conflict-window fixed point."""
-    counts = tuple(replica_counts)
-    points = _conflict_window_points(counts, settings)
-    results = execute_points(points, jobs=jobs, cache=cache)
-    return _conflict_window_assemble(counts, settings, points, results)
+    return AblationResult(
+        "conflict-window ablation (one-step lag vs fixed point):",
+        tuple(
+            ConflictWindowAblationRow(
+                replicas=n,
+                one_step_lag_abort=aborts[(CW_ONE_STEP_LAG, n)],
+                fixed_point_abort=aborts[(CW_FIXED_POINT, n)],
+            )
+            for n in replica_counts
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,12 @@ class DistributionAblationRow:
             / self.measured_throughput
         )
 
+    def to_text(self) -> str:
+        return (f"{self.distribution:<14s} "
+                f"measured={self.measured_throughput:7.1f} "
+                f"predicted={self.predicted_throughput:7.1f} "
+                f"err={self.relative_error:.1%}")
+
 
 @dataclass(frozen=True)
 class LBPolicyAblationRow:
@@ -173,6 +189,13 @@ class LBPolicyAblationRow:
     measured_response_time: float
     predicted_throughput: float
     predicted_response_time: float
+
+    def to_text(self) -> str:
+        return (f"{self.policy:<13s} "
+                f"measured X={self.measured_throughput:7.1f} "
+                f"R={self.measured_response_time * 1000:6.1f}ms | predicted "
+                f"X={self.predicted_throughput:7.1f} "
+                f"R={self.predicted_response_time * 1000:6.1f}ms")
 
 
 def _axis_points(
@@ -212,34 +235,22 @@ def _lb_policy_assemble(
     settings: ExperimentSettings,
     points: Sequence,
     results: Sequence,
-) -> List[LBPolicyAblationRow]:
+) -> AblationResult:
     by_tag = dict(zip((p.tag for p in points), results))
     prediction = by_tag["model"]
-    return [
-        LBPolicyAblationRow(
-            policy=policy,
-            measured_throughput=by_tag[policy].throughput,
-            measured_response_time=by_tag[policy].response_time,
-            predicted_throughput=prediction.throughput,
-            predicted_response_time=prediction.response_time,
-        )
-        for policy in policies
-    ]
-
-
-def lb_policy_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
-    replicas: int = 8,
-    policies: Sequence[str] = ("least-loaded", "pinned", "random"),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> List[LBPolicyAblationRow]:
-    """Compare LB routing policies against the model's static partition."""
-    policies = tuple(policies)
-    points = _axis_points("lb_policy", policies, replicas, settings)
-    results = execute_points(points, jobs=jobs, cache=cache)
-    return _lb_policy_assemble(policies, settings, points, results)
+    return AblationResult(
+        "lb-policy ablation (MM, N=8):",
+        tuple(
+            LBPolicyAblationRow(
+                policy=policy,
+                measured_throughput=by_tag[policy].throughput,
+                measured_response_time=by_tag[policy].response_time,
+                predicted_throughput=prediction.throughput,
+                predicted_response_time=prediction.response_time,
+            )
+            for policy in policies
+        ),
+    )
 
 
 def _distribution_assemble(
@@ -247,32 +258,20 @@ def _distribution_assemble(
     settings: ExperimentSettings,
     points: Sequence,
     results: Sequence,
-) -> List[DistributionAblationRow]:
+) -> AblationResult:
     by_tag = dict(zip((p.tag for p in points), results))
     predicted = by_tag["model"].throughput
-    return [
-        DistributionAblationRow(
-            distribution=distribution,
-            measured_throughput=by_tag[distribution].throughput,
-            predicted_throughput=predicted,
-        )
-        for distribution in distributions
-    ]
-
-
-def distribution_ablation(
-    settings: ExperimentSettings = ExperimentSettings(),
-    replicas: int = 4,
-    distributions: Sequence[str] = ("exponential", "deterministic", "lognormal"),
-    *,
-    jobs: Optional[int] = 1,
-    cache: object = None,
-) -> List[DistributionAblationRow]:
-    """Probe MVA's exponential-service assumption (§3.4, assumption 6)."""
-    distributions = tuple(distributions)
-    points = _axis_points("distribution", distributions, replicas, settings)
-    results = execute_points(points, jobs=jobs, cache=cache)
-    return _distribution_assemble(distributions, settings, points, results)
+    return AblationResult(
+        "service-distribution ablation (MM, N=4):",
+        tuple(
+            DistributionAblationRow(
+                distribution=distribution,
+                measured_throughput=by_tag[distribution].throughput,
+                predicted_throughput=predicted,
+            )
+            for distribution in distributions
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,8 @@ register_scenario(Scenario(
     title="Exact MVA vs Schweitzer approximation",
     kind="ablation",
     points=lambda settings: (),
-    assemble=lambda settings, points, results: mva_ablation(),
+    assemble=lambda settings, points, results: AblationResult(
+        "mva ablation (exact vs Schweitzer):", tuple(mva_ablation())),
 ))
 
 register_scenario(Scenario(

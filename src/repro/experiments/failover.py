@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 from ..engine import (
+    Claim,
     Scenario,
     model_point,
     profile_task,
@@ -148,6 +149,27 @@ def _failover_assemble(
     )
 
 
+#: The degraded phase loses about one replica's worth of capacity, the
+#: model's N and N-1 predictions call both plateaus, and the fleet
+#: recovers once the replica returns.
+_FAILOVER_CLAIMS = (
+    Claim("extension", "the dip is about one replica's capacity: "
+          "1 - during / before",
+          lambda r: r.dip_fraction, "> 0.1 and < 0.4"),
+    Claim("extension", "the N prediction calls the healthy plateau: "
+          "relative error",
+          lambda r: abs(r.before - r.predicted_healthy) / r.predicted_healthy,
+          "< 0.1"),
+    Claim("extension", "the N-1 prediction calls the degraded plateau: "
+          "relative error",
+          lambda r: (abs(r.during - r.predicted_degraded)
+                     / r.predicted_degraded),
+          "< 0.1"),
+    Claim("extension", "full recovery: after / before",
+          lambda r: r.after / r.before, ">= 0.9"),
+)
+
+
 def _failover_scenario(
     spec: WorkloadSpec,
     design: str,
@@ -172,6 +194,7 @@ def _failover_scenario(
         kind="extension",
         points=points,
         assemble=assemble,
+        claims=_FAILOVER_CLAIMS,
     )
 
 

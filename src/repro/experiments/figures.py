@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.results import (
     OperatingPoint,
@@ -43,6 +43,7 @@ from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..core.units import to_ms
 from ..engine import (
     MODEL,
+    Claim,
     Scenario,
     clear_memo,
     model_point,
@@ -215,6 +216,127 @@ def _assemble_figure(
     )
 
 
+# What each figure's measured curves show in the paper.  ``X`` is
+# throughput, ``R`` response time, both at the replica count named.
+
+
+def _at(figure: FigureResult, mix: str, n: int) -> OperatingPoint:
+    return figure.series[mix].measured_curve().point_at(n)
+
+
+def _speedup(figure: FigureResult, mix: str, n: int) -> float:
+    """Throughput at *n* over the first grid point's (N=1)."""
+    curve = figure.series[mix].measured_curve()
+    return curve.speedup()[curve.replica_counts.index(n)]
+
+
+def _ratio(field: str, mix: str, n: int, m: int) -> Callable:
+    return lambda f: getattr(_at(f, mix, n), field) / getattr(_at(f, mix, m),
+                                                                field)
+
+
+def _linear(figure: str, mix: str, fraction: float) -> Claim:
+    return Claim(figure, f"{mix} scales near-linearly: speedup(16) / 16",
+                 lambda f: _speedup(f, mix, 16) / 16, f"> {fraction}",
+                 replicas=(1, 16))
+
+
+def _flat(figure: str, mix: str) -> Claim:
+    def spread(f: FigureResult) -> float:
+        responses = f.series[mix].measured_curve().response_times
+        return max(responses) / min(responses)
+
+    return Claim(figure, f"{mix} response stays flat: max R / min R",
+                 spread, "< 1.6")
+
+
+def _climbs(figure: str, mix: str, factor: float) -> Claim:
+    return Claim(figure, f"{mix} response climbs with N: R(16) / R(1)",
+                 _ratio("response_time", mix, 16, 1), f"> {factor:g}",
+                 replicas=(1, 16))
+
+
+def _tracks(figure: str, bound: float, window: float = 0.0) -> Claim:
+    return Claim(figure, "predictions track measurements: max error",
+                 lambda f: f.max_error(), f"< {bound}", window=window)
+
+
+#: The shortest window at which the saturated single-master RUBiS points
+#: reach their steady-state mix (the bounds hold at 60 s and 90 s).
+SATURATED_WINDOW = 60.0
+
+_FIGURE_CLAIMS: Dict[int, Tuple[Claim, ...]] = {
+    6: (
+        Claim("§6.2.1", "reads cost more than updates: X_ordering(1) / "
+              "X_browsing(1)", lambda f: (_at(f, "ordering", 1).throughput
+                                          / _at(f, "browsing", 1).throughput),
+              "> 1", replicas=(1,)),
+        _linear("figure 6", "browsing", 0.8),
+        Claim("figure 6", "ordering is writeset-bound: speedup(16) / 16",
+              lambda f: _speedup(f, "ordering", 16) / 16, "< 0.6",
+              replicas=(1, 16)),
+        Claim("figure 6", "browsing out-scales ordering: ratio of "
+              "speedups at 16",
+              lambda f: (_speedup(f, "browsing", 16)
+                         / _speedup(f, "ordering", 16)),
+              "> 1", replicas=(1, 16)),
+        _tracks("§6.2", 0.15),
+    ),
+    7: (
+        _flat("figure 7", "browsing"),
+        _climbs("figure 7", "ordering", 4.0),
+        _tracks("figure 7", 0.40),
+    ),
+    8: (
+        _linear("figure 8", "browsing", 0.8),
+        Claim("figure 8", "ordering saturates at the master: X(16) / X(4)",
+              _ratio("throughput", "ordering", 16, 4), "< 1.15",
+              replicas=(4, 16)),
+        Claim("figure 8", "ordering plateau ~2x the master's update "
+              "capacity: X(16) tps",
+              lambda f: _at(f, "ordering", 16).throughput,
+              "> 100 and < 200", replicas=(16,)),
+        _tracks("§6.2", 0.15),
+    ),
+    9: (
+        _flat("figure 9", "browsing"),
+        _climbs("figure 9", "ordering", 10.0),
+        Claim("figure 9", "ordering's knee is past 4 replicas: R(4) / R(16)",
+              _ratio("response_time", "ordering", 4, 16), "< 0.3",
+              replicas=(4, 16)),
+        _tracks("figure 9", 0.60),
+    ),
+    10: (
+        _linear("figure 10", "browsing", 0.9),
+        Claim("§6.2.2", "bidding is writeset-bound: speedup(16)",
+              lambda f: _speedup(f, "bidding", 16), "< 4.5",
+              replicas=(1, 16)),
+        Claim("figure 10", "bidding gains little past 6 replicas: "
+              "X(16) / X(6)",
+              _ratio("throughput", "bidding", 16, 6), "< 1.3",
+              replicas=(6, 16)),
+        _tracks("§6.2", 0.15),
+    ),
+    11: (
+        _flat("figure 11", "browsing"),
+        _climbs("figure 11", "bidding", 5.0),
+        _tracks("figure 11", 0.25),
+    ),
+    12: (
+        _linear("figure 12", "browsing", 0.9),
+        Claim("figure 12", "bidding is bounded by the master: X(16) / X(4)",
+              _ratio("throughput", "bidding", 16, 4), "< 1.25",
+              replicas=(4, 16)),
+        _tracks("§6.2", 0.15, SATURATED_WINDOW),
+    ),
+    13: (
+        _flat("figure 13", "browsing"),
+        _climbs("figure 13", "bidding", 5.0),
+        _tracks("figure 13", 0.55, SATURATED_WINDOW),
+    ),
+}
+
+
 def _figure_scenario(
     number: int, title: str, benchmark: str, design: str, metric: str
 ) -> Scenario:
@@ -225,6 +347,7 @@ def _figure_scenario(
         kind="figure",
         points=partial(sweep_points, benchmark, design),
         assemble=partial(_assemble_figure, figure_id, title, metric),
+        claims=_FIGURE_CLAIMS[number],
     )
 
 
@@ -353,6 +476,57 @@ def _figure14_assemble(
     return Figure14Result(curves=tuple(curves))
 
 
+#: The paper's measured A16 per A1 target (§6.3.3).
+PAPER_A16 = {0.0024: 0.10, 0.0053: 0.17, 0.0090: 0.29}
+
+
+def _a16_over_paper(result: Figure14Result) -> List[float]:
+    """Measured A16 over the paper's A16, one per curve."""
+    return [curve.measured[list(curve.replica_counts).index(16)]
+            / PAPER_A16[curve.target_a1] for curve in result.curves]
+
+
+def _top_gaps(result: Figure14Result, side: str) -> List[float]:
+    """How far each curve's top-N abort rate (*side*: ``measured`` or
+    ``predicted``) sits above the next-lower A1 target's."""
+    tops = [getattr(curve, side)[-1] for curve in
+            sorted(result.curves, key=lambda c: c.target_a1)]
+    return [b - a for a, b in zip(tops, tops[1:])]
+
+
+_FIGURE14_CLAIMS = (
+    Claim("§6.3.3", "the heap table reaches its A1 target: "
+          "min measured A1 / target",
+          lambda r: min(c.measured_a1 / c.target_a1 for c in r.curves),
+          ">= 0.5"),
+    Claim("§6.3.3", "the heap table reaches its A1 target: "
+          "max measured A1 / target",
+          lambda r: max(c.measured_a1 / c.target_a1 for c in r.curves),
+          "<= 1.6"),
+    Claim("figure 14", "measured aborts grow with N: "
+          "min A(top N) - A(first N)",
+          lambda r: min(c.measured[-1] - c.measured[0] for c in r.curves),
+          "> 0"),
+    Claim("figure 14", "predicted aborts never fall with N: "
+          "min step between neighbouring N",
+          lambda r: min((b - a for c in r.curves
+                         for a, b in zip(c.predicted, c.predicted[1:])),
+                        default=0.0),
+          ">= 0"),
+    Claim("§6.3.3", "measured A16 in the paper's ballpark: "
+          "min A16 / paper's A16",
+          lambda r: min(_a16_over_paper(r)), "> 0.55", replicas=(16,)),
+    Claim("§6.3.3", "measured A16 in the paper's ballpark: "
+          "max A16 / paper's A16",
+          lambda r: max(_a16_over_paper(r)), "< 1.45", replicas=(16,)),
+    Claim("figure 14", "higher A1, higher measured curve: "
+          "min gap at the top N",
+          lambda r: min(_top_gaps(r, "measured")), "> 0"),
+    Claim("figure 14", "higher A1, higher predicted curve: "
+          "min gap at the top N",
+          lambda r: min(_top_gaps(r, "predicted")), "> 0"),
+)
+
 # Following §6.3.3: the conflict footprint of TPC-W shopping is shrunk (the
 # "heap table") until the standalone abort rate A1 reaches each target; the
 # model then predicts AN from the *measured* A1 while the simulator
@@ -363,4 +537,5 @@ register_scenario(Scenario(
     kind="figure",
     points=partial(_figure14_points, microbench.FIGURE14_ABORT_RATES),
     assemble=partial(_figure14_assemble, microbench.FIGURE14_ABORT_RATES),
+    claims=_FIGURE14_CLAIMS,
 ))

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.topology import STANDALONE
-from ..engine import Scenario, register_scenario, sim_point
+from ..engine import Claim, Scenario, register_scenario, sim_point
 from ..models.standalone import predict_standalone
 from ..workloads import tpcw
 from ..workloads.spec import WorkloadSpec
@@ -151,6 +151,29 @@ def _openloop_assemble(
     )
 
 
+def _at_load(result: OpenClosedResult, fraction: float) -> OpenClosedRow:
+    return next(row for row in result.rows
+                if round(row.load_fraction, 2) == fraction)
+
+
+#: Below the knee open and closed arrivals agree; past capacity the open
+#: queue diverges while the closed population self-throttles (§3.1).
+_OPENLOOP_CLAIMS = (
+    Claim("§3.1", "open and closed agree at 50% load: |R_open - R_closed| "
+          "in s",
+          lambda r: abs(_at_load(r, 0.5).open_response
+                        - _at_load(r, 0.5).closed_response),
+          "< 0.05"),
+    Claim("§3.1", "the open queue diverges at 110% load: R_open / R_closed",
+          lambda r: (_at_load(r, 1.1).open_response
+                     / _at_load(r, 1.1).closed_response),
+          "> 3"),
+    Claim("§3.1", "the closed loop self-throttles at 110% load: R_closed "
+          "in s",
+          lambda r: _at_load(r, 1.1).closed_response, "< 1"),
+)
+
+
 def _openloop_scenario(
     spec: WorkloadSpec,
     load_fractions: Sequence[float],
@@ -171,6 +194,7 @@ def _openloop_scenario(
         kind="extension",
         points=points,
         assemble=assemble,
+        claims=_OPENLOOP_CLAIMS,
     )
 
 

@@ -11,8 +11,8 @@
 * ``sens-certifier-delay`` — how predictions move when the certification
   delay changes (6/12/24 ms).
 * ``error-margin`` — aggregates |predicted - measured| / measured over
-  every point of Figures 6, 8, 10 and 12 and checks the paper's "within
-  15%" claim.
+  every point of Figures 6, 8, 10 and 12; its claims are the paper's
+  "within 15%" (the maximum) and a mean under 8%.
 
 Each is a registered scenario run by name through
 :func:`~repro.engine.runner.run_scenario`; the error margin's grid is
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core import rng as rng_util
 from ..core.topology import MULTI_MASTER, SINGLE_MASTER
 from ..engine import (
+    Claim,
     Scenario,
     model_point,
     profile_task,
@@ -38,7 +39,7 @@ from ..engine import (
 from ..simulator.des import Environment, Timeout
 from ..simulator.stats import RunningStats
 from ..workloads import tpcw
-from .figures import assemble_sweep, sweep_points
+from .figures import SATURATED_WINDOW, assemble_sweep, sweep_points
 from .settings import ExperimentSettings
 
 
@@ -146,6 +147,11 @@ def _delay_assemble(
     )
 
 
+def _max_model_error(result: DelaySensitivityResult) -> float:
+    return max(abs(row.predicted_throughput - row.measured_throughput)
+               / row.measured_throughput for row in result.rows)
+
+
 register_scenario(Scenario(
     name="sens-lb-delay",
     title="Throughput sensitivity to load-balancer/network delay",
@@ -154,6 +160,14 @@ register_scenario(Scenario(
                    (0.0, 0.001, 0.005, 0.010), 8),
     assemble=partial(_delay_assemble, "load_balancer_delay",
                      (0.0, 0.001, 0.005, 0.010), 8),
+    claims=(
+        Claim("§6.3.1", "0-10 ms LB delay barely moves predictions: "
+              "max X drop",
+              lambda r: r.max_throughput_drop(), "< 0.01"),
+        Claim("§6.3.1", "model and simulator agree at every delay: "
+              "max X error",
+              _max_model_error, "< 0.1"),
+    ),
 ))
 
 register_scenario(Scenario(
@@ -163,6 +177,11 @@ register_scenario(Scenario(
     points=partial(_delay_points, "certifier_delay", (0.006, 0.012, 0.024), 8),
     assemble=partial(_delay_assemble, "certifier_delay",
                      (0.006, 0.012, 0.024), 8),
+    claims=(
+        Claim("§6.3.2", "6-24 ms certification barely moves "
+              "predictions: max X drop",
+              lambda r: r.max_throughput_drop(), "< 0.02"),
+    ),
 ))
 
 
@@ -266,15 +285,22 @@ register_scenario(Scenario(
     kind="sensitivity",
     points=lambda settings: (),
     assemble=lambda settings, points, results: certifier_capacity(),
+    claims=(
+        Claim("§6.3.2", "half a batched write plus one: min latency in s",
+              lambda r: min(p.mean_latency for p in r.points), ">= 0.008"),
+        Claim("§6.3.2", "half a batched write plus one: max latency in s",
+              lambda r: max(p.mean_latency for p in r.points), "<= 0.014"),
+        Claim("§6.3.2", "latency is load-insensitive: spread across rates "
+              "in s", lambda r: r.latency_spread(), "< 0.005"),
+        Claim("§6.3.2", "batching absorbs the load: mean batch at the top "
+              "rate", lambda r: r.points[-1].mean_batch_size, "> 2"),
+    ),
 ))
 
 
 # ---------------------------------------------------------------------------
 # §6.2 — the "within 15%" error-margin claim
 # ---------------------------------------------------------------------------
-
-#: The paper's §6.2 claim: the mean throughput error is at most 15%.
-CLAIMED_MEAN_ERROR = 0.15
 
 #: The validation sweeps the error margin aggregates (Figures 6, 8, 10, 12).
 _ERROR_MARGIN_COMBOS = (
@@ -292,15 +318,6 @@ class ErrorMarginResult:
     per_series: Dict[str, float]
     mean_throughput_error: float
     max_throughput_error: float
-
-    @property
-    def failures(self) -> Tuple[str, ...]:
-        """The paper's verdict: empty when the mean error is within the
-        claimed 15%, else the one line saying by how much it is not."""
-        if self.mean_throughput_error <= CLAIMED_MEAN_ERROR:
-            return ()
-        return (f"mean error {self.mean_throughput_error:.1%} > "
-                f"{CLAIMED_MEAN_ERROR:.0%} (paper's claim)",)
 
     def to_text(self) -> str:
         """Render as a text table."""
@@ -351,4 +368,11 @@ register_scenario(Scenario(
     kind="sensitivity",
     points=_error_margin_points,
     assemble=_error_margin_assemble,
+    claims=(
+        Claim("§6.2", "predictions within 15%: max throughput error",
+              lambda r: r.max_throughput_error, "< 0.15",
+              window=SATURATED_WINDOW),
+        Claim("§6.2", "predictions within 15%: mean throughput error",
+              lambda r: r.mean_throughput_error, "< 0.08"),
+    ),
 ))

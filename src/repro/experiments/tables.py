@@ -17,7 +17,7 @@ from functools import partial
 from typing import Dict, List, Sequence
 
 from ..core.units import to_ms
-from ..engine import Scenario, profile_point, register_scenario
+from ..engine import Claim, Scenario, profile_point, register_scenario
 from ..workloads import rubis, tpcw
 from ..workloads.spec import WorkloadSpec
 from .settings import ExperimentSettings
@@ -176,6 +176,60 @@ def _assemble_demands(
     return DemandTable(table_id=table_id, benchmark=benchmark, rows=rows)
 
 
+def _row(table, mix: str, resource: str = ""):
+    """The row of *mix* (and *resource*, for the demand tables)."""
+    return next(row for row in table.rows if row.mix == mix
+                and getattr(row, "resource", "") == resource)
+
+
+def _recovers(table_id: str) -> Claim:
+    return Claim(table_id.replace("table", "table "),
+                 "the profiler recovers every demand: max relative error",
+                 lambda t: t.max_relative_error(), "< 0.1")
+
+
+def _matches_paper(klass: str, paper_ms: float) -> Claim:
+    def error(table: DemandTable) -> float:
+        measured = getattr(_row(table, "shopping", "cpu"), f"{klass}_measured")
+        return abs(measured - paper_ms) / paper_ms
+
+    return Claim("table 3", f"shopping {klass} CPU demand vs the paper's "
+                 f"{paper_ms} ms: relative error", error, "< 0.1")
+
+
+_TABLE_CLAIMS = {
+    "table2": (
+        Claim("table 2", "browsing read fraction",
+              lambda t: _row(t, "browsing").read_fraction, "== 0.95"),
+        Claim("table 2", "shopping write fraction",
+              lambda t: _row(t, "shopping").write_fraction, "== 0.2"),
+        Claim("table 2", "ordering clients per replica",
+              lambda t: _row(t, "ordering").clients_per_replica, "== 50"),
+    ),
+    "table4": (
+        Claim("table 4", "browsing write fraction",
+              lambda t: _row(t, "browsing").write_fraction, "== 0"),
+        Claim("table 4", "bidding write fraction",
+              lambda t: _row(t, "bidding").write_fraction, "== 0.2"),
+        Claim("table 4", "every mix thinks 1000 ms: max |Z - 1000 ms|",
+              lambda t: max(abs(row.think_time_ms - 1000.0)
+                            for row in t.rows), "== 0"),
+    ),
+    "table3": (
+        _recovers("table3"),
+        _matches_paper("read", 41.43),
+        _matches_paper("write", 12.51),
+    ),
+    "table5": (
+        _recovers("table5"),
+        Claim("§6.2.2", "bidding writesets are disk-heavy: writeset / "
+              "update disk demand",
+              lambda t: (_row(t, "bidding", "disk").writeset_measured
+                         / _row(t, "bidding", "disk").write_measured),
+              "> 0.6"),
+    ),
+}
+
 for _table_id, _benchmark, _mixes in (
     ("table3", "TPC-W", tpcw.MIXES),
     ("table5", "RUBiS", rubis.MIXES),
@@ -186,6 +240,7 @@ for _table_id, _benchmark, _mixes in (
         kind="table",
         points=partial(_demand_points, dict(_mixes)),
         assemble=partial(_assemble_demands, _table_id, _benchmark),
+        claims=_TABLE_CLAIMS[_table_id],
     ))
 
 for _table_id, _benchmark, _builder in (
@@ -200,4 +255,5 @@ for _table_id, _benchmark, _builder in (
         assemble=(lambda builder: lambda settings, points, results: builder())(
             _builder
         ),
+        claims=_TABLE_CLAIMS[_table_id],
     ))

@@ -214,9 +214,13 @@ class TestFailurePropagation:
         def boom(*args, **kwargs):
             raise EngineError("sweep point failed in worker [test]")
 
-        monkeypatch.setattr(cli.experiments, "full_report", boom)
+        monkeypatch.setattr(cli, "execute_points", boom)
+        monkeypatch.setattr(cli.experiments, "REPORT_SCENARIOS",
+                            ("table2", "table4"))
         assert cli.main(["reproduce", "--fast"]) == 1
-        assert "reproduce failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[table2] error: sweep point failed in worker [test]" in err
+        assert "[table4] error: sweep point failed in worker [test]" in err
 
 
 class TestJobs:
@@ -265,9 +269,9 @@ class TestCLI:
 
         code = main(["run", "ablation-mva", "--no-cache"])
         assert code == 0
-        # Ablation artifacts are plain row lists; the CLI renders them
-        # one row per line.
-        assert "MVAAblationRow" in capsys.readouterr().out
+        # An ablation renders its own rows under its heading.
+        out = capsys.readouterr().out
+        assert out.startswith("mva ablation (exact vs Schweitzer):\n  n=   1 ")
 
 
 class TestRunWideOptions:
