@@ -11,17 +11,13 @@ from repro.engine import run_scenario
 
 
 def test_conflict_window_one_step_lag_vs_fixed_point(benchmark, settings):
-    rows = run_once(
+    result = run_once(
         benchmark,
         lambda: run_scenario("ablation-conflict-window", settings,
                              jobs=1, cache=None),
-    ).rows
-    print()
-    for row in rows:
-        print(
-            f"  N={row.replicas:>2d} lag={row.one_step_lag_abort:.4%} "
-            f"fixed={row.fixed_point_abort:.4%}"
-        )
+    )
+    print("\n" + result.to_text())
+    for row in result.rows:
         # The lagged estimate never exceeds the converged one ...
         assert row.one_step_lag_abort <= row.fixed_point_abort * (1 + 1e-6)
         # ... and the two agree within 5% relative at TPC-W abort rates.

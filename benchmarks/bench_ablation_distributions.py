@@ -11,16 +11,11 @@ from repro.engine import run_scenario
 
 
 def test_service_distribution_sensitivity(benchmark, settings):
-    rows = run_once(
+    result = run_once(
         benchmark,
         lambda: run_scenario("ablation-distributions", settings,
                              jobs=1, cache=None),
-    ).rows
-    print()
-    for row in rows:
-        print(
-            f"  {row.distribution:<14s} measured={row.measured_throughput:7.1f} "
-            f"predicted={row.predicted_throughput:7.1f} "
-            f"err={row.relative_error:.1%}"
-        )
+    )
+    print("\n" + result.to_text())
+    for row in result.rows:
         assert row.relative_error < 0.10

@@ -13,23 +13,15 @@ from repro.engine import run_scenario
 
 
 def test_lb_policy_vs_model(benchmark, settings):
-    rows = run_once(
+    result = run_once(
         benchmark,
         lambda: run_scenario("ablation-lb-policy", settings,
                              jobs=1, cache=None),
-    ).rows
-    print()
-    by_policy = {}
-    for row in rows:
-        by_policy[row.policy] = row
-        print(
-            f"  {row.policy:<13s} measured X={row.measured_throughput:7.1f} "
-            f"R={row.measured_response_time*1000:6.1f}ms | predicted "
-            f"X={row.predicted_throughput:7.1f} "
-            f"R={row.predicted_response_time*1000:6.1f}ms"
-        )
+    )
+    print("\n" + result.to_text())
+    by_policy = {row.policy: row for row in result.rows}
     # Throughput is routing-insensitive (within a few percent).
-    throughputs = [r.measured_throughput for r in rows]
+    throughputs = [r.measured_throughput for r in result.rows]
     assert max(throughputs) < 1.10 * min(throughputs)
     # Least-loaded routing achieves the best (or tied) response time.
     best = by_policy["least-loaded"].measured_response_time

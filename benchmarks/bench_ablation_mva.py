@@ -14,14 +14,9 @@ from repro.experiments import mva_ablation
 def test_mva_exact_vs_schweitzer(benchmark):
     rows = run_once(benchmark, mva_ablation)
     print()
-    worst = 0.0
     for row in rows:
-        print(
-            f"  n={row.population:>4d} exact={row.exact_throughput:8.2f} "
-            f"approx={row.approximate_throughput:8.2f} "
-            f"err={row.relative_error:.2%}"
-        )
-        worst = max(worst, row.relative_error)
+        print("  " + row.to_text())
+    worst = max(row.relative_error for row in rows)
     # Schweitzer is good but not exact: visible error near the knee...
     assert worst > 0.01
     # ... yet bounded everywhere.

@@ -47,7 +47,7 @@ def settings() -> ExperimentSettings:
 
 @pytest.fixture(scope="session")
 def fast_mode() -> bool:
-    """Whether the cut-down sweep is active (loosens shape assertions)."""
+    """Whether the cut-down sweep is active (shortens live runs)."""
     return bool(os.environ.get("REPRO_BENCH_FAST"))
 
 

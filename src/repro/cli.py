@@ -548,15 +548,15 @@ def _print_timelines(results) -> None:
 
 def _claims_table(rows) -> str:
     """One line per judged claim, under a count of the verdicts."""
-    broken = sum(row.verdict == BROKEN for row in rows)
-    holds = sum(row.verdict == HOLDS for row in rows)
-    lines = [f"claims: {holds} hold, {broken} broken, "
-             f"{len(rows) - holds - broken} not checked"]
+    verdicts = [row.verdict for row in rows]
+    holds, broken = verdicts.count(HOLDS), verdicts.count(BROKEN)
     width = max(len(row.statement) for row in rows)
-    for row in [ClaimRow("scenario", "source", "claim", None, "bound",
-                         "verdict"), *rows]:
-        value = ("value" if row.scenario == "scenario" else "-"
-                 if row.value is None else f"{row.value:.4g}")
+    lines = [f"claims: {holds} hold, {broken} broken, "
+             f"{len(rows) - holds - broken} not checked",
+             f"  {'scenario':<23s} {'source':<10s} {'claim':<{width}s} "
+             f"{'value':>9s} {'bound':<16s} verdict"]
+    for row in rows:
+        value = "-" if row.value is None else f"{row.value:.4g}"
         lines.append(f"  {row.scenario:<23s} {row.source:<10s} "
                      f"{row.statement:<{width}s} {value:>9s} "
                      f"{row.bound:<16s} {row.verdict}")
@@ -618,12 +618,12 @@ def _run_registered(args, scenario) -> Tuple[int, List[ClaimRow]]:
     return (1 if failures else 0), claims
 
 
-def _run_all(args, names) -> int:
-    """Run the named scenarios in order, then print one table of every
+def _cmd_run(args) -> int:
+    """``run``: the named scenarios in order, then one table of every
     claim they declare; the worst exit status wins.  An unknown name
     exits 2 before anything runs."""
     try:
-        scenarios = [get_scenario(name) for name in names]
+        scenarios = [get_scenario(name) for name in args.names]
     except UnknownScenarioError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
@@ -637,19 +637,15 @@ def _run_all(args, names) -> int:
     return code
 
 
-def _cmd_run(args) -> int:
-    """``run``: the named scenarios and their claims."""
-    return _run_all(args, args.names)
-
-
 def _cmd_reproduce(args) -> int:
-    """``reproduce``: every artifact of the paper and every claim, as
-    ``run`` prints them; ``--out`` also writes that text to a file."""
+    """``reproduce``: ``run`` over every scenario of the paper's report;
+    ``--out`` also writes the printed text to a file."""
+    args.names = experiments.REPORT_SCENARIOS
     if not args.out:
-        return _run_all(args, experiments.REPORT_SCENARIOS)
+        return _cmd_run(args)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = _run_all(args, experiments.REPORT_SCENARIOS)
+        code = _cmd_run(args)
     sys.stdout.write(buffer.getvalue())
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(buffer.getvalue())

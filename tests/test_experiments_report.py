@@ -40,7 +40,7 @@ class TestReportStructure:
         assert [row.scenario for row in windowed] == [
             "figure12", "figure13", "error-margin"]
         # Every paper artifact and extension declares claims; the
-        # ablations (ROADMAP item 17) do not yet.
+        # ablations do not yet.
         claimed = {row.scenario for row in rows}
         assert claimed == {name for name in REPORT_SCENARIOS
                            if not name.startswith("ablation-")}
