@@ -1,6 +1,6 @@
 """Experiment harness: regenerate every table and figure of §6."""
 
-from .ablations import AblationResult, mva_ablation
+from .ablations import mva_ablation
 from .context import clear_cache, get_profile, get_profiling_report
 from .crossval import (
     CrossValidationResult,
@@ -49,7 +49,6 @@ from ..ops import scenarios as ops_scenarios  # noqa: E402,F401
 from ..partition import scenarios as partition_scenarios  # noqa: E402,F401
 
 __all__ = [
-    "AblationResult",
     "AbortCurve",
     "CertifierCapacityResult",
     "DelaySensitivityResult",
