@@ -87,6 +87,9 @@ class GlobalCertification:
         self._service_time = (
             0.0 if certifier_spec is None else certifier_spec.service_time
         )
+        # Virtual time the last certification's service was due to end
+        # (guarded by order_lock).
+        self._free_at = 0.0
 
     def new_replica(self, name, sampler, certifier, max_concurrency,
                     capacity, hosted_partitions) -> ClusterReplica:
@@ -123,10 +126,14 @@ class GlobalCertification:
 
         One service token for the whole system: every certification
         holds the commit-order lock for its service time, the serial
-        bottleneck the sharded arm removes.
+        bottleneck the sharded arm removes.  The token is paced on its
+        own virtual timeline, like a :class:`~.resources.LiveResource`.
         """
+        arrival = self._clock.now()
         with self.order_lock:
-            self._clock.sleep(self._service_time)
+            due = max(arrival, self._free_at) + self._service_time
+            self._clock.sleep_until(due)
+            self._free_at = due
             yield
 
     def publish(self, outcome, committed, origin) -> None:

@@ -145,11 +145,15 @@ def _closed_loop_client(
     client_id: int,
     drivers: _Drivers,
 ) -> None:
+    # Think from the previous completion's deadline, so harness CPU and
+    # lock waits between transactions are absorbed by the think time.
+    clock = cluster.clock
+    completed = clock.now()
     while not drivers.stop.is_set():
-        cluster.clock.sleep(sampler.think_time())
+        clock.sleep_until(completed + sampler.think_time())
         if drivers.stop.is_set():
             return
-        _one_shot(cluster, sampler, client_id)
+        completed = _one_shot(cluster, sampler, client_id)
 
 
 def _open_loop_source(
@@ -160,7 +164,9 @@ def _open_loop_source(
     is given — non-homogeneous following the trace's rate curve, sampled
     by thinning against its peak [Lewis & Shedler 1979].  The two modes
     use distinct RNG stream names so adding a trace never perturbs
-    existing fixed-rate runs."""
+    existing fixed-rate runs.  Each arrival is due one gap after the
+    previous one's due time, so wake-up overshoot does not lower the
+    offered rate."""
     clock = cluster.clock
     if trace is None:
         arrival_rng = rng_util.spawn(seed, "live-open-arrivals")
@@ -170,12 +176,14 @@ def _open_loop_source(
         peak = trace.max_rate
         client_stream, txn_prefix = "live-trace-client", "trace-txn"
     sequence = 0
+    arrival = clock.now()
     while not drivers.stop.is_set():
-        clock.sleep(float(arrival_rng.exponential(1.0 / peak)))
+        arrival += float(arrival_rng.exponential(1.0 / peak))
+        clock.sleep_until(arrival)
         if drivers.stop.is_set():
             return
         if (trace is not None
-                and not trace.accept_arrival(arrival_rng, clock.now())):
+                and not trace.accept_arrival(arrival_rng, arrival)):
             continue  # thinned-out candidate
         sequence += 1
         sampler = WorkloadSampler(
@@ -190,7 +198,9 @@ def _open_loop_source(
         )
 
 
-def _one_shot(cluster: Cluster, sampler: WorkloadSampler, sequence: int) -> None:
+def _one_shot(cluster: Cluster, sampler: WorkloadSampler,
+              sequence: int) -> float:
+    """Run and record one transaction; returns its completion time."""
     clock, metrics = cluster.clock, cluster.metrics
     is_update = sampler.next_is_update()
     started = clock.now()
@@ -199,6 +209,7 @@ def _one_shot(cluster: Cluster, sampler: WorkloadSampler, sequence: int) -> None
     with cluster.metrics_lock:
         metrics.record_commit(is_update, now - started, aborts, now=now)
     cluster.recorder.completed(is_update)
+    return now
 
 
 def _fault_process(

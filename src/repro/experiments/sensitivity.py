@@ -282,7 +282,8 @@ register_scenario(Scenario(
     title="Group-committing certifier latency across load",
     kind="sensitivity",
     points=lambda settings: (),
-    assemble=lambda settings, points, results: certifier_capacity(),
+    assemble=lambda settings, points, results: certifier_capacity(
+        seed=settings.seed),
     claims=(
         Claim("§6.3.2", "half a batched write plus one: min latency in s",
               lambda r: min(p.mean_latency for p in r.points), ">= 0.008"),

@@ -152,6 +152,26 @@ class TestCertifierCapacity:
         result = certifier_capacity(rates=(50.0,), duration=20.0)
         assert "certifier capacity" in result.to_text()
 
+    def test_scenario_follows_the_settings_seed(self):
+        from repro.engine import run_scenario
+        from repro.experiments.settings import ExperimentSettings
+
+        default = run_scenario("sens-certifier-capacity",
+                               ExperimentSettings(), cache=False)
+        other = run_scenario("sens-certifier-capacity",
+                             ExperimentSettings(seed=7), cache=False)
+        assert other.to_text() != default.to_text()
+        # The default seed prints the table it always printed.
+        assert default.to_text() == (
+            "certifier capacity (leader disk write = 8 ms, group commit)\n"
+            "      rate   latency   batch\n"
+            "      25/s     8.8ms     1.0\n"
+            "      50/s     9.5ms     1.1\n"
+            "     150/s    11.1ms     1.5\n"
+            "     300/s    11.9ms     2.5\n"
+            "     500/s    12.0ms     4.0"
+        )
+
 
 class TestMVAAblation:
     def test_schweitzer_close_at_all_populations(self):
