@@ -9,13 +9,16 @@ while a 25-virtual-second run finishes in 2.5 wall seconds at the default
 scale of 0.1.
 
 Every sleep wakes late by the scheduler's overshoot (tens of
-microseconds).  Work paced on a timeline — each emulated CPU, disk and
-certifier token, each client's think time, each open-loop arrival —
-sleeps to an absolute virtual deadline (:meth:`VirtualClock.sleep_until`),
-so a late wake-up is absorbed by the next sleep on the same timeline
-instead of compounding.  Only delays that start at a measured instant
-(the load-balancer hop, the certifier response) and the first service of
-a busy period pay overshoot on top.
+microseconds).  Each emulated CPU and disk and each open-loop arrival
+stream sleeps to an absolute virtual deadline on its own timeline
+(:meth:`VirtualClock.sleep_until`), so a late wake-up is absorbed by the
+next sleep on the same timeline instead of compounding.  A closed-loop
+client thinks from its previous measured completion: the harness time
+between that completion and the think is absorbed, but the think's own
+wake-up overshoot still delays the next transaction.  Delays that start
+at a measured instant (the load-balancer hop, the certifier response),
+the certifier service tokens and the first service of a busy period pay
+overshoot on top.
 
 Choosing ``time_scale``: smaller is faster but squeezes the emulated
 service times toward the scheduler's sleep resolution.  Measured on

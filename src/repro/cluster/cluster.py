@@ -87,9 +87,6 @@ class GlobalCertification:
         self._service_time = (
             0.0 if certifier_spec is None else certifier_spec.service_time
         )
-        # Virtual time the last certification's service was due to end
-        # (guarded by order_lock).
-        self._free_at = 0.0
 
     def new_replica(self, name, sampler, certifier, max_concurrency,
                     capacity, hosted_partitions) -> ClusterReplica:
@@ -126,14 +123,10 @@ class GlobalCertification:
 
         One service token for the whole system: every certification
         holds the commit-order lock for its service time, the serial
-        bottleneck the sharded arm removes.  The token is paced on its
-        own virtual timeline, like a :class:`~.resources.LiveResource`.
+        bottleneck the sharded arm removes.
         """
-        arrival = self._clock.now()
         with self.order_lock:
-            due = max(arrival, self._free_at) + self._service_time
-            self._clock.sleep_until(due)
-            self._free_at = due
+            self._clock.sleep(self._service_time)
             yield
 
     def publish(self, outcome, committed, origin) -> None:

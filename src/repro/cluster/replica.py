@@ -101,10 +101,6 @@ class ClusterReplica:
         self._joining = False
         self._retiring = False
         self._failed = False
-        # The balancer's two routing inputs are read lock-free: _active
-        # is a plain int and _routable is re-derived under _state by
-        # every mutator of the four flags above (_update_routable).
-        self._routable = True
         self._active = 0
         self.writesets_applied = 0
         #: Protocol recorder (:mod:`repro.telemetry.recorder`); the
@@ -185,14 +181,12 @@ class ClusterReplica:
         (bulk replay in progress), retiring (drain before removal), or
         crashed for good.  Read without the lock: a client that routes
         here just as the replica starts retiring is caught by the
-        :attr:`staying` re-check after :meth:`enter`.
+        :attr:`staying` re-check after :meth:`enter`, and :meth:`crash`
+        sets ``_failed`` before ``_available``, so a torn read never
+        shows a crashed replica as routable.
         """
-        return self._routable
-
-    def _update_routable(self) -> None:
-        """Re-derive :attr:`available` (call with ``_state`` held)."""
-        self._routable = (self._available and not self._joining
-                          and not self._retiring and not self._failed)
+        return (self._available and not self._joining
+                and not self._retiring and not self._failed)
 
     @available.setter
     def available(self, value: bool) -> None:
@@ -200,7 +194,6 @@ class ClusterReplica:
             if self._failed:
                 return  # a crash is permanent; recovery means replacement
             self._available = value
-            self._update_routable()
             if value:
                 # Recovery: wake the applier to drain the deferred backlog.
                 self._state.notify_all()
@@ -223,7 +216,6 @@ class ClusterReplica:
         with self._state:
             self._failed = True
             self._available = False
-            self._update_routable()
             self._queue.clear()
         self.recorder.crashed(self.name)
 
@@ -248,25 +240,21 @@ class ClusterReplica:
         """
         with self._state:
             self._joining = True
-            self._update_routable()
 
     def complete_join(self) -> None:
         """Enter load-balancer rotation (bulk replay finished)."""
         with self._state:
             self._joining = False
-            self._update_routable()
 
     def begin_retire(self) -> None:
         """Stop receiving new transactions; existing ones drain."""
         with self._state:
             self._retiring = True
-            self._update_routable()
 
     def cancel_retire(self) -> None:
         """Return to rotation (the drain timed out; removal rolled back)."""
         with self._state:
             self._retiring = False
-            self._update_routable()
 
     # ------------------------------------------------------------------
     # Client-transaction execution (called from client threads)

@@ -145,7 +145,7 @@ def _closed_loop_client(
     client_id: int,
     drivers: _Drivers,
 ) -> None:
-    # Think from the previous completion's deadline, so harness CPU and
+    # Think from the previous measured completion, so harness CPU and
     # lock waits between transactions are absorbed by the think time.
     clock = cluster.clock
     completed = clock.now()

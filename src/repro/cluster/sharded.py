@@ -260,9 +260,6 @@ class ShardedCertification:
         self._shard_locks: List[threading.Lock] = [
             threading.Lock() for _ in range(spec.partitions)
         ]
-        #: Virtual time each shard's last service was due to end
-        #: (guarded by that shard's lock).
-        self._free_at: List[float] = [0.0] * spec.partitions
         #: In-flight snapshot floors: every update attempt pins the
         #: per-shard floors it will certify against, so the prune floor
         #: never passes a floor still in use (mirrors the DES path's
@@ -322,20 +319,13 @@ class ShardedCertification:
         partition order (deadlock-free).  Service occupancy: the touched
         shards are held for the certification's duration, so
         disjoint-partition commits overlap while same-shard ones
-        serialise.  Each shard keeps its own virtual timeline: the
-        service starts at the latest one among the touched shards and
-        moves every one of them to its due time.
+        serialise.
         """
-        arrival = self._clock.now()
         locks = [self._shard_locks[p] for p in partitions]
         for lock in locks:
             lock.acquire()
         try:
-            due = max([arrival] + [self._free_at[p] for p in partitions]
-                      ) + self._service_time
-            self._clock.sleep_until(due)
-            for p in partitions:
-                self._free_at[p] = due
+            self._clock.sleep(self._service_time)
             yield
         finally:
             for lock in reversed(locks):

@@ -5,13 +5,15 @@
 really sleeps: a sleep advances the fake wall clock by what was asked
 plus a chosen lateness, and the test reads back every sleep asked for.
 Threads are used only to put a job in a server's queue while another
-holds it; events order them, so every step is deterministic.
+holds it; events order them, so every step is deterministic.  The
+traffic drivers run on the test's own thread against stub clusters.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.cluster import clock as clock_module
 from repro.cluster import runner
 from repro.cluster.clock import VirtualClock
 from repro.cluster.resources import LiveResource
+from repro.core import rng as rng_util
 
 
 class FakeTime:
@@ -146,6 +149,56 @@ def test_closed_loop_client_thinks_from_its_completion(fake_time,
     runner._closed_loop_client(cluster, Sampler(), 0, drivers)
     assert begins == pytest.approx([3.0, 7.0])
     assert begins[1] == pytest.approx(completions[0] + 3.0)
+
+
+class _Trace:
+    """Accepts every candidate and records the time it was judged at."""
+
+    max_rate = 4.0
+
+    def __init__(self) -> None:
+        self.judged = []
+
+    def accept_arrival(self, rng, t):
+        self.judged.append(t)
+        return True
+
+
+@pytest.mark.parametrize("trace", [None, _Trace()], ids=["rate", "trace"])
+def test_open_loop_arrivals_keep_their_deadlines(fake_time, monkeypatch,
+                                                 trace):
+    clock = VirtualClock(0.5)
+    fake_time.late = 0.1  # every wake-up: 0.2 virtual seconds late
+    launched = []
+
+    class Drivers:
+        stop = threading.Event()
+
+        def launch(self, target, name):
+            launched.append(clock.now())
+            if len(launched) == 5:
+                self.stop.set()
+
+    cluster = SimpleNamespace(clock=clock, spec=None, partition_map=None,
+                              options=SimpleNamespace(distribution=None))
+    monkeypatch.setattr(runner, "WorkloadSampler", lambda *a, **k: None)
+    runner._open_loop_source(cluster, 4.0, 7, Drivers(), trace=trace)
+    stream = "live-open-arrivals" if trace is None else "live-trace-arrivals"
+    rng = rng_util.spawn(7, stream)
+    deadlines, expected, t, now = [], [], 0.0, 0.0
+    for _ in launched:
+        t += float(rng.exponential(1.0 / 4.0))
+        deadlines.append(t)
+        # A deadline still ahead is met one lateness late; one already
+        # passed launches at once.  Earlier lateness never accumulates.
+        if t > now:
+            now = t + 0.2
+        expected.append(now)
+    assert launched == pytest.approx(expected)
+    # Seed 7 draws a gap shorter than the lateness: the catch-up is hit.
+    assert any(a == b for a, b in zip(expected[1:], expected))
+    if trace is not None:
+        assert trace.judged == pytest.approx(deadlines)
 
 
 def test_contended_timeline_never_outruns_capacity():
